@@ -22,39 +22,23 @@ from .configurations import (
     build_bcN_root_system,
     restrict_configuration,
 )
-from .errors import DegenerateHError, DimensionError, PreconditionError, SingularityError
-from .prepotential import DEFAULT_THRESHOLD, coth, h_function, tensor_generic
+from .errors import DegenerateHError, DimensionError, PreconditionError
+from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, h_function, tensor_generic
 
 _H_FLOOR = 1e-6
 
 
 class ProductContext:
-    """A configuration together with an admissible evaluation point."""
+    """A configuration together with an admissible evaluation point.
+
+    ``active`` holds (A, c, z) from ``active_pairings`` at that point.
+    """
 
     def __init__(self, config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (config.dimension,):
-            raise DimensionError(
-                f"point has shape {x.shape}, expected ({config.dimension},)"
-            )
+        self.active = active_pairings(config, x, threshold)
         self.config = config
-        self.x = x
+        self.x = np.asarray(x, dtype=float)
         self.threshold = float(threshold)
-        self._check_admissible()
-
-    def _check_admissible(self):
-        c = self.config.multiplicities
-        active = c != 0.0
-        if not active.any():
-            return
-        z = self.config.vectors[active] @ self.x
-        if np.abs(z).min() < self.threshold:
-            A = self.config.vectors[active]
-            idx = int(np.argmin(np.abs(z)))
-            raise SingularityError(
-                f"point {self.x.tolist()} lies within {self.threshold} of the "
-                f"hyperplane of member {A[idx].tolist()}"
-            )
 
 
 def multiply(ctx: ProductContext, u, v) -> np.ndarray:
@@ -64,16 +48,10 @@ def multiply(ctx: ProductContext, u, v) -> np.ndarray:
     n = ctx.config.dimension
     if u.shape != (n,) or v.shape != (n,):
         raise DimensionError(f"u, v must have shape ({n},)")
-    A = ctx.config.vectors
-    c = ctx.config.multiplicities
-    active = c != 0.0
-    if not active.any():
-        return np.zeros(n)
-    A = A[active]
+    A, c, z = ctx.active
     # the pairing product is grouped first so u * v == v * u holds exactly
     pairings = (A @ u) * (A @ v)
-    w = c[active] * coth(A @ ctx.x) * pairings
-    return A.T @ w
+    return A.T @ (c * coth(z) * pairings)
 
 
 def associativity_residual(ctx: ProductContext, u, v, w) -> float:
@@ -118,21 +96,7 @@ class RestrictionContext:
         # exactly the block subsystem.
         self._coords = self.ambient_config.vectors @ self.block_basis.T
         self.in_subsystem = np.abs(self._coords).max(axis=1) <= MERGE_TOL
-        self._check_point()
-
-    def _check_point(self):
-        c = self.ambient_config.multiplicities
-        keep = (~self.in_subsystem) & (c != 0.0)
-        if not keep.any():
-            return
-        z = self.ambient_config.vectors[keep] @ self.x_embedded
-        if np.abs(z).min() < self.threshold:
-            A = self.ambient_config.vectors[keep]
-            idx = int(np.argmin(np.abs(z)))
-            raise SingularityError(
-                f"embedded point lies within {self.threshold} of the hyperplane "
-                f"of member {A[idx].tolist()}"
-            )
+        active_pairings(self.ambient_config, self.x_embedded, self.threshold, among=~self.in_subsystem)
 
     def subsystem_members(self) -> np.ndarray:
         """Vectors of the block subsystem (within-block differences)."""

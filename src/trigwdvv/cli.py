@@ -3,18 +3,22 @@
 Commands map to the library's check families (WDVV residuals, associativity,
 metric structure, block restriction, supersymmetric block) plus two utility
 emitters for tensors and normalized configuration documents.  Reports are
-deterministic given (seed, run parameters): every check draws from its own
-generator keyed by the run seed and the check name, and floats are serialized
-with 17 significant digits.
+deterministic given (seed, run parameters), and floats are serialized with 17
+significant digits.  A command's sample points come from one generator per
+stream, keyed by the run seed and "<command>/<label>": the label is "points",
+plus "gauge" for the gauge check of verify-susy.  The random vectors drawn at
+each point (u, v, w) come from the same stream as the point.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse or
-precondition error.
+A non-finite residual fails its check.  Exit codes: 0 all checks pass, 1 at
+least one check failed, 2 parse, precondition or numerical error (the package's
+errors and numpy's LinAlgError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,14 +36,14 @@ from .configurations import (
     restrict_configuration,
 )
 from .errors import ConfigFormatError, PreconditionError, SamplingError, TrigWdvvError
-from .prepotential import (
-    DEFAULT_THRESHOLD,
-    h_function,
-    is_admissible,
-    metric_B,
-    tensor_generic,
+from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generic
+from .sampling import (
+    DEFAULT_BOX,
+    MAX_ATTEMPTS_PER_POINT,
+    fully_active,
+    rng_for,
+    sample_admissible_points,
 )
-from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, fully_active, rng_for
 from .wdvv import (
     CONDITION_CAP,
     commuting_residual,
@@ -235,7 +239,7 @@ def config_document(parsed: BCnParameters | Configuration) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
+# sampled checks
 
 
 def _require_family(parsed, command: str) -> BCnParameters:
@@ -244,19 +248,9 @@ def _require_family(parsed, command: str) -> BCnParameters:
     return parsed
 
 
-def _draw_admissible(rng, pattern: Configuration, spec: RunSpec) -> np.ndarray:
-    lo, hi = spec.box
-    for _ in range(MAX_ATTEMPTS_PER_POINT):
-        x = rng.uniform(lo, hi, pattern.dimension)
-        if is_admissible(pattern, x, spec.threshold):
-            return x
-    raise SamplingError(
-        f"no admissible point in box ({lo}, {hi}) at threshold {spec.threshold} "
-        f"after {MAX_ATTEMPTS_PER_POINT} attempts"
-    )
-
-
 class _Collector:
+    """The residuals of one check; a non-finite residual fails it."""
+
     def __init__(self, name: str):
         self.name = name
         self.values: list[float] = []
@@ -266,94 +260,114 @@ class _Collector:
     def add(self, value: float, point=None) -> None:
         v = float(value)
         self.values.append(v)
-        if v > self._worst_val:
+        # `not v <= worst` also holds for NaN, and a non-finite worst value is
+        # never replaced, so the worst point is the first non-finite one
+        if math.isfinite(self._worst_val) and not v <= self._worst_val:
             self._worst_val = v
             self.worst = None if point is None else [float(t) for t in np.atleast_1d(point)]
 
     def result(self, tolerance: float) -> CheckResult:
-        mx = max(self.values) if self.values else 0.0
-        mean = float(np.mean(self.values)) if self.values else 0.0
-        return CheckResult(self.name, mx, mean, self.worst, mx < tolerance)
+        mx = self._worst_val
+        return CheckResult(self.name, mx, float(np.mean(self.values)), self.worst, mx < tolerance)
+
+
+def _record(report: VerificationReport, name: str, value: float) -> None:
+    """Append a check made of one value that depends on no sample point."""
+    col = _Collector(name)
+    col.add(value)
+    report.checks.append(col.result(report.run.tolerance))
+
+
+def _sampled(report: VerificationReport, pattern: Configuration, label: str, names, residuals) -> None:
+    """Append the checks ``names``, evaluated at ``samples`` admissible points of ``pattern``.
+
+    Points are drawn one at a time from the stream "<command>/<label>", and
+    ``residuals(rng, x)`` takes any further random draws from the same
+    stream.  It returns one list of residuals per name, or None to discard
+    the point, which is counted and replaced.  A check that received no
+    residual is left out of the report.
+    """
+    spec = report.run
+    rng = rng_for(spec.seed, f"{spec.command}/{label}")
+    cols = [_Collector(name) for name in names]
+    accepted = 0
+    while accepted < spec.samples:
+        if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
+            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded")
+        x = sample_admissible_points(rng, pattern, 1, spec.box, spec.threshold)[0]
+        values = residuals(rng, x)
+        if values is None:
+            report.discarded_points += 1
+            continue
+        accepted += 1
+        for col, vals in zip(cols, values):
+            for v in vals:
+                col.add(v, x)
+    report.checks.extend(col.result(spec.tolerance) for col in cols if col.values)
 
 
 # ---------------------------------------------------------------------------
 # command drivers
 
 
-def _run_wdvv(spec: RunSpec, parsed) -> VerificationReport:
+def _run_wdvv(report: VerificationReport, parsed) -> None:
+    spec = report.run
     config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
-    pattern = fully_active(config)
     n = config.dimension
-    report = VerificationReport(run=spec)
-    pair = _Collector("wdvv_pair_residual")
-    gen = _Collector("generalized_wdvv_residual")
-    rng = rng_for(spec.seed, f"{spec.command}/points")
-    accepted = 0
-    while accepted < spec.samples:
-        if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
-            raise SamplingError("condition-number cap discarded too many points")
-        x = _draw_admissible(rng, pattern, spec)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def residuals(rng, x):
         T = tensor_generic(config, x, spec.threshold)
         B = metric_B(T, x)
         conds = [np.linalg.cond(B)] + [np.linalg.cond(T[k]) for k in range(n)]
         if max(conds) > CONDITION_CAP:
-            report.discarded_points += 1
-            continue
-        accepted += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair.add(wdvv_residual(T, B, i, j, x).residual, x)
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gen.add(generalized_wdvv_residual(T, i, j, k, x).residual, x)
-    report.checks.append(pair.result(spec.tolerance))
-    if n >= 2:
-        report.checks.append(gen.result(spec.tolerance))
-    return report
+            return None
+        return (
+            [wdvv_residual(T, B, i, j, x).residual for i, j in pairs],
+            [generalized_wdvv_residual(T, i, j, k, x).residual for k in range(n) for i, j in pairs],
+        )
+
+    names = ("wdvv_pair_residual", "generalized_wdvv_residual")
+    _sampled(report, fully_active(config), "points", names, residuals)
 
 
-def _run_associativity(spec: RunSpec, parsed) -> VerificationReport:
+def _run_associativity(report: VerificationReport, parsed) -> None:
+    spec = report.run
     config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
-    pattern = fully_active(config)
     n = config.dimension
-    report = VerificationReport(run=spec)
-    col = _Collector("associativity_residual")
-    rng = rng_for(spec.seed, f"{spec.command}/points")
-    for _ in range(spec.samples):
-        x = _draw_admissible(rng, pattern, spec)
+
+    def residuals(rng, x):
         ctx = algebra.ProductContext(config, x, spec.threshold)
         u, v, w = (rng.standard_normal(n) for _ in range(3))
-        col.add(algebra.associativity_residual(ctx, u, v, w), x)
-    report.checks.append(col.result(spec.tolerance))
-    return report
+        return ([algebra.associativity_residual(ctx, u, v, w)],)
+
+    _sampled(report, fully_active(config), "points", ("associativity_residual",), residuals)
 
 
-def _run_metric(spec: RunSpec, parsed) -> VerificationReport:
+def _run_metric(report: VerificationReport, parsed) -> None:
+    spec = report.run
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
-    pattern = fully_active(config)
     delta = constraint_residual(params)
-    report = VerificationReport(run=spec)
-    offdiag = _Collector("metric_offdiagonal")
-    diag_id = _Collector("metric_diagonal_identity")
-    rng = rng_for(spec.seed, f"{spec.command}/points")
     m = params.m_array
-    for _ in range(spec.samples):
-        x = _draw_admissible(rng, pattern, spec)
+
+    def residuals(rng, x):
         T = tensor_generic(config, x, spec.threshold)
         B = metric_B(T, x)
         scale = max(1.0, float(np.abs(B).max()))
         off = B - np.diag(np.diag(B))
-        offdiag.add(float(np.abs(off).max()) / scale, x)
         expected = m * (h_function(params, x) + delta * np.cosh(2.0 * x))
-        diag_id.add(float(np.abs(np.diag(B) - expected).max()) / scale, x)
-    report.checks.append(offdiag.result(spec.tolerance))
-    report.checks.append(diag_id.result(spec.tolerance))
-    return report
+        return (
+            [float(np.abs(off).max()) / scale],
+            [float(np.abs(np.diag(B) - expected).max()) / scale],
+        )
+
+    names = ("metric_offdiagonal", "metric_diagonal_identity")
+    _sampled(report, fully_active(config), "points", names, residuals)
 
 
-def _run_restriction(spec: RunSpec, parsed) -> VerificationReport:
+def _run_restriction(report: VerificationReport, parsed) -> None:
+    spec = report.run
     params = _require_family(parsed, spec.command)
     blocks = []
     for mi in params.m:
@@ -363,11 +377,10 @@ def _run_restriction(spec: RunSpec, parsed) -> VerificationReport:
             )
         blocks.append(int(round(mi)))
     part = Partition(N=sum(blocks), blocks=tuple(blocks))
-    report = VerificationReport(run=spec)
 
-    match = _Collector("restriction_config_match")
     projected = restrict_configuration(part.N, params.r, params.s, params.q, part)
     rebuilt = build_bcn(params)
+    dev = float("inf")
     if configurations_match(projected, rebuilt, coord_tol=1e-12, mult_tol=1e-12):
         dev = 0.0
         for pm, bm in zip(projected.members, rebuilt.members):
@@ -376,61 +389,42 @@ def _run_restriction(spec: RunSpec, parsed) -> VerificationReport:
                 max(abs(a - b) for a, b in zip(pm.vector, bm.vector)),
                 abs(pm.multiplicity - bm.multiplicity),
             )
-        match.add(dev)
-    else:
-        match.add(float("inf"))
-    report.checks.append(match.result(spec.tolerance))
+    _record(report, "restriction_config_match", dev)
 
-    closure = _Collector("restricted_closure")
-    two_path = _Collector("structure_constants_two_path")
-    tangency = _Collector("tangency_residual")
-    h_b = _Collector("h_b_decomposition")
-    pattern = fully_active(projected)
-    rng = rng_for(spec.seed, f"{spec.command}/points")
     F_basis = part.block_indicators()
-    has_subsystem = any(b > 1 for b in blocks)
-    for _ in range(spec.samples):
-        xt = _draw_admissible(rng, pattern, spec)
+
+    def residuals(rng, xt):
         rctx = algebra.RestrictionContext(params.r, params.s, params.q, part, xt, spec.threshold)
 
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
         u, v = F_basis.T @ ut, F_basis.T @ vt
         prod = algebra.restricted_multiply(rctx, u, v)
-        dev = 0.0
-        for k in range(part.n):
-            block = prod[F_basis[k] == 1.0]
-            dev = max(dev, float(block.max() - block.min()))
-        closure.add(dev / max(1.0, float(np.abs(prod).max())), xt)
+        spread = max(float(np.ptp(prod[f == 1.0])) for f in F_basis)
 
         C = algebra.structure_constants(rctx)
         Ft = tensor_generic(rctx.projected_config, xt, spec.threshold)
         expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
         scale = max(1.0, float(np.abs(expected).max()))
-        two_path.add(float(np.abs(C - expected).max()) / scale, xt)
 
-        if has_subsystem:
-            worst = 0.0
-            for alpha in rctx.subsystem_members():
-                worst = max(worst, algebra.tangency_residual(rctx, u, v, alpha))
-            tangency.add(worst, xt)
+        tangency = [algebra.tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem_members()]
+        return (
+            [spread / max(1.0, float(np.abs(prod).max()))],
+            [float(np.abs(C - expected).max()) / scale],
+            [max(tangency)] if tangency else [],
+            [algebra.h_b_decomposition_residual(rctx)],
+        )
 
-        h_b.add(algebra.h_b_decomposition_residual(rctx), xt)
-    report.checks.append(closure.result(spec.tolerance))
-    report.checks.append(two_path.result(spec.tolerance))
-    if has_subsystem:
-        report.checks.append(tangency.result(spec.tolerance))
-    report.checks.append(h_b.result(spec.tolerance))
-    return report
+    names = ("restricted_closure", "structure_constants_two_path", "tangency_residual", "h_b_decomposition")
+    _sampled(report, fully_active(projected), "points", names, residuals)
 
 
-def _run_susy(spec: RunSpec, parsed) -> VerificationReport:
+def _run_susy(report: VerificationReport, parsed) -> None:
+    spec = report.run
     params = _require_family(parsed, spec.command)
     hat = susy.build_hat_configuration(params)
     pattern = fully_active(hat.config)
     n = params.n
-    report = VerificationReport(run=spec)
 
-    anti = _Collector("fermionic_anticommutation")
     fs = susy.build_fermionic_space(n)
     modes = [(a, j) for a in range(2) for j in range(n)]
     eye = np.eye(fs.dim)
@@ -445,46 +439,31 @@ def _run_susy(spec: RunSpec, parsed) -> VerificationReport:
             expected = -0.5 * eye if (a == b and j == k) else 0.0
             dev = susy.anticommutator(fs.psi[a][j], fs.psibar[b][k]) - expected
             worst = max(worst, float(np.abs(dev).max()))
-    anti.add(worst)
-    report.checks.append(anti.result(spec.tolerance))
+    _record(report, "fermionic_anticommutation", worst)
 
-    two_path = _Collector("hat_tensor_two_path")
-    commuting = _Collector("hat_commuting_residual")
-    metric_id = _Collector("hat_metric_identity")
-    rng = rng_for(spec.seed, f"{spec.command}/points")
     inv_sqrt = 1.0 / np.sqrt(params.m_array)
-    for _ in range(spec.samples):
-        xh = _draw_admissible(rng, pattern, spec)
+
+    def hat_residuals(rng, xh):
         T = susy.hat_tensor(params, xh, spec.threshold)
         T2 = susy.hat_tensor_from_base(params, xh, spec.threshold)
         scale = max(1.0, float(np.abs(T2).max()))
-        two_path.add(float(np.abs(T - T2).max()) / scale, xh)
-        worst = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                worst = max(worst, commuting_residual(T, i, j))
-        commuting.add(worst, xh)
-        x = xh * inv_sqrt
-        h = h_function(params, x)
+        commuting = [commuting_residual(T, i, j) for i in range(n) for j in range(i + 1, n)]
+        h = h_function(params, xh * inv_sqrt)
         Bh = susy.hat_metric(params, T, xh)
-        metric_id.add(float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h)), xh)
-    report.checks.append(two_path.result(spec.tolerance))
-    report.checks.append(commuting.result(spec.tolerance))
-    report.checks.append(metric_id.result(spec.tolerance))
+        return (
+            [float(np.abs(T - T2).max()) / scale],
+            [max(commuting, default=0.0)],
+            [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
+        )
 
-    gauge = _Collector("gauge_residual")
-    rng_g = rng_for(spec.seed, f"{spec.command}/gauge")
-    for _ in range(spec.samples):
-        xh = _draw_admissible(rng_g, pattern, spec)
-        fields = {
-            "gaussian": susy.gaussian_field(xh + 0.2),
-            "sinh_product": susy.sinh_product_field(),
-            "polynomial": susy.polynomial_field(),
-        }
-        for phi in fields.values():
-            gauge.add(susy.gauge_residual(hat, xh, phi, spec.step, spec.threshold), xh)
-    report.checks.append(gauge.result(spec.tolerance))
-    return report
+    names = ("hat_tensor_two_path", "hat_commuting_residual", "hat_metric_identity")
+    _sampled(report, pattern, "points", names, hat_residuals)
+
+    def gauge_residuals(rng, xh):
+        fields = (susy.gaussian_field(xh + 0.2), susy.sinh_product_field(), susy.polynomial_field())
+        return ([susy.gauge_residual(hat, xh, phi, spec.step, spec.threshold) for phi in fields],)
+
+    _sampled(report, pattern, "gauge", ("gauge_residual",), gauge_residuals)
 
 
 def run(spec: RunSpec) -> VerificationReport:
@@ -500,7 +479,9 @@ def run(spec: RunSpec) -> VerificationReport:
     }.get(spec.command)
     if driver is None:
         raise PreconditionError(f"{spec.command} is not a verification command")
-    return driver(spec, parsed)
+    report = VerificationReport(run=spec)
+    driver(report, parsed)
+    return report
 
 
 def emit_tensor(spec: RunSpec, point) -> dict:
@@ -636,7 +617,7 @@ def main(argv=None) -> int:
             print(dumps_17g(config_document(parsed)))
             return 0
         report = run(spec)
-    except TrigWdvvError as exc:
+    except (TrigWdvvError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     _print_report(report, args.json)

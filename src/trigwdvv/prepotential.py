@@ -96,33 +96,40 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     return first, second
 
 
+def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD, among=None):
+    """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
+
+    A member is active when its multiplicity is nonzero and, if the boolean
+    mask ``among`` is given, it is selected there.  Every active member must
+    satisfy |(alpha, x)| >= threshold; otherwise SingularityError names the
+    nearest one.  Returns (A, c, z) with z = A @ x.
+    """
+    x = np.asarray(x, dtype=float)
+    n = config.dimension
+    if x.shape != (n,):
+        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
+    active = config.multiplicities != 0.0
+    if among is not None:
+        active &= among
+    A = config.vectors[active]
+    z = A @ x
+    if (np.abs(z) < threshold).any():
+        idx = int(np.argmin(np.abs(z)))
+        raise SingularityError(
+            f"point {x.tolist()} lies within {threshold} of the hyperplane of "
+            f"member {A[idx].tolist()} ((alpha, x) = {z[idx]:.6g})"
+        )
+    return A, config.multiplicities[active], z
+
+
 def tensor_generic(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Third-derivative tensor F_ijk = sum_alpha c_alpha a_i a_j a_k coth((alpha, x)).
 
     Members with zero multiplicity are skipped; every active member must
     satisfy |(alpha, x)| >= threshold.  Symmetric by construction.
     """
-    x = np.asarray(x, dtype=float)
-    n = config.dimension
-    if x.shape != (n,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
-    A = config.vectors
-    c = config.multiplicities
-    active = c != 0.0
-    if not active.any():
-        return np.zeros((n, n, n))
-    A = A[active]
-    c = c[active]
-    z = A @ x
-    small = np.abs(z) < threshold
-    if small.any():
-        idx = int(np.argmin(np.abs(z)))
-        raise SingularityError(
-            f"point {x.tolist()} lies within {threshold} of the hyperplane of "
-            f"member {A[idx].tolist()} ((alpha, x) = {z[idx]:.6g})"
-        )
-    w = c * coth(z)
-    return np.einsum("m,mi,mj,mk->ijk", w, A, A, A)
+    A, c, z = active_pairings(config, x, threshold)
+    return np.einsum("m,mi,mj,mk->ijk", c * coth(z), A, A, A)
 
 
 def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

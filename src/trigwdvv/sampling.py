@@ -1,8 +1,8 @@
 """Seeded, splittable sampling of admissible evaluation points.
 
 Every verification stream derives its generator from (seed, label) through a
-SHA-256 digest of the label, so adding a check never perturbs the samples of
-another.  Points are drawn uniformly from a box and rejected against the
+SHA-256 digest of the label, so adding a stream never perturbs the samples of
+another; checks that share a stream share its draws.  Points are drawn uniformly from a box and rejected against the
 admissibility margin; the attempt cap keeps pathological boxes diagnosable
 instead of looping forever.
 """
@@ -22,7 +22,7 @@ MAX_ATTEMPTS_PER_POINT = 10_000
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
-    """A PCG64 generator keyed by the run seed and a stable per-check label."""
+    """A PCG64 generator keyed by the run seed and a stable per-stream label."""
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)] + words)))

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration
+from .configurations import BCnParameters, Configuration, build_bcn
 from .errors import (
     DimensionCapError,
     DimensionError,
@@ -25,7 +25,13 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .prepotential import DEFAULT_THRESHOLD, coth, tensor_closed_form, tensor_generic
+from .prepotential import (
+    DEFAULT_THRESHOLD,
+    active_pairings,
+    coth,
+    tensor_closed_form,
+    tensor_generic,
+)
 
 # antisymmetric pairing on the two fermionic species, eps[0][1] = 1
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -48,30 +54,14 @@ def _as_config(obj) -> Configuration:
 
 
 def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
-    """Covectors m_i^{-1/2} e_i, 2 m_i^{-1/2} e_i, m_i^{-1/2} e_i +- m_j^{-1/2} e_j
+    """The members of ``build_bcn(p)`` with coordinate i scaled by m_i^{-1/2}:
+    covectors m_i^{-1/2} e_i, 2 m_i^{-1/2} e_i, m_i^{-1/2} e_i +- m_j^{-1/2} e_j
     with the family multiplicities.  Requires every m_i > 0."""
     if any(mi <= 0.0 for mi in p.m):
         raise ParameterError(f"rescaling needs m_i > 0, got m = {p.m}")
-    n, r, s, q, m = p.n, p.r, p.s, p.q, p.m
-    inv = [1.0 / math.sqrt(mi) for mi in m]
-    members = []
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = inv[i]
-        members.append((tuple(e), r * m[i]))
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 2.0 * inv[i]
-        members.append((tuple(e), s * m[i] + 0.5 * q * m[i] * (m[i] - 1.0)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = [0.0] * n
-            plus[i], plus[j] = inv[i], inv[j]
-            minus = [0.0] * n
-            minus[i], minus[j] = inv[i], -inv[j]
-            members.append((tuple(plus), q * m[i] * m[j]))
-            members.append((tuple(minus), q * m[i] * m[j]))
-    return RescaledConfiguration(base=p, config=Configuration(n, members))
+    inv_sqrt = 1.0 / np.sqrt(p.m_array)
+    members = [(mem.array * inv_sqrt, mem.multiplicity) for mem in build_bcn(p)]
+    return RescaledConfiguration(base=p, config=Configuration(p.n, members))
 
 
 def hat_tensor(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -100,22 +90,7 @@ def hat_metric(p: BCnParameters, tensor_hat: np.ndarray, x_hat) -> np.ndarray:
 def bosonic_potential(hat, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
     """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^))
     + 1/4 sum over pairs (incl. a = b) of c_a c_b (a,a)(b,b)(a,b) coth coth."""
-    config = _as_config(hat)
-    x_hat = np.asarray(x_hat, dtype=float)
-    A = config.vectors
-    c = config.multiplicities
-    active = c != 0.0
-    if not active.any():
-        return 0.0
-    A = A[active]
-    c = c[active]
-    z = A @ x_hat
-    small = np.abs(z) < threshold
-    if small.any():
-        idx = int(np.argmin(np.abs(z)))
-        raise SingularityError(
-            f"point {x_hat.tolist()} within {threshold} of hyperplane of member {A[idx].tolist()}"
-        )
+    A, c, z = active_pairings(_as_config(hat), x_hat, threshold)
     norms2 = np.einsum("mi,mi->m", A, A)
     single = 0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
     w = c * norms2 * coth(z)
@@ -178,21 +153,11 @@ def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHO
     covector components.  Equals the literal sum over all eight indices.
     """
     config = _as_config(hat)
-    x_hat = np.asarray(x_hat, dtype=float)
     n = config.dimension
     if f.n != n:
         raise DimensionError(f"fermionic space has n = {f.n}, configuration has n = {n}")
     out = np.zeros((f.dim, f.dim))
-    for mem in config.members:
-        c = mem.multiplicity
-        if c == 0.0:
-            continue
-        alpha = mem.array
-        z = float(alpha @ x_hat)
-        if abs(z) < threshold:
-            raise SingularityError(
-                f"point {x_hat.tolist()} within {threshold} of hyperplane of member {alpha.tolist()}"
-            )
+    for alpha, c, z in zip(*active_pairings(config, x_hat, threshold)):
         pref = 2.0 * c / math.sinh(z) ** 2
         A = [sum(alpha[i] * f.psi[b][i] for i in range(n)) for b in range(2)]
         Abar = [sum(alpha[l] * f.psibar[d][l] for l in range(n)) for d in range(2)]
@@ -254,24 +219,15 @@ def gauge_residual(
     config = _as_config(hat)
     x0 = np.asarray(x_hat0, dtype=float)
     n = config.dimension
-    if x0.shape != (n,):
-        raise DimensionError(f"point has shape {x0.shape}, expected ({n},)")
     h = float(step)
     if h <= 0.0:
         raise ParameterError("step must be positive")
     margin = 2.0 * h * math.sqrt(n)
-    c = config.multiplicities
-    active = c != 0.0
-    if active.any():
-        z = config.vectors[active] @ x0
-        if np.abs(z).min() < margin:
-            raise MarginError(
-                f"margin {np.abs(z).min():.3e} below required {margin:.3e} at step {h}"
-            )
-        if np.abs(z).min() < threshold:
-            raise SingularityError(
-                f"point {x0.tolist()} within {threshold} of an active hyperplane"
-            )
+    try:
+        active_pairings(config, x0, margin)
+    except SingularityError as exc:
+        raise MarginError(f"step {h} needs a margin of {margin:.3e}: {exc}") from exc
+    A, c, _ = active_pairings(config, x0, threshold)
 
     def g(y) -> float:
         return math.exp(log_gauge_factor(config, y))
@@ -294,12 +250,10 @@ def gauge_residual(
     V = bosonic_potential(config, x0, threshold)
     left = g(x0) * (-lap_psi + V * psi0)
 
+    # a row's dot product can differ from the matrix product's entry in the
+    # last bit, so (alpha, x^_0) is taken row by row as log_gauge_factor does
     first_order = 0.0
-    for mem in config.members:
-        cm = mem.multiplicity
-        if cm == 0.0:
-            continue
-        alpha = mem.array
+    for alpha, cm in zip(A, c):
         zm = float(alpha @ x0)
         first_order += cm * float(alpha @ alpha) / math.tanh(zm) * float(alpha @ grad_phi)
     right = -lap_phi + first_order

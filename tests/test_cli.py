@@ -75,6 +75,20 @@ class TestExitCodeContract:
         proc = run_cli("verify-wdvv")
         assert proc.returncode == 2
 
+    def test_non_finite_residual_fails(self):
+        # sinh(2 x) overflows for x > 355, so the metric residuals are NaN
+        proc = run_cli("verify-metric", *FAMILY_OK, "--box", "300,400")
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4 and lines[-1] == "FAILED"
+        assert all(line.endswith("FAIL") for line in lines[1:-1])
+
+    def test_linalg_error_is_exit_2_without_traceback(self):
+        proc = run_cli("verify-wdvv", *FAMILY_OK, "--box", "0.3,400")
+        assert proc.returncode == 2
+        assert "error: LinAlgError: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     def test_identical_seeds_byte_identical_reports(self):
@@ -344,3 +358,33 @@ class TestVerificationCommandsInProcess:
             seed=5,
         )
         assert run(spec).all_passed
+
+
+def _family(n, r, s, q, m):
+    return {"family": "bcn", "n": n, "r": r, "s": s, "q": q, "m": list(m)}
+
+
+CHECK_NAMES = {
+    "wdvv": ("verify-wdvv", _family(3, -2, 0, 1, (1, 1, 1)),
+             ["wdvv_pair_residual", "generalized_wdvv_residual"]),
+    "wdvv_n1_has_no_pairs": ("verify-wdvv", _family(1, 1, 0.5, 0, (2,)), []),
+    "associativity": ("verify-associativity", _family(3, -2, 0, 1, (1, 1, 1)),
+                      ["associativity_residual"]),
+    "metric": ("verify-metric", _family(2, 0.7, -1.2, 0.9, (1.5, 2.5)),
+               ["metric_offdiagonal", "metric_diagonal_identity"]),
+    "restriction": ("verify-restriction", _family(2, -20, 1, 2, (2, 3)),
+                    ["restriction_config_match", "restricted_closure",
+                     "structure_constants_two_path", "tangency_residual", "h_b_decomposition"]),
+    "restriction_without_subsystem": ("verify-restriction", _family(3, -2, 0, 1, (1, 1, 1)),
+                                      ["restriction_config_match", "restricted_closure",
+                                       "structure_constants_two_path", "h_b_decomposition"]),
+    "susy": ("verify-susy", _family(2, 0, 0, 1, (1, 1)),
+             ["fermionic_anticommutation", "hat_tensor_two_path", "hat_commuting_residual",
+              "hat_metric_identity", "gauge_residual"]),
+}
+
+
+@pytest.mark.parametrize("command, source, names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())
+def test_check_names_in_report_order(command, source, names):
+    report = run(RunSpec(command=command, config_source=source, samples=2, seed=3))
+    assert [c.name for c in report.checks] == names

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
+from trigwdvv import algebra, susy
+from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
 from trigwdvv.errors import DomainError, SingularityError
 from trigwdvv.prepotential import (
+    active_pairings,
     eval_f,
     h_function,
     hyperbolic_helpers,
@@ -126,6 +128,41 @@ class TestTensorGeneric:
         T = tensor_generic(build_bcn(p), [0.9, 0.5, 1.3])
         for perm in itertools.permutations(range(3)):
             assert np.abs(T - np.transpose(T, perm)).max() < 1e-12
+
+
+BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
+
+# every function that evaluates at a point and must keep clear of the hyperplanes
+HYPERPLANE_CALLERS = {
+    "tensor_generic": lambda x: tensor_generic(build_bcn(BC2), x),
+    "ProductContext": lambda x: algebra.ProductContext(build_bcn(BC2), x),
+    "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1)), x),
+    "bosonic_potential": lambda x: susy.bosonic_potential(build_bcn(BC2), x),
+    "phi_matrix": lambda x: susy.phi_matrix(build_bcn(BC2), x, susy.build_fermionic_space(2)),
+    # a step small enough that the stencil margin is not what fails
+    "gauge_residual": lambda x: susy.gauge_residual(build_bcn(BC2), x, lambda y: 1.0, step=1e-5),
+}
+
+
+class TestActivePairings:
+    def test_active_members_and_their_pairings(self):
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -1.0), 0.0), ((1.0, 1.0), -0.5)])
+        x = np.array([0.7, 0.7])  # on the hyperplane of the inactive member
+        A, mult, z = active_pairings(c, x)
+        assert A.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+        assert mult.tolist() == [2.0, -0.5]
+        assert z.tolist() == [0.7, 1.4]
+
+    def test_mask_restricts_the_test(self):
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -1.0), 1.0)])
+        A, _, _ = active_pairings(c, [0.7, 0.7], among=np.array([True, False]))
+        assert A.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("caller", HYPERPLANE_CALLERS.values(), ids=HYPERPLANE_CALLERS.keys())
+    def test_every_caller_names_the_nearest_member(self, caller):
+        x = np.array([0.9, 0.899])  # (e_1 - e_2, x) = 1e-3, below the default threshold
+        with pytest.raises(SingularityError, match=r"member \[1\.0, -1\.0\]"):
+            caller(x)
 
 
 class TestTensorClosedForm:
