@@ -12,6 +12,8 @@ in terms of the projected tensor.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .configurations import (
@@ -65,10 +67,16 @@ def associativity_residual(ctx: ProductContext, u, v, w) -> float:
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Holds the ambient BC_N(r, s, q) configuration, the partition, the point
-    x_tilde in block-basis coordinates, and the projected configuration.  The
-    embedded point sum_k x_tilde_k f_k must be admissible for every covector
-    outside the block subsystem.
+    Per run, built once: the ambient BC_N(r, s, q) configuration, the
+    partition and its block basis, the projected configuration, the f-hat
+    coordinates of every ambient member and the block-subsystem mask.  These
+    arrays are read-only and shared by every point of the run.
+
+    Per point: x_tilde in block-basis coordinates and the embedded point
+    sum_k x_tilde_k f_k, which must be admissible for every covector outside
+    the block subsystem.  ``at(x_tilde)`` gives the run's context at a point;
+    a context constructed without ``x_tilde`` carries the run data only, and
+    the functions below that evaluate at a point need one with a point.
     """
 
     def __init__(
@@ -77,26 +85,35 @@ class RestrictionContext:
         s: float,
         q: float,
         part: Partition,
-        x_tilde,
+        x_tilde=None,
         threshold: float = DEFAULT_THRESHOLD,
     ) -> None:
-        x_tilde = np.asarray(x_tilde, dtype=float)
-        if x_tilde.shape != (part.n,):
-            raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({part.n},)")
         self.r, self.s, self.q = float(r), float(s), float(q)
         self.part = part
-        self.x_tilde = x_tilde
         self.threshold = float(threshold)
         self.ambient_config = build_bcN_root_system(part.N, r, s, q)
-        self.projected_config = restrict_configuration(part.N, r, s, q, part)
+        self.projected_config = restrict_configuration(part.N, r, s, q, part, self.ambient_config)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
-        self.x_embedded = self.block_basis.T @ x_tilde
         # f-hat coordinates (alpha, f_k) of every ambient member; zero rows are
         # exactly the block subsystem.
         self._coords = self.ambient_config.vectors @ self.block_basis.T
         self.in_subsystem = np.abs(self._coords).max(axis=1) <= MERGE_TOL
-        active_pairings(self.ambient_config, self.x_embedded, self.threshold, among=~self.in_subsystem)
+        self.x_tilde = self.x_embedded = None
+        if x_tilde is not None:
+            point = self.at(x_tilde)
+            self.x_tilde, self.x_embedded = point.x_tilde, point.x_embedded
+
+    def at(self, x_tilde) -> "RestrictionContext":
+        """This run's context at the point ``x_tilde``, sharing the per-run data."""
+        x_tilde = np.asarray(x_tilde, dtype=float)
+        if x_tilde.shape != (self.part.n,):
+            raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
+        x_embedded = self.block_basis.T @ x_tilde
+        active_pairings(self.ambient_config, x_embedded, self.threshold, among=~self.in_subsystem)
+        point = copy.copy(self)
+        point.x_tilde, point.x_embedded = x_tilde, x_embedded
+        return point
 
     def subsystem_members(self) -> np.ndarray:
         """Vectors of the block subsystem (within-block differences)."""
@@ -143,8 +160,7 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
     if not rctx.in_subsystem.any():
         raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
     alpha = np.asarray(alpha, dtype=float)
-    sub = rctx.subsystem_members()
-    if not any(np.abs(sub_row - alpha).max() <= MERGE_TOL for sub_row in sub):
+    if not (np.abs(rctx.subsystem_members() - alpha) <= MERGE_TOL).all(axis=1).any():
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

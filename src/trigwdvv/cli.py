@@ -33,7 +33,6 @@ from .configurations import (
     build_bcn,
     configurations_match,
     constraint_residual,
-    restrict_configuration,
 )
 from .errors import ConfigFormatError, PreconditionError, SamplingError, TrigWdvvError
 from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generic
@@ -314,6 +313,8 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
     spec = report.run
     config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
     n = config.dimension
+    if n < 2:
+        raise PreconditionError(f"{spec.command} needs n >= 2: n={n} has no WDVV content")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def residuals(rng, x):
@@ -378,7 +379,8 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
         blocks.append(int(round(mi)))
     part = Partition(N=sum(blocks), blocks=tuple(blocks))
 
-    projected = restrict_configuration(part.N, params.r, params.s, params.q, part)
+    restriction = algebra.RestrictionContext(params.r, params.s, params.q, part, threshold=spec.threshold)
+    projected = restriction.projected_config
     rebuilt = build_bcn(params)
     dev = float("inf")
     if configurations_match(projected, rebuilt, coord_tol=1e-12, mult_tol=1e-12):
@@ -391,11 +393,10 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
             )
     _record(report, "restriction_config_match", dev)
 
-    F_basis = part.block_indicators()
+    F_basis = restriction.block_basis
 
     def residuals(rng, xt):
-        rctx = algebra.RestrictionContext(params.r, params.s, params.q, part, xt, spec.threshold)
-
+        rctx = restriction.at(xt)
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
         u, v = F_basis.T @ ut, F_basis.T @ vt
         prod = algebra.restricted_multiply(rctx, u, v)
@@ -452,7 +453,7 @@ def _run_susy(report: VerificationReport, parsed) -> None:
         Bh = susy.hat_metric(params, T, xh)
         return (
             [float(np.abs(T - T2).max()) / scale],
-            [max(commuting, default=0.0)],
+            [max(commuting)] if commuting else [],
             [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
         )
 

@@ -9,6 +9,7 @@ subspace where coordinates are constant on blocks.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,9 @@ from .errors import DimensionError, ParameterError
 # noise from projections, not genuine ambiguity.
 MERGE_TOL = 1e-12
 
+# Machine epsilon of a float64, for the rounding of the merge keys.
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class WeightedVector:
@@ -32,11 +36,11 @@ class WeightedVector:
     def __post_init__(self):
         if len(self.vector) < 1:
             raise ParameterError("vector must have dimension >= 1")
-        if not all(math.isfinite(v) for v in self.vector):
+        if not all(map(math.isfinite, self.vector)):
             raise ParameterError(f"vector has non-finite entries: {self.vector}")
         if not math.isfinite(self.multiplicity):
             raise ParameterError("multiplicity must be finite")
-        if max(abs(v) for v in self.vector) == 0.0:
+        if max(map(abs, self.vector)) == 0.0:
             raise ParameterError("member vectors must be nonzero")
 
     @property
@@ -47,35 +51,71 @@ class WeightedVector:
 class Configuration:
     """An immutable list of weighted covectors in a fixed dimension.
 
-    Members whose vectors coincide (within ``MERGE_TOL`` per coordinate) are
-    merged by summing multiplicities; first-occurrence order is kept.  Members
+    Members are merged on construction.  The first member of a slot fixes the
+    slot's vector; each later member is compared with that first vector of
+    every slot, coordinate by coordinate within ``MERGE_TOL``, and joins the
+    earliest slot that matches, adding its multiplicity.  The rule is not
+    transitive: a member close to a slot's later members but not to its first
+    one opens a slot of its own.  First-occurrence order is kept, and members
     with zero multiplicity are retained so the member count of a family build
     is deterministic.
+
+    Candidate slots are found by bisection on a scalar key, the dot product
+    with fixed positive weights, in a window that covers ``MERGE_TOL`` and the
+    key's rounding; only the candidates get the coordinate test.  For the
+    family builders, whose distinct vectors have well-separated keys, a build
+    of M members in dimension d costs O(M d) Python work and O(M log M) key
+    comparisons (the sorted-list inserts are memory moves in C), against the
+    O(M^2 d) of a pairwise scan.
     """
 
     def __init__(self, dimension: int, members) -> None:
         if dimension < 1:
             raise ParameterError("dimension must be >= 1")
-        self.dimension = int(dimension)
-        merged: list[list] = []  # [coords tuple, multiplicity]
+        self.dimension = d = int(dimension)
+        vecs, mults = [], []
         for item in members:
             if isinstance(item, WeightedVector):
                 vec, mult = item.vector, item.multiplicity
             else:
                 vec, mult = item
                 vec = tuple(float(v) for v in vec)
-            if len(vec) != self.dimension:
-                raise DimensionError(
-                    f"member {vec} has dimension {len(vec)}, expected {self.dimension}"
-                )
-            for slot in merged:
-                if all(abs(a - b) <= MERGE_TOL for a, b in zip(slot[0], vec)):
-                    slot[1] += float(mult)
-                    break
-            else:
-                merged.append([vec, float(mult)])
+            if len(vec) != d:
+                raise DimensionError(f"member {vec} has dimension {len(vec)}, expected {d}")
+            vecs.append(vec)
+            mults.append(float(mult))
+        # Irregular positive weights, so that distinct small-integer vectors
+        # get distinct keys; summing to below 1, they keep every key of a
+        # finite vector finite.  A vector with non-finite entries has a
+        # non-finite key and matches no slot.
+        weights = (2.0 + np.sin(1e3 * np.arange(1, d + 1))) / (4.0 * d)
+        flat = np.array(vecs, dtype=float).reshape(len(vecs), d)
+        keys = (flat @ weights).tolist()
+        windows = (4.0 * (MERGE_TOL * weights.sum() + d * _EPS * (np.abs(flat) @ weights))).tolist()
+        slots: list[list] = []  # [first vector, multiplicity]
+        sorted_keys: list[float] = []
+        sorted_slots: list[int] = []
+        for vec, mult, key, window in zip(vecs, mults, keys, windows):
+            lo = bisect.bisect_left(sorted_keys, key - window)
+            hi = bisect.bisect_right(sorted_keys, key + window)
+            match = min(
+                (
+                    idx
+                    for idx in sorted_slots[lo:hi]
+                    if all(abs(a - b) <= MERGE_TOL for a, b in zip(slots[idx][0], vec))
+                ),
+                default=None,
+            )
+            if match is not None:
+                slots[match][1] += mult
+                continue
+            if math.isfinite(key):
+                pos = bisect.bisect_right(sorted_keys, key)
+                sorted_keys.insert(pos, key)
+                sorted_slots.insert(pos, len(slots))
+            slots.append([vec, mult])
         self.members: tuple[WeightedVector, ...] = tuple(
-            WeightedVector(vec, mult) for vec, mult in merged
+            WeightedVector(vec, mult) for vec, mult in slots
         )
         vectors = np.array([m.vector for m in self.members], dtype=float)
         vectors = vectors.reshape(len(self.members), self.dimension)
@@ -245,26 +285,25 @@ def project_vector(u, part: Partition) -> np.ndarray:
     return (F @ u) / np.asarray(part.blocks, dtype=float)
 
 
-def restrict_configuration(N: int, r: float, s: float, q: float, part: Partition) -> Configuration:
+def restrict_configuration(
+    N: int, r: float, s: float, q: float, part: Partition, ambient: Configuration | None = None
+) -> Configuration:
     """Project BC_N(r, s, q) minus its block subsystem onto the block subspace.
 
     The subsystem consists of the within-block differences (exactly the members
     whose projection vanishes).  Every other member is projected and rewritten
     in the coordinates where the normalized block vector f_k / m_k becomes e_k;
     coinciding images merge by summing multiplicities.  The result equals
-    build_bcn with m = part.blocks, member for member.
+    build_bcn with m = part.blocks, member for member.  ``ambient`` is BC_N(r,
+    s, q) if the caller has already built it; it is built here otherwise.
     """
     if N != part.N:
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
-    ambient = build_bcN_root_system(N, r, s, q)
-    F = part.block_indicators()
-    members = []
-    for mem in ambient.members:
-        alpha = mem.array
-        # coordinates after f_k/m_k -> e_k, i.e. (alpha, f_k); subsystem members
-        # are exactly those with all coordinates zero
-        new_coords = F @ alpha
-        if np.abs(new_coords).max() <= MERGE_TOL:
-            continue
-        members.append((tuple(new_coords), mem.multiplicity))
-    return Configuration(part.n, members)
+    if ambient is None:
+        ambient = build_bcN_root_system(N, r, s, q)
+    # coordinates after f_k/m_k -> e_k, i.e. (alpha, f_k); subsystem members
+    # are exactly those with all coordinates zero.  The entries are small
+    # integers, so the product is exact.
+    coords = ambient.vectors @ part.block_indicators().T
+    keep = np.abs(coords).max(axis=1) > MERGE_TOL
+    return Configuration(part.n, zip(map(tuple, coords[keep].tolist()), ambient.multiplicities[keep]))

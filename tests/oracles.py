@@ -2,14 +2,16 @@
 
 These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
-differences of the scalar prepotential, and the four-fermion term is built by
-literal eight-index loops.
+differences of the scalar prepotential, the four-fermion term is built by
+literal eight-index loops, and configuration members are merged by a pairwise
+scan.
 """
 
 import math
 
 import numpy as np
 
+from trigwdvv.configurations import MERGE_TOL
 from trigwdvv.prepotential import eval_f
 from trigwdvv.susy import EPSILON
 
@@ -17,6 +19,24 @@ from trigwdvv.susy import EPSILON
 def li3_fsum(w: float, terms: int = 400) -> float:
     """Trilogarithm by compensated summation of the defining series."""
     return math.fsum(w**k / k**3 for k in range(1, terms + 1))
+
+
+def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
+    """(vector, multiplicity) slots of ``members`` by the pairwise merge rule.
+
+    Each member is compared with the first vector of every earlier slot and
+    joins the earliest one whose coordinates all lie within MERGE_TOL.
+    """
+    merged: list[list] = []
+    for vec, mult in members:
+        vec = tuple(float(v) for v in vec)
+        for slot in merged:
+            if all(abs(a - b) <= MERGE_TOL for a, b in zip(slot[0], vec)):
+                slot[1] += float(mult)
+                break
+        else:
+            merged.append([vec, float(mult)])
+    return [(vec, mult) for vec, mult in merged]
 
 
 def prepotential_value(config, x) -> float:

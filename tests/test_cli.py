@@ -14,6 +14,7 @@ from trigwdvv.cli import (
     dumps_17g,
     emit_tensor,
     load_config_source,
+    main,
     parse_config_document,
     run,
 )
@@ -367,7 +368,6 @@ def _family(n, r, s, q, m):
 CHECK_NAMES = {
     "wdvv": ("verify-wdvv", _family(3, -2, 0, 1, (1, 1, 1)),
              ["wdvv_pair_residual", "generalized_wdvv_residual"]),
-    "wdvv_n1_has_no_pairs": ("verify-wdvv", _family(1, 1, 0.5, 0, (2,)), []),
     "associativity": ("verify-associativity", _family(3, -2, 0, 1, (1, 1, 1)),
                       ["associativity_residual"]),
     "metric": ("verify-metric", _family(2, 0.7, -1.2, 0.9, (1.5, 2.5)),
@@ -381,6 +381,9 @@ CHECK_NAMES = {
     "susy": ("verify-susy", _family(2, 0, 0, 1, (1, 1)),
              ["fermionic_anticommutation", "hat_tensor_two_path", "hat_commuting_residual",
               "hat_metric_identity", "gauge_residual"]),
+    "susy_n1_has_no_pairs": ("verify-susy", _family(1, 1, 0.5, 0, (2,)),
+                             ["fermionic_anticommutation", "hat_tensor_two_path",
+                              "hat_metric_identity", "gauge_residual"]),
 }
 
 
@@ -388,3 +391,34 @@ CHECK_NAMES = {
 def test_check_names_in_report_order(command, source, names):
     report = run(RunSpec(command=command, config_source=source, samples=2, seed=3))
     assert [c.name for c in report.checks] == names
+
+
+def test_wdvv_n1_is_refused(capsys):
+    # n=1 has no pair (i, j), so there is nothing to check; a run that checks
+    # nothing must not print OK
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "1", "--r", "1", "--s", "0.5", "--q", "0", "--m", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: PreconditionError: verify-wdvv needs n >= 2: n=1 has no WDVV content" in captured.err
+
+
+def test_restriction_builds_configurations_once_per_run(monkeypatch):
+    # BC_N and its projection are built once per verify-restriction run, not
+    # once per sample point
+    built = []
+    original = Configuration.__init__
+
+    def counting(self, dimension, members):
+        original(self, dimension, members)
+        built.append((self.dimension, len(self.members)))
+
+    monkeypatch.setattr(Configuration, "__init__", counting)
+    source = _family(2, -20, 1, 2, (2, 3))
+    per_run = []
+    for samples in (1, 3):
+        built.clear()
+        run(RunSpec(command="verify-restriction", config_source=source, samples=samples))
+        per_run.append(list(built))
+    assert per_run[0] == per_run[1]
+    assert (5, 2 * 5 + 5 * 4) in per_run[0]

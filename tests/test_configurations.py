@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigwdvv.configurations import (
+    MERGE_TOL,
     BCnParameters,
     Configuration,
     Partition,
@@ -19,6 +20,8 @@ from trigwdvv.configurations import (
     solve_r,
 )
 from trigwdvv.errors import DimensionError, ParameterError
+
+from tests.oracles import merge_pairwise
 
 
 def members_as_dict(config):
@@ -232,3 +235,73 @@ def test_merging_conserves_total_multiplicity(mults, slots):
     assert math.isclose(
         c.multiplicities.sum(), math.fsum(mults[:k]), rel_tol=0.0, abs_tol=1e-12
     )
+
+
+def slots_of(config):
+    return [(m.vector, m.multiplicity) for m in config.members]
+
+
+class TestMergeRule:
+    def test_member_just_inside_tolerance_merges(self):
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 0.99 * MERGE_TOL, 0.0), 3.0)])
+        assert slots_of(c) == [((1.0, 0.0), 5.0)]
+
+    def test_member_just_outside_tolerance_stays(self):
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 1.01 * MERGE_TOL), 3.0)])
+        assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0, 1.01 * MERGE_TOL), 3.0)]
+
+    def test_merge_is_not_transitive(self):
+        # b lies within the tolerance of a and of c, but c does not lie within
+        # it of a: c is compared with a (the slot's first vector) and stays
+        a = (1.0, 0.0)
+        b = (1.0 + 0.9 * MERGE_TOL, 0.0)
+        c = (1.0 + 1.8 * MERGE_TOL, 0.0)
+        config = Configuration(2, [(a, 1.0), (b, 2.0), (c, 4.0)])
+        assert slots_of(config) == [(a, 3.0), (c, 4.0)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_earliest_matching_slot_wins(self, sign):
+        # `between` matches both slots; the first-created one wins, whichever
+        # side of it the later slot lies on
+        a = (1.0, 0.0)
+        b = (1.0 + sign * 1.5 * MERGE_TOL, 0.0)
+        between = (1.0 + sign * 0.75 * MERGE_TOL, 0.0)
+        config = Configuration(2, [(a, 1.0), (b, 2.0), (between, 4.0)])
+        assert slots_of(config) == [(a, 5.0), (b, 2.0)]
+
+
+_BASES = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0), (2.0, 0.0, 1.0), (1e6, -3.0, 0.5)]
+_OFFSETS = [0.0, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0]
+
+
+@given(
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, len(_BASES) - 1),
+            st.lists(st.sampled_from(_OFFSETS), min_size=3, max_size=3),
+            st.sampled_from([0.0, 1.0, -2.5, 0.125]),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_merge_matches_pairwise_oracle(picks):
+    members = [
+        (tuple(b + o * MERGE_TOL for b, o in zip(_BASES[i], offsets)), mult)
+        for i, offsets, mult in picks
+    ]
+    assert slots_of(Configuration(3, members)) == merge_pairwise(members)
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (2, 3), (1, 2, 2), (5, 5, 5, 5)])
+def test_restriction_merge_matches_pairwise_oracle(blocks):
+    # the projected images of BC_N coincide in many places, so the merge
+    # inside restrict_configuration does real work here
+    part = Partition(N=sum(blocks), blocks=blocks)
+    ambient = build_bcN_root_system(part.N, 0.5, -1.0, 2.0)
+    F = part.block_indicators()
+    images = [(tuple(F @ m.array), m.multiplicity) for m in ambient.members]
+    images = [(vec, mult) for vec, mult in images if max(map(abs, vec)) > MERGE_TOL]
+    projected = restrict_configuration(part.N, 0.5, -1.0, 2.0, part)
+    assert slots_of(projected) == merge_pairwise(images)
