@@ -69,14 +69,17 @@ class RestrictionContext:
 
     Per run, built once: the ambient BC_N(r, s, q) configuration, the
     partition and its block basis, the projected configuration, the f-hat
-    coordinates of every ambient member and the block-subsystem mask.  These
-    arrays are read-only and shared by every point of the run.
+    coordinates of every ambient member, the block-subsystem mask, and the
+    vectors, multiplicities and projections of the active members outside the
+    subsystem.  These arrays are read-only and shared by every point of the
+    run.
 
-    Per point: x_tilde in block-basis coordinates and the embedded point
+    Per point: x_tilde in block-basis coordinates, the embedded point
     sum_k x_tilde_k f_k, which must be admissible for every covector outside
-    the block subsystem.  ``at(x_tilde)`` gives the run's context at a point;
-    a context constructed without ``x_tilde`` carries the run data only, and
-    the functions below that evaluate at a point need one with a point.
+    the block subsystem, and coth of those covectors' pairings with it.
+    ``at(x_tilde)`` gives the run's context at a point; a context constructed
+    without ``x_tilde`` carries the run data only, and the functions below
+    that evaluate at a point need one with a point.
     """
 
     def __init__(
@@ -99,21 +102,31 @@ class RestrictionContext:
         # exactly the block subsystem.
         self._coords = self.ambient_config.vectors @ self.block_basis.T
         self.in_subsystem = np.abs(self._coords).max(axis=1) <= MERGE_TOL
-        self.x_tilde = self.x_embedded = None
+        c = self.ambient_config.multiplicities
+        keep = (~self.in_subsystem) & (c != 0.0)
+        self._A_out = self.ambient_config.vectors[keep]
+        self._c_out = c[keep]
+        # projected covectors: sum_k (alpha, f_k)/m_k * f_k
+        self._proj_out = (self._coords[keep] / self.m) @ self.block_basis
+        self.x_tilde = self.x_embedded = self._coth_out = None
         if x_tilde is not None:
-            point = self.at(x_tilde)
-            self.x_tilde, self.x_embedded = point.x_tilde, point.x_embedded
+            self._place(x_tilde)
 
     def at(self, x_tilde) -> "RestrictionContext":
         """This run's context at the point ``x_tilde``, sharing the per-run data."""
+        point = copy.copy(self)
+        point._place(x_tilde)
+        return point
+
+    def _place(self, x_tilde) -> None:
         x_tilde = np.asarray(x_tilde, dtype=float)
         if x_tilde.shape != (self.part.n,):
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
         x_embedded = self.block_basis.T @ x_tilde
-        active_pairings(self.ambient_config, x_embedded, self.threshold, among=~self.in_subsystem)
-        point = copy.copy(self)
-        point.x_tilde, point.x_embedded = x_tilde, x_embedded
-        return point
+        _, _, z = active_pairings(
+            self.ambient_config, x_embedded, self.threshold, among=~self.in_subsystem
+        )
+        self.x_tilde, self.x_embedded, self._coth_out = x_tilde, x_embedded, coth(z)
 
     def subsystem_members(self) -> np.ndarray:
         """Vectors of the block subsystem (within-block differences)."""
@@ -137,16 +150,11 @@ def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
     N = rctx.part.N
     if u.shape != (N,) or v.shape != (N,):
         raise DimensionError(f"u, v must have shape ({N},)")
-    A = rctx.ambient_config.vectors
-    c = rctx.ambient_config.multiplicities
-    keep = (~rctx.in_subsystem) & (c != 0.0)
-    if not keep.any():
+    A = rctx._A_out
+    if not len(A):
         return np.zeros(N)
-    A = A[keep]
-    w = c[keep] * coth(A @ rctx.x_embedded) * (A @ u) * (A @ v)
-    # projected covectors: sum_k (alpha, f_k)/m_k * f_k
-    proj = (rctx._coords[keep] / rctx.m) @ rctx.block_basis
-    return proj.T @ w
+    w = rctx._c_out * rctx._coth_out * (A @ u) * (A @ v)
+    return rctx._proj_out.T @ w
 
 
 def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
@@ -164,11 +172,8 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    A = rctx.ambient_config.vectors
-    c = rctx.ambient_config.multiplicities
-    keep = (~rctx.in_subsystem) & (c != 0.0)
-    A = A[keep]
-    terms = c[keep] * (A @ u) * (A @ v) * (A @ alpha) * coth(A @ rctx.x_embedded)
+    A = rctx._A_out
+    terms = rctx._c_out * (A @ u) * (A @ v) * (A @ alpha) * rctx._coth_out
     scale = max(1.0, float(np.abs(terms).sum()))
     return abs(float(terms.sum())) / scale
 

@@ -34,7 +34,13 @@ from .configurations import (
     configurations_match,
     constraint_residual,
 )
-from .errors import ConfigFormatError, PreconditionError, SamplingError, TrigWdvvError
+from .errors import (
+    ConfigFormatError,
+    PreconditionError,
+    SamplingError,
+    SingularMatrixError,
+    TrigWdvvError,
+)
 from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generic
 from .sampling import (
     DEFAULT_BOX,
@@ -43,12 +49,7 @@ from .sampling import (
     rng_for,
     sample_admissible_points,
 )
-from .wdvv import (
-    CONDITION_CAP,
-    commuting_residual,
-    generalized_wdvv_residual,
-    wdvv_residual,
-)
+from .wdvv import CONDITION_CAP, pivot_residuals
 from . import algebra, susy
 
 COMMANDS = (
@@ -223,9 +224,14 @@ def load_config_source(source: dict | str) -> BCnParameters | Configuration:
     return parse_config_document(source)
 
 
+def _config_of(parsed: BCnParameters | Configuration) -> Configuration:
+    """The configuration of a parsed source (family parameters are built)."""
+    return build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
+
+
 def config_document(parsed: BCnParameters | Configuration) -> dict:
     """Normalized explicit-configuration document for any parsed source."""
-    config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
+    config = _config_of(parsed)
     return {
         "explicit": {
             "dimension": config.dimension,
@@ -311,22 +317,22 @@ def _sampled(report: VerificationReport, pattern: Configuration, label: str, nam
 
 def _run_wdvv(report: VerificationReport, parsed) -> None:
     spec = report.run
-    config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
+    config = _config_of(parsed)
     n = config.dimension
     if n < 2:
         raise PreconditionError(f"{spec.command} needs n >= 2: n={n} has no WDVV content")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = np.triu_indices(n, 1)
 
     def residuals(rng, x):
         T = tensor_generic(config, x, spec.threshold)
-        B = metric_B(T, x)
-        conds = [np.linalg.cond(B)] + [np.linalg.cond(T[k]) for k in range(n)]
-        if max(conds) > CONDITION_CAP:
+        # pivot 0 is the metric B (pair form), pivot 1 + k is F_k (pivot form)
+        try:
+            scaled, _, condition = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))
+        except SingularMatrixError:
             return None
-        return (
-            [wdvv_residual(T, B, i, j, x).residual for i, j in pairs],
-            [generalized_wdvv_residual(T, i, j, k, x).residual for k in range(n) for i, j in pairs],
-        )
+        if (condition > CONDITION_CAP).any():
+            return None
+        return scaled[0][pairs].tolist(), scaled[1:, pairs[0], pairs[1]].ravel().tolist()
 
     names = ("wdvv_pair_residual", "generalized_wdvv_residual")
     _sampled(report, fully_active(config), "points", names, residuals)
@@ -334,7 +340,7 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
 
 def _run_associativity(report: VerificationReport, parsed) -> None:
     spec = report.run
-    config = build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
+    config = _config_of(parsed)
     n = config.dimension
 
     def residuals(rng, x):
@@ -443,17 +449,18 @@ def _run_susy(report: VerificationReport, parsed) -> None:
     _record(report, "fermionic_anticommutation", worst)
 
     inv_sqrt = 1.0 / np.sqrt(params.m_array)
+    pairs = np.triu_indices(n, 1)
 
     def hat_residuals(rng, xh):
-        T = susy.hat_tensor(params, xh, spec.threshold)
+        T = tensor_generic(hat.config, xh, spec.threshold)
         T2 = susy.hat_tensor_from_base(params, xh, spec.threshold)
         scale = max(1.0, float(np.abs(T2).max()))
-        commuting = [commuting_residual(T, i, j) for i in range(n) for j in range(i + 1, n)]
+        commuting = pivot_residuals(T)[0][0][pairs]
         h = h_function(params, xh * inv_sqrt)
         Bh = susy.hat_metric(params, T, xh)
         return (
             [float(np.abs(T - T2).max()) / scale],
-            [max(commuting)] if commuting else [],
+            [float(commuting.max())] if commuting.size else [],
             [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
         )
 
@@ -491,19 +498,14 @@ def emit_tensor(spec: RunSpec, point) -> dict:
     ``h`` is present for family sources and null for explicit configurations.
     """
     parsed = load_config_source(spec.config_source)
-    if isinstance(parsed, BCnParameters):
-        config = build_bcn(parsed)
-        params = parsed
-    else:
-        config, params = parsed, None
     x = np.asarray(point, dtype=float)
-    F = tensor_generic(config, x, spec.threshold)
+    F = tensor_generic(_config_of(parsed), x, spec.threshold)
     B = metric_B(F, x)
     return {
         "point": [float(v) for v in x],
         "F": F.tolist(),
         "B": B.tolist(),
-        "h": h_function(params, x) if params is not None else None,
+        "h": h_function(parsed, x) if isinstance(parsed, BCnParameters) else None,
     }
 
 

@@ -1,16 +1,17 @@
-"""Residuals for the associativity-type matrix equations.
+"""Residuals of the WDVV equations F_i P^{-1} F_j = F_j P^{-1} F_i.
 
-Every residual is the max-abs entry of a commutator-like matrix.  The
-``residual`` field is scaled by the operand norms (multiplicities of order ten
-inflate absolute residuals without signaling failure); the unscaled value is
-kept alongside as ``commutator_max`` because negative controls are judged
-against it.  A verifier that cannot fail verifies nothing, so the controls
-matter as much as the positive checks.
+The theorem's three forms differ only in the pivot P: the metric B (pair
+form), any F_k (pivot form), or the identity (commuting form, for the
+rescaled tensor whose metric is a multiple of the identity).  One kernel
+evaluates all pairs (i, j) against a stack of pivots.  ``scaled`` divides the
+max-abs commutator entry by the operand norms (multiplicities of order ten
+inflate absolute residuals without signaling failure); ``raw`` keeps the
+unscaled entry because negative controls are judged against it.  A verifier
+that cannot fail verifies nothing, so the controls matter as much as the
+positive checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,77 +29,44 @@ CONDITION_CAP = 1e8
 _SINGULAR_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WdvvResidualRecord:
-    """One residual evaluation: where, which indices, how large, how trustworthy."""
+def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scaled, raw, condition) of F_i P^{-1} F_j - F_j P^{-1} F_i for every pivot P.
 
-    point: tuple[float, ...]
-    indices: tuple[int, ...]
-    residual: float
-    commutator_max: float
-    condition_number: float
-
-
-def _check_invertible(M: np.ndarray, what: str) -> float:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] < _SINGULAR_RTOL * sv[0]:
-        raise SingularMatrixError(
-            f"{what} is numerically singular (smallest/largest singular value "
-            f"= {sv[-1]:.3e}/{sv[0]:.3e})"
-        )
-    return float(sv[0] / sv[-1])
-
-
-def wdvv_residual(tensor: np.ndarray, B: np.ndarray, i: int, j: int, x=None) -> WdvvResidualRecord:
-    """Residual of F_i B^{-1} F_j = F_j B^{-1} F_i.
-
-    ``residual`` is the max-abs entry of the commutator-like matrix divided by
-    max(1, ||F_i|| ||B^{-1}|| ||F_j||) in the spectral norm; ``commutator_max``
-    is the same entry before scaling.
+    ``pivots`` is a (p, n, n) stack, e.g. ``B[None]`` for the pair form or the
+    tensor itself for the pivot form (P = F_k), or None for P = identity.
+    ``raw[p, i, j]`` is the max-abs entry of the commutator-like matrix and
+    ``scaled[p, i, j]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
+    spectral norm; both vanish exactly for i = j and are exactly symmetric in
+    (i, j).  ``condition[p]`` is the spectral condition number of pivot p
+    (1 for the identity).  A pivot whose smallest singular value is below
+    1e-10 times its largest raises SingularMatrixError.
     """
-    cond = _check_invertible(B, "metric B")
-    Fi, Fj = tensor[i], tensor[j]
-    M = Fi @ np.linalg.solve(B, Fj) - Fj @ np.linalg.solve(B, Fi)
-    raw = float(np.abs(M).max())
-    scale = max(
-        1.0,
-        np.linalg.norm(Fi, 2) * np.linalg.norm(np.linalg.inv(B), 2) * np.linalg.norm(Fj, 2),
-    )
-    pt = tuple(float(v) for v in np.atleast_1d(x)) if x is not None else ()
-    return WdvvResidualRecord(pt, (i, j), raw / scale, raw, cond)
-
-
-def generalized_wdvv_residual(tensor: np.ndarray, i: int, j: int, k: int, x=None) -> WdvvResidualRecord:
-    """Residual of F_i F_k^{-1} F_j = F_j F_k^{-1} F_i with pivot F_k."""
-    Fk = tensor[k]
-    cond = _check_invertible(Fk, f"pivot F_{k}")
-    Fi, Fj = tensor[i], tensor[j]
-    M = Fi @ np.linalg.solve(Fk, Fj) - Fj @ np.linalg.solve(Fk, Fi)
-    raw = float(np.abs(M).max())
-    scale = max(
-        1.0,
-        np.linalg.norm(Fi, 2) * np.linalg.norm(np.linalg.inv(Fk), 2) * np.linalg.norm(Fj, 2),
-    )
-    pt = tuple(float(v) for v in np.atleast_1d(x)) if x is not None else ()
-    return WdvvResidualRecord(pt, (i, j, k), raw / scale, raw, cond)
-
-
-def commuting_residual(tensor: np.ndarray, i: int, j: int) -> float:
-    """Scaled max-abs entry of F_i F_j - F_j F_i (no pivot).
-
-    Intended for the rescaled tensor, whose metric is proportional to the
-    identity, and for m = (1, ..., 1) families under the constraint.
-    """
-    Fi, Fj = tensor[i], tensor[j]
-    M = Fi @ Fj - Fj @ Fi
-    scale = max(1.0, np.linalg.norm(Fi, 2) * np.linalg.norm(Fj, 2))
-    return float(np.abs(M).max()) / scale
-
-
-def commutator_max(tensor: np.ndarray, i: int, j: int) -> float:
-    """Unscaled max-abs entry of F_i F_j - F_j F_i."""
-    M = tensor[i] @ tensor[j] - tensor[j] @ tensor[i]
-    return float(np.abs(M).max())
+    T = np.asarray(tensor, dtype=float)
+    if pivots is None:
+        X = T[None]
+        condition = inv_norm = np.ones(1)
+    else:
+        P = np.asarray(pivots, dtype=float)
+        sv = np.linalg.svd(P, compute_uv=False)
+        for k, (largest, smallest) in enumerate(zip(sv[:, 0], sv[:, -1])):
+            if smallest < _SINGULAR_RTOL * largest:
+                raise SingularMatrixError(
+                    f"pivot {k} is numerically singular (smallest/largest singular value "
+                    f"= {smallest:.3e}/{largest:.3e})"
+                )
+        condition = sv[:, 0] / sv[:, -1]
+        inv_norm = 1.0 / sv[:, -1]
+        # X[p, j] = P_p^{-1} F_j; explicit 4-D stacks read the same in numpy 1.x and 2.x
+        X = np.linalg.solve(P[:, None], T[None])
+    n = T.shape[0]
+    raw = np.empty((len(X), n, n))
+    for p, Xp in enumerate(X):  # one pivot at a time keeps G at n^4 entries
+        G = T[:, None] @ Xp[None]  # G[i, j] = F_i P_p^{-1} F_j
+        M = G - G.swapaxes(0, 1)
+        raw[p] = np.abs(M, out=M).max(axis=(-2, -1))
+    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
+    return raw / scale, raw, condition
 
 
 def diagonality_report(tensor: np.ndarray, p: BCnParameters, x) -> tuple[float, float]:

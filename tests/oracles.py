@@ -3,8 +3,9 @@
 These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the four-fermion term is built by
-literal eight-index loops, and configuration members are merged by a pairwise
-scan.
+literal eight-index loops, configuration members are merged by a pairwise
+scan, and WDVV residuals are taken one pair (i, j) at a time with an explicit
+inverse for the pivot norm.
 """
 
 import math
@@ -37,6 +38,25 @@ def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
         else:
             merged.append([vec, float(mult)])
     return [(vec, mult) for vec, mult in merged]
+
+
+def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
+    """(scaled, raw) residual of F_i P^{-1} F_j = F_j P^{-1} F_i for one pair.
+
+    ``pivot`` None means the identity.  raw is the max-abs entry of the
+    commutator-like matrix; scaled divides it by
+    max(1, ||F_i|| ||P^{-1}|| ||F_j||) in the spectral norm.
+    """
+    Fi, Fj = tensor[i], tensor[j]
+    if pivot is None:
+        M = Fi @ Fj - Fj @ Fi
+        inv_norm = 1.0
+    else:
+        M = Fi @ np.linalg.solve(pivot, Fj) - Fj @ np.linalg.solve(pivot, Fi)
+        inv_norm = np.linalg.norm(np.linalg.inv(pivot), 2)
+    raw = float(np.abs(M).max())
+    scale = max(1.0, np.linalg.norm(Fi, 2) * inv_norm * np.linalg.norm(Fj, 2))
+    return raw / scale, raw
 
 
 def prepotential_value(config, x) -> float:

@@ -47,12 +47,7 @@ from trigwdvv.susy import (
     polynomial_field,
     sinh_product_field,
 )
-from trigwdvv.wdvv import (
-    commutator_max,
-    commuting_residual,
-    generalized_wdvv_residual,
-    wdvv_residual,
-)
+from trigwdvv.wdvv import pivot_residuals
 
 from tests.oracles import phi_matrix_bruteforce
 from tests.test_cli import FAMILY_OK, run_cli
@@ -185,9 +180,10 @@ def test_criterion_4_wdvv_theorems():
         for x in sample_admissible_points(rng, pattern, 50):
             T = tensor_generic(config, x)
             B = metric_B(T, x)
+            scaled = pivot_residuals(T, B[None])[0]
             for i in range(p.n):
                 for j in range(i + 1, p.n):
-                    worst_pos = max(worst_pos, wdvv_residual(T, B, i, j, x).residual)
+                    worst_pos = max(worst_pos, scaled[0, i, j])
 
     # negative controls: perturbing the constraint by 0.5 breaks the equations.
     # In two dimensions the pair equation holds identically for every B built
@@ -207,15 +203,16 @@ def test_criterion_4_wdvv_theorems():
         for x in sample_admissible_points(rng, pattern, 50):
             T = tensor_generic(config, x)
             B = metric_B(T, x)
+            pair, pivot = pivot_residuals(T, B[None])[1], pivot_residuals(T, T)[1]
             worst = max(
-                wdvv_residual(T, B, i, j, x).commutator_max
+                pair[0, i, j]
                 for i in range(p.n)
                 for j in range(i + 1, p.n)
             )
             worst = max(
                 worst,
                 max(
-                    generalized_wdvv_residual(T, i, j, k, x).commutator_max
+                    pivot[k, i, j]
                     for k in range(p.n)
                     for i in range(p.n)
                     for j in range(i + 1, p.n)
@@ -236,7 +233,7 @@ def test_criterion_4_wdvv_theorems():
     for x in sample_admissible_points(rng, fully_active(config2), 50):
         T = tensor_generic(config2, x)
         B = metric_B(T, x)
-        worst_n2 = max(worst_n2, wdvv_residual(T, B, 0, 1, x).residual)
+        worst_n2 = max(worst_n2, pivot_residuals(T, B[None])[0][0, 0, 1])
 
     elapsed = time.perf_counter() - t0
     ok = worst_pos < 1e-8 and all(f >= 0.9 for f in frac_bad) and worst_n2 < 1e-8 and elapsed < 10.0
@@ -354,8 +351,8 @@ def test_criterion_6_susy_block():
     pattern = fully_active(build_hat_configuration(p_ok).config)
     rng = rng_for(SEED, "acceptance6/commuting")
     pts = sample_admissible_points(rng, pattern, 50)
-    worst_comm = max(commuting_residual(hat_tensor(p_ok, x), 0, 1) for x in pts)
-    broken_raw = np.median([commutator_max(hat_tensor(p_bad, x), 0, 1) for x in pts])
+    worst_comm = max(pivot_residuals(hat_tensor(p_ok, x))[0][0, 0, 1] for x in pts)
+    broken_raw = np.median([pivot_residuals(hat_tensor(p_bad, x))[1][0, 0, 1] for x in pts])
 
     # four-fermion term against the literal eight-index oracle
     worst_phi = 0.0

@@ -23,7 +23,7 @@ from trigwdvv.configurations import (
 from trigwdvv.errors import DegenerateHError, PreconditionError, SingularityError
 from trigwdvv.prepotential import metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
-from trigwdvv.wdvv import wdvv_residual
+from trigwdvv.wdvv import pivot_residuals
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -222,7 +222,7 @@ class TestStructureConstants:
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
         Ft = tensor_generic(rctx.projected_config, xt)
         H = np.diag(rctx.m)
-        assert wdvv_residual(Ft, H, 0, 1, xt).residual < 1e-12
+        assert pivot_residuals(Ft, H[None])[0][0, 0, 1] < 1e-12
 
 
 class TestHBDecomposition:

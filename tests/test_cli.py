@@ -18,9 +18,11 @@ from trigwdvv.cli import (
     parse_config_document,
     run,
 )
-from trigwdvv.configurations import BCnParameters, Configuration
+from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import ConfigFormatError, PreconditionError
-from trigwdvv.prepotential import h_function
+from trigwdvv.prepotential import h_function, metric_B, tensor_generic
+from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv.wdvv import CONDITION_CAP
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -403,9 +405,14 @@ def test_wdvv_n1_is_refused(capsys):
     assert "error: PreconditionError: verify-wdvv needs n >= 2: n=1 has no WDVV content" in captured.err
 
 
-def test_restriction_builds_configurations_once_per_run(monkeypatch):
-    # BC_N and its projection are built once per verify-restriction run, not
-    # once per sample point
+@pytest.mark.parametrize(
+    "command, member_count",
+    [("verify-restriction", (5, 2 * 5 + 5 * 4)), ("verify-susy", (2, 6))],  # BC_5; rescaled BC_2
+    ids=["verify-restriction", "verify-susy"],
+)
+def test_builds_configurations_once_per_run(monkeypatch, command, member_count):
+    # the configurations a run needs (BC_N and its projection, or the rescaled
+    # family) are built once per run, not once per sample point
     built = []
     original = Configuration.__init__
 
@@ -418,7 +425,38 @@ def test_restriction_builds_configurations_once_per_run(monkeypatch):
     per_run = []
     for samples in (1, 3):
         built.clear()
-        run(RunSpec(command="verify-restriction", config_source=source, samples=samples))
+        run(RunSpec(command=command, config_source=source, samples=samples))
         per_run.append(list(built))
     assert per_run[0] == per_run[1]
-    assert (5, 2 * 5 + 5 * 4) in per_run[0]
+    assert member_count in per_run[0]
+
+
+def test_ill_conditioned_pivots_discard_the_point():
+    # with q = 3e-8 the pair covectors barely couple the coordinates, so some
+    # points have a pivot F_k conditioned worse than CONDITION_CAP; those are
+    # discarded and resampled, never reported or turned into an error.  The
+    # discards match np.linalg.cond on the same point stream.
+    spec = RunSpec(command="verify-wdvv", config_source=_family(2, -1.0, 1.0, 3e-8, (1, 1)), samples=20)
+    report = run(spec)
+
+    config = build_bcn(load_config_source(spec.config_source))
+    rng = rng_for(spec.seed, "verify-wdvv/points")
+    accepted = discarded = 0
+    while accepted < spec.samples:
+        x = sample_admissible_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
+        T = tensor_generic(config, x, spec.threshold)
+        conds = [np.linalg.cond(metric_B(T, x))] + [np.linalg.cond(F) for F in T]
+        if max(conds) > CONDITION_CAP:
+            discarded += 1
+        else:
+            accepted += 1
+    assert report.discarded_points == discarded > 0
+    assert report.all_passed
+
+
+def test_singular_pivots_discard_rather_than_error(capsys):
+    # with q = 0 every F_k is exactly singular: each point is discarded until
+    # the discard cap ends the run, as for any other unusable point
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "2", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1"]
+    assert main(argv + ["--samples", "1"]) == 2
+    assert "error: SamplingError: more than 10000 sample points were discarded" in capsys.readouterr().err

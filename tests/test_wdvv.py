@@ -6,13 +6,9 @@ from trigwdvv.errors import SingularMatrixError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 from trigwdvv.susy import build_hat_configuration, hat_tensor
-from trigwdvv.wdvv import (
-    commuting_residual,
-    commutator_max,
-    diagonality_report,
-    generalized_wdvv_residual,
-    wdvv_residual,
-)
+from trigwdvv.wdvv import diagonality_report, pivot_residuals
+
+from tests.oracles import pair_residual
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -32,16 +28,17 @@ def sampled_tensors(params, count, seed_label, seed=42):
 class TestWdvvResidual:
     def test_equal_indices_vanish_exactly(self):
         for x, T, B in sampled_tensors(BC3, 3, "wdvv/equal"):
-            rec = wdvv_residual(T, B, 1, 1, x)
-            assert rec.residual == 0.0 and rec.commutator_max == 0.0
-            assert rec.condition_number >= 1.0
+            scaled, raw, condition = pivot_residuals(T, B[None])
+            assert scaled[0, 1, 1] == 0.0 and raw[0, 1, 1] == 0.0
+            assert condition[0] >= 1.0
 
     def test_theorem_family(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "wdvv/theorem"):
+            scaled = pivot_residuals(T, B[None])[0]
             for i in range(3):
                 for j in range(i + 1, 3):
-                    worst = max(worst, wdvv_residual(T, B, i, j, x).residual)
+                    worst = max(worst, scaled[0, i, j])
         assert worst < 1e-8
 
     def test_broken_constraint_fails_generically(self):
@@ -49,8 +46,9 @@ class TestWdvvResidual:
         total = 0
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "wdvv/broken"):
             total += 1
+            raw = pivot_residuals(T, B[None])[1]
             worst = max(
-                wdvv_residual(T, B, i, j, x).commutator_max
+                raw[0, i, j]
                 for i in range(3)
                 for j in range(i + 1, 3)
             )
@@ -63,29 +61,32 @@ class TestWdvvResidual:
             M_ij = T[0] @ np.linalg.solve(B, T[1]) - T[1] @ np.linalg.solve(B, T[0])
             M_ji = T[1] @ np.linalg.solve(B, T[0]) - T[0] @ np.linalg.solve(B, T[1])
             assert np.abs(M_ij + M_ji).max() == 0.0
-            assert wdvv_residual(T, B, 0, 1, x).residual == wdvv_residual(T, B, 1, 0, x).residual
+            scaled = pivot_residuals(T, B[None])[0]
+            assert scaled[0, 0, 1] == scaled[0, 1, 0]
 
     def test_singular_metric_raises(self):
         T = np.zeros((2, 2, 2))
         T[0] = np.eye(2)
         T[1] = np.eye(2)
         with pytest.raises(SingularMatrixError):
-            wdvv_residual(T, np.array([[1.0, 0.0], [0.0, 0.0]]), 0, 1)
+            pivot_residuals(T, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
 
 class TestGeneralizedWdvv:
     def test_degenerate_index_choices_vanish(self):
         for x, T, B in sampled_tensors(BC3, 2, "gen/equal"):
-            assert generalized_wdvv_residual(T, 1, 1, 0, x).residual == 0.0
-            assert generalized_wdvv_residual(T, 0, 0, 2, x).residual == 0.0
+            scaled = pivot_residuals(T, T)[0]
+            assert scaled[0, 1, 1] == 0.0
+            assert scaled[2, 0, 0] == 0.0
 
     def test_theorem_family_all_triples(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "gen/theorem"):
+            scaled = pivot_residuals(T, T)[0]
             for k in range(3):
                 for i in range(3):
                     for j in range(i + 1, 3):
-                        worst = max(worst, generalized_wdvv_residual(T, i, j, k, x).residual)
+                        worst = max(worst, scaled[k, i, j])
         assert worst < 1e-8
 
     def test_broken_constraint(self):
@@ -93,11 +94,11 @@ class TestGeneralizedWdvv:
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "gen/broken"):
             total += 1
             worst = 0.0
+            raw = pivot_residuals(T, T)[1]
             for k in range(3):
                 for i in range(3):
                     for j in range(i + 1, 3):
-                        rec = generalized_wdvv_residual(T, i, j, k, x)
-                        worst = max(worst, rec.commutator_max)
+                        worst = max(worst, raw[k, i, j])
             if worst > 1e-3:
                 above += 1
         assert above >= 0.9 * total
@@ -108,12 +109,13 @@ class TestGeneralizedWdvv:
         for params, should_pass in ((BC3, True), (BC3_BROKEN, False)):
             pair_ok, gen_ok = True, True
             for x, T, B in sampled_tensors(params, 20, "equiv"):
+                pair, pivot = pivot_residuals(T, B[None])[0], pivot_residuals(T, T)[0]
                 for i in range(3):
                     for j in range(i + 1, 3):
-                        if wdvv_residual(T, B, i, j, x).residual >= tol:
+                        if pair[0, i, j] >= tol:
                             pair_ok = False
                         for k in range(3):
-                            if generalized_wdvv_residual(T, i, j, k, x).residual >= tol_gen:
+                            if pivot[k, i, j] >= tol_gen:
                                 gen_ok = False
             assert pair_ok == should_pass
             assert gen_ok == should_pass
@@ -122,7 +124,7 @@ class TestGeneralizedWdvv:
 class TestCommutingResidual:
     def test_equal_indices(self):
         T = hat_tensor(M23, np.array([0.8, 0.5]))
-        assert commuting_residual(T, 0, 0) == 0.0
+        assert pivot_residuals(T)[0][0, 0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
         pattern = fully_active(build_hat_configuration(M23).config)
@@ -130,7 +132,7 @@ class TestCommutingResidual:
         worst = 0.0
         for x in sample_admissible_points(rng, pattern, 50):
             T = hat_tensor(M23, x)
-            worst = max(worst, commuting_residual(T, 0, 1))
+            worst = max(worst, pivot_residuals(T)[0][0, 0, 1])
         assert worst < 1e-8
 
     def test_unrescaled_tensor_does_not_commute(self):
@@ -140,18 +142,17 @@ class TestCommutingResidual:
         vals = []
         for x in sample_admissible_points(rng, pattern, 50):
             T = tensor_generic(build_bcn(M23), x)
-            vals.append(commutator_max(T, 0, 1))
+            vals.append(pivot_residuals(T)[1][0, 0, 1])
         assert np.median(vals) > 1e-3
 
     def test_matches_wdvv_when_metric_is_scalar(self):
         # m = (1,..,1) under the constraint: B is proportional to the identity
         tol = 1e-10
         for x, T, B in sampled_tensors(BC3, 20, "commuting/scalar"):
+            pair, commuting = pivot_residuals(T, B[None])[0], pivot_residuals(T)[0]
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert (wdvv_residual(T, B, i, j, x).residual < tol) == (
-                        commuting_residual(T, i, j) < tol
-                    )
+                    assert (pair[0, i, j] < tol) == (commuting[0, i, j] < tol)
 
 
 class TestNTwoIsVacuous:
@@ -164,7 +165,7 @@ class TestNTwoIsVacuous:
         broken = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
         worst = 0.0
         for x, T, B in sampled_tensors(broken, 30, "n2/vacuous"):
-            worst = max(worst, wdvv_residual(T, B, 0, 1, x).residual)
+            worst = max(worst, pivot_residuals(T, B[None])[0][0, 0, 1])
         assert worst < 1e-8
 
     def test_commuting_form_detects_broken_constraint(self):
@@ -174,7 +175,7 @@ class TestNTwoIsVacuous:
         vals = []
         for x in sample_admissible_points(rng, pattern, 30):
             T = hat_tensor(broken, x)
-            vals.append(commutator_max(T, 0, 1))
+            vals.append(pivot_residuals(T)[1][0, 0, 1])
         assert np.median(vals) > 1e-3
 
 
@@ -221,5 +222,53 @@ def test_condition_number_of_scalar_metric_is_one():
     x = np.array([0.9, 0.5, 1.3])
     T = tensor_generic(build_bcn(BC3), x)
     B = metric_B(T, x)
-    rec = wdvv_residual(T, B, 0, 2, x)
-    assert rec.condition_number == pytest.approx(1.0, rel=1e-10)
+    condition = pivot_residuals(T, B[None])[2]
+    assert condition[0] == pytest.approx(1.0, rel=1e-10)
+
+
+def _theorem_and_broken(n, s, q, m):
+    ok = BCnParameters(n=n, r=solve_r(s, q, m), s=s, q=q, m=m)
+    return ok, BCnParameters(n=n, r=ok.r + 0.5, s=s, q=q, m=m)
+
+
+KERNEL_FAMILIES = [
+    *_theorem_and_broken(2, 1.0, 2.0, (2.0, 3.0)),
+    *_theorem_and_broken(3, 0.5, 1.5, (0.7, 1.3, 2.1)),
+    *_theorem_and_broken(6, 1.0, 1.0, (1.0, 2.0, 1.0, 2.0, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("params", KERNEL_FAMILIES, ids=lambda p: f"n={p.n},r={p.r:.4g}")
+def test_kernel_matches_per_pair_oracle(params):
+    # pair form (pivot B), pivot form (every F_k) and commuting form (pivot I)
+    n = params.n
+    for x, T, B in sampled_tensors(params, 5, f"kernel/{n}/{params.r}"):
+        forms = (
+            (pivot_residuals(T, B[None]), [B]),
+            (pivot_residuals(T, T), list(T)),
+            (pivot_residuals(T), [None]),
+        )
+        for (scaled, raw, _), pivots in forms:
+            assert scaled.shape == raw.shape == (len(pivots), n, n)
+            for p, P in enumerate(pivots):
+                for i in range(n):
+                    for j in range(n):
+                        want_scaled, want_raw = pair_residual(T, i, j, P)
+                        assert abs(scaled[p, i, j] - want_scaled) <= 1e-14
+                        assert raw[p, i, j] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
+
+
+def test_condition_is_numpy_cond_bit_for_bit():
+    for params in KERNEL_FAMILIES:
+        for x, T, B in sampled_tensors(params, 3, f"kernel/cond/{params.n}/{params.r}"):
+            assert pivot_residuals(T, B[None])[2].tolist() == [np.linalg.cond(B)]
+            assert pivot_residuals(T, T)[2].tolist() == [np.linalg.cond(F) for F in T]
+            assert pivot_residuals(T)[2].tolist() == [1.0]
+
+
+def test_singular_pivot_form_raises_naming_the_pivot():
+    T = np.zeros((2, 2, 2))
+    T[0] = np.eye(2)
+    T[1] = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(SingularMatrixError, match="pivot 1 "):
+        pivot_residuals(T, T)
