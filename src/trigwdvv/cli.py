@@ -4,14 +4,14 @@ Commands map to the library's check families (WDVV residuals, associativity,
 metric structure, block restriction, supersymmetric block) plus two utility
 emitters for tensors and normalized configuration documents.  Reports are
 deterministic given (seed, run parameters), and floats are serialized with 17
-significant digits.  A command's sample points come from one generator per
-stream, keyed by the run seed and "<command>/<label>": the label is "points",
-plus "gauge" for the gauge check of verify-susy.  The random vectors drawn at
-each point (u, v, w) come from the same stream as the point.
+significant digits.  A command's sample points come from one generator,
+keyed by the run seed and the stream label "<command>/points".  The random
+vectors drawn at each point (u, v, w) come from the same stream as the point.
 
-A non-finite residual fails its check.  Exit codes: 0 all checks pass, 1 at
-least one check failed, 2 parse, precondition or numerical error (the package's
-errors and numpy's LinAlgError).
+A non-finite residual fails its check, and ``--json`` renders it as null.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse,
+precondition or numerical error (the package's errors and numpy's
+LinAlgError).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class RunSpec:
     tolerance: float = 1e-8
     box: tuple[float, float] = DEFAULT_BOX
     threshold: float = DEFAULT_THRESHOLD
-    step: float = 1e-3
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -94,8 +93,6 @@ class RunSpec:
             raise PreconditionError(f"tolerance must be > 0, got {self.tolerance}")
         if not self.threshold > 0.0:
             raise PreconditionError(f"threshold must be > 0, got {self.threshold}")
-        if not self.step > 0.0:
-            raise PreconditionError(f"step must be > 0, got {self.step}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,7 +103,6 @@ class RunSpec:
             "tolerance": self.tolerance,
             "box": list(self.box),
             "threshold": self.threshold,
-            "step": self.step,
         }
 
 
@@ -149,7 +145,10 @@ class VerificationReport:
 
 
 def dumps_17g(obj) -> str:
-    """JSON with floats rendered at 17 significant digits, insertion order kept."""
+    """JSON with floats rendered at 17 significant digits, insertion order kept.
+
+    JSON has no NaN or infinity, so a non-finite float is rendered as null.
+    """
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{dumps_17g(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -160,7 +159,7 @@ def dumps_17g(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -283,25 +282,30 @@ def _record(report: VerificationReport, name: str, value: float) -> None:
     report.checks.append(col.result(report.run.tolerance))
 
 
-def _sampled(report: VerificationReport, pattern: Configuration, label: str, names, residuals) -> None:
+def _sampled(report: VerificationReport, pattern: Configuration, names, residuals) -> None:
     """Append the checks ``names``, evaluated at ``samples`` admissible points of ``pattern``.
 
-    Points are drawn one at a time from the stream "<command>/<label>", and
+    Points are drawn one at a time from the stream "<command>/points", and
     ``residuals(rng, x)`` takes any further random draws from the same
-    stream.  It returns one list of residuals per name, or None to discard
-    the point, which is counted and replaced.  A check that received no
-    residual is left out of the report.
+    stream.  It returns one list of residuals per name, or a short reason
+    (completing "the point had ...") to discard the point, which is counted
+    and replaced.  Past the discard cap the run ends with a SamplingError
+    that gives the count of each reason.  A check that received no residual
+    is left out of the report.
     """
     spec = report.run
-    rng = rng_for(spec.seed, f"{spec.command}/{label}")
+    rng = rng_for(spec.seed, f"{spec.command}/points")
     cols = [_Collector(name) for name in names]
+    reasons: dict[str, int] = {}
     accepted = 0
     while accepted < spec.samples:
         if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
-            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded")
+            counts = ", ".join(f"{k} had {reason}" for reason, k in reasons.items())
+            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {counts}")
         x = sample_admissible_points(rng, pattern, 1, spec.box, spec.threshold)[0]
         values = residuals(rng, x)
-        if values is None:
+        if isinstance(values, str):
+            reasons[values] = reasons.get(values, 0) + 1
             report.discarded_points += 1
             continue
         accepted += 1
@@ -329,13 +333,13 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
         try:
             scaled, _, condition = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))
         except SingularMatrixError:
-            return None
+            return "a numerically singular pivot"
         if (condition > CONDITION_CAP).any():
-            return None
+            return f"a pivot condition number above {CONDITION_CAP:g}"
         return scaled[0][pairs].tolist(), scaled[1:, pairs[0], pairs[1]].ravel().tolist()
 
     names = ("wdvv_pair_residual", "generalized_wdvv_residual")
-    _sampled(report, fully_active(config), "points", names, residuals)
+    _sampled(report, fully_active(config), names, residuals)
 
 
 def _run_associativity(report: VerificationReport, parsed) -> None:
@@ -348,7 +352,7 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
         u, v, w = (rng.standard_normal(n) for _ in range(3))
         return ([algebra.associativity_residual(ctx, u, v, w)],)
 
-    _sampled(report, fully_active(config), "points", ("associativity_residual",), residuals)
+    _sampled(report, fully_active(config), ("associativity_residual",), residuals)
 
 
 def _run_metric(report: VerificationReport, parsed) -> None:
@@ -370,7 +374,7 @@ def _run_metric(report: VerificationReport, parsed) -> None:
         )
 
     names = ("metric_offdiagonal", "metric_diagonal_identity")
-    _sampled(report, fully_active(config), "points", names, residuals)
+    _sampled(report, fully_active(config), names, residuals)
 
 
 def _run_restriction(report: VerificationReport, parsed) -> None:
@@ -422,31 +426,16 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
         )
 
     names = ("restricted_closure", "structure_constants_two_path", "tangency_residual", "h_b_decomposition")
-    _sampled(report, fully_active(projected), "points", names, residuals)
+    _sampled(report, fully_active(projected), names, residuals)
 
 
 def _run_susy(report: VerificationReport, parsed) -> None:
     spec = report.run
     params = _require_family(parsed, spec.command)
     hat = susy.build_hat_configuration(params)
-    pattern = fully_active(hat.config)
     n = params.n
 
-    fs = susy.build_fermionic_space(n)
-    modes = [(a, j) for a in range(2) for j in range(n)]
-    eye = np.eye(fs.dim)
-    worst = 0.0
-    for a, j in modes:
-        for b, k in modes:
-            worst = max(
-                worst,
-                float(np.abs(susy.anticommutator(fs.psi[a][j], fs.psi[b][k])).max()),
-                float(np.abs(susy.anticommutator(fs.psibar[a][j], fs.psibar[b][k])).max()),
-            )
-            expected = -0.5 * eye if (a == b and j == k) else 0.0
-            dev = susy.anticommutator(fs.psi[a][j], fs.psibar[b][k]) - expected
-            worst = max(worst, float(np.abs(dev).max()))
-    _record(report, "fermionic_anticommutation", worst)
+    _record(report, "fermionic_anticommutation", susy.anticommutation_residual(susy.FermionicSpace(n)))
 
     inv_sqrt = 1.0 / np.sqrt(params.m_array)
     pairs = np.triu_indices(n, 1)
@@ -462,16 +451,11 @@ def _run_susy(report: VerificationReport, parsed) -> None:
             [float(np.abs(T - T2).max()) / scale],
             [float(commuting.max())] if commuting.size else [],
             [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
+            [susy.gauge_residual(hat, xh, spec.threshold)],
         )
 
-    names = ("hat_tensor_two_path", "hat_commuting_residual", "hat_metric_identity")
-    _sampled(report, pattern, "points", names, hat_residuals)
-
-    def gauge_residuals(rng, xh):
-        fields = (susy.gaussian_field(xh + 0.2), susy.sinh_product_field(), susy.polynomial_field())
-        return ([susy.gauge_residual(hat, xh, phi, spec.step, spec.threshold) for phi in fields],)
-
-    _sampled(report, pattern, "gauge", ("gauge_residual",), gauge_residuals)
+    names = ("hat_tensor_two_path", "hat_commuting_residual", "hat_metric_identity", "gauge_residual")
+    _sampled(report, fully_active(hat.config), names, hat_residuals)
 
 
 def run(spec: RunSpec) -> VerificationReport:
@@ -539,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--box", metavar="lo,hi", default=None)
     parser.add_argument("--theta", type=float, default=DEFAULT_THRESHOLD)
-    parser.add_argument("--step", type=float, default=1e-3)
     parser.add_argument("--point", metavar="x1,x2,...", help="evaluation point for the tensor command")
     parser.add_argument("--json", action="store_true", help="single JSON document on stdout")
     return parser
@@ -582,7 +565,6 @@ def _spec_from_args(args) -> RunSpec:
         tolerance=args.tol,
         box=(float(box[0]), float(box[1])),
         threshold=args.theta,
-        step=args.step,
     )
     spec.validate()
     return spec

@@ -34,7 +34,9 @@ class DegenerateHError(TrigWdvvError, ArithmeticError):
 
 
 class MarginError(TrigWdvvError, ValueError):
-    """Finite-difference stencil would leave the admissible region."""
+    """A finite-difference step would leave the admissible region (raised by the
+    test suite's numerical-derivative references; the library differentiates
+    in closed form)."""
 
 
 class ConfigFormatError(TrigWdvvError, ValueError):
@@ -46,4 +48,5 @@ class PreconditionError(TrigWdvvError, ValueError):
 
 
 class SamplingError(TrigWdvvError, RuntimeError):
-    """Rejection sampling failed to find an admissible point within the attempt cap."""
+    """Rejection sampling found no admissible point within the attempt cap, or a
+    run discarded more sample points than the cap allows."""

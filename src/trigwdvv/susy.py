@@ -3,42 +3,29 @@
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
 the identity and the third-derivative matrices commute pairwise.  This module
 builds that rescaled configuration and tensor, the bosonic potential, a matrix
-representation of the fermionic variables on a 2^(2n)-dimensional space, the
-four-fermion interaction term, and a finite-difference check of the gauge
-relation between the two Hamiltonian forms (whose fermionic parts cancel, so
-they are excluded from the check).
+representation of the fermionic variables on a 2^(2n)-dimensional space with
+the residual of its anticommutation relations, the four-fermion interaction
+term, and the closed-form residual of the gauge identity V = |grad L|^2 - Lap L
+that relates the two Hamiltonian forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .configurations import BCnParameters, Configuration, build_bcn
-from .errors import (
-    DimensionCapError,
-    DimensionError,
-    MarginError,
-    ParameterError,
-    SingularityError,
-)
+from .errors import DimensionCapError, DimensionError, ParameterError
 from .prepotential import (
     DEFAULT_THRESHOLD,
     active_pairings,
     coth,
     tensor_closed_form,
-    tensor_generic,
 )
 
-# antisymmetric pairing on the two fermionic species, eps[0][1] = 1
-EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 _FERMION_N_CAP = 5  # dim = 2^(2n) <= 1024
-
-ScalarField = Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -64,14 +51,8 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     return RescaledConfiguration(base=p, config=Configuration(p.n, members))
 
 
-def hat_tensor(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Third-derivative tensor of the rescaled prepotential, summed directly
-    over the rescaled configuration."""
-    return tensor_generic(build_hat_configuration(p).config, x_hat, threshold)
-
-
 def hat_tensor_from_base(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Same tensor through the unscaled closed form: entry (k,l,t) is
+    """The rescaled tensor through the unscaled closed form: entry (k,l,t) is
     F_klt(x) / sqrt(m_k m_l m_t) at x_i = x^_i / sqrt(m_i)."""
     x_hat = np.asarray(x_hat, dtype=float)
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
@@ -136,21 +117,40 @@ class FermionicSpace:
                 M.setflags(write=False)
 
 
-def build_fermionic_space(n: int) -> FermionicSpace:
-    return FermionicSpace(n)
-
-
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B + B @ A
+
+
+def anticommutation_residual(fs: FermionicSpace) -> float:
+    """Max-abs deviation of every anticommutator of the 4n operators from its
+    expected value: -1/2 I for {psi^{aj}, psibar_a^j}, zero otherwise.
+
+    Each unordered pair is taken once; {P, Q} and {Q, P} are the same sum of
+    the same two products, so the other order adds nothing.
+    """
+    ops = [M for row in fs.psi for M in row] + [M for row in fs.psibar for M in row]
+    half = 0.5 * np.eye(fs.dim)
+    partner = len(ops) // 2
+    worst = 0.0
+    for p in range(len(ops)):
+        for q in range(p, len(ops)):
+            dev = anticommutator(ops[p], ops[q])
+            if q == p + partner:
+                dev += half
+            worst = max(worst, float(np.abs(dev).max()))
+    return worst
 
 
 def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """The four-fermion interaction matrix.
 
     For each covector: prefactor 2 c / sinh^2((a, x^)) times
-    (contracted four-operator term with the epsilon pairing plus
-    (a,a) sum_a psi^{ai} psibar_a^j), all spatial indices contracted with the
-    covector components.  Equals the literal sum over all eight indices.
+    (four-operator term contracted with the antisymmetric pairing of the two
+    species plus (a,a) sum_a psi^{ai} psibar_a^j), all spatial indices
+    contracted with the covector components.  With A_b = sum_i a_i psi^{bi}
+    and Abar_d = sum_l a_l psibar_d^l the pairing sum is
+    (A_0 A_1 - A_1 A_0)(Abar_1 Abar_0 - Abar_0 Abar_1).  Equals the literal
+    sum over all eight indices.
     """
     config = _as_config(hat)
     n = config.dimension
@@ -161,142 +161,24 @@ def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHO
         pref = 2.0 * c / math.sinh(z) ** 2
         A = [sum(alpha[i] * f.psi[b][i] for i in range(n)) for b in range(2)]
         Abar = [sum(alpha[l] * f.psibar[d][l] for l in range(n)) for d in range(2)]
-        four = np.zeros((f.dim, f.dim))
-        for a in range(2):
-            for b in range(2):
-                for cc in range(2):
-                    for d in range(2):
-                        coeff = EPSILON[b, cc] * EPSILON[a, d]
-                        if coeff == 0.0:
-                            continue
-                        four += coeff * (A[b] @ A[cc] @ Abar[d] @ Abar[a])
+        four = (A[0] @ A[1] - A[1] @ A[0]) @ (Abar[1] @ Abar[0] - Abar[0] @ Abar[1])
         two = float(alpha @ alpha) * sum(A[a] @ Abar[a] for a in range(2))
         out += pref * (four + two)
     return out
 
 
-def log_gauge_factor(hat, y) -> float:
-    """log of the gauge factor: sum over active covectors of
-    (c (a,a) / 2) log |sinh((a, y))|.
+def gauge_residual(hat, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
+    """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form.
 
-    The absolute value leaves the gauge relation unchanged (only log
-    derivatives enter, and d/dz log|sinh z| = coth z away from z = 0) while
-    keeping the factor real in every chamber.
+    L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
+    relating the two Hamiltonian forms, so grad L = A^T (c (a,a) coth / 2) and
+    Lap L = -1/2 sum c (a,a)^2 / sinh^2.  The identity holds for every
+    configuration: the residual checks ``bosonic_potential`` against a second
+    summation, not the family.
     """
-    config = _as_config(hat)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for mem in config.members:
-        c = mem.multiplicity
-        if c == 0.0:
-            continue
-        alpha = mem.array
-        z = float(alpha @ y)
-        sh = math.sinh(z)
-        if sh == 0.0:
-            raise SingularityError(f"sinh((alpha, y)) = 0 for member {alpha.tolist()}")
-        total += 0.5 * c * float(alpha @ alpha) * math.log(abs(sh))
-    return total
-
-
-def gauge_residual(
-    hat,
-    x_hat0,
-    phi: ScalarField,
-    step: float = 1e-3,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> float:
-    """Second-order finite-difference residual of the gauge relation.
-
-    Compares g (-Lap + V)(g^{-1} phi) against
-    (-Lap + sum c (a,a) coth((a,x^)) d_a) phi at x^_0, with g the product of
-    |sinh|^{c (a,a)/2} factors.  The fermionic term commutes with
-    multiplication by g and cancels between the two sides, so it is excluded.
-    Laplacians and gradients use central differences with the given step;
-    x^_0 must keep a margin of at least 2 * step * sqrt(n) from every active
-    hyperplane.
-    """
-    config = _as_config(hat)
-    x0 = np.asarray(x_hat0, dtype=float)
-    n = config.dimension
-    h = float(step)
-    if h <= 0.0:
-        raise ParameterError("step must be positive")
-    margin = 2.0 * h * math.sqrt(n)
-    try:
-        active_pairings(config, x0, margin)
-    except SingularityError as exc:
-        raise MarginError(f"step {h} needs a margin of {margin:.3e}: {exc}") from exc
-    A, c, _ = active_pairings(config, x0, threshold)
-
-    def g(y) -> float:
-        return math.exp(log_gauge_factor(config, y))
-
-    def psi(y) -> float:
-        return phi(y) / g(y)
-
-    eye = np.eye(n)
-    phi0 = phi(x0)
-    phi_plus = np.array([phi(x0 + h * eye[k]) for k in range(n)])
-    phi_minus = np.array([phi(x0 - h * eye[k]) for k in range(n)])
-    lap_phi = float(((phi_plus - 2.0 * phi0 + phi_minus) / h**2).sum())
-    grad_phi = (phi_plus - phi_minus) / (2.0 * h)
-
-    psi0 = psi(x0)
-    lap_psi = float(
-        sum((psi(x0 + h * eye[k]) - 2.0 * psi0 + psi(x0 - h * eye[k])) / h**2 for k in range(n))
-    )
-
-    V = bosonic_potential(config, x0, threshold)
-    left = g(x0) * (-lap_psi + V * psi0)
-
-    # a row's dot product can differ from the matrix product's entry in the
-    # last bit, so (alpha, x^_0) is taken row by row as log_gauge_factor does
-    first_order = 0.0
-    for alpha, cm in zip(A, c):
-        zm = float(alpha @ x0)
-        first_order += cm * float(alpha @ alpha) / math.tanh(zm) * float(alpha @ grad_phi)
-    right = -lap_phi + first_order
-
-    return abs(left - right) / max(1.0, abs(right))
-
-
-def gaussian_field(center, width: float = 0.7) -> ScalarField:
-    """exp(-|y - center|^2 / (2 width^2))."""
-    center = np.asarray(center, dtype=float)
-
-    def phi(y: np.ndarray) -> float:
-        d = np.asarray(y, dtype=float) - center
-        return math.exp(-float(d @ d) / (2.0 * width**2))
-
-    return phi
-
-
-def sinh_product_field() -> ScalarField:
-    """Product of sinh(y_i) over the coordinates."""
-
-    def phi(y: np.ndarray) -> float:
-        return float(np.prod(np.sinh(np.asarray(y, dtype=float))))
-
-    return phi
-
-
-def polynomial_field(coeffs: dict[tuple[int, ...], float] | None = None) -> ScalarField:
-    """Low-degree polynomial sum of coeff * prod y_i^{e_i} over monomials.
-
-    Default: 1 + y_1 / 2 + y_1 y_2^2 / 4 (the last term only in dimension >= 2).
-    """
-
-    def phi(y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        if coeffs is None:
-            val = 1.0 + 0.5 * y[0]
-            if y.shape[0] >= 2:
-                val += 0.25 * y[0] * y[1] ** 2
-            return val
-        total = 0.0
-        for expo, cf in coeffs.items():
-            total += cf * float(np.prod(y[: len(expo)] ** np.asarray(expo, dtype=float)))
-        return total
-
-    return phi
+    A, c, z = active_pairings(_as_config(hat), x_hat, threshold)
+    norms2 = np.einsum("mi,mi->m", A, A)
+    grad = A.T @ (0.5 * c * norms2 * coth(z))
+    lap = -0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
+    V = bosonic_potential(hat, x_hat, threshold)
+    return abs(V - (float(grad @ grad) - lap)) / max(1.0, abs(V))

@@ -4,8 +4,9 @@ These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the four-fermion term is built by
 literal eight-index loops, configuration members are merged by a pairwise
-scan, and WDVV residuals are taken one pair (i, j) at a time with an explicit
-inverse for the pivot norm.
+scan, WDVV residuals are taken one pair (i, j) at a time with an explicit
+inverse for the pivot norm, and the gauge relation between the two
+Hamiltonian forms is differentiated by central stencils on scalar test fields.
 """
 
 import math
@@ -13,8 +14,12 @@ import math
 import numpy as np
 
 from trigwdvv.configurations import MERGE_TOL
-from trigwdvv.prepotential import eval_f
-from trigwdvv.susy import EPSILON
+from trigwdvv.errors import MarginError, ParameterError, SingularityError
+from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, eval_f
+from trigwdvv.susy import bosonic_potential
+
+# antisymmetric pairing on the two fermionic species, eps[0][1] = 1
+EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def li3_fsum(w: float, terms: int = 400) -> float:
@@ -180,3 +185,114 @@ def bosonic_potential_reversed(config, x_hat) -> float:
                 / math.tanh(float(vb @ x_hat))
             )
     return single + double
+
+
+def log_gauge_factor(config, y) -> float:
+    """log of the gauge factor: sum over active covectors of
+    (c (a,a) / 2) log |sinh((a, y))|.
+
+    The absolute value leaves the gauge relation unchanged (only log
+    derivatives enter, and d/dz log|sinh z| = coth z away from z = 0) while
+    keeping the factor real in every chamber.
+    """
+    y = np.asarray(y, dtype=float)
+    total = 0.0
+    for mem in config.members:
+        c = mem.multiplicity
+        if c == 0.0:
+            continue
+        alpha = mem.array
+        z = float(alpha @ y)
+        sh = math.sinh(z)
+        if sh == 0.0:
+            raise SingularityError(f"sinh((alpha, y)) = 0 for member {alpha.tolist()}")
+        total += 0.5 * c * float(alpha @ alpha) * math.log(abs(sh))
+    return total
+
+
+def gauge_residual_fd(config, x_hat0, phi, step: float = 1e-3, threshold: float = DEFAULT_THRESHOLD) -> float:
+    """Second-order finite-difference residual of the gauge relation.
+
+    Compares g (-Lap + V)(g^{-1} phi) against
+    (-Lap + sum c (a,a) coth((a,x^)) d_a) phi at x^_0, with g the product of
+    |sinh|^{c (a,a)/2} factors.  The fermionic term commutes with
+    multiplication by g and cancels between the two sides, so it is excluded.
+    Laplacians and gradients use central differences with the given step;
+    x^_0 must keep a margin of at least 2 * step * sqrt(n) from every active
+    hyperplane, or MarginError is raised.
+    """
+    x0 = np.asarray(x_hat0, dtype=float)
+    n = config.dimension
+    h = float(step)
+    if h <= 0.0:
+        raise ParameterError("step must be positive")
+    margin = 2.0 * h * math.sqrt(n)
+    try:
+        active_pairings(config, x0, margin)
+    except SingularityError as exc:
+        raise MarginError(f"step {h} needs a margin of {margin:.3e}: {exc}") from exc
+    A, c, _ = active_pairings(config, x0, threshold)
+
+    def g(y) -> float:
+        return math.exp(log_gauge_factor(config, y))
+
+    def psi(y) -> float:
+        return phi(y) / g(y)
+
+    eye = np.eye(n)
+    phi0 = phi(x0)
+    phi_plus = np.array([phi(x0 + h * eye[k]) for k in range(n)])
+    phi_minus = np.array([phi(x0 - h * eye[k]) for k in range(n)])
+    lap_phi = float(((phi_plus - 2.0 * phi0 + phi_minus) / h**2).sum())
+    grad_phi = (phi_plus - phi_minus) / (2.0 * h)
+
+    psi0 = psi(x0)
+    lap_psi = float(
+        sum((psi(x0 + h * eye[k]) - 2.0 * psi0 + psi(x0 - h * eye[k])) / h**2 for k in range(n))
+    )
+
+    V = bosonic_potential(config, x0, threshold)
+    left = g(x0) * (-lap_psi + V * psi0)
+
+    # a row's dot product can differ from the matrix product's entry in the
+    # last bit, so (alpha, x^_0) is taken row by row as log_gauge_factor does
+    first_order = 0.0
+    for alpha, cm in zip(A, c):
+        zm = float(alpha @ x0)
+        first_order += cm * float(alpha @ alpha) / math.tanh(zm) * float(alpha @ grad_phi)
+    right = -lap_phi + first_order
+
+    return abs(left - right) / max(1.0, abs(right))
+
+
+def gaussian_field(center, width: float = 0.7):
+    """exp(-|y - center|^2 / (2 width^2))."""
+    center = np.asarray(center, dtype=float)
+
+    def phi(y: np.ndarray) -> float:
+        d = np.asarray(y, dtype=float) - center
+        return math.exp(-float(d @ d) / (2.0 * width**2))
+
+    return phi
+
+
+def sinh_product_field():
+    """Product of sinh(y_i) over the coordinates."""
+
+    def phi(y: np.ndarray) -> float:
+        return float(np.prod(np.sinh(np.asarray(y, dtype=float))))
+
+    return phi
+
+
+def polynomial_field():
+    """1 + y_1 / 2 + y_1 y_2^2 / 4 (the last term only in dimension >= 2)."""
+
+    def phi(y: np.ndarray) -> float:
+        y = np.asarray(y, dtype=float)
+        val = 1.0 + 0.5 * y[0]
+        if y.shape[0] >= 2:
+            val += 0.25 * y[0] * y[1] ** 2
+        return val
+
+    return phi

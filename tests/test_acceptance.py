@@ -37,19 +37,20 @@ from trigwdvv.prepotential import (
 )
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 from trigwdvv.susy import (
+    FermionicSpace,
     anticommutator,
-    build_fermionic_space,
     build_hat_configuration,
-    gauge_residual,
-    gaussian_field,
-    hat_tensor,
     phi_matrix,
-    polynomial_field,
-    sinh_product_field,
 )
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import phi_matrix_bruteforce
+from tests.oracles import (
+    gauge_residual_fd,
+    gaussian_field,
+    phi_matrix_bruteforce,
+    polynomial_field,
+    sinh_product_field,
+)
 from tests.test_cli import FAMILY_OK, run_cli
 
 SEED = 20240
@@ -330,7 +331,7 @@ def test_criterion_6_susy_block():
     # fermionic anticommutation relations, exact
     worst_anti = 0.0
     for n in (1, 2, 3):
-        fs = build_fermionic_space(n)
+        fs = FermionicSpace(n)
         eye = np.eye(fs.dim)
         modes = [(a, j) for a in range(2) for j in range(n)]
         for a, j in modes:
@@ -348,17 +349,18 @@ def test_criterion_6_susy_block():
     # rescaled tensors commute under the constraint and fail off it
     p_ok = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
     p_bad = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
-    pattern = fully_active(build_hat_configuration(p_ok).config)
+    hat_ok = build_hat_configuration(p_ok).config
+    hat_bad = build_hat_configuration(p_bad).config
     rng = rng_for(SEED, "acceptance6/commuting")
-    pts = sample_admissible_points(rng, pattern, 50)
-    worst_comm = max(pivot_residuals(hat_tensor(p_ok, x))[0][0, 0, 1] for x in pts)
-    broken_raw = np.median([pivot_residuals(hat_tensor(p_bad, x))[1][0, 0, 1] for x in pts])
+    pts = sample_admissible_points(rng, fully_active(hat_ok), 50)
+    worst_comm = max(pivot_residuals(tensor_generic(hat_ok, x))[0][0, 0, 1] for x in pts)
+    broken_raw = np.median([pivot_residuals(tensor_generic(hat_bad, x))[1][0, 0, 1] for x in pts])
 
     # four-fermion term against the literal eight-index oracle
     worst_phi = 0.0
     for n, p in ((1, BCnParameters(n=1, r=1.0, s=0.5, q=0.0, m=(2.0,))), (2, p_ok)):
         hat = build_hat_configuration(p)
-        fs = build_fermionic_space(n)
+        fs = FermionicSpace(n)
         rng_phi = rng_for(SEED, f"acceptance6/phi/n={n}")
         # wide margins keep the 1/sinh^2 prefactors small, so the two
         # summation orders agree to well below the 1e-13 bar
@@ -383,8 +385,8 @@ def test_criterion_6_susy_block():
         orders = []
         for x0 in pts:
             phi = make_field(x0)
-            res1 = gauge_residual(hat, x0, phi, step=1e-3)
-            res2 = gauge_residual(hat, x0, phi, step=5e-4)
+            res1 = gauge_residual_fd(hat.config, x0, phi, step=1e-3)
+            res2 = gauge_residual_fd(hat.config, x0, phi, step=5e-4)
             worst_gauge = max(worst_gauge, res1)
             orders.append(math.log2(res1 / res2))
         family_orders.append(float(np.median(orders)))

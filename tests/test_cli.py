@@ -142,7 +142,6 @@ class TestReportShape:
             "tolerance",
             "box",
             "threshold",
-            "step",
         ]
         for check in report["checks"]:
             assert list(check.keys()) == [
@@ -338,8 +337,7 @@ class TestVerificationCommandsInProcess:
         }
 
     def test_susy_command(self):
-        # the gauge check's finite differences set the run tolerance: 1e-4 at
-        # the default step, with the sampling margin 0.6
+        # a wider sampling margin and a looser tolerance than the defaults
         spec = RunSpec(
             command="verify-susy",
             config_source={"family": "bcn", "n": 2, "r": 0.0, "s": 0.0, "q": 1.0, "m": [1, 1]},
@@ -352,6 +350,19 @@ class TestVerificationCommandsInProcess:
         assert report.all_passed, [(c.name, c.max_residual) for c in report.checks]
         for check in report.checks:
             assert check.passed == (check.max_residual < spec.tolerance)
+
+    @pytest.mark.parametrize("n, r", [(2, 0.0), (3, -2.0)])
+    def test_susy_theorem_family_passes_at_defaults(self, n, r):
+        # every susy check is exact or two-path, so the default tolerance,
+        # margin and box apply
+        spec = RunSpec(
+            command="verify-susy",
+            config_source={"family": "bcn", "n": n, "r": r, "s": 0.0, "q": 1.0, "m": [1] * n},
+            samples=10,
+            seed=5,
+        )
+        report = run(spec)
+        assert report.all_passed, [(c.name, c.max_residual) for c in report.checks]
 
     def test_associativity_command(self):
         spec = RunSpec(
@@ -459,4 +470,42 @@ def test_singular_pivots_discard_rather_than_error(capsys):
     # the discard cap ends the run, as for any other unusable point
     argv = ["verify-wdvv", "--family", "bcn", "--n", "2", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1"]
     assert main(argv + ["--samples", "1"]) == 2
-    assert "error: SamplingError: more than 10000 sample points were discarded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: SamplingError: more than 10000 sample points were discarded" in err
+    assert err.rstrip().endswith(": 10001 had a numerically singular pivot")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-metric", *FAMILY_OK, "--box", "300,400", "--json"],
+        ["tensor", "--family", "bcn", "--n", "1", "--r", "1", "--s", "1", "--q", "0", "--m", "1",
+         "--point", "400"],
+    ],
+    ids=["nan-metric-report", "overflowing-tensor"],
+)
+def test_json_output_with_non_finite_values_parses(capsys, argv):
+    # JSON has no NaN or infinity: a non-finite value is written as null
+    main(argv)
+    out = capsys.readouterr().out
+    json.loads(out)
+    assert "null" in out and "nan" not in out and "inf" not in out
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # each trigwdvv line of README's Examples block, in order, so that the
+    # files one line writes with "> file" are there for the next
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.replace("\\\n", " ").splitlines()]
+    examples = [words[1:] for words in lines if words and words[0] == "trigwdvv"]
+    assert len(examples) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if target is not None:
+            (tmp_path / target).write_text(out, encoding="utf-8")

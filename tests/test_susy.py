@@ -7,20 +7,20 @@ from trigwdvv.configurations import BCnParameters, Configuration, build_bcn, con
 from trigwdvv.errors import DimensionCapError, MarginError, ParameterError
 from trigwdvv.prepotential import h_function, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv import susy
 from trigwdvv.susy import (
+    FermionicSpace,
+    anticommutation_residual,
     anticommutator,
     bosonic_potential,
-    build_fermionic_space,
     build_hat_configuration,
     gauge_residual,
-    gaussian_field,
     hat_metric,
-    hat_tensor,
     hat_tensor_from_base,
     phi_matrix,
-    polynomial_field,
-    sinh_product_field,
 )
+
+from tests.oracles import gauge_residual_fd, gaussian_field, polynomial_field, sinh_product_field
 
 M23 = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
 BC2_HAT = BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0))
@@ -28,6 +28,10 @@ BC2_HAT = BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0))
 # gauge stencils keep second order only well away from the mirrors: the
 # truncation term scales like margin^-4 at step 1e-3
 GAUGE_THETA = 0.6
+
+
+def hat_tensor(p, x_hat):
+    return tensor_generic(build_hat_configuration(p).config, x_hat)
 
 
 class TestHatConfiguration:
@@ -111,7 +115,7 @@ class TestBosonicPotential:
 
 class TestFermionicSpace:
     def test_dimension_and_nilpotency(self):
-        fs = build_fermionic_space(1)
+        fs = FermionicSpace(1)
         assert fs.dim == 4
         ops = [fs.psi[0][0], fs.psi[1][0]]
         for A in ops:
@@ -119,18 +123,18 @@ class TestFermionicSpace:
                 assert np.abs(anticommutator(A, B)).max() == 0.0
 
     def test_same_mode_pairing(self):
-        fs = build_fermionic_space(1)
+        fs = FermionicSpace(1)
         anti = anticommutator(fs.psi[0][0], fs.psibar[0][0])
         assert np.array_equal(anti, -0.5 * np.eye(4))
 
     def test_cross_mode_pairing_vanishes(self):
-        fs = build_fermionic_space(2)
+        fs = FermionicSpace(2)
         anti = anticommutator(fs.psi[0][0], fs.psibar[1][1])
         assert np.abs(anti).max() == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_pairings_exact(self, n):
-        fs = build_fermionic_space(n)
+        fs = FermionicSpace(n)
         eye = np.eye(fs.dim)
         modes = [(a, j) for a in range(2) for j in range(n)]
         worst = 0.0
@@ -142,24 +146,33 @@ class TestFermionicSpace:
                 mixed = anticommutator(fs.psi[a][j], fs.psibar[b][k]) - expected
                 worst = max(worst, np.abs(mixed).max())
         assert worst <= 1e-13
+        assert anticommutation_residual(fs) == 0.0
 
     def test_cap(self):
         with pytest.raises(DimensionCapError):
-            build_fermionic_space(6)
+            FermionicSpace(6)
+
+
+class TestAnticommutationResidual:
+    def test_flipped_sign_detected(self):
+        # negative control: one psibar with the wrong sign pairs to +1/2 I
+        fs = FermionicSpace(2)
+        fs.psibar[1][0] = -fs.psibar[1][0]
+        assert anticommutation_residual(fs) >= 0.5
 
 
 class TestPhiMatrix:
     def test_zero_multiplicities(self):
         p = BCnParameters(n=1, r=0.0, s=0.0, q=0.0, m=(1.0,))
         hat = build_hat_configuration(p)
-        fs = build_fermionic_space(1)
+        fs = FermionicSpace(1)
         assert np.abs(phi_matrix(hat, np.array([0.8]), fs)).max() == 0.0
 
     def test_single_covector_against_bruteforce(self):
         from tests.oracles import phi_matrix_bruteforce
 
         config = Configuration(1, [((1.0,), 1.3)])
-        fs = build_fermionic_space(1)
+        fs = FermionicSpace(1)
         x = np.array([0.8])
         got = phi_matrix(config, x, fs)
         assert got.shape == (4, 4)
@@ -176,23 +189,43 @@ class TestPhiMatrix:
         from tests.oracles import phi_matrix_bruteforce
 
         hat = build_hat_configuration(params)
-        fs = build_fermionic_space(2)
+        fs = FermionicSpace(2)
         x = np.array([0.9, 0.4])
         got = phi_matrix(hat, x, fs)
         assert np.abs(got - phi_matrix_bruteforce(hat.config, x, fs)).max() <= 1e-13
 
     def test_commutes_with_scalar_matrices(self):
         hat = build_hat_configuration(BC2_HAT)
-        fs = build_fermionic_space(2)
+        fs = FermionicSpace(2)
         Phi = phi_matrix(hat, np.array([0.9, 0.4]), fs)
         G = 2.75 * np.eye(fs.dim)
         assert np.array_equal(Phi @ G, G @ Phi)
 
 
+class TestGaugeClosedForm:
+    @pytest.mark.parametrize(
+        "params", [BC2_HAT, M23, BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))]
+    )
+    def test_closed_form_exact_on_samples(self, params):
+        hat = build_hat_configuration(params)
+        rng = rng_for(42, f"gauge/closed-form/{params.n}")
+        pts = sample_admissible_points(rng, fully_active(hat.config), 20)
+        assert max(gauge_residual(hat, xh) for xh in pts) <= 1e-14
+
+    def test_wrong_potential_detected(self, monkeypatch):
+        # negative control: a potential off by a relative 1e-6
+        hat = build_hat_configuration(BC2_HAT)
+        original = susy.bosonic_potential
+        monkeypatch.setattr(susy, "bosonic_potential", lambda *a: original(*a) * (1.0 + 1e-6))
+        assert gauge_residual(hat, np.array([0.9, 0.4])) > 1e-7
+
+
 class TestGaugeResidual:
+    """The finite-difference gauge relation of tests.oracles, the closed form's reference."""
+
     def test_constant_function_certifies_potential(self):
         hat = build_hat_configuration(BC2_HAT)
-        res = gauge_residual(hat, np.array([0.9, 0.4]), lambda y: 1.0, step=1e-3)
+        res = gauge_residual_fd(hat.config, np.array([0.9, 0.4]), lambda y: 1.0, step=1e-3)
         assert res < 1e-4
 
     def test_gaussian_family_over_seeded_points(self):
@@ -203,7 +236,7 @@ class TestGaugeResidual:
         worst = 0.0
         for xh in pts:
             phi = gaussian_field(xh + 0.2)
-            worst = max(worst, gauge_residual(hat, xh, phi, step=1e-3))
+            worst = max(worst, gauge_residual_fd(hat.config, xh, phi, step=1e-3))
         assert worst < 1e-4
 
     @pytest.mark.parametrize(
@@ -219,12 +252,12 @@ class TestGaugeResidual:
         hat = build_hat_configuration(BC2_HAT)
         xh = np.array([0.9, 0.4])
         phi = make_field(xh)
-        r1 = gauge_residual(hat, xh, phi, step=1e-3)
-        r2 = gauge_residual(hat, xh, phi, step=5e-4)
+        r1 = gauge_residual_fd(hat.config, xh, phi, step=1e-3)
+        r2 = gauge_residual_fd(hat.config, xh, phi, step=5e-4)
         assert r1 > 1e-8  # above the cancellation floor
         assert 3.0 < r1 / r2 < 5.5
 
     def test_margin_violation_rejected(self):
         hat = build_hat_configuration(BC2_HAT)
         with pytest.raises(MarginError):
-            gauge_residual(hat, np.array([0.7, 0.699]), lambda y: 1.0, step=1e-3)
+            gauge_residual_fd(hat.config, np.array([0.7, 0.699]), lambda y: 1.0, step=1e-3)

@@ -5,7 +5,7 @@ from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
 from trigwdvv.errors import SingularMatrixError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
-from trigwdvv.susy import build_hat_configuration, hat_tensor
+from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import diagonality_report, pivot_residuals
 
 from tests.oracles import pair_residual
@@ -123,15 +123,15 @@ class TestGeneralizedWdvv:
 
 class TestCommutingResidual:
     def test_equal_indices(self):
-        T = hat_tensor(M23, np.array([0.8, 0.5]))
+        T = tensor_generic(build_hat_configuration(M23).config, np.array([0.8, 0.5]))
         assert pivot_residuals(T)[0][0, 0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
-        pattern = fully_active(build_hat_configuration(M23).config)
+        hat = build_hat_configuration(M23).config
         rng = rng_for(42, "commuting/ok")
         worst = 0.0
-        for x in sample_admissible_points(rng, pattern, 50):
-            T = hat_tensor(M23, x)
+        for x in sample_admissible_points(rng, fully_active(hat), 50):
+            T = tensor_generic(hat, x)
             worst = max(worst, pivot_residuals(T)[0][0, 0, 1])
         assert worst < 1e-8
 
@@ -170,11 +170,11 @@ class TestNTwoIsVacuous:
 
     def test_commuting_form_detects_broken_constraint(self):
         broken = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
-        pattern = fully_active(build_hat_configuration(broken).config)
+        hat = build_hat_configuration(broken).config
         rng = rng_for(42, "n2/commuting")
         vals = []
-        for x in sample_admissible_points(rng, pattern, 30):
-            T = hat_tensor(broken, x)
+        for x in sample_admissible_points(rng, fully_active(hat), 30):
+            T = tensor_generic(hat, x)
             vals.append(pivot_residuals(T)[1][0, 0, 1])
         assert np.median(vals) > 1e-3
 
