@@ -582,7 +582,7 @@ def _print_report(report: VerificationReport, as_json: bool) -> None:
             f"  {check.name:32s} max={check.max_residual:.3e} mean={check.mean_residual:.3e} {verdict}"
         )
     if report.discarded_points:
-        print(f"  discarded points (conditioning): {report.discarded_points}")
+        print(f"  discarded points: {report.discarded_points}")
     print("OK" if report.all_passed else "FAILED")
 
 

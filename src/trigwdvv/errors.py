@@ -33,12 +33,6 @@ class DegenerateHError(TrigWdvvError, ArithmeticError):
     """The scalar h(x) is too close to zero for the decomposition to be meaningful."""
 
 
-class MarginError(TrigWdvvError, ValueError):
-    """A finite-difference step would leave the admissible region (raised by the
-    test suite's numerical-derivative references; the library differentiates
-    in closed form)."""
-
-
 class ConfigFormatError(TrigWdvvError, ValueError):
     """Configuration document is malformed or missing required fields."""
 

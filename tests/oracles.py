@@ -5,8 +5,9 @@ trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the four-fermion term is built by
 literal eight-index loops, configuration members are merged by a pairwise
 scan, WDVV residuals are taken one pair (i, j) at a time with an explicit
-inverse for the pivot norm, and the gauge relation between the two
-Hamiltonian forms is differentiated by central stencils on scalar test fields.
+inverse for the pivot norm, the gauge relation between the two
+Hamiltonian forms is differentiated by central stencils on scalar test fields,
+and admissible points are drawn by box-uniform rejection.
 """
 
 import math
@@ -14,12 +15,17 @@ import math
 import numpy as np
 
 from trigwdvv.configurations import MERGE_TOL
-from trigwdvv.errors import MarginError, ParameterError, SingularityError
-from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, eval_f
+from trigwdvv.errors import ParameterError, SamplingError, SingularityError
+from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, eval_f, is_admissible
+from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT
 from trigwdvv.susy import bosonic_potential
 
 # antisymmetric pairing on the two fermionic species, eps[0][1] = 1
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+class MarginError(ValueError):
+    """A finite-difference step would leave the admissible region."""
 
 
 def li3_fsum(w: float, terms: int = 400) -> float:
@@ -43,6 +49,35 @@ def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
         else:
             merged.append([vec, float(mult)])
     return [(vec, mult) for vec, mult in merged]
+
+
+def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
+    """(count, dimension) admissible points by box-uniform rejection.
+
+    Each candidate is ``rng.uniform(lo, hi, n)`` and is kept if
+    ``is_admissible`` accepts it; a point gets at most MAX_ATTEMPTS_PER_POINT
+    candidates.
+    """
+    lo, hi = float(box[0]), float(box[1])
+    out = np.empty((count, config.dimension))
+    for idx in range(count):
+        for _ in range(MAX_ATTEMPTS_PER_POINT):
+            x = rng.uniform(lo, hi, config.dimension)
+            if is_admissible(config, x, threshold):
+                out[idx] = x
+                break
+        else:
+            raise SamplingError(f"no admissible point after {MAX_ATTEMPTS_PER_POINT} attempts")
+    return out
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b| of the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    Fa = np.searchsorted(a, grid, side="right") / a.size
+    Fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(Fa - Fb).max())
 
 
 def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:

@@ -475,6 +475,36 @@ def test_singular_pivots_discard_rather_than_error(capsys):
     assert err.rstrip().endswith(": 10001 had a numerically singular pivot")
 
 
+def test_text_report_labels_discarded_points(capsys):
+    # discards come from ill-conditioned and from singular pivots alike
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "2", "--r", "-1", "--s", "1", "--q", "3e-8", "--m", "1,1"]
+    assert main(argv + ["--samples", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "\n  discarded points: " in out
+
+
+def test_box_too_narrow_for_pair_spacing_fails_fast(capsys):
+    # three coordinates at pairwise distance >= 0.7 need a box wider than 1.4;
+    # the default box (0.3, 1.5) is refused before any draw
+    assert main(["verify-wdvv", *FAMILY_OK, "--theta", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PreconditionError: box (0.3, 1.5) is too narrow")
+    assert "(n-1)*theta = 1.4" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-wdvv", "verify-associativity"])
+@pytest.mark.parametrize("n", [16, 20])
+def test_large_n_runs_in_the_default_box(capsys, command, n):
+    # the theorem family r = -(2n - 4).  Box-uniform rejection accepts a draw
+    # with probability at most (1 - (n-1) 0.05 / 1.2)^n, 1.5e-7 at n = 16, so
+    # it ran out of its 10,000 attempts per point
+    family = ["--family", "bcn", "--n", str(n), "--r", str(4 - 2 * n), "--s", "0", "--q", "1"]
+    assert main([command, *family, "--m", ",".join(["1"] * n), "--samples", "3"]) == 0
+    assert capsys.readouterr().out.endswith("OK\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn, configurations_match
-from trigwdvv.errors import DimensionCapError, MarginError, ParameterError
+from trigwdvv.errors import DimensionCapError, ParameterError
 from trigwdvv.prepotential import h_function, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 from trigwdvv import susy
@@ -20,7 +20,7 @@ from trigwdvv.susy import (
     phi_matrix,
 )
 
-from tests.oracles import gauge_residual_fd, gaussian_field, polynomial_field, sinh_product_field
+from tests.oracles import MarginError, gauge_residual_fd, gaussian_field, polynomial_field, sinh_product_field
 
 M23 = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
 BC2_HAT = BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0))
