@@ -235,8 +235,8 @@ def config_document(parsed: BCnParameters | Configuration) -> dict:
         "explicit": {
             "dimension": config.dimension,
             "members": [
-                {"vector": list(mem.vector), "multiplicity": mem.multiplicity}
-                for mem in config.members
+                {"vector": vec, "multiplicity": mult}
+                for vec, mult in zip(config.vectors.tolist(), config.multiplicities.tolist())
             ],
         }
     }
@@ -394,13 +394,10 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
     rebuilt = build_bcn(params)
     dev = float("inf")
     if configurations_match(projected, rebuilt, coord_tol=1e-12, mult_tol=1e-12):
-        dev = 0.0
-        for pm, bm in zip(projected.members, rebuilt.members):
-            dev = max(
-                dev,
-                max(abs(a - b) for a, b in zip(pm.vector, bm.vector)),
-                abs(pm.multiplicity - bm.multiplicity),
-            )
+        dev = max(
+            float(np.abs(projected.vectors - rebuilt.vectors).max(initial=0.0)),
+            float(np.abs(projected.multiplicities - rebuilt.multiplicities).max(initial=0.0)),
+        )
     _record(report, "restriction_config_match", dev)
 
     F_basis = restriction.block_basis
@@ -451,7 +448,7 @@ def _run_susy(report: VerificationReport, parsed) -> None:
             [float(np.abs(T - T2).max()) / scale],
             [float(commuting.max())] if commuting.size else [],
             [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
-            [susy.gauge_residual(hat, xh, spec.threshold)],
+            [susy.gauge_residual(hat.config, xh, spec.threshold)],
         )
 
     names = ("hat_tensor_two_path", "hat_commuting_residual", "hat_metric_identity", "gauge_residual")

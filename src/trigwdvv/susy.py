@@ -36,10 +36,6 @@ class RescaledConfiguration:
     config: Configuration
 
 
-def _as_config(obj) -> Configuration:
-    return obj.config if isinstance(obj, RescaledConfiguration) else obj
-
-
 def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     """The members of ``build_bcn(p)`` with coordinate i scaled by m_i^{-1/2}:
     covectors m_i^{-1/2} e_i, 2 m_i^{-1/2} e_i, m_i^{-1/2} e_i +- m_j^{-1/2} e_j
@@ -47,8 +43,9 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     if any(mi <= 0.0 for mi in p.m):
         raise ParameterError(f"rescaling needs m_i > 0, got m = {p.m}")
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
-    members = [(mem.array * inv_sqrt, mem.multiplicity) for mem in build_bcn(p)]
-    return RescaledConfiguration(base=p, config=Configuration(p.n, members))
+    base = build_bcn(p)
+    config = Configuration(p.n, zip(base.vectors * inv_sqrt, base.multiplicities))
+    return RescaledConfiguration(base=p, config=config)
 
 
 def hat_tensor_from_base(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -68,10 +65,10 @@ def hat_metric(p: BCnParameters, tensor_hat: np.ndarray, x_hat) -> np.ndarray:
     return np.einsum("k,klt->lt", sq * np.sinh(2.0 * x_hat / sq), tensor_hat)
 
 
-def bosonic_potential(hat, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
+def bosonic_potential(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
     """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^))
     + 1/4 sum over pairs (incl. a = b) of c_a c_b (a,a)(b,b)(a,b) coth coth."""
-    A, c, z = active_pairings(_as_config(hat), x_hat, threshold)
+    A, c, z = active_pairings(config, x_hat, threshold)
     norms2 = np.einsum("mi,mi->m", A, A)
     single = 0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
     w = c * norms2 * coth(z)
@@ -141,7 +138,9 @@ def anticommutation_residual(fs: FermionicSpace) -> float:
     return worst
 
 
-def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+def phi_matrix(
+    config: Configuration, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHOLD
+) -> np.ndarray:
     """The four-fermion interaction matrix.
 
     For each covector: prefactor 2 c / sinh^2((a, x^)) times
@@ -152,7 +151,6 @@ def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHO
     (A_0 A_1 - A_1 A_0)(Abar_1 Abar_0 - Abar_0 Abar_1).  Equals the literal
     sum over all eight indices.
     """
-    config = _as_config(hat)
     n = config.dimension
     if f.n != n:
         raise DimensionError(f"fermionic space has n = {f.n}, configuration has n = {n}")
@@ -167,7 +165,7 @@ def phi_matrix(hat, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHO
     return out
 
 
-def gauge_residual(hat, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
+def gauge_residual(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
     """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form.
 
     L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
@@ -176,9 +174,9 @@ def gauge_residual(hat, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
     configuration: the residual checks ``bosonic_potential`` against a second
     summation, not the family.
     """
-    A, c, z = active_pairings(_as_config(hat), x_hat, threshold)
+    A, c, z = active_pairings(config, x_hat, threshold)
     norms2 = np.einsum("mi,mi->m", A, A)
     grad = A.T @ (0.5 * c * norms2 * coth(z))
     lap = -0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
-    V = bosonic_potential(hat, x_hat, threshold)
+    V = bosonic_potential(config, x_hat, threshold)
     return abs(V - (float(grad @ grad) - lap)) / max(1.0, abs(V))

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configurations import BCnParameters
 from .errors import SingularMatrixError
-from .prepotential import h_function, metric_B
 
 # Sample points whose pivot matrices are worse-conditioned than this are
 # discarded and resampled by the verification drivers: near-singular pivots
@@ -68,18 +66,3 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
     return raw / scale, raw, condition
 
-
-def diagonality_report(tensor: np.ndarray, p: BCnParameters, x) -> tuple[float, float]:
-    """(max off-diagonal |B_lt|, max |B_ll - m_l h(x)|) for B built from the tensor.
-
-    The off-diagonal part vanishes for every parameter choice; the diagonal
-    deviation vanishes exactly under the multiplicity constraint and equals
-    m_l * delta * cosh(2 x_l) entrywise when the constraint residual is delta.
-    """
-    x = np.asarray(x, dtype=float)
-    B = metric_B(tensor, x)
-    off = B - np.diag(np.diag(B))
-    offdiag_max = float(np.abs(off).max()) if p.n > 1 else 0.0
-    h = h_function(p, x)
-    diag_deviation = float(np.abs(np.diag(B) - p.m_array * h).max())
-    return offdiag_max, diag_deviation

@@ -3,8 +3,9 @@
 These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the four-fermion term is built by
-literal eight-index loops, configuration members are merged by a pairwise
-scan, WDVV residuals are taken one pair (i, j) at a time with an explicit
+literal eight-index loops, BC_n family members are listed one by one and
+merged by a pairwise scan, the metric's diagonality is read off B against
+m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
 and admissible points are drawn by box-uniform rejection.
@@ -16,7 +17,14 @@ import numpy as np
 
 from trigwdvv.configurations import MERGE_TOL
 from trigwdvv.errors import ParameterError, SamplingError, SingularityError
-from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, eval_f, is_admissible
+from trigwdvv.prepotential import (
+    DEFAULT_THRESHOLD,
+    active_pairings,
+    eval_f,
+    h_function,
+    is_admissible,
+    metric_B,
+)
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT
 from trigwdvv.susy import bosonic_potential
 
@@ -49,6 +57,33 @@ def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
         else:
             merged.append([vec, float(mult)])
     return [(vec, mult) for vec, mult in merged]
+
+
+def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
+    """The (vector, multiplicity) members of the BC_n family for ``p``, unmerged.
+
+    In construction order: e_i with r m_i; 2e_i with s m_i + q m_i (m_i - 1) / 2;
+    then e_i + e_j and e_i - e_j with q m_i m_j for each i < j.
+    """
+    n, r, s, q, m = p.n, p.r, p.s, p.q, p.m
+    members = []
+    for i in range(n):
+        e = [0.0] * n
+        e[i] = 1.0
+        members.append((tuple(e), r * m[i]))
+    for i in range(n):
+        e = [0.0] * n
+        e[i] = 2.0
+        members.append((tuple(e), s * m[i] + 0.5 * q * m[i] * (m[i] - 1.0)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            plus = [0.0] * n
+            plus[i], plus[j] = 1.0, 1.0
+            minus = [0.0] * n
+            minus[i], minus[j] = 1.0, -1.0
+            members.append((tuple(plus), q * m[i] * m[j]))
+            members.append((tuple(minus), q * m[i] * m[j]))
+    return members
 
 
 def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
@@ -99,6 +134,22 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
     return raw / scale, raw
 
 
+def diagonality_report(tensor, p, x) -> tuple[float, float]:
+    """(max off-diagonal |B_lt|, max |B_ll - m_l h(x)|) for B built from the tensor.
+
+    The off-diagonal part vanishes for every parameter choice; the diagonal
+    deviation vanishes exactly under the multiplicity constraint and equals
+    m_l * delta * cosh(2 x_l) entrywise when the constraint residual is delta.
+    """
+    x = np.asarray(x, dtype=float)
+    B = metric_B(tensor, x)
+    off = B - np.diag(np.diag(B))
+    offdiag_max = float(np.abs(off).max()) if p.n > 1 else 0.0
+    h = h_function(p, x)
+    diag_deviation = float(np.abs(np.diag(B) - p.m_array * h).max())
+    return offdiag_max, diag_deviation
+
+
 def prepotential_value(config, x) -> float:
     """sum over active members of c * f(|(alpha, x)|).
 
@@ -108,9 +159,9 @@ def prepotential_value(config, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     return math.fsum(
-        mem.multiplicity * eval_f(abs(float(mem.array @ x)))
-        for mem in config.members
-        if mem.multiplicity != 0.0
+        c * eval_f(abs(float(alpha @ x)))
+        for alpha, c in zip(config.vectors, config.multiplicities)
+        if c != 0.0
     )
 
 
@@ -161,11 +212,9 @@ def phi_matrix_bruteforce(config, x_hat, fs):
     n = config.dimension
     dim = fs.dim
     out = np.zeros((dim, dim))
-    for mem in config.members:
-        c = mem.multiplicity
+    for alpha, c in zip(config.vectors, config.multiplicities):
         if c == 0.0:
             continue
-        alpha = mem.array
         sh2 = math.sinh(float(alpha @ x_hat)) ** 2
         norm2 = float(alpha @ alpha)
         for i in range(n):
@@ -199,20 +248,18 @@ def phi_matrix_bruteforce(config, x_hat, fs):
 def bosonic_potential_reversed(config, x_hat) -> float:
     """Second route for the scalar potential: literal loops in reverse member order."""
     x_hat = np.asarray(x_hat, dtype=float)
-    members = [m for m in reversed(config.members) if m.multiplicity != 0.0]
+    members = [(a, c) for a, c in zip(config.vectors[::-1], config.multiplicities[::-1]) if c != 0.0]
     single = 0.0
-    for mem in members:
-        a = mem.array
+    for a, c in members:
         z = float(a @ x_hat)
-        single += 0.5 * mem.multiplicity * float(a @ a) ** 2 / math.sinh(z) ** 2
+        single += 0.5 * c * float(a @ a) ** 2 / math.sinh(z) ** 2
     double = 0.0
-    for ma in members:
-        for mb in members:
-            va, vb = ma.array, mb.array
+    for va, ca in members:
+        for vb, cb in members:
             double += (
                 0.25
-                * ma.multiplicity
-                * mb.multiplicity
+                * ca
+                * cb
                 * float(va @ va)
                 * float(vb @ vb)
                 * float(va @ vb)
@@ -232,11 +279,9 @@ def log_gauge_factor(config, y) -> float:
     """
     y = np.asarray(y, dtype=float)
     total = 0.0
-    for mem in config.members:
-        c = mem.multiplicity
+    for alpha, c in zip(config.vectors, config.multiplicities):
         if c == 0.0:
             continue
-        alpha = mem.array
         z = float(alpha @ y)
         sh = math.sinh(z)
         if sh == 0.0:

@@ -367,7 +367,7 @@ def test_criterion_6_susy_block():
         for xh in sample_admissible_points(
             rng_phi, fully_active(hat.config), 3, threshold=0.35
         ):
-            got = phi_matrix(hat, xh, fs)
+            got = phi_matrix(hat.config, xh, fs)
             ref = phi_matrix_bruteforce(hat.config, xh, fs)
             worst_phi = max(worst_phi, np.abs(got - ref).max())
 

@@ -248,7 +248,7 @@ class TestConfigDocuments:
             }
         )
         assert isinstance(parsed, Configuration)
-        assert parsed.members[0].multiplicity == 3.0
+        assert parsed.multiplicities[0] == 3.0
 
     def test_explicit_document_missing_fields(self):
         with pytest.raises(ConfigFormatError):

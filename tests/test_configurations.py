@@ -10,7 +10,6 @@ from trigwdvv.configurations import (
     BCnParameters,
     Configuration,
     Partition,
-    WeightedVector,
     build_bcn,
     build_bcN_root_system,
     configurations_match,
@@ -21,21 +20,29 @@ from trigwdvv.configurations import (
 )
 from trigwdvv.errors import DimensionError, ParameterError
 
-from tests.oracles import merge_pairwise
+from tests.oracles import bcn_members, merge_pairwise
 
 
 def members_as_dict(config):
-    return {m.vector: m.multiplicity for m in config.members}
+    return dict(config.members)
 
 
 class TestTypes:
-    def test_weighted_vector_rejects_zero_vector(self):
-        with pytest.raises(ParameterError):
-            WeightedVector((0.0, 0.0), 1.0)
+    def test_configuration_rejects_zero_vector(self):
+        with pytest.raises(ParameterError, match="nonzero"):
+            Configuration(2, [((1.0, 0.0), 1.0), ((0.0, 0.0), 1.0)])
 
-    def test_weighted_vector_rejects_nonfinite(self):
-        with pytest.raises(ParameterError):
-            WeightedVector((math.inf, 0.0), 1.0)
+    def test_configuration_rejects_nonfinite_entry(self):
+        with pytest.raises(ParameterError, match="non-finite entries"):
+            Configuration(2, [((1.0, 0.0), 1.0), ((math.inf, 0.0), 1.0)])
+
+    def test_configuration_rejects_nonfinite_multiplicity(self):
+        with pytest.raises(ParameterError, match="multiplicity"):
+            Configuration(2, [((1.0, 0.0), 1.0), ((0.0, 1.0), math.nan)])
+
+    def test_configuration_rejects_ragged_member(self):
+        with pytest.raises(DimensionError):
+            Configuration(2, [((1.0, 0.0), 1.0), ((1.0,), 1.0)])
 
     def test_configuration_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -125,6 +132,20 @@ class TestBuildBcn:
         for n in (1, 2, 3, 4):
             p = BCnParameters(n=n, r=0.0, s=0.0, q=0.0, m=(1.0,) * n)
             assert len(build_bcn(p)) == 2 * n + n * (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "r, s, q, m",
+        [
+            (1.5, -0.5, 2.0, (1.0,) * 6),
+            (0.0, 0.0, 1.0, (1.0,) * 6),  # e_i and 2e_i with zero multiplicity
+            (-20.0, 1.0, 0.0, (2.0, 3.0, 0.5, 1.25, 4.0, 0.75)),  # every pair at zero
+            (0.3, -1.1, 0.7, (2.5, 0.5, 1.0 / 3.0, 3.0, 1.7, 0.9)),
+        ],
+    )
+    def test_matches_member_list_oracle(self, n, r, s, q, m):
+        p = BCnParameters(n=n, r=r, s=s, q=q, m=m[:n])
+        assert slots_of(build_bcn(p)) == merge_pairwise(bcn_members(p))
 
     def test_all_ones_reduces_to_root_system(self):
         p = BCnParameters(n=3, r=1.5, s=-0.5, q=2.0, m=(1.0, 1.0, 1.0))
@@ -216,10 +237,8 @@ class TestRestrictConfiguration:
         part = Partition(N=5, blocks=(2, 3))
         projected = restrict_configuration(5, -20.0, 1.0, 2.0, part)
         rebuilt = build_bcn(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0)))
-        assert [m.vector for m in projected.members] == [m.vector for m in rebuilt.members]
-        assert [m.multiplicity for m in projected.members] == [
-            m.multiplicity for m in rebuilt.members
-        ]
+        assert [vec for vec, _ in projected.members] == [vec for vec, _ in rebuilt.members]
+        assert projected.multiplicities.tolist() == rebuilt.multiplicities.tolist()
 
 
 @given(
@@ -238,7 +257,7 @@ def test_merging_conserves_total_multiplicity(mults, slots):
 
 
 def slots_of(config):
-    return [(m.vector, m.multiplicity) for m in config.members]
+    return list(config.members)
 
 
 class TestMergeRule:
@@ -269,6 +288,12 @@ class TestMergeRule:
         config = Configuration(2, [(a, 1.0), (b, 2.0), (between, 4.0)])
         assert slots_of(config) == [(a, 5.0), (b, 2.0)]
 
+    def test_slot_keeps_its_first_multiplicity_bits(self):
+        # a slot's sum starts from its first member's multiplicity, so a
+        # signed zero stays signed: -0.0 + -0.0 is -0.0, 0.0 + -0.0 is not
+        c = Configuration(1, [((1.0,), -0.0), ((2.0,), 1.0), ((1.0,), -0.0)])
+        assert [math.copysign(1.0, v) for v in c.multiplicities] == [-1.0, 1.0]
+
 
 _BASES = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0), (2.0, 0.0, 1.0), (1e6, -3.0, 0.5)]
 _OFFSETS = [0.0, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0]
@@ -283,14 +308,21 @@ _OFFSETS = [0.0, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0]
         ),
         min_size=1,
         max_size=16,
-    )
+    ),
+    repeats=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 31), st.sampled_from([0.0, 1.0, -2.5, 0.125])),
+        max_size=8,
+    ),
 )
 @settings(max_examples=300, deadline=None)
-def test_merge_matches_pairwise_oracle(picks):
+def test_merge_matches_pairwise_oracle(picks, repeats):
     members = [
         (tuple(b + o * MERGE_TOL for b, o in zip(_BASES[i], offsets)), mult)
         for i, offsets, mult in picks
     ]
+    # exact repeats of earlier vectors, inserted anywhere
+    for source, position, mult in repeats:
+        members.insert(position % (len(members) + 1), (members[source % len(members)][0], mult))
     assert slots_of(Configuration(3, members)) == merge_pairwise(members)
 
 
@@ -301,7 +333,7 @@ def test_restriction_merge_matches_pairwise_oracle(blocks):
     part = Partition(N=sum(blocks), blocks=blocks)
     ambient = build_bcN_root_system(part.N, 0.5, -1.0, 2.0)
     F = part.block_indicators()
-    images = [(tuple(F @ m.array), m.multiplicity) for m in ambient.members]
+    images = [(tuple(F @ np.array(vec)), mult) for vec, mult in ambient.members]
     images = [(vec, mult) for vec, mult in images if max(map(abs, vec)) > MERGE_TOL]
     projected = restrict_configuration(part.N, 0.5, -1.0, 2.0, part)
     assert slots_of(projected) == merge_pairwise(images)

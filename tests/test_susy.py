@@ -41,8 +41,8 @@ class TestHatConfiguration:
 
     def test_short_vector_scaling(self):
         p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(4.0, 1.0))
-        first = build_hat_configuration(p).config.members[0]
-        assert first.vector == (0.5, 0.0)
+        first_vector, _ = build_hat_configuration(p).config.members[0]
+        assert first_vector == (0.5, 0.0)
 
     def test_pairing_invariance(self):
         p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(4.0, 2.25))
@@ -51,7 +51,7 @@ class TestHatConfiguration:
         x_hat = np.sqrt(p.m_array) * x
         # short covectors pair with x_hat exactly as e_i pairs with x
         for i in range(2):
-            assert math.isclose(float(hat.members[i].array @ x_hat), x[i], rel_tol=1e-15)
+            assert math.isclose(float(hat.vectors[i] @ x_hat), x[i], rel_tol=1e-15)
 
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ParameterError):
@@ -101,14 +101,14 @@ class TestBosonicPotential:
     def test_all_zero_multiplicities(self):
         p = BCnParameters(n=2, r=0.0, s=0.0, q=0.0, m=(1.0, 1.0))
         hat = build_hat_configuration(p)
-        assert bosonic_potential(hat, np.array([0.7, 0.3])) == 0.0
+        assert bosonic_potential(hat.config, np.array([0.7, 0.3])) == 0.0
 
     def test_matches_reversed_literal_summation(self):
         from tests.oracles import bosonic_potential_reversed
 
         hat = build_hat_configuration(BC2_HAT)
         x = np.array([0.7, 0.3])
-        a = bosonic_potential(hat, x)
+        a = bosonic_potential(hat.config, x)
         b = bosonic_potential_reversed(hat.config, x)
         assert math.isclose(a, b, rel_tol=1e-12)
 
@@ -166,7 +166,7 @@ class TestPhiMatrix:
         p = BCnParameters(n=1, r=0.0, s=0.0, q=0.0, m=(1.0,))
         hat = build_hat_configuration(p)
         fs = FermionicSpace(1)
-        assert np.abs(phi_matrix(hat, np.array([0.8]), fs)).max() == 0.0
+        assert np.abs(phi_matrix(hat.config, np.array([0.8]), fs)).max() == 0.0
 
     def test_single_covector_against_bruteforce(self):
         from tests.oracles import phi_matrix_bruteforce
@@ -191,13 +191,13 @@ class TestPhiMatrix:
         hat = build_hat_configuration(params)
         fs = FermionicSpace(2)
         x = np.array([0.9, 0.4])
-        got = phi_matrix(hat, x, fs)
+        got = phi_matrix(hat.config, x, fs)
         assert np.abs(got - phi_matrix_bruteforce(hat.config, x, fs)).max() <= 1e-13
 
     def test_commutes_with_scalar_matrices(self):
         hat = build_hat_configuration(BC2_HAT)
         fs = FermionicSpace(2)
-        Phi = phi_matrix(hat, np.array([0.9, 0.4]), fs)
+        Phi = phi_matrix(hat.config, np.array([0.9, 0.4]), fs)
         G = 2.75 * np.eye(fs.dim)
         assert np.array_equal(Phi @ G, G @ Phi)
 
@@ -210,14 +210,14 @@ class TestGaugeClosedForm:
         hat = build_hat_configuration(params)
         rng = rng_for(42, f"gauge/closed-form/{params.n}")
         pts = sample_admissible_points(rng, fully_active(hat.config), 20)
-        assert max(gauge_residual(hat, xh) for xh in pts) <= 1e-14
+        assert max(gauge_residual(hat.config, xh) for xh in pts) <= 1e-14
 
     def test_wrong_potential_detected(self, monkeypatch):
         # negative control: a potential off by a relative 1e-6
         hat = build_hat_configuration(BC2_HAT)
         original = susy.bosonic_potential
         monkeypatch.setattr(susy, "bosonic_potential", lambda *a: original(*a) * (1.0 + 1e-6))
-        assert gauge_residual(hat, np.array([0.9, 0.4])) > 1e-7
+        assert gauge_residual(hat.config, np.array([0.9, 0.4])) > 1e-7
 
 
 class TestGaugeResidual:

@@ -6,9 +6,9 @@ from trigwdvv.errors import SingularMatrixError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 from trigwdvv.susy import build_hat_configuration
-from trigwdvv.wdvv import diagonality_report, pivot_residuals
+from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import pair_residual
+from tests.oracles import diagonality_report, pair_residual
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
