@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -501,6 +502,23 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise PreconditionError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+# argparse reads a value that starts with "-" as an option unless the whole
+# value is one number, so the list in "--m -1,2" would be refused; such a
+# list is attached as "--m=-1,2", the form argparse always accepts
+_LIST_OPTIONS = ("--m", "--point", "--box")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _attach_negative_lists(argv) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE_NUMBER.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigwdvv",
@@ -585,7 +603,7 @@ def _print_report(report: VerificationReport, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         spec = _spec_from_args(args)
         if args.command == "tensor":

@@ -108,6 +108,16 @@ class Configuration:
     def __len__(self) -> int:
         return len(self._multiplicities)
 
+    def _with_unit_multiplicities(self) -> Configuration:
+        """The same vectors with every multiplicity one.  The merge depends on
+        the vectors alone, so the slots stay as they are and are not merged again."""
+        out = object.__new__(Configuration)
+        out.dimension = self.dimension
+        out._vectors = self._vectors
+        out._multiplicities = np.ones(len(self))
+        out._multiplicities.setflags(write=False)
+        return out
+
     def __repr__(self) -> str:
         return f"Configuration(dimension={self.dimension}, members={len(self)})"
 

@@ -14,7 +14,7 @@ class DimensionError(TrigWdvvError, ValueError):
 
 
 class DimensionCapError(TrigWdvvError, ValueError):
-    """Requested fermionic space exceeds the supported size (n <= 5, dim = 2^(2n))."""
+    """Requested fermionic space exceeds the supported size (n <= 7, dim = 2^(2n))."""
 
 
 class DomainError(TrigWdvvError, ValueError):

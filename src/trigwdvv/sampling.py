@@ -105,4 +105,4 @@ def fully_active(config: Configuration) -> Configuration:
     hyperplane even when some multiplicities vanish, so dual evaluation paths
     (which may require the full pattern) stay valid on the sample.
     """
-    return Configuration(config.dimension, zip(config.vectors, np.ones(len(config))))
+    return config._with_unit_multiplicities()

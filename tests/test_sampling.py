@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trigwdvv import sampling
-from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
+from trigwdvv.configurations import MERGE_TOL, BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import PreconditionError
 from trigwdvv.prepotential import is_admissible
 from trigwdvv.sampling import covers_every_pair, fully_active, rng_for, sample_admissible_points
@@ -49,6 +49,27 @@ class TestCoversEveryPair:
 
     def test_one_dimension_has_no_pairs(self):
         assert covers_every_pair(bcn_pattern(1))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        build_bcn(BCnParameters(n=3, r=-2.0, s=0.0, q=0.0, m=(1.0,) * 3)),
+        build_hat_configuration(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))).config,
+        # a chain the merge does not close: the third member opens its own slot
+        Configuration(
+            2, [((1.0, 0.0), 2.0), ((1.0 + 0.9 * MERGE_TOL, 0.0), 0.0), ((1.0 + 1.8 * MERGE_TOL, 0.0), -1.0)]
+        ),
+    ],
+    ids=["bcn_zero_mults", "rescaled", "open_chain"],
+)
+def test_fully_active_matches_a_fresh_build(config):
+    got = fully_active(config)
+    fresh = Configuration(config.dimension, zip(config.vectors, np.ones(len(config))))
+    assert got.dimension == fresh.dimension
+    assert np.array_equal(got.vectors, fresh.vectors)
+    assert got.multiplicities.tolist() == fresh.multiplicities.tolist() == [1.0] * len(config)
+    assert not got.vectors.flags.writeable and not got.multiplicities.flags.writeable
 
 
 # KS critical value at level 0.001 for two samples of KS_N points each

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,16 +12,23 @@ from trigwdvv import susy
 from trigwdvv.susy import (
     FermionicSpace,
     anticommutation_residual,
-    anticommutator,
     bosonic_potential,
     build_hat_configuration,
     gauge_residual,
     hat_metric,
     hat_tensor_from_base,
-    phi_matrix,
 )
 
-from tests.oracles import MarginError, gauge_residual_fd, gaussian_field, polynomial_field, sinh_product_field
+from tests.oracles import (
+    DenseFermionicSpace,
+    MarginError,
+    anticommutator,
+    gauge_residual_fd,
+    gaussian_field,
+    phi_matrix,
+    polynomial_field,
+    sinh_product_field,
+)
 
 M23 = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
 BC2_HAT = BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0))
@@ -115,7 +123,7 @@ class TestBosonicPotential:
 
 class TestFermionicSpace:
     def test_dimension_and_nilpotency(self):
-        fs = FermionicSpace(1)
+        fs = DenseFermionicSpace(1)
         assert fs.dim == 4
         ops = [fs.psi[0][0], fs.psi[1][0]]
         for A in ops:
@@ -123,18 +131,18 @@ class TestFermionicSpace:
                 assert np.abs(anticommutator(A, B)).max() == 0.0
 
     def test_same_mode_pairing(self):
-        fs = FermionicSpace(1)
+        fs = DenseFermionicSpace(1)
         anti = anticommutator(fs.psi[0][0], fs.psibar[0][0])
         assert np.array_equal(anti, -0.5 * np.eye(4))
 
     def test_cross_mode_pairing_vanishes(self):
-        fs = FermionicSpace(2)
+        fs = DenseFermionicSpace(2)
         anti = anticommutator(fs.psi[0][0], fs.psibar[1][1])
         assert np.abs(anti).max() == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_pairings_exact(self, n):
-        fs = FermionicSpace(n)
+        fs = DenseFermionicSpace(n)
         eye = np.eye(fs.dim)
         modes = [(a, j) for a in range(2) for j in range(n)]
         worst = 0.0
@@ -146,33 +154,115 @@ class TestFermionicSpace:
                 mixed = anticommutator(fs.psi[a][j], fs.psibar[b][k]) - expected
                 worst = max(worst, np.abs(mixed).max())
         assert worst <= 1e-13
-        assert anticommutation_residual(fs) == 0.0
+        assert anticommutation_residual(FermionicSpace(n)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_arrays_scatter_to_dense_operators(self, n):
+        fs = FermionicSpace(n)
+        dense = DenseFermionicSpace(n)
+        expected = [M for row in dense.psi for M in row] + [M for row in dense.psibar for M in row]
+        assert fs.targets.shape == fs.coefficients.shape == (4 * n, fs.dim)
+        assert not fs.targets.flags.writeable and not fs.coefficients.flags.writeable
+        assert fs.targets.min() >= 0 and fs.targets.max() < fs.dim
+        for k, M in enumerate(expected):
+            got = np.zeros((fs.dim, fs.dim))
+            got[fs.targets[k], np.arange(fs.dim)] = fs.coefficients[k]
+            assert np.array_equal(got, M), k
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_residual_exact_beyond_dense_reach(self, n):
+        assert anticommutation_residual(FermionicSpace(n)) == 0.0
 
     def test_cap(self):
         with pytest.raises(DimensionCapError):
-            FermionicSpace(6)
+            FermionicSpace(8)
+
+
+def with_arrays(fs, targets=None, coefficients=None):
+    """A copy of ``fs`` with its operator arrays replaced."""
+    out = copy.copy(fs)
+    if targets is not None:
+        out.targets = targets
+    if coefficients is not None:
+        out.coefficients = coefficients
+    return out
 
 
 class TestAnticommutationResidual:
     def test_flipped_sign_detected(self):
-        # negative control: one psibar with the wrong sign pairs to +1/2 I
+        # negative control: one psibar with the wrong sign pairs to +1/2 I;
+        # n = 5 is beyond the dense oracle's reach
+        for n in (2, 5):
+            fs = FermionicSpace(n)
+            C = fs.coefficients.copy()
+            C[2 * n + n] = -C[2 * n + n]  # psibar[1][0]
+            assert anticommutation_residual(with_arrays(fs, coefficients=C)) >= 0.5
+
+    @pytest.mark.parametrize("row", [0, 5, 6, 11])  # psi[0][0], psi[1][2], psibar[0][0], psibar[1][2]
+    def test_wrong_placement_detected(self, row):
+        # negative control: two columns of one operator send their states to
+        # each other's targets
+        fs = FermionicSpace(3)
+        T = fs.targets.copy()
+        a, b = np.flatnonzero(fs.coefficients[row])[[0, -1]]
+        T[row, [a, b]] = T[row, [b, a]]
+        assert anticommutation_residual(with_arrays(fs, targets=T)) > 0.0
+
+    def test_zero_operator_partner_detected(self):
+        # negative control: psibar[0][0] replaced by the zero operator, whose
+        # targets send no product back onto the diagonal; {psi, 0} = 0 misses
+        # the -1/2 I in every column
         fs = FermionicSpace(2)
-        fs.psibar[1][0] = -fs.psibar[1][0]
-        assert anticommutation_residual(fs) >= 0.5
+        T, C = fs.targets.copy(), fs.coefficients.copy()
+        T[4] = (np.arange(fs.dim) + 1) % fs.dim
+        C[4] = 0.0
+        assert anticommutation_residual(with_arrays(fs, T, C)) == 0.5
+
+    def test_non_finite_coefficient_fails_closed(self):
+        fs = FermionicSpace(2)
+        C = fs.coefficients.copy()
+        C[3, 5] = np.nan
+        assert math.isnan(anticommutation_residual(with_arrays(fs, coefficients=C)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_residual_on_corrupted_operators(self, seed):
+        # the array residual against dense products of the scattered operators,
+        # away from the exact operators: random targets and coefficients in one row
+        rng = np.random.default_rng(seed)
+        fs = FermionicSpace(2)
+        T, C = fs.targets.copy(), fs.coefficients.copy()
+        row = int(rng.integers(len(T)))
+        T[row] = rng.integers(fs.dim, size=fs.dim)
+        C[row] = rng.choice([0.0, 0.5, -1.0, 2.0], size=fs.dim)
+        bad = with_arrays(fs, T, C)
+        ops = []
+        for k in range(len(T)):
+            M = np.zeros((fs.dim, fs.dim))
+            M[T[k], np.arange(fs.dim)] = C[k]
+            ops.append(M)
+        expected = 0.0
+        for p in range(len(ops)):
+            for q in range(p, len(ops)):
+                dev = anticommutator(ops[p], ops[q])
+                if q == p + len(ops) // 2:
+                    dev += 0.5 * np.eye(fs.dim)
+                expected = max(expected, float(np.abs(dev).max()))
+        assert anticommutation_residual(bad) == expected
+        assert expected > 0.0
 
 
 class TestPhiMatrix:
     def test_zero_multiplicities(self):
         p = BCnParameters(n=1, r=0.0, s=0.0, q=0.0, m=(1.0,))
         hat = build_hat_configuration(p)
-        fs = FermionicSpace(1)
+        fs = DenseFermionicSpace(1)
         assert np.abs(phi_matrix(hat.config, np.array([0.8]), fs)).max() == 0.0
 
     def test_single_covector_against_bruteforce(self):
         from tests.oracles import phi_matrix_bruteforce
 
         config = Configuration(1, [((1.0,), 1.3)])
-        fs = FermionicSpace(1)
+        fs = DenseFermionicSpace(1)
         x = np.array([0.8])
         got = phi_matrix(config, x, fs)
         assert got.shape == (4, 4)
@@ -189,14 +279,14 @@ class TestPhiMatrix:
         from tests.oracles import phi_matrix_bruteforce
 
         hat = build_hat_configuration(params)
-        fs = FermionicSpace(2)
+        fs = DenseFermionicSpace(2)
         x = np.array([0.9, 0.4])
         got = phi_matrix(hat.config, x, fs)
         assert np.abs(got - phi_matrix_bruteforce(hat.config, x, fs)).max() <= 1e-13
 
     def test_commutes_with_scalar_matrices(self):
         hat = build_hat_configuration(BC2_HAT)
-        fs = FermionicSpace(2)
+        fs = DenseFermionicSpace(2)
         Phi = phi_matrix(hat.config, np.array([0.9, 0.4]), fs)
         G = 2.75 * np.eye(fs.dim)
         assert np.array_equal(Phi @ G, G @ Phi)
