@@ -24,7 +24,7 @@ from .configurations import (
     build_bcN_root_system,
     restrict_configuration,
 )
-from .errors import DegenerateHError, DimensionError, PreconditionError
+from .errors import DegenerateHError, DimensionError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, h_function, tensor_generic
 
 _H_FLOOR = 1e-6
@@ -68,32 +68,25 @@ class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
     Per run, built once: the ambient BC_N(r, s, q) configuration, the
-    partition and its block basis, the projected configuration, the f-hat
-    coordinates of every ambient member, the block-subsystem mask, and the
-    vectors, multiplicities and projections of the active members outside the
-    subsystem.  These arrays are read-only and shared by every point of the
-    run.
+    partition and its block basis, the projected configuration and its family
+    parameters ``params`` (m = block sizes), the f-hat coordinates of every
+    ambient member, the block-subsystem mask, and the vectors, multiplicities
+    and projections of the active members outside the subsystem.  These
+    arrays are read-only and shared by every point of the run.
 
     Per point: x_tilde in block-basis coordinates, the embedded point
     sum_k x_tilde_k f_k, which must be admissible for every covector outside
     the block subsystem, and coth of those covectors' pairings with it.
-    ``at(x_tilde)`` gives the run's context at a point; a context constructed
-    without ``x_tilde`` carries the run data only, and the functions below
-    that evaluate at a point need one with a point.
+    ``at(x_tilde)`` gives the run's context at a point, and the functions
+    below that evaluate at a point take such a context.
     """
 
     def __init__(
-        self,
-        r: float,
-        s: float,
-        q: float,
-        part: Partition,
-        x_tilde=None,
-        threshold: float = DEFAULT_THRESHOLD,
+        self, r: float, s: float, q: float, part: Partition, threshold: float = DEFAULT_THRESHOLD
     ) -> None:
-        self.r, self.s, self.q = float(r), float(s), float(q)
         self.part = part
         self.threshold = float(threshold)
+        self.params = BCnParameters(n=part.n, r=float(r), s=float(s), q=float(q), m=part.blocks)
         self.ambient_config = build_bcN_root_system(part.N, r, s, q)
         self.projected_config = restrict_configuration(part.N, r, s, q, part, self.ambient_config)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
@@ -109,34 +102,23 @@ class RestrictionContext:
         # projected covectors: sum_k (alpha, f_k)/m_k * f_k
         self._proj_out = (self._coords[keep] / self.m) @ self.block_basis
         self.x_tilde = self.x_embedded = self._coth_out = None
-        if x_tilde is not None:
-            self._place(x_tilde)
 
     def at(self, x_tilde) -> "RestrictionContext":
         """This run's context at the point ``x_tilde``, sharing the per-run data."""
-        point = copy.copy(self)
-        point._place(x_tilde)
-        return point
-
-    def _place(self, x_tilde) -> None:
         x_tilde = np.asarray(x_tilde, dtype=float)
         if x_tilde.shape != (self.part.n,):
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
-        x_embedded = self.block_basis.T @ x_tilde
+        point = copy.copy(self)
+        point.x_tilde, point.x_embedded = x_tilde, self.block_basis.T @ x_tilde
         _, _, z = active_pairings(
-            self.ambient_config, x_embedded, self.threshold, among=~self.in_subsystem
+            self.ambient_config, point.x_embedded, self.threshold, among=~self.in_subsystem
         )
-        self.x_tilde, self.x_embedded, self._coth_out = x_tilde, x_embedded, coth(z)
+        point._coth_out = coth(z)
+        return point
 
     def subsystem_members(self) -> np.ndarray:
         """Vectors of the block subsystem (within-block differences)."""
         return self.ambient_config.vectors[self.in_subsystem]
-
-    def params(self) -> BCnParameters:
-        """The projected family parameters (m = block sizes)."""
-        return BCnParameters(
-            n=self.part.n, r=self.r, s=self.s, q=self.q, m=tuple(float(b) for b in self.part.blocks)
-        )
 
 
 def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
@@ -157,25 +139,21 @@ def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
     return rctx._proj_out.T @ w
 
 
-def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
-    """|sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|.
+def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
+    """Tangency residuals at ``rctx``'s point, one per row alpha of ``subsystem_members()``.
 
-    ``alpha`` must belong to the block subsystem, which must be nonempty.  The
-    sum vanishes when u and v are constant on blocks; non-tangent inputs are
-    accepted so the necessity of tangency can be demonstrated.  Scaled by the
-    sum of absolute summands.
+    Each is |sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|
+    scaled by the sum of absolute summands.  The sums vanish when u and v are
+    constant on blocks; non-tangent inputs are accepted so the necessity of
+    tangency can be demonstrated.  An empty subsystem gives an empty array.
     """
-    if not rctx.in_subsystem.any():
-        raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
-    alpha = np.asarray(alpha, dtype=float)
-    if not (np.abs(rctx.subsystem_members() - alpha) <= MERGE_TOL).all(axis=1).any():
-        raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     A = rctx._A_out
-    terms = rctx._c_out * (A @ u) * (A @ v) * (A @ alpha) * rctx._coth_out
-    scale = max(1.0, float(np.abs(terms).sum()))
-    return abs(float(terms.sum())) / scale
+    # one row of summands per alpha; each row is reduced along its own
+    # contiguous axis, so it sums exactly as a single alpha's summands would
+    terms = rctx._c_out * (A @ u) * (A @ v) * (rctx.subsystem_members() @ A.T) * rctx._coth_out
+    return np.abs(terms.sum(axis=1)) / np.maximum(1.0, np.abs(terms).sum(axis=1))
 
 
 def structure_constants(rctx: RestrictionContext) -> np.ndarray:
@@ -201,8 +179,7 @@ def h_b_decomposition_residual(rctx: RestrictionContext) -> float:
     Vanishes exactly when the multiplicity constraint holds for (r, s, q) and
     N = sum of blocks.  Requires |h(x~)| >= 1e-6.
     """
-    p = rctx.params()
-    h = h_function(p, rctx.x_tilde)
+    h = h_function(rctx.params, rctx.x_tilde)
     if abs(h) < _H_FLOOR:
         raise DegenerateHError(f"|h(x~)| = {abs(h):.3e} < {_H_FLOOR}; decomposition undefined")
     Ft = tensor_generic(rctx.projected_config, rctx.x_tilde, rctx.threshold)

@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,7 @@ from .errors import (
     TrigWdvvError,
 )
 from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generic
-from .sampling import (
-    DEFAULT_BOX,
-    MAX_ATTEMPTS_PER_POINT,
-    fully_active,
-    rng_for,
-    sample_admissible_points,
-)
+from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fully_active, rng_for
 from .wdvv import CONDITION_CAP, pivot_residuals
 from . import algebra, susy
 
@@ -96,15 +90,7 @@ class RunSpec:
             raise PreconditionError(f"threshold must be > 0, got {self.threshold}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_source": self.config_source,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "box": list(self.box),
-            "threshold": self.threshold,
-        }
+        return {**asdict(self), "box": list(self.box)}
 
 
 @dataclass
@@ -253,67 +239,59 @@ def _require_family(parsed, command: str) -> BCnParameters:
     return parsed
 
 
-class _Collector:
-    """The residuals of one check; a non-finite residual fails it."""
+def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
+    """The check ``name`` from its residuals; ``points[i]`` is where ``values[i]`` was taken.
 
-    def __init__(self, name: str):
-        self.name = name
-        self.values: list[float] = []
-        self.worst: list[float] | None = None
-        self._worst_val = -1.0
-
-    def add(self, value: float, point=None) -> None:
-        v = float(value)
-        self.values.append(v)
-        # `not v <= worst` also holds for NaN, and a non-finite worst value is
-        # never replaced, so the worst point is the first non-finite one
-        if math.isfinite(self._worst_val) and not v <= self._worst_val:
-            self._worst_val = v
-            self.worst = None if point is None else [float(t) for t in np.atleast_1d(point)]
-
-    def result(self, tolerance: float) -> CheckResult:
-        mx = self._worst_val
-        return CheckResult(self.name, mx, float(np.mean(self.values)), self.worst, mx < tolerance)
+    A check that depends on no sample point has the point None.  The worst
+    residual is the first NaN or +inf, else the first maximum, so a
+    non-finite residual fails the check.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.isnan(values) | (values == np.inf)
+    worst = int(bad.argmax() if bad.any() else values.argmax())
+    mx, point = float(values[worst]), points[worst]
+    point = None if point is None else point.tolist()
+    return CheckResult(name, mx, float(np.mean(values)), point, mx < tolerance)
 
 
-def _record(report: VerificationReport, name: str, value: float) -> None:
-    """Append a check made of one value that depends on no sample point."""
-    col = _Collector(name)
-    col.add(value)
-    report.checks.append(col.result(report.run.tolerance))
+def _sampled(report: VerificationReport, config: Configuration, residuals) -> None:
+    """Append the checks of ``residuals``, evaluated at ``samples`` admissible points.
 
-
-def _sampled(report: VerificationReport, pattern: Configuration, names, residuals) -> None:
-    """Append the checks ``names``, evaluated at ``samples`` admissible points of ``pattern``.
-
-    Points are drawn one at a time from the stream "<command>/points", and
-    ``residuals(rng, x)`` takes any further random draws from the same
-    stream.  It returns one list of residuals per name, or a short reason
+    The points are one ``admissible_points`` stream of ``fully_active(config)``
+    whose generator is keyed by "<command>/points", and ``residuals(rng, x)``
+    takes any further random draws from the same generator.  It returns
+    {check name: residual or residuals} at the point, or a short reason
     (completing "the point had ...") to discard the point, which is counted
     and replaced.  Past the discard cap the run ends with a SamplingError
-    that gives the count of each reason.  A check that received no residual
-    is left out of the report.
+    that gives the count of each reason.  Checks are reported in key order,
+    and a check that received no residual is left out of the report.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
-    cols = [_Collector(name) for name in names]
+    points = admissible_points(rng, fully_active(config), spec.box, spec.threshold)
+    collected: dict[str, tuple[list, list]] = {}
     reasons: dict[str, int] = {}
     accepted = 0
     while accepted < spec.samples:
         if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
             counts = ", ".join(f"{k} had {reason}" for reason, k in reasons.items())
             raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {counts}")
-        x = sample_admissible_points(rng, pattern, 1, spec.box, spec.threshold)[0]
+        x = next(points)
         values = residuals(rng, x)
         if isinstance(values, str):
             reasons[values] = reasons.get(values, 0) + 1
             report.discarded_points += 1
             continue
         accepted += 1
-        for col, vals in zip(cols, values):
-            for v in vals:
-                col.add(v, x)
-    report.checks.extend(col.result(spec.tolerance) for col in cols if col.values)
+        for name, value in values.items():
+            vals, pts = collected.setdefault(name, ([], []))
+            vals.append(np.ravel(value))
+            pts += [x] * vals[-1].size
+    report.checks.extend(
+        _check_result(name, np.concatenate(vals), pts, spec.tolerance)
+        for name, (vals, pts) in collected.items()
+        if pts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +315,12 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
             return "a numerically singular pivot"
         if (condition > CONDITION_CAP).any():
             return f"a pivot condition number above {CONDITION_CAP:g}"
-        return scaled[0][pairs].tolist(), scaled[1:, pairs[0], pairs[1]].ravel().tolist()
+        return {
+            "wdvv_pair_residual": scaled[0][pairs],
+            "generalized_wdvv_residual": scaled[1:, pairs[0], pairs[1]],
+        }
 
-    names = ("wdvv_pair_residual", "generalized_wdvv_residual")
-    _sampled(report, fully_active(config), names, residuals)
+    _sampled(report, config, residuals)
 
 
 def _run_associativity(report: VerificationReport, parsed) -> None:
@@ -351,9 +331,9 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
     def residuals(rng, x):
         ctx = algebra.ProductContext(config, x, spec.threshold)
         u, v, w = (rng.standard_normal(n) for _ in range(3))
-        return ([algebra.associativity_residual(ctx, u, v, w)],)
+        return {"associativity_residual": algebra.associativity_residual(ctx, u, v, w)}
 
-    _sampled(report, fully_active(config), ("associativity_residual",), residuals)
+    _sampled(report, config, residuals)
 
 
 def _run_metric(report: VerificationReport, parsed) -> None:
@@ -369,13 +349,12 @@ def _run_metric(report: VerificationReport, parsed) -> None:
         scale = max(1.0, float(np.abs(B).max()))
         off = B - np.diag(np.diag(B))
         expected = m * (h_function(params, x) + delta * np.cosh(2.0 * x))
-        return (
-            [float(np.abs(off).max()) / scale],
-            [float(np.abs(np.diag(B) - expected).max()) / scale],
-        )
+        return {
+            "metric_offdiagonal": float(np.abs(off).max()) / scale,
+            "metric_diagonal_identity": float(np.abs(np.diag(B) - expected).max()) / scale,
+        }
 
-    names = ("metric_offdiagonal", "metric_diagonal_identity")
-    _sampled(report, fully_active(config), names, residuals)
+    _sampled(report, config, residuals)
 
 
 def _run_restriction(report: VerificationReport, parsed) -> None:
@@ -399,7 +378,7 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
             float(np.abs(projected.vectors - rebuilt.vectors).max(initial=0.0)),
             float(np.abs(projected.multiplicities - rebuilt.multiplicities).max(initial=0.0)),
         )
-    _record(report, "restriction_config_match", dev)
+    report.checks.append(_check_result("restriction_config_match", [dev], [None], spec.tolerance))
 
     F_basis = restriction.block_basis
 
@@ -415,16 +394,15 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
         expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
         scale = max(1.0, float(np.abs(expected).max()))
 
-        tangency = [algebra.tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem_members()]
-        return (
-            [spread / max(1.0, float(np.abs(prod).max()))],
-            [float(np.abs(C - expected).max()) / scale],
-            [max(tangency)] if tangency else [],
-            [algebra.h_b_decomposition_residual(rctx)],
-        )
+        tangency = algebra.tangency_residuals(rctx, u, v)
+        return {
+            "restricted_closure": spread / max(1.0, float(np.abs(prod).max())),
+            "structure_constants_two_path": float(np.abs(C - expected).max()) / scale,
+            "tangency_residual": [tangency.max()] if tangency.size else [],
+            "h_b_decomposition": algebra.h_b_decomposition_residual(rctx),
+        }
 
-    names = ("restricted_closure", "structure_constants_two_path", "tangency_residual", "h_b_decomposition")
-    _sampled(report, fully_active(projected), names, residuals)
+    _sampled(report, projected, residuals)
 
 
 def _run_susy(report: VerificationReport, parsed) -> None:
@@ -433,7 +411,8 @@ def _run_susy(report: VerificationReport, parsed) -> None:
     hat = susy.build_hat_configuration(params)
     n = params.n
 
-    _record(report, "fermionic_anticommutation", susy.anticommutation_residual(susy.FermionicSpace(n)))
+    anticommutation = [susy.anticommutation_residual(susy.FermionicSpace(n))]
+    report.checks.append(_check_result("fermionic_anticommutation", anticommutation, [None], spec.tolerance))
 
     inv_sqrt = 1.0 / np.sqrt(params.m_array)
     pairs = np.triu_indices(n, 1)
@@ -445,15 +424,14 @@ def _run_susy(report: VerificationReport, parsed) -> None:
         commuting = pivot_residuals(T)[0][0][pairs]
         h = h_function(params, xh * inv_sqrt)
         Bh = susy.hat_metric(params, T, xh)
-        return (
-            [float(np.abs(T - T2).max()) / scale],
-            [float(commuting.max())] if commuting.size else [],
-            [float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h))],
-            [susy.gauge_residual(hat.config, xh, spec.threshold)],
-        )
+        return {
+            "hat_tensor_two_path": float(np.abs(T - T2).max()) / scale,
+            "hat_commuting_residual": [commuting.max()] if commuting.size else [],
+            "hat_metric_identity": float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h)),
+            "gauge_residual": susy.gauge_residual(hat.config, xh, spec.threshold),
+        }
 
-    names = ("hat_tensor_two_path", "hat_commuting_residual", "hat_metric_identity", "gauge_residual")
-    _sampled(report, fully_active(hat.config), names, hat_residuals)
+    _sampled(report, hat.config, hat_residuals)
 
 
 def run(spec: RunSpec) -> VerificationReport:

@@ -14,11 +14,17 @@ distribution of box-uniform rejection at about one candidate each; a box too
 narrow for S to have volume, (n-1) theta >= hi - lo, raises PreconditionError
 before any draw.  Other configurations get box-uniform candidates.  The
 attempt cap keeps pathological boxes diagnosable instead of looping forever.
+
+``admissible_points`` holds the one candidate loop: an endless stream that
+examines the box and the pattern once.  A verification run draws all of its
+points from one stream, and ``sample_admissible_points`` takes the first
+``count`` points of one.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -48,6 +54,38 @@ def covers_every_pair(config: Configuration) -> bool:
     return int((covered | covered.T).sum()) == n * (n - 1)
 
 
+def admissible_points(rng: np.random.Generator, config: Configuration, box, threshold) -> Iterator[np.ndarray]:
+    """Endless stream of the points that ``sample_admissible_points`` describes.
+
+    Its errors are raised when the first point, or the point that exhausts
+    its attempts, is requested.
+    """
+    lo, hi = float(box[0]), float(box[1])
+    if not lo < hi:
+        raise PreconditionError(f"box ({lo}, {hi}) must satisfy lo < hi")
+    n = config.dimension
+    spaced = threshold > 0.0 and covers_every_pair(config)
+    width = (n - 1) * threshold if spaced else 0.0
+    if width >= hi - lo:
+        raise PreconditionError(
+            f"box ({lo}, {hi}) is too narrow: {n} coordinates at pairwise distance >= {threshold} "
+            f"need a box width above (n-1)*theta = {width:g}"
+        )
+    while True:
+        for _ in range(MAX_ATTEMPTS_PER_POINT):
+            x = rng.uniform(lo, hi - width, n)
+            if spaced:
+                x += threshold * (x[:, None] > x).sum(axis=1)
+            if is_admissible(config, x, threshold):
+                yield x
+                break
+        else:
+            raise SamplingError(
+                f"no admissible point in box ({lo}, {hi}) with threshold {threshold} "
+                f"after {MAX_ATTEMPTS_PER_POINT} attempts"
+            )
+
+
 def sample_admissible_points(
     rng: np.random.Generator,
     config: Configuration,
@@ -68,34 +106,10 @@ def sample_admissible_points(
     PreconditionError is raised before any draw.  Otherwise candidates are
     box-uniform.
     """
-    lo, hi = float(box[0]), float(box[1])
-    if not lo < hi:
-        raise PreconditionError(f"box ({lo}, {hi}) must satisfy lo < hi")
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    n = config.dimension
-    spaced = threshold > 0.0 and covers_every_pair(config)
-    width = (n - 1) * threshold if spaced else 0.0
-    if width >= hi - lo:
-        raise PreconditionError(
-            f"box ({lo}, {hi}) is too narrow: {n} coordinates at pairwise distance >= {threshold} "
-            f"need a box width above (n-1)*theta = {width:g}"
-        )
-    out = np.empty((count, n))
-    for idx in range(count):
-        for _ in range(MAX_ATTEMPTS_PER_POINT):
-            x = rng.uniform(lo, hi - width, n)
-            if spaced:
-                x += threshold * (x[:, None] > x).sum(axis=1)
-            if is_admissible(config, x, threshold):
-                out[idx] = x
-                break
-        else:
-            raise SamplingError(
-                f"no admissible point in box ({lo}, {hi}) with threshold {threshold} "
-                f"after {MAX_ATTEMPTS_PER_POINT} attempts"
-            )
-    return out
+    points = admissible_points(rng, config, box, threshold)
+    return np.array([next(points) for _ in range(count)])
 
 
 def fully_active(config: Configuration) -> Configuration:

@@ -9,15 +9,24 @@ are listed one by one and merged by a pairwise scan, the metric's diagonality
 is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
-and admissible points are drawn by box-uniform rejection.
+admissible points are drawn by box-uniform rejection, and the tangency
+residual of a restriction is summed one subsystem covector at a time.
 """
 
 import math
 
 import numpy as np
 
+from trigwdvv.algebra import RestrictionContext
 from trigwdvv.configurations import MERGE_TOL, Configuration
-from trigwdvv.errors import DimensionCapError, DimensionError, ParameterError, SamplingError, SingularityError
+from trigwdvv.errors import (
+    DimensionCapError,
+    DimensionError,
+    ParameterError,
+    PreconditionError,
+    SamplingError,
+    SingularityError,
+)
 from trigwdvv.prepotential import (
     DEFAULT_THRESHOLD,
     active_pairings,
@@ -108,6 +117,27 @@ def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAU
         else:
             raise SamplingError(f"no admissible point after {MAX_ATTEMPTS_PER_POINT} attempts")
     return out
+
+
+def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
+    """|sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|.
+
+    ``alpha`` must belong to the block subsystem, which must be nonempty.  The
+    sum vanishes when u and v are constant on blocks; non-tangent inputs are
+    accepted so the necessity of tangency can be demonstrated.  Scaled by the
+    sum of absolute summands.
+    """
+    if not rctx.in_subsystem.any():
+        raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
+    alpha = np.asarray(alpha, dtype=float)
+    if not (np.abs(rctx.subsystem_members() - alpha) <= MERGE_TOL).all(axis=1).any():
+        raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    A = rctx._A_out
+    terms = rctx._c_out * (A @ u) * (A @ v) * (A @ alpha) * rctx._coth_out
+    scale = max(1.0, float(np.abs(terms).sum()))
+    return abs(float(terms.sum())) / scale
 
 
 def ks_statistic(a, b) -> float:

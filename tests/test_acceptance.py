@@ -18,7 +18,7 @@ from trigwdvv.algebra import (
     multiply,
     restricted_multiply,
     structure_constants,
-    tangency_residual,
+    tangency_residuals,
 )
 from trigwdvv.configurations import (
     BCnParameters,
@@ -263,7 +263,7 @@ def test_criterion_5_restriction_machinery():
     rng = rng_for(SEED, "acceptance5/points")
     worst_struct = worst_tan = worst_hb = 0.0
     for xt in sample_admissible_points(rng, pattern, 20):
-        rctx = RestrictionContext(r, s, q, part, xt)
+        rctx = RestrictionContext(r, s, q, part).at(xt)
         C = structure_constants(rctx)
         Ft = tensor_generic(rctx.projected_config, xt)
         expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
@@ -272,8 +272,7 @@ def test_criterion_5_restriction_machinery():
         )
         u = part.block_indicators().T @ rng.standard_normal(2)
         v = part.block_indicators().T @ rng.standard_normal(2)
-        for alpha in rctx.subsystem_members():
-            worst_tan = max(worst_tan, tangency_residual(rctx, u, v, alpha))
+        worst_tan = max(worst_tan, tangency_residuals(rctx, u, v).max())
         worst_hb = max(worst_hb, h_b_decomposition_residual(rctx))
 
     # path limit: full product converges to the restricted one at first order
@@ -281,7 +280,7 @@ def test_criterion_5_restriction_machinery():
     rng_path = rng_for(SEED, "acceptance5/path")
     for _ in range(5):
         xt = sample_admissible_points(rng_path, pattern, 1)[0]
-        rctx = RestrictionContext(r, s, q, part, xt)
+        rctx = RestrictionContext(r, s, q, part).at(xt)
         u = part.block_indicators().T @ rng_path.standard_normal(2)
         v = part.block_indicators().T @ rng_path.standard_normal(2)
         limit = restricted_multiply(rctx, u, v)

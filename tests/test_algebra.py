@@ -11,7 +11,7 @@ from trigwdvv.algebra import (
     multiply,
     restricted_multiply,
     structure_constants,
-    tangency_residual,
+    tangency_residuals,
 )
 from trigwdvv.configurations import (
     BCnParameters,
@@ -24,6 +24,8 @@ from trigwdvv.errors import DegenerateHError, PreconditionError, SingularityErro
 from trigwdvv.prepotential import metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 from trigwdvv.wdvv import pivot_residuals
+
+from tests.oracles import tangency_residual
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -97,7 +99,7 @@ class TestRestrictedMultiply:
     def test_trivial_partition_matches_full_product(self):
         part = Partition(N=3, blocks=(1, 1, 1))
         xt = np.array([0.9, 0.5, 1.3])
-        rctx = RestrictionContext(-2.0, 0.0, 1.0, part, xt)
+        rctx = RestrictionContext(-2.0, 0.0, 1.0, part).at(xt)
         config = build_bcN_root_system(3, -2.0, 0.0, 1.0)
         ctx = ProductContext(config, xt)
         rng = rng_for(4, "restricted/trivial")
@@ -107,7 +109,7 @@ class TestRestrictedMultiply:
 
     def test_output_is_block_constant(self):
         part = Partition(N=3, blocks=(2, 1))
-        rctx = RestrictionContext(1.0, 0.5, 1.0, part, np.array([0.9, 0.4]))
+        rctx = RestrictionContext(1.0, 0.5, 1.0, part).at(np.array([0.9, 0.4]))
         f1 = block_constant(part, [1.0, 0.0])
         prod = restricted_multiply(rctx, f1, f1)
         assert abs(prod[0] - prod[1]) <= 1e-12
@@ -117,7 +119,7 @@ class TestRestrictedMultiply:
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(8, "restricted/closure")
         for xt in sample_admissible_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
+            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             u = block_constant(part, rng.standard_normal(2))
             v = block_constant(part, rng.standard_normal(2))
             prod = restricted_multiply(rctx, u, v)
@@ -128,7 +130,7 @@ class TestRestrictedMultiply:
     def test_limit_of_full_product_is_first_order(self):
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
         ambient = rctx.ambient_config
         rng = rng_for(15, "restricted/limit")
         u = block_constant(part, rng.standard_normal(2))
@@ -157,18 +159,17 @@ class TestRestrictedMultiply:
 class TestTangency:
     def setup_method(self):
         self.part = Partition(N=3, blocks=(2, 1))
-        self.rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part, np.array([0.9, 0.4]))
-        self.alpha = np.array([1.0, -1.0, 0.0])
+        self.rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part).at(np.array([0.9, 0.4]))
 
     def test_tangent_pairs_sum_to_zero(self):
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 1.0))))
         rng = rng_for(16, "tangency/sweep")
         worst = 0.0
         for xt in sample_admissible_points(rng, pattern, 50):
-            rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part, xt)
+            rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part).at(xt)
             u = block_constant(self.part, rng.standard_normal(2))
             v = block_constant(self.part, rng.standard_normal(2))
-            worst = max(worst, tangency_residual(rctx, u, v, self.alpha))
+            worst = max(worst, tangency_residuals(rctx, u, v).max())
         assert worst < 1e-10
 
     def test_non_tangent_input_breaks_identity(self):
@@ -177,27 +178,36 @@ class TestTangency:
         for _ in range(20):
             u = rng.standard_normal(3)  # not block-constant
             v = block_constant(self.part, rng.standard_normal(2))
-            vals.append(tangency_residual(self.rctx, u, v, self.alpha))
+            vals.append(tangency_residuals(self.rctx, u, v).max())
         assert np.median(vals) > 1e-3
 
-    def test_empty_subsystem_rejected(self):
+    def test_empty_subsystem_gives_no_residuals(self):
         part = Partition(N=2, blocks=(1, 1))
-        rctx = RestrictionContext(1.0, 1.0, 1.0, part, np.array([0.9, 0.4]))
-        with pytest.raises(PreconditionError):
-            tangency_residual(rctx, np.ones(2), np.ones(2), np.array([1.0, -1.0]))
+        rctx = RestrictionContext(1.0, 1.0, 1.0, part).at(np.array([0.9, 0.4]))
+        assert tangency_residuals(rctx, np.ones(2), np.ones(2)).shape == (0,)
 
-    def test_alpha_outside_subsystem_rejected(self):
-        with pytest.raises(PreconditionError):
-            tangency_residual(
-                self.rctx, np.ones(3), np.ones(3), np.array([1.0, 0.0, -1.0])
-            )
+    @pytest.mark.parametrize("blocks", [(2, 1), (2, 3), (5, 5, 5, 5)])
+    def test_rows_equal_the_single_alpha_oracle(self, blocks):
+        part = Partition(N=sum(blocks), blocks=blocks)
+        n = len(blocks)
+        restriction = RestrictionContext(-2.0 * (part.N - 2), 0.5, 1.0, part)
+        pattern = fully_active(restriction.projected_config)
+        rng = rng_for(18, "tangency/oracle")
+        for xt in sample_admissible_points(rng, pattern, 5):
+            rctx = restriction.at(xt)
+            # a non-tangent u keeps the sums away from zero
+            u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(n))
+            expected = [tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem_members()]
+            got = tangency_residuals(rctx, u, v)
+            assert got.shape == (len(expected),) and len(expected) > 0
+            assert got.tolist() == expected
 
 
 class TestStructureConstants:
     def test_trivial_partition_reduces_to_tensor(self):
         part = Partition(N=3, blocks=(1, 1, 1))
         xt = np.array([0.9, 0.5, 1.3])
-        rctx = RestrictionContext(-2.0, 0.0, 1.0, part, xt)
+        rctx = RestrictionContext(-2.0, 0.0, 1.0, part).at(xt)
         C = structure_constants(rctx)
         F = tensor_generic(build_bcN_root_system(3, -2.0, 0.0, 1.0), xt)
         assert np.abs(C - F).max() < 1e-12
@@ -207,7 +217,7 @@ class TestStructureConstants:
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(23, "structure/two-path")
         for xt in sample_admissible_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
+            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             C = structure_constants(rctx)
             Ft = tensor_generic(rctx.projected_config, xt)
             expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
@@ -219,7 +229,7 @@ class TestStructureConstants:
         # satisfies the pair equations with B = diag(m)
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
         Ft = tensor_generic(rctx.projected_config, xt)
         H = np.diag(rctx.m)
         assert pivot_residuals(Ft, H[None])[0][0, 0, 1] < 1e-12
@@ -231,7 +241,7 @@ class TestHBDecomposition:
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(31, "hb/ok")
         for xt in sample_admissible_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part, xt)
+            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             assert h_b_decomposition_residual(rctx) < 1e-10
 
     def test_broken_constraint(self):
@@ -240,7 +250,7 @@ class TestHBDecomposition:
         rng = rng_for(31, "hb/broken")
         vals = []
         for xt in sample_admissible_points(rng, pattern, 20):
-            rctx = RestrictionContext(-19.5, 1.0, 2.0, part, xt)
+            rctx = RestrictionContext(-19.5, 1.0, 2.0, part).at(xt)
             vals.append(h_b_decomposition_residual(rctx))
         assert min(vals) > 1e-6
 
@@ -250,16 +260,16 @@ class TestHBDecomposition:
         r = -8.0 * 0.5 - 2.0 * 1.0 * (N - 2)
         part = Partition(N=N, blocks=(N,))
         xt = np.array([0.7])
-        rctx = RestrictionContext(r, 0.5, 1.0, part, xt)
+        rctx = RestrictionContext(r, 0.5, 1.0, part).at(xt)
         assert h_b_decomposition_residual(rctx) < 1e-12
         F111 = tensor_generic(rctx.projected_config, xt)[0, 0, 0]
         from trigwdvv.prepotential import h_function
 
-        h = h_function(rctx.params(), xt)
+        h = h_function(rctx.params, xt)
         assert math.isclose(math.sinh(2 * 0.7) / h * F111, float(N), rel_tol=1e-12)
 
     def test_h_near_zero_rejected(self):
         part = Partition(N=2, blocks=(2,))
-        rctx = RestrictionContext(0.0, 0.0, 0.0, part, np.array([0.7]))
+        rctx = RestrictionContext(0.0, 0.0, 0.0, part).at(np.array([0.7]))
         with pytest.raises(DegenerateHError):
             h_b_decomposition_residual(rctx)

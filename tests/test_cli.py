@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from trigwdvv import sampling
 from trigwdvv.cli import (
     RunSpec,
+    VerificationReport,
+    _sampled,
     config_document,
     dumps_17g,
     emit_tensor,
@@ -406,6 +409,75 @@ def test_check_names_in_report_order(command, source, names):
     assert [c.name for c in report.checks] == names
 
 
+@pytest.mark.parametrize("command, source, _names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())
+def test_repeated_runs_give_byte_identical_reports(command, source, _names):
+    spec = {"command": command, "config_source": source, "samples": 5, "seed": 42}
+    first, second = (dumps_17g(run(RunSpec(**spec)).to_json_dict()) for _ in range(2))
+    assert first == second
+
+
+@pytest.mark.parametrize("command, source, _names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())
+def test_a_run_examines_its_sampling_pattern_once(monkeypatch, command, source, _names):
+    calls = []
+    original = sampling.covers_every_pair
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(sampling, "covers_every_pair", counting)
+    for samples in (1, 5):
+        calls.clear()
+        run(RunSpec(command=command, config_source=source, samples=samples))
+        assert len(calls) == 1, samples
+
+
+def _sampled_checks(per_point):
+    """The checks ``_sampled`` builds from one residual dict per point, and the points."""
+    spec = RunSpec(command="verify-wdvv", config_source={}, samples=len(per_point))
+    report = VerificationReport(run=spec)
+    points = []
+
+    def residuals(rng, x):
+        points.append(x.tolist())
+        return per_point[len(points) - 1]
+
+    _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals)
+    return report.checks, points
+
+
+@pytest.mark.parametrize(
+    "values, worst, worst_value",
+    [
+        ([1.0, 2.0, 2.0], 1, 2.0),  # a tie keeps the first maximum's point
+        ([[1.0, 3.0], 3.0, [0.5, 3.0]], 0, 3.0),  # also across the residuals of one point
+        ([1.0, math.inf, math.nan, math.inf], 1, math.inf),  # the first non-finite residual wins
+        ([2.0, math.nan, math.inf, 5.0], 1, math.nan),
+    ],
+    ids=["tie", "tie-within-a-point", "inf-first", "nan-first"],
+)
+def test_worst_point_is_the_first_non_finite_else_the_first_maximum(values, worst, worst_value):
+    (check,), points = _sampled_checks([{"only_check": v} for v in values])
+    flat = np.concatenate([np.ravel(v) for v in values])
+    assert check.name == "only_check"
+    assert check.worst_point == points[worst]
+    assert np.array_equal(check.max_residual, worst_value, equal_nan=True)
+    assert np.array_equal(check.mean_residual, np.mean(flat), equal_nan=True)
+    assert check.passed is False
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("verify-restriction", "restriction_config_match"), ("verify-susy", "fermionic_anticommutation")],
+)
+def test_one_value_checks_have_no_worst_point(command, name):
+    report = run(RunSpec(command=command, config_source=_family(2, -20, 1, 2, (2, 3)), samples=2))
+    check = report.checks[0]
+    assert check.name == name
+    assert check.worst_point is None
+    assert check.mean_residual == check.max_residual
+
+
 def test_wdvv_n1_is_refused(capsys):
     # n=1 has no pair (i, j), so there is nothing to check; a run that checks
     # nothing must not print OK
@@ -549,6 +621,7 @@ def test_negative_lists_parse_spaced_and_attached(capsys, option, value, argv, c
     ],
     ids=["nan-metric-report", "overflowing-tensor"],
 )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point of the test
 def test_json_output_with_non_finite_values_parses(capsys, argv):
     # JSON has no NaN or infinity: a non-finite value is written as null
     main(argv)
