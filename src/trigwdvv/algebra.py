@@ -19,7 +19,6 @@ import numpy as np
 from .configurations import (
     BCnParameters,
     Configuration,
-    MERGE_TOL,
     Partition,
     build_bcN_root_system,
     restrict_configuration,
@@ -39,8 +38,6 @@ class ProductContext:
     def __init__(self, config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> None:
         self.active = active_pairings(config, x, threshold)
         self.config = config
-        self.x = np.asarray(x, dtype=float)
-        self.threshold = float(threshold)
 
 
 def multiply(ctx: ProductContext, u, v) -> np.ndarray:
@@ -69,16 +66,18 @@ class RestrictionContext:
 
     Per run, built once: the ambient BC_N(r, s, q) configuration, the
     partition and its block basis, the projected configuration and its family
-    parameters ``params`` (m = block sizes), the f-hat coordinates of every
-    ambient member, the block-subsystem mask, and the vectors, multiplicities
-    and projections of the active members outside the subsystem.  These
+    parameters ``params`` (m = block sizes), the block-subsystem mask from
+    ``Partition.block_coordinates``, and the vectors, multiplicities and
+    projections of the active members outside the subsystem.  These
     arrays are read-only and shared by every point of the run.
 
     Per point: x_tilde in block-basis coordinates, the embedded point
     sum_k x_tilde_k f_k, which must be admissible for every covector outside
-    the block subsystem, and coth of those covectors' pairings with it.
-    ``at(x_tilde)`` gives the run's context at a point, and the functions
-    below that evaluate at a point take such a context.
+    the block subsystem, coth of those covectors' pairings with it, and
+    ``projected_tensor``, tensor_generic of the projected configuration at
+    x_tilde.  ``at(x_tilde)`` gives the run's context at a point, and the
+    functions below that evaluate at a point take such a context (given the
+    per-run context, they raise AttributeError).
     """
 
     def __init__(
@@ -91,17 +90,13 @@ class RestrictionContext:
         self.projected_config = restrict_configuration(part.N, r, s, q, part, self.ambient_config)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
-        # f-hat coordinates (alpha, f_k) of every ambient member; zero rows are
-        # exactly the block subsystem.
-        self._coords = self.ambient_config.vectors @ self.block_basis.T
-        self.in_subsystem = np.abs(self._coords).max(axis=1) <= MERGE_TOL
+        coords, self.in_subsystem = part.block_coordinates(self.ambient_config.vectors)
         c = self.ambient_config.multiplicities
         keep = (~self.in_subsystem) & (c != 0.0)
         self._A_out = self.ambient_config.vectors[keep]
         self._c_out = c[keep]
         # projected covectors: sum_k (alpha, f_k)/m_k * f_k
-        self._proj_out = (self._coords[keep] / self.m) @ self.block_basis
-        self.x_tilde = self.x_embedded = self._coth_out = None
+        self._proj_out = (coords[keep] / self.m) @ self.block_basis
 
     def at(self, x_tilde) -> "RestrictionContext":
         """This run's context at the point ``x_tilde``, sharing the per-run data."""
@@ -114,6 +109,7 @@ class RestrictionContext:
             self.ambient_config, point.x_embedded, self.threshold, among=~self.in_subsystem
         )
         point._coth_out = coth(z)
+        point.projected_tensor = tensor_generic(self.projected_config, x_tilde, self.threshold)
         return point
 
     def subsystem_members(self) -> np.ndarray:
@@ -159,8 +155,8 @@ def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
 def structure_constants(rctx: RestrictionContext) -> np.ndarray:
     """C[i][j][k] with f_i * f_j = sum_k C[i][j][k] f_k, from restricted products.
 
-    Equals tensor_generic of the projected configuration at x_tilde divided by
-    m_k in the last index; tests check the two routes against each other.
+    Equals ``projected_tensor`` divided by m_k in the last index, but is
+    computed without it; tests check the two routes against each other.
     """
     n = rctx.part.n
     C = np.zeros((n, n, n))
@@ -174,7 +170,7 @@ def structure_constants(rctx: RestrictionContext) -> np.ndarray:
 
 
 def h_b_decomposition_residual(rctx: RestrictionContext) -> float:
-    """Deviation of diag(m) from sum_i h^{-1} sinh(2 x~_i) F~_i, scaled.
+    """Deviation of diag(m) from sum_i h^{-1} sinh(2 x~_i) F~_i, scaled; F~ is ``projected_tensor``.
 
     Vanishes exactly when the multiplicity constraint holds for (r, s, q) and
     N = sum of blocks.  Requires |h(x~)| >= 1e-6.
@@ -182,8 +178,7 @@ def h_b_decomposition_residual(rctx: RestrictionContext) -> float:
     h = h_function(rctx.params, rctx.x_tilde)
     if abs(h) < _H_FLOOR:
         raise DegenerateHError(f"|h(x~)| = {abs(h):.3e} < {_H_FLOOR}; decomposition undefined")
-    Ft = tensor_generic(rctx.projected_config, rctx.x_tilde, rctx.threshold)
-    S = np.einsum("i,ijk->jk", np.sinh(2.0 * rctx.x_tilde) / h, Ft)
+    S = np.einsum("i,ijk->jk", np.sinh(2.0 * rctx.x_tilde) / h, rctx.projected_tensor)
     target = np.diag(rctx.m)
     scale = max(1.0, float(np.abs(S).max()), float(np.abs(target).max()))
     return float(np.abs(target - S).max()) / scale

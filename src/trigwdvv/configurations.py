@@ -216,15 +216,15 @@ class BCnParameters:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered partition of N coordinates into n consecutive blocks."""
+    """An ordered partition of N coordinates into n consecutive blocks, each of integer size >= 1."""
 
     N: int
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(float(b).is_integer() and b >= 1 for b in self.blocks):
+            raise ParameterError(f"every block must be a positive integer, got {tuple(self.blocks)}")
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
-        if any(b < 1 for b in self.blocks):
-            raise ParameterError("every block must have size >= 1")
         if sum(self.blocks) != self.N:
             raise ParameterError(
                 f"blocks {self.blocks} sum to {sum(self.blocks)}, expected N = {self.N}"
@@ -236,12 +236,14 @@ class Partition:
 
     def block_indicators(self) -> np.ndarray:
         """(n, N) 0/1 matrix whose k-th row marks the coordinates of block k."""
-        F = np.zeros((self.n, self.N))
-        start = 0
-        for k, b in enumerate(self.blocks):
-            F[k, start : start + b] = 1.0
-            start += b
-        return F
+        return np.repeat(np.eye(self.n), self.blocks, axis=1)
+
+    def block_coordinates(self, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """(coords, in_subsystem) with coords[:, k] = (alpha, f_k) for each row alpha of
+        ``vectors``; in_subsystem marks the rows whose coords all vanish within
+        MERGE_TOL, the within-block differences that make up the block subsystem."""
+        coords = np.asarray(vectors, dtype=float) @ self.block_indicators().T
+        return coords, np.abs(coords).max(axis=1) <= MERGE_TOL
 
 
 def constraint_residual(p: BCnParameters) -> float:
@@ -310,9 +312,6 @@ def restrict_configuration(
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
     if ambient is None:
         ambient = build_bcN_root_system(N, r, s, q)
-    # coordinates after f_k/m_k -> e_k, i.e. (alpha, f_k); subsystem members
-    # are exactly those with all coordinates zero.  The entries are small
-    # integers, so the product is exact.
-    coords = ambient.vectors @ part.block_indicators().T
-    keep = np.abs(coords).max(axis=1) > MERGE_TOL
-    return Configuration(part.n, zip(coords[keep], ambient.multiplicities[keep]))
+    # coordinates after f_k/m_k -> e_k are (alpha, f_k)
+    coords, in_subsystem = part.block_coordinates(ambient.vectors)
+    return Configuration(part.n, zip(coords[~in_subsystem], ambient.multiplicities[~in_subsystem]))

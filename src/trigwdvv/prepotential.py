@@ -146,13 +146,10 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
     F = np.zeros((n, n, n))
     diag = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
     pair_val = q * np.outer(m, m) * b_pair.T  # [a, b] -> q m_a m_b b_pair[b][a]
-    for a in range(n):
-        F[a, a, a] = diag[a]
-        for bb in range(n):
-            if bb == a:
-                continue
-            v = pair_val[a, bb]
-            F[a, a, bb] = F[a, bb, a] = F[bb, a, a] = v
+    F[np.diag_indices(n, 3)] = diag
+    # (i, i, j), (i, j, i) and (j, i, i) with i != j never coincide: one write per entry
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    F[i, i, j] = F[i, j, i] = F[j, i, i] = pair_val[i, j]
     return F
 
 

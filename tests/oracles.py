@@ -9,8 +9,9 @@ are listed one by one and merged by a pairwise scan, the metric's diagonality
 is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
-admissible points are drawn by box-uniform rejection, and the tangency
-residual of a restriction is summed one subsystem covector at a time.
+admissible points are drawn by box-uniform rejection, the tangency
+residual of a restriction is summed one subsystem covector at a time, and the
+closed-form BC_n tensor is filled one index pair at a time.
 """
 
 import math
@@ -32,6 +33,7 @@ from trigwdvv.prepotential import (
     active_pairings,
     eval_f,
     h_function,
+    hyperbolic_helpers,
     is_admissible,
     metric_B,
 )
@@ -138,6 +140,21 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
     terms = rctx._c_out * (A @ u) * (A @ v) * (A @ alpha) * rctx._coth_out
     scale = max(1.0, float(np.abs(terms).sum()))
     return abs(float(terms.sum())) / scale
+
+
+def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """The explicit BC_n third-derivative formula, filled entry by entry."""
+    n, r, s, q, m = p.n, p.r, p.s, p.q, p.m_array
+    b, bt, b_pair = hyperbolic_helpers(np.asarray(x, dtype=float), threshold)
+    F = np.zeros((n, n, n))
+    diag = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
+    pair_val = q * np.outer(m, m) * b_pair.T
+    for a in range(n):
+        F[a, a, a] = diag[a]
+        for bb in range(n):
+            if bb != a:
+                F[a, a, bb] = F[a, bb, a] = F[bb, a, a] = pair_val[a, bb]
+    return F
 
 
 def ks_statistic(a, b) -> float:

@@ -203,6 +203,31 @@ class TestTangency:
             assert got.tolist() == expected
 
 
+class TestRestrictionContext:
+    def test_projected_tensor_is_the_generic_tensor_at_the_point(self):
+        part = Partition(N=5, blocks=(2, 3))
+        xt = np.array([0.9, 0.4])
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
+        assert np.array_equal(rctx.projected_tensor, tensor_generic(rctx.projected_config, xt))
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda rctx, u: restricted_multiply(rctx, u, u),
+            lambda rctx, u: tangency_residuals(rctx, u, u),
+            lambda rctx, u: structure_constants(rctx),
+            lambda rctx, u: h_b_decomposition_residual(rctx),
+        ],
+        ids=["restricted_multiply", "tangency_residuals", "structure_constants", "h_b_decomposition_residual"],
+    )
+    def test_unplaced_context_names_the_missing_attribute(self, evaluate):
+        # the per-run context has no point; a per-point function must say so
+        part = Partition(N=5, blocks=(2, 3))
+        restriction = RestrictionContext(-20.0, 1.0, 2.0, part)
+        with pytest.raises(AttributeError, match="'RestrictionContext' object has no attribute"):
+            evaluate(restriction, block_constant(part, [1.0, 2.0]))
+
+
 class TestStructureConstants:
     def test_trivial_partition_reduces_to_tensor(self):
         part = Partition(N=3, blocks=(1, 1, 1))

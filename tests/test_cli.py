@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from trigwdvv import sampling
+from trigwdvv import algebra, cli, sampling
 from trigwdvv.cli import (
     RunSpec,
     VerificationReport,
@@ -512,6 +512,85 @@ def test_builds_configurations_once_per_run(monkeypatch, command, member_count):
         per_run.append(list(built))
     assert per_run[0] == per_run[1]
     assert member_count in per_run[0]
+
+
+def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):
+    # the driver's two-path check and h_b_decomposition read the tensor that
+    # RestrictionContext.at stores; neither evaluates it again
+    calls = []
+    original = tensor_generic
+
+    def counting(config, x, threshold):
+        calls.append((config.dimension, len(config)))
+        return original(config, x, threshold)
+
+    for module in (cli, algebra):
+        monkeypatch.setattr(module, "tensor_generic", counting)
+    for samples in (1, 3):
+        calls.clear()
+        run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=samples))
+        assert calls == [(2, 6)] * samples  # the projected BC_2 has 2 + 2 + 2 members
+
+
+LARGE_MULTIPLICITY_FAMILIES = {
+    "q=1000.1": ["--r", "-16001.6", "--q", "1000.1"],
+    "q=1e6+0.1": ["--r", "-16000001.6", "--q", "1000000.1"],
+}
+
+
+@pytest.mark.parametrize("args", LARGE_MULTIPLICITY_FAMILIES.values(), ids=LARGE_MULTIPLICITY_FAMILIES.keys())
+def test_restriction_passes_families_with_large_multiplicities(capsys, args):
+    # multiplicities of 8e4 and 8e7 round to more than an absolute 1e-12 when
+    # the projection sums them; scaled by max|c|, the deviation is ~1e-16
+    argv = ["verify-restriction", "--family", "bcn", "--n", "2", "--s", "0", "--m", "5,5", *args]
+    assert main(argv + ["--samples", "3", "--seed", "1", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES["restriction"][2]
+    assert all(c["pass"] for c in checks)
+    assert 0.0 < checks[0]["max_residual"] < 1e-15
+
+
+def _swap_first_two(vectors, mults):
+    order = [1, 0, *range(2, len(mults))]
+    return vectors[order], mults[order]
+
+
+def _scale_first_multiplicity(vectors, mults):
+    return vectors, np.concatenate([mults[:1] * (1.0 + 1e-6), mults[1:]])
+
+
+@pytest.mark.parametrize(
+    "perturb, expected",
+    [
+        (_scale_first_multiplicity, 40.0 * 1e-6 / 60.0),  # c = -40 of max|c| = 60
+        (_swap_first_two, 1.0),  # e_1 and e_2 trade places
+        (lambda vectors, mults: (vectors[1:], mults[1:]), math.inf),  # one member fewer
+    ],
+    ids=["multiplicity-scaled", "members-swapped", "member-missing"],
+)
+def test_restriction_config_match_fails_on_a_perturbed_family(monkeypatch, perturb, expected):
+    original = cli.build_bcn
+
+    def perturbed(params):
+        config = original(params)
+        return Configuration(config.dimension, zip(*perturb(config.vectors, config.multiplicities)))
+
+    monkeypatch.setattr(cli, "build_bcn", perturbed)
+    report = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=1))
+    check = report.checks[0]
+    assert check.name == "restriction_config_match"
+    assert math.isclose(check.max_residual, expected, rel_tol=1e-9)
+    assert not check.passed and not report.all_passed
+
+
+def test_restriction_names_a_fractional_block(capsys):
+    argv = ["verify-restriction", "--family", "bcn", "--n", "2", "--r", "0", "--s", "0", "--q", "1", "--m", "2.5,2.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: PreconditionError: verify-restriction reads m as block sizes: "
+        "every block must be a positive integer, got (2.5, 2.5)\n"
+    )
 
 
 def test_ill_conditioned_pivots_discard_the_point():

@@ -78,6 +78,30 @@ class TestTypes:
         with pytest.raises(ParameterError):
             Partition(N=1, blocks=(0, 1))
 
+    @pytest.mark.parametrize("N, blocks", [(4, (2.5, 2.5)), (3, (1.5, 1.5)), (3, (-1, 4)), (2, (2, math.inf))])
+    def test_partition_requires_positive_integer_blocks(self, N, blocks):
+        # a fractional block is refused, not truncated to an integer
+        with pytest.raises(ParameterError, match="positive integer"):
+            Partition(N=N, blocks=blocks)
+
+    def test_partition_reads_integral_floats_as_integers(self):
+        part = Partition(N=5, blocks=(2.0, 3.0))
+        assert part.blocks == (2, 3) and all(type(b) is int for b in part.blocks)
+
+    def test_block_indicators(self):
+        F = Partition(N=6, blocks=(2, 1, 3)).block_indicators()
+        assert F.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
+
+    def test_block_coordinates_mark_the_within_block_differences(self):
+        part = Partition(N=5, blocks=(2, 3))
+        vectors = build_bcN_root_system(5, 1.0, 1.0, 1.0).vectors
+        coords, in_subsystem = part.block_coordinates(vectors)
+        assert np.array_equal(coords, vectors @ part.block_indicators().T)
+        # e_i - e_j with i and j in one block
+        block = np.repeat([0, 1], part.blocks)
+        within = [v.sum() == 0.0 and len(set(block[v != 0.0])) == 1 for v in vectors]
+        assert in_subsystem.tolist() == within and sum(within) == 1 + 3
+
 
 class TestConstraintResidual:
     def test_b2_point(self):

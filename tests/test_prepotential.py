@@ -20,7 +20,7 @@ from trigwdvv.prepotential import (
 )
 from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
 
-from tests.oracles import DenseFermionicSpace, fd_tensor, li3_fsum, phi_matrix
+from tests.oracles import DenseFermionicSpace, fd_tensor, li3_fsum, phi_matrix, tensor_closed_form_loop
 
 COTH = lambda z: 1.0 / math.tanh(z)
 
@@ -191,6 +191,15 @@ class TestTensorClosedForm:
         G = tensor_generic(build_bcn(p), x)
         C = tensor_closed_form(p, x)
         assert np.abs(G - C).max() < 1e-12
+
+    def test_equals_the_entry_by_entry_oracle_bit_for_bit(self):
+        rng = rng_for(11, "closed-form/oracle")
+        for n in range(1, 9):
+            m = tuple(rng.uniform(0.5, 5.0, n))
+            p = BCnParameters(n=n, r=float(rng.uniform(-5, 5)), s=float(rng.uniform(-5, 5)),
+                              q=float(rng.uniform(-5, 5)), m=m)
+            for x in sample_admissible_points(rng, fully_active(build_bcn(p)), 5):
+                assert tensor_closed_form(p, x).tobytes() == tensor_closed_form_loop(p, x).tobytes()
 
 
 class TestMetricAndH:
