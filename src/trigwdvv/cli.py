@@ -36,6 +36,7 @@ from .configurations import (
 )
 from .errors import (
     ConfigFormatError,
+    DomainError,
     ParameterError,
     PreconditionError,
     SamplingError,
@@ -46,17 +47,6 @@ from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generi
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fully_active, rng_for
 from .wdvv import CONDITION_CAP, pivot_residuals
 from . import algebra, susy
-
-COMMANDS = (
-    "verify-wdvv",
-    "verify-associativity",
-    "verify-metric",
-    "verify-restriction",
-    "verify-susy",
-    "tensor",
-    "build-config",
-)
-
 
 # ---------------------------------------------------------------------------
 # run specification and report types
@@ -82,12 +72,12 @@ class RunSpec:
         if not 0 <= self.seed < 2**64:
             raise PreconditionError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         lo, hi = self.box
-        if not lo < hi:
-            raise PreconditionError(f"box ({lo}, {hi}) must satisfy lo < hi")
-        if not self.tolerance > 0.0:
-            raise PreconditionError(f"tolerance must be > 0, got {self.tolerance}")
-        if not self.threshold > 0.0:
-            raise PreconditionError(f"threshold must be > 0, got {self.threshold}")
+        if not -math.inf < lo < hi < math.inf:
+            raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
+        if not 0.0 < self.tolerance < math.inf:
+            raise PreconditionError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not 0.0 < self.threshold < math.inf:
+            raise PreconditionError(f"threshold must be finite and > 0, got {self.threshold}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "box": list(self.box)}
@@ -302,8 +292,11 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
     spec = report.run
     config = _config_of(parsed)
     n = config.dimension
-    if n < 2:
-        raise PreconditionError(f"{spec.command} needs n >= 2: n={n} has no WDVV content")
+    if n < 3:
+        raise PreconditionError(
+            f"{spec.command} needs n >= 3: n={n} has no WDVV content (at n=1 there is no pair, "
+            "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
+        )
     pairs = np.triu_indices(n, 1)
 
     def residuals(rng, x):
@@ -431,17 +424,21 @@ def _run_susy(report: VerificationReport, parsed) -> None:
     _sampled(report, hat.config, hat_residuals)
 
 
+VERIFIERS = {
+    "verify-wdvv": _run_wdvv,
+    "verify-associativity": _run_associativity,
+    "verify-metric": _run_metric,
+    "verify-restriction": _run_restriction,
+    "verify-susy": _run_susy,
+}
+COMMANDS = (*VERIFIERS, "tensor", "build-config")
+
+
 def run(spec: RunSpec) -> VerificationReport:
     """Execute a verification command; deterministic given (seed, spec)."""
     spec.validate()
     parsed = load_config_source(spec.config_source)
-    driver = {
-        "verify-wdvv": _run_wdvv,
-        "verify-associativity": _run_associativity,
-        "verify-metric": _run_metric,
-        "verify-restriction": _run_restriction,
-        "verify-susy": _run_susy,
-    }.get(spec.command)
+    driver = VERIFIERS.get(spec.command)
     if driver is None:
         raise PreconditionError(f"{spec.command} is not a verification command")
     report = VerificationReport(run=spec)
@@ -453,17 +450,19 @@ def emit_tensor(spec: RunSpec, point) -> dict:
     """Tensor document {"point", "F", "B", "h"} at an explicit point.
 
     ``h`` is present for family sources and null for explicit configurations.
+    A non-finite field raises DomainError naming the first of F, B and h that
+    is not finite (sinh and cosh overflow for |x| above about 355).
     """
     parsed = load_config_source(spec.config_source)
     x = np.asarray(point, dtype=float)
-    F = tensor_generic(_config_of(parsed), x, spec.threshold)
-    B = metric_B(F, x)
-    return {
-        "point": [float(v) for v in x],
-        "F": F.tolist(),
-        "B": B.tolist(),
-        "h": h_function(parsed, x) if isinstance(parsed, BCnParameters) else None,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = tensor_generic(_config_of(parsed), x, spec.threshold)
+        B = metric_B(F, x)
+        h = h_function(parsed, x) if isinstance(parsed, BCnParameters) else None
+    for name, value in (("F", F), ("B", B), ("h", h)):
+        if value is not None and not np.isfinite(value).all():
+            raise DomainError(f"{name} is not finite at the point {x.tolist()}")
+    return {"point": [float(v) for v in x], "F": F.tolist(), "B": B.tolist(), "h": h}
 
 
 # ---------------------------------------------------------------------------

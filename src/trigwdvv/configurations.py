@@ -3,8 +3,8 @@
 A configuration is a finite list of covectors with scalar multiplicities; every
 prepotential, tensor and product in this package is a sum over one.  This module
 builds the n-parameter BC_n family, the unreduced BC_N root system (all block
-sizes equal to one), and the projection machinery that maps BC_N onto the
-subspace where coordinates are constant on blocks.
+sizes equal to one), and the restriction that maps BC_N onto the subspace
+where coordinates are constant on blocks.
 """
 
 from __future__ import annotations
@@ -163,31 +163,6 @@ def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, slot_of
 
 
-def configurations_match(
-    a: Configuration,
-    b: Configuration,
-    coord_tol: float = 0.0,
-    mult_tol: float = 0.0,
-) -> bool:
-    """True iff the two configurations have the same members, order-insensitively.
-
-    Each member of ``a``, in order, takes the first unused member of ``b``
-    with every coordinate within ``coord_tol`` and multiplicity within
-    ``mult_tol``; it fails if there is none.  With the default zero
-    tolerances this is exact equality.
-    """
-    if a.dimension != b.dimension or len(a) != len(b):
-        return False
-    unused = np.ones(len(b), dtype=bool)
-    for vec, mult in zip(a.vectors, a.multiplicities):
-        ok = unused & (np.abs(b.vectors - vec) <= coord_tol).all(axis=1)
-        ok &= np.abs(b.multiplicities - mult) <= mult_tol
-        if not ok.any():
-            return False
-        unused[ok.argmax()] = False
-    return True
-
-
 @dataclass(frozen=True)
 class BCnParameters:
     """Parameters (n, r, s, q, m_1..m_n) of the BC_n family; N = sum(m) is cached."""
@@ -216,14 +191,19 @@ class BCnParameters:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered partition of N coordinates into n consecutive blocks, each of integer size >= 1."""
+    """An ordered partition of N coordinates into n consecutive blocks, each of integer size >= 1.
+
+    N and the blocks must be integers; an integral float such as 5.0 is read as 5."""
 
     N: int
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        if not float(self.N).is_integer():
+            raise ParameterError(f"N must be an integer, got {self.N}")
         if not all(float(b).is_integer() and b >= 1 for b in self.blocks):
             raise ParameterError(f"every block must be a positive integer, got {tuple(self.blocks)}")
+        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
         if sum(self.blocks) != self.N:
             raise ParameterError(
@@ -283,19 +263,6 @@ def build_bcN_root_system(N: int, r: float, s: float, q: float) -> Configuration
     return build_bcn(BCnParameters(n=N, r=r, s=s, q=q, m=(1.0,) * N))
 
 
-def project_vector(u, part: Partition) -> np.ndarray:
-    """Coordinates of the orthogonal projection of ``u`` onto the block subspace.
-
-    Returned in the block-indicator basis f_1..f_n: component k is
-    (u, f_k) / m_k.  The full-space projection is sum_k result[k] * f_k.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (part.N,):
-        raise DimensionError(f"vector has shape {u.shape}, expected ({part.N},)")
-    F = part.block_indicators()
-    return (F @ u) / np.asarray(part.blocks, dtype=float)
-
-
 def restrict_configuration(
     N: int, r: float, s: float, q: float, part: Partition, ambient: Configuration | None = None
 ) -> Configuration:
@@ -311,7 +278,7 @@ def restrict_configuration(
     if N != part.N:
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
     if ambient is None:
-        ambient = build_bcN_root_system(N, r, s, q)
+        ambient = build_bcN_root_system(part.N, r, s, q)
     # coordinates after f_k/m_k -> e_k are (alpha, f_k)
     coords, in_subsystem = part.block_coordinates(ambient.vectors)
     return Configuration(part.n, zip(coords[~in_subsystem], ambient.multiplicities[~in_subsystem]))

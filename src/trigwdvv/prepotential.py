@@ -96,30 +96,48 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     return first, second
 
 
+def _active_margin(config: Configuration, x: np.ndarray, threshold: float, among=None):
+    """(A, c, z, ok) for the active members of ``config`` at the point x.
+
+    A member is active when its multiplicity is nonzero and, if the boolean
+    mask ``among`` is given, it is selected there.  A, c and z = A @ x are the
+    active vectors, multiplicities and pairings; ok is true iff x is finite and
+    every |z| >= threshold, so a NaN pairing fails.  z is None when x is not
+    finite.  The one margin rule of ``active_pairings`` and ``is_admissible``.
+    """
+    active = config.multiplicities != 0.0
+    if among is not None:
+        active &= among
+    A, c = config.vectors[active], config.multiplicities[active]
+    if not np.isfinite(x).all():
+        return A, c, None, False
+    z = A @ x
+    return A, c, z, bool((np.abs(z) >= threshold).all())
+
+
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD, among=None):
     """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
 
     A member is active when its multiplicity is nonzero and, if the boolean
-    mask ``among`` is given, it is selected there.  Every active member must
-    satisfy |(alpha, x)| >= threshold; otherwise SingularityError names the
-    nearest one.  Returns (A, c, z) with z = A @ x.
+    mask ``among`` is given, it is selected there.  A non-finite point raises
+    DomainError.  Every active member must satisfy |(alpha, x)| >= threshold;
+    otherwise SingularityError names the nearest one (or the first NaN
+    pairing).  Returns (A, c, z) with z = A @ x.
     """
     x = np.asarray(x, dtype=float)
     n = config.dimension
     if x.shape != (n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
-    active = config.multiplicities != 0.0
-    if among is not None:
-        active &= among
-    A = config.vectors[active]
-    z = A @ x
-    if (np.abs(z) < threshold).any():
+    A, c, z, ok = _active_margin(config, x, threshold, among)
+    if not ok:
+        if z is None:
+            raise DomainError(f"point {x.tolist()} is not finite")
         idx = int(np.argmin(np.abs(z)))
         raise SingularityError(
             f"point {x.tolist()} lies within {threshold} of the hyperplane of "
             f"member {A[idx].tolist()} ((alpha, x) = {z[idx]:.6g})"
         )
-    return A, config.multiplicities[active], z
+    return A, c, z
 
 
 def tensor_generic(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -168,19 +186,11 @@ def h_function(p: BCnParameters, x) -> float:
 def is_admissible(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True iff x keeps a margin ``threshold`` from every active hyperplane.
 
-    Requires |(alpha, x)| >= threshold for every member with nonzero
-    multiplicity and |sinh(2 x_k)| >= threshold for every coordinate.
+    Requires a finite x, |(alpha, x)| >= threshold for every member with
+    nonzero multiplicity (the rule of ``active_pairings``) and
+    |sinh(2 x_k)| >= threshold for every coordinate.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (config.dimension,):
+    if x.shape != (config.dimension,) or not _active_margin(config, x, threshold)[3]:
         return False
-    if not np.isfinite(x).all():
-        return False
-    if np.abs(np.sinh(2.0 * x)).min() < threshold:
-        return False
-    c = config.multiplicities
-    active = c != 0.0
-    if not active.any():
-        return True
-    z = config.vectors[active] @ x
-    return bool(np.abs(z).min() >= threshold)
+    return bool(np.abs(np.sinh(2.0 * x)).min() >= threshold)

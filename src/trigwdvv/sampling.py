@@ -4,21 +4,10 @@ Every verification stream derives its generator from (seed, label) through a
 SHA-256 digest of the label, so adding a stream never perturbs the samples of
 another; checks that share a stream share its draws.
 
-Points are uniform on the admissible part of a box: ``is_admissible``
-accepts or rejects every candidate.  When the configuration has an active
-member +-(e_i - e_j) for every pair i < j, every admissible point lies in
-S = {x in the box : |x_i - x_j| >= theta for all i < j}.  Candidates are then
-drawn uniformly on S through the spacing transform, a bijection with unit
-Jacobian (see ``sample_admissible_points``), so the accepted points have the
-distribution of box-uniform rejection at about one candidate each; a box too
-narrow for S to have volume, (n-1) theta >= hi - lo, raises PreconditionError
-before any draw.  Other configurations get box-uniform candidates.  The
+``admissible_points`` is the one candidate loop: an endless stream that
+examines the box and the pattern once, and a verification run draws all of
+its points from one stream.  Its docstring describes the distribution.  The
 attempt cap keeps pathological boxes diagnosable instead of looping forever.
-
-``admissible_points`` holds the one candidate loop: an endless stream that
-examines the box and the pattern once.  A verification run draws all of its
-points from one stream, and ``sample_admissible_points`` takes the first
-``count`` points of one.
 """
 
 from __future__ import annotations
@@ -30,7 +19,7 @@ import numpy as np
 
 from .configurations import Configuration
 from .errors import PreconditionError, SamplingError
-from .prepotential import DEFAULT_THRESHOLD, is_admissible
+from .prepotential import is_admissible
 
 DEFAULT_BOX = (0.3, 1.5)
 MAX_ATTEMPTS_PER_POINT = 10_000
@@ -55,10 +44,20 @@ def covers_every_pair(config: Configuration) -> bool:
 
 
 def admissible_points(rng: np.random.Generator, config: Configuration, box, threshold) -> Iterator[np.ndarray]:
-    """Endless stream of the points that ``sample_admissible_points`` describes.
+    """Endless stream of points uniform on the admissible part of the box.
 
-    Its errors are raised when the first point, or the point that exhausts
-    its attempts, is requested.
+    Every candidate is accepted or rejected by ``is_admissible``, and each
+    point gets at most MAX_ATTEMPTS_PER_POINT candidates.  When
+    ``covers_every_pair(config)`` and theta = ``threshold`` > 0, a candidate
+    is u + theta * rank(u) for u uniform in [lo, hi - (n-1) theta]^n, where
+    rank(u)_i counts the entries of u below u_i.  This map is a bijection with
+    unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
+    every admissible point, so the accepted points have the distribution that
+    box-uniform rejection gives, at about one candidate each.  If
+    (n-1) theta >= hi - lo, S is empty and PreconditionError is raised before
+    any draw.  Otherwise candidates are box-uniform.  The errors are raised
+    when the first point, or the point that exhausts its attempts, is
+    requested.
     """
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
@@ -84,32 +83,6 @@ def admissible_points(rng: np.random.Generator, config: Configuration, box, thre
                 f"no admissible point in box ({lo}, {hi}) with threshold {threshold} "
                 f"after {MAX_ATTEMPTS_PER_POINT} attempts"
             )
-
-
-def sample_admissible_points(
-    rng: np.random.Generator,
-    config: Configuration,
-    count: int,
-    box: tuple[float, float] = DEFAULT_BOX,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> np.ndarray:
-    """(count, dimension) array of points uniform on the admissible part of the box.
-
-    Every candidate is accepted or rejected by ``is_admissible``, and each
-    point gets at most MAX_ATTEMPTS_PER_POINT candidates.  When
-    ``covers_every_pair(config)`` and theta = ``threshold`` > 0, a candidate
-    is u + theta * rank(u) for u uniform in [lo, hi - (n-1) theta]^n, where
-    rank(u)_i counts the entries of u below u_i.  This map is a bijection with
-    unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
-    every admissible point, so the accepted points have the distribution that
-    box-uniform rejection gives.  If (n-1) theta >= hi - lo, S is empty and
-    PreconditionError is raised before any draw.  Otherwise candidates are
-    box-uniform.
-    """
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
-    points = admissible_points(rng, config, box, threshold)
-    return np.array([next(points) for _ in range(count)])
 
 
 def fully_active(config: Configuration) -> Configuration:

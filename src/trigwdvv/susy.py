@@ -33,7 +33,6 @@ _FERMION_N_CAP = 7  # dim = 2^(2n) <= 16384
 class RescaledConfiguration:
     """The BC_n family rewritten in the coordinates x^_i = m_i^{1/2} x_i."""
 
-    base: BCnParameters
     config: Configuration
 
 
@@ -46,7 +45,7 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
     base = build_bcn(p)
     config = Configuration(p.n, zip(base.vectors * inv_sqrt, base.multiplicities))
-    return RescaledConfiguration(base=p, config=config)
+    return RescaledConfiguration(config=config)
 
 
 def hat_tensor_from_base(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -94,8 +93,8 @@ class FermionicSpace:
     a*n + j of each half, a and j zero-based.  No dim x dim matrix is formed:
     checking every anticommutator (``anticommutation_residual``) takes
     O(n^2 dim) time and O(n dim) memory, 0.0024 / 0.011 / 0.063 / 0.39 s at
-    n = 4 / 5 / 6 / 7 on a 2-vCPU Xeon with numpy 2.4 (dense 256 x 256
-    products took 0.24 s at n = 4), and building the arrays 0.012 s at n = 7.
+    n = 4 / 5 / 6 / 7 on a 2-vCPU Xeon with numpy 2.4, and building the
+    arrays 0.012 s at n = 7.
     """
 
     def __init__(self, n: int) -> None:

@@ -14,6 +14,7 @@ residual of a restriction is summed one subsystem covector at a time, and the
 closed-form BC_n tensor is filled one index pair at a time.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from trigwdvv.prepotential import (
     is_admissible,
     metric_B,
 )
-from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT
+from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
 from trigwdvv.susy import bosonic_potential
 
 # the dense fermionic space's limit: each operator is a dim x dim matrix
@@ -99,6 +100,11 @@ def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
             members.append((tuple(plus), q * m[i] * m[j]))
             members.append((tuple(minus), q * m[i] * m[j]))
     return members
+
+
+def sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
+    """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from."""
+    return np.array(list(itertools.islice(admissible_points(rng, config, box, threshold), count)))
 
 
 def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:

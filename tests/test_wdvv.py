@@ -4,11 +4,11 @@ import pytest
 from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
 from trigwdvv.errors import SingularMatrixError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
-from trigwdvv.sampling import fully_active, rng_for, sample_admissible_points
+from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import diagonality_report, pair_residual
+from tests.oracles import diagonality_report, pair_residual, sample_points
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -19,7 +19,7 @@ def sampled_tensors(params, count, seed_label, seed=42):
     config = build_bcn(params)
     pattern = fully_active(config)
     rng = rng_for(seed, seed_label)
-    pts = sample_admissible_points(rng, pattern, count)
+    pts = sample_points(rng, pattern, count)
     for x in pts:
         T = tensor_generic(config, x)
         yield x, T, metric_B(T, x)
@@ -130,7 +130,7 @@ class TestCommutingResidual:
         hat = build_hat_configuration(M23).config
         rng = rng_for(42, "commuting/ok")
         worst = 0.0
-        for x in sample_admissible_points(rng, fully_active(hat), 50):
+        for x in sample_points(rng, fully_active(hat), 50):
             T = tensor_generic(hat, x)
             worst = max(worst, pivot_residuals(T)[0][0, 0, 1])
         assert worst < 1e-8
@@ -140,7 +140,7 @@ class TestCommutingResidual:
         pattern = fully_active(build_bcn(M23))
         rng = rng_for(42, "commuting/unrescaled")
         vals = []
-        for x in sample_admissible_points(rng, pattern, 50):
+        for x in sample_points(rng, pattern, 50):
             T = tensor_generic(build_bcn(M23), x)
             vals.append(pivot_residuals(T)[1][0, 0, 1])
         assert np.median(vals) > 1e-3
@@ -173,7 +173,7 @@ class TestNTwoIsVacuous:
         hat = build_hat_configuration(broken).config
         rng = rng_for(42, "n2/commuting")
         vals = []
-        for x in sample_admissible_points(rng, fully_active(hat), 30):
+        for x in sample_points(rng, fully_active(hat), 30):
             T = tensor_generic(hat, x)
             vals.append(pivot_residuals(T)[1][0, 0, 1])
         assert np.median(vals) > 1e-3
@@ -192,7 +192,7 @@ class TestDiagonalityReport:
                 m=tuple(rng.uniform(0.5, 4, n)),
             )
             config = build_bcn(p)
-            x = sample_admissible_points(rng, fully_active(config), 1)[0]
+            x = sample_points(rng, fully_active(config), 1)[0]
             T = tensor_generic(config, x)
             off, _ = diagonality_report(T, p, x)
             B = metric_B(T, x)
@@ -209,7 +209,7 @@ class TestDiagonalityReport:
         broken = BCnParameters(n=3, r=BC3.r + delta, s=BC3.s, q=BC3.q, m=BC3.m)
         config = build_bcn(broken)
         rng = rng_for(21, "diag/delta")
-        for x in sample_admissible_points(rng, fully_active(config), 20):
+        for x in sample_points(rng, fully_active(config), 20):
             T = tensor_generic(config, x)
             B = metric_B(T, x)
             m = broken.m_array
