@@ -1,85 +1,3 @@
 """Trigonometric BC_n prepotentials and numerical verification of their WDVV structure."""
 
 __version__ = "0.1.0"
-
-from .configurations import (
-    BCnParameters,
-    Configuration,
-    Partition,
-    build_bcn,
-    build_bcN_root_system,
-    constraint_residual,
-    restrict_configuration,
-    solve_r,
-)
-from .prepotential import (
-    DEFAULT_THRESHOLD,
-    active_pairings,
-    eval_f,
-    h_function,
-    hyperbolic_helpers,
-    identity_residuals,
-    is_admissible,
-    metric_B,
-    tensor_closed_form,
-    tensor_generic,
-)
-from .wdvv import CONDITION_CAP, pivot_residuals
-from .algebra import (
-    ProductContext,
-    RestrictionContext,
-    associativity_residual,
-    h_b_decomposition_residual,
-    multiply,
-    restricted_multiply,
-    structure_constants,
-    tangency_residuals,
-)
-from .susy import (
-    FermionicSpace,
-    anticommutation_residual,
-    bosonic_potential,
-    build_hat_configuration,
-    gauge_residual,
-    hat_metric,
-    hat_tensor_from_base,
-)
-
-__all__ = [
-    "BCnParameters",
-    "Configuration",
-    "Partition",
-    "build_bcn",
-    "build_bcN_root_system",
-    "constraint_residual",
-    "restrict_configuration",
-    "solve_r",
-    "DEFAULT_THRESHOLD",
-    "active_pairings",
-    "eval_f",
-    "h_function",
-    "hyperbolic_helpers",
-    "identity_residuals",
-    "is_admissible",
-    "metric_B",
-    "tensor_closed_form",
-    "tensor_generic",
-    "CONDITION_CAP",
-    "pivot_residuals",
-    "ProductContext",
-    "RestrictionContext",
-    "associativity_residual",
-    "h_b_decomposition_residual",
-    "multiply",
-    "restricted_multiply",
-    "structure_constants",
-    "tangency_residuals",
-    "FermionicSpace",
-    "anticommutation_residual",
-    "bosonic_potential",
-    "build_hat_configuration",
-    "gauge_residual",
-    "hat_metric",
-    "hat_tensor_from_base",
-    "__version__",
-]

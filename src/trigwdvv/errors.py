@@ -26,7 +26,7 @@ class SingularityError(TrigWdvvError, ArithmeticError):
 
 
 class SingularMatrixError(TrigWdvvError, ArithmeticError):
-    """A metric or pivot matrix is numerically singular."""
+    """A pivot matrix is unusable: its condition number is above wdvv.CONDITION_CAP."""
 
 
 class DegenerateHError(TrigWdvvError, ArithmeticError):

@@ -55,9 +55,12 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     b[i] = coth(x_i), bt[i] = coth(2 x_i), and b_pair[i][j] =
     coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it.  All sinh
     arguments (x_i, 2 x_i, x_i +- x_j) must stay at least ``threshold`` away
-    from zero, regardless of which outputs the caller consumes.
+    from zero, regardless of which outputs the caller consumes.  A non-finite
+    point raises DomainError.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"point {x.tolist()} is not finite")
     n = x.shape[0]
     plus = x[:, None] + x[None, :]
     minus = x[:, None] - x[None, :]

@@ -13,6 +13,7 @@ attempt cap keeps pathological boxes diagnosable instead of looping forever.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -53,15 +54,15 @@ def admissible_points(rng: np.random.Generator, config: Configuration, box, thre
     rank(u)_i counts the entries of u below u_i.  This map is a bijection with
     unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
     every admissible point, so the accepted points have the distribution that
-    box-uniform rejection gives, at about one candidate each.  If
-    (n-1) theta >= hi - lo, S is empty and PreconditionError is raised before
-    any draw.  Otherwise candidates are box-uniform.  The errors are raised
-    when the first point, or the point that exhausts its attempts, is
-    requested.
+    box-uniform rejection gives, at about one candidate each.  A box that is
+    not finite with lo < hi, or with (n-1) theta >= hi - lo (S is empty),
+    raises PreconditionError before any draw.  Otherwise candidates are
+    box-uniform.  The errors are raised when the first point, or the point
+    that exhausts its attempts, is requested.
     """
     lo, hi = float(box[0]), float(box[1])
-    if not lo < hi:
-        raise PreconditionError(f"box ({lo}, {hi}) must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
     n = config.dimension
     spaced = threshold > 0.0 and covers_every_pair(config)
     width = (n - 1) * threshold if spaced else 0.0

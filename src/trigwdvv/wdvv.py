@@ -17,14 +17,11 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# Sample points whose pivot matrices are worse-conditioned than this are
-# discarded and resampled by the verification drivers: near-singular pivots
-# produce meaningless residuals, not counterexamples.
+# A pivot whose spectral condition number is above this is unusable:
+# pivot_residuals refuses it, and the verification drivers discard and
+# resample the point, since near-singular pivots produce meaningless
+# residuals, not counterexamples.
 CONDITION_CAP = 1e8
-
-# A pivot counts as singular when its smallest singular value is below this
-# fraction of the largest.
-_SINGULAR_RTOL = 1e-10
 
 
 def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -36,8 +33,10 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     ``scaled[p, i, j]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
     spectral norm; both vanish exactly for i = j and are exactly symmetric in
     (i, j).  ``condition[p]`` is the spectral condition number of pivot p
-    (1 for the identity).  A pivot whose smallest singular value is below
-    1e-10 times its largest raises SingularMatrixError.
+    (1 for the identity; +inf when the smallest singular value is 0).  A
+    pivot whose condition number is above CONDITION_CAP raises
+    SingularMatrixError before any solve; a NaN condition number is not
+    refused, so a non-finite value still fails its check.
     """
     T = np.asarray(tensor, dtype=float)
     if pivots is None:
@@ -46,13 +45,13 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     else:
         P = np.asarray(pivots, dtype=float)
         sv = np.linalg.svd(P, compute_uv=False)
-        for k, (largest, smallest) in enumerate(zip(sv[:, 0], sv[:, -1])):
-            if smallest < _SINGULAR_RTOL * largest:
-                raise SingularMatrixError(
-                    f"pivot {k} is numerically singular (smallest/largest singular value "
-                    f"= {smallest:.3e}/{largest:.3e})"
-                )
-        condition = sv[:, 0] / sv[:, -1]
+        condition = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] != 0.0)
+        unusable = condition > CONDITION_CAP
+        if unusable.any():
+            k = int(unusable.argmax())
+            raise SingularMatrixError(
+                f"pivot {k} has condition number {condition[k]:.3e} above {CONDITION_CAP:g}"
+            )
         inv_norm = 1.0 / sv[:, -1]
         # X[p, j] = P_p^{-1} F_j; explicit 4-D stacks read the same in numpy 1.x and 2.x
         X = np.linalg.solve(P[:, None], T[None])

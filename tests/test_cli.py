@@ -623,6 +623,29 @@ def test_ill_conditioned_pivots_discard_the_point():
     assert report.all_passed
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b"\xff\xfe{}",
+        b'{"explicit": {"dimension": 2, "members": 5}}',
+        b'{"explicit": {"dimension": "x", "members": []}}',
+        b'{"explicit": {"dimension": 2, "members": [{"vector": 5, "multiplicity": 1}]}}',
+        b'{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": "a"}]}}',
+    ],
+    ids=["directory", "not-utf8", "members-int", "dimension-str", "vector-int", "multiplicity-str"],
+)
+def test_malformed_config_sources_are_config_format_errors(tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+    proc = run_cli("build-config", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ConfigFormatError: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_singular_pivots_discard_rather_than_error(capsys):
     # with q = 0 every F_k is exactly singular: each point is discarded until
     # the discard cap ends the run, as for any other unusable point
@@ -630,7 +653,7 @@ def test_singular_pivots_discard_rather_than_error(capsys):
     assert main(argv + ["--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert "error: SamplingError: more than 10000 sample points were discarded" in err
-    assert err.rstrip().endswith(": 10001 had a numerically singular pivot")
+    assert err.rstrip().endswith(": 10001 had a pivot condition number above 1e+08")
 
 
 def test_text_report_labels_discarded_points(capsys):

@@ -305,3 +305,22 @@ class TestFiniteDifferenceOracle:
                 T = tensor_generic(config, x)
                 T_fd = fd_tensor(config, x, h=1e-2)
                 assert np.abs(T - T_fd).max() < 1e-4
+
+
+NAN_POINT = [math.nan, 0.5]
+BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: tensor_closed_form(BC2, NAN_POINT),
+        lambda: identity_residuals(NAN_POINT, 0, 1),
+        lambda: susy.hat_tensor_from_base(BC2, NAN_POINT),
+    ],
+    ids=["tensor_closed_form", "identity_residuals", "hat_tensor_from_base"],
+)
+def test_closed_form_route_refuses_a_nan_point(evaluate):
+    # NaN < theta is false, so the margin test alone would let a NaN point through
+    with pytest.raises(DomainError, match=r"point \[nan, 0.5\] is not finite"):
+        evaluate()

@@ -156,3 +156,10 @@ def test_box_too_narrow_raises_before_any_draw():
     assert rng.bit_generator.state == state
     # the box-proposal path has no such width
     sample_points(rng, MISSING_PAIR, 1, box=(0.3, 0.9), threshold=0.3)
+
+
+@pytest.mark.parametrize("box", [(0.3, np.inf), (-np.inf, 1.5), (np.nan, 1.5)], ids=["hi-inf", "lo-inf", "lo-nan"])
+def test_non_finite_box_is_refused(box):
+    points = sampling.admissible_points(rng_for(0, "box"), bcn_pattern(2), box, 0.05)
+    with pytest.raises(PreconditionError, match=r"must be finite with lo < hi"):
+        next(points)

@@ -272,3 +272,17 @@ def test_singular_pivot_form_raises_naming_the_pivot():
     T[1] = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularMatrixError, match="pivot 1 "):
         pivot_residuals(T, T)
+
+
+@pytest.mark.parametrize("condition, usable", [(1e7, True), (1e9, False)])
+def test_one_usable_pivot_rule(condition, usable):
+    # a pivot is usable iff its condition number is at most CONDITION_CAP
+    T = np.zeros((2, 2, 2))
+    T[0] = np.eye(2)
+    T[1] = np.diag([1.0, 2.0])
+    P = np.diag([1.0, 1.0 / condition])[None]
+    if usable:
+        assert pivot_residuals(T, P)[2].tolist() == [condition]
+    else:
+        with pytest.raises(SingularMatrixError, match=r"pivot 0 has condition number \S+ above 1e\+08"):
+            pivot_residuals(T, P)
