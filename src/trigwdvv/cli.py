@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -92,13 +93,9 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "worst_point": self.worst_point,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass
@@ -146,8 +143,23 @@ def dumps_17g(obj) -> str:
 # configuration documents
 
 
+def _number(value, what: str, integer: bool = False) -> float | int:
+    """A JSON number as a float, or with ``integer`` as an int (3.0 reads as 3)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigFormatError(f"{what} must be a number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigFormatError(f"{what} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _array(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigFormatError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def parse_config_document(doc: dict) -> BCnParameters | Configuration:
-    """Parse a configuration document; missing fields raise ConfigFormatError."""
+    """Parse a configuration document; missing or mistyped fields raise ConfigFormatError."""
     if not isinstance(doc, dict):
         raise ConfigFormatError("configuration document must be a JSON object")
     if "family" in doc:
@@ -158,13 +170,13 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
                 raise ConfigFormatError(f"family document is missing field {key!r}")
         try:
             return BCnParameters(
-                n=int(doc["n"]),
-                r=float(doc["r"]),
-                s=float(doc["s"]),
-                q=float(doc["q"]),
-                m=tuple(float(v) for v in doc["m"]),
+                n=_number(doc["n"], "n", integer=True),
+                r=_number(doc["r"], "r"),
+                s=_number(doc["s"], "s"),
+                q=_number(doc["q"], "q"),
+                m=tuple(_number(v, "m entry") for v in _array(doc["m"], "m")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigFormatError(f"invalid family parameters: {exc}") from exc
     if "explicit" in doc:
         body = doc["explicit"]
@@ -175,14 +187,14 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
                 raise ConfigFormatError(f"explicit document is missing field {key!r}")
         members = []
         try:
-            for i, entry in enumerate(body["members"]):
+            for i, entry in enumerate(_array(body["members"], "members")):
                 if not isinstance(entry, dict) or "vector" not in entry or "multiplicity" not in entry:
-                    raise ConfigFormatError(
-                        f"member {i} must be an object with fields 'vector' and 'multiplicity'"
-                    )
-                members.append((tuple(float(v) for v in entry["vector"]), float(entry["multiplicity"])))
-            return Configuration(int(body["dimension"]), members)
-        except (TypeError, ValueError) as exc:
+                    raise ConfigFormatError(f"member {i} must be an object with fields 'vector' and 'multiplicity'")
+                vector = _array(entry["vector"], f"member {i} vector")
+                vector = tuple(_number(v, f"member {i} vector entry") for v in vector)
+                members.append((vector, _number(entry["multiplicity"], f"member {i} multiplicity")))
+            return Configuration(_number(body["dimension"], "dimension", integer=True), members)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigFormatError(f"invalid explicit configuration: {exc}") from exc
     raise ConfigFormatError("configuration document needs a 'family' or 'explicit' field")
 

@@ -35,8 +35,9 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     (i, j).  ``condition[p]`` is the spectral condition number of pivot p
     (1 for the identity; +inf when the smallest singular value is 0).  A
     pivot whose condition number is above CONDITION_CAP raises
-    SingularMatrixError before any solve; a NaN condition number is not
-    refused, so a non-finite value still fails its check.
+    SingularMatrixError before any solve.  Non-finite input is not refused by
+    name: a NaN in a pivot or the tensor makes numpy's SVD raise LinAlgError,
+    and an infinite pivot entry gives NaN ``condition`` and ``scaled``.
     """
     T = np.asarray(tensor, dtype=float)
     if pivots is None:

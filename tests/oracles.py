@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from trigwdvv.algebra import RestrictionContext
-from trigwdvv.configurations import MERGE_TOL, Configuration
+from trigwdvv.configurations import Configuration
 from trigwdvv.errors import (
     DimensionCapError,
     DimensionError,
@@ -60,14 +60,14 @@ def li3_fsum(w: float, terms: int = 400) -> float:
 def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
     """(vector, multiplicity) slots of ``members`` by the pairwise merge rule.
 
-    Each member is compared with the first vector of every earlier slot and
-    joins the earliest one whose coordinates all lie within MERGE_TOL.
+    Each member is compared with the vector of every earlier slot and joins
+    the earliest one equal to it, coordinate by coordinate as floats.
     """
     merged: list[list] = []
     for vec, mult in members:
         vec = tuple(float(v) for v in vec)
         for slot in merged:
-            if all(abs(a - b) <= MERGE_TOL for a, b in zip(slot[0], vec)):
+            if slot[0] == vec:
                 slot[1] += float(mult)
                 break
         else:
@@ -138,7 +138,7 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
     if not rctx.in_subsystem.any():
         raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
     alpha = np.asarray(alpha, dtype=float)
-    if not (np.abs(rctx.subsystem_members() - alpha) <= MERGE_TOL).all(axis=1).any():
+    if not (rctx.subsystem_members() == alpha).all(axis=1).any():
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -632,8 +632,19 @@ def test_ill_conditioned_pivots_discard_the_point():
         b'{"explicit": {"dimension": "x", "members": []}}',
         b'{"explicit": {"dimension": 2, "members": [{"vector": 5, "multiplicity": 1}]}}',
         b'{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": "a"}]}}',
+        # mistyped values: none is truncated, and no string is read as an array
+        b'{"family": "bcn", "n": 2.7, "r": -20, "s": 1, "q": 2, "m": [2, 3]}',
+        b'{"family": "bcn", "n": true, "r": -6, "s": 1, "q": 2, "m": [2]}',
+        b'{"family": "bcn", "n": 2, "r": -20, "s": 1, "q": 2, "m": "23"}',
+        b'{"family": "bcn", "n": 2, "r": "-6", "s": 1, "q": 2, "m": [2, 3]}',
+        b'{"family": "bcn", "n": 2, "r": true, "s": 1, "q": 2, "m": [2, 3]}',
+        b'{"explicit": {"dimension": 2, "members": [{"vector": "10", "multiplicity": 1}]}}',
+        b'{"explicit": {"dimension": 2.9, "members": [{"vector": [1, 0], "multiplicity": 1}]}}',
     ],
-    ids=["directory", "not-utf8", "members-int", "dimension-str", "vector-int", "multiplicity-str"],
+    ids=[
+        "directory", "not-utf8", "members-int", "dimension-str", "vector-int", "multiplicity-str",
+        "n-float", "n-bool", "m-str", "r-str", "r-bool", "vector-str", "dimension-float",
+    ],
 )
 def test_malformed_config_sources_are_config_format_errors(tmp_path, content):
     path = tmp_path

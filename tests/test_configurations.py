@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigwdvv.configurations import (
-    MERGE_TOL,
     BCnParameters,
     Configuration,
     Partition,
@@ -273,32 +272,18 @@ def slots_of(config):
 
 
 class TestMergeRule:
-    def test_member_just_inside_tolerance_merges(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 0.99 * MERGE_TOL, 0.0), 3.0)])
-        assert slots_of(c) == [((1.0, 0.0), 5.0)]
+    def test_member_1e13_away_stays_its_own_slot(self):
+        # equal means equal as floats: there is no merge tolerance
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 3.0)])
+        assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 3.0)]
 
     def test_member_just_outside_tolerance_stays(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 1.01 * MERGE_TOL), 3.0)])
-        assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0, 1.01 * MERGE_TOL), 3.0)]
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 1.01e-12), 3.0)])
+        assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0, 1.01e-12), 3.0)]
 
-    def test_merge_is_not_transitive(self):
-        # b lies within the tolerance of a and of c, but c does not lie within
-        # it of a: c is compared with a (the slot's first vector) and stays
-        a = (1.0, 0.0)
-        b = (1.0 + 0.9 * MERGE_TOL, 0.0)
-        c = (1.0 + 1.8 * MERGE_TOL, 0.0)
-        config = Configuration(2, [(a, 1.0), (b, 2.0), (c, 4.0)])
-        assert slots_of(config) == [(a, 3.0), (c, 4.0)]
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_earliest_matching_slot_wins(self, sign):
-        # `between` matches both slots; the first-created one wins, whichever
-        # side of it the later slot lies on
-        a = (1.0, 0.0)
-        b = (1.0 + sign * 1.5 * MERGE_TOL, 0.0)
-        between = (1.0 + sign * 0.75 * MERGE_TOL, 0.0)
-        config = Configuration(2, [(a, 1.0), (b, 2.0), (between, 4.0)])
-        assert slots_of(config) == [(a, 5.0), (b, 2.0)]
+    def test_signed_zeros_are_one_vector(self):
+        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -0.0), 3.0)])
+        assert slots_of(c) == [((1.0, 0.0), 5.0)]
 
     def test_slot_keeps_its_first_multiplicity_bits(self):
         # a slot's sum starts from its first member's multiplicity, so a
@@ -308,6 +293,7 @@ class TestMergeRule:
 
 
 _BASES = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0), (2.0, 0.0, 1.0), (1e6, -3.0, 0.5)]
+# in units of 1e-12: the near-duplicates of a base are distinct members
 _OFFSETS = [0.0, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0]
 
 
@@ -329,7 +315,7 @@ _OFFSETS = [0.0, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0]
 @settings(max_examples=300, deadline=None)
 def test_merge_matches_pairwise_oracle(picks, repeats):
     members = [
-        (tuple(b + o * MERGE_TOL for b, o in zip(_BASES[i], offsets)), mult)
+        (tuple(b + o * 1e-12 for b, o in zip(_BASES[i], offsets)), mult)
         for i, offsets, mult in picks
     ]
     # exact repeats of earlier vectors, inserted anywhere
@@ -338,14 +324,30 @@ def test_merge_matches_pairwise_oracle(picks, repeats):
     assert slots_of(Configuration(3, members)) == merge_pairwise(members)
 
 
-@pytest.mark.parametrize("blocks", [(1,), (3,), (2, 3), (1, 2, 2), (5, 5, 5, 5)])
+def _compositions(N):
+    """Every ordered partition of N into positive integer blocks."""
+    if N == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, N + 1) for rest in _compositions(N - first)]
+
+
+_RESTRICTION_BLOCKS = [(1,), (3,), (2, 3), (1, 2, 2), (5, 5, 5, 5)]
+_RESTRICTION_BLOCKS += [b for N in range(1, 9) for b in _compositions(N) if b not in _RESTRICTION_BLOCKS]
+
+
+@pytest.mark.parametrize("blocks", _RESTRICTION_BLOCKS)
 def test_restriction_merge_matches_pairwise_oracle(blocks):
     # the projected images of BC_N coincide in many places, so the merge
-    # inside restrict_configuration does real work here
+    # inside restrict_configuration does real work here; every composition
+    # of N <= 8 is checked, and each image equals the family build exactly
+    r, s, q = 0.5, -1.0, 2.0
     part = Partition(N=sum(blocks), blocks=blocks)
-    ambient = build_bcN_root_system(part.N, 0.5, -1.0, 2.0)
+    ambient = build_bcN_root_system(part.N, r, s, q)
     F = part.block_indicators()
     images = [(tuple(F @ np.array(vec)), mult) for vec, mult in ambient.members]
-    images = [(vec, mult) for vec, mult in images if max(map(abs, vec)) > MERGE_TOL]
-    projected = restrict_configuration(part.N, 0.5, -1.0, 2.0, part)
+    images = [(vec, mult) for vec, mult in images if any(vec)]
+    projected = restrict_configuration(part.N, r, s, q, part)
     assert slots_of(projected) == merge_pairwise(images)
+    rebuilt = build_bcn(BCnParameters(n=part.n, r=r, s=s, q=q, m=blocks))
+    assert projected.vectors.tolist() == rebuilt.vectors.tolist()
+    assert projected.multiplicities.tolist() == rebuilt.multiplicities.tolist()

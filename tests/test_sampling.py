@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trigwdvv import sampling
-from trigwdvv.configurations import MERGE_TOL, BCnParameters, Configuration, build_bcn
+from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import PreconditionError
 from trigwdvv.prepotential import is_admissible
 from trigwdvv.sampling import covers_every_pair, fully_active, rng_for
@@ -56,10 +56,8 @@ class TestCoversEveryPair:
     [
         build_bcn(BCnParameters(n=3, r=-2.0, s=0.0, q=0.0, m=(1.0,) * 3)),
         build_hat_configuration(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))).config,
-        # a chain the merge does not close: the third member opens its own slot
-        Configuration(
-            2, [((1.0, 0.0), 2.0), ((1.0 + 0.9 * MERGE_TOL, 0.0), 0.0), ((1.0 + 1.8 * MERGE_TOL, 0.0), -1.0)]
-        ),
+        # a chain of near-duplicates 1e-13 apart: each member is its own slot
+        Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 0.0), ((1.0 + 2e-13, 0.0), -1.0)]),
     ],
     ids=["bcn_zero_mults", "rescaled", "open_chain"],
 )

@@ -286,3 +286,18 @@ def test_one_usable_pivot_rule(condition, usable):
     else:
         with pytest.raises(SingularMatrixError, match=r"pivot 0 has condition number \S+ above 1e\+08"):
             pivot_residuals(T, P)
+
+
+def test_non_finite_input_is_not_refused_by_name():
+    # a NaN reaches numpy's SVD, which raises; an infinite pivot entry is
+    # not refused (a NaN condition number is not above CONDITION_CAP) and
+    # gives NaN condition and scaled residuals
+    T = np.zeros((2, 2, 2))
+    T[0] = np.eye(2)
+    T[1] = np.diag([1.0, 2.0])
+    P = np.eye(2)[None]
+    for tensor, pivots in ((T, np.where(P == 1.0, np.nan, P)), (np.where(T == 2.0, np.nan, T), P)):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            pivot_residuals(tensor, pivots)
+    scaled, _, condition = pivot_residuals(T, np.diag([np.inf, 1.0])[None])
+    assert np.isnan(condition).all() and np.isnan(scaled).all()
