@@ -147,10 +147,14 @@ def tensor_generic(config: Configuration, x, threshold: float = DEFAULT_THRESHOL
     """Third-derivative tensor F_ijk = sum_alpha c_alpha a_i a_j a_k coth((alpha, x)).
 
     Members with zero multiplicity are skipped; every active member must
-    satisfy |(alpha, x)| >= threshold.  Symmetric by construction.
+    satisfy |(alpha, x)| >= threshold.  One GEMM over the active members,
+    (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k: exactly symmetric in
+    (j, k), symmetric in i only up to rounding.
     """
     A, c, z = active_pairings(config, x, threshold)
-    return np.einsum("m,mi,mj,mk->ijk", c * coth(z), A, A, A)
+    n = config.dimension
+    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    return ((A.T * (c * coth(z))) @ AA).reshape(n, n, n)
 
 
 def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -177,7 +181,8 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
 def metric_B(tensor: np.ndarray, x) -> np.ndarray:
     """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor."""
     x = np.asarray(x, dtype=float)
-    return np.einsum("k,klt->lt", np.sinh(2.0 * x), tensor)
+    n = x.shape[0]
+    return (np.sinh(2.0 * x) @ np.asarray(tensor).reshape(n, n * n)).reshape(n, n)
 
 
 def h_function(p: BCnParameters, x) -> float:

@@ -10,8 +10,9 @@ is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time 
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
 admissible points are drawn by box-uniform rejection, the tangency
-residual of a restriction is summed one subsystem covector at a time, and the
-closed-form BC_n tensor is filled one index pair at a time.
+residual of a restriction is summed one subsystem covector at a time, the
+closed-form BC_n tensor is filled one index pair at a time, and the generic
+tensor and its metric are contracted by ``einsum`` instead of one GEMM.
 """
 
 import itertools
@@ -32,6 +33,7 @@ from trigwdvv.errors import (
 from trigwdvv.prepotential import (
     DEFAULT_THRESHOLD,
     active_pairings,
+    coth,
     eval_f,
     h_function,
     hyperbolic_helpers,
@@ -161,6 +163,17 @@ def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.nd
             if bb != a:
                 F[a, a, bb] = F[a, bb, a] = F[bb, a, a] = pair_val[a, bb]
     return F
+
+
+def tensor_generic_einsum(config, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """F_ijk = sum_alpha c_alpha a_i a_j a_k coth((alpha, x)) as one four-operand einsum."""
+    A, c, z = active_pairings(config, x, threshold)
+    return np.einsum("m,mi,mj,mk->ijk", c * coth(z), A, A, A)
+
+
+def metric_B_einsum(tensor, x) -> np.ndarray:
+    """B = sum_k sinh(2 x_k) F_k as an einsum."""
+    return np.einsum("k,klt->lt", np.sinh(2.0 * np.asarray(x, dtype=float)), tensor)
 
 
 def ks_statistic(a, b) -> float:

@@ -91,11 +91,22 @@ class TestExitCodeContract:
         assert len(lines) == 4 and lines[-1] == "FAILED"
         assert all(line.endswith("FAIL") for line in lines[1:-1])
 
-    def test_linalg_error_is_exit_2_without_traceback(self):
+    def test_overflowing_metric_is_a_domain_error_without_traceback(self):
+        # sinh(2 x) overflows for x > 355: the metric pivot is refused by name
         proc = run_cli("verify-wdvv", *FAMILY_OK, "--box", "0.3,400")
         assert proc.returncode == 2
-        assert "error: LinAlgError: " in proc.stderr
+        assert "error: DomainError: pivot 0 is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_linalg_error_is_exit_2_without_traceback(self, monkeypatch, capsys):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        assert main(["verify-wdvv", *FAMILY_OK, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: LinAlgError: SVD did not converge\n"
+        assert captured.out == ""
 
 
 class TestDeterminism:

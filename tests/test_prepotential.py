@@ -24,9 +24,12 @@ from tests.oracles import (
     DenseFermionicSpace,
     fd_tensor,
     li3_fsum,
+    metric_B_einsum,
     phi_matrix,
+    rejection_sample_points,
     sample_points,
     tensor_closed_form_loop,
+    tensor_generic_einsum,
 )
 
 COTH = lambda z: 1.0 / math.tanh(z)
@@ -135,6 +138,38 @@ class TestTensorGeneric:
         T = tensor_generic(build_bcn(p), [0.9, 0.5, 1.3])
         for perm in itertools.permutations(range(3)):
             assert np.abs(T - np.transpose(T, perm)).max() < 1e-12
+
+
+def _gemm_route_cases(n):
+    """(label, configuration, points) at dimension n for the GEMM/einsum comparison."""
+    rng = rng_for(2024, f"gemm-route/n={n}")
+    m = tuple(rng.uniform(0.5, 3.0, n))
+    family = build_bcn(BCnParameters(n=n, r=float(rng.uniform(-5, 5)), s=-0.7, q=1.3, m=m))
+    yield "bcn", family, sample_points(rng, fully_active(family), 3)
+    # non-integer vectors; multiplicities of both signs, and exact zeros
+    mult = rng.uniform(-2.0, 3.0, 2 * n + 3)
+    mult[::4] = 0.0
+    mult[1] = -1.5
+    explicit = Configuration(n, zip(rng.normal(size=(2 * n + 3, n)), mult))
+    yield "explicit", explicit, rejection_sample_points(rng, explicit, 3)
+    # an empty active set: every member inactive, or no member at all
+    inactive = Configuration(n, zip(rng.normal(size=(3, n)), np.zeros(3)))
+    yield "inactive", inactive, rng.uniform(0.3, 1.5, (2, n))
+    yield "empty", Configuration(n, []), rng.uniform(0.3, 1.5, (2, n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gemm_tensor_and_metric_match_the_einsum_oracle(n):
+    # the GEMM sums in another order than einsum: agreement to rounding, not bits
+    for label, config, points in _gemm_route_cases(n):
+        for x in points:
+            T = tensor_generic(config, x)
+            want = tensor_generic_einsum(config, x)
+            assert T.shape == want.shape == (n, n, n)
+            assert np.abs(T - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), label
+            assert np.array_equal(T, T.transpose(0, 2, 1)), label  # exact in (j, k)
+            B, want_B = metric_B(T, x), metric_B_einsum(want, x)
+            assert np.abs(B - want_B).max() <= 1e-14 * max(1.0, np.abs(want_B).max()), label
 
 
 BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
