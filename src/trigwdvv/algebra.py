@@ -3,11 +3,11 @@
 The product u * v = sum_alpha c_alpha (alpha, u)(alpha, v) coth((alpha, x)) alpha
 is commutative by construction; its associativity is the matrix form of the
 WDVV equations.  On the subspace where coordinates are constant on blocks, the
-product of tangent vectors has a finite limit obtained by dropping the block
-subsystem and projecting every remaining covector; this module computes that
-limit, the closure (tangency) residual behind it, the structure constants in
-the block basis, and the decomposition of the restricted inner product matrix
-in terms of the projected tensor.
+product of tangent vectors has a finite limit: the same product over the
+covectors outside the block subsystem, projected onto the subspace.  This
+module computes that limit, the closure (tangency) residual behind it, the
+structure constants in the block basis, and the decomposition of the
+restricted inner product matrix in terms of the projected tensor.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .configurations import (
     BCnParameters,
     Configuration,
     Partition,
+    _restriction,
     build_bcN_root_system,
-    restrict_configuration,
 )
 from .errors import DegenerateHError, DimensionError
-from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, h_function, tensor_generic
+from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, h_function, metric_B, tensor_generic
 
 _H_FLOOR = 1e-6
 
@@ -64,20 +64,20 @@ def associativity_residual(ctx: ProductContext, u, v, w) -> float:
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Per run, built once: the ambient BC_N(r, s, q) configuration, the
-    partition and its block basis, the projected configuration and its family
-    parameters ``params`` (m = block sizes), the block-subsystem mask from
-    ``Partition.block_coordinates``, and the vectors, multiplicities and
-    projections of the active members outside the subsystem.  These
-    arrays are read-only and shared by every point of the run.
+    Per run, built once and shared by every point: the partition and its
+    block basis, the projected configuration and its family parameters
+    ``params`` (m = block sizes), ``subsystem``, the vectors of the block
+    subsystem of BC_N(r, s, q) as ``Partition.block_coordinates`` marks it,
+    and ``outside``, BC_N with the subsystem's multiplicities set to 0 (the
+    same members in the same order).
 
     Per point: x_tilde in block-basis coordinates, the embedded point
-    sum_k x_tilde_k f_k, which must be admissible for every covector outside
-    the block subsystem, coth of those covectors' pairings with it, and
-    ``projected_tensor``, tensor_generic of the projected configuration at
-    x_tilde.  ``at(x_tilde)`` gives the run's context at a point, and the
-    functions below that evaluate at a point take such a context (given the
-    per-run context, they raise AttributeError).
+    sum_k x_tilde_k f_k, ``product``, the ``ProductContext`` of ``outside``
+    there (the point must be admissible for every covector outside the
+    subsystem), and ``projected_tensor``, tensor_generic of the projected
+    configuration at x_tilde.  ``at(x_tilde)`` gives the run's context at a
+    point, and the functions below that evaluate at a point take such a
+    context (given the per-run context, they raise AttributeError).
     """
 
     def __init__(
@@ -86,17 +86,12 @@ class RestrictionContext:
         self.part = part
         self.threshold = float(threshold)
         self.params = BCnParameters(n=part.n, r=float(r), s=float(s), q=float(q), m=part.blocks)
-        self.ambient_config = build_bcN_root_system(part.N, r, s, q)
-        self.projected_config = restrict_configuration(part.N, r, s, q, part, self.ambient_config)
+        ambient = build_bcN_root_system(part.N, r, s, q)
+        self.projected_config, in_subsystem = _restriction(part, ambient)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
-        coords, self.in_subsystem = part.block_coordinates(self.ambient_config.vectors)
-        c = self.ambient_config.multiplicities
-        keep = (~self.in_subsystem) & (c != 0.0)
-        self._A_out = self.ambient_config.vectors[keep]
-        self._c_out = c[keep]
-        # projected covectors: sum_k (alpha, f_k)/m_k * f_k
-        self._proj_out = (coords[keep] / self.m) @ self.block_basis
+        self.subsystem = ambient.vectors[in_subsystem]
+        self.outside = ambient._with_multiplicities(np.where(in_subsystem, 0.0, ambient.multiplicities))
 
     def at(self, x_tilde) -> "RestrictionContext":
         """This run's context at the point ``x_tilde``, sharing the per-run data."""
@@ -105,50 +100,33 @@ class RestrictionContext:
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
         point = copy.copy(self)
         point.x_tilde, point.x_embedded = x_tilde, self.block_basis.T @ x_tilde
-        _, _, z = active_pairings(
-            self.ambient_config, point.x_embedded, self.threshold, among=~self.in_subsystem
-        )
-        point._coth_out = coth(z)
+        point.product = ProductContext(self.outside, point.x_embedded, self.threshold)
         point.projected_tensor = tensor_generic(self.projected_config, x_tilde, self.threshold)
         return point
-
-    def subsystem_members(self) -> np.ndarray:
-        """Vectors of the block subsystem (within-block differences)."""
-        return self.ambient_config.vectors[self.in_subsystem]
 
 
 def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
     """Limit of u * v on the block subspace, for u, v tangent to it.
 
-    Sums over covectors outside the block subsystem with each covector replaced
-    by its orthogonal projection; the result is again constant on blocks.
+    w = ``multiply`` over the covectors outside the block subsystem, projected
+    onto the block subspace as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    N = rctx.part.N
-    if u.shape != (N,) or v.shape != (N,):
-        raise DimensionError(f"u, v must have shape ({N},)")
-    A = rctx._A_out
-    if not len(A):
-        return np.zeros(N)
-    w = rctx._c_out * rctx._coth_out * (A @ u) * (A @ v)
-    return rctx._proj_out.T @ w
+    F = rctx.block_basis
+    return F.T @ ((F @ multiply(rctx.product, u, v)) / rctx.m)
 
 
 def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
-    """Tangency residuals at ``rctx``'s point, one per row alpha of ``subsystem_members()``.
+    """Tangency residuals at ``rctx``'s point, one per row alpha of ``subsystem``.
 
     Each is |sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|
     scaled by the sum of absolute summands.  The sums vanish when u and v are
     constant on blocks; non-tangent inputs are accepted so the necessity of
     tangency can be demonstrated.  An empty subsystem gives an empty array.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    A = rctx._A_out
+    A, c, z = rctx.product.active
     # one row of summands per alpha; each row is reduced along its own
     # contiguous axis, so it sums exactly as a single alpha's summands would
-    terms = rctx._c_out * (A @ u) * (A @ v) * (rctx.subsystem_members() @ A.T) * rctx._coth_out
+    terms = c * (A @ u) * (A @ v) * (rctx.subsystem @ A.T) * coth(z)
     return np.abs(terms.sum(axis=1)) / np.maximum(1.0, np.abs(terms).sum(axis=1))
 
 
@@ -178,7 +156,7 @@ def h_b_decomposition_residual(rctx: RestrictionContext) -> float:
     h = h_function(rctx.params, rctx.x_tilde)
     if abs(h) < _H_FLOOR:
         raise DegenerateHError(f"|h(x~)| = {abs(h):.3e} < {_H_FLOOR}; decomposition undefined")
-    S = np.einsum("i,ijk->jk", np.sinh(2.0 * rctx.x_tilde) / h, rctx.projected_tensor)
+    S = metric_B(rctx.projected_tensor, rctx.x_tilde) / h
     target = np.diag(rctx.m)
     scale = max(1.0, float(np.abs(S).max()), float(np.abs(target).max()))
     return float(np.abs(target - S).max()) / scale

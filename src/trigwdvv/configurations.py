@@ -91,13 +91,13 @@ class Configuration:
     def __len__(self) -> int:
         return len(self._multiplicities)
 
-    def _with_unit_multiplicities(self) -> Configuration:
-        """The same vectors with every multiplicity one.  The merge depends on
-        the vectors alone, so the slots stay as they are and are not merged again."""
+    def _with_multiplicities(self, mults) -> Configuration:
+        """The same vectors with the multiplicities ``mults``, one per member.  The merge
+        depends on the vectors alone, so the slots stay as they are and are not merged again."""
         out = object.__new__(Configuration)
         out.dimension = self.dimension
         out._vectors = self._vectors
-        out._multiplicities = np.ones(len(self))
+        out._multiplicities = np.array(mults, dtype=float)
         out._multiplicities.setflags(write=False)
         return out
 
@@ -232,6 +232,11 @@ def restrict_configuration(
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
     if ambient is None:
         ambient = build_bcN_root_system(part.N, r, s, q)
+    return _restriction(part, ambient)[0]
+
+
+def _restriction(part: Partition, ambient: Configuration) -> tuple[Configuration, np.ndarray]:
+    """(projected, in_subsystem): ``restrict_configuration``'s result and ``ambient``'s subsystem rows."""
     # coordinates after f_k/m_k -> e_k are (alpha, f_k)
     coords, in_subsystem = part.block_coordinates(ambient.vectors)
-    return Configuration(part.n, zip(coords[~in_subsystem], ambient.multiplicities[~in_subsystem]))
+    return Configuration(part.n, zip(coords[~in_subsystem], ambient.multiplicities[~in_subsystem])), in_subsystem

@@ -99,18 +99,16 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     return first, second
 
 
-def _active_margin(config: Configuration, x: np.ndarray, threshold: float, among=None):
+def _active_margin(config: Configuration, x: np.ndarray, threshold: float):
     """(A, c, z, ok) for the active members of ``config`` at the point x.
 
-    A member is active when its multiplicity is nonzero and, if the boolean
-    mask ``among`` is given, it is selected there.  A, c and z = A @ x are the
-    active vectors, multiplicities and pairings; ok is true iff x is finite and
-    every |z| >= threshold, so a NaN pairing fails.  z is None when x is not
-    finite.  The one margin rule of ``active_pairings`` and ``is_admissible``.
+    A member is active when its multiplicity is nonzero.  A, c and z = A @ x
+    are the active vectors, multiplicities and pairings; ok is true iff x is
+    finite and every |z| >= threshold, so a NaN pairing fails.  z is None when
+    x is not finite.  The one margin rule of ``active_pairings`` and
+    ``is_admissible``.
     """
     active = config.multiplicities != 0.0
-    if among is not None:
-        active &= among
     A, c = config.vectors[active], config.multiplicities[active]
     if not np.isfinite(x).all():
         return A, c, None, False
@@ -118,20 +116,19 @@ def _active_margin(config: Configuration, x: np.ndarray, threshold: float, among
     return A, c, z, bool((np.abs(z) >= threshold).all())
 
 
-def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD, among=None):
+def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
     """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
 
-    A member is active when its multiplicity is nonzero and, if the boolean
-    mask ``among`` is given, it is selected there.  A non-finite point raises
-    DomainError.  Every active member must satisfy |(alpha, x)| >= threshold;
-    otherwise SingularityError names the nearest one (or the first NaN
-    pairing).  Returns (A, c, z) with z = A @ x.
+    A member is active when its multiplicity is nonzero.  A non-finite point
+    raises DomainError.  Every active member must satisfy |(alpha, x)| >=
+    threshold; otherwise SingularityError names the nearest one (or the first
+    NaN pairing).  Returns (A, c, z) with z = A @ x.
     """
     x = np.asarray(x, dtype=float)
     n = config.dimension
     if x.shape != (n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
-    A, c, z, ok = _active_margin(config, x, threshold, among)
+    A, c, z, ok = _active_margin(config, x, threshold)
     if not ok:
         if z is None:
             raise DomainError(f"point {x.tolist()} is not finite")

@@ -10,7 +10,8 @@ is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time 
 inverse for the pivot norm, the gauge relation between the two
 Hamiltonian forms is differentiated by central stencils on scalar test fields,
 admissible points are drawn by box-uniform rejection, the tangency
-residual of a restriction is summed one subsystem covector at a time, the
+residual of a restriction is summed one subsystem covector at a time and the
+restricted product one outside member at a time, the
 closed-form BC_n tensor is filled one index pair at a time, and the generic
 tensor and its metric are contracted by ``einsum`` instead of one GEMM.
 """
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from trigwdvv.algebra import RestrictionContext
-from trigwdvv.configurations import Configuration
+from trigwdvv.configurations import BCnParameters, Configuration
 from trigwdvv.errors import (
     DimensionCapError,
     DimensionError,
@@ -137,17 +138,35 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
     accepted so the necessity of tangency can be demonstrated.  Scaled by the
     sum of absolute summands.
     """
-    if not rctx.in_subsystem.any():
+    if not len(rctx.subsystem):
         raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
     alpha = np.asarray(alpha, dtype=float)
-    if not (rctx.subsystem_members() == alpha).all(axis=1).any():
+    if not (rctx.subsystem == alpha).all(axis=1).any():
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    A = rctx._A_out
-    terms = rctx._c_out * (A @ u) * (A @ v) * (A @ alpha) * rctx._coth_out
+    A, c, z = rctx.product.active
+    terms = c * (A @ u) * (A @ v) * (A @ alpha) * coth(z)
     scale = max(1.0, float(np.abs(terms).sum()))
     return abs(float(terms.sum())) / scale
+
+
+def restricted_multiply_loop(part, r, s, q, x_tilde, u, v) -> np.ndarray:
+    """Limit of u * v on the block subspace of ``part``, summed one member of BC_N(r, s, q) at a time.
+
+    Each member beta of ``bcn_members`` at m = (1, ..., 1) whose projection
+    P beta = sum_k (beta, f_k)/m_k f_k is nonzero adds
+    c coth((beta, x)) (beta, u)(beta, v) P beta at x = sum_k x_tilde_k f_k.
+    """
+    block = np.repeat(np.arange(part.n), part.blocks)  # the block of each coordinate
+    x = np.asarray(x_tilde, dtype=float)[block]
+    out = np.zeros(part.N)
+    for beta, c in bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N)):
+        beta = np.array(beta)
+        sums = np.bincount(block, weights=beta, minlength=part.n)  # (beta, f_k)
+        if c != 0.0 and sums.any():
+            out += c / math.tanh(beta @ x) * (beta @ u) * (beta @ v) * (sums / np.array(part.blocks))[block]
+    return out
 
 
 def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

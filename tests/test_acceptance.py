@@ -24,6 +24,7 @@ from trigwdvv.configurations import (
     BCnParameters,
     Partition,
     build_bcn,
+    build_bcN_root_system,
     restrict_configuration,
     solve_r,
 )
@@ -280,6 +281,7 @@ def test_criterion_5_restriction_machinery():
 
     # path limit: full product converges to the restricted one at first order
     orders = []
+    ambient = build_bcN_root_system(5, r, s, q)
     rng_path = rng_for(SEED, "acceptance5/path")
     for _ in range(5):
         xt = sample_points(rng_path, pattern, 1)[0]
@@ -295,7 +297,7 @@ def test_criterion_5_restriction_machinery():
         d /= np.linalg.norm(d)
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            ctx = ProductContext(rctx.ambient_config, rctx.x_embedded + eps * d, threshold=1e-12)
+            ctx = ProductContext(ambient, rctx.x_embedded + eps * d, threshold=1e-12)
             errs.append(np.abs(multiply(ctx, u, v) - limit).max())
         orders.append(math.log10(errs[0] / errs[2]) / 2.0)
 

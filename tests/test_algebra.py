@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,13 +20,14 @@ from trigwdvv.configurations import (
     Partition,
     build_bcn,
     build_bcN_root_system,
+    solve_r,
 )
 from trigwdvv.errors import DegenerateHError, PreconditionError, SingularityError
 from trigwdvv.prepotential import metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import sample_points, tangency_residual
+from tests.oracles import restricted_multiply_loop, sample_points, tangency_residual
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -33,6 +35,17 @@ BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 
 def block_constant(part, coeffs):
     return part.block_indicators().T @ np.asarray(coeffs, dtype=float)
+
+
+def compositions(N):
+    """Every ordered tuple of positive block sizes summing to N."""
+    for k in range(N):
+        for cuts in itertools.combinations(range(1, N), k):
+            edges = (0, *cuts, N)
+            yield tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+EVERY_PARTITION = [Partition(N=N, blocks=blocks) for N in range(1, 7) for blocks in compositions(N)]
 
 
 class TestMultiply:
@@ -131,7 +144,7 @@ class TestRestrictedMultiply:
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-        ambient = rctx.ambient_config
+        ambient = build_bcN_root_system(5, -20.0, 1.0, 2.0)
         rng = rng_for(15, "restricted/limit")
         u = block_constant(part, rng.standard_normal(2))
         v = block_constant(part, rng.standard_normal(2))
@@ -154,6 +167,28 @@ class TestRestrictedMultiply:
         order12 = math.log10(errs[1] / errs[2])
         assert 0.7 < order01 < 1.3
         assert 0.7 < order12 < 1.3
+
+
+@pytest.mark.parametrize("part", EVERY_PARTITION, ids=lambda part: "-".join(map(str, part.blocks)))
+def test_restricted_product_matches_the_member_loop(part):
+    # 63 partitions: every composition of N <= 6, unequal blocks included
+    s, q = 0.5, 1.0
+    r = solve_r(s, q, (1.0,) * part.N)
+    restriction = RestrictionContext(r, s, q, part)
+    rng = rng_for(19, f"restricted/loop/{part.blocks}")
+    for xt in sample_points(rng, fully_active(restriction.projected_config), 3):
+        rctx = restriction.at(xt)
+        u = block_constant(part, rng.standard_normal(part.n))
+        v = block_constant(part, rng.standard_normal(part.n))
+        want = restricted_multiply_loop(part, r, s, q, xt, u, v)
+        assert np.abs(restricted_multiply(rctx, u, v) - want).max() <= 1e-13 * np.abs(want).max()
+        # C[i, j, k] is the f_k coefficient of f_i * f_j: the loop's value on block k
+        first = np.cumsum((0, *part.blocks[:-1]))
+        want_C = np.array(
+            [[restricted_multiply_loop(part, r, s, q, xt, fi, fj)[first] for fj in rctx.block_basis]
+             for fi in rctx.block_basis]
+        )
+        assert np.abs(structure_constants(rctx) - want_C).max() <= 1e-13 * np.abs(want_C).max()
 
 
 class TestTangency:
@@ -197,7 +232,7 @@ class TestTangency:
             rctx = restriction.at(xt)
             # a non-tangent u keeps the sums away from zero
             u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(n))
-            expected = [tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem_members()]
+            expected = [tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem]
             got = tangency_residuals(rctx, u, v)
             assert got.shape == (len(expected),) and len(expected) > 0
             assert got.tolist() == expected

@@ -194,11 +194,6 @@ class TestActivePairings:
         assert mult.tolist() == [2.0, -0.5]
         assert z.tolist() == [0.7, 1.4]
 
-    def test_mask_restricts_the_test(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -1.0), 1.0)])
-        A, _, _ = active_pairings(c, [0.7, 0.7], among=np.array([True, False]))
-        assert A.tolist() == [[1.0, 0.0]]
-
     @pytest.mark.parametrize("caller", HYPERPLANE_CALLERS.values(), ids=HYPERPLANE_CALLERS.keys())
     def test_every_caller_names_the_nearest_member(self, caller):
         x = np.array([0.9, 0.899])  # (e_1 - e_2, x) = 1e-3, below the default threshold
