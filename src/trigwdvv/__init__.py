@@ -1,3 +1,3 @@
 """Trigonometric BC_n prepotentials and numerical verification of their WDVV structure."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

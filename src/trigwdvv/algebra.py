@@ -1,13 +1,13 @@
 """Tangent-space multiplication and its limit on block subspaces.
 
-The product u * v = sum_alpha c_alpha (alpha, u)(alpha, v) coth((alpha, x)) alpha
-is commutative by construction; its associativity is the matrix form of the
-WDVV equations.  On the subspace where coordinates are constant on blocks, the
+The covector product u * v = sum_alpha c_alpha (alpha, u)(alpha, v) coth((alpha, x)) alpha
+is commutative by construction.  With a metric G, the associativity of
+u o v = G^{-1}(u * v) is the matrix form of the WDVV equations: G = diag(m)
+for a BC_n family (B / h under the multiplicity relation), G = B(x) for an explicit
+configuration.  On the subspace where coordinates are constant on blocks, the
 product of tangent vectors has a finite limit: the same product over the
 covectors outside the block subsystem, projected onto the subspace.  This
-module computes that limit, the closure (tangency) residual behind it, the
-structure constants in the block basis, and the decomposition of the
-restricted inner product matrix in terms of the projected tensor.
+module computes that limit, its tangency residual and the structure constants.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .configurations import (
     _restriction,
     build_bcN_root_system,
 )
-from .errors import DegenerateHError, DimensionError
-from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, h_function, metric_B, tensor_generic
-
-_H_FLOOR = 1e-6
+from .errors import DimensionError
+from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, tensor_generic
 
 
 class ProductContext:
@@ -53,10 +51,18 @@ def multiply(ctx: ProductContext, u, v) -> np.ndarray:
     return A.T @ (c * coth(z) * pairings)
 
 
-def associativity_residual(ctx: ProductContext, u, v, w) -> float:
-    """Scaled max-abs entry of (u*v)*w - u*(v*w)."""
-    left = multiply(ctx, multiply(ctx, u, v), w)
-    right = multiply(ctx, u, multiply(ctx, v, w))
+def associativity_residual(ctx: ProductContext, u, v, w, raise_index) -> float:
+    """Scaled max-abs entry of (u o v) o w - u o (v o w), where u o v = raise_index(u * v).
+
+    ``raise_index`` maps the covector u * v to a vector through the source's
+    metric G: G^{-1}(u * v).
+    """
+
+    def product(a, b):
+        return raise_index(multiply(ctx, a, b))
+
+    left = product(product(u, v), w)
+    right = product(u, product(v, w))
     scale = max(1.0, float(np.abs(left).max()), float(np.abs(right).max()))
     return float(np.abs(left - right).max()) / scale
 
@@ -146,17 +152,3 @@ def structure_constants(rctx: RestrictionContext) -> np.ndarray:
             C[j, i, :] = coeffs
     return C
 
-
-def h_b_decomposition_residual(rctx: RestrictionContext) -> float:
-    """Deviation of diag(m) from sum_i h^{-1} sinh(2 x~_i) F~_i, scaled; F~ is ``projected_tensor``.
-
-    Vanishes exactly when the multiplicity constraint holds for (r, s, q) and
-    N = sum of blocks.  Requires |h(x~)| >= 1e-6.
-    """
-    h = h_function(rctx.params, rctx.x_tilde)
-    if abs(h) < _H_FLOOR:
-        raise DegenerateHError(f"|h(x~)| = {abs(h):.3e} < {_H_FLOOR}; decomposition undefined")
-    S = metric_B(rctx.projected_tensor, rctx.x_tilde) / h
-    target = np.diag(rctx.m)
-    scale = max(1.0, float(np.abs(S).max()), float(np.abs(target).max()))
-    return float(np.abs(target - S).max()) / scale

@@ -33,7 +33,6 @@ from .configurations import (
     Configuration,
     Partition,
     build_bcn,
-    constraint_residual,
 )
 from .errors import (
     ConfigFormatError,
@@ -44,10 +43,13 @@ from .errors import (
     SingularMatrixError,
     TrigWdvvError,
 )
-from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, tensor_generic
+from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, metric_identity_residuals, tensor_generic
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fully_active, rng_for
 from .wdvv import CONDITION_CAP, pivot_residuals
 from . import algebra, susy
+
+# the discard reason of a point whose metric or pivot fails the usable-pivot rule
+_UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 
 # ---------------------------------------------------------------------------
 # run specification and report types
@@ -315,7 +317,7 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
         try:
             scaled = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))[0]
         except SingularMatrixError:
-            return f"a pivot condition number above {CONDITION_CAP:g}"
+            return _UNUSABLE_PIVOT
         return {
             "wdvv_pair_residual": scaled[0][pairs],
             "generalized_wdvv_residual": scaled[1:, pairs[0], pairs[1]],
@@ -331,8 +333,20 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
 
     def residuals(rng, x):
         ctx = algebra.ProductContext(config, x, spec.threshold)
+        if isinstance(parsed, BCnParameters):
+
+            def raise_index(y):  # the family's metric diag(m)
+                return y / parsed.m_array
+        else:  # the metric B(x): one SVD per point, judged by verify-wdvv's usable-pivot rule
+            U, sv, Vt = np.linalg.svd(metric_B(tensor_generic(config, x, spec.threshold), x))
+            if not (sv[0] / sv[-1] if sv[-1] else math.inf) <= CONDITION_CAP:
+                return _UNUSABLE_PIVOT
+
+            def raise_index(y):
+                return Vt.T @ ((U.T @ y) / sv)
+
         u, v, w = (rng.standard_normal(n) for _ in range(3))
-        return {"associativity_residual": algebra.associativity_residual(ctx, u, v, w)}
+        return {"associativity_residual": algebra.associativity_residual(ctx, u, v, w, raise_index)}
 
     _sampled(report, config, residuals)
 
@@ -341,19 +355,10 @@ def _run_metric(report: VerificationReport, parsed) -> None:
     spec = report.run
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
-    delta = constraint_residual(params)
-    m = params.m_array
 
     def residuals(rng, x):
-        T = tensor_generic(config, x, spec.threshold)
-        B = metric_B(T, x)
-        scale = max(1.0, float(np.abs(B).max()))
-        off = B - np.diag(np.diag(B))
-        expected = m * (h_function(params, x) + delta * np.cosh(2.0 * x))
-        return {
-            "metric_offdiagonal": float(np.abs(off).max()) / scale,
-            "metric_diagonal_identity": float(np.abs(np.diag(B) - expected).max()) / scale,
-        }
+        off, diag = metric_identity_residuals(params, tensor_generic(config, x, spec.threshold), x)
+        return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
     _sampled(report, config, residuals)
 
@@ -385,19 +390,17 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
         rctx = restriction.at(xt)
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
         u, v = F_basis.T @ ut, F_basis.T @ vt
-        prod = algebra.restricted_multiply(rctx, u, v)
-        spread = max(float(np.ptp(prod[f == 1.0])) for f in F_basis)
 
         C = algebra.structure_constants(rctx)
         expected = np.einsum("ijk,k->ijk", rctx.projected_tensor, 1.0 / rctx.m)
         scale = max(1.0, float(np.abs(expected).max()))
 
         tangency = algebra.tangency_residuals(rctx, u, v)
+        metric = metric_identity_residuals(restriction.params, rctx.projected_tensor, xt)
         return {
-            "restricted_closure": spread / max(1.0, float(np.abs(prod).max())),
             "structure_constants_two_path": float(np.abs(C - expected).max()) / scale,
             "tangency_residual": [tangency.max()] if tangency.size else [],
-            "h_b_decomposition": algebra.h_b_decomposition_residual(rctx),
+            "h_b_decomposition": np.max(metric),  # NaN-propagating, unlike max()
         }
 
     _sampled(report, projected, residuals)
@@ -412,7 +415,7 @@ def _run_susy(report: VerificationReport, parsed) -> None:
     anticommutation = [susy.anticommutation_residual(susy.FermionicSpace(n))]
     report.checks.append(_check_result("fermionic_anticommutation", anticommutation, [None], spec.tolerance))
 
-    inv_sqrt = 1.0 / np.sqrt(params.m_array)
+    sq = np.sqrt(params.m_array)
     pairs = np.triu_indices(n, 1)
 
     def hat_residuals(rng, xh):
@@ -420,12 +423,12 @@ def _run_susy(report: VerificationReport, parsed) -> None:
         T2 = susy.hat_tensor_from_base(params, xh, spec.threshold)
         scale = max(1.0, float(np.abs(T2).max()))
         commuting = pivot_residuals(T)[0][0][pairs]
-        h = h_function(params, xh * inv_sqrt)
-        Bh = susy.hat_metric(params, T, xh)
+        # B^ = h I is B = h diag(m) for F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m)
+        base = T * sq[:, None, None] * sq[:, None] * sq
         return {
             "hat_tensor_two_path": float(np.abs(T - T2).max()) / scale,
             "hat_commuting_residual": [commuting.max()] if commuting.size else [],
-            "hat_metric_identity": float(np.abs(Bh - h * np.eye(n)).max()) / max(1.0, abs(h)),
+            "hat_metric_identity": np.max(metric_identity_residuals(params, base, xh / sq)),
             "gauge_residual": susy.gauge_residual(hat.config, xh, spec.threshold),
         }
 

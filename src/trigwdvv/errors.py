@@ -29,10 +29,6 @@ class SingularMatrixError(TrigWdvvError, ArithmeticError):
     """A pivot matrix is unusable: its condition number is above wdvv.CONDITION_CAP."""
 
 
-class DegenerateHError(TrigWdvvError, ArithmeticError):
-    """The scalar h(x) is too close to zero for the decomposition to be meaningful."""
-
-
 class ConfigFormatError(TrigWdvvError, ValueError):
     """Configuration document is malformed or missing required fields."""
 

@@ -4,7 +4,8 @@ The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent
 representations: a direct weighted sum of coth over the configuration
 (``tensor_generic``) and the explicit five-term formula in the b, b~, b_ij
 helpers (``tensor_closed_form``).  Their agreement is one of the package's
-core checks, so neither path may call the other.
+core checks, so neither path may call the other.  ``metric_identity_residuals``
+is the one comparison of the metric B with h diag(m).
 """
 
 from __future__ import annotations
@@ -186,6 +187,20 @@ def h_function(p: BCnParameters, x) -> float:
     """h(x) = 2q sum_k m_k cosh(2 x_k) + r."""
     x = np.asarray(x, dtype=float)
     return float(2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum() + p.r)
+
+
+def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[float, float]:
+    """(off-diagonal, diagonal) max-abs deviation of ``metric_B(tensor, x)`` from h(x) diag(m),
+    each over max(1, max_k |h m_k|); a non-finite B or h gives a non-finite residual.
+
+    For the family tensor of ``p`` both vanish under the multiplicity relation
+    r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
+    """
+    target = h_function(p, x) * p.m_array
+    dev = np.abs(metric_B(tensor, x) - np.diag(target))
+    scale = max(1.0, float(np.abs(target).max()))
+    off = dev[~np.eye(len(target), dtype=bool)].max(initial=0.0)
+    return float(off) / scale, float(np.diag(dev).max()) / scale
 
 
 def is_admissible(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> bool:

@@ -1,7 +1,8 @@
 """Rescaled coordinates, fermionic operators and the supersymmetric Hamiltonians.
 
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
-the identity and the third-derivative matrices commute pairwise.  This module
+the identity, B^ - h I = D^{-1/2} (B - h diag(m)) D^{-1/2} with D = diag(m),
+and the third-derivative matrices commute pairwise.  This module
 builds that rescaled configuration and tensor, the bosonic potential, the
 Jordan-Wigner operators of the fermionic variables on a 2^(2n)-dimensional
 space, stored as signed permutations of the basis, with the residual of their
@@ -55,14 +56,6 @@ def hat_tensor_from_base(p: BCnParameters, x_hat, threshold: float = DEFAULT_THR
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
     F = tensor_closed_form(p, x_hat * inv_sqrt, threshold)
     return np.einsum("klt,k,l,t->klt", F, inv_sqrt, inv_sqrt, inv_sqrt)
-
-
-def hat_metric(p: BCnParameters, tensor_hat: np.ndarray, x_hat) -> np.ndarray:
-    """B^ = sum_k m_k^{1/2} sinh(2 m_k^{-1/2} x^_k) F^_k; equals h * identity
-    under the multiplicity constraint."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    sq = np.sqrt(p.m_array)
-    return np.einsum("k,klt->lt", sq * np.sinh(2.0 * x_hat / sq), tensor_hat)
 
 
 def bosonic_potential(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:

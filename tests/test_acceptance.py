@@ -14,7 +14,6 @@ import pytest
 from trigwdvv.algebra import (
     ProductContext,
     RestrictionContext,
-    h_b_decomposition_residual,
     multiply,
     restricted_multiply,
     structure_constants,
@@ -32,6 +31,7 @@ from trigwdvv.prepotential import (
     h_function,
     identity_residuals,
     metric_B,
+    metric_identity_residuals,
     tensor_closed_form,
     tensor_generic,
 )
@@ -277,7 +277,7 @@ def test_criterion_5_restriction_machinery():
         u = part.block_indicators().T @ rng.standard_normal(2)
         v = part.block_indicators().T @ rng.standard_normal(2)
         worst_tan = max(worst_tan, tangency_residuals(rctx, u, v).max())
-        worst_hb = max(worst_hb, h_b_decomposition_residual(rctx))
+        worst_hb = max(worst_hb, *metric_identity_residuals(rctx.params, rctx.projected_tensor, xt))
 
     # path limit: full product converges to the restricted one at first order
     orders = []

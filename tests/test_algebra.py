@@ -8,7 +8,6 @@ from trigwdvv.algebra import (
     ProductContext,
     RestrictionContext,
     associativity_residual,
-    h_b_decomposition_residual,
     multiply,
     restricted_multiply,
     structure_constants,
@@ -22,8 +21,8 @@ from trigwdvv.configurations import (
     build_bcN_root_system,
     solve_r,
 )
-from trigwdvv.errors import DegenerateHError, PreconditionError, SingularityError
-from trigwdvv.prepotential import metric_B, tensor_generic
+from trigwdvv.errors import PreconditionError, SingularityError
+from trigwdvv.prepotential import h_function, metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
@@ -31,6 +30,11 @@ from tests.oracles import restricted_multiply_loop, sample_points, tangency_resi
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
+
+
+def h_b_decomposition(rctx):
+    """The restriction's metric-identity residual, as ``verify-restriction`` reports it."""
+    return max(metric_identity_residuals(rctx.params, rctx.projected_tensor, rctx.x_tilde))
 
 
 def block_constant(part, coeffs):
@@ -78,6 +82,39 @@ class TestMultiply:
             ProductContext(build_bcn(BC3), [0.9, 0.9, 1.3])
 
 
+def family_metric(p):
+    """u o v = (u * v) / m, the product of a family source."""
+    return lambda y: y / p.m_array
+
+
+def b_metric(config, x):
+    """u o v = B(x)^{-1} (u * v), the product of an explicit source."""
+    B = metric_B(tensor_generic(config, x), x)
+    return lambda y: np.linalg.solve(B, y)
+
+
+# the README family and a second one at unequal m, both on the relation
+UNEQUAL_M = {
+    "m=1,2,2": BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0)),
+    "m=2,1,3,1": BCnParameters(n=4, r=-14.0, s=0.5, q=1.0, m=(2.0, 1.0, 3.0, 1.0)),
+}
+
+
+def associativity_values(p, metric, stream, count=20):
+    """Associativity residuals of the family ``p`` with the metric "diag(m)", "B" or "identity"."""
+    config = build_bcn(p)
+    rng = rng_for(42, stream)
+    vals = []
+    for x in sample_points(rng, fully_active(config), count):
+        if metric == "B":
+            raise_index = b_metric(config, x)
+        else:
+            raise_index = family_metric(p) if metric == "diag(m)" else (lambda y: y)
+        u, v, w = (rng.standard_normal(p.n) for _ in range(3))
+        vals.append(associativity_residual(ProductContext(config, x), u, v, w, raise_index))
+    return np.array(vals)
+
+
 class TestAssociativity:
     def test_theorem_family(self):
         config = build_bcn(BC3)
@@ -87,7 +124,7 @@ class TestAssociativity:
         for x in sample_points(rng, pattern, 50):
             ctx = ProductContext(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
-            worst = max(worst, associativity_residual(ctx, u, v, w))
+            worst = max(worst, associativity_residual(ctx, u, v, w, family_metric(BC3)))
         assert worst < 1e-8
 
     def test_broken_constraint(self):
@@ -98,14 +135,37 @@ class TestAssociativity:
         for x in sample_points(rng, pattern, 50):
             ctx = ProductContext(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
-            vals.append(associativity_residual(ctx, u, v, w))
+            vals.append(associativity_residual(ctx, u, v, w, family_metric(BC3_BROKEN)))
         assert np.median(vals) > 1e-3
 
     def test_equal_arguments_associate_exactly(self):
         config = build_bcn(BC3_BROKEN)  # holds regardless of the constraint
         ctx = ProductContext(config, [0.9, 0.5, 1.3])
         u = np.array([0.4, -1.2, 0.8])
-        assert associativity_residual(ctx, u, u, u) == 0.0
+        assert associativity_residual(ctx, u, u, u, family_metric(BC3_BROKEN)) == 0.0
+
+    @pytest.mark.parametrize("metric", ["diag(m)", "B"])
+    @pytest.mark.parametrize("p", UNEQUAL_M.values(), ids=UNEQUAL_M.keys())
+    def test_unequal_m_associates_with_the_metric_and_fails_at_r_plus_1(self, p, metric):
+        assert associativity_values(p, metric, "assoc/unequal").max() < 1e-12
+        broken = BCnParameters(n=p.n, r=p.r + 1.0, s=p.s, q=p.q, m=p.m)
+        assert np.median(associativity_values(broken, metric, "assoc/unequal")) > 1e-6
+
+    @pytest.mark.parametrize("p", UNEQUAL_M.values(), ids=UNEQUAL_M.keys())
+    def test_euclidean_product_fails_the_theorem_at_unequal_m(self, p):
+        # F_i F_j = F_j F_i needs B proportional to the identity, which unequal m breaks
+        assert np.median(associativity_values(p, "identity", "assoc/euclidean")) > 1e-3
+
+    def test_family_product_gives_the_structure_constants(self):
+        # f_i o f_j = sum_k C_ijk f_k for the projected family at m = block sizes
+        part = Partition(N=5, blocks=(2, 3))
+        xt = np.array([0.9, 0.4])
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
+        ctx = ProductContext(rctx.projected_config, xt)
+        C = structure_constants(rctx)
+        for i, j in itertools.product(range(2), repeat=2):
+            e_i, e_j = np.eye(2)[i], np.eye(2)[j]
+            assert np.abs(family_metric(rctx.params)(multiply(ctx, e_i, e_j)) - C[i, j]).max() < 1e-12
 
 
 class TestRestrictedMultiply:
@@ -251,9 +311,9 @@ class TestRestrictionContext:
             lambda rctx, u: restricted_multiply(rctx, u, u),
             lambda rctx, u: tangency_residuals(rctx, u, u),
             lambda rctx, u: structure_constants(rctx),
-            lambda rctx, u: h_b_decomposition_residual(rctx),
+            lambda rctx, u: h_b_decomposition(rctx),
         ],
-        ids=["restricted_multiply", "tangency_residuals", "structure_constants", "h_b_decomposition_residual"],
+        ids=["restricted_multiply", "tangency_residuals", "structure_constants", "h_b_decomposition"],
     )
     def test_unplaced_context_names_the_missing_attribute(self, evaluate):
         # the per-run context has no point; a per-point function must say so
@@ -302,7 +362,7 @@ class TestHBDecomposition:
         rng = rng_for(31, "hb/ok")
         for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-            assert h_b_decomposition_residual(rctx) < 1e-10
+            assert h_b_decomposition(rctx) < 1e-10
 
     def test_broken_constraint(self):
         part = Partition(N=5, blocks=(2, 3))
@@ -311,7 +371,7 @@ class TestHBDecomposition:
         vals = []
         for xt in sample_points(rng, pattern, 20):
             rctx = RestrictionContext(-19.5, 1.0, 2.0, part).at(xt)
-            vals.append(h_b_decomposition_residual(rctx))
+            vals.append(h_b_decomposition(rctx))
         assert min(vals) > 1e-6
 
     def test_single_block_scalar_case(self):
@@ -321,15 +381,14 @@ class TestHBDecomposition:
         part = Partition(N=N, blocks=(N,))
         xt = np.array([0.7])
         rctx = RestrictionContext(r, 0.5, 1.0, part).at(xt)
-        assert h_b_decomposition_residual(rctx) < 1e-12
+        assert h_b_decomposition(rctx) < 1e-12
         F111 = tensor_generic(rctx.projected_config, xt)[0, 0, 0]
-        from trigwdvv.prepotential import h_function
-
         h = h_function(rctx.params, xt)
         assert math.isclose(math.sinh(2 * 0.7) / h * F111, float(N), rel_tol=1e-12)
 
-    def test_h_near_zero_rejected(self):
+    def test_h_zero_gives_a_finite_residual(self):
+        # r = s = q = 0: h = 0 and every multiplicity is 0; nothing divides by h
         part = Partition(N=2, blocks=(2,))
         rctx = RestrictionContext(0.0, 0.0, 0.0, part).at(np.array([0.7]))
-        with pytest.raises(DegenerateHError):
-            h_b_decomposition_residual(rctx)
+        assert h_function(rctx.params, rctx.x_tilde) == 0.0
+        assert metric_identity_residuals(rctx.params, rctx.projected_tensor, rctx.x_tilde) == (0.0, 0.0)

@@ -22,7 +22,7 @@ from trigwdvv.cli import (
     run,
 )
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
-from trigwdvv.errors import ConfigFormatError, PreconditionError
+from trigwdvv.errors import ConfigFormatError, PreconditionError, SamplingError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
@@ -323,17 +323,6 @@ class TestRunSpecValidation:
 
 
 class TestVerificationCommandsInProcess:
-    def test_metric_command_passes_anywhere(self):
-        spec = RunSpec(
-            command="verify-metric",
-            config_source={"family": "bcn", "n": 2, "r": 0.7, "s": -1.2, "q": 0.9, "m": [1.5, 2.5]},
-            samples=10,
-            seed=5,
-            tolerance=1e-10,
-        )
-        report = run(spec)
-        assert report.all_passed
-
     def test_restriction_command(self):
         spec = RunSpec(
             command="verify-restriction",
@@ -346,7 +335,6 @@ class TestVerificationCommandsInProcess:
         assert report.all_passed
         assert {c.name for c in report.checks} == {
             "restriction_config_match",
-            "restricted_closure",
             "structure_constants_two_path",
             "tangency_residual",
             "h_b_decomposition",
@@ -402,11 +390,11 @@ CHECK_NAMES = {
     "metric": ("verify-metric", _family(2, 0.7, -1.2, 0.9, (1.5, 2.5)),
                ["metric_offdiagonal", "metric_diagonal_identity"]),
     "restriction": ("verify-restriction", _family(2, -20, 1, 2, (2, 3)),
-                    ["restriction_config_match", "restricted_closure",
-                     "structure_constants_two_path", "tangency_residual", "h_b_decomposition"]),
+                    ["restriction_config_match", "structure_constants_two_path", "tangency_residual",
+                     "h_b_decomposition"]),
     "restriction_without_subsystem": ("verify-restriction", _family(3, -2, 0, 1, (1, 1, 1)),
-                                      ["restriction_config_match", "restricted_closure",
-                                       "structure_constants_two_path", "h_b_decomposition"]),
+                                      ["restriction_config_match", "structure_constants_two_path",
+                                       "h_b_decomposition"]),
     "susy": ("verify-susy", _family(2, 0, 0, 1, (1, 1)),
              ["fermionic_anticommutation", "hat_tensor_two_path", "hat_commuting_residual",
               "hat_metric_identity", "gauge_residual"]),
@@ -414,6 +402,56 @@ CHECK_NAMES = {
                              ["fermionic_anticommutation", "hat_tensor_two_path",
                               "hat_metric_identity", "gauge_residual"]),
 }
+
+
+# Each verify command on a theorem family at unequal m, with the checks that
+# carry the family's content: at r + 1 exactly these fail.  Every other check
+# is an implementation check, which holds for every (r, s, q) and must pass
+# there too; a family check that stops failing at r + 1 has lost its power.
+POWER = {
+    "wdvv": ("verify-wdvv", (3, -20, 1, 2, (1, 2, 2)), {"wdvv_pair_residual", "generalized_wdvv_residual"}),
+    "associativity-m122": ("verify-associativity", (3, -20, 1, 2, (1, 2, 2)), {"associativity_residual"}),
+    "associativity-m2131": ("verify-associativity", (4, -14, 0.5, 1, (2, 1, 3, 1)), {"associativity_residual"}),
+    "metric": ("verify-metric", (4, -14, 0.5, 1, (2, 1, 3, 1)), {"metric_diagonal_identity"}),
+    "restriction": ("verify-restriction", (4, -24, 0, 1, (2, 3, 4, 5)), {"h_b_decomposition"}),
+    "susy": ("verify-susy", (4, -14, 0.5, 1, (2, 1, 3, 1)), {"hat_commuting_residual", "hat_metric_identity"}),
+}
+IMPLEMENTATION_CHECKS = {
+    "metric_offdiagonal",
+    "hat_tensor_two_path",
+    "gauge_residual",
+    "restriction_config_match",
+    "structure_constants_two_path",
+    "tangency_residual",
+    "fermionic_anticommutation",
+}
+
+
+@pytest.mark.parametrize("command, family, family_checks", POWER.values(), ids=POWER.keys())
+def test_theorem_family_passes_and_r_plus_1_fails_its_family_checks(command, family, family_checks):
+    n, r, s, q, m = family
+    report = run(RunSpec(command=command, config_source=_family(*family), samples=10, seed=7))
+    assert report.all_passed, [(c.name, c.max_residual) for c in report.checks]
+    broken = run(RunSpec(command=command, config_source=_family(n, r + 1, s, q, m), samples=10, seed=7))
+    failing = {c.name for c in broken.checks if not c.passed}
+    assert failing == family_checks, [(c.name, c.max_residual) for c in broken.checks]
+    assert {c.name for c in broken.checks} - failing <= IMPLEMENTATION_CHECKS
+
+
+@pytest.mark.parametrize("r, passes", [(-20, True), (-19, False)])
+def test_explicit_source_associates_with_its_metric_b(r, passes):
+    # the build-config document of the README family multiplies through B(x)
+    doc = config_document(load_config_source(_family(3, r, 1, 2, (1, 2, 2))))
+    assert run(RunSpec(command="verify-associativity", config_source=doc, samples=10, seed=7)).all_passed is passes
+
+
+def test_explicit_source_with_a_singular_metric_discards_every_point():
+    # one covector in two dimensions: B(x) has rank 1 at every point, so each
+    # point is discarded with verify-wdvv's reason until the discard cap
+    doc = {"explicit": {"dimension": 2, "members": [{"vector": [1.0, 0.0], "multiplicity": 1.0}]}}
+    spec = RunSpec(command="verify-associativity", config_source=doc, samples=1)
+    with pytest.raises(SamplingError, match=": 10001 had a pivot condition number above 1e\\+08$"):
+        run(spec)
 
 
 @pytest.mark.parametrize("command, source, names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())

@@ -6,7 +6,7 @@ import pytest
 
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
-from trigwdvv.prepotential import h_function, tensor_generic
+from trigwdvv.prepotential import metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
@@ -15,7 +15,6 @@ from trigwdvv.susy import (
     bosonic_potential,
     build_hat_configuration,
     gauge_residual,
-    hat_metric,
     hat_tensor_from_base,
 )
 
@@ -92,13 +91,28 @@ class TestHatTensor:
             assert np.abs(direct - conjugated).max() < 1e-10 * scale
 
     def test_metric_is_h_times_identity(self):
+        # B^ - h I = D^{-1/2} (B - h D) D^{-1/2} with D = diag(m): the rescaled
+        # tensor mapped back to base coordinates meets the unscaled identity
         pattern = fully_active(build_hat_configuration(M23).config)
         rng = rng_for(42, "hat/metric")
+        sq = np.sqrt(M23.m_array)
         for xh in sample_points(rng, pattern, 20):
-            T = hat_tensor(M23, xh)
-            Bh = hat_metric(M23, T, xh)
-            h = h_function(M23, xh / np.sqrt(M23.m_array))
-            assert np.abs(Bh - h * np.eye(2)).max() < 1e-10 * max(1.0, abs(h))
+            base = np.einsum("klt,k,l,t->klt", hat_tensor(M23, xh), sq, sq, sq)
+            assert max(metric_identity_residuals(M23, base, xh / sq)) < 1e-10
+
+    def test_rescaled_metric_is_the_conjugated_base_metric(self):
+        # B^ = sum_k m_k^{1/2} sinh(2 m_k^{-1/2} x^_k) F^_k, summed directly,
+        # equals D^{-1/2} B D^{-1/2} at x = x^ / sqrt(m) for any (r, s, q)
+        p = BCnParameters(n=3, r=-0.8, s=1.2, q=0.9, m=(0.7, 1.3, 2.1))
+        pattern = fully_active(build_hat_configuration(p).config)
+        rng = rng_for(42, "hat/metric/conjugation")
+        sq = np.sqrt(p.m_array)
+        for xh in sample_points(rng, pattern, 10):
+            T = hat_tensor(p, xh)
+            hat_B = np.einsum("k,klt->lt", sq * np.sinh(2.0 * xh / sq), T)
+            base = np.einsum("klt,k,l,t->klt", T, sq, sq, sq)
+            conjugated = metric_B(base, xh / sq) / np.outer(sq, sq)
+            assert np.abs(hat_B - conjugated).max() < 1e-12 * max(1.0, np.abs(hat_B).max())
 
 
 class TestBosonicPotential:
