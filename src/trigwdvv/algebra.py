@@ -16,50 +16,36 @@ import copy
 
 import numpy as np
 
-from .configurations import (
-    BCnParameters,
-    Configuration,
-    Partition,
-    _restriction,
-    build_bcN_root_system,
-)
+from .configurations import BCnParameters, Partition, _restriction, build_bcN_root_system
 from .errors import DimensionError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, tensor_generic
 
 
-class ProductContext:
-    """A configuration together with an admissible evaluation point.
+def multiply(active, u, v) -> np.ndarray:
+    """u * v = sum over active members of c (alpha,u)(alpha,v) coth((alpha,x)) alpha.
 
-    ``active`` holds (A, c, z) from ``active_pairings`` at that point.
+    ``active`` is (A, c, z) from ``active_pairings`` at the point x.
     """
-
-    def __init__(self, config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> None:
-        self.active = active_pairings(config, x, threshold)
-        self.config = config
-
-
-def multiply(ctx: ProductContext, u, v) -> np.ndarray:
-    """u * v = sum over active members of c (alpha,u)(alpha,v) coth((alpha,x)) alpha."""
+    A, c, z = active
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = ctx.config.dimension
+    n = A.shape[1]
     if u.shape != (n,) or v.shape != (n,):
         raise DimensionError(f"u, v must have shape ({n},)")
-    A, c, z = ctx.active
     # the pairing product is grouped first so u * v == v * u holds exactly
     pairings = (A @ u) * (A @ v)
     return A.T @ (c * coth(z) * pairings)
 
 
-def associativity_residual(ctx: ProductContext, u, v, w, raise_index) -> float:
+def associativity_residual(active, u, v, w, raise_index) -> float:
     """Scaled max-abs entry of (u o v) o w - u o (v o w), where u o v = raise_index(u * v).
 
-    ``raise_index`` maps the covector u * v to a vector through the source's
-    metric G: G^{-1}(u * v).
+    ``active`` is as in ``multiply``.  ``raise_index`` maps the covector
+    u * v to a vector through the source's metric G: G^{-1}(u * v).
     """
 
     def product(a, b):
-        return raise_index(multiply(ctx, a, b))
+        return raise_index(multiply(active, a, b))
 
     left = product(product(u, v), w)
     right = product(u, product(v, w))
@@ -78,7 +64,7 @@ class RestrictionContext:
     same members in the same order).
 
     Per point: x_tilde in block-basis coordinates, the embedded point
-    sum_k x_tilde_k f_k, ``product``, the ``ProductContext`` of ``outside``
+    sum_k x_tilde_k f_k, ``active``, the ``active_pairings`` of ``outside``
     there (the point must be admissible for every covector outside the
     subsystem), and ``projected_tensor``, tensor_generic of the projected
     configuration at x_tilde.  ``at(x_tilde)`` gives the run's context at a
@@ -92,12 +78,12 @@ class RestrictionContext:
         self.part = part
         self.threshold = float(threshold)
         self.params = BCnParameters(n=part.n, r=float(r), s=float(s), q=float(q), m=part.blocks)
-        ambient = build_bcN_root_system(part.N, r, s, q)
-        self.projected_config, in_subsystem = _restriction(part, ambient)
+        bcN = build_bcN_root_system(part.N, r, s, q)
+        self.projected_config, in_subsystem = _restriction(part, bcN)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
-        self.subsystem = ambient.vectors[in_subsystem]
-        self.outside = ambient._with_multiplicities(np.where(in_subsystem, 0.0, ambient.multiplicities))
+        self.subsystem = bcN.vectors[in_subsystem]
+        self.outside = bcN._with_multiplicities(np.where(in_subsystem, 0.0, bcN.multiplicities))
 
     def at(self, x_tilde) -> "RestrictionContext":
         """This run's context at the point ``x_tilde``, sharing the per-run data."""
@@ -106,7 +92,7 @@ class RestrictionContext:
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
         point = copy.copy(self)
         point.x_tilde, point.x_embedded = x_tilde, self.block_basis.T @ x_tilde
-        point.product = ProductContext(self.outside, point.x_embedded, self.threshold)
+        point.active = active_pairings(self.outside, point.x_embedded, self.threshold)
         point.projected_tensor = tensor_generic(self.projected_config, x_tilde, self.threshold)
         return point
 
@@ -118,7 +104,7 @@ def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
     onto the block subspace as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
     F = rctx.block_basis
-    return F.T @ ((F @ multiply(rctx.product, u, v)) / rctx.m)
+    return F.T @ ((F @ multiply(rctx.active, u, v)) / rctx.m)
 
 
 def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
@@ -129,7 +115,7 @@ def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
     constant on blocks; non-tangent inputs are accepted so the necessity of
     tangency can be demonstrated.  An empty subsystem gives an empty array.
     """
-    A, c, z = rctx.product.active
+    A, c, z = rctx.active
     # one row of summands per alpha; each row is reduced along its own
     # contiguous axis, so it sums exactly as a single alpha's summands would
     terms = c * (A @ u) * (A @ v) * (rctx.subsystem @ A.T) * coth(z)

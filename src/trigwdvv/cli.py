@@ -43,9 +43,17 @@ from .errors import (
     SingularMatrixError,
     TrigWdvvError,
 )
-from .prepotential import DEFAULT_THRESHOLD, h_function, metric_B, metric_identity_residuals, tensor_generic
+from .prepotential import (
+    DEFAULT_THRESHOLD,
+    active_pairings,
+    h_function,
+    metric_B,
+    metric_identity_residuals,
+    tensor_closed_form,
+    tensor_generic,
+)
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fully_active, rng_for
-from .wdvv import CONDITION_CAP, pivot_residuals
+from .wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
 from . import algebra, susy
 
 # the discard reason of a point whose metric or pivot fails the usable-pivot rule
@@ -53,6 +61,11 @@ _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 
 # ---------------------------------------------------------------------------
 # run specification and report types
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a real number (an integer with ``integer``); a bool is neither."""
+    return isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -70,6 +83,13 @@ class RunSpec:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
+        for name in ("samples", "seed", "tolerance", "threshold"):
+            integer = name in ("samples", "seed")
+            if not _is_number(getattr(self, name), integer):
+                kind = "an integer" if integer else "a number"
+                raise PreconditionError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if not (isinstance(self.box, (tuple, list)) and len(self.box) == 2 and all(map(_is_number, self.box))):
+            raise PreconditionError(f"box must be two numbers, got {self.box!r}")
         if self.samples < 1:
             raise PreconditionError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:
@@ -332,21 +352,23 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
     n = config.dimension
 
     def residuals(rng, x):
-        ctx = algebra.ProductContext(config, x, spec.threshold)
+        active = active_pairings(config, x, spec.threshold)
         if isinstance(parsed, BCnParameters):
 
             def raise_index(y):  # the family's metric diag(m)
                 return y / parsed.m_array
-        else:  # the metric B(x): one SVD per point, judged by verify-wdvv's usable-pivot rule
-            U, sv, Vt = np.linalg.svd(metric_B(tensor_generic(config, x, spec.threshold), x))
-            if not (sv[0] / sv[-1] if sv[-1] else math.inf) <= CONDITION_CAP:
+        else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule
+            B = metric_B(tensor_generic(config, x, spec.threshold), x)
+            try:
+                usable_pivots(B[None])
+            except SingularMatrixError:
                 return _UNUSABLE_PIVOT
 
             def raise_index(y):
-                return Vt.T @ ((U.T @ y) / sv)
+                return np.linalg.solve(B, y)
 
         u, v, w = (rng.standard_normal(n) for _ in range(3))
-        return {"associativity_residual": algebra.associativity_residual(ctx, u, v, w, raise_index)}
+        return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
 
     _sampled(report, config, residuals)
 
@@ -420,15 +442,15 @@ def _run_susy(report: VerificationReport, parsed) -> None:
 
     def hat_residuals(rng, xh):
         T = tensor_generic(hat.config, xh, spec.threshold)
-        T2 = susy.hat_tensor_from_base(params, xh, spec.threshold)
-        scale = max(1.0, float(np.abs(T2).max()))
         commuting = pivot_residuals(T)[0][0][pairs]
-        # B^ = h I is B = h diag(m) for F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m)
-        base = T * sq[:, None, None] * sq[:, None] * sq
+        # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
+        # compared with the closed form there; B^ = h I is B = h diag(m)
+        x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq
+        closed = tensor_closed_form(params, x, spec.threshold)
         return {
-            "hat_tensor_two_path": float(np.abs(T - T2).max()) / scale,
+            "hat_tensor_two_path": float(np.abs(base - closed).max()) / max(1.0, float(np.abs(closed).max())),
             "hat_commuting_residual": [commuting.max()] if commuting.size else [],
-            "hat_metric_identity": np.max(metric_identity_residuals(params, base, xh / sq)),
+            "hat_metric_identity": np.max(metric_identity_residuals(params, base, x)),
             "gauge_residual": susy.gauge_residual(hat.config, xh, spec.threshold),
         }
 
@@ -554,16 +576,13 @@ def _spec_from_args(args) -> RunSpec:
             seed = int(raw)
         except ValueError as exc:
             raise PreconditionError(f"WDVV_SEED must be an integer, got {raw!r}") from exc
-    box = DEFAULT_BOX if args.box is None else _parse_floats(args.box)
-    if len(box) != 2:
-        raise PreconditionError(f"--box needs exactly two numbers, got {args.box!r}")
     spec = RunSpec(
         command=args.command,
         config_source=_config_source_from_args(args),
         samples=args.samples,
         seed=seed,
         tolerance=args.tol,
-        box=(float(box[0]), float(box[1])),
+        box=DEFAULT_BOX if args.box is None else _parse_floats(args.box),
         threshold=args.theta,
     )
     spec.validate()

@@ -3,7 +3,7 @@
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
 the identity, B^ - h I = D^{-1/2} (B - h diag(m)) D^{-1/2} with D = diag(m),
 and the third-derivative matrices commute pairwise.  This module
-builds that rescaled configuration and tensor, the bosonic potential, the
+builds that rescaled configuration, the bosonic potential, the
 Jordan-Wigner operators of the fermionic variables on a 2^(2n)-dimensional
 space, stored as signed permutations of the basis, with the residual of their
 anticommutation relations, and the closed-form residual of the gauge identity
@@ -20,12 +20,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, build_bcn
 from .errors import DimensionCapError, ParameterError
-from .prepotential import (
-    DEFAULT_THRESHOLD,
-    active_pairings,
-    coth,
-    tensor_closed_form,
-)
+from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
 _FERMION_N_CAP = 7  # dim = 2^(2n) <= 16384
 
@@ -47,15 +42,6 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     base = build_bcn(p)
     config = Configuration(p.n, zip(base.vectors * inv_sqrt, base.multiplicities))
     return RescaledConfiguration(config=config)
-
-
-def hat_tensor_from_base(p: BCnParameters, x_hat, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """The rescaled tensor through the unscaled closed form: entry (k,l,t) is
-    F_klt(x) / sqrt(m_k m_l m_t) at x_i = x^_i / sqrt(m_i)."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    inv_sqrt = 1.0 / np.sqrt(p.m_array)
-    F = tensor_closed_form(p, x_hat * inv_sqrt, threshold)
-    return np.einsum("klt,k,l,t->klt", F, inv_sqrt, inv_sqrt, inv_sqrt)
 
 
 def bosonic_potential(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:

@@ -18,10 +18,31 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError
 
 # A pivot whose spectral condition number is above this is unusable:
-# pivot_residuals refuses it, and the verification drivers discard and
+# usable_pivots refuses it, and the verification drivers discard and
 # resample the point, since near-singular pivots produce meaningless
 # residuals, not counterexamples.
 CONDITION_CAP = 1e8
+
+
+def usable_pivots(pivots) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values, condition numbers) of a (p, n, n) stack of usable pivots.
+
+    The usable-pivot rule, the only one in the package: a non-finite pivot
+    raises DomainError naming it, and a pivot whose spectral condition number
+    (+inf when its smallest singular value is 0) is above CONDITION_CAP raises
+    SingularMatrixError.  ``sv[p]`` holds pivot p's singular values, largest first.
+    """
+    P = np.asarray(pivots, dtype=float)
+    finite = np.isfinite(P).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"pivot {int(finite.argmin())} is not finite")
+    sv = np.linalg.svd(P, compute_uv=False)
+    condition = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] != 0.0)
+    unusable = condition > CONDITION_CAP
+    if unusable.any():
+        k = int(unusable.argmax())
+        raise SingularMatrixError(f"pivot {k} has condition number {condition[k]:.3e} above {CONDITION_CAP:g}")
+    return sv, condition
 
 
 def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -33,11 +54,10 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     ``scaled[p, i, j]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
     spectral norm; both vanish exactly for i = j and are exactly symmetric in
     (i, j).  ``condition[p]`` is the spectral condition number of pivot p
-    (1 for the identity; +inf when the smallest singular value is 0).  A
-    non-finite tensor or pivot raises DomainError naming it, and a pivot
-    whose condition number is above CONDITION_CAP raises SingularMatrixError,
-    both before any solve.  Each pivot is factorized once, against all n^2
-    columns of the tensor, and one matmul per pivot gives every F_i P^{-1} F_j.
+    (1 for the identity).  A non-finite tensor raises DomainError, and the
+    pivots pass ``usable_pivots``, both before any solve.  Each pivot is
+    factorized once, against all n^2 columns of the tensor, and one matmul per
+    pivot gives every F_i P^{-1} F_j.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
@@ -49,17 +69,7 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
         condition = inv_norm = np.ones(1)
     else:
         P = np.asarray(pivots, dtype=float)
-        finite = np.isfinite(P).all(axis=(1, 2))
-        if not finite.all():
-            raise DomainError(f"pivot {int(finite.argmin())} is not finite")
-        sv = np.linalg.svd(P, compute_uv=False)
-        condition = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] != 0.0)
-        unusable = condition > CONDITION_CAP
-        if unusable.any():
-            k = int(unusable.argmax())
-            raise SingularMatrixError(
-                f"pivot {k} has condition number {condition[k]:.3e} above {CONDITION_CAP:g}"
-            )
+        sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[:, -1]
         X = np.linalg.solve(P, rhs)  # X[p, :, (j, b)] = P_p^{-1} F_j: one LU per pivot
     raw = np.empty((len(X), n, n))

@@ -145,7 +145,7 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    A, c, z = rctx.product.active
+    A, c, z = rctx.active
     terms = c * (A @ u) * (A @ v) * (A @ alpha) * coth(z)
     scale = max(1.0, float(np.abs(terms).sum()))
     return abs(float(terms.sum())) / scale

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from trigwdvv.algebra import (
-    ProductContext,
     RestrictionContext,
     multiply,
     restricted_multiply,
@@ -28,6 +27,7 @@ from trigwdvv.configurations import (
     solve_r,
 )
 from trigwdvv.prepotential import (
+    active_pairings,
     h_function,
     identity_residuals,
     metric_B,
@@ -297,8 +297,8 @@ def test_criterion_5_restriction_machinery():
         d /= np.linalg.norm(d)
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            ctx = ProductContext(ambient, rctx.x_embedded + eps * d, threshold=1e-12)
-            errs.append(np.abs(multiply(ctx, u, v) - limit).max())
+            active = active_pairings(ambient, rctx.x_embedded + eps * d, threshold=1e-12)
+            errs.append(np.abs(multiply(active, u, v) - limit).max())
         orders.append(math.log10(errs[0] / errs[2]) / 2.0)
 
     elapsed = time.perf_counter() - t0

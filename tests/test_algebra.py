@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from trigwdvv.algebra import (
-    ProductContext,
     RestrictionContext,
     associativity_residual,
     multiply,
@@ -22,7 +21,7 @@ from trigwdvv.configurations import (
     solve_r,
 )
 from trigwdvv.errors import PreconditionError, SingularityError
-from trigwdvv.prepotential import h_function, metric_B, metric_identity_residuals, tensor_generic
+from trigwdvv.prepotential import active_pairings, h_function, metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
@@ -55,31 +54,31 @@ EVERY_PARTITION = [Partition(N=N, blocks=blocks) for N in range(1, 7) for blocks
 class TestMultiply:
     def test_bilinearity_at_zero(self):
         config = build_bcn(BC3)
-        ctx = ProductContext(config, [0.9, 0.5, 1.3])
+        active = active_pairings(config, [0.9, 0.5, 1.3])
         u = np.array([0.3, -0.7, 1.1])
-        assert np.all(multiply(ctx, np.zeros(3), u) == 0.0)
-        assert np.all(multiply(ctx, u, np.zeros(3)) == 0.0)
+        assert np.all(multiply(active, np.zeros(3), u) == 0.0)
+        assert np.all(multiply(active, u, np.zeros(3)) == 0.0)
 
     def test_rank_one_gives_structure_constant(self):
         r, s = 1.7, -0.6
         config = Configuration(1, [((1.0,), r), ((2.0,), s)])
-        ctx = ProductContext(config, [0.8])
+        active = active_pairings(config, [0.8])
         e1 = np.array([1.0])
-        prod = multiply(ctx, e1, e1)
+        prod = multiply(active, e1, e1)
         F111 = tensor_generic(config, [0.8])[0, 0, 0]
         assert math.isclose(prod[0], F111, rel_tol=1e-14)
 
     def test_commutativity_exact(self):
         config = build_bcn(BC3)
-        ctx = ProductContext(config, [0.9, 0.5, 1.3])
+        active = active_pairings(config, [0.9, 0.5, 1.3])
         rng = rng_for(1, "algebra/comm")
         for _ in range(10):
             u, v = rng.standard_normal(3), rng.standard_normal(3)
-            assert np.all(multiply(ctx, u, v) == multiply(ctx, v, u))
+            assert np.all(multiply(active, u, v) == multiply(active, v, u))
 
     def test_inadmissible_point_rejected(self):
         with pytest.raises(SingularityError):
-            ProductContext(build_bcn(BC3), [0.9, 0.9, 1.3])
+            active_pairings(build_bcn(BC3), [0.9, 0.9, 1.3])
 
 
 def family_metric(p):
@@ -111,7 +110,7 @@ def associativity_values(p, metric, stream, count=20):
         else:
             raise_index = family_metric(p) if metric == "diag(m)" else (lambda y: y)
         u, v, w = (rng.standard_normal(p.n) for _ in range(3))
-        vals.append(associativity_residual(ProductContext(config, x), u, v, w, raise_index))
+        vals.append(associativity_residual(active_pairings(config, x), u, v, w, raise_index))
     return np.array(vals)
 
 
@@ -122,9 +121,9 @@ class TestAssociativity:
         rng = rng_for(42, "assoc/ok")
         worst = 0.0
         for x in sample_points(rng, pattern, 50):
-            ctx = ProductContext(config, x)
+            active = active_pairings(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
-            worst = max(worst, associativity_residual(ctx, u, v, w, family_metric(BC3)))
+            worst = max(worst, associativity_residual(active, u, v, w, family_metric(BC3)))
         assert worst < 1e-8
 
     def test_broken_constraint(self):
@@ -133,16 +132,16 @@ class TestAssociativity:
         rng = rng_for(42, "assoc/broken")
         vals = []
         for x in sample_points(rng, pattern, 50):
-            ctx = ProductContext(config, x)
+            active = active_pairings(config, x)
             u, v, w = (rng.standard_normal(3) for _ in range(3))
-            vals.append(associativity_residual(ctx, u, v, w, family_metric(BC3_BROKEN)))
+            vals.append(associativity_residual(active, u, v, w, family_metric(BC3_BROKEN)))
         assert np.median(vals) > 1e-3
 
     def test_equal_arguments_associate_exactly(self):
         config = build_bcn(BC3_BROKEN)  # holds regardless of the constraint
-        ctx = ProductContext(config, [0.9, 0.5, 1.3])
+        active = active_pairings(config, [0.9, 0.5, 1.3])
         u = np.array([0.4, -1.2, 0.8])
-        assert associativity_residual(ctx, u, u, u, family_metric(BC3_BROKEN)) == 0.0
+        assert associativity_residual(active, u, u, u, family_metric(BC3_BROKEN)) == 0.0
 
     @pytest.mark.parametrize("metric", ["diag(m)", "B"])
     @pytest.mark.parametrize("p", UNEQUAL_M.values(), ids=UNEQUAL_M.keys())
@@ -161,11 +160,11 @@ class TestAssociativity:
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-        ctx = ProductContext(rctx.projected_config, xt)
+        active = active_pairings(rctx.projected_config, xt)
         C = structure_constants(rctx)
         for i, j in itertools.product(range(2), repeat=2):
             e_i, e_j = np.eye(2)[i], np.eye(2)[j]
-            assert np.abs(family_metric(rctx.params)(multiply(ctx, e_i, e_j)) - C[i, j]).max() < 1e-12
+            assert np.abs(family_metric(rctx.params)(multiply(active, e_i, e_j)) - C[i, j]).max() < 1e-12
 
 
 class TestRestrictedMultiply:
@@ -174,11 +173,11 @@ class TestRestrictedMultiply:
         xt = np.array([0.9, 0.5, 1.3])
         rctx = RestrictionContext(-2.0, 0.0, 1.0, part).at(xt)
         config = build_bcN_root_system(3, -2.0, 0.0, 1.0)
-        ctx = ProductContext(config, xt)
+        active = active_pairings(config, xt)
         rng = rng_for(4, "restricted/trivial")
         for _ in range(5):
             u, v = rng.standard_normal(3), rng.standard_normal(3)
-            assert np.allclose(restricted_multiply(rctx, u, v), multiply(ctx, u, v), atol=1e-14)
+            assert np.allclose(restricted_multiply(rctx, u, v), multiply(active, u, v), atol=1e-14)
 
     def test_output_is_block_constant(self):
         part = Partition(N=3, blocks=(2, 1))
@@ -221,8 +220,8 @@ class TestRestrictedMultiply:
             x = rctx.x_embedded + eps * d
             # the subsystem coth factors are finite off the subspace; the
             # admissibility margin is dropped so the path can approach it
-            ctx = ProductContext(ambient, x, threshold=1e-12)
-            errs.append(np.abs(multiply(ctx, u, v) - limit).max())
+            active = active_pairings(ambient, x, threshold=1e-12)
+            errs.append(np.abs(multiply(active, u, v) - limit).max())
         order01 = math.log10(errs[0] / errs[1])
         order12 = math.log10(errs[1] / errs[2])
         assert 0.7 < order01 < 1.3

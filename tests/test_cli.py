@@ -2,13 +2,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from trigwdvv import algebra, cli, sampling
+from trigwdvv import algebra, cli, sampling, susy, wdvv
 from trigwdvv.cli import (
     RunSpec,
     VerificationReport,
@@ -296,6 +297,28 @@ class TestRunSpecValidation:
         with pytest.raises(PreconditionError):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("samples", 2.5, "samples must be an integer, got 2.5"),
+            ("samples", True, "samples must be an integer, got True"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("tolerance", "1e-8", "tolerance must be a number, got '1e-8'"),
+            ("tolerance", True, "tolerance must be a number, got True"),
+            ("threshold", None, "threshold must be a number, got None"),
+            ("box", (1, 2, 3), "box must be two numbers, got (1, 2, 3)"),
+            ("box", ("0.3", "1.5"), "box must be two numbers, got ('0.3', '1.5')"),
+        ],
+        ids=["seed-float", "samples-float", "samples-bool", "seed-bool", "tolerance-str", "tolerance-bool",
+             "threshold-none", "box-three", "box-str"],
+    )
+    def test_numbers_from_outside_are_refused_not_truncated(self, field, value, message):
+        # a fractional seed or sample count would run as its truncation but be echoed as given
+        spec = RunSpec(command="verify-wdvv", config_source={}, **{field: value})
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            spec.validate()
+
     def test_bad_tolerance(self):
         spec = RunSpec(command="verify-wdvv", config_source={}, tolerance=0.0)
         with pytest.raises(PreconditionError):
@@ -452,6 +475,39 @@ def test_explicit_source_with_a_singular_metric_discards_every_point():
     spec = RunSpec(command="verify-associativity", config_source=doc, samples=1)
     with pytest.raises(SamplingError, match=": 10001 had a pivot condition number above 1e\\+08$"):
         run(spec)
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("verify-wdvv", _family(3, -20, 1, 2, (1, 2, 2))),
+        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2))))),
+    ],
+    ids=["wdvv", "associativity-explicit"],
+)
+def test_one_usable_pivot_rule_judges_every_pivot(monkeypatch, command, source):
+    # with the cap at 1 no pivot and no metric B(x) is usable: both drivers
+    # read wdvv's one rule, so both discard every point with the same reason
+    monkeypatch.setattr(wdvv, "CONDITION_CAP", 1.0)
+    monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 5)
+    with pytest.raises(SamplingError, match=re.escape(f": 6 had {cli._UNUSABLE_PIVOT}")):
+        run(RunSpec(command=command, config_source=source, samples=1))
+
+
+def test_hat_two_path_fails_a_rescaling_with_the_wrong_power(monkeypatch):
+    # coordinates scaled by m^-1 instead of m^-1/2: the rescaled tensor, mapped
+    # back to base coordinates, no longer meets the closed form there.  The
+    # sampler keeps x^ off the swapped configuration's hyperplanes, not x^ / sqrt(m)
+    # off the family's, so the closed form gets a small hyperplane margin
+    def wrong_power(p):
+        base = build_bcn(p)
+        return susy.RescaledConfiguration(Configuration(p.n, zip(base.vectors / p.m_array, base.multiplicities)))
+
+    monkeypatch.setattr(susy, "build_hat_configuration", wrong_power)
+    spec = RunSpec(command="verify-susy", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=10, seed=7,
+                   threshold=1e-6)
+    check = next(c for c in run(spec).checks if c.name == "hat_tensor_two_path")
+    assert check.max_residual > 1e-3 and not check.passed
 
 
 @pytest.mark.parametrize("command, source, names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())

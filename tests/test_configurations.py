@@ -51,6 +51,12 @@ class TestTypes:
         with pytest.raises(DimensionError):
             Configuration(2, [((1.0, 0.0, 0.0), 1.0)])
 
+    @pytest.mark.parametrize("dimension", [2.5, 1.5, math.nan, math.inf])
+    def test_configuration_requires_an_integer_dimension(self, dimension):
+        # a fractional dimension is refused, not truncated to an integer
+        with pytest.raises(ParameterError, match="dimension must be an integer"):
+            Configuration(dimension, [((1.0, 0.0), 1.0)])
+
     def test_configuration_merges_duplicates(self):
         c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 0.0), 3.0), ((0.0, 1.0), 1.0)])
         assert len(c) == 2

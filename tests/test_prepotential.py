@@ -177,7 +177,7 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 # every function that evaluates at a point and must keep clear of the hyperplanes
 HYPERPLANE_CALLERS = {
     "tensor_generic": lambda x: tensor_generic(build_bcn(BC2), x),
-    "ProductContext": lambda x: algebra.ProductContext(build_bcn(BC2), x),
+    "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
     "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).at(x),
     "bosonic_potential": lambda x: susy.bosonic_potential(build_bcn(BC2), x),
     "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
@@ -346,9 +346,8 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
     [
         lambda: tensor_closed_form(BC2, NAN_POINT),
         lambda: identity_residuals(NAN_POINT, 0, 1),
-        lambda: susy.hat_tensor_from_base(BC2, NAN_POINT),
     ],
-    ids=["tensor_closed_form", "identity_residuals", "hat_tensor_from_base"],
+    ids=["tensor_closed_form", "identity_residuals"],
 )
 def test_closed_form_route_refuses_a_nan_point(evaluate):
     # NaN < theta is false, so the margin test alone would let a NaN point through

@@ -6,7 +6,7 @@ import pytest
 
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
-from trigwdvv.prepotential import metric_B, metric_identity_residuals, tensor_generic
+from trigwdvv.prepotential import metric_B, metric_identity_residuals, tensor_closed_form, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
@@ -15,7 +15,6 @@ from trigwdvv.susy import (
     bosonic_potential,
     build_hat_configuration,
     gauge_residual,
-    hat_tensor_from_base,
 )
 
 from tests.oracles import (
@@ -84,11 +83,13 @@ class TestHatTensor:
     def test_two_path_agreement(self, params):
         pattern = fully_active(build_hat_configuration(params).config)
         rng = rng_for(42, f"hat/two-path/{params.n}")
+        sq = np.sqrt(params.m_array)
         for xh in sample_points(rng, pattern, 20):
-            direct = hat_tensor(params, xh)
-            conjugated = hat_tensor_from_base(params, xh)
-            scale = max(1.0, np.abs(conjugated).max())
-            assert np.abs(direct - conjugated).max() < 1e-10 * scale
+            # the rescaled tensor in base coordinates against the closed form at x = x^ / sqrt(m)
+            base = np.einsum("klt,k,l,t->klt", hat_tensor(params, xh), sq, sq, sq)
+            closed = tensor_closed_form(params, xh / sq)
+            scale = max(1.0, np.abs(closed).max())
+            assert np.abs(base - closed).max() < 1e-10 * scale
 
     def test_metric_is_h_times_identity(self):
         # B^ - h I = D^{-1/2} (B - h D) D^{-1/2} with D = diag(m): the rescaled
