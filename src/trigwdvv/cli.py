@@ -17,13 +17,14 @@ LinAlgError).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import numbers
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +104,16 @@ class RunSpec:
             raise PreconditionError(f"threshold must be finite and > 0, got {self.threshold}")
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "box": list(self.box)}
+        # field order; a deep copy, so that editing the document leaves the run as it was
+        return {
+            "command": self.command,
+            "config_source": copy.deepcopy(self.config_source),
+            "samples": self.samples,
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+            "box": list(self.box),
+            "threshold": self.threshold,
+        }
 
 
 @dataclass
@@ -115,9 +125,13 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
+        return {
+            "name": self.name,
+            "max_residual": self.max_residual,
+            "mean_residual": self.mean_residual,
+            "worst_point": None if self.worst_point is None else list(self.worst_point),
+            "pass": self.passed,
+        }
 
 
 @dataclass

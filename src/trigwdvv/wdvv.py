@@ -13,6 +13,8 @@ positive checks.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
@@ -48,16 +50,22 @@ def usable_pivots(pivots) -> tuple[np.ndarray, np.ndarray]:
 def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scaled, raw, condition) of F_i P^{-1} F_j - F_j P^{-1} F_i for every pivot P.
 
-    ``pivots`` is a (p, n, n) stack, e.g. ``B[None]`` for the pair form or the
-    tensor itself for the pivot form (P = F_k), or None for P = identity.
-    ``raw[p, i, j]`` is the max-abs entry of the commutator-like matrix and
-    ``scaled[p, i, j]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
-    spectral norm; both vanish exactly for i = j and are exactly symmetric in
-    (i, j).  ``condition[p]`` is the spectral condition number of pivot p
-    (1 for the identity).  A non-finite tensor raises DomainError, and the
-    pivots pass ``usable_pivots``, both before any solve.  Each pivot is
-    factorized once, against all n^2 columns of the tensor, and one matmul per
-    pivot gives every F_i P^{-1} F_j.
+    ``pivots`` is a (p, n, n) stack, e.g. ``B[None]`` for the pair form,
+    ``[B, F_1..F_n]`` or the tensor itself for the pivot form (P = F_k), or
+    None for P = identity.  ``raw[p, i, j]`` is the max-abs entry of the
+    commutator-like matrix and ``scaled[p, i, j]`` is
+    raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm; both vanish
+    exactly for i = j and are exactly symmetric in (i, j).  ``condition[p]`` is
+    the spectral condition number of pivot p (1 for the identity).  A
+    non-finite tensor raises DomainError, and the pivots pass
+    ``usable_pivots``, both before any solve.
+
+    When the stack ends with F_1..F_n, the norms ||F_i|| are read from the
+    singular values ``usable_pivots`` took, so the call takes one SVD;
+    otherwise (``B[None]``, None) the tensor's own SVD gives them.  Each pivot
+    is factorized once, against all n^2 columns of the tensor, and one matmul
+    per pivot gives every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j
+    are gathered once, since M_ji = -M_ij.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
@@ -67,18 +75,34 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     if pivots is None:
         X = rhs
         condition = inv_norm = np.ones(1)
+        norms = None
     else:
         P = np.asarray(pivots, dtype=float)
         sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[:, -1]
         X = np.linalg.solve(P, rhs)  # X[p, :, (j, b)] = P_p^{-1} F_j: one LU per pivot
-    raw = np.empty((len(X), n, n))
-    for p, Xp in enumerate(X):  # one pivot at a time keeps G and M at n^4 entries each
+        norms = sv[-n:, 0] if len(P) >= n and np.array_equal(P[-n:], T) else None
+    if norms is None:
+        norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    i, j = _upper_pairs(n)
+    top = np.empty((len(X), len(i)))
+    for p, Xp in enumerate(X):  # one pivot at a time keeps G at n^4 entries and M at half that
         # G[i, a, j, b] = (F_i P_p^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
         # flat T.reshape(n * n, n) @ Xp at n >= 16, which ran up to 6x slower on 2 vCPUs
         G = (T @ Xp).reshape(n, n, n, n)
-        top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))  # over [i, j, a, b]
-        raw[p] = np.maximum(top, top.T)  # M_ji = -M_ij exactly, so this is max |M_ij|
-    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+        M = G[i, :, j, :]  # M[pair, a, b] = M_ij[a, b] for the pairs i < j
+        M -= G[j, :, i, :]
+        top[p] = np.abs(M, out=M).max(axis=(1, 2))
+    raw = np.zeros((len(X), n, n))
+    raw[:, i, j] = raw[:, j, i] = top  # M_ji = -M_ij exactly, so max |M_ji| = max |M_ij|
     scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
     return raw / scale, raw, condition
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index arrays of the pairs i < j of range(n), read-only."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs

@@ -6,9 +6,11 @@ differences of the scalar prepotential, the fermionic operators are dense
 Kronecker products, the four-fermion term is built from them both by products
 of contracted operators and by literal eight-index loops, BC_n family members
 are listed one by one and merged by a pairwise scan, the metric's diagonality
-is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a time with an explicit
-inverse for the pivot norm, the gauge relation between the two
-Hamiltonian forms is differentiated by central stencils on scalar test fields,
+is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a
+time with an explicit inverse for the pivot norm (and, for bit-for-bit
+comparison, by the full commutator pass over every (i, j) with a separate SVD
+for the norms), the gauge relation between the two Hamiltonian forms is
+differentiated by central stencils on scalar test fields,
 admissible points are drawn by box-uniform rejection, the tangency
 residual of a restriction is summed one subsystem covector at a time and the
 restricted product one outside member at a time, the
@@ -43,6 +45,7 @@ from trigwdvv.prepotential import (
 )
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
 from trigwdvv.susy import bosonic_potential
+from trigwdvv.wdvv import usable_pivots
 
 # the dense fermionic space's limit: each operator is a dim x dim matrix
 DENSE_N_CAP = 5  # dim = 2^(2n) <= 1024
@@ -221,6 +224,34 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
     raw = float(np.abs(M).max())
     scale = max(1.0, np.linalg.norm(Fi, 2) * inv_norm * np.linalg.norm(Fj, 2))
     return raw / scale, raw
+
+
+def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``wdvv.pivot_residuals`` by the full commutator pass, for bit-for-bit comparison.
+
+    Every commutator (i, j) and (j, i) is formed from the strided swap of all
+    n^4 entries of each pivot's product, raw is max(top, top.T) of their signed
+    maxima, and the norms ||F_i|| come from a separate SVD of the tensor.
+    """
+    T = np.asarray(tensor, dtype=float)
+    n = T.shape[0]
+    rhs = T.transpose(1, 0, 2).reshape(1, n, n * n)
+    if pivots is None:
+        X = rhs
+        condition = inv_norm = np.ones(1)
+    else:
+        P = np.asarray(pivots, dtype=float)
+        sv, condition = usable_pivots(P)
+        inv_norm = 1.0 / sv[:, -1]
+        X = np.linalg.solve(P, rhs)
+    raw = np.empty((len(X), n, n))
+    for p, Xp in enumerate(X):
+        G = (T @ Xp).reshape(n, n, n, n)
+        top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
+        raw[p] = np.maximum(top, top.T)
+    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
+    return raw / scale, raw, condition
 
 
 def diagonality_report(tensor, p, x) -> tuple[float, float]:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -521,6 +523,34 @@ def test_repeated_runs_give_byte_identical_reports(command, source, _names):
     spec = {"command": command, "config_source": source, "samples": 5, "seed": 42}
     first, second = (dumps_17g(run(RunSpec(**spec)).to_json_dict()) for _ in range(2))
     assert first == second
+
+
+@pytest.mark.parametrize("command, source, _names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())
+def test_report_document_is_the_fields_in_order_and_a_copy(command, source, _names):
+    # the document asdict gave, key order included: a check's "pass" last and the box as a list
+    spec = RunSpec(command=command, config_source=copy.deepcopy(source), samples=2, seed=5)
+    report = run(spec)
+    doc = report.to_json_dict()
+    want = {
+        "run": {**dataclasses.asdict(spec), "box": list(spec.box)},
+        "checks": [
+            {**{k: v for k, v in dataclasses.asdict(c).items() if k != "passed"}, "pass": c.passed}
+            for c in report.checks
+        ],
+        "discarded_points": report.discarded_points,
+        "version": report.version,
+    }
+    assert doc == want
+    assert list(doc["run"]) == list(want["run"])
+    assert [list(c) for c in doc["checks"]] == [list(c) for c in want["checks"]]
+    assert type(doc["run"]["box"]) is list
+    # editing the document leaves the spec and the report as they were
+    doc["run"]["config_source"]["m"].append(9.0)
+    for check in doc["checks"]:
+        if check["worst_point"] is not None:
+            check["worst_point"].append(9.0)
+    assert spec.config_source == source
+    assert report.to_json_dict() == want
 
 
 @pytest.mark.parametrize("command, source, _names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())

@@ -4,22 +4,22 @@ import pytest
 from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
 from trigwdvv.errors import DomainError, SingularMatrixError
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
-from trigwdvv.sampling import fully_active, rng_for
+from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import diagonality_report, pair_residual, sample_points
+from tests.oracles import diagonality_report, pair_residual, pivot_residuals_full, sample_points
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 M23 = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
 
 
-def sampled_tensors(params, count, seed_label, seed=42):
+def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
     config = build_bcn(params)
     pattern = fully_active(config)
     rng = rng_for(seed, seed_label)
-    pts = sample_points(rng, pattern, count)
+    pts = sample_points(rng, pattern, count, box)
     for x in pts:
         T = tensor_generic(config, x)
         yield x, T, metric_B(T, x)
@@ -266,6 +266,42 @@ def test_condition_is_numpy_cond_bit_for_bit():
             assert pivot_residuals(T, B[None])[2].tolist() == [np.linalg.cond(B)]
             assert pivot_residuals(T, T)[2].tolist() == [np.linalg.cond(F) for F in T]
             assert pivot_residuals(T)[2].tolist() == [1.0]
+
+
+# every oracle family, and unit-m BC_n at n = 16 and 20 (theorem and broken),
+# where the pairs-only pass saves most, at points of --box 0.3,4
+BIT_FOR_BIT = [(p, DEFAULT_BOX) for p in KERNEL_FAMILIES] + [
+    (p, (0.3, 4.0)) for n in (16, 20) for p in _theorem_and_broken(n, 0.0, 1.0, (1.0,) * n)
+]
+
+
+@pytest.mark.parametrize("params, box", BIT_FOR_BIT, ids=[f"n={p.n},r={p.r:.4g}" for p, _ in BIT_FOR_BIT])
+def test_kernel_is_the_full_pass_bit_for_bit(params, box):
+    # the pairs i < j and the norms read from the pivot stack give the full pass's floats exactly,
+    # also for a stack that holds the F_k but does not end with them ([T; B])
+    label = f"kernel/full/{params.n}/{params.r}"
+    for x, T, B in sampled_tensors(params, 3 if params.n < 16 else 2, label, box=box):
+        for pivots in (B[None], T, None, np.concatenate([B[None], T]), np.concatenate([T, B[None]])):
+            got, want = pivot_residuals(T, pivots), pivot_residuals_full(T, pivots)
+            for name, a, b in zip(("scaled", "raw", "condition"), got, want):
+                assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("stack, calls", [("[B; T]", 1), ("T", 1), ("B", 2), ("identity", 1)])
+def test_svd_calls_per_kernel_call(monkeypatch, stack, calls):
+    # verify-wdvv's stack [B, F_1..F_n] takes one SVD: the norms ||F_k|| are read from the pivots'
+    x, T, B = next(sampled_tensors(KERNEL_FAMILIES[6], 1, "kernel/svd"))  # n=10, on the relation
+    pivots = {"[B; T]": np.concatenate([B[None], T]), "T": T, "B": B[None], "identity": None}[stack]
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        seen.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    pivot_residuals(T, pivots)
+    assert len(seen) == calls, seen
 
 
 def test_singular_pivot_form_raises_naming_the_pivot():
