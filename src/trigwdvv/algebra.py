@@ -12,13 +12,11 @@ module computes that limit, its tangency residual and the structure constants.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .configurations import BCnParameters, Partition, _restriction, build_bcN_root_system
 from .errors import DimensionError
-from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth, tensor_generic
+from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
 
 def multiply(active, u, v) -> np.ndarray:
@@ -56,20 +54,13 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Per run, built once and shared by every point: the partition and its
+    Built once per run and shared by every point: the partition and its
     block basis, the projected configuration and its family parameters
     ``params`` (m = block sizes), ``subsystem``, the vectors of the block
     subsystem of BC_N(r, s, q) as ``Partition.block_coordinates`` marks it,
     and ``outside``, BC_N with the subsystem's multiplicities set to 0 (the
-    same members in the same order).
-
-    Per point: x_tilde in block-basis coordinates, the embedded point
-    sum_k x_tilde_k f_k, ``active``, the ``active_pairings`` of ``outside``
-    there (the point must be admissible for every covector outside the
-    subsystem), and ``projected_tensor``, tensor_generic of the projected
-    configuration at x_tilde.  ``at(x_tilde)`` gives the run's context at a
-    point, and the functions below that evaluate at a point take such a
-    context (given the per-run context, they raise AttributeError).
+    same members in the same order).  The functions below that evaluate at a
+    point take the context and ``pairings(x_tilde)`` at that point.
     """
 
     def __init__(
@@ -85,54 +76,56 @@ class RestrictionContext:
         self.subsystem = bcN.vectors[in_subsystem]
         self.outside = bcN._with_multiplicities(np.where(in_subsystem, 0.0, bcN.multiplicities))
 
-    def at(self, x_tilde) -> "RestrictionContext":
-        """This run's context at the point ``x_tilde``, sharing the per-run data."""
+    def pairings(self, x_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
+
+        ``x_tilde`` is in block-basis coordinates, and the point must be
+        admissible for every covector outside the subsystem.
+        """
         x_tilde = np.asarray(x_tilde, dtype=float)
         if x_tilde.shape != (self.part.n,):
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
-        point = copy.copy(self)
-        point.x_tilde, point.x_embedded = x_tilde, self.block_basis.T @ x_tilde
-        point.active = active_pairings(self.outside, point.x_embedded, self.threshold)
-        point.projected_tensor = tensor_generic(self.projected_config, x_tilde, self.threshold)
-        return point
+        return active_pairings(self.outside, self.block_basis.T @ x_tilde, self.threshold)
 
 
-def restricted_multiply(rctx: RestrictionContext, u, v) -> np.ndarray:
+def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     """Limit of u * v on the block subspace, for u, v tangent to it.
 
-    w = ``multiply`` over the covectors outside the block subsystem, projected
-    onto the block subspace as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
+    ``active`` is ``rctx.pairings`` at the point.  w = ``multiply`` over the
+    covectors outside the block subsystem, projected onto the block subspace
+    as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
     F = rctx.block_basis
-    return F.T @ ((F @ multiply(rctx.active, u, v)) / rctx.m)
+    return F.T @ ((F @ multiply(active, u, v)) / rctx.m)
 
 
-def tangency_residuals(rctx: RestrictionContext, u, v) -> np.ndarray:
-    """Tangency residuals at ``rctx``'s point, one per row alpha of ``subsystem``.
+def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
+    """Tangency residuals at the point of ``active``, one per row alpha of ``subsystem``.
 
     Each is |sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|
     scaled by the sum of absolute summands.  The sums vanish when u and v are
     constant on blocks; non-tangent inputs are accepted so the necessity of
     tangency can be demonstrated.  An empty subsystem gives an empty array.
     """
-    A, c, z = rctx.active
+    A, c, z = active
     # one row of summands per alpha; each row is reduced along its own
     # contiguous axis, so it sums exactly as a single alpha's summands would
     terms = c * (A @ u) * (A @ v) * (rctx.subsystem @ A.T) * coth(z)
     return np.abs(terms.sum(axis=1)) / np.maximum(1.0, np.abs(terms).sum(axis=1))
 
 
-def structure_constants(rctx: RestrictionContext) -> np.ndarray:
+def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:
     """C[i][j][k] with f_i * f_j = sum_k C[i][j][k] f_k, from restricted products.
 
-    Equals ``projected_tensor`` divided by m_k in the last index, but is
+    ``active`` is ``rctx.pairings`` at the point.  C equals the projected
+    configuration's tensor there divided by m_k in the last index, but is
     computed without it; tests check the two routes against each other.
     """
     n = rctx.part.n
     C = np.zeros((n, n, n))
     for i in range(n):
         for j in range(i, n):
-            y = restricted_multiply(rctx, rctx.block_basis[i], rctx.block_basis[j])
+            y = restricted_multiply(rctx, active, rctx.block_basis[i], rctx.block_basis[j])
             coeffs = (rctx.block_basis @ y) / rctx.m
             C[i, j, :] = coeffs
             C[j, i, :] = coeffs

@@ -2,13 +2,13 @@
 
 The theorem's three forms differ only in the pivot P: the metric B (pair
 form), any F_k (pivot form), or the identity (commuting form, for the
-rescaled tensor whose metric is a multiple of the identity).  One kernel
-evaluates all pairs (i, j) against a stack of pivots.  ``scaled`` divides the
-max-abs commutator entry by the operand norms (multiplicities of order ten
-inflate absolute residuals without signaling failure); ``raw`` keeps the
-unscaled entry because negative controls are judged against it.  A verifier
-that cannot fail verifies nothing, so the controls matter as much as the
-positive checks.
+rescaled tensor whose metric is a multiple of the identity).  Each equation
+is antisymmetric in (i, j), so one kernel evaluates the pairs i < j against a
+stack of pivots.  ``scaled`` divides the max-abs commutator entry by the
+operand norms (multiplicities of order ten inflate absolute residuals without
+signaling failure); ``raw`` keeps the unscaled entry because negative
+controls are judged against it.  A verifier that cannot fail verifies
+nothing, so the controls matter as much as the positive checks.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
 
     ``pivots`` is a (p, n, n) stack, e.g. ``B[None]`` for the pair form,
     ``[B, F_1..F_n]`` or the tensor itself for the pivot form (P = F_k), or
-    None for P = identity.  ``raw[p, i, j]`` is the max-abs entry of the
-    commutator-like matrix and ``scaled[p, i, j]`` is
-    raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm; both vanish
-    exactly for i = j and are exactly symmetric in (i, j).  ``condition[p]`` is
-    the spectral condition number of pivot p (1 for the identity).  A
-    non-finite tensor raises DomainError, and the pivots pass
-    ``usable_pivots``, both before any solve.
+    None for P = identity.  ``raw`` and ``scaled`` are (p, n(n-1)/2) arrays
+    over the pairs i < j in ``np.triu_indices(n, 1)`` order: ``raw[p, k]`` is
+    the max-abs entry of the commutator-like matrix of the k-th pair (i, j)
+    and ``scaled[p, k]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
+    spectral norm.  ``condition[p]`` is the spectral condition number of
+    pivot p (1 for the identity).  A non-finite tensor raises DomainError,
+    and the pivots pass ``usable_pivots``, both before any solve.
 
     When the stack ends with F_1..F_n, the norms ||F_i|| are read from the
     singular values ``usable_pivots`` took, so the call takes one SVD;
@@ -85,17 +85,15 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     if norms is None:
         norms = np.linalg.svd(T, compute_uv=False)[:, 0]
     i, j = _upper_pairs(n)
-    top = np.empty((len(X), len(i)))
+    raw = np.empty((len(X), len(i)))
     for p, Xp in enumerate(X):  # one pivot at a time keeps G at n^4 entries and M at half that
         # G[i, a, j, b] = (F_i P_p^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
         # flat T.reshape(n * n, n) @ Xp at n >= 16, which ran up to 6x slower on 2 vCPUs
         G = (T @ Xp).reshape(n, n, n, n)
         M = G[i, :, j, :]  # M[pair, a, b] = M_ij[a, b] for the pairs i < j
         M -= G[j, :, i, :]
-        top[p] = np.abs(M, out=M).max(axis=(1, 2))
-    raw = np.zeros((len(X), n, n))
-    raw[:, i, j] = raw[:, j, i] = top  # M_ji = -M_ij exactly, so max |M_ji| = max |M_ij|
-    scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
+        raw[p] = np.abs(M, out=M).max(axis=(1, 2))
+    scale = np.maximum(1.0, norms[i] * norms[j] * inv_norm[:, None])
     return raw / scale, raw, condition
 
 

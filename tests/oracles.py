@@ -133,10 +133,10 @@ def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAU
     return out
 
 
-def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
+def tangency_residual(rctx: RestrictionContext, active, u, v, alpha) -> float:
     """|sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|.
 
-    ``alpha`` must belong to the block subsystem, which must be nonempty.  The
+    ``active`` is ``rctx.pairings`` at the point x.  ``alpha`` must belong to the block subsystem, which must be nonempty.  The
     sum vanishes when u and v are constant on blocks; non-tangent inputs are
     accepted so the necessity of tangency can be demonstrated.  Scaled by the
     sum of absolute summands.
@@ -148,7 +148,7 @@ def tangency_residual(rctx: RestrictionContext, u, v, alpha) -> float:
         raise PreconditionError(f"alpha = {alpha.tolist()} is not a subsystem covector")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    A, c, z = rctx.active
+    A, c, z = active
     terms = c * (A @ u) * (A @ v) * (A @ alpha) * coth(z)
     scale = max(1.0, float(np.abs(terms).sum()))
     return abs(float(terms.sum())) / scale

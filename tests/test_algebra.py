@@ -20,7 +20,7 @@ from trigwdvv.configurations import (
     build_bcN_root_system,
     solve_r,
 )
-from trigwdvv.errors import PreconditionError, SingularityError
+from trigwdvv.errors import DimensionError, SingularityError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
@@ -31,9 +31,9 @@ BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 
 
-def h_b_decomposition(rctx):
-    """The restriction's metric-identity residual, as ``verify-restriction`` reports it."""
-    return max(metric_identity_residuals(rctx.params, rctx.projected_tensor, rctx.x_tilde))
+def h_b_decomposition(rctx, xt):
+    """The restriction's metric-identity residual at ``xt``, as ``verify-restriction`` reports it."""
+    return max(metric_identity_residuals(rctx.params, tensor_generic(rctx.projected_config, xt), xt))
 
 
 def block_constant(part, coeffs):
@@ -159,9 +159,9 @@ class TestAssociativity:
         # f_i o f_j = sum_k C_ijk f_k for the projected family at m = block sizes
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         active = active_pairings(rctx.projected_config, xt)
-        C = structure_constants(rctx)
+        C = structure_constants(rctx, rctx.pairings(xt))
         for i, j in itertools.product(range(2), repeat=2):
             e_i, e_j = np.eye(2)[i], np.eye(2)[j]
             assert np.abs(family_metric(rctx.params)(multiply(active, e_i, e_j)) - C[i, j]).max() < 1e-12
@@ -171,30 +171,31 @@ class TestRestrictedMultiply:
     def test_trivial_partition_matches_full_product(self):
         part = Partition(N=3, blocks=(1, 1, 1))
         xt = np.array([0.9, 0.5, 1.3])
-        rctx = RestrictionContext(-2.0, 0.0, 1.0, part).at(xt)
+        rctx = RestrictionContext(-2.0, 0.0, 1.0, part)
         config = build_bcN_root_system(3, -2.0, 0.0, 1.0)
         active = active_pairings(config, xt)
         rng = rng_for(4, "restricted/trivial")
         for _ in range(5):
             u, v = rng.standard_normal(3), rng.standard_normal(3)
-            assert np.allclose(restricted_multiply(rctx, u, v), multiply(active, u, v), atol=1e-14)
+            got = restricted_multiply(rctx, rctx.pairings(xt), u, v)
+            assert np.allclose(got, multiply(active, u, v), atol=1e-14)
 
     def test_output_is_block_constant(self):
         part = Partition(N=3, blocks=(2, 1))
-        rctx = RestrictionContext(1.0, 0.5, 1.0, part).at(np.array([0.9, 0.4]))
+        rctx = RestrictionContext(1.0, 0.5, 1.0, part)
         f1 = block_constant(part, [1.0, 0.0])
-        prod = restricted_multiply(rctx, f1, f1)
+        prod = restricted_multiply(rctx, rctx.pairings([0.9, 0.4]), f1, f1)
         assert abs(prod[0] - prod[1]) <= 1e-12
 
     def test_closure_over_samples(self):
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(8, "restricted/closure")
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         for xt in sample_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
             u = block_constant(part, rng.standard_normal(2))
             v = block_constant(part, rng.standard_normal(2))
-            prod = restricted_multiply(rctx, u, v)
+            prod = restricted_multiply(rctx, rctx.pairings(xt), u, v)
             for k in range(2):
                 rows = prod[part.block_indicators()[k] == 1.0]
                 assert rows.max() - rows.min() <= 1e-12 * max(1.0, np.abs(prod).max())
@@ -202,12 +203,12 @@ class TestRestrictedMultiply:
     def test_limit_of_full_product_is_first_order(self):
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         ambient = build_bcN_root_system(5, -20.0, 1.0, 2.0)
         rng = rng_for(15, "restricted/limit")
         u = block_constant(part, rng.standard_normal(2))
         v = block_constant(part, rng.standard_normal(2))
-        limit = restricted_multiply(rctx, u, v)
+        limit = restricted_multiply(rctx, rctx.pairings(xt), u, v)
         # fixed seeded direction orthogonal to the block subspace
         d = rng.standard_normal(5)
         F = part.block_indicators()
@@ -217,7 +218,7 @@ class TestRestrictedMultiply:
         d /= np.linalg.norm(d)
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            x = rctx.x_embedded + eps * d
+            x = block_constant(part, xt) + eps * d
             # the subsystem coth factors are finite off the subspace; the
             # admissibility margin is dropped so the path can approach it
             active = active_pairings(ambient, x, threshold=1e-12)
@@ -236,34 +237,35 @@ def test_restricted_product_matches_the_member_loop(part):
     restriction = RestrictionContext(r, s, q, part)
     rng = rng_for(19, f"restricted/loop/{part.blocks}")
     for xt in sample_points(rng, fully_active(restriction.projected_config), 3):
-        rctx = restriction.at(xt)
+        active = restriction.pairings(xt)
         u = block_constant(part, rng.standard_normal(part.n))
         v = block_constant(part, rng.standard_normal(part.n))
         want = restricted_multiply_loop(part, r, s, q, xt, u, v)
-        assert np.abs(restricted_multiply(rctx, u, v) - want).max() <= 1e-13 * np.abs(want).max()
+        got = restricted_multiply(restriction, active, u, v)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # C[i, j, k] is the f_k coefficient of f_i * f_j: the loop's value on block k
         first = np.cumsum((0, *part.blocks[:-1]))
         want_C = np.array(
-            [[restricted_multiply_loop(part, r, s, q, xt, fi, fj)[first] for fj in rctx.block_basis]
-             for fi in rctx.block_basis]
+            [[restricted_multiply_loop(part, r, s, q, xt, fi, fj)[first] for fj in restriction.block_basis]
+             for fi in restriction.block_basis]
         )
-        assert np.abs(structure_constants(rctx) - want_C).max() <= 1e-13 * np.abs(want_C).max()
+        assert np.abs(structure_constants(restriction, active) - want_C).max() <= 1e-13 * np.abs(want_C).max()
 
 
 class TestTangency:
     def setup_method(self):
         self.part = Partition(N=3, blocks=(2, 1))
-        self.rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part).at(np.array([0.9, 0.4]))
+        self.rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part)
+        self.active = self.rctx.pairings([0.9, 0.4])
 
     def test_tangent_pairs_sum_to_zero(self):
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 1.0))))
         rng = rng_for(16, "tangency/sweep")
         worst = 0.0
         for xt in sample_points(rng, pattern, 50):
-            rctx = RestrictionContext(-2.0, 0.0, 1.0, self.part).at(xt)
             u = block_constant(self.part, rng.standard_normal(2))
             v = block_constant(self.part, rng.standard_normal(2))
-            worst = max(worst, tangency_residuals(rctx, u, v).max())
+            worst = max(worst, tangency_residuals(self.rctx, self.rctx.pairings(xt), u, v).max())
         assert worst < 1e-10
 
     def test_non_tangent_input_breaks_identity(self):
@@ -272,13 +274,13 @@ class TestTangency:
         for _ in range(20):
             u = rng.standard_normal(3)  # not block-constant
             v = block_constant(self.part, rng.standard_normal(2))
-            vals.append(tangency_residuals(self.rctx, u, v).max())
+            vals.append(tangency_residuals(self.rctx, self.active, u, v).max())
         assert np.median(vals) > 1e-3
 
     def test_empty_subsystem_gives_no_residuals(self):
         part = Partition(N=2, blocks=(1, 1))
-        rctx = RestrictionContext(1.0, 1.0, 1.0, part).at(np.array([0.9, 0.4]))
-        assert tangency_residuals(rctx, np.ones(2), np.ones(2)).shape == (0,)
+        rctx = RestrictionContext(1.0, 1.0, 1.0, part)
+        assert tangency_residuals(rctx, rctx.pairings([0.9, 0.4]), np.ones(2), np.ones(2)).shape == (0,)
 
     @pytest.mark.parametrize("blocks", [(2, 1), (2, 3), (5, 5, 5, 5)])
     def test_rows_equal_the_single_alpha_oracle(self, blocks):
@@ -288,46 +290,36 @@ class TestTangency:
         pattern = fully_active(restriction.projected_config)
         rng = rng_for(18, "tangency/oracle")
         for xt in sample_points(rng, pattern, 5):
-            rctx = restriction.at(xt)
+            active = restriction.pairings(xt)
             # a non-tangent u keeps the sums away from zero
             u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(n))
-            expected = [tangency_residual(rctx, u, v, alpha) for alpha in rctx.subsystem]
-            got = tangency_residuals(rctx, u, v)
+            expected = [tangency_residual(restriction, active, u, v, alpha) for alpha in restriction.subsystem]
+            got = tangency_residuals(restriction, active, u, v)
             assert got.shape == (len(expected),) and len(expected) > 0
             assert got.tolist() == expected
 
 
 class TestRestrictionContext:
-    def test_projected_tensor_is_the_generic_tensor_at_the_point(self):
+    def test_pairings_are_the_outside_pairings_at_the_embedded_point(self):
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-        assert np.array_equal(rctx.projected_tensor, tensor_generic(rctx.projected_config, xt))
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
+        want = active_pairings(rctx.outside, block_constant(part, xt))
+        assert all(np.array_equal(a, b) for a, b in zip(rctx.pairings(xt), want, strict=True))
 
-    @pytest.mark.parametrize(
-        "evaluate",
-        [
-            lambda rctx, u: restricted_multiply(rctx, u, u),
-            lambda rctx, u: tangency_residuals(rctx, u, u),
-            lambda rctx, u: structure_constants(rctx),
-            lambda rctx, u: h_b_decomposition(rctx),
-        ],
-        ids=["restricted_multiply", "tangency_residuals", "structure_constants", "h_b_decomposition"],
-    )
-    def test_unplaced_context_names_the_missing_attribute(self, evaluate):
-        # the per-run context has no point; a per-point function must say so
-        part = Partition(N=5, blocks=(2, 3))
-        restriction = RestrictionContext(-20.0, 1.0, 2.0, part)
-        with pytest.raises(AttributeError, match="'RestrictionContext' object has no attribute"):
-            evaluate(restriction, block_constant(part, [1.0, 2.0]))
+    @pytest.mark.parametrize("xt", [[0.9], [0.9, 0.4, 0.2], [[0.9, 0.4]]], ids=["short", "long", "nested"])
+    def test_pairings_refuse_a_point_of_the_wrong_shape(self, xt):
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
+        with pytest.raises(DimensionError, match=r"x_tilde has shape .*, expected \(2,\)"):
+            rctx.pairings(xt)
 
 
 class TestStructureConstants:
     def test_trivial_partition_reduces_to_tensor(self):
         part = Partition(N=3, blocks=(1, 1, 1))
         xt = np.array([0.9, 0.5, 1.3])
-        rctx = RestrictionContext(-2.0, 0.0, 1.0, part).at(xt)
-        C = structure_constants(rctx)
+        rctx = RestrictionContext(-2.0, 0.0, 1.0, part)
+        C = structure_constants(rctx, rctx.pairings(xt))
         F = tensor_generic(build_bcN_root_system(3, -2.0, 0.0, 1.0), xt)
         assert np.abs(C - F).max() < 1e-12
 
@@ -335,9 +327,9 @@ class TestStructureConstants:
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(23, "structure/two-path")
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         for xt in sample_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-            C = structure_constants(rctx)
+            C = structure_constants(rctx, rctx.pairings(xt))
             Ft = tensor_generic(rctx.projected_config, xt)
             expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
             scale = max(1.0, np.abs(expected).max())
@@ -348,10 +340,10 @@ class TestStructureConstants:
         # satisfies the pair equations with B = diag(m)
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
-        rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         Ft = tensor_generic(rctx.projected_config, xt)
         H = np.diag(rctx.m)
-        assert pivot_residuals(Ft, H[None])[0][0, 0, 1] < 1e-12
+        assert pivot_residuals(Ft, H[None])[0][0, 0] < 1e-12
 
 
 class TestHBDecomposition:
@@ -359,18 +351,16 @@ class TestHBDecomposition:
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(31, "hb/ok")
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         for xt in sample_points(rng, pattern, 20):
-            rctx = RestrictionContext(-20.0, 1.0, 2.0, part).at(xt)
-            assert h_b_decomposition(rctx) < 1e-10
+            assert h_b_decomposition(rctx, xt) < 1e-10
 
     def test_broken_constraint(self):
         part = Partition(N=5, blocks=(2, 3))
         pattern = fully_active(build_bcn(BCnParameters(n=2, r=1, s=1, q=1, m=(2.0, 3.0))))
         rng = rng_for(31, "hb/broken")
-        vals = []
-        for xt in sample_points(rng, pattern, 20):
-            rctx = RestrictionContext(-19.5, 1.0, 2.0, part).at(xt)
-            vals.append(h_b_decomposition(rctx))
+        rctx = RestrictionContext(-19.5, 1.0, 2.0, part)
+        vals = [h_b_decomposition(rctx, xt) for xt in sample_points(rng, pattern, 20)]
         assert min(vals) > 1e-6
 
     def test_single_block_scalar_case(self):
@@ -379,8 +369,8 @@ class TestHBDecomposition:
         r = -8.0 * 0.5 - 2.0 * 1.0 * (N - 2)
         part = Partition(N=N, blocks=(N,))
         xt = np.array([0.7])
-        rctx = RestrictionContext(r, 0.5, 1.0, part).at(xt)
-        assert h_b_decomposition(rctx) < 1e-12
+        rctx = RestrictionContext(r, 0.5, 1.0, part)
+        assert h_b_decomposition(rctx, xt) < 1e-12
         F111 = tensor_generic(rctx.projected_config, xt)[0, 0, 0]
         h = h_function(rctx.params, xt)
         assert math.isclose(math.sinh(2 * 0.7) / h * F111, float(N), rel_tol=1e-12)
@@ -388,6 +378,7 @@ class TestHBDecomposition:
     def test_h_zero_gives_a_finite_residual(self):
         # r = s = q = 0: h = 0 and every multiplicity is 0; nothing divides by h
         part = Partition(N=2, blocks=(2,))
-        rctx = RestrictionContext(0.0, 0.0, 0.0, part).at(np.array([0.7]))
-        assert h_function(rctx.params, rctx.x_tilde) == 0.0
-        assert metric_identity_residuals(rctx.params, rctx.projected_tensor, rctx.x_tilde) == (0.0, 0.0)
+        rctx = RestrictionContext(0.0, 0.0, 0.0, part)
+        xt = np.array([0.7])
+        assert h_function(rctx.params, xt) == 0.0
+        assert metric_identity_residuals(rctx.params, tensor_generic(rctx.projected_config, xt), xt) == (0.0, 0.0)

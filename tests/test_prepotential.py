@@ -178,7 +178,7 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 HYPERPLANE_CALLERS = {
     "tensor_generic": lambda x: tensor_generic(build_bcn(BC2), x),
     "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
-    "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).at(x),
+    "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).pairings(x),
     "bosonic_potential": lambda x: susy.bosonic_potential(build_bcn(BC2), x),
     "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
     "gauge_residual": lambda x: susy.gauge_residual(build_bcn(BC2), x),

@@ -27,18 +27,18 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
 
 class TestWdvvResidual:
     def test_equal_indices_vanish_exactly(self):
+        # the kernel keeps the pairs i < j only, since M_ii = 0 exactly, as the full pass shows
         for x, T, B in sampled_tensors(BC3, 3, "wdvv/equal"):
             scaled, raw, condition = pivot_residuals(T, B[None])
-            assert scaled[0, 1, 1] == 0.0 and raw[0, 1, 1] == 0.0
+            assert scaled.shape == raw.shape == (1, 3)
+            full_scaled, full_raw, _ = pivot_residuals_full(T, B[None])
+            assert full_scaled[0, 1, 1] == 0.0 and full_raw[0, 1, 1] == 0.0
             assert condition[0] >= 1.0
 
     def test_theorem_family(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "wdvv/theorem"):
-            scaled = pivot_residuals(T, B[None])[0]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    worst = max(worst, scaled[0, i, j])
+            worst = max(worst, pivot_residuals(T, B[None])[0].max())
         assert worst < 1e-8
 
     def test_broken_constraint_fails_generically(self):
@@ -46,13 +46,7 @@ class TestWdvvResidual:
         total = 0
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "wdvv/broken"):
             total += 1
-            raw = pivot_residuals(T, B[None])[1]
-            worst = max(
-                raw[0, i, j]
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-            if worst > 1e-3:
+            if pivot_residuals(T, B[None])[1].max() > 1e-3:
                 above += 1
         assert above >= 0.9 * total
 
@@ -61,8 +55,8 @@ class TestWdvvResidual:
             M_ij = T[0] @ np.linalg.solve(B, T[1]) - T[1] @ np.linalg.solve(B, T[0])
             M_ji = T[1] @ np.linalg.solve(B, T[0]) - T[0] @ np.linalg.solve(B, T[1])
             assert np.abs(M_ij + M_ji).max() == 0.0
-            scaled = pivot_residuals(T, B[None])[0]
-            assert scaled[0, 0, 1] == scaled[0, 1, 0]
+            full = pivot_residuals_full(T, B[None])[0]
+            assert full[0, 0, 1] == full[0, 1, 0] == pivot_residuals(T, B[None])[0][0, 0]
 
     def test_singular_metric_raises(self):
         T = np.zeros((2, 2, 2))
@@ -75,31 +69,22 @@ class TestWdvvResidual:
 class TestGeneralizedWdvv:
     def test_degenerate_index_choices_vanish(self):
         for x, T, B in sampled_tensors(BC3, 2, "gen/equal"):
-            scaled = pivot_residuals(T, T)[0]
-            assert scaled[0, 1, 1] == 0.0
-            assert scaled[2, 0, 0] == 0.0
+            assert pivot_residuals(T, T)[0].shape == (3, 3)  # 3 pivots, 3 pairs i < j
+            full = pivot_residuals_full(T, T)[0]
+            assert full[0, 1, 1] == 0.0
+            assert full[2, 0, 0] == 0.0
 
     def test_theorem_family_all_triples(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "gen/theorem"):
-            scaled = pivot_residuals(T, T)[0]
-            for k in range(3):
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        worst = max(worst, scaled[k, i, j])
+            worst = max(worst, pivot_residuals(T, T)[0].max())
         assert worst < 1e-8
 
     def test_broken_constraint(self):
         above = total = 0
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "gen/broken"):
             total += 1
-            worst = 0.0
-            raw = pivot_residuals(T, T)[1]
-            for k in range(3):
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        worst = max(worst, raw[k, i, j])
-            if worst > 1e-3:
+            if pivot_residuals(T, T)[1].max() > 1e-3:
                 above += 1
         assert above >= 0.9 * total
 
@@ -110,13 +95,8 @@ class TestGeneralizedWdvv:
             pair_ok, gen_ok = True, True
             for x, T, B in sampled_tensors(params, 20, "equiv"):
                 pair, pivot = pivot_residuals(T, B[None])[0], pivot_residuals(T, T)[0]
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        if pair[0, i, j] >= tol:
-                            pair_ok = False
-                        for k in range(3):
-                            if pivot[k, i, j] >= tol_gen:
-                                gen_ok = False
+                pair_ok = pair_ok and pair.max() < tol
+                gen_ok = gen_ok and pivot.max() < tol_gen
             assert pair_ok == should_pass
             assert gen_ok == should_pass
 
@@ -124,7 +104,8 @@ class TestGeneralizedWdvv:
 class TestCommutingResidual:
     def test_equal_indices(self):
         T = tensor_generic(build_hat_configuration(M23).config, np.array([0.8, 0.5]))
-        assert pivot_residuals(T)[0][0, 0, 0] == 0.0
+        assert pivot_residuals(T)[0].shape == (1, 1)  # the one pair (0, 1)
+        assert pivot_residuals_full(T)[0][0, 0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
         hat = build_hat_configuration(M23).config
@@ -132,7 +113,7 @@ class TestCommutingResidual:
         worst = 0.0
         for x in sample_points(rng, fully_active(hat), 50):
             T = tensor_generic(hat, x)
-            worst = max(worst, pivot_residuals(T)[0][0, 0, 1])
+            worst = max(worst, pivot_residuals(T)[0][0, 0])
         assert worst < 1e-8
 
     def test_unrescaled_tensor_does_not_commute(self):
@@ -142,7 +123,7 @@ class TestCommutingResidual:
         vals = []
         for x in sample_points(rng, pattern, 50):
             T = tensor_generic(build_bcn(M23), x)
-            vals.append(pivot_residuals(T)[1][0, 0, 1])
+            vals.append(pivot_residuals(T)[1][0, 0])
         assert np.median(vals) > 1e-3
 
     def test_matches_wdvv_when_metric_is_scalar(self):
@@ -150,9 +131,7 @@ class TestCommutingResidual:
         tol = 1e-10
         for x, T, B in sampled_tensors(BC3, 20, "commuting/scalar"):
             pair, commuting = pivot_residuals(T, B[None])[0], pivot_residuals(T)[0]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    assert (pair[0, i, j] < tol) == (commuting[0, i, j] < tol)
+            assert np.array_equal(pair < tol, commuting < tol)
 
 
 class TestNTwoIsVacuous:
@@ -165,7 +144,7 @@ class TestNTwoIsVacuous:
         broken = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
         worst = 0.0
         for x, T, B in sampled_tensors(broken, 30, "n2/vacuous"):
-            worst = max(worst, pivot_residuals(T, B[None])[0][0, 0, 1])
+            worst = max(worst, pivot_residuals(T, B[None])[0][0, 0])
         assert worst < 1e-8
 
     def test_commuting_form_detects_broken_constraint(self):
@@ -175,7 +154,7 @@ class TestNTwoIsVacuous:
         vals = []
         for x in sample_points(rng, fully_active(hat), 30):
             T = tensor_generic(hat, x)
-            vals.append(pivot_residuals(T)[1][0, 0, 1])
+            vals.append(pivot_residuals(T)[1][0, 0])
         assert np.median(vals) > 1e-3
 
 
@@ -251,13 +230,12 @@ def test_kernel_matches_per_pair_oracle(params):
             (pivot_residuals(T), [None]),
         )
         for (scaled, raw, _), pivots in forms:
-            assert scaled.shape == raw.shape == (len(pivots), n, n)
+            assert scaled.shape == raw.shape == (len(pivots), n * (n - 1) // 2)
             for p, P in enumerate(pivots):
-                for i in range(n):
-                    for j in range(n):
-                        want_scaled, want_raw = pair_residual(T, i, j, P)
-                        assert abs(scaled[p, i, j] - want_scaled) <= 1e-14
-                        assert raw[p, i, j] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
+                for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+                    want_scaled, want_raw = pair_residual(T, i, j, P)
+                    assert abs(scaled[p, k] - want_scaled) <= 1e-14
+                    assert raw[p, k] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
 
 
 def test_condition_is_numpy_cond_bit_for_bit():
@@ -278,13 +256,18 @@ BIT_FOR_BIT = [(p, DEFAULT_BOX) for p in KERNEL_FAMILIES] + [
 @pytest.mark.parametrize("params, box", BIT_FOR_BIT, ids=[f"n={p.n},r={p.r:.4g}" for p, _ in BIT_FOR_BIT])
 def test_kernel_is_the_full_pass_bit_for_bit(params, box):
     # the pairs i < j and the norms read from the pivot stack give the full pass's floats exactly,
-    # also for a stack that holds the F_k but does not end with them ([T; B])
+    # also for a stack that holds the F_k but does not end with them ([T; B]); the full pass's
+    # matrices are symmetric with a zero diagonal, so the pairs i < j hold all of their content
     label = f"kernel/full/{params.n}/{params.r}"
+    i, j = np.triu_indices(params.n, 1)
     for x, T, B in sampled_tensors(params, 3 if params.n < 16 else 2, label, box=box):
         for pivots in (B[None], T, None, np.concatenate([B[None], T]), np.concatenate([T, B[None]])):
             got, want = pivot_residuals(T, pivots), pivot_residuals_full(T, pivots)
-            for name, a, b in zip(("scaled", "raw", "condition"), got, want):
-                assert np.array_equal(a, b), name
+            for name, a, b in zip(("scaled", "raw"), got, want):
+                assert np.array_equal(a, b[:, i, j]), name
+                assert np.array_equal(b, b.transpose(0, 2, 1)), name
+                assert not b.diagonal(axis1=1, axis2=2).any(), name
+            assert np.array_equal(got[2], want[2]), "condition"
 
 
 @pytest.mark.parametrize("stack, calls", [("[B; T]", 1), ("T", 1), ("B", 2), ("identity", 1)])
