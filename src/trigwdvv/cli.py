@@ -57,7 +57,7 @@ from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fu
 from .wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# the discard reason of a point whose metric or pivot fails the usable-pivot rule
+# the one discard reason: the point's metric or a pivot fails the usable-pivot rule
 _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 
 # ---------------------------------------------------------------------------
@@ -291,31 +291,31 @@ def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
 
 
 def _sampled(report: VerificationReport, config: Configuration, residuals) -> None:
-    """Append the checks of ``residuals``, evaluated at ``samples`` admissible points.
+    """Append the checks of ``residuals``, evaluated at ``samples`` accepted points.
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
     whose generator is keyed by "<command>/points", and ``residuals(rng, x)``
     takes any further random draws from the same generator.  It returns
-    {check name: residual or residuals} at the point, or a short reason
-    (completing "the point had ...") to discard the point, which is counted
-    and replaced.  Past the discard cap the run ends with a SamplingError
-    that gives the count of each reason.  Checks are reported in key order,
-    and a check that received no residual is left out of the report.
+    {check name: residual or residuals} at the point.  The one discard rule
+    lives here: a point where it raises SingularMatrixError (a metric or pivot
+    that fails ``wdvv.usable_pivots``) is counted in ``discarded_points`` and
+    replaced, and past the discard cap the run ends with a SamplingError that
+    gives the count.  Any other error propagates.  Checks are reported in key
+    order, and a check that received no residual is left out of the report.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
     points = admissible_points(rng, fully_active(config), spec.box, spec.threshold)
     collected: dict[str, tuple[list, list]] = {}
-    reasons: dict[str, int] = {}
     accepted = 0
     while accepted < spec.samples:
         if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
-            counts = ", ".join(f"{k} had {reason}" for reason, k in reasons.items())
-            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {counts}")
+            discarded = f"{report.discarded_points} had {_UNUSABLE_PIVOT}"
+            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {discarded}")
         x = next(points)
-        values = residuals(rng, x)
-        if isinstance(values, str):
-            reasons[values] = reasons.get(values, 0) + 1
+        try:
+            values = residuals(rng, x)
+        except SingularMatrixError:
             report.discarded_points += 1
             continue
         accepted += 1
@@ -334,8 +334,7 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
 # command drivers
 
 
-def _run_wdvv(report: VerificationReport, parsed) -> None:
-    spec = report.run
+def _run_wdvv(spec: RunSpec, parsed):
     config = _config_of(parsed)
     n = config.dimension
     if n < 3:
@@ -347,22 +346,20 @@ def _run_wdvv(report: VerificationReport, parsed) -> None:
     def residuals(rng, x):
         T = tensor_generic(config, x, spec.threshold)
         # pivot 0 is the metric B (pair form), pivot 1 + k is F_k (pivot form)
-        try:
-            scaled = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))[0]
-        except SingularMatrixError:
-            return _UNUSABLE_PIVOT
+        scaled = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))[0]
         return {
             "wdvv_pair_residual": scaled[0],
             "generalized_wdvv_residual": scaled[1:],
         }
 
-    _sampled(report, config, residuals)
+    return {}, config, residuals
 
 
-def _run_associativity(report: VerificationReport, parsed) -> None:
-    spec = report.run
+def _run_associativity(spec: RunSpec, parsed):
     config = _config_of(parsed)
     n = config.dimension
+    if isinstance(parsed, BCnParameters) and not parsed.m_array.all():
+        raise PreconditionError(f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
 
     def residuals(rng, x):
         active = active_pairings(config, x, spec.threshold)
@@ -370,12 +367,9 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
 
             def raise_index(y):  # the family's metric diag(m)
                 return y / parsed.m_array
-        else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule
+        else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
             B = metric_B(tensor_generic(config, x, spec.threshold), x)
-            try:
-                usable_pivots(B[None])
-            except SingularMatrixError:
-                return _UNUSABLE_PIVOT
+            usable_pivots(B[None])
 
             def raise_index(y):
                 return np.linalg.solve(B, y)
@@ -383,11 +377,10 @@ def _run_associativity(report: VerificationReport, parsed) -> None:
         u, v, w = (rng.standard_normal(n) for _ in range(3))
         return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
 
-    _sampled(report, config, residuals)
+    return {}, config, residuals
 
 
-def _run_metric(report: VerificationReport, parsed) -> None:
-    spec = report.run
+def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
 
@@ -395,11 +388,10 @@ def _run_metric(report: VerificationReport, parsed) -> None:
         off, diag = metric_identity_residuals(params, tensor_generic(config, x, spec.threshold), x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
-    _sampled(report, config, residuals)
+    return {}, config, residuals
 
 
-def _run_restriction(report: VerificationReport, parsed) -> None:
-    spec = report.run
+def _run_restriction(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     try:
         part = Partition(N=int(params.N), blocks=params.m)
@@ -417,7 +409,6 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
             float(np.abs(projected.vectors - rebuilt.vectors).max(initial=0.0)),
             float(np.abs(c[0] - c[1]).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0))),
         )
-    report.checks.append(_check_result("restriction_config_match", [dev], [None], spec.tolerance))
 
     F_basis = restriction.block_basis
 
@@ -439,18 +430,15 @@ def _run_restriction(report: VerificationReport, parsed) -> None:
             "h_b_decomposition": np.max(metric),  # NaN-propagating, unlike max()
         }
 
-    _sampled(report, projected, residuals)
+    return {"restriction_config_match": dev}, projected, residuals
 
 
-def _run_susy(report: VerificationReport, parsed) -> None:
-    spec = report.run
+def _run_susy(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     hat = susy.build_hat_configuration(params)
     n = params.n
 
-    anticommutation = [susy.anticommutation_residual(susy.FermionicSpace(n))]
-    report.checks.append(_check_result("fermionic_anticommutation", anticommutation, [None], spec.tolerance))
-
+    anticommutation = susy.anticommutation_residual(susy.FermionicSpace(n))
     sq = np.sqrt(params.m_array)
 
     def hat_residuals(rng, xh):
@@ -467,9 +455,11 @@ def _run_susy(report: VerificationReport, parsed) -> None:
             "gauge_residual": susy.gauge_residual(hat.config, xh, spec.threshold),
         }
 
-    _sampled(report, hat.config, hat_residuals)
+    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals
 
 
+# a driver declares its run: (one-value checks {name: value}, the configuration to
+# sample, the residual function for _sampled); run builds the report from these
 VERIFIERS = {
     "verify-wdvv": _run_wdvv,
     "verify-associativity": _run_associativity,
@@ -491,7 +481,9 @@ def run(spec: RunSpec) -> VerificationReport:
     # sinh and cosh overflow far from the origin: each non-finite value is then refused by
     # name or fails its check, so numpy's warnings would only print ahead of that verdict
     with np.errstate(over="ignore", invalid="ignore"):
-        driver(report, parsed)
+        one_value, config, residuals = driver(spec, parsed)
+        report.checks += [_check_result(name, [v], [None], spec.tolerance) for name, v in one_value.items()]
+        _sampled(report, config, residuals)
     return report
 
 

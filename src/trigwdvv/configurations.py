@@ -182,13 +182,8 @@ class Partition:
         return coords, (coords == 0.0).all(axis=1)
 
 
-def constraint_residual(p: BCnParameters) -> float:
-    """r + 8s + 2q(N - 2); zero exactly when the multiplicity relation holds."""
-    return p.r + 8.0 * p.s + 2.0 * p.q * (p.N - 2.0)
-
-
 def solve_r(s: float, q: float, m) -> float:
-    """The value of r that closes the multiplicity relation for given s, q, m."""
+    """The value of r that closes the multiplicity relation r + 8s + 2q(N - 2) = 0, N = sum(m)."""
     return -8.0 * s - 2.0 * q * (float(sum(m)) - 2.0)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError
 
 # A pivot whose spectral condition number is above this is unusable:
-# usable_pivots refuses it, and the verification drivers discard and
-# resample the point, since near-singular pivots produce meaningless
-# residuals, not counterexamples.
+# usable_pivots refuses it, and the verifiers' sampling loop (cli._sampled)
+# discards and resamples the point, since near-singular pivots produce
+# meaningless residuals, not counterexamples.
 CONDITION_CAP = 1e8
 
 

@@ -25,7 +25,13 @@ from trigwdvv.cli import (
     run,
 )
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
-from trigwdvv.errors import ConfigFormatError, PreconditionError, SamplingError
+from trigwdvv.errors import (
+    ConfigFormatError,
+    DomainError,
+    PreconditionError,
+    SamplingError,
+    SingularMatrixError,
+)
 from trigwdvv.prepotential import h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
@@ -479,6 +485,19 @@ def test_explicit_source_with_a_singular_metric_discards_every_point():
         run(spec)
 
 
+@pytest.mark.parametrize("m", ["1,0", "0,1,1"])
+def test_associativity_refuses_a_family_with_a_zero_m(capsys, m):
+    # the family route raises indices with diag(m), which is no metric when
+    # some m_i = 0: y / m would be 0/0, a NaN residual reported as FAILED
+    n = str(m.count(",") + 1)
+    argv = ["verify-associativity", "--family", "bcn", "--n", n, "--r", "0", "--s", "0", "--q", "1", "--m", m]
+    assert main(argv + ["--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PreconditionError: verify-associativity")
+    assert "m_i != 0" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "command, source",
     [
@@ -569,17 +588,26 @@ def test_a_run_examines_its_sampling_pattern_once(monkeypatch, command, source, 
         assert len(calls) == 1, samples
 
 
+def _sampled_into(report, per_point, points):
+    """Run ``_sampled`` into ``report`` with one residual dict per point, appending each
+    point to ``points``; an exception in ``per_point`` is raised at its point instead."""
+
+    def residuals(rng, x):
+        points.append(x.tolist())
+        value = per_point[len(points) - 1]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals)
+
+
 def _sampled_checks(per_point):
     """The checks ``_sampled`` builds from one residual dict per point, and the points."""
     spec = RunSpec(command="verify-wdvv", config_source={}, samples=len(per_point))
     report = VerificationReport(run=spec)
     points = []
-
-    def residuals(rng, x):
-        points.append(x.tolist())
-        return per_point[len(points) - 1]
-
-    _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals)
+    _sampled_into(report, per_point, points)
     return report.checks, points
 
 
@@ -601,6 +629,28 @@ def test_worst_point_is_the_first_non_finite_else_the_first_maximum(values, wors
     assert np.array_equal(check.max_residual, worst_value, equal_nan=True)
     assert np.array_equal(check.mean_residual, np.mean(flat), equal_nan=True)
     assert check.passed is False
+
+
+def test_a_singular_matrix_error_discards_the_point_and_nothing_else_does():
+    # the one discard rule: a residual function that raises SingularMatrixError
+    # (the usable-pivot rule's refusal) has its point counted and replaced, and
+    # no residual of that point reaches a check
+    accepted = [{"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 1.0}, {"a": 2.0, "b": 4.0}]
+    refused = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=3))
+    points = []
+    _sampled_into(report, [accepted[0], refused, accepted[1], refused, accepted[2]], points)
+    assert report.discarded_points == 2
+    assert [c.name for c in report.checks] == ["a", "b"]
+    assert [c.worst_point for c in report.checks] == [points[0], points[4]]
+    assert [c.mean_residual for c in report.checks] == [2.0, 2.0]
+
+    # any other error ends the run and is not counted as a discard
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=3))
+    with pytest.raises(DomainError, match="pivot 0 is not finite"):
+        _sampled_into(report, [accepted[0], DomainError("pivot 0 is not finite"), accepted[1]], [])
+    assert report.discarded_points == 0
+    assert report.checks == []
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from trigwdvv.configurations import (
     Partition,
     build_bcn,
     build_bcN_root_system,
-    constraint_residual,
     restrict_configuration,
     solve_r,
 )
@@ -124,17 +123,21 @@ class TestTypes:
 
 
 class TestConstraintResidual:
+    # the multiplicity relation r + 8s + 2q(N - 2) = 0 is written out in each test as its reference
     def test_b2_point(self):
         p = BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0))
-        assert constraint_residual(p) == 0.0
+        assert p.r + 8.0 * p.s + 2.0 * p.q * (p.N - 2.0) == 0.0
+        assert solve_r(p.s, p.q, p.m) == p.r
 
     def test_m23_point(self):
         p = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
-        assert constraint_residual(p) == 0.0
+        assert p.r + 8.0 * p.s + 2.0 * p.q * (p.N - 2.0) == 0.0
+        assert solve_r(p.s, p.q, p.m) == p.r
 
     def test_all_zero(self):
         p = BCnParameters(n=1, r=0.0, s=0.0, q=0.0, m=(1.0,))
-        assert constraint_residual(p) == 0.0
+        assert p.r + 8.0 * p.s + 2.0 * p.q * (p.N - 2.0) == 0.0
+        assert solve_r(p.s, p.q, p.m) == p.r
 
     @given(
         s=st.floats(-3, 3, allow_nan=False),
@@ -144,7 +147,7 @@ class TestConstraintResidual:
     @settings(max_examples=50, deadline=None)
     def test_solve_r_closes_the_relation(self, s, q, m):
         p = BCnParameters(n=len(m), r=solve_r(s, q, m), s=s, q=q, m=tuple(m))
-        assert abs(constraint_residual(p)) <= 1e-12 * max(1.0, 8 * abs(s) + 2 * abs(q) * p.N)
+        assert abs(p.r + 8.0 * s + 2.0 * q * (p.N - 2.0)) <= 1e-12 * max(1.0, 8 * abs(s) + 2 * abs(q) * p.N)
 
 
 class TestBuildBcn:
@@ -210,7 +213,8 @@ class TestBuildBcNRootSystem:
     def test_bN_short_root_condition(self):
         # with q=1, s=0 the relation closes at r = -2(N-2)
         p = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
-        assert constraint_residual(p) == 0.0
+        assert p.r + 8.0 * p.s + 2.0 * p.q * (p.N - 2.0) == 0.0
+        assert solve_r(p.s, p.q, p.m) == p.r
 
 
 class TestRestrictConfiguration:
