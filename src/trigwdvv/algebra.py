@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configurations import BCnParameters, Partition, _restriction, build_bcN_root_system
+from .configurations import BCnParameters, Configuration, Partition, _restriction, build_bcN_root_system
 from .errors import DimensionError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
@@ -74,7 +74,7 @@ class RestrictionContext:
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
         self.subsystem = bcN.vectors[in_subsystem]
-        self.outside = bcN._with_multiplicities(np.where(in_subsystem, 0.0, bcN.multiplicities))
+        self.outside = Configuration(bcN.dimension, bcN.vectors, np.where(in_subsystem, 0.0, bcN.multiplicities))
 
     def pairings(self, x_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.

@@ -221,15 +221,15 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
         for key in ("dimension", "members"):
             if key not in body:
                 raise ConfigFormatError(f"explicit document is missing field {key!r}")
-        members = []
+        vectors, mults = [], []
         try:
             for i, entry in enumerate(_array(body["members"], "members")):
                 if not isinstance(entry, dict) or "vector" not in entry or "multiplicity" not in entry:
                     raise ConfigFormatError(f"member {i} must be an object with fields 'vector' and 'multiplicity'")
                 vector = _array(entry["vector"], f"member {i} vector")
-                vector = tuple(_number(v, f"member {i} vector entry") for v in vector)
-                members.append((vector, _number(entry["multiplicity"], f"member {i} multiplicity")))
-            return Configuration(_number(body["dimension"], "dimension", integer=True), members)
+                vectors.append(tuple(_number(v, f"member {i} vector entry") for v in vector))
+                mults.append(_number(entry["multiplicity"], f"member {i} multiplicity"))
+            return Configuration(_number(body["dimension"], "dimension", integer=True), vectors, mults)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigFormatError(f"invalid explicit configuration: {exc}") from exc
     raise ConfigFormatError("configuration document needs a 'family' or 'explicit' field")

@@ -93,4 +93,4 @@ def fully_active(config: Configuration) -> Configuration:
     hyperplane even when some multiplicities vanish, so dual evaluation paths
     (which may require the full pattern) stay valid on the sample.
     """
-    return config._with_multiplicities(np.ones(len(config)))
+    return Configuration(config.dimension, config.vectors, np.ones(len(config)))

@@ -40,7 +40,7 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
         raise ParameterError(f"rescaling needs m_i > 0, got m = {p.m}")
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
     base = build_bcn(p)
-    config = Configuration(p.n, zip(base.vectors * inv_sqrt, base.multiplicities))
+    config = Configuration(p.n, base.vectors * inv_sqrt, base.multiplicities)
     return RescaledConfiguration(config=config)
 
 

@@ -61,7 +61,7 @@ class TestMultiply:
 
     def test_rank_one_gives_structure_constant(self):
         r, s = 1.7, -0.6
-        config = Configuration(1, [((1.0,), r), ((2.0,), s)])
+        config = Configuration(1, [(1.0,), (2.0,)], [r, s])
         active = active_pairings(config, [0.8])
         e1 = np.array([1.0])
         prod = multiply(active, e1, e1)

@@ -522,7 +522,7 @@ def test_hat_two_path_fails_a_rescaling_with_the_wrong_power(monkeypatch):
     # off the family's, so the closed form gets a small hyperplane margin
     def wrong_power(p):
         base = build_bcn(p)
-        return susy.RescaledConfiguration(Configuration(p.n, zip(base.vectors / p.m_array, base.multiplicities)))
+        return susy.RescaledConfiguration(Configuration(p.n, base.vectors / p.m_array, base.multiplicities))
 
     monkeypatch.setattr(susy, "build_hat_configuration", wrong_power)
     spec = RunSpec(command="verify-susy", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=10, seed=7,
@@ -681,18 +681,23 @@ def test_wdvv_n1_is_refused(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, member_count",
-    [("verify-restriction", (5, 2 * 5 + 5 * 4)), ("verify-susy", (2, 6))],  # BC_5; rescaled BC_2
+    "command, builds",
+    [
+        # BC_5 and its projection (context), BC_5 as outside, build_bcn's rebuild, fully_active
+        ("verify-restriction", [(5, 2 * 5 + 5 * 4), (2, 6), (5, 2 * 5 + 5 * 4), (2, 6), (2, 6)]),
+        # build_bcn, the rescaled BC_2, fully_active
+        ("verify-susy", [(2, 6), (2, 6), (2, 6)]),
+    ],
     ids=["verify-restriction", "verify-susy"],
 )
-def test_builds_configurations_once_per_run(monkeypatch, command, member_count):
+def test_builds_configurations_once_per_run(monkeypatch, command, builds):
     # the configurations a run needs (BC_N and its projection, or the rescaled
     # family) are built once per run, not once per sample point
     built = []
     original = Configuration.__init__
 
-    def counting(self, dimension, members):
-        original(self, dimension, members)
+    def counting(self, dimension, vectors, multiplicities):
+        original(self, dimension, vectors, multiplicities)
         built.append((self.dimension, len(self.members)))
 
     monkeypatch.setattr(Configuration, "__init__", counting)
@@ -702,8 +707,7 @@ def test_builds_configurations_once_per_run(monkeypatch, command, member_count):
         built.clear()
         run(RunSpec(command=command, config_source=source, samples=samples))
         per_run.append(list(built))
-    assert per_run[0] == per_run[1]
-    assert member_count in per_run[0]
+    assert per_run[0] == per_run[1] == builds
 
 
 def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):
@@ -764,7 +768,7 @@ def test_restriction_config_match_fails_on_a_perturbed_family(monkeypatch, pertu
 
     def perturbed(params):
         config = original(params)
-        return Configuration(config.dimension, zip(*perturb(config.vectors, config.multiplicities)))
+        return Configuration(config.dimension, *perturb(config.vectors, config.multiplicities))
 
     monkeypatch.setattr(cli, "build_bcn", perturbed)
     report = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=1))

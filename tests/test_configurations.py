@@ -32,49 +32,100 @@ def assert_same_members(a, b, atol=0.0):
 class TestTypes:
     def test_configuration_rejects_zero_vector(self):
         with pytest.raises(ParameterError, match="nonzero"):
-            Configuration(2, [((1.0, 0.0), 1.0), ((0.0, 0.0), 1.0)])
+            Configuration(2, [(1.0, 0.0), (0.0, 0.0)], [1.0, 1.0])
 
     def test_configuration_rejects_nonfinite_entry(self):
         with pytest.raises(ParameterError, match="non-finite entries"):
-            Configuration(2, [((1.0, 0.0), 1.0), ((math.inf, 0.0), 1.0)])
+            Configuration(2, [(1.0, 0.0), (math.inf, 0.0)], [1.0, 1.0])
 
     def test_configuration_rejects_nonfinite_multiplicity(self):
         with pytest.raises(ParameterError, match="multiplicity"):
-            Configuration(2, [((1.0, 0.0), 1.0), ((0.0, 1.0), math.nan)])
+            Configuration(2, [(1.0, 0.0), (0.0, 1.0)], [1.0, math.nan])
 
     def test_configuration_rejects_ragged_member(self):
         with pytest.raises(DimensionError):
-            Configuration(2, [((1.0, 0.0), 1.0), ((1.0,), 1.0)])
+            Configuration(2, [(1.0, 0.0), (1.0,)], [1.0, 1.0])
 
     def test_configuration_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            Configuration(2, [((1.0, 0.0, 0.0), 1.0)])
+            Configuration(2, [(1.0, 0.0, 0.0)], [1.0])
 
     @pytest.mark.parametrize("dimension", [2.5, 1.5, math.nan, math.inf])
     def test_configuration_requires_an_integer_dimension(self, dimension):
         # a fractional dimension is refused, not truncated to an integer
         with pytest.raises(ParameterError, match="dimension must be an integer"):
-            Configuration(dimension, [((1.0, 0.0), 1.0)])
+            Configuration(dimension, [(1.0, 0.0)], [1.0])
 
     def test_configuration_merges_duplicates(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 0.0), 3.0), ((0.0, 1.0), 1.0)])
+        c = Configuration(2, [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [2.0, 3.0, 1.0])
         assert len(c) == 2
         assert members_as_dict(c)[(1.0, 0.0)] == 5.0
 
     def test_configuration_retains_zero_multiplicity(self):
-        c = Configuration(1, [((1.0,), 0.0)])
+        c = Configuration(1, [(1.0,)], [0.0])
         assert len(c) == 1
 
     def test_configuration_arrays_are_frozen(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0)])
+        c = Configuration(2, [(1.0, 0.0)], [2.0])
         with pytest.raises(ValueError):
             c.vectors[0, 0] = 9.0
         with pytest.raises(ValueError):
             c.multiplicities[0] = 9.0
 
+    def test_configuration_reads_an_array_and_nested_lists_alike(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        from_array = Configuration(2, vectors, np.array([1.0, 2.0, 0.5]))
+        from_lists = Configuration(2, vectors.tolist(), [1.0, 2.0, 0.5])
+        assert np.array_equal(from_array.vectors, from_lists.vectors)
+        assert np.array_equal(from_array.multiplicities, from_lists.multiplicities)
+        assert from_array.vectors.dtype == from_lists.vectors.dtype == np.float64
+
+    def test_configuration_does_not_alias_its_inputs(self):
+        vectors, mults = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0])
+        c = Configuration(2, vectors, mults)
+        vectors[0, 0], mults[0] = 9.0, 9.0
+        assert c.vectors[0, 0] == 1.0 and c.multiplicities[0] == 1.0
+
+    def test_configuration_with_no_members(self):
+        c = Configuration(2, [], [])
+        assert c.vectors.shape == (0, 2) and c.multiplicities.shape == (0,)
+        assert len(c) == 0
+
+    @pytest.mark.parametrize(
+        "vectors, member",
+        [
+            ([1.0, 0.0], r"member \(1\.0,\) has dimension 1"),
+            (np.array([1.0, 0.0]), r"member \(1\.0,\) has dimension 1"),
+            ([(1.0, 0.0), (1.0, 0.0, 2.0)], r"member \(1\.0, 0\.0, 2\.0\) has dimension 3"),
+            (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]), r"member \(1\.0, 0\.0, 2\.0\) has dimension 3"),
+            ([(1.0, 0.0), (1.0,)], r"member \(1\.0,\) has dimension 1"),
+        ],
+        ids=["1-D list", "1-D array", "wide member", "wide array", "ragged"],
+    )
+    def test_configuration_names_the_member_of_a_wrong_shape(self, vectors, member):
+        # a numpy ValueError or TypeError never escapes: the member is named
+        with pytest.raises(DimensionError, match=member + ", expected 2"):
+            Configuration(2, vectors, [1.0, 1.0])
+
+    @pytest.mark.parametrize("mults", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], []])
+    def test_configuration_requires_one_multiplicity_per_vector(self, mults):
+        with pytest.raises(DimensionError, match=r"multiplicities have shape .*, expected \(2,\)"):
+            Configuration(2, [(1.0, 0.0), (0.0, 1.0)], mults)
+
     def test_parameters_require_matching_m_length(self):
         with pytest.raises(ParameterError):
             BCnParameters(n=2, r=0.0, s=0.0, q=0.0, m=(1.0,))
+
+    @pytest.mark.parametrize("n", [2.5, 1.5, math.nan, math.inf])
+    def test_parameters_require_an_integer_n(self, n):
+        # a fractional n is refused by name, not compared with len(m)
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            BCnParameters(n=n, r=0.0, s=0.0, q=0.0, m=(1.0, 1.0))
+
+    def test_parameters_read_an_integral_float_n_as_an_integer(self):
+        p = BCnParameters(n=2.0, r=-4.0, s=0.0, q=1.0, m=(1.0, 1.0))
+        assert p.n == 2 and type(p.n) is int
+        assert build_bcn(p).vectors.shape == (6, 2)
 
     def test_parameters_cache_N(self):
         p = BCnParameters(n=3, r=0.0, s=0.0, q=0.0, m=(0.5, 1.5, 2.0))
@@ -271,7 +322,7 @@ def test_merging_conserves_total_multiplicity(mults, slots):
     vectors = [(1.0, 0.0), (0.0, 1.0), (1.0, -1.0)]
     k = min(len(mults), len(slots))
     members = [(vectors[slots[i]], mults[i]) for i in range(k)]
-    c = Configuration(2, members)
+    c = Configuration(2, [v for v, _ in members], [m for _, m in members])
     assert math.isclose(
         c.multiplicities.sum(), math.fsum(mults[:k]), rel_tol=0.0, abs_tol=1e-12
     )
@@ -284,21 +335,21 @@ def slots_of(config):
 class TestMergeRule:
     def test_member_1e13_away_stays_its_own_slot(self):
         # equal means equal as floats: there is no merge tolerance
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 3.0)])
+        c = Configuration(2, [(1.0, 0.0), (1.0 + 1e-13, 0.0)], [2.0, 3.0])
         assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 3.0)]
 
     def test_member_just_outside_tolerance_stays(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, 1.01e-12), 3.0)])
+        c = Configuration(2, [(1.0, 0.0), (1.0, 1.01e-12)], [2.0, 3.0])
         assert slots_of(c) == [((1.0, 0.0), 2.0), ((1.0, 1.01e-12), 3.0)]
 
     def test_signed_zeros_are_one_vector(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -0.0), 3.0)])
+        c = Configuration(2, [(1.0, 0.0), (1.0, -0.0)], [2.0, 3.0])
         assert slots_of(c) == [((1.0, 0.0), 5.0)]
 
     def test_slot_keeps_its_first_multiplicity_bits(self):
         # a slot's sum starts from its first member's multiplicity, so a
         # signed zero stays signed: -0.0 + -0.0 is -0.0, 0.0 + -0.0 is not
-        c = Configuration(1, [((1.0,), -0.0), ((2.0,), 1.0), ((1.0,), -0.0)])
+        c = Configuration(1, [(1.0,), (2.0,), (1.0,)], [-0.0, 1.0, -0.0])
         assert [math.copysign(1.0, v) for v in c.multiplicities] == [-1.0, 1.0]
 
 
@@ -331,7 +382,7 @@ def test_merge_matches_pairwise_oracle(picks, repeats):
     # exact repeats of earlier vectors, inserted anywhere
     for source, position, mult in repeats:
         members.insert(position % (len(members) + 1), (members[source % len(members)][0], mult))
-    assert slots_of(Configuration(3, members)) == merge_pairwise(members)
+    assert slots_of(Configuration(3, [v for v, _ in members], [m for _, m in members])) == merge_pairwise(members)
 
 
 def _compositions(N):

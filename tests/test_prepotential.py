@@ -119,17 +119,17 @@ class TestIdentityResiduals:
 
 class TestTensorGeneric:
     def test_rank_one_configuration(self):
-        c = Configuration(1, [((1.0,), 1.7), ((2.0,), -0.6)])
+        c = Configuration(1, [(1.0,), (2.0,)], [1.7, -0.6])
         T = tensor_generic(c, [0.8])
         assert math.isclose(T[0, 0, 0], 1.7 * COTH(0.8) + 8 * (-0.6) * COTH(1.6), rel_tol=1e-14)
 
     def test_empty_and_inactive_configurations(self):
-        assert np.all(tensor_generic(Configuration(2, []), [0.7, 0.4]) == 0.0)
-        inactive = Configuration(2, [((1.0, 0.0), 0.0), ((1.0, -1.0), 0.0)])
+        assert np.all(tensor_generic(Configuration(2, [], []), [0.7, 0.4]) == 0.0)
+        inactive = Configuration(2, [(1.0, 0.0), (1.0, -1.0)], [0.0, 0.0])
         assert np.all(tensor_generic(inactive, [0.7, 0.7]) == 0.0)
 
     def test_singularity_names_offending_member(self):
-        c = Configuration(2, [((1.0, -1.0), 2.0)])
+        c = Configuration(2, [(1.0, -1.0)], [2.0])
         with pytest.raises(SingularityError, match=r"1\.0, -1\.0"):
             tensor_generic(c, [0.5, 0.5])
 
@@ -150,12 +150,12 @@ def _gemm_route_cases(n):
     mult = rng.uniform(-2.0, 3.0, 2 * n + 3)
     mult[::4] = 0.0
     mult[1] = -1.5
-    explicit = Configuration(n, zip(rng.normal(size=(2 * n + 3, n)), mult))
+    explicit = Configuration(n, rng.normal(size=(2 * n + 3, n)), mult)
     yield "explicit", explicit, rejection_sample_points(rng, explicit, 3)
     # an empty active set: every member inactive, or no member at all
-    inactive = Configuration(n, zip(rng.normal(size=(3, n)), np.zeros(3)))
+    inactive = Configuration(n, rng.normal(size=(3, n)), np.zeros(3))
     yield "inactive", inactive, rng.uniform(0.3, 1.5, (2, n))
-    yield "empty", Configuration(n, []), rng.uniform(0.3, 1.5, (2, n))
+    yield "empty", Configuration(n, [], []), rng.uniform(0.3, 1.5, (2, n))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -187,7 +187,7 @@ HYPERPLANE_CALLERS = {
 
 class TestActivePairings:
     def test_active_members_and_their_pairings(self):
-        c = Configuration(2, [((1.0, 0.0), 2.0), ((1.0, -1.0), 0.0), ((1.0, 1.0), -0.5)])
+        c = Configuration(2, [(1.0, 0.0), (1.0, -1.0), (1.0, 1.0)], [2.0, 0.0, -0.5])
         x = np.array([0.7, 0.7])  # on the hyperplane of the inactive member
         A, mult, z = active_pairings(c, x)
         assert A.tolist() == [[1.0, 0.0], [1.0, 1.0]]
@@ -310,7 +310,7 @@ class TestIsAdmissible:
         assert not is_admissible(self.config, x)
 
     def test_zero_multiplicity_members_ignored(self):
-        c = Configuration(2, [((1.0, -1.0), 0.0), ((1.0, 0.0), 1.0)])
+        c = Configuration(2, [(1.0, -1.0), (1.0, 0.0)], [0.0, 1.0])
         assert is_admissible(c, [0.5, 0.5], 0.05)
 
 

@@ -19,11 +19,11 @@ def bcn_pattern(n, m=None):
 # BC_3 without the member e_2 - e_3
 E = np.eye(3)
 MISSING_PAIR = Configuration(
-    3, [(tuple(v), 1.0) for v in (*E, *(2 * E), E[0] - E[1], E[0] - E[2], E[1] + E[2])]
+    3, [*E, *(2 * E), E[0] - E[1], E[0] - E[2], E[1] + E[2]], [1.0] * 9
 )
 # the pair members of BC_3 with either sign
 BOTH_SIGNS = Configuration(
-    3, [(tuple(E[1] - E[0]), 1.0), (tuple(E[0] - E[2]), 2.0), (tuple(E[2] - E[1]), 0.5)]
+    3, [E[1] - E[0], E[0] - E[2], E[2] - E[1]], [1.0, 2.0, 0.5]
 )
 
 
@@ -57,13 +57,13 @@ class TestCoversEveryPair:
         build_bcn(BCnParameters(n=3, r=-2.0, s=0.0, q=0.0, m=(1.0,) * 3)),
         build_hat_configuration(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))).config,
         # a chain of near-duplicates 1e-13 apart: each member is its own slot
-        Configuration(2, [((1.0, 0.0), 2.0), ((1.0 + 1e-13, 0.0), 0.0), ((1.0 + 2e-13, 0.0), -1.0)]),
+        Configuration(2, [(1.0, 0.0), (1.0 + 1e-13, 0.0), (1.0 + 2e-13, 0.0)], [2.0, 0.0, -1.0]),
     ],
     ids=["bcn_zero_mults", "rescaled", "open_chain"],
 )
 def test_fully_active_matches_a_fresh_build(config):
     got = fully_active(config)
-    fresh = Configuration(config.dimension, zip(config.vectors, np.ones(len(config))))
+    fresh = Configuration(config.dimension, config.vectors, np.ones(len(config)))
     assert got.dimension == fresh.dimension
     assert np.array_equal(got.vectors, fresh.vectors)
     assert got.multiplicities.tolist() == fresh.multiplicities.tolist() == [1.0] * len(config)

@@ -119,7 +119,7 @@ class TestHatTensor:
 class TestBosonicPotential:
     def test_single_covector_formula(self):
         c = 1.7
-        config = Configuration(1, [((1.0,), c)])
+        config = Configuration(1, [(1.0,)], [c])
         x = np.array([0.8])
         expected = 0.5 * c / math.sinh(0.8) ** 2 + 0.25 * c**2 / math.tanh(0.8) ** 2
         assert math.isclose(bosonic_potential(config, x), expected, rel_tol=1e-14)
@@ -279,7 +279,7 @@ class TestPhiMatrix:
     def test_single_covector_against_bruteforce(self):
         from tests.oracles import phi_matrix_bruteforce
 
-        config = Configuration(1, [((1.0,), 1.3)])
+        config = Configuration(1, [(1.0,)], [1.3])
         fs = DenseFermionicSpace(1)
         x = np.array([0.8])
         got = phi_matrix(config, x, fs)
