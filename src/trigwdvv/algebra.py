@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, Partition, _restriction, build_bcN_root_system
+from .configurations import BCnParameters, Configuration, Partition, _bcn_members, _restriction
 from .errors import DimensionError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
@@ -54,13 +54,13 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Built once per run and shared by every point: the partition and its
-    block basis, the projected configuration and its family parameters
-    ``params`` (m = block sizes), ``subsystem``, the vectors of the block
-    subsystem of BC_N(r, s, q) as ``Partition.block_coordinates`` marks it,
-    and ``outside``, BC_N with the subsystem's multiplicities set to 0 (the
-    same members in the same order).  The functions below that evaluate at a
-    point take the context and ``pairings(x_tilde)`` at that point.
+    Built once per run from one set of BC_N(r, s, q)'s member arrays and
+    shared by every point: the partition and its block basis, the projected
+    configuration and its family parameters ``params`` (m = block sizes),
+    ``subsystem``, the block subsystem's vectors as ``_restriction`` marks
+    them, and ``outside``, BC_N with the subsystem's multiplicities set to 0
+    (the same members in the same order).  The functions below that evaluate
+    at a point take the context and ``pairings(x_tilde)`` at that point.
     """
 
     def __init__(
@@ -69,12 +69,12 @@ class RestrictionContext:
         self.part = part
         self.threshold = float(threshold)
         self.params = BCnParameters(n=part.n, r=float(r), s=float(s), q=float(q), m=part.blocks)
-        bcN = build_bcN_root_system(part.N, r, s, q)
-        self.projected_config, in_subsystem = _restriction(part, bcN)
+        vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
+        self.projected_config, in_subsystem = _restriction(part, vectors, mults)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n
         self.m = np.asarray(part.blocks, dtype=float)
-        self.subsystem = bcN.vectors[in_subsystem]
-        self.outside = Configuration(bcN.dimension, bcN.vectors, np.where(in_subsystem, 0.0, bcN.multiplicities))
+        self.subsystem = vectors[in_subsystem]
+        self.outside = Configuration(part.N, vectors, np.where(in_subsystem, 0.0, mults))
 
     def pairings(self, x_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.

@@ -2,14 +2,15 @@
 
 A configuration is a finite list of covectors with scalar multiplicities; every
 prepotential, tensor and product in this package is a sum over one.  This module
-builds the n-parameter BC_n family, the unreduced BC_N root system (all block
-sizes equal to one), and the restriction that maps BC_N onto the subspace
-where coordinates are constant on blocks.
+builds the n-parameter BC_n family, whose member arrays at m = (1, ..., 1)
+are the unreduced BC_N root system, and the restriction that maps BC_N onto
+the subspace where coordinates are constant on blocks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,9 @@ class Configuration:
     """
 
     def __init__(self, dimension: int, vectors, multiplicities) -> None:
-        if not float(dimension).is_integer():
-            raise ParameterError(f"dimension must be an integer, got {dimension}")
-        if dimension < 1:
+        self.dimension = d = _integer(dimension, f"dimension must be an integer, got {dimension!r}")
+        if d < 1:
             raise ParameterError("dimension must be >= 1")
-        self.dimension = d = int(dimension)
         try:
             flat = np.asarray(vectors if len(vectors) else np.empty((0, d)), dtype=float)
         except ValueError:  # ragged members
@@ -108,6 +107,13 @@ def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, (np.cumsum(head) - 1)[joins]
 
 
+def _integer(value, error: str) -> int:
+    """``value`` as an int if it is an integral real (2.0 reads as 2); anything else, a str or bool too, raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ParameterError(error)
+
+
 @dataclass(frozen=True)
 class BCnParameters:
     """Parameters (n, r, s, q, m_1..m_n) of the BC_n family; N = sum(m) is cached."""
@@ -120,11 +126,9 @@ class BCnParameters:
     N: float = field(init=False)
 
     def __post_init__(self):
-        if not float(self.n).is_integer():
-            raise ParameterError(f"n must be an integer, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, f"n must be an integer, got {self.n!r}"))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
         if len(self.m) != self.n:
             raise ParameterError(f"m has length {len(self.m)}, expected n = {self.n}")
         if not all(math.isfinite(v) for v in (self.r, self.s, self.q, *self.m)):
@@ -147,12 +151,11 @@ class Partition:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        if not float(self.N).is_integer():
-            raise ParameterError(f"N must be an integer, got {self.N}")
-        if not all(float(b).is_integer() and b >= 1 for b in self.blocks):
-            raise ParameterError(f"every block must be a positive integer, got {tuple(self.blocks)}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "N", _integer(self.N, f"N must be an integer, got {self.N!r}"))
+        error = f"every block must be a positive integer, got {tuple(self.blocks)}"
+        object.__setattr__(self, "blocks", tuple(_integer(b, error) for b in self.blocks))
+        if min(self.blocks, default=1) < 1:
+            raise ParameterError(error)
         if sum(self.blocks) != self.N:
             raise ParameterError(
                 f"blocks {self.blocks} sum to {sum(self.blocks)}, expected N = {self.N}"
@@ -166,27 +169,14 @@ class Partition:
         """(n, N) 0/1 matrix whose k-th row marks the coordinates of block k."""
         return np.repeat(np.eye(self.n), self.blocks, axis=1)
 
-    def block_coordinates(self, vectors) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, in_subsystem) with coords[:, k] = (alpha, f_k) for each row alpha of
-        ``vectors``; in_subsystem marks the rows whose coords (integer sums here) are
-        all exactly 0.0, the within-block differences that make up the block subsystem."""
-        coords = np.asarray(vectors, dtype=float) @ self.block_indicators().T
-        return coords, (coords == 0.0).all(axis=1)
-
 
 def solve_r(s: float, q: float, m) -> float:
     """The value of r that closes the multiplicity relation r + 8s + 2q(N - 2) = 0, N = sum(m)."""
     return -8.0 * s - 2.0 * q * (float(sum(m)) - 2.0)
 
 
-def build_bcn(p: BCnParameters) -> Configuration:
-    """The BC_n family configuration for parameters ``p``.
-
-    Members, in construction order: e_i with multiplicity r*m_i; 2e_i with
-    multiplicity s*m_i + q*m_i*(m_i - 1)/2; e_i + e_j and e_i - e_j (i < j)
-    with multiplicity q*m_i*m_j.  Zero multiplicities are retained, so the
-    member count is always n + n + n(n-1).
-    """
+def _bcn_members(p: BCnParameters) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, multiplicities) of ``build_bcn(p)``, as the restriction and the rescaling read them."""
     n, r, s, q, m = p.n, p.r, p.s, p.q, p.m_array
     i, j = np.triu_indices(n, 1)
     plus = 2 * n + 2 * np.arange(len(i))  # the row of e_i + e_j; e_i - e_j follows it
@@ -198,12 +188,18 @@ def build_bcn(p: BCnParameters) -> Configuration:
     vectors[plus, i] = vectors[plus + 1, i] = vectors[plus, j] = 1.0
     vectors[plus + 1, j] = -1.0
     mults = np.concatenate([r * m, s * m + 0.5 * q * m * (m - 1.0), np.repeat(q * m[i] * m[j], 2)])
-    return Configuration(n, vectors, mults)
+    return vectors, mults
 
 
-def build_bcN_root_system(N: int, r: float, s: float, q: float) -> Configuration:
-    """Positive half of the BC_N root system: the family at m = (1, ..., 1)."""
-    return build_bcn(BCnParameters(n=N, r=r, s=s, q=q, m=(1.0,) * N))
+def build_bcn(p: BCnParameters) -> Configuration:
+    """The BC_n family configuration for parameters ``p``.
+
+    Members, in construction order: e_i with multiplicity r*m_i; 2e_i with
+    multiplicity s*m_i + q*m_i*(m_i - 1)/2; e_i + e_j and e_i - e_j (i < j)
+    with multiplicity q*m_i*m_j.  Zero multiplicities are retained, so the
+    member count is always n + n + n(n-1).
+    """
+    return Configuration(p.n, *_bcn_members(p))
 
 
 def restrict_configuration(N: int, r: float, s: float, q: float, part: Partition) -> Configuration:
@@ -217,11 +213,13 @@ def restrict_configuration(N: int, r: float, s: float, q: float, part: Partition
     """
     if N != part.N:
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
-    return _restriction(part, build_bcN_root_system(part.N, r, s, q))[0]
+    return _restriction(part, *_bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N)))[0]
 
 
-def _restriction(part: Partition, bcN: Configuration) -> tuple[Configuration, np.ndarray]:
-    """(projected, in_subsystem): ``restrict_configuration``'s result and ``bcN``'s subsystem rows."""
+def _restriction(part: Partition, vectors: np.ndarray, multiplicities: np.ndarray) -> tuple[Configuration, np.ndarray]:
+    """(projected, in_subsystem) from an ambient's member arrays: the members outside the block
+    subsystem (the rows whose (alpha, f_k) are all exactly 0.0, integer sums here), projected."""
     # coordinates after f_k/m_k -> e_k are (alpha, f_k)
-    coords, in_subsystem = part.block_coordinates(bcN.vectors)
-    return Configuration(part.n, coords[~in_subsystem], bcN.multiplicities[~in_subsystem]), in_subsystem
+    coords = vectors @ part.block_indicators().T
+    in_subsystem = (coords == 0.0).all(axis=1)
+    return Configuration(part.n, coords[~in_subsystem], multiplicities[~in_subsystem]), in_subsystem

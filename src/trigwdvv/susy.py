@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, build_bcn
+from .configurations import BCnParameters, Configuration, _bcn_members
 from .errors import DimensionCapError, ParameterError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
@@ -39,8 +39,8 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     if any(mi <= 0.0 for mi in p.m):
         raise ParameterError(f"rescaling needs m_i > 0, got m = {p.m}")
     inv_sqrt = 1.0 / np.sqrt(p.m_array)
-    base = build_bcn(p)
-    config = Configuration(p.n, base.vectors * inv_sqrt, base.multiplicities)
+    vectors, mults = _bcn_members(p)
+    config = Configuration(p.n, vectors * inv_sqrt, mults)
     return RescaledConfiguration(config=config)
 
 

@@ -22,7 +22,6 @@ from trigwdvv.configurations import (
     BCnParameters,
     Partition,
     build_bcn,
-    build_bcN_root_system,
     restrict_configuration,
     solve_r,
 )
@@ -265,7 +264,7 @@ def test_criterion_5_restriction_machinery():
 
     # path limit: full product converges to the restricted one at first order
     orders = []
-    ambient = build_bcN_root_system(5, r, s, q)
+    ambient = build_bcn(BCnParameters(n=5, r=r, s=s, q=q, m=(1.0,) * 5))
     rng_path = rng_for(SEED, "acceptance5/path")
     for _ in range(5):
         xt = sample_points(rng_path, pattern, 1)[0]

@@ -17,7 +17,6 @@ from trigwdvv.configurations import (
     Configuration,
     Partition,
     build_bcn,
-    build_bcN_root_system,
     solve_r,
 )
 from trigwdvv.errors import DimensionError, SingularityError
@@ -172,7 +171,7 @@ class TestRestrictedMultiply:
         part = Partition(N=3, blocks=(1, 1, 1))
         xt = np.array([0.9, 0.5, 1.3])
         rctx = RestrictionContext(-2.0, 0.0, 1.0, part)
-        config = build_bcN_root_system(3, -2.0, 0.0, 1.0)
+        config = build_bcn(BC3)
         active = active_pairings(config, xt)
         rng = rng_for(4, "restricted/trivial")
         for _ in range(5):
@@ -204,7 +203,7 @@ class TestRestrictedMultiply:
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
-        ambient = build_bcN_root_system(5, -20.0, 1.0, 2.0)
+        ambient = build_bcn(BCnParameters(n=5, r=-20.0, s=1.0, q=2.0, m=(1.0,) * 5))
         rng = rng_for(15, "restricted/limit")
         u = block_constant(part, rng.standard_normal(2))
         v = block_constant(part, rng.standard_normal(2))
@@ -320,7 +319,7 @@ class TestStructureConstants:
         xt = np.array([0.9, 0.5, 1.3])
         rctx = RestrictionContext(-2.0, 0.0, 1.0, part)
         C = structure_constants(rctx, rctx.pairings(xt))
-        F = tensor_generic(build_bcN_root_system(3, -2.0, 0.0, 1.0), xt)
+        F = tensor_generic(build_bcn(BC3), xt)
         assert np.abs(C - F).max() < 1e-12
 
     def test_two_path_agreement(self):

@@ -683,10 +683,10 @@ def test_wdvv_n1_is_refused(capsys):
 @pytest.mark.parametrize(
     "command, builds",
     [
-        # BC_5 and its projection (context), BC_5 as outside, build_bcn's rebuild, fully_active
-        ("verify-restriction", [(5, 2 * 5 + 5 * 4), (2, 6), (5, 2 * 5 + 5 * 4), (2, 6), (2, 6)]),
-        # build_bcn, the rescaled BC_2, fully_active
-        ("verify-susy", [(2, 6), (2, 6), (2, 6)]),
+        # the projection and BC_5 as outside (context, from one set of BC_5's arrays), build_bcn's rebuild, fully_active
+        ("verify-restriction", [(2, 6), (5, 2 * 5 + 5 * 4), (2, 6), (2, 6)]),
+        # the rescaled BC_2, fully_active
+        ("verify-susy", [(2, 6), (2, 6)]),
     ],
     ids=["verify-restriction", "verify-susy"],
 )

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigwdvv.algebra import RestrictionContext
 from trigwdvv.configurations import (
     BCnParameters,
     Configuration,
     Partition,
+    _bcn_members,
     build_bcn,
-    build_bcN_root_system,
     restrict_configuration,
     solve_r,
 )
@@ -147,6 +148,25 @@ class TestTypes:
         part = Partition(N=5, blocks=(2.0, 3.0))
         assert part.blocks == (2, 3) and all(type(b) is int for b in part.blocks)
 
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: Partition(N="2", blocks=(1, 1)), "N must be an integer, got '2'"),
+            (lambda: Partition(N=True, blocks=(True,)), "N must be an integer, got True"),
+            (lambda: Partition(N=2, blocks=("1", 1)), r"every block must be a positive integer, got \('1', 1\)"),
+            (lambda: Partition(N=1, blocks=(True,)), r"every block must be a positive integer, got \(True,\)"),
+            (lambda: Configuration("2", [(1.0, 0.0)], [1.0]), "dimension must be an integer, got '2'"),
+            (lambda: Configuration(True, [(1.0,)], [1.0]), "dimension must be an integer, got True"),
+            (lambda: BCnParameters(n="2", r=0.0, s=0.0, q=0.0, m=(1.0, 1.0)), "n must be an integer, got '2'"),
+            (lambda: BCnParameters(n=True, r=0.0, s=0.0, q=0.0, m=(1.0,)), "n must be an integer, got True"),
+        ],
+        ids=["N str", "N bool", "block str", "block bool", "dimension str", "dimension bool", "n str", "n bool"],
+    )
+    def test_counts_refuse_strings_and_bools(self, build, error):
+        # a count is an integral real: a numeric string or a bool is refused by name, not read as a number
+        with pytest.raises(ParameterError, match=f"^{error}$"):
+            build()
+
     def test_partition_requires_an_integer_N(self):
         with pytest.raises(ParameterError, match="N must be an integer, got 5.5"):
             Partition(N=5.5, blocks=(2, 3))
@@ -164,13 +184,12 @@ class TestTypes:
 
     def test_block_coordinates_mark_the_within_block_differences(self):
         part = Partition(N=5, blocks=(2, 3))
-        vectors = build_bcN_root_system(5, 1.0, 1.0, 1.0).vectors
-        coords, in_subsystem = part.block_coordinates(vectors)
-        assert np.array_equal(coords, vectors @ part.block_indicators().T)
+        vectors = build_bcn(BCnParameters(n=5, r=1.0, s=1.0, q=1.0, m=(1.0,) * 5)).vectors
+        subsystem = RestrictionContext(1.0, 1.0, 1.0, part).subsystem
         # e_i - e_j with i and j in one block
         block = np.repeat([0, 1], part.blocks)
         within = [v.sum() == 0.0 and len(set(block[v != 0.0])) == 1 for v in vectors]
-        assert in_subsystem.tolist() == within and sum(within) == 1 + 3
+        assert np.array_equal(subsystem, vectors[within]) and sum(within) == 1 + 3
 
 
 class TestConstraintResidual:
@@ -199,6 +218,21 @@ class TestConstraintResidual:
     def test_solve_r_closes_the_relation(self, s, q, m):
         p = BCnParameters(n=len(m), r=solve_r(s, q, m), s=s, q=q, m=tuple(m))
         assert abs(p.r + 8.0 * s + 2.0 * q * (p.N - 2.0)) <= 1e-12 * max(1.0, 8 * abs(s) + 2 * abs(q) * p.N)
+
+
+def _theorem_and_broken(n, s, q, m):
+    ok = BCnParameters(n=n, r=solve_r(s, q, m), s=s, q=q, m=m)
+    return ok, BCnParameters(n=n, r=ok.r + 0.5, s=s, q=q, m=m)
+
+
+# the WDVV kernel's test families, and unit m (BC_N) at the sizes the restriction runs build
+MEMBER_ARRAY_FAMILIES = [
+    *_theorem_and_broken(2, 1.0, 2.0, (2.0, 3.0)),
+    *_theorem_and_broken(3, 0.5, 1.5, (0.7, 1.3, 2.1)),
+    *_theorem_and_broken(6, 1.0, 1.0, (1.0, 2.0, 1.0, 2.0, 1.0, 1.0)),
+    *_theorem_and_broken(10, 0.5, 1.0, (1.0, 2.0, 1.0, 1.5, 1.0, 1.0, 2.0, 1.0, 0.5, 1.0)),
+    *(p for N in (1, 5, 14, 20) for p in _theorem_and_broken(N, 0.0, 1.0, (1.0,) * N)),
+]
 
 
 class TestBuildBcn:
@@ -245,18 +279,30 @@ class TestBuildBcn:
         p = BCnParameters(n=n, r=r, s=s, q=q, m=m[:n])
         assert slots_of(build_bcn(p)) == merge_pairwise(bcn_members(p))
 
+    @pytest.mark.parametrize("p", MEMBER_ARRAY_FAMILIES, ids=lambda p: f"n={p.n},r={p.r:.4g}")
+    def test_member_arrays_are_the_configuration_arrays(self, p):
+        # the restriction and the rescaling read these arrays in place of build_bcn's: its
+        # vectors are distinct, so the constructor's merge keeps both arrays bit for bit
+        vectors, mults = _bcn_members(p)
+        config = build_bcn(p)
+        assert vectors.shape == config.vectors.shape and vectors.tobytes() == config.vectors.tobytes()
+        assert mults.shape == config.multiplicities.shape and mults.tobytes() == config.multiplicities.tobytes()
+
     def test_all_ones_reduces_to_root_system(self):
         p = BCnParameters(n=3, r=1.5, s=-0.5, q=2.0, m=(1.0, 1.0, 1.0))
-        assert_same_members(build_bcn(p), build_bcN_root_system(3, 1.5, -0.5, 2.0))
+        # at unit m the multiplicities are r on e_i, s on 2e_i and q on e_i +- e_j
+        pairs = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+        root_system = Configuration(3, [*np.eye(3), *2 * np.eye(3), *pairs], [1.5] * 3 + [-0.5] * 3 + [2.0] * 6)
+        assert_same_members(build_bcn(p), root_system)
 
 
 class TestBuildBcNRootSystem:
     def test_N1(self):
-        c = build_bcN_root_system(1, 4.0, -1.0, 9.0)
+        c = build_bcn(BCnParameters(n=1, r=4.0, s=-1.0, q=9.0, m=(1.0,)))
         assert members_as_dict(c) == {(1.0,): 4.0, (2.0,): -1.0}
 
     def test_N2_pairs(self):
-        c = build_bcN_root_system(2, 0.0, 0.0, 1.0)
+        c = build_bcn(BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0)))
         got = members_as_dict(c)
         assert got[(1.0, 1.0)] == 1.0
         assert got[(1.0, -1.0)] == 1.0
@@ -279,13 +325,26 @@ class TestRestrictConfiguration:
     def test_trivial_partition_is_identity(self):
         part = Partition(N=2, blocks=(1, 1))
         c = restrict_configuration(2, 1.0, 2.0, 3.0, part)
-        assert_same_members(c, build_bcN_root_system(2, 1.0, 2.0, 3.0))
+        assert_same_members(c, build_bcn(BCnParameters(n=2, r=1.0, s=2.0, q=3.0, m=(1.0, 1.0))))
 
     def test_projected_pair_multiplicity(self):
         c = restrict_configuration(3, 0.0, 0.0, 1.0, Partition(N=3, blocks=(2, 1)))
         got = members_as_dict(c)
         assert got[(1.0, 1.0)] == 2.0
         assert got[(1.0, -1.0)] == 2.0
+
+    def test_builds_only_the_projection(self, monkeypatch):
+        # BC_N is read as member arrays: the one configuration built is the projected BC_2
+        built = []
+        original = Configuration.__init__
+
+        def counting(self, dimension, vectors, multiplicities):
+            original(self, dimension, vectors, multiplicities)
+            built.append((self.dimension, len(self)))
+
+        monkeypatch.setattr(Configuration, "__init__", counting)
+        restrict_configuration(5, -20, 1, 2, Partition(5, (2, 3)))
+        assert built == [(2, 6)]
 
     def test_mismatched_N_raises(self):
         with pytest.raises(DimensionError):
@@ -403,7 +462,7 @@ def test_restriction_merge_matches_pairwise_oracle(blocks):
     # of N <= 8 is checked, and each image equals the family build exactly
     r, s, q = 0.5, -1.0, 2.0
     part = Partition(N=sum(blocks), blocks=blocks)
-    ambient = build_bcN_root_system(part.N, r, s, q)
+    ambient = build_bcn(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
     F = part.block_indicators()
     images = [(tuple(F @ np.array(vec)), mult) for vec, mult in ambient.members]
     images = [(vec, mult) for vec, mult in images if any(vec)]
