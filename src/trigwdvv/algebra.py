@@ -68,7 +68,7 @@ class RestrictionContext:
     ) -> None:
         self.part = part
         self.threshold = float(threshold)
-        self.params = BCnParameters(n=part.n, r=float(r), s=float(s), q=float(q), m=part.blocks)
+        self.params = BCnParameters(n=part.n, r=r, s=s, q=q, m=part.blocks)
         vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
         self.projected_config, in_subsystem = _restriction(part, vectors, mults)
         self.block_basis = part.block_indicators()  # rows are f_1..f_n

@@ -21,7 +21,6 @@ import copy
 import json
 import math
 import numbers
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .configurations import (
     BCnParameters,
     Configuration,
     Partition,
+    _bcn_members,
     build_bcn,
 )
 from .errors import (
@@ -400,13 +400,13 @@ def _run_restriction(spec: RunSpec, parsed):
 
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part, threshold=spec.threshold)
     projected = restriction.projected_config
-    rebuilt = build_bcn(params)
-    # the restriction keeps build_bcn's member order, so members compare in place
+    vectors, mults = _bcn_members(params)
+    # the restriction keeps the family's member order, so members compare in place
     dev = math.inf
-    if projected.vectors.shape == rebuilt.vectors.shape:
-        c = np.stack([projected.multiplicities, rebuilt.multiplicities])
+    if projected.vectors.shape == vectors.shape:
+        c = np.stack([projected.multiplicities, mults])
         dev = max(
-            float(np.abs(projected.vectors - rebuilt.vectors).max(initial=0.0)),
+            float(np.abs(projected.vectors - vectors).max(initial=0.0)),
             float(np.abs(c[0] - c[1]).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0))),
         )
 
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--q", type=float, help="pair-covector multiplicity parameter")
     src.add_argument("--m", metavar="a,b,c", help="comma-separated m values")
     parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=None, help="defaults to $WDVV_SEED or 0")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--box", metavar="lo,hi", default=None)
     parser.add_argument("--theta", type=float, default=DEFAULT_THRESHOLD)
@@ -577,18 +577,11 @@ def _config_source_from_args(args) -> dict | str:
 
 
 def _spec_from_args(args) -> RunSpec:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("WDVV_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError as exc:
-            raise PreconditionError(f"WDVV_SEED must be an integer, got {raw!r}") from exc
     spec = RunSpec(
         command=args.command,
         config_source=_config_source_from_args(args),
         samples=args.samples,
-        seed=seed,
+        seed=args.seed,
         tolerance=args.tol,
         box=DEFAULT_BOX if args.box is None else _parse_floats(args.box),
         threshold=args.theta,

@@ -114,6 +114,13 @@ def _integer(value, error: str) -> int:
     raise ParameterError(error)
 
 
+def _real(value, error: str) -> float:
+    """``value`` as a float if it is a real that is not a bool; anything else, a str too, raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ParameterError(error)
+
+
 @dataclass(frozen=True)
 class BCnParameters:
     """Parameters (n, r, s, q, m_1..m_n) of the BC_n family; N = sum(m) is cached."""
@@ -131,10 +138,11 @@ class BCnParameters:
             raise ParameterError("n must be >= 1")
         if len(self.m) != self.n:
             raise ParameterError(f"m has length {len(self.m)}, expected n = {self.n}")
-        if not all(math.isfinite(v) for v in (self.r, self.s, self.q, *self.m)):
+        r, s, q, *m = (_real(v, f"parameters must be real numbers, got {v!r}") for v in (self.r, self.s, self.q, *self.m))
+        if not all(math.isfinite(v) for v in (r, s, q, *m)):
             raise ParameterError("parameters must be finite")
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "N", float(sum(self.m)))
+        for name, value in zip(("r", "s", "q", "m", "N"), (r, s, q, tuple(m), float(sum(m)))):
+            object.__setattr__(self, name, value)
 
     @property
     def m_array(self) -> np.ndarray:
@@ -154,8 +162,8 @@ class Partition:
         object.__setattr__(self, "N", _integer(self.N, f"N must be an integer, got {self.N!r}"))
         error = f"every block must be a positive integer, got {tuple(self.blocks)}"
         object.__setattr__(self, "blocks", tuple(_integer(b, error) for b in self.blocks))
-        if min(self.blocks, default=1) < 1:
-            raise ParameterError(error)
+        if min(self.blocks, default=0) < 1:
+            raise ParameterError(error if self.blocks else f"a partition of N = {self.N} needs at least one block")
         if sum(self.blocks) != self.N:
             raise ParameterError(
                 f"blocks {self.blocks} sum to {sum(self.blocks)}, expected N = {self.N}"

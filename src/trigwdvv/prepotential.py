@@ -100,36 +100,39 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     return first, second
 
 
-def _active_margin(config: Configuration, x: np.ndarray, threshold: float):
-    """(A, c, z, ok) for the active members of ``config`` at the point x.
+def _point(x, n: int) -> np.ndarray:
+    """x as a float array; a shape other than (n,) raises DimensionError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
+    return x
 
-    A member is active when its multiplicity is nonzero.  A, c and z = A @ x
-    are the active vectors, multiplicities and pairings; ok is true iff x is
-    finite and every |z| >= threshold, so a NaN pairing fails.  z is None when
-    x is not finite.  The one margin rule of ``active_pairings`` and
-    ``is_admissible``.
+
+def _margin(A: np.ndarray, x: np.ndarray, threshold: float):
+    """(z, ok) for the covectors A (rows) at the point x.
+
+    z = A @ x, and ok is true iff x is finite and every |z| >= threshold, so a
+    NaN pairing fails.  z is None when x is not finite.  The one margin rule
+    of ``active_pairings`` and ``is_admissible``.
     """
-    active = config.multiplicities != 0.0
-    A, c = config.vectors[active], config.multiplicities[active]
     if not np.isfinite(x).all():
-        return A, c, None, False
+        return None, False
     z = A @ x
-    return A, c, z, bool((np.abs(z) >= threshold).all())
+    return z, bool((np.abs(z) >= threshold).all())
 
 
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
     """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
 
-    A member is active when its multiplicity is nonzero.  A non-finite point
-    raises DomainError.  Every active member must satisfy |(alpha, x)| >=
-    threshold; otherwise SingularityError names the nearest one (or the first
-    NaN pairing).  Returns (A, c, z) with z = A @ x.
+    A member is active when its multiplicity is nonzero (the package's one such
+    selection).  A non-finite point raises DomainError.  Every active member
+    must satisfy |(alpha, x)| >= threshold; otherwise SingularityError names the
+    nearest one (or the first NaN pairing).  Returns (A, c, z) with z = A @ x.
     """
-    x = np.asarray(x, dtype=float)
-    n = config.dimension
-    if x.shape != (n,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
-    A, c, z, ok = _active_margin(config, x, threshold)
+    x = _point(x, config.dimension)
+    active = config.multiplicities != 0.0
+    A, c = config.vectors[active], config.multiplicities[active]
+    z, ok = _margin(A, x, threshold)
     if not ok:
         if z is None:
             raise DomainError(f"point {x.tolist()} is not finite")
@@ -162,7 +165,7 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
     + q m_k sum_{j != k} m_j b_pair[k][j].  Entries with one repeated index a
     and a single index b carry q m_a m_b b_pair[b][a]; all others vanish.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(x, p.n)
     n, r, s, q = p.n, p.r, p.s, p.q
     m = p.m_array
     b, bt, b_pair = hyperbolic_helpers(x, threshold)
@@ -178,14 +181,14 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
 
 def metric_B(tensor: np.ndarray, x) -> np.ndarray:
     """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    n = len(tensor)
+    x = _point(x, n)
     return (np.sinh(2.0 * x) @ np.asarray(tensor).reshape(n, n * n)).reshape(n, n)
 
 
 def h_function(p: BCnParameters, x) -> float:
     """h(x) = 2q sum_k m_k cosh(2 x_k) + r."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x, p.n)
     return float(2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum() + p.r)
 
 
@@ -203,14 +206,14 @@ def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[
     return float(off) / scale, float(np.diag(dev).max()) / scale
 
 
-def is_admissible(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True iff x keeps a margin ``threshold`` from every active hyperplane.
+def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
+    """True iff x keeps a margin ``threshold`` from the hyperplane of every row of ``pattern``.
 
-    Requires a finite x, |(alpha, x)| >= threshold for every member with
-    nonzero multiplicity (the rule of ``active_pairings``) and
-    |sinh(2 x_k)| >= threshold for every coordinate.
+    ``pattern`` is an (M, n) covector array (``sampling.fully_active``); no multiplicity
+    is read.  Requires a finite x of shape (n,), |(alpha, x)| >= threshold for every
+    row (the margin rule of ``active_pairings``) and |sinh(2 x_k)| >= threshold for every coordinate.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (config.dimension,) or not _active_margin(config, x, threshold)[3]:
+    if x.shape != pattern.shape[1:] or not _margin(pattern, x, threshold)[1]:
         return False
     return bool(np.abs(np.sinh(2.0 * x)).min() >= threshold)

@@ -33,23 +33,22 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)] + words)))
 
 
-def covers_every_pair(config: Configuration) -> bool:
-    """True iff ``config`` has an active member +-(e_i - e_j) for every pair i < j."""
-    n = config.dimension
-    V = config.vectors[config.multiplicities != 0.0]
+def covers_every_pair(pattern: np.ndarray) -> bool:
+    """True iff ``pattern`` has a row +-(e_i - e_j) for every pair i < j."""
+    n = pattern.shape[1]
     # one entry 1, one entry -1 and zeros: the absolute values sum to 2
-    pairs = V[(V.max(axis=1) == 1.0) & (V.min(axis=1) == -1.0) & (np.abs(V).sum(axis=1) == 2.0)]
+    pairs = pattern[(pattern.max(axis=1) == 1.0) & (pattern.min(axis=1) == -1.0) & (np.abs(pattern).sum(axis=1) == 2.0)]
     covered = np.zeros((n, n), dtype=bool)
     covered[pairs.argmax(axis=1), pairs.argmin(axis=1)] = True
     return int((covered | covered.T).sum()) == n * (n - 1)
 
 
-def admissible_points(rng: np.random.Generator, config: Configuration, box, threshold) -> Iterator[np.ndarray]:
+def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[np.ndarray]:
     """Endless stream of points uniform on the admissible part of the box.
 
     Every candidate is accepted or rejected by ``is_admissible``, and each
     point gets at most MAX_ATTEMPTS_PER_POINT candidates.  When
-    ``covers_every_pair(config)`` and theta = ``threshold`` > 0, a candidate
+    ``covers_every_pair(pattern)`` and theta = ``threshold`` > 0, a candidate
     is u + theta * rank(u) for u uniform in [lo, hi - (n-1) theta]^n, where
     rank(u)_i counts the entries of u below u_i.  This map is a bijection with
     unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
@@ -63,8 +62,8 @@ def admissible_points(rng: np.random.Generator, config: Configuration, box, thre
     lo, hi = float(box[0]), float(box[1])
     if not -math.inf < lo < hi < math.inf:
         raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
-    n = config.dimension
-    spaced = threshold > 0.0 and covers_every_pair(config)
+    n = pattern.shape[1]
+    spaced = threshold > 0.0 and covers_every_pair(pattern)
     width = (n - 1) * threshold if spaced else 0.0
     if width >= hi - lo:
         raise PreconditionError(
@@ -76,7 +75,7 @@ def admissible_points(rng: np.random.Generator, config: Configuration, box, thre
             x = rng.uniform(lo, hi - width, n)
             if spaced:
                 x += threshold * (x[:, None] > x).sum(axis=1)
-            if is_admissible(config, x, threshold):
+            if is_admissible(pattern, x, threshold):
                 yield x
                 break
         else:
@@ -86,11 +85,11 @@ def admissible_points(rng: np.random.Generator, config: Configuration, box, thre
             )
 
 
-def fully_active(config: Configuration) -> Configuration:
-    """The same covectors with every multiplicity set to one.
+def fully_active(config: Configuration) -> np.ndarray:
+    """The sampling pattern of ``config``: its covectors, ``config.vectors`` itself.
 
-    Sampling against this pattern keeps points clear of every family
-    hyperplane even when some multiplicities vanish, so dual evaluation paths
-    (which may require the full pattern) stay valid on the sample.
+    Members with zero multiplicity count too: the family's third derivatives
+    have coth poles on every BC_n hyperplane (x_i = 0, x_i = +-x_j) whatever
+    the multiplicities, and ``tensor_closed_form`` reads none of them.
     """
-    return Configuration(config.dimension, config.vectors, np.ones(len(config)))
+    return config.vectors

@@ -108,12 +108,12 @@ def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
     return members
 
 
-def sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
+def sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
     """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from."""
-    return np.array(list(itertools.islice(admissible_points(rng, config, box, threshold), count)))
+    return np.array(list(itertools.islice(admissible_points(rng, pattern, box, threshold), count)))
 
 
-def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
+def rejection_sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
     """(count, dimension) admissible points by box-uniform rejection.
 
     Each candidate is ``rng.uniform(lo, hi, n)`` and is kept if
@@ -121,11 +121,11 @@ def rejection_sample_points(rng, config, count, box=DEFAULT_BOX, threshold=DEFAU
     candidates.
     """
     lo, hi = float(box[0]), float(box[1])
-    out = np.empty((count, config.dimension))
+    out = np.empty((count, pattern.shape[1]))
     for idx in range(count):
         for _ in range(MAX_ATTEMPTS_PER_POINT):
-            x = rng.uniform(lo, hi, config.dimension)
-            if is_admissible(config, x, threshold):
+            x = rng.uniform(lo, hi, pattern.shape[1])
+            if is_admissible(pattern, x, threshold):
                 out[idx] = x
                 break
         else:

@@ -139,15 +139,17 @@ class TestDeterminism:
         out2 = run_cli(*base, "--seed", "2").stdout
         assert out1 != out2
 
-    def test_env_seed_override(self):
-        args = ("verify-wdvv", *FAMILY_OK, "--samples", "10", "--json")
-        via_env = run_cli(*args, env_extra={"WDVV_SEED": "77"}).stdout
-        via_flag = run_cli(*args, "--seed", "77").stdout
-        assert via_env == via_flag
-
-    def test_bad_env_seed_rejected(self):
-        proc = run_cli("verify-wdvv", *FAMILY_OK, env_extra={"WDVV_SEED": "abc"})
-        assert proc.returncode == 2
+    @pytest.mark.parametrize("value", ["5", "abc"])
+    def test_env_seed_is_ignored(self, monkeypatch, capsys, value):
+        # the seed is --seed or 0, whatever the shell holds
+        argv = ["verify-wdvv", *FAMILY_OK, "--samples", "10", "--json"]
+        monkeypatch.delenv("WDVV_SEED", raising=False)
+        assert main(argv) == 0
+        without = capsys.readouterr()
+        monkeypatch.setenv("WDVV_SEED", value)
+        assert main(argv) == 0
+        assert capsys.readouterr() == without
+        assert json.loads(without.out)["run"]["seed"] == 0
 
     def test_negative_seed_rejected(self):
         proc = run_cli("verify-wdvv", *FAMILY_OK, "--seed", "-3")
@@ -681,18 +683,23 @@ def test_wdvv_n1_is_refused(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, builds",
+    "command, source, builds",
     [
-        # the projection and BC_5 as outside (context, from one set of BC_5's arrays), build_bcn's rebuild, fully_active
-        ("verify-restriction", [(2, 6), (5, 2 * 5 + 5 * 4), (2, 6), (2, 6)]),
-        # the rescaled BC_2, fully_active
-        ("verify-susy", [(2, 6), (2, 6)]),
+        # the family; the sampling pattern is its covectors, with no second build
+        *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
+          for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
+        # the projection and BC_5 as outside (context, from one set of BC_5's arrays);
+        # the config match reads the family's member arrays in place of a rebuild
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4)]),
+        # the rescaled BC_2
+        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
     ],
-    ids=["verify-restriction", "verify-susy"],
+    ids=["verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy"],
 )
-def test_builds_configurations_once_per_run(monkeypatch, command, builds):
-    # the configurations a run needs (BC_N and its projection, or the rescaled
-    # family) are built once per run, not once per sample point
+def test_builds_configurations_once_per_run(monkeypatch, command, source, builds):
+    # the configurations a run evaluates (the family, BC_N and its projection, or
+    # the rescaled family) are built once per run, not once per sample point, and
+    # no configuration is built that the run does not evaluate
     built = []
     original = Configuration.__init__
 
@@ -701,7 +708,6 @@ def test_builds_configurations_once_per_run(monkeypatch, command, builds):
         built.append((self.dimension, len(self.members)))
 
     monkeypatch.setattr(Configuration, "__init__", counting)
-    source = _family(2, -20, 1, 2, (2, 3))
     per_run = []
     for samples in (1, 3):
         built.clear()
@@ -764,13 +770,12 @@ def _scale_first_multiplicity(vectors, mults):
     ids=["multiplicity-scaled", "members-swapped", "member-missing"],
 )
 def test_restriction_config_match_fails_on_a_perturbed_family(monkeypatch, perturb, expected):
-    original = cli.build_bcn
+    original = cli._bcn_members
 
     def perturbed(params):
-        config = original(params)
-        return Configuration(config.dimension, *perturb(config.vectors, config.multiplicities))
+        return perturb(*original(params))
 
-    monkeypatch.setattr(cli, "build_bcn", perturbed)
+    monkeypatch.setattr(cli, "_bcn_members", perturbed)
     report = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=1))
     check = report.checks[0]
     assert check.name == "restriction_config_match"

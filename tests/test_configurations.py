@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,43 @@ class TestTypes:
         # a count is an integral real: a numeric string or a bool is refused by name, not read as a number
         with pytest.raises(ParameterError, match=f"^{error}$"):
             build()
+
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_partition_requires_a_block(self, N):
+        # with no block the partition itself refuses, not a consumer's BCnParameters(n=0)
+        with pytest.raises(ParameterError, match=f"^a partition of N = {N} needs at least one block$"):
+            Partition(N=N, blocks=())
+        with pytest.raises(ParameterError, match="needs at least one block"):
+            restrict_configuration(N, 0.0, 0.0, 1.0, Partition(N=N, blocks=()))
+
+    @pytest.mark.parametrize(
+        "field, value, bad",
+        [
+            ("r", True, True),
+            ("s", False, False),
+            ("q", "1", "1"),
+            ("r", None, None),
+            ("m", (1.0, True), True),
+            ("m", ("1", 1.0), "1"),
+            ("q", 1j, 1j),
+        ],
+        ids=["r bool", "s bool", "q str", "r None", "m bool", "m str", "q complex"],
+    )
+    def test_parameters_refuse_non_reals(self, field, value, bad):
+        # r, s, q and each m_i are reals that are not bools: anything else is refused by name
+        fields = {"n": 2, "r": 0.0, "s": 0.0, "q": 1.0, "m": (1.0, 1.0), field: value}
+        with pytest.raises(ParameterError, match=f"^parameters must be real numbers, got {re.escape(repr(bad))}$"):
+            BCnParameters(**fields)
+
+    def test_parameters_store_reals_as_floats(self):
+        p = BCnParameters(n=2, r=-4, s=np.float32(0.5), q=1, m=(1, np.int64(2)))
+        assert (p.r, p.s, p.q, p.m, p.N) == (-4.0, 0.5, 1.0, (1.0, 2.0), 3.0)
+        assert all(type(v) is float for v in (p.r, p.s, p.q, *p.m, p.N))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_parameters_must_be_finite(self, value):
+        with pytest.raises(ParameterError, match="^parameters must be finite$"):
+            BCnParameters(n=2, r=0.0, s=value, q=1.0, m=(1.0, 1.0))
 
     def test_partition_requires_an_integer_N(self):
         with pytest.raises(ParameterError, match="N must be an integer, got 5.5"):

@@ -6,7 +6,7 @@ import pytest
 
 from trigwdvv import algebra, susy
 from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
-from trigwdvv.errors import DomainError, SingularityError
+from trigwdvv.errors import DimensionError, DomainError, SingularityError
 from trigwdvv.prepotential import (
     active_pairings,
     eval_f,
@@ -15,6 +15,7 @@ from trigwdvv.prepotential import (
     identity_residuals,
     is_admissible,
     metric_B,
+    metric_identity_residuals,
     tensor_closed_form,
     tensor_generic,
 )
@@ -151,7 +152,7 @@ def _gemm_route_cases(n):
     mult[::4] = 0.0
     mult[1] = -1.5
     explicit = Configuration(n, rng.normal(size=(2 * n + 3, n)), mult)
-    yield "explicit", explicit, rejection_sample_points(rng, explicit, 3)
+    yield "explicit", explicit, rejection_sample_points(rng, fully_active(explicit), 3)
     # an empty active set: every member inactive, or no member at all
     inactive = Configuration(n, rng.normal(size=(3, n)), np.zeros(3))
     yield "inactive", inactive, rng.uniform(0.3, 1.5, (2, n))
@@ -294,24 +295,26 @@ class TestMetricAndH:
 
 class TestIsAdmissible:
     def setup_method(self):
-        self.config = build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0)))
+        self.pattern = fully_active(build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))))
 
     def test_mirror_point(self):
-        assert not is_admissible(self.config, [0.5, 0.5])
+        assert not is_admissible(self.pattern, [0.5, 0.5])
 
     def test_generic_point(self):
-        assert is_admissible(self.config, [0.9, 0.4], 0.05)
+        assert is_admissible(self.pattern, [0.9, 0.4], 0.05)
 
     def test_margin_below_threshold(self):
-        assert not is_admissible(self.config, [0.5, 0.5 + 0.025], 0.05)
+        assert not is_admissible(self.pattern, [0.5, 0.5 + 0.025], 0.05)
 
     @pytest.mark.parametrize("x", [[np.nan, 0.5], [np.inf, 0.5], [0.5]], ids=["nan", "inf", "shape"])
     def test_non_finite_or_misshapen_point(self, x):
-        assert not is_admissible(self.config, x)
+        assert not is_admissible(self.pattern, x)
 
-    def test_zero_multiplicity_members_ignored(self):
+    def test_zero_multiplicity_members_count(self):
+        # the pattern is every member's covector: e_1 - e_2 keeps its hyperplane at multiplicity 0
         c = Configuration(2, [(1.0, -1.0), (1.0, 0.0)], [0.0, 1.0])
-        assert is_admissible(c, [0.5, 0.5], 0.05)
+        assert not is_admissible(fully_active(c), [0.5, 0.5], 0.05)
+        assert is_admissible(c.vectors, [0.9, 0.4], 0.05)
 
 
 class TestFiniteDifferenceOracle:
@@ -353,3 +356,23 @@ def test_closed_form_route_refuses_a_nan_point(evaluate):
     # NaN < theta is false, so the margin test alone would let a NaN point through
     with pytest.raises(DomainError, match=r"point \[nan, 0.5\] is not finite"):
         evaluate()
+
+
+BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
+BC3_TENSOR = tensor_generic(build_bcn(BC3), [0.9, 0.5, 1.3])
+
+# every function that reads a point beside a family or a tensor of dimension 3
+POINT_READERS = {
+    "h_function": lambda x: h_function(BC3, x),
+    "tensor_closed_form": lambda x: tensor_closed_form(BC3, x),
+    "metric_B": lambda x: metric_B(BC3_TENSOR, x),
+    "metric_identity_residuals": lambda x: metric_identity_residuals(BC3, BC3_TENSOR, x),
+}
+
+
+@pytest.mark.parametrize("evaluate", POINT_READERS.values(), ids=POINT_READERS.keys())
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.9, 1.3, 0.7]], ids=["short", "long"])
+def test_a_point_of_the_wrong_length_is_refused(evaluate, x):
+    # h_function broadcast a short point, and the others raised numpy's own ValueError
+    with pytest.raises(DimensionError, match=rf"^point has shape \({len(x)},\), expected \(3,\)$"):
+        evaluate(x)

@@ -16,15 +16,15 @@ def bcn_pattern(n, m=None):
     return fully_active(build_bcn(BCnParameters(n=n, r=-(2.0 * n - 4.0), s=0.0, q=1.0, m=m)))
 
 
-# BC_3 without the member e_2 - e_3
+# the pattern of BC_3 without the member e_2 - e_3
 E = np.eye(3)
-MISSING_PAIR = Configuration(
+MISSING_PAIR = fully_active(Configuration(
     3, [*E, *(2 * E), E[0] - E[1], E[0] - E[2], E[1] + E[2]], [1.0] * 9
-)
-# the pair members of BC_3 with either sign
-BOTH_SIGNS = Configuration(
+))
+# the pattern of the pair members of BC_3 with either sign
+BOTH_SIGNS = fully_active(Configuration(
     3, [E[1] - E[0], E[0] - E[2], E[2] - E[1]], [1.0, 2.0, 0.5]
-)
+))
 
 
 class TestCoversEveryPair:
@@ -38,9 +38,12 @@ class TestCoversEveryPair:
     def test_missing_pair(self):
         assert not covers_every_pair(MISSING_PAIR)
 
-    def test_inactive_pair_members_do_not_count(self):
-        # q = 0 leaves e_i +- e_j in the configuration with multiplicity zero
-        assert not covers_every_pair(build_bcn(BCnParameters(n=3, r=-2.0, s=0.0, q=0.0, m=(1.0,) * 3)))
+    def test_zero_multiplicity_pair_members_count(self):
+        # q = 0 leaves e_i +- e_j in the configuration with multiplicity zero, and the
+        # closed form's coth(x_i +- x_j) still needs their margin: the pattern reads no multiplicity
+        family = build_bcn(BCnParameters(n=3, r=-2.0, s=0.0, q=0.0, m=(1.0,) * 3))
+        assert covers_every_pair(fully_active(family))
+        assert covers_every_pair(family.vectors[6:])  # the pair rows alone
 
     def test_rescaled_pair_members_do_not_count(self):
         # unequal m rescales e_i - e_j to m_i^{-1/2} e_i - m_j^{-1/2} e_j
@@ -62,12 +65,25 @@ class TestCoversEveryPair:
     ids=["bcn_zero_mults", "rescaled", "open_chain"],
 )
 def test_fully_active_matches_a_fresh_build(config):
+    # the pattern is the configuration's own covectors, zero multiplicities included:
+    # the rows that a build with every multiplicity one keeps, with no build
     got = fully_active(config)
     fresh = Configuration(config.dimension, config.vectors, np.ones(len(config)))
-    assert got.dimension == fresh.dimension
-    assert np.array_equal(got.vectors, fresh.vectors)
-    assert got.multiplicities.tolist() == fresh.multiplicities.tolist() == [1.0] * len(config)
-    assert not got.vectors.flags.writeable and not got.multiplicities.flags.writeable
+    assert got is config.vectors
+    assert np.array_equal(got, fresh.vectors)
+    assert not got.flags.writeable
+
+
+def test_points_clear_zero_multiplicity_members():
+    # BC_2 at r = s = 0 gives e_i and 2 e_i multiplicity 0, but the closed form's coth(x_i)
+    # has its pole at x_i = 0 all the same; the box (-1, 1) straddles it (the default box
+    # has every x_i > 0.3, which hides it)
+    config = build_bcn(BCnParameters(n=2, r=0.0, s=0.0, q=1.0, m=(1.0, 1.0)))
+    theta = 0.05
+    pts = sample_points(rng_for(0, "zero-e_i"), fully_active(config), 500, (-1.0, 1.0), theta)
+    assert np.abs(pts).min() >= theta and (pts < 0.0).any()
+    again = sample_points(rng_for(0, "zero-e_i"), config.vectors, 500, (-1.0, 1.0), theta)
+    assert np.array_equal(pts, again)
 
 
 # KS critical value at level 0.001 for two samples of KS_N points each
