@@ -294,14 +294,14 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
     """Append the checks of ``residuals``, evaluated at ``samples`` accepted points.
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
-    whose generator is keyed by "<command>/points", and ``residuals(rng, x)``
-    takes any further random draws from the same generator.  It returns
-    {check name: residual or residuals} at the point.  The one discard rule
-    lives here: a point where it raises SingularMatrixError (a metric or pivot
+    whose generator is keyed by "<command>/points".  ``residuals(rng, x, active)``
+    reads the point's ``active_pairings``, taken here once per point, draws from the
+    same generator and returns {check name: residual or residuals}.  The one discard
+    rule lives here: a point where it raises SingularMatrixError (a metric or pivot
     that fails ``wdvv.usable_pivots``) is counted in ``discarded_points`` and
-    replaced, and past the discard cap the run ends with a SamplingError that
-    gives the count.  Any other error propagates.  Checks are reported in key
-    order, and a check that received no residual is left out of the report.
+    replaced, and past the discard cap the run ends with a SamplingError that gives
+    the count.  Any other error propagates.  Checks are reported in key order, and a
+    check that received no residual is left out of the report.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
@@ -314,7 +314,7 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
             raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {discarded}")
         x = next(points)
         try:
-            values = residuals(rng, x)
+            values = residuals(rng, x, active_pairings(config, x, spec.threshold))
         except SingularMatrixError:
             report.discarded_points += 1
             continue
@@ -343,8 +343,8 @@ def _run_wdvv(spec: RunSpec, parsed):
             "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
         )
 
-    def residuals(rng, x):
-        T = tensor_generic(config, x, spec.threshold)
+    def residuals(rng, x, active):
+        T = tensor_generic(active)
         # pivot 0 is the metric B (pair form), pivot 1 + k is F_k (pivot form)
         scaled = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))[0]
         return {
@@ -361,14 +361,13 @@ def _run_associativity(spec: RunSpec, parsed):
     if isinstance(parsed, BCnParameters) and not parsed.m_array.all():
         raise PreconditionError(f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
 
-    def residuals(rng, x):
-        active = active_pairings(config, x, spec.threshold)
+    def residuals(rng, x, active):
         if isinstance(parsed, BCnParameters):
 
             def raise_index(y):  # the family's metric diag(m)
                 return y / parsed.m_array
         else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
-            B = metric_B(tensor_generic(config, x, spec.threshold), x)
+            B = metric_B(tensor_generic(active), x)
             usable_pivots(B[None])
 
             def raise_index(y):
@@ -384,8 +383,8 @@ def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
 
-    def residuals(rng, x):
-        off, diag = metric_identity_residuals(params, tensor_generic(config, x, spec.threshold), x)
+    def residuals(rng, x, active):
+        off, diag = metric_identity_residuals(params, tensor_generic(active), x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
     return {}, config, residuals
@@ -412,17 +411,17 @@ def _run_restriction(spec: RunSpec, parsed):
 
     F_basis = restriction.block_basis
 
-    def residuals(rng, xt):
-        active = restriction.pairings(xt)
-        T = tensor_generic(projected, xt, spec.threshold)
+    def residuals(rng, xt, active):
+        outside = restriction.pairings(xt)
+        T = tensor_generic(active)
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
         u, v = F_basis.T @ ut, F_basis.T @ vt
 
-        C = algebra.structure_constants(restriction, active)
+        C = algebra.structure_constants(restriction, outside)
         expected = np.einsum("ijk,k->ijk", T, 1.0 / restriction.m)
         scale = max(1.0, float(np.abs(expected).max()))
 
-        tangency = algebra.tangency_residuals(restriction, active, u, v)
+        tangency = algebra.tangency_residuals(restriction, outside, u, v)
         metric = metric_identity_residuals(restriction.params, T, xt)
         return {
             "structure_constants_two_path": float(np.abs(C - expected).max()) / scale,
@@ -441,8 +440,8 @@ def _run_susy(spec: RunSpec, parsed):
     anticommutation = susy.anticommutation_residual(susy.FermionicSpace(n))
     sq = np.sqrt(params.m_array)
 
-    def hat_residuals(rng, xh):
-        T = tensor_generic(hat.config, xh, spec.threshold)
+    def hat_residuals(rng, xh, active):
+        T = tensor_generic(active)
         commuting = pivot_residuals(T)[0][0]
         # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
         # compared with the closed form there; B^ = h I is B = h diag(m)
@@ -452,7 +451,7 @@ def _run_susy(spec: RunSpec, parsed):
             "hat_tensor_two_path": float(np.abs(base - closed).max()) / max(1.0, float(np.abs(closed).max())),
             "hat_commuting_residual": [commuting.max()] if commuting.size else [],
             "hat_metric_identity": np.max(metric_identity_residuals(params, base, x)),
-            "gauge_residual": susy.gauge_residual(hat.config, xh, spec.threshold),
+            "gauge_residual": susy.gauge_residual(active),
         }
 
     return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals
@@ -497,7 +496,7 @@ def emit_tensor(spec: RunSpec, point) -> dict:
     parsed = load_config_source(spec.config_source)
     x = np.asarray(point, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = tensor_generic(_config_of(parsed), x, spec.threshold)
+        F = tensor_generic(active_pairings(_config_of(parsed), x, spec.threshold))
         B = metric_B(F, x)
         h = h_function(parsed, x) if isinstance(parsed, BCnParameters) else None
     for name, value in (("F", F), ("B", B), ("h", h)):

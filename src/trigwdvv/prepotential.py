@@ -144,16 +144,15 @@ def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHO
     return A, c, z
 
 
-def tensor_generic(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+def tensor_generic(active) -> np.ndarray:
     """Third-derivative tensor F_ijk = sum_alpha c_alpha a_i a_j a_k coth((alpha, x)).
 
-    Members with zero multiplicity are skipped; every active member must
-    satisfy |(alpha, x)| >= threshold.  One GEMM over the active members,
-    (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k: exactly symmetric in
-    (j, k), symmetric in i only up to rounding.
+    ``active`` is (A, c, z) from ``active_pairings`` at the point x.  One GEMM
+    over the active members, (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k:
+    exactly symmetric in (j, k), symmetric in i only up to rounding.
     """
-    A, c, z = active_pairings(config, x, threshold)
-    n = config.dimension
+    A, c, z = active
+    n = A.shape[1]
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
     return ((A.T * (c * coth(z))) @ AA).reshape(n, n, n)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, _bcn_members
 from .errors import DimensionCapError, ParameterError
-from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
+from .prepotential import coth
 
 _FERMION_N_CAP = 7  # dim = 2^(2n) <= 16384
 
@@ -44,10 +44,10 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     return RescaledConfiguration(config=config)
 
 
-def bosonic_potential(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
-    """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^))
-    + 1/4 sum over pairs (incl. a = b) of c_a c_b (a,a)(b,b)(a,b) coth coth."""
-    A, c, z = active_pairings(config, x_hat, threshold)
+def bosonic_potential(active) -> float:
+    """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^)) + 1/4 sum over pairs (incl. a = b) of
+    c_a c_b (a,a)(b,b)(a,b) coth coth, from ``active_pairings``' (A, c, z) at x^."""
+    A, c, z = active
     norms2 = np.einsum("mi,mi->m", A, A)
     single = 0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
     w = c * norms2 * coth(z)
@@ -131,18 +131,18 @@ def anticommutation_residual(fs: FermionicSpace) -> float:
     return float(np.max(worst))  # NaN-propagating
 
 
-def gauge_residual(config: Configuration, x_hat, threshold: float = DEFAULT_THRESHOLD) -> float:
+def gauge_residual(active) -> float:
     """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form.
 
     L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
     relating the two Hamiltonian forms, so grad L = A^T (c (a,a) coth / 2) and
     Lap L = -1/2 sum c (a,a)^2 / sinh^2.  The identity holds for every
     configuration: the residual checks ``bosonic_potential`` against a second
-    summation, not the family.
+    summation, not the family.  ``active`` is as in ``bosonic_potential``.
     """
-    A, c, z = active_pairings(config, x_hat, threshold)
+    A, c, z = active
     norms2 = np.einsum("mi,mi->m", A, A)
     grad = A.T @ (0.5 * c * norms2 * coth(z))
     lap = -0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
-    V = bosonic_potential(config, x_hat, threshold)
+    V = bosonic_potential(active)
     return abs(V - (float(grad @ grad) - lap)) / max(1.0, abs(V))

@@ -519,7 +519,7 @@ def gauge_residual_fd(config, x_hat0, phi, step: float = 1e-3, threshold: float 
         sum((psi(x0 + h * eye[k]) - 2.0 * psi0 + psi(x0 - h * eye[k])) / h**2 for k in range(n))
     )
 
-    V = bosonic_potential(config, x0, threshold)
+    V = bosonic_potential(active_pairings(config, x0, threshold))
     left = g(x0) * (-lap_psi + V * psi0)
 
     # a row's dot product can differ from the matrix product's entry in the

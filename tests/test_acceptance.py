@@ -81,7 +81,7 @@ def test_criterion_1_two_path_tensor_equivalence():
             config = build_bcn(p)
             pattern = fully_active(config)
             for x in sample_points(rng, pattern, 20):
-                G = tensor_generic(config, x)
+                G = tensor_generic(active_pairings(config, x))
                 C = tensor_closed_form(p, x)
                 worst = max(worst, np.abs(G - C).max() / max(1.0, np.abs(C).max()))
     elapsed = time.perf_counter() - t0
@@ -120,7 +120,7 @@ def test_criterion_3_metric_structure():
         p = _random_params(rng, n)
         config = build_bcn(p)
         x = sample_points(rng, fully_active(config), 1)[0]
-        B = metric_B(tensor_generic(config, x), x)
+        B = metric_B(tensor_generic(active_pairings(config, x)), x)
         off = B - np.diag(np.diag(B))
         worst_off = max(worst_off, np.abs(off).max() / max(1.0, np.abs(B).max()))
 
@@ -129,7 +129,7 @@ def test_criterion_3_metric_structure():
     config = build_bcn(p_ok)
     rng2 = rng_for(SEED, "acceptance3/diag")
     for x in sample_points(rng2, fully_active(config), 100):
-        B = metric_B(tensor_generic(config, x), x)
+        B = metric_B(tensor_generic(active_pairings(config, x)), x)
         dev = np.abs(np.diag(B) - p_ok.m_array * h_function(p_ok, x)).max()
         worst_diag = max(worst_diag, dev / max(1.0, np.abs(B).max()))
 
@@ -139,7 +139,7 @@ def test_criterion_3_metric_structure():
     config = build_bcn(p_broken)
     rng3 = rng_for(SEED, "acceptance3/delta")
     for x in sample_points(rng3, fully_active(config), 100):
-        B = metric_B(tensor_generic(config, x), x)
+        B = metric_B(tensor_generic(active_pairings(config, x)), x)
         predicted = p_broken.m_array * (h_function(p_broken, x) + delta * np.cosh(2.0 * x))
         dev = np.abs(np.diag(B) - predicted).max()
         worst_delta = max(worst_delta, dev / max(1.0, np.abs(B).max()))
@@ -177,7 +177,7 @@ def test_criterion_4_wdvv_theorems():
         pattern = fully_active(config)
         rng = rng_for(SEED, f"acceptance4/pos/{fam_idx}")
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(config, x)
+            T = tensor_generic(active_pairings(config, x))
             B = metric_B(T, x)
             worst_pos = max(worst_pos, pivot_residuals(T, B[None])[0].max())
 
@@ -197,7 +197,7 @@ def test_criterion_4_wdvv_theorems():
         rng = rng_for(SEED, f"acceptance4/neg/{fam_idx}")
         above = total = 0
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(config, x)
+            T = tensor_generic(active_pairings(config, x))
             B = metric_B(T, x)
             worst = max(pivot_residuals(T, B[None])[1].max(), pivot_residuals(T, T)[1].max())
             total += 1
@@ -213,7 +213,7 @@ def test_criterion_4_wdvv_theorems():
     rng = rng_for(SEED, "acceptance4/n2")
     worst_n2 = 0.0
     for x in sample_points(rng, fully_active(config2), 50):
-        T = tensor_generic(config2, x)
+        T = tensor_generic(active_pairings(config2, x))
         B = metric_B(T, x)
         worst_n2 = max(worst_n2, pivot_residuals(T, B[None])[0][0, 0])
 
@@ -252,7 +252,7 @@ def test_criterion_5_restriction_machinery():
     for xt in sample_points(rng, pattern, 20):
         active = rctx.pairings(xt)
         C = structure_constants(rctx, active)
-        Ft = tensor_generic(rctx.projected_config, xt)
+        Ft = tensor_generic(active_pairings(rctx.projected_config, xt))
         expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
         worst_struct = max(
             worst_struct, np.abs(C - expected).max() / max(1.0, np.abs(expected).max())
@@ -337,8 +337,8 @@ def test_criterion_6_susy_block():
     hat_bad = build_hat_configuration(p_bad).config
     rng = rng_for(SEED, "acceptance6/commuting")
     pts = sample_points(rng, fully_active(hat_ok), 50)
-    worst_comm = max(pivot_residuals(tensor_generic(hat_ok, x))[0][0, 0] for x in pts)
-    broken_raw = np.median([pivot_residuals(tensor_generic(hat_bad, x))[1][0, 0] for x in pts])
+    worst_comm = max(pivot_residuals(tensor_generic(active_pairings(hat_ok, x)))[0][0, 0] for x in pts)
+    broken_raw = np.median([pivot_residuals(tensor_generic(active_pairings(hat_bad, x)))[1][0, 0] for x in pts])
 
     # four-fermion term against the literal eight-index oracle
     worst_phi = 0.0

@@ -32,7 +32,7 @@ BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 
 def h_b_decomposition(rctx, xt):
     """The restriction's metric-identity residual at ``xt``, as ``verify-restriction`` reports it."""
-    return max(metric_identity_residuals(rctx.params, tensor_generic(rctx.projected_config, xt), xt))
+    return max(metric_identity_residuals(rctx.params, tensor_generic(active_pairings(rctx.projected_config, xt)), xt))
 
 
 def block_constant(part, coeffs):
@@ -64,7 +64,7 @@ class TestMultiply:
         active = active_pairings(config, [0.8])
         e1 = np.array([1.0])
         prod = multiply(active, e1, e1)
-        F111 = tensor_generic(config, [0.8])[0, 0, 0]
+        F111 = tensor_generic(active_pairings(config, [0.8]))[0, 0, 0]
         assert math.isclose(prod[0], F111, rel_tol=1e-14)
 
     def test_commutativity_exact(self):
@@ -87,7 +87,7 @@ def family_metric(p):
 
 def b_metric(config, x):
     """u o v = B(x)^{-1} (u * v), the product of an explicit source."""
-    B = metric_B(tensor_generic(config, x), x)
+    B = metric_B(tensor_generic(active_pairings(config, x)), x)
     return lambda y: np.linalg.solve(B, y)
 
 
@@ -319,7 +319,7 @@ class TestStructureConstants:
         xt = np.array([0.9, 0.5, 1.3])
         rctx = RestrictionContext(-2.0, 0.0, 1.0, part)
         C = structure_constants(rctx, rctx.pairings(xt))
-        F = tensor_generic(build_bcn(BC3), xt)
+        F = tensor_generic(active_pairings(build_bcn(BC3), xt))
         assert np.abs(C - F).max() < 1e-12
 
     def test_two_path_agreement(self):
@@ -329,7 +329,7 @@ class TestStructureConstants:
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         for xt in sample_points(rng, pattern, 20):
             C = structure_constants(rctx, rctx.pairings(xt))
-            Ft = tensor_generic(rctx.projected_config, xt)
+            Ft = tensor_generic(active_pairings(rctx.projected_config, xt))
             expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
             scale = max(1.0, np.abs(expected).max())
             assert np.abs(C - expected).max() < 1e-10 * scale
@@ -340,7 +340,7 @@ class TestStructureConstants:
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
-        Ft = tensor_generic(rctx.projected_config, xt)
+        Ft = tensor_generic(active_pairings(rctx.projected_config, xt))
         H = np.diag(rctx.m)
         assert pivot_residuals(Ft, H[None])[0][0, 0] < 1e-12
 
@@ -370,7 +370,7 @@ class TestHBDecomposition:
         xt = np.array([0.7])
         rctx = RestrictionContext(r, 0.5, 1.0, part)
         assert h_b_decomposition(rctx, xt) < 1e-12
-        F111 = tensor_generic(rctx.projected_config, xt)[0, 0, 0]
+        F111 = tensor_generic(active_pairings(rctx.projected_config, xt))[0, 0, 0]
         h = h_function(rctx.params, xt)
         assert math.isclose(math.sinh(2 * 0.7) / h * F111, float(N), rel_tol=1e-12)
 
@@ -380,4 +380,4 @@ class TestHBDecomposition:
         rctx = RestrictionContext(0.0, 0.0, 0.0, part)
         xt = np.array([0.7])
         assert h_function(rctx.params, xt) == 0.0
-        assert metric_identity_residuals(rctx.params, tensor_generic(rctx.projected_config, xt), xt) == (0.0, 0.0)
+        assert metric_identity_residuals(rctx.params, tensor_generic(active_pairings(rctx.projected_config, xt)), xt) == (0.0, 0.0)

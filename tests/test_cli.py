@@ -32,7 +32,7 @@ from trigwdvv.errors import (
     SamplingError,
     SingularMatrixError,
 )
-from trigwdvv.prepotential import h_function, metric_B, tensor_generic
+from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
 
@@ -594,7 +594,7 @@ def _sampled_into(report, per_point, points):
     """Run ``_sampled`` into ``report`` with one residual dict per point, appending each
     point to ``points``; an exception in ``per_point`` is raised at its point instead."""
 
-    def residuals(rng, x):
+    def residuals(rng, x, active):
         points.append(x.tolist())
         value = per_point[len(points) - 1]
         if isinstance(value, Exception):
@@ -722,9 +722,9 @@ def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):
     calls = []
     original = tensor_generic
 
-    def counting(config, x, threshold):
-        calls.append((config.dimension, len(config)))
-        return original(config, x, threshold)
+    def counting(active):
+        calls.append((active[0].shape[1], len(active[0])))
+        return original(active)
 
     monkeypatch.setattr(cli, "tensor_generic", counting)
     for samples in (1, 3):
@@ -806,7 +806,7 @@ def test_ill_conditioned_pivots_discard_the_point():
     accepted = discarded = 0
     while accepted < spec.samples:
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
-        T = tensor_generic(config, x, spec.threshold)
+        T = tensor_generic(active_pairings(config, x, spec.threshold))
         conds = [np.linalg.cond(metric_B(T, x))] + [np.linalg.cond(F) for F in T]
         if max(conds) > CONDITION_CAP:
             discarded += 1

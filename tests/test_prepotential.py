@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trigwdvv import algebra, susy
+from trigwdvv import algebra, cli
 from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
 from trigwdvv.errors import DimensionError, DomainError, SingularityError
 from trigwdvv.prepotential import (
@@ -121,22 +121,22 @@ class TestIdentityResiduals:
 class TestTensorGeneric:
     def test_rank_one_configuration(self):
         c = Configuration(1, [(1.0,), (2.0,)], [1.7, -0.6])
-        T = tensor_generic(c, [0.8])
+        T = tensor_generic(active_pairings(c, [0.8]))
         assert math.isclose(T[0, 0, 0], 1.7 * COTH(0.8) + 8 * (-0.6) * COTH(1.6), rel_tol=1e-14)
 
     def test_empty_and_inactive_configurations(self):
-        assert np.all(tensor_generic(Configuration(2, [], []), [0.7, 0.4]) == 0.0)
+        assert np.all(tensor_generic(active_pairings(Configuration(2, [], []), [0.7, 0.4])) == 0.0)
         inactive = Configuration(2, [(1.0, 0.0), (1.0, -1.0)], [0.0, 0.0])
-        assert np.all(tensor_generic(inactive, [0.7, 0.7]) == 0.0)
+        assert np.all(tensor_generic(active_pairings(inactive, [0.7, 0.7])) == 0.0)
 
     def test_singularity_names_offending_member(self):
         c = Configuration(2, [(1.0, -1.0)], [2.0])
         with pytest.raises(SingularityError, match=r"1\.0, -1\.0"):
-            tensor_generic(c, [0.5, 0.5])
+            tensor_generic(active_pairings(c, [0.5, 0.5]))
 
     def test_permutation_symmetry(self):
         p = BCnParameters(n=3, r=-1.2, s=0.7, q=1.9, m=(0.7, 1.3, 2.1))
-        T = tensor_generic(build_bcn(p), [0.9, 0.5, 1.3])
+        T = tensor_generic(active_pairings(build_bcn(p), [0.9, 0.5, 1.3]))
         for perm in itertools.permutations(range(3)):
             assert np.abs(T - np.transpose(T, perm)).max() < 1e-12
 
@@ -164,7 +164,7 @@ def test_gemm_tensor_and_metric_match_the_einsum_oracle(n):
     # the GEMM sums in another order than einsum: agreement to rounding, not bits
     for label, config, points in _gemm_route_cases(n):
         for x in points:
-            T = tensor_generic(config, x)
+            T = tensor_generic(active_pairings(config, x))
             want = tensor_generic_einsum(config, x)
             assert T.shape == want.shape == (n, n, n)
             assert np.abs(T - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), label
@@ -177,12 +177,13 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 
 # every function that evaluates at a point and must keep clear of the hyperplanes
 HYPERPLANE_CALLERS = {
-    "tensor_generic": lambda x: tensor_generic(build_bcn(BC2), x),
+    # the tensor command is the one path where a point from outside reaches tensor_generic
+    "emit_tensor": lambda x: cli.emit_tensor(
+        cli.RunSpec("tensor", {"family": "bcn", "n": 2, "r": 1.0, "s": 1.0, "q": 1.0, "m": [1.0, 1.0]}), x
+    ),
     "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
     "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).pairings(x),
-    "bosonic_potential": lambda x: susy.bosonic_potential(build_bcn(BC2), x),
     "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
-    "gauge_residual": lambda x: susy.gauge_residual(build_bcn(BC2), x),
 }
 
 
@@ -232,7 +233,7 @@ class TestTensorClosedForm:
     def test_matches_generic_path(self):
         p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
         x = np.array([0.9, 0.4])
-        G = tensor_generic(build_bcn(p), x)
+        G = tensor_generic(active_pairings(build_bcn(p), x))
         C = tensor_closed_form(p, x)
         assert np.abs(G - C).max() < 1e-12
 
@@ -253,7 +254,7 @@ class TestMetricAndH:
     def test_metric_is_symmetric(self):
         p = BCnParameters(n=3, r=-1.2, s=0.7, q=1.9, m=(0.7, 1.3, 2.1))
         x = np.array([0.9, 0.5, 1.3])
-        B = metric_B(tensor_generic(build_bcn(p), x), x)
+        B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
         assert np.abs(B - B.T).max() < 1e-12
 
     def test_offdiagonal_vanishes_for_any_parameters(self):
@@ -269,14 +270,14 @@ class TestMetricAndH:
             )
             pattern = fully_active(build_bcn(p))
             x = sample_points(rng, pattern, 1)[0]
-            B = metric_B(tensor_generic(build_bcn(p), x), x)
+            B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
             off = B - np.diag(np.diag(B))
             assert np.abs(off).max() < 1e-10 * max(1.0, np.abs(B).max())
 
     def test_constraint_gives_diagonal_m_h(self):
         p = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
         x = np.array([0.6, 0.8])
-        B = metric_B(tensor_generic(build_bcn(p), x), x)
+        B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
         h = h_function(p, x)
         assert np.allclose(np.diag(B), np.array([2.0, 3.0]) * h, rtol=1e-10)
 
@@ -289,7 +290,7 @@ class TestMetricAndH:
         val = h_function(p, [0.5, 0.5])
         assert math.isclose(val, 4 * math.cosh(1.0), rel_tol=1e-14)
         # cross-check against the metric's diagonal
-        B = metric_B(tensor_generic(build_bcn(p), [0.5, 0.9]), [0.5, 0.9])
+        B = metric_B(tensor_generic(active_pairings(build_bcn(p), [0.5, 0.9])), [0.5, 0.9])
         assert math.isclose(B[0, 0], h_function(p, [0.5, 0.9]), rel_tol=1e-10)
 
 
@@ -335,7 +336,7 @@ class TestFiniteDifferenceOracle:
             # after extrapolation scales like multiplicity / margin^5
             pts = sample_points(rng, pattern, 3, box=(0.4, 1.2), threshold=0.3)
             for x in pts:
-                T = tensor_generic(config, x)
+                T = tensor_generic(active_pairings(config, x))
                 T_fd = fd_tensor(config, x, h=1e-2)
                 assert np.abs(T - T_fd).max() < 1e-4
 
@@ -359,7 +360,7 @@ def test_closed_form_route_refuses_a_nan_point(evaluate):
 
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
-BC3_TENSOR = tensor_generic(build_bcn(BC3), [0.9, 0.5, 1.3])
+BC3_TENSOR = tensor_generic(active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3]))
 
 # every function that reads a point beside a family or a tensor of dimension 3
 POINT_READERS = {

@@ -6,7 +6,7 @@ import pytest
 
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
-from trigwdvv.prepotential import metric_B, metric_identity_residuals, tensor_closed_form, tensor_generic
+from trigwdvv.prepotential import active_pairings, metric_B, metric_identity_residuals, tensor_closed_form, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
@@ -38,7 +38,7 @@ GAUGE_THETA = 0.6
 
 
 def hat_tensor(p, x_hat):
-    return tensor_generic(build_hat_configuration(p).config, x_hat)
+    return tensor_generic(active_pairings(build_hat_configuration(p).config, x_hat))
 
 
 class TestHatConfiguration:
@@ -71,7 +71,7 @@ class TestHatTensor:
     def test_unit_m_equals_base_tensor(self):
         p = BCnParameters(n=2, r=1.0, s=0.5, q=1.5, m=(1.0, 1.0))
         x = np.array([0.9, 0.4])
-        assert np.abs(hat_tensor(p, x) - tensor_generic(build_bcn(p), x)).max() < 1e-14
+        assert np.abs(hat_tensor(p, x) - tensor_generic(active_pairings(build_bcn(p), x))).max() < 1e-14
 
     @pytest.mark.parametrize(
         "params",
@@ -122,19 +122,19 @@ class TestBosonicPotential:
         config = Configuration(1, [(1.0,)], [c])
         x = np.array([0.8])
         expected = 0.5 * c / math.sinh(0.8) ** 2 + 0.25 * c**2 / math.tanh(0.8) ** 2
-        assert math.isclose(bosonic_potential(config, x), expected, rel_tol=1e-14)
+        assert math.isclose(bosonic_potential(active_pairings(config, x)), expected, rel_tol=1e-14)
 
     def test_all_zero_multiplicities(self):
         p = BCnParameters(n=2, r=0.0, s=0.0, q=0.0, m=(1.0, 1.0))
         hat = build_hat_configuration(p)
-        assert bosonic_potential(hat.config, np.array([0.7, 0.3])) == 0.0
+        assert bosonic_potential(active_pairings(hat.config, np.array([0.7, 0.3]))) == 0.0
 
     def test_matches_reversed_literal_summation(self):
         from tests.oracles import bosonic_potential_reversed
 
         hat = build_hat_configuration(BC2_HAT)
         x = np.array([0.7, 0.3])
-        a = bosonic_potential(hat.config, x)
+        a = bosonic_potential(active_pairings(hat.config, x))
         b = bosonic_potential_reversed(hat.config, x)
         assert math.isclose(a, b, rel_tol=1e-12)
 
@@ -318,14 +318,14 @@ class TestGaugeClosedForm:
         hat = build_hat_configuration(params)
         rng = rng_for(42, f"gauge/closed-form/{params.n}")
         pts = sample_points(rng, fully_active(hat.config), 20)
-        assert max(gauge_residual(hat.config, xh) for xh in pts) <= 1e-14
+        assert max(gauge_residual(active_pairings(hat.config, xh)) for xh in pts) <= 1e-14
 
     def test_wrong_potential_detected(self, monkeypatch):
         # negative control: a potential off by a relative 1e-6
         hat = build_hat_configuration(BC2_HAT)
         original = susy.bosonic_potential
         monkeypatch.setattr(susy, "bosonic_potential", lambda *a: original(*a) * (1.0 + 1e-6))
-        assert gauge_residual(hat.config, np.array([0.9, 0.4])) > 1e-7
+        assert gauge_residual(active_pairings(hat.config, np.array([0.9, 0.4]))) > 1e-7
 
 
 class TestGaugeResidual:

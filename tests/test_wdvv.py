@@ -3,7 +3,7 @@ import pytest
 
 from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
 from trigwdvv.errors import DomainError, SingularMatrixError
-from trigwdvv.prepotential import h_function, metric_B, tensor_generic
+from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import pivot_residuals
@@ -21,7 +21,7 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
     rng = rng_for(seed, seed_label)
     pts = sample_points(rng, pattern, count, box)
     for x in pts:
-        T = tensor_generic(config, x)
+        T = tensor_generic(active_pairings(config, x))
         yield x, T, metric_B(T, x)
 
 
@@ -103,7 +103,7 @@ class TestGeneralizedWdvv:
 
 class TestCommutingResidual:
     def test_equal_indices(self):
-        T = tensor_generic(build_hat_configuration(M23).config, np.array([0.8, 0.5]))
+        T = tensor_generic(active_pairings(build_hat_configuration(M23).config, np.array([0.8, 0.5])))
         assert pivot_residuals(T)[0].shape == (1, 1)  # the one pair (0, 1)
         assert pivot_residuals_full(T)[0][0, 0, 0] == 0.0
 
@@ -112,7 +112,7 @@ class TestCommutingResidual:
         rng = rng_for(42, "commuting/ok")
         worst = 0.0
         for x in sample_points(rng, fully_active(hat), 50):
-            T = tensor_generic(hat, x)
+            T = tensor_generic(active_pairings(hat, x))
             worst = max(worst, pivot_residuals(T)[0][0, 0])
         assert worst < 1e-8
 
@@ -122,7 +122,7 @@ class TestCommutingResidual:
         rng = rng_for(42, "commuting/unrescaled")
         vals = []
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(build_bcn(M23), x)
+            T = tensor_generic(active_pairings(build_bcn(M23), x))
             vals.append(pivot_residuals(T)[1][0, 0])
         assert np.median(vals) > 1e-3
 
@@ -153,7 +153,7 @@ class TestNTwoIsVacuous:
         rng = rng_for(42, "n2/commuting")
         vals = []
         for x in sample_points(rng, fully_active(hat), 30):
-            T = tensor_generic(hat, x)
+            T = tensor_generic(active_pairings(hat, x))
             vals.append(pivot_residuals(T)[1][0, 0])
         assert np.median(vals) > 1e-3
 
@@ -172,7 +172,7 @@ class TestDiagonalityReport:
             )
             config = build_bcn(p)
             x = sample_points(rng, fully_active(config), 1)[0]
-            T = tensor_generic(config, x)
+            T = tensor_generic(active_pairings(config, x))
             off, _ = diagonality_report(T, p, x)
             B = metric_B(T, x)
             assert off < 1e-10 * max(1.0, np.abs(B).max())
@@ -189,7 +189,7 @@ class TestDiagonalityReport:
         config = build_bcn(broken)
         rng = rng_for(21, "diag/delta")
         for x in sample_points(rng, fully_active(config), 20):
-            T = tensor_generic(config, x)
+            T = tensor_generic(active_pairings(config, x))
             B = metric_B(T, x)
             m = broken.m_array
             expected = m * delta * np.cosh(2.0 * x)
@@ -199,7 +199,7 @@ class TestDiagonalityReport:
 
 def test_condition_number_of_scalar_metric_is_one():
     x = np.array([0.9, 0.5, 1.3])
-    T = tensor_generic(build_bcn(BC3), x)
+    T = tensor_generic(active_pairings(build_bcn(BC3), x))
     B = metric_B(T, x)
     condition = pivot_residuals(T, B[None])[2]
     assert condition[0] == pytest.approx(1.0, rel=1e-10)
