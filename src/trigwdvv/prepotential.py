@@ -1,11 +1,13 @@
 """Scalar prepotential, third-derivative tensors and the sinh-weighted metric.
 
 The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent
-representations: a direct weighted sum of coth over the configuration
+representations: a direct weighted sum of coth over the active members
 (``tensor_generic``) and the explicit five-term formula in the b, b~, b_ij
 helpers (``tensor_closed_form``).  Their agreement is one of the package's
-core checks, so neither path may call the other.  ``metric_identity_residuals``
-is the one comparison of the metric B with h diag(m).
+core checks, so neither path may call the other.  ``active_pairings`` gives
+the (A, c, z) of a point, the one input of every sum over members here and in
+``algebra`` and ``susy``.  ``metric_identity_residuals`` is the one comparison
+of the metric B with h diag(m).
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     b[i] = coth(x_i), bt[i] = coth(2 x_i), and b_pair[i][j] =
     coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it.  All sinh
     arguments (x_i, 2 x_i, x_i +- x_j) must stay at least ``threshold`` away
-    from zero, regardless of which outputs the caller consumes.  A non-finite
-    point raises DomainError.
+    from zero, regardless of which outputs the caller consumes.  A point that
+    is not 1-D raises DimensionError, a non-finite one DomainError.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"point has shape {x.shape}, expected (n,)")
     if not np.isfinite(x).all():
         raise DomainError(f"point {x.tolist()} is not finite")
     n = x.shape[0]
@@ -86,10 +90,13 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
 
     First: A_k b_kj + A_j b_jk - 2(cosh 2x_k + cosh 2x_j) with A_k = sinh 2x_k,
     defined for k != j (reported as 0 for k == j, where it does not constrain).
-    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.
+    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.  An index
+    outside 0..n-1 raises DimensionError.
     """
     x = np.asarray(x, dtype=float)
     _, _, b_pair = hyperbolic_helpers(x, threshold)
+    if not (0 <= k < len(x) and 0 <= j < len(x)):
+        raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")
     A = np.sinh(2.0 * x)
     second = float(A[k] * b_pair[j, k] + A[j] * b_pair[k, j])
     if k == j:

@@ -2,14 +2,15 @@
 
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
 the identity, B^ - h I = D^{-1/2} (B - h diag(m)) D^{-1/2} with D = diag(m),
-and the third-derivative matrices commute pairwise.  This module
-builds that rescaled configuration, the bosonic potential, the
-Jordan-Wigner operators of the fermionic variables on a 2^(2n)-dimensional
-space, stored as signed permutations of the basis, with the residual of their
-anticommutation relations, and the closed-form residual of the gauge identity
-V = |grad L|^2 - Lap L that relates the two Hamiltonian forms.  The
-four-fermion interaction term, which no check needs, is built densely in the
-test oracles.
+and the third-derivative matrices commute pairwise.  This module builds that
+rescaled configuration, the bosonic potential, the Jordan-Wigner operators of
+the fermionic variables on a 2^(2n)-dimensional space, stored as signed
+permutations of the basis, with the residual of their anticommutation
+relations, and the closed-form residual of the gauge identity
+V = |grad L|^2 - Lap L that relates the two Hamiltonian forms.  The potential
+and the gauge residual read ``active_pairings``' (A, c, z) at the point x^.
+The four-fermion interaction term, which no check needs, is built densely in
+the test oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, _bcn_members
+from .configurations import BCnParameters, Configuration, _bcn_members, _integer
 from .errors import DimensionCapError, ParameterError
 from .prepotential import coth
 
@@ -77,6 +78,7 @@ class FermionicSpace:
     """
 
     def __init__(self, n: int) -> None:
+        n = _integer(n, f"n must be an integer, got {n!r}")
         if n < 1:
             raise ParameterError("n must be >= 1")
         if n > _FERMION_N_CAP:

@@ -716,6 +716,42 @@ def test_builds_configurations_once_per_run(monkeypatch, command, source, builds
     assert per_run[0] == per_run[1] == builds
 
 
+@pytest.mark.parametrize(
+    "command, source, per_point",
+    [
+        # the family the run samples, 3 + 3 + 6 members
+        *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
+          for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
+        # the projected BC_2 the run samples, then BC_5 as outside at the embedded point
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4)]),
+        # the rescaled BC_2: its tensor and the gauge residual read the same pairings
+        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
+        # the explicit route's metric B(x) and the products read the same pairings
+        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2)))), [(3, 12)]),
+    ],
+    ids=["verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy",
+         "verify-associativity-explicit"],
+)
+def test_takes_the_pairings_once_per_point(monkeypatch, command, source, per_point):
+    # every sum over members at a point reads the one (A, c, z) that _sampled takes
+    calls = []
+    original = active_pairings
+
+    def counting(config, x, threshold):
+        calls.append((config.dimension, len(config)))
+        return original(config, x, threshold)
+
+    # every trigwdvv namespace that holds it, so a caller that imported it by name is counted
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trigwdvv") and getattr(module, "active_pairings", None) is original:
+            monkeypatch.setattr(module, "active_pairings", counting)
+    for samples in (1, 3):
+        calls.clear()
+        report = run(RunSpec(command=command, config_source=source, samples=samples))
+        assert report.discarded_points == 0
+        assert sorted(calls) == sorted(per_point * samples)
+
+
 def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):
     # the driver's two-path check and h_b_decomposition read the one projected
     # tensor the driver evaluates at each point

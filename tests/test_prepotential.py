@@ -91,6 +91,11 @@ class TestHyperbolicHelpers:
         with pytest.raises(SingularityError):
             hyperbolic_helpers([0.7, 0.7])
 
+    @pytest.mark.parametrize("x", [[[0.5, 0.9]], 0.5], ids=["2-D", "0-D"])
+    def test_a_point_that_is_not_1d_is_refused(self, x):
+        with pytest.raises(DimensionError, match="point has shape"):
+            hyperbolic_helpers(x)
+
 
 class TestIdentityResiduals:
     def test_spot_point(self):
@@ -101,6 +106,12 @@ class TestIdentityResiduals:
         first, second = identity_residuals([0.7, 0.3], 1, 1)
         assert first == 0.0
         assert abs(second) < 1e-14
+
+    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2)])
+    def test_an_index_outside_the_point_is_refused(self, k, j):
+        # a negative index would otherwise wrap to the end of the point
+        with pytest.raises(DimensionError, match=r"must lie in 0\.\.1"):
+            identity_residuals([0.7, 0.3], k, j)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_seeded_sweep(self, n):

@@ -195,6 +195,16 @@ class TestFermionicSpace:
         with pytest.raises(DimensionCapError):
             FermionicSpace(8)
 
+    @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fractional", "string", "bool"])
+    def test_n_that_is_not_an_integer_is_refused(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            FermionicSpace(n)
+
+    def test_an_integral_float_reads_as_an_int(self):
+        fs = FermionicSpace(2.0)
+        assert type(fs.n) is int and fs.n == 2 and fs.dim == 16
+        assert np.array_equal(fs.targets, FermionicSpace(2).targets)
+
 
 def with_arrays(fs, targets=None, coefficients=None):
     """A copy of ``fs`` with its operator arrays replaced."""
