@@ -95,7 +95,7 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     """
     x = np.asarray(x, dtype=float)
     _, _, b_pair = hyperbolic_helpers(x, threshold)
-    if not (0 <= k < len(x) and 0 <= j < len(x)):
+    if k not in range(len(x)) or j not in range(len(x)):
         raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")
     A = np.sinh(2.0 * x)
     second = float(A[k] * b_pair[j, k] + A[j] * b_pair[k, j])

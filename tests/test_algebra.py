@@ -380,4 +380,5 @@ class TestHBDecomposition:
         rctx = RestrictionContext(0.0, 0.0, 0.0, part)
         xt = np.array([0.7])
         assert h_function(rctx.params, xt) == 0.0
-        assert metric_identity_residuals(rctx.params, tensor_generic(active_pairings(rctx.projected_config, xt)), xt) == (0.0, 0.0)
+        T = tensor_generic(active_pairings(rctx.projected_config, xt))
+        assert metric_identity_residuals(rctx.params, T, xt) == (0.0, 0.0)

@@ -107,7 +107,7 @@ class TestIdentityResiduals:
         assert first == 0.0
         assert abs(second) < 1e-14
 
-    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2)])
+    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2), (0.5, 0)])
     def test_an_index_outside_the_point_is_refused(self, k, j):
         # a negative index would otherwise wrap to the end of the point
         with pytest.raises(DimensionError, match=r"must lie in 0\.\.1"):

@@ -6,7 +6,13 @@ import pytest
 
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
-from trigwdvv.prepotential import active_pairings, metric_B, metric_identity_residuals, tensor_closed_form, tensor_generic
+from trigwdvv.prepotential import (
+    active_pairings,
+    metric_B,
+    metric_identity_residuals,
+    tensor_closed_form,
+    tensor_generic,
+)
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
