@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trigwdvv import algebra, cli
+from trigwdvv import algebra, cli, susy
 from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
 from trigwdvv.errors import DimensionError, DomainError, SingularityError
 from trigwdvv.prepotential import (
@@ -186,15 +186,20 @@ def test_gemm_tensor_and_metric_match_the_einsum_oracle(n):
 
 BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 
-# every function that evaluates at a point and must keep clear of the hyperplanes
+# every function that evaluates at a point and must keep clear of the hyperplanes;
+# the sums over members take active_pairings' (A, c, z), so their point reaches them
+# through active_pairings, as in cli._sampled
 HYPERPLANE_CALLERS = {
+    "tensor_generic": lambda x: tensor_generic(active_pairings(build_bcn(BC2), x)),
+    "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
+    "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).pairings(x),
+    "bosonic_potential": lambda x: susy.bosonic_potential(active_pairings(build_bcn(BC2), x)),
+    "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
+    "gauge_residual": lambda x: susy.gauge_residual(active_pairings(build_bcn(BC2), x)),
     # the tensor command is the one path where a point from outside reaches tensor_generic
     "emit_tensor": lambda x: cli.emit_tensor(
         cli.RunSpec("tensor", {"family": "bcn", "n": 2, "r": 1.0, "s": 1.0, "q": 1.0, "m": [1.0, 1.0]}), x
     ),
-    "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
-    "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).pairings(x),
-    "phi_matrix": lambda x: phi_matrix(build_bcn(BC2), x, DenseFermionicSpace(2)),
 }
 
 
