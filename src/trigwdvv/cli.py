@@ -69,7 +69,7 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
     """Everything a verification run depends on; echoed verbatim in the report."""
 
@@ -81,7 +81,7 @@ class RunSpec:
     box: tuple[float, float] = DEFAULT_BOX
     threshold: float = DEFAULT_THRESHOLD
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
         for name in ("samples", "seed", "tolerance", "threshold"):
@@ -471,7 +471,6 @@ COMMANDS = (*VERIFIERS, "tensor", "build-config")
 
 def run(spec: RunSpec) -> VerificationReport:
     """Execute a verification command; deterministic given (seed, spec)."""
-    spec.validate()
     parsed = load_config_source(spec.config_source)
     driver = VERIFIERS.get(spec.command)
     if driver is None:
@@ -576,7 +575,7 @@ def _config_source_from_args(args) -> dict | str:
 
 
 def _spec_from_args(args) -> RunSpec:
-    spec = RunSpec(
+    return RunSpec(
         command=args.command,
         config_source=_config_source_from_args(args),
         samples=args.samples,
@@ -585,8 +584,6 @@ def _spec_from_args(args) -> RunSpec:
         box=DEFAULT_BOX if args.box is None else _parse_floats(args.box),
         threshold=args.theta,
     )
-    spec.validate()
-    return spec
 
 
 def _print_report(report: VerificationReport, as_json: bool) -> None:

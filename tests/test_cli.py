@@ -32,7 +32,7 @@ from trigwdvv.errors import (
     SamplingError,
     SingularMatrixError,
 )
-from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
+from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
 
@@ -303,9 +303,8 @@ class TestConfigDocuments:
 
 class TestRunSpecValidation:
     def test_bad_box(self):
-        spec = RunSpec(command="verify-wdvv", config_source={}, box=(1.5, 0.3))
         with pytest.raises(PreconditionError):
-            spec.validate()
+            RunSpec(command="verify-wdvv", config_source={}, box=(1.5, 0.3))
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -325,14 +324,35 @@ class TestRunSpecValidation:
     )
     def test_numbers_from_outside_are_refused_not_truncated(self, field, value, message):
         # a fractional seed or sample count would run as its truncation but be echoed as given
-        spec = RunSpec(command="verify-wdvv", config_source={}, **{field: value})
         with pytest.raises(PreconditionError, match=re.escape(message)):
-            spec.validate()
+            RunSpec(command="verify-wdvv", config_source={}, **{field: value})
 
     def test_bad_tolerance(self):
-        spec = RunSpec(command="verify-wdvv", config_source={}, tolerance=0.0)
         with pytest.raises(PreconditionError):
-            spec.validate()
+            RunSpec(command="verify-wdvv", config_source={}, tolerance=0.0)
+
+    def test_a_checked_spec_cannot_be_changed(self):
+        spec = RunSpec(command="verify-wdvv", config_source={})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.threshold = 0.0
+        assert spec.threshold == DEFAULT_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"threshold": 0.0}, "threshold must be finite and > 0, got 0.0"),
+            ({"threshold": -1.0}, "threshold must be finite and > 0, got -1.0"),
+            ({"threshold": math.nan}, "threshold must be finite and > 0, got nan"),
+            ({"command": "verify-nothing"}, "unknown command 'verify-nothing'"),
+        ],
+        ids=["theta-zero", "theta-negative", "theta-nan", "unknown-command"],
+    )
+    def test_emit_tensor_receives_only_a_checked_spec(self, fields, message):
+        # a margin of 0 would let a point 1e-7 from x_1 = x_2 through, with F near 1e7
+        fields = {"command": "tensor", **fields}
+        source = {"family": "bcn", "n": 2, "r": 1.0, "s": 1.0, "q": 1.0, "m": [1.0, 1.0]}
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            emit_tensor(RunSpec(config_source=source, **fields), [0.5, 0.5000001])
 
     def test_metric_requires_family(self):
         spec = RunSpec(
