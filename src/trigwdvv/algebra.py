@@ -60,14 +60,12 @@ class RestrictionContext:
     ``subsystem``, the block subsystem's vectors as ``_restriction`` marks
     them, and ``outside``, BC_N with the subsystem's multiplicities set to 0
     (the same members in the same order).  The functions below that evaluate
-    at a point take the context and ``pairings(x_tilde)`` at that point.
+    at a point take the context and ``pairings(x_tilde, threshold)`` at that
+    point, the margin θ being the caller's.
     """
 
-    def __init__(
-        self, r: float, s: float, q: float, part: Partition, threshold: float = DEFAULT_THRESHOLD
-    ) -> None:
+    def __init__(self, r: float, s: float, q: float, part: Partition) -> None:
         self.part = part
-        self.threshold = float(threshold)
         self.params = BCnParameters(n=part.n, r=r, s=s, q=q, m=part.blocks)
         vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
         self.projected_config, in_subsystem = _restriction(part, vectors, mults)
@@ -76,16 +74,17 @@ class RestrictionContext:
         self.subsystem = vectors[in_subsystem]
         self.outside = Configuration(part.N, vectors, np.where(in_subsystem, 0.0, mults))
 
-    def pairings(self, x_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
 
         ``x_tilde`` is in block-basis coordinates, and the point must be
-        admissible for every covector outside the subsystem.
+        admissible for every covector outside the subsystem, with the margin
+        ``threshold`` as in ``active_pairings``.
         """
         x_tilde = np.asarray(x_tilde, dtype=float)
         if x_tilde.shape != (self.part.n,):
             raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
-        return active_pairings(self.outside, self.block_basis.T @ x_tilde, self.threshold)
+        return active_pairings(self.outside, self.block_basis.T @ x_tilde, threshold)
 
 
 def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:

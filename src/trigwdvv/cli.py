@@ -71,7 +71,11 @@ def _is_number(value, integer: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything a verification run depends on; echoed verbatim in the report."""
+    """Everything a verification run depends on; echoed verbatim in the report.
+
+    Frozen, and checked when it is made: an invalid field raises PreconditionError,
+    so every entry point receives a valid spec without a check of its own.
+    """
 
     command: str
     config_source: dict | str
@@ -397,7 +401,7 @@ def _run_restriction(spec: RunSpec, parsed):
     except ParameterError as exc:
         raise PreconditionError(f"{spec.command} reads m as block sizes: {exc}") from exc
 
-    restriction = algebra.RestrictionContext(params.r, params.s, params.q, part, threshold=spec.threshold)
+    restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
     vectors, mults = _bcn_members(params)
     # the restriction keeps the family's member order, so members compare in place
@@ -412,7 +416,7 @@ def _run_restriction(spec: RunSpec, parsed):
     F_basis = restriction.block_basis
 
     def residuals(rng, xt, active):
-        outside = restriction.pairings(xt)
+        outside = restriction.pairings(xt, spec.threshold)
         T = tensor_generic(active)
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
         u, v = F_basis.T @ ut, F_basis.T @ vt

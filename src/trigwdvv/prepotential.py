@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration
+from .configurations import BCnParameters, Configuration, _integer
 from .errors import DimensionError, DomainError, SingularityError
 
 # Minimum distance from every active hyperplane (alpha, x) = 0; keeps all coth
@@ -90,11 +90,13 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
 
     First: A_k b_kj + A_j b_jk - 2(cosh 2x_k + cosh 2x_j) with A_k = sinh 2x_k,
     defined for k != j (reported as 0 for k == j, where it does not constrain).
-    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.  An index
-    outside 0..n-1 raises DimensionError.
+    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.  The indices
+    follow the package's integer rule (1.0 reads as 1; a bool, str, None or
+    0.5 raises ParameterError), and one outside 0..n-1 raises DimensionError.
     """
     x = np.asarray(x, dtype=float)
     _, _, b_pair = hyperbolic_helpers(x, threshold)
+    k, j = (_integer(i, f"indices must be integers, got ({k!r}, {j!r})") for i in (k, j))
     if k not in range(len(x)) or j not in range(len(x)):
         raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")
     A = np.sinh(2.0 * x)

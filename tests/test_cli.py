@@ -753,12 +753,14 @@ def test_builds_configurations_once_per_run(monkeypatch, command, source, builds
          "verify-associativity-explicit"],
 )
 def test_takes_the_pairings_once_per_point(monkeypatch, command, source, per_point):
-    # every sum over members at a point reads the one (A, c, z) that _sampled takes
-    calls = []
+    # every sum over members at a point reads the one (A, c, z) that _sampled takes,
+    # and every call, verify-restriction's own too, receives the run's margin
+    calls, margins = [], set()
     original = active_pairings
 
     def counting(config, x, threshold):
         calls.append((config.dimension, len(config)))
+        margins.add(threshold)
         return original(config, x, threshold)
 
     # every trigwdvv namespace that holds it, so a caller that imported it by name is counted
@@ -767,9 +769,10 @@ def test_takes_the_pairings_once_per_point(monkeypatch, command, source, per_poi
             monkeypatch.setattr(module, "active_pairings", counting)
     for samples in (1, 3):
         calls.clear()
-        report = run(RunSpec(command=command, config_source=source, samples=samples))
+        report = run(RunSpec(command=command, config_source=source, samples=samples, threshold=0.07))
         assert report.discarded_points == 0
         assert sorted(calls) == sorted(per_point * samples)
+    assert margins == {0.07}
 
 
 def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):

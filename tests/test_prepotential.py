@@ -6,7 +6,7 @@ import pytest
 
 from trigwdvv import algebra, cli, susy
 from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
-from trigwdvv.errors import DimensionError, DomainError, SingularityError
+from trigwdvv.errors import DimensionError, DomainError, ParameterError, SingularityError
 from trigwdvv.prepotential import (
     active_pairings,
     eval_f,
@@ -107,11 +107,24 @@ class TestIdentityResiduals:
         assert first == 0.0
         assert abs(second) < 1e-14
 
-    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2), (0.5, 0)])
+    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1), (2, 0), (5, 0), (0, 2)])
     def test_an_index_outside_the_point_is_refused(self, k, j):
         # a negative index would otherwise wrap to the end of the point
         with pytest.raises(DimensionError, match=r"must lie in 0\.\.1"):
             identity_residuals([0.7, 0.3], k, j)
+
+    @pytest.mark.parametrize(
+        "k, j",
+        [(0.5, 0), (0, 0.5), (True, 0), (0, False), ("1", 0), (None, 0)],
+        ids=["fractional", "fractional-j", "bool", "bool-j", "string", "none"],
+    )
+    def test_an_index_that_is_not_an_integer_is_refused(self, k, j):
+        # the package's integer rule, as in FermionicSpace(n)
+        with pytest.raises(ParameterError, match="indices must be integers"):
+            identity_residuals([0.7, 0.3], k, j)
+
+    def test_an_integral_float_index_reads_as_an_int(self):
+        assert identity_residuals([0.5, 0.9], 1.0, 0.0) == identity_residuals([0.5, 0.9], 1, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_seeded_sweep(self, n):
