@@ -6,7 +6,8 @@ emitters for tensors and normalized configuration documents.  Reports are
 deterministic given (seed, run parameters), and floats are serialized with 17
 significant digits.  A command's sample points come from one generator,
 keyed by the run seed and the stream label "<command>/points".  The random
-vectors drawn at each point (u, v, w) come from the same stream as the point.
+vectors drawn at each point (u, v, w) come from the same stream as the point;
+verify-wdvv's pivot weights eta are drawn once per run from "verify-wdvv/pivot".
 
 A non-finite residual fails its check, and ``--json`` renders it as null.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse,
@@ -347,13 +348,16 @@ def _run_wdvv(spec: RunSpec, parsed):
             "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
         )
 
+    eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
+
     def residuals(rng, x, active):
         T = tensor_generic(active)
-        # pivot 0 is the metric B (pair form), pivot 1 + k is F_k (pivot form)
-        scaled = pivot_residuals(T, np.concatenate([metric_B(T, x)[None], T]))[0]
+        # pivot 0 is the metric B (pair form), pivot 1 is eta.F (pivot form): WDVV on
+        # one generic eta.F implies it on every F_k (Marshakov-Mironov-Morozov 1996)
+        scaled = pivot_residuals(T, [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)])[0]
         return {
             "wdvv_pair_residual": scaled[0],
-            "generalized_wdvv_residual": scaled[1:],
+            "generalized_wdvv_residual": scaled[1],
         }
 
     return {}, config, residuals

@@ -1,12 +1,13 @@
 """Residuals of the WDVV equations F_i P^{-1} F_j = F_j P^{-1} F_i.
 
 The theorem's three forms differ only in the pivot P: the metric B (pair
-form), any F_k (pivot form), or the identity (commuting form, for the
-rescaled tensor whose metric is a multiple of the identity).  Each equation
-is antisymmetric in (i, j), so one kernel evaluates the pairs i < j against a
-stack of pivots.  ``scaled`` divides the max-abs commutator entry by the
-operand norms (multiplicities of order ten inflate absolute residuals without
-signaling failure); ``raw`` keeps the unscaled entry because negative
+form), one generic eta.F = sum_k eta_k F_k (pivot form: the equations for one
+invertible eta.F imply them for every pivot), or the identity (commuting form,
+for the rescaled tensor whose metric is a multiple of the identity).  Each
+equation is antisymmetric in (i, j), so one kernel evaluates the pairs i < j
+against a stack of pivots.  ``scaled`` divides the max-abs commutator entry by
+the operand norms (multiplicities of order ten inflate absolute residuals
+without signaling failure); ``raw`` keeps the unscaled entry because negative
 controls are judged against it.  A verifier that cannot fail verifies
 nothing, so the controls matter as much as the positive checks.
 """
@@ -50,20 +51,17 @@ def usable_pivots(pivots) -> tuple[np.ndarray, np.ndarray]:
 def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scaled, raw, condition) of F_i P^{-1} F_j - F_j P^{-1} F_i for every pivot P.
 
-    ``pivots`` is a (p, n, n) stack, e.g. ``B[None]`` for the pair form,
-    ``[B, F_1..F_n]`` or the tensor itself for the pivot form (P = F_k), or
-    None for P = identity.  ``raw`` and ``scaled`` are (p, n(n-1)/2) arrays
-    over the pairs i < j in ``np.triu_indices(n, 1)`` order: ``raw[p, k]`` is
-    the max-abs entry of the commutator-like matrix of the k-th pair (i, j)
-    and ``scaled[p, k]`` is raw / max(1, ||F_i|| ||F_j|| ||P^{-1}||) in the
-    spectral norm.  ``condition[p]`` is the spectral condition number of
-    pivot p (1 for the identity).  A non-finite tensor raises DomainError,
-    and the pivots pass ``usable_pivots``, both before any solve.
+    ``pivots`` is a (p, n, n) stack: ``B[None]`` for the pair form, ``[B, eta.F]``
+    for the pair and pivot forms, None for P = identity.  ``raw`` and ``scaled``
+    are (p, n(n-1)/2) arrays over the pairs i < j in ``np.triu_indices(n, 1)``
+    order: ``raw[p, k]`` is the max-abs entry of the commutator-like matrix of
+    the k-th pair (i, j) and ``scaled[p, k]`` is raw / max(1, ||F_i|| ||F_j||
+    ||P^{-1}||) in the spectral norm; ``condition[p]`` is pivot p's spectral
+    condition number (1 for the identity).  A non-finite tensor raises
+    DomainError, and the pivots pass ``usable_pivots``, both before any solve.
 
-    When the stack ends with F_1..F_n, the norms ||F_i|| are read from the
-    singular values ``usable_pivots`` took, so the call takes one SVD;
-    otherwise (``B[None]``, None) the tensor's own SVD gives them.  Each pivot
-    is factorized once, against all n^2 columns of the tensor, and one matmul
+    The norms ||F_i|| come from one SVD of the tensor.  Each pivot is
+    factorized once, against all n^2 columns of the tensor, and one matmul
     per pivot gives every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j
     are gathered once, since M_ji = -M_ij.
     """
@@ -75,15 +73,12 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     if pivots is None:
         X = rhs
         condition = inv_norm = np.ones(1)
-        norms = None
     else:
         P = np.asarray(pivots, dtype=float)
         sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[:, -1]
         X = np.linalg.solve(P, rhs)  # X[p, :, (j, b)] = P_p^{-1} F_j: one LU per pivot
-        norms = sv[-n:, 0] if len(P) >= n and np.array_equal(P[-n:], T) else None
-    if norms is None:
-        norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
     i, j = _upper_pairs(n)
     raw = np.empty((len(X), len(i)))
     for p, Xp in enumerate(X):  # one pivot at a time keeps G at n^4 entries and M at half that

@@ -24,7 +24,7 @@ from trigwdvv.cli import (
     parse_config_document,
     run,
 )
-from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
+from trigwdvv.configurations import BCnParameters, Configuration, build_bcn, solve_r
 from trigwdvv.errors import (
     ConfigFormatError,
     DomainError,
@@ -491,6 +491,53 @@ def test_theorem_family_passes_and_r_plus_1_fails_its_family_checks(command, fam
     assert {c.name for c in broken.checks} - failing <= IMPLEMENTATION_CHECKS
 
 
+def _generalized(report):
+    return next(c for c in report.checks if c.name == "generalized_wdvv_residual")
+
+
+@pytest.mark.parametrize("r, passes", [(-4, True), (-3, False)])
+def test_eta_pivot_form_has_power_in_the_far_field(r, passes):
+    # in --box 5,15 the pair form's floor max(1, ...) makes it absolute, and it passes
+    # r + 1 at about 1e-10, a known defect of that floor; the pivot form on eta.F still fails it
+    source = _family(4, r, 0, 1, (1, 1, 1, 1))
+    generalized = _generalized(run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0))))
+    assert generalized.passed is passes, generalized.max_residual
+
+
+def test_eta_is_drawn_once_per_run_from_its_own_stream():
+    # eta comes from "verify-wdvv/pivot", so the points stream, and with it every point
+    # and wdvv_pair_residual, is the one a run without the pivot form would draw
+    spec = RunSpec(command="verify-wdvv", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=3, seed=9)
+    report = run(spec)
+    config = build_bcn(load_config_source(spec.config_source))
+    rng = rng_for(spec.seed, "verify-wdvv/points")
+    eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(4)
+    pair, generalized = [], []
+    for x in sample_points(rng, fully_active(config), spec.samples, spec.box, spec.threshold):
+        T = tensor_generic(active_pairings(config, x, spec.threshold))
+        scaled = wdvv.pivot_residuals(T, np.stack([metric_B(T, x), np.tensordot(eta, T, axes=1)]))[0]
+        pair.append(scaled[0])
+        generalized.append(scaled[1])
+    assert report.discarded_points == 0
+    assert [(c.name, c.max_residual) for c in report.checks] == [
+        ("wdvv_pair_residual", float(np.max(pair))),
+        ("generalized_wdvv_residual", float(np.max(generalized))),
+    ]
+
+
+@pytest.mark.parametrize("n, s, q, m", [(3, 1, 2, (1, 2, 2)), (4, 0.5, 1, (2, 1, 3, 1)), (6, 1, 1, (1, 2, 1, 2, 1, 1))])
+def test_eta_pivot_form_fails_a_transverse_multiplicity_perturbation(n, s, q, m):
+    # a random 1e-2 relative change of every member's multiplicity moves the family across
+    # the solution variety, where the r and s shifts move along it to first order
+    doc = config_document(load_config_source(_family(n, solve_r(s, q, m), s, q, m)))
+    assert _generalized(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10))).passed
+    rng = np.random.default_rng(n)
+    for member in doc["explicit"]["members"]:
+        member["multiplicity"] *= 1.0 + 1e-2 * rng.standard_normal()
+    generalized = _generalized(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10)))
+    assert not generalized.passed and generalized.max_residual > 1e-5, generalized.max_residual
+
+
 @pytest.mark.parametrize("r, passes", [(-20, True), (-19, False)])
 def test_explicit_source_associates_with_its_metric_b(r, passes):
     # the build-config document of the README family multiplies through B(x)
@@ -853,21 +900,22 @@ def test_restriction_names_a_fractional_block(capsys):
 
 
 def test_ill_conditioned_pivots_discard_the_point():
-    # with q = 3e-8 the pair covectors barely couple the coordinates, so some
-    # points have a pivot F_k conditioned worse than CONDITION_CAP; those are
-    # discarded and resampled, never reported or turned into an error.  The
-    # discards match np.linalg.cond on the same point stream.
-    spec = RunSpec(command="verify-wdvv", config_source=_family(3, -1.0, 1.0, 3e-8, (1, 1, 1)), samples=20)
+    # with q = 0 the tensor is diagonal, and so is B(x), whose entries grow like
+    # e^{2 x_i}: in a wide box some points have kappa(B) above CONDITION_CAP;
+    # those are discarded and resampled, never reported or turned into an error.
+    # The discards match np.linalg.cond of [B, eta.F] on the same streams.
+    source = _family(3, -1.0, 1.0, 0.0, (1, 1, 1))
+    spec = RunSpec(command="verify-wdvv", config_source=source, samples=20, box=(0.3, 12.0))
     report = run(spec)
 
     config = build_bcn(load_config_source(spec.config_source))
     rng = rng_for(spec.seed, "verify-wdvv/points")
+    eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(3)
     accepted = discarded = 0
     while accepted < spec.samples:
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
         T = tensor_generic(active_pairings(config, x, spec.threshold))
-        conds = [np.linalg.cond(metric_B(T, x))] + [np.linalg.cond(F) for F in T]
-        if max(conds) > CONDITION_CAP:
+        if max(np.linalg.cond(metric_B(T, x)), np.linalg.cond(np.tensordot(eta, T, axes=1))) > CONDITION_CAP:
             discarded += 1
         else:
             accepted += 1
@@ -910,9 +958,10 @@ def test_malformed_config_sources_are_config_format_errors(tmp_path, content):
 
 
 def test_singular_pivots_discard_rather_than_error(capsys):
-    # with q = 0 every F_k is exactly singular: each point is discarded until
-    # the discard cap ends the run, as for any other unusable point
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1,1"]
+    # with m_3 = 0 every member that reads x_3 has multiplicity 0, so B and eta.F
+    # are exactly singular: each point is discarded until the discard cap ends
+    # the run, as for any other unusable point
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "1", "--m", "1,1,0"]
     assert main(argv + ["--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert "error: SamplingError: more than 10000 sample points were discarded" in err
@@ -920,9 +969,9 @@ def test_singular_pivots_discard_rather_than_error(capsys):
 
 
 def test_text_report_labels_discarded_points(capsys):
-    # discards come from ill-conditioned and from singular pivots alike
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "3e-8", "--m", "1,1,1"]
-    assert main(argv + ["--samples", "20"]) == 0
+    # the q = 0 run of the wide box discards the points where kappa(B) is above the cap
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1,1"]
+    assert main(argv + ["--box", "0.3,12", "--samples", "20"]) == 0
     out = capsys.readouterr().out
     assert "\n  discarded points: " in out
 

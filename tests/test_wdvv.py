@@ -255,13 +255,15 @@ BIT_FOR_BIT = [(p, DEFAULT_BOX) for p in KERNEL_FAMILIES] + [
 
 @pytest.mark.parametrize("params, box", BIT_FOR_BIT, ids=[f"n={p.n},r={p.r:.4g}" for p, _ in BIT_FOR_BIT])
 def test_kernel_is_the_full_pass_bit_for_bit(params, box):
-    # the pairs i < j and the norms read from the pivot stack give the full pass's floats exactly,
-    # also for a stack that holds the F_k but does not end with them ([T; B]); the full pass's
-    # matrices are symmetric with a zero diagonal, so the pairs i < j hold all of their content
+    # the pairs i < j give the full pass's floats exactly, for verify-wdvv's stack [B, eta.F] and
+    # for stacks of B, of the F_k and of both; the full pass's matrices are symmetric with a
+    # zero diagonal, so the pairs i < j hold all of their content
     label = f"kernel/full/{params.n}/{params.r}"
     i, j = np.triu_indices(params.n, 1)
+    eta = rng_for(0, f"{label}/eta").standard_normal(params.n)
     for x, T, B in sampled_tensors(params, 3 if params.n < 16 else 2, label, box=box):
-        for pivots in (B[None], T, None, np.concatenate([B[None], T]), np.concatenate([T, B[None]])):
+        B_eta_F = np.stack([B, np.tensordot(eta, T, axes=1)])
+        for pivots in (B[None], T, None, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]])):
             got, want = pivot_residuals(T, pivots), pivot_residuals_full(T, pivots)
             for name, a, b in zip(("scaled", "raw"), got, want):
                 assert np.array_equal(a, b[:, i, j]), name
@@ -270,11 +272,13 @@ def test_kernel_is_the_full_pass_bit_for_bit(params, box):
             assert np.array_equal(got[2], want[2]), "condition"
 
 
-@pytest.mark.parametrize("stack, calls", [("[B; T]", 1), ("T", 1), ("B", 2), ("identity", 1)])
+@pytest.mark.parametrize("stack, calls", [("[B; eta.F]", 2), ("T", 2), ("B", 2), ("identity", 1)])
 def test_svd_calls_per_kernel_call(monkeypatch, stack, calls):
-    # verify-wdvv's stack [B, F_1..F_n] takes one SVD: the norms ||F_k|| are read from the pivots'
+    # one SVD of the pivot stack for the condition numbers, whatever its length
+    # (verify-wdvv's [B, eta.F] included), and one of the tensor for the norms ||F_k||
     x, T, B = next(sampled_tensors(KERNEL_FAMILIES[6], 1, "kernel/svd"))  # n=10, on the relation
-    pivots = {"[B; T]": np.concatenate([B[None], T]), "T": T, "B": B[None], "identity": None}[stack]
+    eta_F = np.tensordot(rng_for(0, "kernel/svd/eta").standard_normal(len(T)), T, axes=1)
+    pivots = {"[B; eta.F]": np.stack([B, eta_F]), "T": T, "B": B[None], "identity": None}[stack]
     seen = []
     svd = np.linalg.svd
 
