@@ -21,7 +21,6 @@ import argparse
 import copy
 import json
 import math
-import numbers
 import re
 import sys
 from dataclasses import dataclass, field
@@ -34,6 +33,8 @@ from .configurations import (
     Configuration,
     Partition,
     _bcn_members,
+    _integer,
+    _real,
     build_bcn,
 )
 from .errors import (
@@ -54,7 +55,7 @@ from .prepotential import (
     tensor_closed_form,
     tensor_generic,
 )
-from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, fully_active, rng_for
+from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, box_bounds, fully_active, rng_for
 from .wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
 from . import algebra, susy
 
@@ -65,17 +66,13 @@ _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 # run specification and report types
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """Whether ``value`` is a real number (an integer with ``integer``); a bool is neither."""
-    return isinstance(value, numbers.Integral if integer else numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """Everything a verification run depends on; echoed verbatim in the report.
 
     Frozen, and checked when it is made: an invalid field raises PreconditionError,
-    so every entry point receives a valid spec without a check of its own.
+    so every entry point receives a valid spec without a check of its own.  Its
+    numbers are read by the package's rules: samples and seed as ints (2.0 reads as 2).
     """
 
     command: str
@@ -89,24 +86,18 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
-        for name in ("samples", "seed", "tolerance", "threshold"):
-            integer = name in ("samples", "seed")
-            if not _is_number(getattr(self, name), integer):
-                kind = "an integer" if integer else "a number"
-                raise PreconditionError(f"{name} must be {kind}, got {getattr(self, name)!r}")
-        if not (isinstance(self.box, (tuple, list)) and len(self.box) == 2 and all(map(_is_number, self.box))):
-            raise PreconditionError(f"box must be two numbers, got {self.box!r}")
+        for name, read, kind in (("samples", _integer, "an integer"), ("seed", _integer, "an integer"),
+                                 ("tolerance", _real, "a number"), ("threshold", _real, "a number")):
+            value = getattr(self, name)
+            object.__setattr__(self, name, read(value, f"{name} must be {kind}, got {value!r}", PreconditionError))
         if self.samples < 1:
             raise PreconditionError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise PreconditionError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        lo, hi = self.box
-        if not -math.inf < lo < hi < math.inf:
-            raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
-        if not 0.0 < self.tolerance < math.inf:
-            raise PreconditionError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if not 0.0 < self.threshold < math.inf:
-            raise PreconditionError(f"threshold must be finite and > 0, got {self.threshold}")
+        object.__setattr__(self, "box", box_bounds(self.box))
+        for name in ("tolerance", "threshold"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise PreconditionError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
         # field order; a deep copy, so that editing the document leaves the run as it was
@@ -184,15 +175,6 @@ def dumps_17g(obj) -> str:
 # configuration documents
 
 
-def _number(value, what: str, integer: bool = False) -> float | int:
-    """A JSON number as a float, or with ``integer`` as an int (3.0 reads as 3)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigFormatError(f"{what} must be a number, got {value!r}")
-    if integer and not float(value).is_integer():
-        raise ConfigFormatError(f"{what} must be an integer, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 def _array(value, what: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigFormatError(f"{what} must be an array, got {value!r}")
@@ -200,7 +182,11 @@ def _array(value, what: str) -> list | tuple:
 
 
 def parse_config_document(doc: dict) -> BCnParameters | Configuration:
-    """Parse a configuration document; missing or mistyped fields raise ConfigFormatError."""
+    """Parse a configuration document; missing or mistyped fields raise ConfigFormatError.
+
+    Its numbers are read by the package's rules: ``BCnParameters`` and ``Configuration``
+    read their own, and vector entries and multiplicities, which numpy would coerce from
+    "1" or true, are read by ``_real`` first."""
     if not isinstance(doc, dict):
         raise ConfigFormatError("configuration document must be a JSON object")
     if "family" in doc:
@@ -210,14 +196,8 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
             if key not in doc:
                 raise ConfigFormatError(f"family document is missing field {key!r}")
         try:
-            return BCnParameters(
-                n=_number(doc["n"], "n", integer=True),
-                r=_number(doc["r"], "r"),
-                s=_number(doc["s"], "s"),
-                q=_number(doc["q"], "q"),
-                m=tuple(_number(v, "m entry") for v in _array(doc["m"], "m")),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            return BCnParameters(n=doc["n"], r=doc["r"], s=doc["s"], q=doc["q"], m=tuple(_array(doc["m"], "m")))
+        except ValueError as exc:
             raise ConfigFormatError(f"invalid family parameters: {exc}") from exc
     if "explicit" in doc:
         body = doc["explicit"]
@@ -232,10 +212,11 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
                 if not isinstance(entry, dict) or "vector" not in entry or "multiplicity" not in entry:
                     raise ConfigFormatError(f"member {i} must be an object with fields 'vector' and 'multiplicity'")
                 vector = _array(entry["vector"], f"member {i} vector")
-                vectors.append(tuple(_number(v, f"member {i} vector entry") for v in vector))
-                mults.append(_number(entry["multiplicity"], f"member {i} multiplicity"))
-            return Configuration(_number(body["dimension"], "dimension", integer=True), vectors, mults)
-        except (TypeError, ValueError, OverflowError) as exc:
+                vectors.append([_real(v, f"member {i} vector entry must be a number, got {v!r}") for v in vector])
+                mult = entry["multiplicity"]
+                mults.append(_real(mult, f"member {i} multiplicity must be a number, got {mult!r}"))
+            return Configuration(body["dimension"], vectors, mults)
+        except ValueError as exc:
             raise ConfigFormatError(f"invalid explicit configuration: {exc}") from exc
     raise ConfigFormatError("configuration document needs a 'family' or 'explicit' field")
 
@@ -244,10 +225,9 @@ def load_config_source(source: dict | str) -> BCnParameters | Configuration:
     if isinstance(source, str):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                source = json.load(fh)
         except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ConfigFormatError(f"cannot read configuration file {source}: {exc}") from exc
-        return parse_config_document(doc)
     return parse_config_document(source)
 
 
@@ -278,6 +258,15 @@ def _require_family(parsed, command: str) -> BCnParameters:
     if not isinstance(parsed, BCnParameters):
         raise PreconditionError(f"{command} requires family parameters (--family bcn ...)")
     return parsed
+
+
+def _require_spanning(config: Configuration, command: str) -> None:
+    """Refuse a source whose members of nonzero multiplicity, which B(x) and every pivot lie in, miss R^n."""
+    spanning = config.vectors[config.multiplicities != 0.0]
+    rank = np.linalg.matrix_rank(spanning) if len(spanning) else 0  # numpy 1.24's raises on no rows
+    if rank < config.dimension:
+        raise PreconditionError(f"{command} needs members of nonzero multiplicity that span R^{config.dimension}, "
+                                f"but their span has dimension {rank}: B(x) would be singular at every point")
 
 
 def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
@@ -347,6 +336,7 @@ def _run_wdvv(spec: RunSpec, parsed):
             f"{spec.command} needs n >= 3: n={n} has no WDVV content (at n=1 there is no pair, "
             "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
         )
+    _require_spanning(config, spec.command)
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
@@ -366,7 +356,9 @@ def _run_wdvv(spec: RunSpec, parsed):
 def _run_associativity(spec: RunSpec, parsed):
     config = _config_of(parsed)
     n = config.dimension
-    if isinstance(parsed, BCnParameters) and not parsed.m_array.all():
+    if not isinstance(parsed, BCnParameters):
+        _require_spanning(config, spec.command)
+    elif not parsed.m_array.all():
         raise PreconditionError(f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
 
     def residuals(rng, x, active):
@@ -501,7 +493,7 @@ def emit_tensor(spec: RunSpec, point) -> dict:
     is not finite (sinh and cosh overflow for |x| above about 355).
     """
     parsed = load_config_source(spec.config_source)
-    x = np.asarray(point, dtype=float)
+    x = np.array([_real(v, f"point must be numbers, got {point!r}") for v in point])
     with np.errstate(over="ignore", invalid="ignore"):
         F = tensor_generic(active_pairings(_config_of(parsed), x, spec.threshold))
         B = metric_B(F, x)
@@ -554,11 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--s", type=float, help="doubled-covector multiplicity parameter")
     src.add_argument("--q", type=float, help="pair-covector multiplicity parameter")
     src.add_argument("--m", metavar="a,b,c", help="comma-separated m values")
-    parser.add_argument("--samples", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--box", metavar="lo,hi", default=None)
-    parser.add_argument("--theta", type=float, default=DEFAULT_THRESHOLD)
+    # the run options default to None: a run left without one keeps RunSpec's default
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--box", metavar="lo,hi")
+    parser.add_argument("--theta", type=float)
     parser.add_argument("--point", metavar="x1,x2,...", help="evaluation point for the tensor command")
     parser.add_argument("--json", action="store_true", help="single JSON document on stdout")
     return parser
@@ -583,15 +576,9 @@ def _config_source_from_args(args) -> dict | str:
 
 
 def _spec_from_args(args) -> RunSpec:
-    return RunSpec(
-        command=args.command,
-        config_source=_config_source_from_args(args),
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tol,
-        box=DEFAULT_BOX if args.box is None else _parse_floats(args.box),
-        threshold=args.theta,
-    )
+    box = None if args.box is None else _parse_floats(args.box)
+    given = {"samples": args.samples, "seed": args.seed, "tolerance": args.tol, "box": box, "threshold": args.theta}
+    return RunSpec(args.command, _config_source_from_args(args), **{k: v for k, v in given.items() if v is not None})
 
 
 def _print_report(report: VerificationReport, as_json: bool) -> None:

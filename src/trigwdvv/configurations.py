@@ -107,18 +107,21 @@ def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, (np.cumsum(head) - 1)[joins]
 
 
-def _integer(value, error: str) -> int:
-    """``value`` as an int if it is an integral real (2.0 reads as 2); anything else, a str or bool too, raises."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+def _integer(value, error: str, error_type: type[Exception] = ParameterError) -> int:
+    """``value`` as an int if it is an integral real a float holds (2.0 reads as 2); else ``error_type(error)``."""
+    if _real(value, error, error_type).is_integer():
         return int(value)
-    raise ParameterError(error)
+    raise error_type(error)
 
 
-def _real(value, error: str) -> float:
-    """``value`` as a float if it is a real that is not a bool; anything else, a str too, raises."""
+def _real(value, error: str, error_type: type[Exception] = ParameterError) -> float:
+    """``value`` as a float if it is a real, not a bool, that a float holds; a str too raises ``error_type(error)``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ParameterError(error)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error_type(error)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .configurations import Configuration
+from .configurations import Configuration, _real
 from .errors import PreconditionError, SamplingError
 from .prepotential import is_admissible
 
@@ -43,6 +43,17 @@ def covers_every_pair(pattern: np.ndarray) -> bool:
     return int((covered | covered.T).sum()) == n * (n - 1)
 
 
+def box_bounds(box) -> tuple[float, float]:
+    """The box (lo, hi) as floats by the package's rule for reals; PreconditionError unless -inf < lo < hi < inf."""
+    error = f"box must be two numbers, got {box!r}"
+    if not (isinstance(box, (tuple, list)) and len(box) == 2):
+        raise PreconditionError(error)
+    lo, hi = (_real(v, error, PreconditionError) for v in box)
+    if not -math.inf < lo < hi < math.inf:
+        raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
+    return lo, hi
+
+
 def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[np.ndarray]:
     """Endless stream of points uniform on the admissible part of the box.
 
@@ -54,14 +65,12 @@ def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, thresh
     unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
     every admissible point, so the accepted points have the distribution that
     box-uniform rejection gives, at about one candidate each.  A box that is
-    not finite with lo < hi, or with (n-1) theta >= hi - lo (S is empty),
+    not two numbers, finite with lo < hi (``box_bounds``), or with (n-1) theta >= hi - lo (S is empty),
     raises PreconditionError before any draw.  Otherwise candidates are
     box-uniform.  The errors are raised when the first point, or the point
     that exhausts its attempts, is requested.
     """
-    lo, hi = float(box[0]), float(box[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
+    lo, hi = box_bounds(box)
     n = pattern.shape[1]
     spaced = threshold > 0.0 and covers_every_pair(pattern)
     width = (n - 1) * threshold if spaced else 0.0

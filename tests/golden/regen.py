@@ -1,0 +1,212 @@
+"""Golden reports: the command-line output of a fixed table of runs, one file per run.
+
+``SPECS`` maps a run's name to its ``trigwdvv`` arguments.  Each run goes
+through ``cli.main`` with ``--json``: a run that exits 0 or 1 is stored as
+``reports/<name>.json``, the report or document text that ``dumps_17g``
+wrote, and a run that exits 2 as ``reports/<name>.err``, its one line
+"error: <type>: <text>".  A run that reads ``--config NAME`` gets the
+document ``DOCUMENTS[NAME]``, written to a scratch directory that is the
+working directory during the run.  ``MACHINE.json`` records where the corpus
+was written; ``tests/test_golden.py`` compares bytes there, and elsewhere
+only what does not depend on rounding.
+
+Regenerate the corpus (it removes the files of runs no longer in the table):
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+HERE = pathlib.Path(__file__).resolve().parent
+REPORTS = HERE / "reports"
+MACHINE = HERE / "MACHINE.json"
+
+
+def _family(n, r, s, q, m) -> list[str]:
+    return ["--family", "bcn", "--n", str(n), "--r", str(r), "--s", str(s), "--q", str(q),
+            "--m", ",".join(map(str, m))]
+
+
+# the benchmark's workloads: command, m, r at the theorem, samples, run options
+_WORKLOADS = {
+    "wdvv_n10": ("verify-wdvv", (1,) * 10, -16, 5, []),
+    "restriction_m5x4": ("verify-restriction", (5, 5, 5, 5), -36, 2, []),
+    "susy_n4": ("verify-susy", (1, 1, 1, 1), -4, 5, ["--tol", "1e-4", "--box", "0.3,4", "--theta", "0.6"]),
+    "assoc_n12": ("verify-associativity", (1,) * 12, -20, 10, []),
+}
+# two theorem families at unequal m: n, r, s, q, m
+_FAMILIES = {"m122": (3, -20, 1, 2, (1, 2, 2)), "m2131": (4, -14, 0.5, 1, (2, 1, 3, 1))}
+_VERIFY = ("verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy")
+_HUGE = "1" + "0" * 399  # a 400-digit integer, which no float holds
+
+# name -> the document's text, or the arguments of the build-config run that prints it
+DOCUMENTS: dict[str, str | list[str]] = {
+    **{f"m122_r{r}.json": ["build-config", *_family(3, r, 1, 2, (1, 2, 2))] for r in (-20, -19)},
+    "one_covector.json": '{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": 1}]}}',
+    "rank2_in_3.json": '{"explicit": {"dimension": 3, "members": [{"vector": [1, 0, 0], "multiplicity": 1},'
+                       ' {"vector": [1, 1, 0], "multiplicity": 2}]}}',
+    "members-int.json": '{"explicit": {"dimension": 2, "members": 5}}',
+    "dimension-str.json": '{"explicit": {"dimension": "x", "members": []}}',
+    "dimension-float.json": '{"explicit": {"dimension": 2.9, "members": [{"vector": [1, 0], "multiplicity": 1}]}}',
+    "dimension-huge.json": f'{{"explicit": {{"dimension": {_HUGE}, "members": []}}}}',
+    "vector-int.json": '{"explicit": {"dimension": 2, "members": [{"vector": 5, "multiplicity": 1}]}}',
+    "vector-str.json": '{"explicit": {"dimension": 2, "members": [{"vector": "10", "multiplicity": 1}]}}',
+    "vector-bool.json": '{"explicit": {"dimension": 2, "members": [{"vector": [true, 0], "multiplicity": 1}]}}',
+    "vector-nested.json": '{"explicit": {"dimension": 2, "members": [{"vector": [[1], 0], "multiplicity": 1}]}}',
+    "multiplicity-str.json": '{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": "a"}]}}',
+    "multiplicity-null.json": '{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": null}]}}',
+    "multiplicity-inf.json": '{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": Infinity}]}}',
+    "n-float.json": '{"family": "bcn", "n": 2.7, "r": -20, "s": 1, "q": 2, "m": [2, 3]}',
+    "n-bool.json": '{"family": "bcn", "n": true, "r": -6, "s": 1, "q": 2, "m": [2]}',
+    "n-str.json": '{"family": "bcn", "n": "2", "r": -20, "s": 1, "q": 2, "m": [2, 3]}',
+    "n-huge.json": f'{{"family": "bcn", "n": {_HUGE}, "r": -20, "s": 1, "q": 2, "m": [2, 3]}}',
+    "m-str.json": '{"family": "bcn", "n": 2, "r": -20, "s": 1, "q": 2, "m": "23"}',
+    "m-entry-str.json": '{"family": "bcn", "n": 2, "r": -20, "s": 1, "q": 2, "m": ["2", 3]}',
+    "r-str.json": '{"family": "bcn", "n": 2, "r": "-6", "s": 1, "q": 2, "m": [2, 3]}',
+    "r-bool.json": '{"family": "bcn", "n": 2, "r": true, "s": 1, "q": 2, "m": [2, 3]}',
+    "r-nan.json": '{"family": "bcn", "n": 2, "r": NaN, "s": 1, "q": 2, "m": [2, 3]}',
+    "r-huge.json": f'{{"family": "bcn", "n": 2, "r": {_HUGE}, "s": 1, "q": 2, "m": [2, 3]}}',
+    "q-null.json": '{"family": "bcn", "n": 2, "r": -20, "s": 1, "q": null, "m": [2, 3]}',
+}
+
+SPECS: dict[str, list[str]] = {
+    # the workloads at three seeds, at the theorem and at r + 1
+    **{
+        f"{name}-seed{seed}-r{'+1' if shift else ''}": [
+            command, *_family(len(m), r + shift, 0, 1, m), "--samples", str(samples), "--seed", str(seed), *options
+        ]
+        for name, (command, m, r, samples, options) in _WORKLOADS.items()
+        for seed in (0, 1, 42)
+        for shift in (0, 1)
+    },
+    # every verify command on two unequal-m families, at the theorem and at r + 1
+    **{
+        f"{command}-{fam}-r{'+1' if shift else ''}": [command, *_family(n, r + shift, s, q, m)]
+        for command in _VERIFY
+        for fam, (n, r, s, q, m) in _FAMILIES.items()
+        for shift in (0, 1)
+    },
+    # the m=1,2,2 family as its build-config document, printed and verified
+    **{f"build-config-m122-r{r}": DOCUMENTS[f"m122_r{r}.json"] for r in (-20, -19)},
+    **{
+        f"{command}-m122-document-r{r}": [command, "--config", f"m122_r{r}.json"]
+        for command in ("verify-wdvv", "verify-associativity")
+        for r in (-20, -19)
+    },
+    "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
+    # the supersymmetric block at n = 1, 2 and 3, and further runs the console rows make
+    "verify-susy-n1": ["verify-susy", *_family(1, 1, 0.5, 0, (2,))],
+    "verify-susy-n2": ["verify-susy", *_family(2, 0, 0, 1, (1, 1))],
+    "verify-susy-n3": ["verify-susy", *_family(3, -2, 0, 1, (1, 1, 1))],
+    "verify-wdvv-n20": ["verify-wdvv", *_family(20, -36, 0, 1, (1,) * 20), "--samples", "5"],
+    "verify-wdvv-q0": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--samples", "1"],
+    "verify-wdvv-q0-wide-box": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--box", "0.3,12", "--samples", "20"],
+    **{
+        f"verify-wdvv-far-field-r{'+1' if shift else ''}": [
+            "verify-wdvv", *_family(4, -4 + shift, 0, 1, (1, 1, 1, 1)), "--box", "5,15", "--samples", "10"]
+        for shift in (0, 1)
+    },
+    "verify-restriction-theta": ["verify-restriction", *_family(2, -20, 1, 2, (2, 3)), "--samples", "2",
+                                 "--theta", "0.07"],
+    "verify-associativity-m10": ["verify-associativity", *_family(2, 0, 0, 1, (1, 0)), "--samples", "2"],
+    "verify-wdvv-overflow": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--box", "0.3,400", "--samples", "2"],
+    "tensor-overflow": ["tensor", *_family(1, 1, 1, 0, (1,)), "--point", "400"],
+    "tensor-near-hyperplane": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.9,0.899,1.3"],
+    # sources whose members of nonzero multiplicity span less than R^n
+    "verify-wdvv-m110": ["verify-wdvv", *_family(3, -1, 1, 1, (1, 1, 0)), "--samples", "1"],
+    "verify-wdvv-zero-multiplicities": ["verify-wdvv", *_family(3, 0, 0, 0, (1, 1, 1)), "--samples", "1"],
+    "verify-associativity-one-covector": ["verify-associativity", "--config", "one_covector.json", "--samples", "1"],
+    "verify-wdvv-rank2-in-3": ["verify-wdvv", "--config", "rank2_in_3.json", "--samples", "1"],
+    # malformed documents
+    **{
+        f"document-{name[:-5]}": ["build-config", "--config", name]
+        for name, text in DOCUMENTS.items()
+        if isinstance(text, str) and name not in ("one_covector.json", "rank2_in_3.json")
+    },
+    # run values refused when the run specification is made
+    "samples-zero": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--samples", "0"],
+    "seed-negative": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--seed", "-3"],
+    "seed-too-large": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--seed", str(2**64)],
+    "box-inf": ["verify-associativity", *_family(1, 1, 1, 0, (1,)), "--box", "0.3,inf"],
+    "box-reversed": ["verify-metric", *_family(3, -2, 0, 1, (1, 1, 1)), "--box", "1.5,0.3"],
+    "box-one-number": ["verify-metric", *_family(3, -2, 0, 1, (1, 1, 1)), "--box", "0.3"],
+    "box-not-numbers": ["verify-metric", *_family(3, -2, 0, 1, (1, 1, 1)), "--box", "a,b"],
+    "tol-inf": ["verify-associativity", *_family(1, 1, 1, 0, (1,)), "--tol", "inf"],
+    "tol-nan": ["verify-associativity", *_family(1, 1, 1, 0, (1,)), "--tol", "nan"],
+    "theta-zero-tensor": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3", "--theta", "0"],
+    "build-config-samples-zero": ["build-config", *_family(3, -20, 1, 2, (1, 2, 2)), "--samples", "0"],
+    "m-not-numbers": ["build-config", "--family", "bcn", "--n", "2", "--r", "0", "--s", "0", "--q", "1",
+                      "--m", "1,x"],
+}
+
+
+def machine() -> dict:
+    """What the bytes of a report depend on besides the program: numpy, its platform and the CPU."""
+    cpu = platform.processor()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    return {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "cpu": cpu,
+    }
+
+
+def render(argv: list[str]) -> tuple[str, str]:
+    """(suffix, text) of one run in the working directory: ".json" and stdout, or ".err" and stderr."""
+    from trigwdvv import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--json"])
+    if code == 2:
+        return ".err", err.getvalue()
+    if err.getvalue():
+        raise AssertionError(f"exit {code} with stderr {err.getvalue()!r}")
+    return ".json", out.getvalue()
+
+
+def write_documents(directory: pathlib.Path) -> None:
+    """Write every file of ``DOCUMENTS`` into ``directory``, which becomes the working directory."""
+    os.chdir(directory)
+    for name, content in DOCUMENTS.items():
+        (directory / name).write_text(content if isinstance(content, str) else render(content)[1], encoding="utf-8")
+
+
+def main() -> int:
+    REPORTS.mkdir(exist_ok=True)
+    cwd = os.getcwd()
+    written = set()
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            write_documents(pathlib.Path(scratch))
+            for name, argv in SPECS.items():
+                suffix, text = render(argv)
+                (REPORTS / f"{name}{suffix}").write_text(text, encoding="utf-8")
+                written.add(f"{name}{suffix}")
+        finally:
+            os.chdir(cwd)
+    for path in REPORTS.iterdir():
+        if path.name not in written:
+            path.unlink()
+    MACHINE.write_text(json.dumps(machine(), indent=2) + "\n", encoding="utf-8")
+    print(f"{len(written)} reports in {REPORTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

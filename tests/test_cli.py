@@ -28,6 +28,7 @@ from trigwdvv.configurations import BCnParameters, Configuration, build_bcn, sol
 from trigwdvv.errors import (
     ConfigFormatError,
     DomainError,
+    ParameterError,
     PreconditionError,
     SamplingError,
     SingularMatrixError,
@@ -245,6 +246,12 @@ class TestTensorCommand:
         doc = emit_tensor(spec, [0.9])
         assert doc["h"] is None
 
+    @pytest.mark.parametrize("point", [["0.5", 0.9], [True, 0.9], [[0.5], 0.9]], ids=["str", "bool", "nested"])
+    def test_point_entries_are_read_as_numbers_not_coerced(self, point):
+        spec = RunSpec(command="tensor", config_source=_family(2, 1, 1, 1, (1, 1)))
+        with pytest.raises(ParameterError, match="^point must be numbers, got "):
+            emit_tensor(spec, point)
+
     def test_missing_point_is_an_error(self):
         proc = run_cli("tensor", *FAMILY_OK)
         assert proc.returncode == 2
@@ -326,6 +333,27 @@ class TestRunSpecValidation:
         # a fractional seed or sample count would run as its truncation but be echoed as given
         with pytest.raises(PreconditionError, match=re.escape(message)):
             RunSpec(command="verify-wdvv", config_source={}, **{field: value})
+
+    def test_numbers_are_read_by_the_package_rules(self):
+        # an integral float reads as an int, as n and the blocks do, and the box as two floats
+        spec = RunSpec(command="verify-wdvv", config_source={}, samples=2.0, seed=np.uint64(7), box=[0, 1])
+        assert (spec.samples, spec.seed, spec.box, spec.tolerance) == (2, 7, (0.0, 1.0), 1e-8)
+        assert [type(v) for v in (spec.samples, spec.seed, *spec.box)] == [int, int, float, float]
+        assert dumps_17g(spec.to_json_dict()["samples"]) == "2"
+
+    def test_options_left_out_keep_the_defaults(self):
+        # argparse restates none of RunSpec's defaults
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["verify-wdvv", *FAMILY_OK]))
+        assert spec == RunSpec(command="verify-wdvv", config_source=spec.config_source)
+
+    @pytest.mark.parametrize("box", [(1.5, 0.3), (0.3, math.inf), (math.nan, 1.5), ("0.3", 1.5), (0.3,), "0.3,1.5"],
+                             ids=["reversed", "hi-inf", "lo-nan", "str-entry", "one-number", "str"])
+    def test_runs_and_the_sampler_read_one_box_rule(self, box):
+        with pytest.raises(PreconditionError) as refused_by_run:
+            RunSpec(command="verify-wdvv", config_source={}, box=box)
+        with pytest.raises(PreconditionError) as refused_by_sampler:
+            next(sampling.admissible_points(rng_for(0, "box"), np.eye(2), box, 0.05))
+        assert str(refused_by_run.value) == str(refused_by_sampler.value)
 
     def test_bad_tolerance(self):
         with pytest.raises(PreconditionError):
@@ -545,13 +573,35 @@ def test_explicit_source_associates_with_its_metric_b(r, passes):
     assert run(RunSpec(command="verify-associativity", config_source=doc, samples=10, seed=7)).all_passed is passes
 
 
-def test_explicit_source_with_a_singular_metric_discards_every_point():
-    # one covector in two dimensions: B(x) has rank 1 at every point, so each
-    # point is discarded with verify-wdvv's reason until the discard cap
-    doc = {"explicit": {"dimension": 2, "members": [{"vector": [1.0, 0.0], "multiplicity": 1.0}]}}
-    spec = RunSpec(command="verify-associativity", config_source=doc, samples=1)
-    with pytest.raises(SamplingError, match=": 10001 had a pivot condition number above 1e\\+08$"):
-        run(spec)
+def _refuse_to_sample(*args):
+    raise AssertionError("a refused source drew a sample point")
+
+
+def _explicit(dimension, *members):
+    return {"explicit": {"dimension": dimension,
+                         "members": [{"vector": list(v), "multiplicity": c} for v, c in members]}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, rank",
+    [
+        # one covector in two dimensions: B(x) has rank 1 at every point
+        ("verify-associativity", _explicit(2, ((1.0, 0.0), 1.0)), 1),
+        ("verify-wdvv", _explicit(3, ((1.0, 0.0, 0.0), 1.0), ((1.0, 1.0, 0.0), 2.0)), 2),
+        # a member of multiplicity 0 spans nothing
+        ("verify-wdvv", _explicit(3, ((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 1.0), 0.0)), 2),
+    ],
+    ids=["one-covector", "two-covectors-in-3", "zero-multiplicity-member"],
+)
+def test_explicit_source_with_a_singular_metric_is_refused_before_sampling(monkeypatch, command, doc, rank):
+    # B(x) and every pivot lie in the span of the members of nonzero multiplicity, so
+    # when that span misses a direction each would be singular at every sample point
+    monkeypatch.setattr(cli, "admissible_points", _refuse_to_sample)
+    n = doc["explicit"]["dimension"]
+    message = (f"{command} needs members of nonzero multiplicity that span R^{n}, but their span has "
+               f"dimension {rank}: B(x) would be singular at every point")
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        run(RunSpec(command=command, config_source=doc, samples=1))
 
 
 @pytest.mark.parametrize("m", ["1,0", "0,1,1"])
@@ -957,15 +1007,37 @@ def test_malformed_config_sources_are_config_format_errors(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
-def test_singular_pivots_discard_rather_than_error(capsys):
-    # with m_3 = 0 every member that reads x_3 has multiplicity 0, so B and eta.F
-    # are exactly singular: each point is discarded until the discard cap ends
-    # the run, as for any other unusable point
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "1", "--m", "1,1,0"]
+@pytest.mark.parametrize(
+    "family, rank",
+    [(["--r", "-1", "--s", "1", "--q", "1", "--m", "1,1,0"], 2), (["--r", "0", "--s", "0", "--q", "0", "--m", "1,1,1"], 0)],
+    ids=["m3-zero", "all-multiplicities-zero"],
+)
+def test_rank_deficient_family_is_refused_before_sampling(monkeypatch, capsys, family, rank):
+    # with m_3 = 0 every member that reads x_3 has multiplicity 0, and at r = s = q = 0
+    # every member has, so B and eta.F would be singular at every point: the run is
+    # refused before a point is drawn, not after the discard cap
+    monkeypatch.setattr(cli, "admissible_points", _refuse_to_sample)
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", *family]
     assert main(argv + ["--samples", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "error: SamplingError: more than 10000 sample points were discarded" in err
-    assert err.rstrip().endswith(": 10001 had a pivot condition number above 1e+08")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: PreconditionError: verify-wdvv needs members of nonzero multiplicity that span R^3, "
+        f"but their span has dimension {rank}: B(x) would be singular at every point\n"
+    )
+
+
+def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
+    # a residual function that refuses every point: the run ends after the cap's
+    # 10,000 discards with a SamplingError that gives the count, and reports no check
+    refused = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=1))
+    points = []
+    with pytest.raises(SamplingError, match="^more than 10000 sample points were discarded: "
+                                            "10001 had a pivot condition number above 1e\\+08$"):
+        _sampled_into(report, [refused] * 10_002, points)
+    assert report.discarded_points == len(points) == 10_001
+    assert report.checks == []
 
 
 def test_text_report_labels_discarded_points(capsys):

@@ -1,0 +1,72 @@
+"""Golden reports: every run of ``tests/golden/regen.py``'s table against its stored file.
+
+On the machine that wrote the corpus (``tests/golden/MACHINE.json``) each run
+must print its file byte for byte.  Elsewhere numpy may round differently, so a
+report is compared by what rounding cannot move: the run it echoes, its check
+names in order, each verdict (the residual's side of its tolerance), the discard
+count and, for a failing check, the worst point; a passing check's worst point
+is the largest of residuals at rounding level, so it is left out.  A tensor or
+build-config document is compared to a relative 1e-9, and an error text exactly.
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from tests.golden import regen
+
+SAME_MACHINE = json.loads(regen.MACHINE.read_text(encoding="utf-8")) == regen.machine()
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("documents")
+    cwd = os.getcwd()
+    try:
+        regen.write_documents(directory)
+    finally:
+        os.chdir(cwd)
+    return directory
+
+
+def _close(want, got) -> bool:
+    if isinstance(want, dict):
+        return isinstance(got, dict) and list(want) == list(got) and all(_close(want[k], got[k]) for k in want)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(want) == len(got) and all(map(_close, want, got))
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(want, got, rel_tol=1e-9, abs_tol=1e-300)
+    return want == got
+
+
+def _assert_same_outcome(want: dict, got: dict) -> None:
+    if "checks" not in want:  # a tensor or build-config document
+        assert _close(want, got)
+        return
+    assert (got["run"], got["discarded_points"], got["version"]) == (
+        want["run"], want["discarded_points"], want["version"])
+    assert [(c["name"], c["pass"]) for c in got["checks"]] == [(c["name"], c["pass"]) for c in want["checks"]]
+    for w, g in zip(want["checks"], got["checks"]):
+        assert (g["worst_point"] is None) == (w["worst_point"] is None)
+        if not w["pass"] and w["worst_point"] is not None:
+            assert _close(w["worst_point"], g["worst_point"]), w["name"]
+
+
+@pytest.mark.parametrize("name", regen.SPECS)
+def test_run_matches_its_golden_file(monkeypatch, documents, name):
+    monkeypatch.chdir(documents)
+    suffix, text = regen.render(regen.SPECS[name])
+    path = regen.REPORTS / f"{name}{suffix}"
+    assert path.is_file(), f"{name} now gives {suffix}: {text[:300]}"
+    stored = path.read_text(encoding="utf-8")
+    if SAME_MACHINE or suffix == ".err":
+        assert text == stored
+    else:
+        _assert_same_outcome(json.loads(stored), json.loads(text))
+
+
+def test_the_corpus_has_one_file_per_run():
+    stems = sorted(path.stem for path in regen.REPORTS.iterdir())
+    assert stems == sorted(regen.SPECS)
