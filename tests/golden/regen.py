@@ -105,10 +105,14 @@ SPECS: dict[str, list[str]] = {
         for r in (-20, -19)
     },
     "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
-    # the supersymmetric block at n = 1, 2 and 3, and further runs the console rows make
-    "verify-susy-n1": ["verify-susy", *_family(1, 1, 0.5, 0, (2,))],
-    "verify-susy-n2": ["verify-susy", *_family(2, 0, 0, 1, (1, 1))],
-    "verify-susy-n3": ["verify-susy", *_family(3, -2, 0, 1, (1, 1, 1))],
+    # the supersymmetric block at n = 1, 2 and 3 and at unit m with n = 5, past the dense
+    # fermionic oracle's reach, each at the theorem and at r + 1; further runs the console rows make
+    **{
+        f"verify-susy-n{n}{'-r+1' if shift else ''}": ["verify-susy", *_family(n, r + shift, s, q, m)]
+        for n, r, s, q, m in ((1, 1, 0.5, 0, (2,)), (2, 0, 0, 1, (1, 1)), (3, -2, 0, 1, (1, 1, 1)),
+                              (5, -6, 0, 1, (1,) * 5))
+        for shift in (0, 1)
+    },
     "verify-wdvv-n20": ["verify-wdvv", *_family(20, -36, 0, 1, (1,) * 20), "--samples", "5"],
     "verify-wdvv-q0": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--samples", "1"],
     "verify-wdvv-q0-wide-box": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--box", "0.3,12", "--samples", "20"],
