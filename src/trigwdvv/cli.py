@@ -435,9 +435,7 @@ def _run_restriction(spec: RunSpec, parsed):
 def _run_susy(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     hat = susy.build_hat_configuration(params)
-    n = params.n
-
-    anticommutation = susy.anticommutation_residual(susy.FermionicSpace(n))
+    anticommutation = susy.fermionic_residual(params.n)
     sq = np.sqrt(params.m_array)
 
     def hat_residuals(rng, xh, active):

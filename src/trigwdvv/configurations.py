@@ -41,8 +41,13 @@ class Configuration:
         self.dimension = d = _integer(dimension, f"dimension must be an integer, got {dimension!r}")
         if d < 1:
             raise ParameterError("dimension must be >= 1")
+        if not len(vectors):
+            try:
+                vectors = np.empty((0, d))
+            except (ValueError, OverflowError) as exc:  # numpy's "array is too big"
+                raise DimensionError(f"dimension {d} is too large for an array of members") from exc
         try:
-            flat = np.asarray(vectors if len(vectors) else np.empty((0, d)), dtype=float)
+            flat = np.asarray(vectors, dtype=float)
         except ValueError:  # ragged members
             flat = None
         if flat is None or flat.shape[1:] != (d,):
@@ -99,7 +104,10 @@ class Configuration:
 def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(head, slot_of): whether row i of ``flat`` opens a slot, and the slot it
     joins, numbered in order.  ``+ 0.0`` folds -0.0 into 0.0, so finite rows are
-    equal as floats when their bytes are; a non-finite row is refused anyway."""
+    equal as floats when their bytes are; a non-finite row is refused anyway.
+    No rows need no view, whose item size a huge dimension would overflow."""
+    if not len(flat):
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp)
     rows = np.ascontiguousarray(flat + 0.0).view(f"V{flat.itemsize * flat.shape[1]}").ravel().tolist()
     first: dict[bytes, int] = {}
     joins = np.array([first.setdefault(row, i) for i, row in enumerate(rows)], dtype=np.intp)

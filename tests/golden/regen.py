@@ -60,6 +60,9 @@ DOCUMENTS: dict[str, str | list[str]] = {
     "dimension-str.json": '{"explicit": {"dimension": "x", "members": []}}',
     "dimension-float.json": '{"explicit": {"dimension": 2.9, "members": [{"vector": [1, 0], "multiplicity": 1}]}}',
     "dimension-huge.json": f'{{"explicit": {{"dimension": {_HUGE}, "members": []}}}}',
+    # no members in R^(2^40), which build-config prints back, and in R^(2^62), which numpy cannot lay out
+    "dimension-2to40.json": f'{{"explicit": {{"dimension": {2**40}, "members": []}}}}',
+    "dimension-2to62.json": f'{{"explicit": {{"dimension": {2**62}, "members": []}}}}',
     "vector-int.json": '{"explicit": {"dimension": 2, "members": [{"vector": 5, "multiplicity": 1}]}}',
     "vector-str.json": '{"explicit": {"dimension": 2, "members": [{"vector": "10", "multiplicity": 1}]}}',
     "vector-bool.json": '{"explicit": {"dimension": 2, "members": [{"vector": [true, 0], "multiplicity": 1}]}}',
@@ -105,8 +108,9 @@ SPECS: dict[str, list[str]] = {
         for r in (-20, -19)
     },
     "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
-    # the supersymmetric block at n = 1, 2 and 3 and at unit m with n = 5, past the dense
-    # fermionic oracle's reach, each at the theorem and at r + 1; further runs the console rows make
+    # the supersymmetric block at n = 1, 2 and 3, and at unit m with n = 5, past the dense fermionic
+    # oracle's reach, each at its r and at r + 1 (n = 1 at r = 1 is off the theorem, r = -5);
+    # further runs the console rows make
     **{
         f"verify-susy-n{n}{'-r+1' if shift else ''}": ["verify-susy", *_family(n, r + shift, s, q, m)]
         for n, r, s, q, m in ((1, 1, 0.5, 0, (2,)), (2, 0, 0, 1, (1, 1)), (3, -2, 0, 1, (1, 1, 1)),
@@ -132,7 +136,7 @@ SPECS: dict[str, list[str]] = {
     "verify-wdvv-zero-multiplicities": ["verify-wdvv", *_family(3, 0, 0, 0, (1, 1, 1)), "--samples", "1"],
     "verify-associativity-one-covector": ["verify-associativity", "--config", "one_covector.json", "--samples", "1"],
     "verify-wdvv-rank2-in-3": ["verify-wdvv", "--config", "rank2_in_3.json", "--samples", "1"],
-    # malformed documents
+    # malformed documents, and the two huge dimensions
     **{
         f"document-{name[:-5]}": ["build-config", "--config", name]
         for name, text in DOCUMENTS.items()

@@ -3,8 +3,9 @@
 These stay deliberately separate from the library paths they check: the
 trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the fermionic operators are dense
-Kronecker products, the four-fermion term is built from them both by products
-of contracted operators and by literal eight-index loops, BC_n family members
+Kronecker products, the anticommutation residual is read off dense products of
+the scattered operator arrays, the four-fermion term is built from them both by
+products of contracted operators and by literal eight-index loops, BC_n family members
 are listed one by one and merged by a pairwise scan, the metric's diagonality
 is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a
 time with an explicit inverse for the pivot norm (and, for bit-for-bit
@@ -365,6 +366,28 @@ class DenseFermionicSpace:
 
 def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B + B @ A
+
+
+def dense_anticommutation_residual(targets: np.ndarray, coefficients: np.ndarray) -> float:
+    """Max-abs deviation of every anticommutator {P, Q}, q >= p, of the operators
+    whose column s is ``coefficients[k, s]`` at row ``targets[k, s]``, scattered into
+    dense matrices, from -1/2 I for the partner pairs q = p + 2n and 0 otherwise.
+    NaN if any deviation is NaN."""
+    dim = targets.shape[1]
+    ops = []
+    for T, C in zip(targets, coefficients):
+        M = np.zeros((dim, dim))
+        M[T, np.arange(dim)] = C
+        ops.append(M)
+    partner = len(ops) // 2
+    worst = []
+    for p in range(len(ops)):
+        for q in range(p, len(ops)):
+            dev = anticommutator(ops[p], ops[q])
+            if q == p + partner:
+                dev += 0.5 * np.eye(dim)
+            worst.append(np.abs(dev).max())
+    return float(np.max(worst))
 
 
 def phi_matrix(

@@ -93,6 +93,16 @@ class TestTypes:
         assert c.vectors.shape == (0, 2) and c.multiplicities.shape == (0,)
         assert len(c) == 0
 
+    def test_configuration_with_no_members_in_a_huge_dimension(self):
+        # no rows need no row view, whose item size would not fit numpy's dtype
+        c = Configuration(2**40, [], [])
+        assert c.vectors.shape == (0, 2**40) and len(c) == 0
+
+    @pytest.mark.parametrize("dimension", [2**60, 2**62, 2**64, 10**30])
+    def test_configuration_names_a_dimension_numpy_cannot_lay_out(self, dimension):
+        with pytest.raises(DimensionError, match=f"^dimension {dimension} is too large for an array of members$"):
+            Configuration(dimension, [], [])
+
     @pytest.mark.parametrize(
         "vectors, member",
         [

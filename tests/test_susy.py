@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trigwdvv.cli import RunSpec, dumps_17g, run
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
 from trigwdvv.prepotential import (
@@ -27,6 +28,7 @@ from tests.oracles import (
     DenseFermionicSpace,
     MarginError,
     anticommutator,
+    dense_anticommutation_residual,
     gauge_residual_fd,
     gaussian_field,
     phi_matrix,
@@ -283,6 +285,63 @@ class TestAnticommutationResidual:
                 expected = max(expected, float(np.abs(dev).max()))
         assert anticommutation_residual(bad) == expected
         assert expected > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_dense_oracle_under_corruption(self, n):
+        # 1-3 entries per draw: a target, a coefficient from a pool with NaN, or both;
+        # the same float as the dense oracle, NaN exactly when it is (a partner pair
+        # with nothing on the diagonal is test_zero_operator_partner_detected)
+        rng = np.random.default_rng(n)
+        fs = FermionicSpace(n)
+        outcomes = set()
+        for _ in range(100):
+            T, C = fs.targets.copy(), fs.coefficients.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                k, s = int(rng.integers(len(T))), int(rng.integers(fs.dim))
+                kind = rng.integers(3)
+                if kind != 1:
+                    T[k, s] = rng.integers(fs.dim)
+                if kind != 0:
+                    C[k, s] = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, np.nan])
+            got = anticommutation_residual(with_arrays(fs, T, C))
+            want = dense_anticommutation_residual(T, C)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            outcomes.add("nan" if math.isnan(want) else "zero" if want == 0.0 else "positive")
+        assert outcomes == {"nan", "zero", "positive"}
+
+
+class TestFermionicResidual:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exact_at_every_n_below_the_cap(self, n):
+        assert susy.fermionic_residual(n) == 0.0
+
+    def test_two_runs_at_one_n_build_the_space_once(self, monkeypatch):
+        builds = []
+
+        class Counting(FermionicSpace):
+            def __init__(self, n):
+                builds.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(susy, "FermionicSpace", Counting)
+        susy.fermionic_residual.cache_clear()
+        spec = RunSpec(command="verify-susy", config_source={"family": "bcn", "n": 2, "r": 0, "s": 0, "q": 1,
+                                                             "m": [1, 1]}, samples=3)
+        first, second = (dumps_17g(run(spec).to_json_dict()) for _ in range(2))
+        assert builds == [2]
+        assert first == second
+
+    def test_refused_values_raise_on_every_call_once_others_are_cached(self):
+        assert susy.fermionic_residual(1) == susy.fermionic_residual(2) == 0.0
+        for _ in range(2):
+            for n in (True, 2.5, "2"):
+                with pytest.raises(ParameterError, match="n must be an integer"):
+                    susy.fermionic_residual(n)
+            with pytest.raises(DimensionCapError):
+                susy.fermionic_residual(8)
+
+    def test_the_cache_holds_one_value_per_n_below_the_cap(self):
+        assert susy.fermionic_residual.cache_parameters()["maxsize"] == susy._FERMION_N_CAP == 7
 
 
 class TestPhiMatrix:
