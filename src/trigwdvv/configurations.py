@@ -44,7 +44,7 @@ class Configuration:
         if not len(vectors):
             try:
                 vectors = np.empty((0, d))
-            except (ValueError, OverflowError) as exc:  # numpy's "array is too big"
+            except ValueError as exc:  # numpy cannot lay out a (0, d) array
                 raise DimensionError(f"dimension {d} is too large for an array of members") from exc
         try:
             flat = np.asarray(vectors, dtype=float)

@@ -5,8 +5,8 @@ trilogarithm is re-summed with math.fsum, third derivatives come from finite
 differences of the scalar prepotential, the fermionic operators are dense
 Kronecker products, the anticommutation residual is read off dense products of
 the scattered operator arrays, the four-fermion term is built from them both by
-products of contracted operators and by literal eight-index loops, BC_n family members
-are listed one by one and merged by a pairwise scan, the metric's diagonality
+products of contracted operators and by literal eight-index loops, BC_n family
+members are listed one by one and merged by a pairwise scan, the metric's diagonality
 is read off B against m_l h, WDVV residuals are taken one pair (i, j) at a
 time with an explicit inverse for the pivot norm (and, for bit-for-bit
 comparison, by the full commutator pass over every (i, j) with a separate SVD

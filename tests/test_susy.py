@@ -271,18 +271,7 @@ class TestAnticommutationResidual:
         T[row] = rng.integers(fs.dim, size=fs.dim)
         C[row] = rng.choice([0.0, 0.5, -1.0, 2.0], size=fs.dim)
         bad = with_arrays(fs, T, C)
-        ops = []
-        for k in range(len(T)):
-            M = np.zeros((fs.dim, fs.dim))
-            M[T[k], np.arange(fs.dim)] = C[k]
-            ops.append(M)
-        expected = 0.0
-        for p in range(len(ops)):
-            for q in range(p, len(ops)):
-                dev = anticommutator(ops[p], ops[q])
-                if q == p + len(ops) // 2:
-                    dev += 0.5 * np.eye(fs.dim)
-                expected = max(expected, float(np.abs(dev).max()))
+        expected = dense_anticommutation_residual(T, C)
         assert anticommutation_residual(bad) == expected
         assert expected > 0.0
 
@@ -325,8 +314,8 @@ class TestFermionicResidual:
 
         monkeypatch.setattr(susy, "FermionicSpace", Counting)
         susy.fermionic_residual.cache_clear()
-        spec = RunSpec(command="verify-susy", config_source={"family": "bcn", "n": 2, "r": 0, "s": 0, "q": 1,
-                                                             "m": [1, 1]}, samples=3)
+        source = {"family": "bcn", "n": 2, "r": 0, "s": 0, "q": 1, "m": [1, 1]}
+        spec = RunSpec(command="verify-susy", config_source=source, samples=3)
         first, second = (dumps_17g(run(spec).to_json_dict()) for _ in range(2))
         assert builds == [2]
         assert first == second
