@@ -47,12 +47,25 @@ _WORKLOADS = {
 }
 # two theorem families at unequal m: n, r, s, q, m
 _FAMILIES = {"m122": (3, -20, 1, 2, (1, 2, 2)), "m2131": (4, -14, 0.5, 1, (2, 1, 3, 1))}
+# the restriction at small blocks, at q = 0 and on a box about the origin, and at two wider margins
+# theta: family (n, r at the theorem, s, q, blocks m) and run options (theta = 0.6 leaves blocks
+# 2,3,4,5 a box too narrow)
+_BLOCKS23, _BLOCKS2345 = (2, -20, 1, 2, (2, 3)), (4, -24, 0, 1, (2, 3, 4, 5))
+_RESTRICTIONS = {
+    "blocks23": (_BLOCKS23, []),
+    "blocks23-box": (_BLOCKS23, ["--box", "-1,1"]),
+    **{f"blocks23-theta{theta}": (_BLOCKS23, ["--theta", theta]) for theta in ("0.3", "0.6")},
+    "blocks111": ((3, -2, 0, 1, (1, 1, 1)), []),
+    "blocks23-q0": ((2, -8, 1, 0, (2, 3)), []),
+    **{f"blocks2345-theta{theta}": (_BLOCKS2345, ["--theta", theta]) for theta in ("0.3", "0.6")},
+}
 _VERIFY = ("verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy")
 _HUGE = "1" + "0" * 399  # a 400-digit integer, which no float holds
 
 # name -> the document's text, or the arguments of the build-config run that prints it
 DOCUMENTS: dict[str, str | list[str]] = {
     **{f"m122_r{r}.json": ["build-config", *_family(3, r, 1, 2, (1, 2, 2))] for r in (-20, -19)},
+    "q0.json": ["build-config", *_family(3, -1, 1, 0, (1, 1, 1))],
     "one_covector.json": '{"explicit": {"dimension": 2, "members": [{"vector": [1, 0], "multiplicity": 1}]}}',
     "rank2_in_3.json": '{"explicit": {"dimension": 3, "members": [{"vector": [1, 0, 0], "multiplicity": 1},'
                        ' {"vector": [1, 1, 0], "multiplicity": 2}]}}',
@@ -107,6 +120,9 @@ SPECS: dict[str, list[str]] = {
         for command in ("verify-wdvv", "verify-associativity")
         for r in (-20, -19)
     },
+    # an explicit source whose metric B(x) fails the usable-pivot rule at some points (4 discards at seed 0)
+    "verify-associativity-q0-document-wide-box": ["verify-associativity", "--config", "q0.json", "--box", "0.3,12",
+                                                  "--samples", "20"],
     "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
     # the supersymmetric block at n = 1, 2 and 3, and at unit m with n = 5, past the dense fermionic
     # oracle's reach, each at its r and at r + 1 (n = 1 at r = 1 is off the theorem, r = -5);
@@ -123,6 +139,12 @@ SPECS: dict[str, list[str]] = {
     **{
         f"verify-wdvv-far-field-r{'+1' if shift else ''}": [
             "verify-wdvv", *_family(4, -4 + shift, 0, 1, (1, 1, 1, 1)), "--box", "5,15", "--samples", "10"]
+        for shift in (0, 1)
+    },
+    **{
+        f"verify-restriction-{name}-r{'+1' if shift else ''}": [
+            "verify-restriction", *_family(n, r + shift, s, q, m), *options]
+        for name, ((n, r, s, q, m), options) in _RESTRICTIONS.items()
         for shift in (0, 1)
     },
     "verify-restriction-theta": ["verify-restriction", *_family(2, -20, 1, 2, (2, 3)), "--samples", "2",
