@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,8 @@ from . import algebra, susy
 
 # the one discard reason: the point's metric or a pivot fails the usable-pivot rule
 _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
+# the family document's fields, in order: BCnParameters' init fields
+_FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
 
 # ---------------------------------------------------------------------------
 # run specification and report types
@@ -100,16 +102,8 @@ class RunSpec:
                 raise PreconditionError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
-        # field order; a deep copy, so that editing the document leaves the run as it was
-        return {
-            "command": self.command,
-            "config_source": copy.deepcopy(self.config_source),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "box": list(self.box),
-            "threshold": self.threshold,
-        }
+        # the fields in order; a deep copy, so that editing the document leaves the run as it was
+        return {**vars(self), "config_source": copy.deepcopy(self.config_source), "box": list(self.box)}
 
 
 @dataclass
@@ -121,13 +115,10 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "worst_point": None if self.worst_point is None else list(self.worst_point),
-            "pass": self.passed,
-        }
+        # the fields in order, with the verdict last as "pass"
+        doc = {**vars(self), "worst_point": None if self.worst_point is None else list(self.worst_point)}
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 @dataclass
@@ -135,19 +126,16 @@ class VerificationReport:
     run: RunSpec
     checks: list[CheckResult] = field(default_factory=list)
     discarded_points: int = 0
-    version: str = __version__
+    version = __version__  # the package's, not a field
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "run": self.run.to_json_dict(),
-            "checks": [c.to_json_dict() for c in self.checks],
-            "discarded_points": self.discarded_points,
-            "version": self.version,
-        }
+        # the fields in order, then the version
+        return {**vars(self), "run": self.run.to_json_dict(), "checks": [c.to_json_dict() for c in self.checks],
+                "version": self.version}
 
 
 def dumps_17g(obj) -> str:
@@ -192,11 +180,11 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
     if "family" in doc:
         if doc["family"] != "bcn":
             raise ConfigFormatError(f"unknown family {doc['family']!r}; expected 'bcn'")
-        for key in ("n", "r", "s", "q", "m"):
+        for key in _FAMILY_FIELDS:
             if key not in doc:
                 raise ConfigFormatError(f"family document is missing field {key!r}")
         try:
-            return BCnParameters(n=doc["n"], r=doc["r"], s=doc["s"], q=doc["q"], m=tuple(_array(doc["m"], "m")))
+            return BCnParameters(**{key: doc[key] for key in _FAMILY_FIELDS} | {"m": tuple(_array(doc["m"], "m"))})
         except ValueError as exc:
             raise ConfigFormatError(f"invalid family parameters: {exc}") from exc
     if "explicit" in doc:
@@ -267,6 +255,11 @@ def _require_spanning(config: Configuration, command: str) -> None:
     if rank < config.dimension:
         raise PreconditionError(f"{command} needs members of nonzero multiplicity that span R^{config.dimension}, "
                                 f"but their span has dimension {rank}: B(x) would be singular at every point")
+
+
+def _two_path(got, want) -> float:
+    """max|got - want| / max(1, max|want|): one tensor reached by two routes, compared."""
+    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
 
 
 def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
@@ -356,23 +349,25 @@ def _run_wdvv(spec: RunSpec, parsed):
 def _run_associativity(spec: RunSpec, parsed):
     config = _config_of(parsed)
     n = config.dimension
-    if not isinstance(parsed, BCnParameters):
+    # the metric that raises indices, chosen once per run; raise_index_at(x, active) returns y -> G^{-1} y
+    if isinstance(parsed, BCnParameters):  # the family's metric diag(m)
+        m = parsed.m_array
+        if not m.all():
+            raise PreconditionError(
+                f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
+
+        def raise_index_at(x, active):
+            return lambda y: y / m
+    else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
         _require_spanning(config, spec.command)
-    elif not parsed.m_array.all():
-        raise PreconditionError(f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
 
-    def residuals(rng, x, active):
-        if isinstance(parsed, BCnParameters):
-
-            def raise_index(y):  # the family's metric diag(m)
-                return y / parsed.m_array
-        else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
+        def raise_index_at(x, active):
             B = metric_B(tensor_generic(active), x)
             usable_pivots(B[None])
+            return lambda y: np.linalg.solve(B, y)
 
-            def raise_index(y):
-                return np.linalg.solve(B, y)
-
+    def residuals(rng, x, active):
+        raise_index = raise_index_at(x, active)
         u, v, w = (rng.standard_normal(n) for _ in range(3))
         return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
 
@@ -419,12 +414,10 @@ def _run_restriction(spec: RunSpec, parsed):
 
         C = algebra.structure_constants(restriction, outside)
         expected = np.einsum("ijk,k->ijk", T, 1.0 / restriction.m)
-        scale = max(1.0, float(np.abs(expected).max()))
-
         tangency = algebra.tangency_residuals(restriction, outside, u, v)
         metric = metric_identity_residuals(restriction.params, T, xt)
         return {
-            "structure_constants_two_path": float(np.abs(C - expected).max()) / scale,
+            "structure_constants_two_path": _two_path(C, expected),
             "tangency_residual": [tangency.max()] if tangency.size else [],
             "h_b_decomposition": np.max(metric),  # NaN-propagating, unlike max()
         }
@@ -446,7 +439,7 @@ def _run_susy(spec: RunSpec, parsed):
         x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq
         closed = tensor_closed_form(params, x, spec.threshold)
         return {
-            "hat_tensor_two_path": float(np.abs(base - closed).max()) / max(1.0, float(np.abs(closed).max())),
+            "hat_tensor_two_path": _two_path(base, closed),
             "hat_commuting_residual": [commuting.max()] if commuting.size else [],
             "hat_metric_identity": np.max(metric_identity_residuals(params, base, x)),
             "gauge_residual": susy.gauge_residual(active),
@@ -559,17 +552,11 @@ def _config_source_from_args(args) -> dict | str:
     if args.config is not None:
         return args.config
     if args.family is not None:
-        missing = [k for k in ("n", "r", "s", "q", "m") if getattr(args, k) is None]
+        missing = [k for k in _FAMILY_FIELDS if getattr(args, k) is None]
         if missing:
             raise PreconditionError(f"--family bcn requires --{', --'.join(missing)}")
-        return {
-            "family": "bcn",
-            "n": args.n,
-            "r": args.r,
-            "s": args.s,
-            "q": args.q,
-            "m": list(_parse_floats(args.m)),
-        }
+        family = {k: getattr(args, k) for k in _FAMILY_FIELDS}
+        return {"family": "bcn", **family, "m": list(_parse_floats(args.m))}
     raise PreconditionError("a configuration source is required: --config PATH or --family bcn ...")
 
 

@@ -117,25 +117,26 @@ def anticommutation_residual(fs: FermionicSpace) -> float:
     partner = len(T) // 2
     states = np.arange(fs.dim)
     worst = []
-    for p in range(len(T)):
-        Tq, Cq, Tp, Cp = T[p:], C[p:], T[p], C[p]
-        # a 1-d source gathers faster by indexing, a 2-d one by np.take
-        rows_pq, vals_pq = Tp[Tq], Cp[Tq]
-        vals_pq *= Cq
-        rows_qp, vals_qp = np.take(Tq, Tp, axis=1), np.take(Cq, Tp, axis=1)
-        vals_qp *= Cp
-        same = rows_pq == rows_qp
-        # multiplied by the mask, not selected: a non-finite product reaches both arrays
-        dev_pq = same * vals_qp
-        dev_pq += vals_pq
-        dev_qp = same * vals_pq
-        dev_qp += vals_qp
-        if p < partner:  # row q = p + partner, {psi, psibar} + 1/2 I
-            on_pq, on_qp = rows_pq[partner] == states, rows_qp[partner] == states
-            dev_pq[partner] += on_pq * 0.5
-            dev_qp[partner] += on_qp * 0.5
-            worst.append(np.abs(0.5 + on_pq * vals_pq[partner] + on_qp * vals_qp[partner]).max())
-        worst += [np.abs(dev_pq, out=dev_pq).max(), np.abs(dev_qp, out=dev_qp).max()]
+    with np.errstate(invalid="ignore"):  # 0 * inf in a mask is NaN, which the residual carries
+        for p in range(len(T)):
+            Tq, Cq, Tp, Cp = T[p:], C[p:], T[p], C[p]
+            # a 1-d source gathers faster by indexing, a 2-d one by np.take
+            rows_pq, vals_pq = Tp[Tq], Cp[Tq]
+            vals_pq *= Cq
+            rows_qp, vals_qp = np.take(Tq, Tp, axis=1), np.take(Cq, Tp, axis=1)
+            vals_qp *= Cp
+            same = rows_pq == rows_qp
+            # multiplied by the mask, not selected: a non-finite product reaches both arrays
+            dev_pq = same * vals_qp
+            dev_pq += vals_pq
+            dev_qp = same * vals_pq
+            dev_qp += vals_qp
+            if p < partner:  # row q = p + partner, {psi, psibar} + 1/2 I
+                on_pq, on_qp = rows_pq[partner] == states, rows_qp[partner] == states
+                dev_pq[partner] += on_pq * 0.5
+                dev_qp[partner] += on_qp * 0.5
+                worst.append(np.abs(0.5 + on_pq * vals_pq[partner] + on_qp * vals_qp[partner]).max())
+            worst += [np.abs(dev_pq, out=dev_pq).max(), np.abs(dev_qp, out=dev_qp).max()]
     return float(np.max(worst))  # NaN-propagating
 
 

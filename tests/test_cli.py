@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from trigwdvv import cli, sampling, susy, wdvv
+from trigwdvv import __version__, algebra, cli, sampling, susy, wdvv
 from trigwdvv.cli import (
     RunSpec,
     VerificationReport,
@@ -691,6 +691,13 @@ def test_report_document_is_the_fields_in_order_and_a_copy(command, source, _nam
     assert report.to_json_dict() == want
 
 
+def test_the_report_version_is_a_constant_no_caller_sets():
+    spec = RunSpec(command="verify-wdvv", config_source=_family(3, -2, 0, 1, (1, 1, 1)))
+    assert VerificationReport(run=spec).version == __version__
+    with pytest.raises(TypeError):
+        VerificationReport(run=spec, version="x")
+
+
 @pytest.mark.parametrize("command, source, _names", CHECK_NAMES.values(), ids=CHECK_NAMES.keys())
 def test_a_run_examines_its_sampling_pattern_once(monkeypatch, command, source, _names):
     calls = []
@@ -971,6 +978,31 @@ def test_ill_conditioned_pivots_discard_the_point():
             accepted += 1
     assert report.discarded_points == discarded > 0
     assert report.all_passed
+
+
+def test_explicit_associativity_judges_b_before_drawing_u_v_w():
+    # the same q = 0 family as an explicit document, whose metric is B(x): a point where
+    # kappa(B) is above CONDITION_CAP is discarded before u, v and w are drawn, so the
+    # accepted points and their vectors match this replay of the stream, residual for residual
+    source = config_document(load_config_source(_family(3, -1.0, 1.0, 0.0, (1, 1, 1))))
+    spec = RunSpec(command="verify-associativity", config_source=source, samples=20, box=(0.3, 12.0))
+    report = run(spec)
+
+    config = load_config_source(source)
+    rng = rng_for(spec.seed, "verify-associativity/points")
+    residuals, discarded = [], 0
+    while len(residuals) < spec.samples:
+        x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
+        active = active_pairings(config, x, spec.threshold)
+        B = metric_B(tensor_generic(active), x)
+        if np.linalg.cond(B) > CONDITION_CAP:
+            discarded += 1
+            continue
+        u, v, w = (rng.standard_normal(3) for _ in range(3))
+        residuals.append(algebra.associativity_residual(active, u, v, w, lambda y: np.linalg.solve(B, y)))
+    (check,) = report.checks
+    assert report.discarded_points == discarded > 0
+    assert check.max_residual == max(residuals)
 
 
 @pytest.mark.parametrize(

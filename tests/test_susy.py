@@ -260,6 +260,14 @@ class TestAnticommutationResidual:
         C[3, 5] = np.nan
         assert math.isnan(anticommutation_residual(with_arrays(fs, coefficients=C)))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_coefficient_fails_closed_without_a_warning(self, value):
+        # NaN, and the 0 * inf of a mask raises no RuntimeWarning (an error under tier-1's filters)
+        fs = FermionicSpace(2)
+        C = fs.coefficients.copy()
+        C[3, 5] = value
+        assert math.isnan(anticommutation_residual(with_arrays(fs, coefficients=C)))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_residual_on_corrupted_operators(self, seed):
         # the array residual against dense products of the scattered operators,
