@@ -166,6 +166,16 @@ class TestAssociativity:
             assert np.abs(family_metric(rctx.params)(multiply(active, e_i, e_j)) - C[i, j]).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", ["block_basis", "m", "subsystem"])
+def test_restriction_context_arrays_are_read_only(name):
+    # one context is shared by every point of a run and by the family's later runs
+    rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
+    array = getattr(rctx, name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 7.0
+    assert not array.flags.writeable
+
+
 class TestRestrictedMultiply:
     def test_trivial_partition_matches_full_product(self):
         part = Partition(N=3, blocks=(1, 1, 1))

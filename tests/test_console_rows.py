@@ -26,10 +26,10 @@ def rows() -> list[tuple[int, list[str], str | None]]:
     return out
 
 
-def test_every_console_row_gives_its_exit_code_without_a_warning(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def _failures(table, tmp_path, capsys) -> list:
+    """(arguments, exit code, expected code, warnings) of each row of ``table`` that fails, run in order."""
     failures = []
-    for expected, argv, target in rows():
+    for expected, argv, target in table:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv)
@@ -38,7 +38,22 @@ def test_every_console_row_gives_its_exit_code_without_a_warning(tmp_path, monke
             (tmp_path / target).write_text(out, encoding="utf-8")
         if code != expected or caught:
             failures.append((argv, code, expected, [str(w.message) for w in caught]))
-    assert failures == []
+    return failures
+
+
+def test_every_console_row_gives_its_exit_code_without_a_warning(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _failures(rows(), tmp_path, capsys) == []
+
+
+def test_the_rows_give_their_exit_codes_in_reverse_order(tmp_path, monkeypatch, capsys):
+    # a family's run setup is kept for its later runs in the process, so each row
+    # must give its code after whatever ran before it: here the rows run backwards,
+    # once the rows that write documents have written them
+    monkeypatch.chdir(tmp_path)
+    table = rows()
+    assert _failures([row for row in table if row[2] is not None], tmp_path, capsys) == []
+    assert _failures(table[::-1], tmp_path, capsys) == []
 
 
 def test_the_rows_keep_their_count_and_their_documents():
