@@ -54,11 +54,11 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Built from one set of BC_N(r, s, q)'s member arrays, and read-only so that
-    one context can serve every point of a run and later runs of the family:
-    the partition and its block basis, the projected configuration and its
-    family parameters ``params`` (m = block sizes), ``subsystem``, the block
-    subsystem's vectors as ``_restriction`` marks them, and ``outside``, BC_N with the subsystem's multiplicities set to 0
+    Built once per run from one set of BC_N(r, s, q)'s member arrays and
+    shared by every point: the partition and its block basis, the projected
+    configuration and its family parameters ``params`` (m = block sizes),
+    ``subsystem``, the block subsystem's vectors as ``_restriction`` marks
+    them, and ``outside``, BC_N with the subsystem's multiplicities set to 0
     (the same members in the same order).  The functions below that evaluate
     at a point take the context and ``pairings(x_tilde, threshold)`` at that
     point, the margin θ being the caller's.
@@ -73,8 +73,6 @@ class RestrictionContext:
         self.m = np.asarray(part.blocks, dtype=float)
         self.subsystem = vectors[in_subsystem]
         self.outside = Configuration(part.N, vectors, np.where(in_subsystem, 0.0, mults))
-        for array in (self.block_basis, self.m, self.subsystem):
-            array.setflags(write=False)
 
     def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
@@ -96,8 +94,13 @@ def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     covectors outside the block subsystem, projected onto the block subspace
     as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
+    return _project(rctx, multiply(active, u, v))
+
+
+def _project(rctx: RestrictionContext, w) -> np.ndarray:
+    """sum_k (f_k, w)/m_k f_k, the covector w projected onto the block subspace."""
     F = rctx.block_basis
-    return F.T @ ((F @ multiply(active, u, v)) / rctx.m)
+    return F.T @ ((F @ w) / rctx.m)
 
 
 def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
@@ -121,19 +124,19 @@ def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:
     ``active`` is ``rctx.pairings`` at the point.  C equals the projected
     configuration's tensor there divided by m_k in the last index, but is
     computed without it; tests check the two routes against each other.
-    Each pair takes ``restricted_multiply``'s steps on the weights c coth(z) and
-    pairings (alpha, f_i), computed once per call: those pairings are integer sums,
-    so every product has the bits of ``restricted_multiply(rctx, active, f_i, f_j)``.
+    The weights c coth(z) and the pairings (alpha, f_i) are formed once per
+    call, and the pair weights c coth(z) (alpha, f_i)(alpha, f_j) once per row
+    i, as ``multiply`` forms them; each pair i <= j then takes ``multiply``'s
+    sum over the members and ``restricted_multiply``'s projection.  Those
+    pairings are integer sums, so every product has the bits of
+    ``restricted_multiply(rctx, active, f_i, f_j)``.
     """
     A, c, z = active
-    F, m, n = rctx.block_basis, rctx.m, rctx.part.n
-    w = c * coth(z)
-    Af = A @ F.T  # column i is (alpha, f_i)
+    F, n = rctx.block_basis, rctx.part.n
+    weights = c * coth(z)
+    fA = F @ A.T  # row i is (alpha, f_i) over the members
     C = np.zeros((n, n, n))
     for i in range(n):
-        for j in range(i, n):
-            y = F.T @ ((F @ (A.T @ (w * (Af[:, i] * Af[:, j])))) / m)
-            coeffs = (F @ y) / m
-            C[i, j, :] = coeffs
-            C[j, i, :] = coeffs
+        for j, w in enumerate(weights * (fA[i] * fA[i:]), start=i):
+            C[i, j] = C[j, i] = (F @ _project(rctx, A.T @ w)) / rctx.m
     return C

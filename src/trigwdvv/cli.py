@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import json
 import math
 import re
-import struct
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -144,18 +143,19 @@ def dumps_17g(obj) -> str:
     """JSON with floats rendered at 17 significant digits, insertion order kept.
 
     JSON has no NaN or infinity, so a non-finite float is rendered as null.
+    Floats, the most common values, are tested for first; a string is written
+    as ``json.dumps`` writes it.
     """
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{dumps_17g(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ",".join(f"{encode_basestring_ascii(str(k))}:{dumps_17g(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_17g(v) for v in obj) + "]"
+        return "[" + ",".join(map(dumps_17g, obj)) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -221,33 +221,9 @@ def load_config_source(source: dict | str) -> BCnParameters | Configuration:
     return parse_config_document(source)
 
 
-def _per_family(what: str, params: BCnParameters):
-    """The seed-independent part ``what`` of a family run, built once per family in a process.
-
-    ``what`` is "config" (``build_bcn(params)``), "rescaled" (verify-susy's
-    configuration) or "restriction" (``_restriction_setup(params)``); each is
-    read-only and shared by the family's later runs.  The memo is keyed on the
-    family's exact bits, n and the bytes of r, s, q and m, not on
-    ``BCnParameters`` equality, under which q = 0.0 and q = -0.0 are one family
-    and a run would print the other's signed zeros.  A raised error is never cached.
-    """
-    return _family_memo(what, params.n, struct.pack(f"{3 + params.n}d", params.r, params.s, params.q, *params.m))
-
-
-@functools.lru_cache(maxsize=8)
-def _family_memo(what: str, n: int, bits: bytes):
-    r, s, q, *m = struct.unpack(f"{3 + n}d", bits)
-    params = BCnParameters(n, r, s, q, tuple(m))
-    if what == "config":
-        return build_bcn(params)
-    if what == "rescaled":
-        return susy.build_hat_configuration(params).config
-    return _restriction_setup(params)
-
-
 def _config_of(parsed: BCnParameters | Configuration) -> Configuration:
-    """The configuration of a parsed source (family parameters are built once per family)."""
-    return _per_family("config", parsed) if isinstance(parsed, BCnParameters) else parsed
+    """The configuration of a parsed source (family parameters are built)."""
+    return build_bcn(parsed) if isinstance(parsed, BCnParameters) else parsed
 
 
 def config_document(parsed: BCnParameters | Configuration) -> dict:
@@ -402,7 +378,7 @@ def _run_associativity(spec: RunSpec, parsed):
 
 def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
-    config = _config_of(params)
+    config = build_bcn(params)
 
     def residuals(rng, x, active):
         off, diag = metric_identity_residuals(params, tensor_generic(active), x)
@@ -411,13 +387,12 @@ def _run_metric(spec: RunSpec, parsed):
     return {}, config, residuals
 
 
-def _restriction_setup(params: BCnParameters):
-    """(partition, context, config match) of verify-restriction's family: BC_N, N = sum(m),
-    restricted to the blocks m, and the projection's deviation from the family's members."""
+def _run_restriction(spec: RunSpec, parsed):
+    params = _require_family(parsed, spec.command)
     try:
         part = Partition(N=int(params.N), blocks=params.m)
     except ParameterError as exc:
-        raise PreconditionError(f"verify-restriction reads m as block sizes: {exc}") from exc
+        raise PreconditionError(f"{spec.command} reads m as block sizes: {exc}") from exc
 
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
@@ -430,11 +405,7 @@ def _restriction_setup(params: BCnParameters):
             float(np.abs(projected.vectors - vectors).max(initial=0.0)),
             float(np.abs(c[0] - c[1]).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0))),
         )
-    return part, restriction, dev
 
-
-def _run_restriction(spec: RunSpec, parsed):
-    part, restriction, dev = _per_family("restriction", _require_family(parsed, spec.command))
     F_basis = restriction.block_basis
 
     def residuals(rng, xt, active):
@@ -453,12 +424,12 @@ def _run_restriction(spec: RunSpec, parsed):
             "h_b_decomposition": np.max(metric),  # NaN-propagating, unlike max()
         }
 
-    return {"restriction_config_match": dev}, restriction.projected_config, residuals
+    return {"restriction_config_match": dev}, projected, residuals
 
 
 def _run_susy(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
-    hat = _per_family("rescaled", params)
+    hat = susy.build_hat_configuration(params)
     anticommutation = susy.fermionic_residual(params.n)
     sq = np.sqrt(params.m_array)
 
@@ -476,7 +447,7 @@ def _run_susy(spec: RunSpec, parsed):
             "gauge_residual": susy.gauge_residual(active),
         }
 
-    return {"fermionic_anticommutation": anticommutation}, hat, hat_residuals
+    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to

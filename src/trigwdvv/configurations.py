@@ -124,6 +124,8 @@ def _integer(value, error: str, error_type: type[Exception] = ParameterError) ->
 
 def _real(value, error: str, error_type: type[Exception] = ParameterError) -> float:
     """``value`` as a float if it is a real, not a bool, that a float holds; a str too raises ``error_type(error)``."""
+    if type(value) is float:  # the common case, without the abstract-class check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -197,7 +199,7 @@ def solve_r(s: float, q: float, m) -> float:
 def _bcn_members(p: BCnParameters) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, multiplicities) of ``build_bcn(p)``, as the restriction and the rescaling read them."""
     n, r, s, q, m = p.n, p.r, p.s, p.q, p.m_array
-    i, j = np.triu_indices(n, 1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j in np.triu_indices(n, 1)'s order
     plus = 2 * n + 2 * np.arange(len(i))  # the row of e_i + e_j; e_i - e_j follows it
     # written in place: building the pair rows from rows of np.eye(n) costs
     # twenty times as much at n = 80, in page faults on the temporaries

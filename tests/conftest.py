@@ -1,17 +1,6 @@
 import pathlib
 import sys
 
-import pytest
-
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-from trigwdvv import cli  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def cleared_family_memo():
-    """Start every test on an empty per-family memo, so a test that counts builds or
-    patches a builder sees the builds of its own runs."""
-    cli._family_memo.cache_clear()

@@ -166,14 +166,22 @@ class TestAssociativity:
             assert np.abs(family_metric(rctx.params)(multiply(active, e_i, e_j)) - C[i, j]).max() < 1e-12
 
 
-@pytest.mark.parametrize("name", ["block_basis", "m", "subsystem"])
-def test_restriction_context_arrays_are_read_only(name):
-    # one context is shared by every point of a run and by the family's later runs
-    rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
-    array = getattr(rctx, name)
-    with pytest.raises(ValueError, match="read-only"):
-        array[0] = 7.0
-    assert not array.flags.writeable
+@pytest.mark.parametrize("blocks", [(2, 3), (1, 1, 1), (5, 5, 5, 5), (2, 3, 4, 5), (3, 1, 2, 6, 1)],
+                         ids=lambda blocks: "-".join(map(str, blocks)))
+def test_structure_constants_are_the_restricted_products_bit_for_bit(blocks):
+    # C[i, j] is the block coefficients of f_i * f_j, exactly, not to a tolerance:
+    # the pairings (alpha, f_i) are integer sums, so taking them once per call
+    # leaves every product's bits as they are
+    part = Partition(N=sum(blocks), blocks=blocks)
+    s, q = 0.5, 1.3
+    rctx = RestrictionContext(solve_r(s, q, (1.0,) * part.N), s, q, part)
+    F = rctx.block_basis
+    rng = rng_for(23, f"structure/bits/{blocks}")
+    for xt in sample_points(rng, fully_active(rctx.projected_config), 4):
+        active = rctx.pairings(xt)
+        C = structure_constants(rctx, active)
+        for i, j in itertools.product(range(part.n), repeat=2):
+            assert np.array_equal(C[i, j], (F @ restricted_multiply(rctx, active, F[i], F[j])) / rctx.m)
 
 
 class TestRestrictedMultiply:

@@ -822,9 +822,8 @@ def test_wdvv_n1_is_refused(capsys):
 )
 def test_builds_configurations_once_per_run(monkeypatch, command, source, builds):
     # the configurations a run evaluates (the family, BC_N and its projection, or
-    # the rescaled family) are built once per family in a process, not once per
-    # sample point, and no configuration is built that the run does not evaluate:
-    # a second run of the family builds nothing, and the r + 1 family builds again
+    # the rescaled family) are built once per run, not once per sample point, and
+    # no configuration is built that the run does not evaluate
     built = []
     original = Configuration.__init__
 
@@ -834,30 +833,11 @@ def test_builds_configurations_once_per_run(monkeypatch, command, source, builds
 
     monkeypatch.setattr(Configuration, "__init__", counting)
     per_run = []
-    for samples, r_shift in ((1, 0), (3, 0), (1, 1)):
+    for samples in (1, 3):
         built.clear()
-        run(RunSpec(command=command, config_source=source | {"r": source["r"] + r_shift}, samples=samples))
+        run(RunSpec(command=command, config_source=source, samples=samples))
         per_run.append(list(built))
-    assert per_run == [builds, [], builds]
-
-
-@pytest.mark.parametrize("order", [("0", "-0.0"), ("-0.0", "0")], ids=["q0-then-minus0", "minus0-then-q0"])
-def test_a_family_run_is_keyed_on_its_exact_bits(capsys, order):
-    # q = 0.0 and q = -0.0 are equal parameters but print different documents (the
-    # pair multiplicities q m_i m_j are 0 and -0): each run in one process prints
-    # what it prints on a cleared memo
-    def document(q):
-        assert main(["build-config", "--family", "bcn", "--n", "2", "--r", "1", "--s", "0", "--q", q,
-                     "--m", "1,1"]) == 0
-        return capsys.readouterr().out
-
-    fresh = {}
-    for q in order:
-        cli._family_memo.cache_clear()
-        fresh[q] = document(q)
-    cli._family_memo.cache_clear()
-    assert [document(q) for q in order] == [fresh[q] for q in order]
-    assert [fresh["-0.0"].count('"multiplicity":-0}'), fresh["0"].count('"multiplicity":-0}')] == [2, 0]
+    assert per_run[0] == per_run[1] == builds
 
 
 @pytest.mark.parametrize(

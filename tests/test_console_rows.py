@@ -47,9 +47,8 @@ def test_every_console_row_gives_its_exit_code_without_a_warning(tmp_path, monke
 
 
 def test_the_rows_give_their_exit_codes_in_reverse_order(tmp_path, monkeypatch, capsys):
-    # a family's run setup is kept for its later runs in the process, so each row
-    # must give its code after whatever ran before it: here the rows run backwards,
-    # once the rows that write documents have written them
+    # each row must give its code after whatever ran before it in the process:
+    # here the rows run backwards, once the rows that write documents have written them
     monkeypatch.chdir(tmp_path)
     table = rows()
     assert _failures([row for row in table if row[2] is not None], tmp_path, capsys) == []

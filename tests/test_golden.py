@@ -68,9 +68,9 @@ def test_run_matches_its_golden_file(monkeypatch, documents, name):
 
 
 def test_runs_in_reverse_order_match_their_golden_files(monkeypatch, documents):
-    # one process keeps each family's run setup for its later runs: a run's bytes
-    # must not depend on the runs before it, so the table replayed backwards on a
-    # warm memo gives every file again
+    # a process keeps what it caches (the fermionic check per n, the pair indices
+    # per n) for its later runs: a run's bytes must not depend on the runs before
+    # it, so the table replayed backwards in one process gives every file again
     monkeypatch.chdir(documents)
     for name in reversed(list(regen.SPECS)):
         suffix, text = regen.render(regen.SPECS[name])
