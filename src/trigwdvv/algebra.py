@@ -106,16 +106,16 @@ def _project(rctx: RestrictionContext, w) -> np.ndarray:
 def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     """Tangency residuals at the point of ``active``, one per row alpha of ``subsystem``.
 
-    Each is |sum over beta outside the subsystem of c (beta,u)(beta,v)(alpha,beta) coth((beta,x))|
-    scaled by the sum of absolute summands.  The sums vanish when u and v are
-    constant on blocks; non-tangent inputs are accepted so the necessity of
-    tangency can be demonstrated.  An empty subsystem gives an empty array.
+    Each is |(alpha, u * v)| = |sum_beta t_beta (alpha,beta)|, u * v being ``multiply`` over the members
+    beta outside the subsystem and t_beta = c (beta,u)(beta,v) coth((beta,x)), scaled by the bound
+    max(1, sum_beta |t_beta| sum_k |alpha_k||beta_k|).  The sums vanish for u, v constant on blocks;
+    non-tangent inputs are accepted, to show tangency is needed.  An empty subsystem gives an empty array.
     """
     A, c, z = active
-    # one row of summands per alpha; each row is reduced along its own
-    # contiguous axis, so it sums exactly as a single alpha's summands would
-    terms = c * (A @ u) * (A @ v) * (rctx.subsystem @ A.T) * coth(z)
-    return np.abs(terms.sum(axis=1)) / np.maximum(1.0, np.abs(terms).sum(axis=1))
+    product = multiply(active, u, v)
+    t = c * coth(z) * ((A @ u) * (A @ v))
+    scale = np.abs(rctx.subsystem) @ (np.abs(A).T @ np.abs(t))
+    return np.abs(rctx.subsystem @ product) / np.maximum(1.0, scale)
 
 
 def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:

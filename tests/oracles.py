@@ -140,7 +140,8 @@ def tangency_residual(rctx: RestrictionContext, active, u, v, alpha) -> float:
     ``active`` is ``rctx.pairings`` at the point x.  ``alpha`` must belong to the block subsystem, which must be nonempty.  The
     sum vanishes when u and v are constant on blocks; non-tangent inputs are
     accepted so the necessity of tangency can be demonstrated.  Scaled by the
-    sum of absolute summands.
+    bound sum_beta |t_beta| sum_k |alpha_k||beta_k| of the absolute summands,
+    t_beta = c (beta,u)(beta,v) coth((beta,x)), and by at least 1.
     """
     if not len(rctx.subsystem):
         raise PreconditionError("partition has no repeated blocks: the subsystem is empty")
@@ -150,9 +151,9 @@ def tangency_residual(rctx: RestrictionContext, active, u, v, alpha) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     A, c, z = active
-    terms = c * (A @ u) * (A @ v) * (A @ alpha) * coth(z)
-    scale = max(1.0, float(np.abs(terms).sum()))
-    return abs(float(terms.sum())) / scale
+    t = c * (A @ u) * (A @ v) * coth(z)
+    scale = max(1.0, float((np.abs(t) * (np.abs(A) @ np.abs(alpha))).sum()))
+    return abs(float((t * (A @ alpha)).sum())) / scale
 
 
 def restricted_multiply_loop(part, r, s, q, x_tilde, u, v) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from trigwdvv.configurations import (
     solve_r,
 )
 from trigwdvv.errors import DimensionError, SingularityError
-from trigwdvv.prepotential import active_pairings, h_function, metric_B, metric_identity_residuals, tensor_generic
+from trigwdvv.prepotential import active_pairings, coth, h_function, metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
@@ -299,7 +300,25 @@ class TestTangency:
         rctx = RestrictionContext(1.0, 1.0, 1.0, part)
         assert tangency_residuals(rctx, rctx.pairings([0.9, 0.4]), np.ones(2), np.ones(2)).shape == (0,)
 
-    @pytest.mark.parametrize("blocks", [(2, 1), (2, 3), (5, 5, 5, 5)])
+    def test_refuses_a_vector_of_the_wrong_shape(self):
+        rctx = RestrictionContext(-6.0, 0.5, 1.0, Partition(N=5, blocks=(2, 3)))
+        with pytest.raises(DimensionError, match=r"u, v must have shape \(5,\)"):
+            tangency_residuals(rctx, rctx.pairings([0.9, 0.4]), np.ones(4), np.ones(5))
+
+    def test_builds_no_subsystem_by_member_array(self):
+        # the (S x M) array of pairwise summands would be about 19 A's at this size
+        rctx = RestrictionContext(-156.0, 0.0, 1.0, Partition(N=80, blocks=(20, 20, 20, 20)))
+        active = rctx.pairings([0.5, 0.9, 1.3, 1.7])
+        u = block_constant(rctx.part, [1.0, 2.0, 3.0, 4.0])
+        tracemalloc.start()
+        try:
+            tangency_residuals(rctx, active, u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * active[0].nbytes
+
+    @pytest.mark.parametrize("blocks", [(2, 1), (2, 3), (5, 5, 5, 5), (10, 10, 10, 10)])
     def test_rows_equal_the_single_alpha_oracle(self, blocks):
         part = Partition(N=sum(blocks), blocks=blocks)
         n = len(blocks)
@@ -310,10 +329,16 @@ class TestTangency:
             active = restriction.pairings(xt)
             # a non-tangent u keeps the sums away from zero
             u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(n))
-            expected = [tangency_residual(restriction, active, u, v, alpha) for alpha in restriction.subsystem]
+            expected = np.array([tangency_residual(restriction, active, u, v, a) for a in restriction.subsystem])
             got = tangency_residuals(restriction, active, u, v)
-            assert got.shape == (len(expected),) and len(expected) > 0
-            assert got.tolist() == expected
+            assert got.shape == expected.shape and len(expected) > 0
+            # the kernel sums over the members before pairing with alpha, so each
+            # row agrees with the oracle to the rounding of a sum of M + N terms
+            A, c, z = active
+            t = c * (A @ u) * (A @ v) * coth(z)
+            scale = np.abs(restriction.subsystem) @ (np.abs(A).T @ np.abs(t))
+            bound = (A.shape[0] + part.N) * np.finfo(float).eps * scale / np.maximum(1.0, scale)
+            assert (np.abs(got - expected) <= bound).all()
 
 
 class TestRestrictionContext:
