@@ -94,13 +94,8 @@ def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     covectors outside the block subsystem, projected onto the block subspace
     as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
-    return _project(rctx, multiply(active, u, v))
-
-
-def _project(rctx: RestrictionContext, w) -> np.ndarray:
-    """sum_k (f_k, w)/m_k f_k, the covector w projected onto the block subspace."""
     F = rctx.block_basis
-    return F.T @ ((F @ w) / rctx.m)
+    return F.T @ ((F @ multiply(active, u, v)) / rctx.m)
 
 
 def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
@@ -121,22 +116,15 @@ def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
 def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:
     """C[i][j][k] with f_i * f_j = sum_k C[i][j][k] f_k, from restricted products.
 
-    ``active`` is ``rctx.pairings`` at the point.  C equals the projected
-    configuration's tensor there divided by m_k in the last index, but is
-    computed without it; tests check the two routes against each other.
-    The weights c coth(z) and the pairings (alpha, f_i) are formed once per
-    call, and the pair weights c coth(z) (alpha, f_i)(alpha, f_j) once per row
-    i, as ``multiply`` forms them; each pair i <= j then takes ``multiply``'s
-    sum over the members and ``restricted_multiply``'s projection.  Those
-    pairings are integer sums, so every product has the bits of
-    ``restricted_multiply(rctx, active, f_i, f_j)``.
+    ``active`` is ``rctx.pairings`` at the point.  With P[k] the pairings
+    (alpha, f_k) over the members and w = c coth(z), the block coefficients of
+    ``restricted_multiply(rctx, active, f_i, f_j)`` are
+    C[i][j][k] = sum_alpha w P[i] P[j] P[k] / m_k, one GEMM per row i.  C equals
+    the projected configuration's tensor there divided by m_k in the last
+    index, but is computed without it; tests check the two routes against each
+    other.
     """
     A, c, z = active
-    F, n = rctx.block_basis, rctx.part.n
-    weights = c * coth(z)
-    fA = F @ A.T  # row i is (alpha, f_i) over the members
-    C = np.zeros((n, n, n))
-    for i in range(n):
-        for j, w in enumerate(weights * (fA[i] * fA[i:]), start=i):
-            C[i, j] = C[j, i] = (F @ _project(rctx, A.T @ w)) / rctx.m
-    return C
+    P = rctx.block_basis @ A.T
+    w = c * coth(z)
+    return np.stack([(P * (w * p)) @ P.T for p in P]) / rctx.m

@@ -415,7 +415,7 @@ def _run_restriction(spec: RunSpec, parsed):
         u, v = F_basis.T @ ut, F_basis.T @ vt
 
         C = algebra.structure_constants(restriction, outside)
-        expected = np.einsum("ijk,k->ijk", T, 1.0 / restriction.m)
+        expected = T / restriction.m
         tangency = algebra.tangency_residuals(restriction, outside, u, v)
         metric = metric_identity_residuals(restriction.params, T, xt)
         return {

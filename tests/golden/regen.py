@@ -7,10 +7,13 @@ wrote, and a run that exits 2 as ``reports/<name>.err``, its one line
 "error: <type>: <text>".  A run that reads ``--config NAME`` gets the
 document ``DOCUMENTS[NAME]``, written to a scratch directory that is the
 working directory during the run.  ``MACHINE.json`` records where the corpus
-was written; ``tests/test_golden.py`` compares bytes there, and elsewhere
-only what does not depend on rounding.
+was written, the BLAS included, since a GEMM's bits depend on it;
+``tests/test_golden.py`` compares bytes there, and elsewhere only what does
+not depend on rounding.
 
-Regenerate the corpus (it removes the files of runs no longer in the table):
+Regenerate the corpus (it removes the files of runs no longer in the table,
+and names on stderr each file whose bytes change, with every check whose
+max_residual moved, old -> new):
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -181,14 +184,24 @@ SPECS: dict[str, list[str]] = {
 }
 
 
+def blas() -> str | None:
+    """The BLAS numpy was built with, as "name version"; None where ``np.show_config`` takes no ``mode``."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25
+        return None
+    return f"{info['name']} {info['version']}"
+
+
 def machine() -> dict:
-    """What the bytes of a report depend on besides the program: numpy, its platform and the CPU."""
+    """What the bytes of a report depend on besides the program: numpy, its BLAS, its platform and the CPU."""
     cpu = platform.processor()
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
     return {
         "numpy": np.__version__,
+        "blas": blas(),
         "python": platform.python_version(),
         "system": platform.system(),
         "machine": platform.machine(),
@@ -217,6 +230,17 @@ def write_documents(directory: pathlib.Path) -> None:
         (directory / name).write_text(content if isinstance(content, str) else render(content)[1], encoding="utf-8")
 
 
+def moved(old: str, new: str) -> list[str]:
+    """"check: old -> new" for each check of the report ``new`` whose max_residual differs from ``old``'s."""
+    try:
+        before = {c["name"]: repr(c["max_residual"]) for c in json.loads(old)["checks"]}
+        after = json.loads(new)["checks"]
+    except (ValueError, KeyError, TypeError):  # an error line, or a tensor or build-config document
+        return []
+    return [f"{c['name']}: {before.get(c['name'])} -> {c['max_residual']!r}"
+            for c in after if before.get(c["name"]) != repr(c["max_residual"])]
+
+
 def main() -> int:
     REPORTS.mkdir(exist_ok=True)
     cwd = os.getcwd()
@@ -226,8 +250,13 @@ def main() -> int:
             write_documents(pathlib.Path(scratch))
             for name, argv in SPECS.items():
                 suffix, text = render(argv)
-                (REPORTS / f"{name}{suffix}").write_text(text, encoding="utf-8")
-                written.add(f"{name}{suffix}")
+                path = REPORTS / f"{name}{suffix}"
+                old = path.read_text(encoding="utf-8") if path.is_file() else None
+                if text != old:
+                    changes = moved(old, text) if old is not None else ["new"]
+                    print(f"{path.name}: {'; '.join(changes) or 'no max_residual moved'}", file=sys.stderr)
+                path.write_text(text, encoding="utf-8")
+                written.add(path.name)
         finally:
             os.chdir(cwd)
     for path in REPORTS.iterdir():

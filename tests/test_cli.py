@@ -946,6 +946,25 @@ def test_restriction_config_match_fails_on_a_perturbed_family(monkeypatch, pertu
     assert not check.passed and not report.all_passed
 
 
+@pytest.mark.parametrize(
+    "module, name, failing",
+    [
+        (algebra, "coth", {"structure_constants_two_path"}),  # C alone; tangency is scale-free
+        (cli, "tensor_generic", {"structure_constants_two_path", "h_b_decomposition"}),  # the projected tensor
+    ],
+    ids=["structure-constants-scaled", "projected-tensor-scaled"],
+)
+def test_restriction_two_path_fails_when_either_route_is_scaled(monkeypatch, module, name, failing):
+    # scaling either route by 1.001, C through the coth that algebra reads or the
+    # projected tensor that the driver evaluates, moves structure_constants_two_path to 1e-3
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: 1.001 * original(*args))
+    report = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=3))
+    assert {c.name for c in report.checks if not c.passed} == failing
+    two_path = next(c for c in report.checks if c.name == "structure_constants_two_path")
+    assert math.isclose(two_path.max_residual, 1e-3, rel_tol=1e-3)
+
+
 def test_restriction_names_a_fractional_block(capsys):
     argv = ["verify-restriction", "--family", "bcn", "--n", "2", "--r", "0", "--s", "0", "--q", "1", "--m", "2.5,2.5"]
     assert main(argv) == 2

@@ -1,7 +1,8 @@
 """Golden reports: every run of ``tests/golden/regen.py``'s table against its stored file.
 
-On the machine that wrote the corpus (``tests/golden/MACHINE.json``) each run
-must print its file byte for byte.  Elsewhere numpy may round differently, so a
+On the machine that wrote the corpus (``tests/golden/MACHINE.json``: numpy and
+its BLAS, since a GEMM's bits depend on it, Python, the platform and the CPU)
+each run must print its file byte for byte.  Elsewhere numpy may round differently, so a
 report is compared by what rounding cannot move: the run it echoes, its check
 names in order, each verdict (the residual's side of its tolerance), the discard
 count and, for a failing check, the worst point; a passing check's worst point
