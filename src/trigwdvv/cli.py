@@ -250,10 +250,18 @@ def _require_family(parsed, command: str) -> BCnParameters:
     return parsed
 
 
-def _require_spanning(config: Configuration, command: str) -> None:
-    """Refuse a source whose members of nonzero multiplicity, which B(x) and every pivot lie in, miss R^n."""
+def _require_spanning(config: Configuration, command: str, family: bool) -> None:
+    """Refuse a source whose members of nonzero multiplicity, which B(x) and every pivot lie in, miss R^n.
+
+    A family's members e_i, 2e_i and e_i +- e_j (both signs share one multiplicity)
+    span exactly the coordinates they read, so its rank is their count; an explicit
+    source's is ``np.linalg.matrix_rank``.
+    """
     spanning = config.vectors[config.multiplicities != 0.0]
-    rank = np.linalg.matrix_rank(spanning) if len(spanning) else 0  # numpy 1.24's raises on no rows
+    if family:
+        rank = int(spanning.any(axis=0).sum())
+    else:
+        rank = np.linalg.matrix_rank(spanning) if len(spanning) else 0  # numpy 1.24's raises on no rows
     if rank < config.dimension:
         raise PreconditionError(f"{command} needs members of nonzero multiplicity that span R^{config.dimension}, "
                                 f"but their span has dimension {rank}: B(x) would be singular at every point")
@@ -331,7 +339,7 @@ def _run_wdvv(spec: RunSpec, parsed):
             f"{spec.command} needs n >= 3: n={n} has no WDVV content (at n=1 there is no pair, "
             "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
         )
-    _require_spanning(config, spec.command)
+    _require_spanning(config, spec.command, family=isinstance(parsed, BCnParameters))
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
@@ -361,7 +369,7 @@ def _run_associativity(spec: RunSpec, parsed):
         def raise_index_at(x, active):
             return lambda y: y / m
     else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
-        _require_spanning(config, spec.command)
+        _require_spanning(config, spec.command, family=False)
 
         def raise_index_at(x, active):
             B = metric_B(tensor_generic(active), x)

@@ -5,11 +5,15 @@ form), one generic eta.F = sum_k eta_k F_k (pivot form: the equations for one
 invertible eta.F imply them for every pivot), or the identity (commuting form,
 for the rescaled tensor whose metric is a multiple of the identity).  Each
 equation is antisymmetric in (i, j), so one kernel evaluates the pairs i < j
-against a stack of pivots.  ``scaled`` divides the max-abs commutator entry by
-the operand norms (multiplicities of order ten inflate absolute residuals
-without signaling failure); ``raw`` keeps the unscaled entry because negative
-controls are judged against it.  A verifier that cannot fail verifies
-nothing, so the controls matter as much as the positive checks.
+against a stack of pivots.  Every slice F_k and every pivot is symmetric (the
+F_ijk are third derivatives of one prepotential), so the kernel takes their
+singular values as the |eigenvalues| of ``np.linalg.eigvalsh``, which reads
+the lower triangle of each pivot and each slice only.  ``scaled`` divides the
+max-abs commutator entry by the operand norms (multiplicities of order ten
+inflate absolute residuals without signaling failure); ``raw`` keeps the
+unscaled entry because negative controls are judged against it.  A verifier
+that cannot fail verifies nothing, so the controls matter as much as the
+positive checks.
 """
 
 from __future__ import annotations
@@ -28,18 +32,20 @@ CONDITION_CAP = 1e8
 
 
 def usable_pivots(pivots) -> tuple[np.ndarray, np.ndarray]:
-    """(singular values, condition numbers) of a (p, n, n) stack of usable pivots.
+    """(singular values, condition numbers) of a (p, n, n) stack of usable symmetric pivots.
 
     The usable-pivot rule, the only one in the package: a non-finite pivot
     raises DomainError naming it, and a pivot whose spectral condition number
     (+inf when its smallest singular value is 0) is above CONDITION_CAP raises
-    SingularMatrixError.  ``sv[p]`` holds pivot p's singular values, largest first.
+    SingularMatrixError.  ``sv[p]`` holds pivot p's singular values, largest
+    first: its |eigenvalues| from ``eigvalsh``, which reads the lower triangle
+    only, since every pivot the package forms (B(x), eta.F) is symmetric.
     """
     P = np.asarray(pivots, dtype=float)
     finite = np.isfinite(P).all(axis=(1, 2))
     if not finite.all():
         raise DomainError(f"pivot {int(finite.argmin())} is not finite")
-    sv = np.linalg.svd(P, compute_uv=False)
+    sv = np.sort(np.abs(np.linalg.eigvalsh(P)), axis=1)[:, ::-1]
     condition = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] != 0.0)
     unusable = condition > CONDITION_CAP
     if unusable.any():
@@ -60,10 +66,11 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     condition number (1 for the identity).  A non-finite tensor raises
     DomainError, and the pivots pass ``usable_pivots``, both before any solve.
 
-    The norms ||F_i|| come from one SVD of the tensor.  Each pivot is
-    factorized once, against all n^2 columns of the tensor, and one matmul
-    per pivot gives every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j
-    are gathered once, since M_ji = -M_ij.
+    The slices F_i are symmetric, and the norms ||F_i|| are their largest
+    |eigenvalues|, from one ``eigvalsh`` of the tensor's lower triangles.  Each
+    pivot is factorized once, against all n^2 columns of the tensor, and one
+    matmul per pivot gives every F_i P^{-1} F_j; of its n^4 entries, the pairs
+    i < j are gathered once, since M_ji = -M_ij.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
@@ -78,7 +85,7 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
         sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[:, -1]
         X = np.linalg.solve(P, rhs)  # X[p, :, (j, b)] = P_p^{-1} F_j: one LU per pivot
-    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    norms = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
     i, j = _upper_pairs(n)
     raw = np.empty((len(X), len(i)))
     for p, Xp in enumerate(X):  # one pivot at a time keeps G at n^4 entries and M at half that

@@ -233,7 +233,8 @@ def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, n
 
     Every commutator (i, j) and (j, i) is formed from the strided swap of all
     n^4 entries of each pivot's product, raw is max(top, top.T) of their signed
-    maxima, and the norms ||F_i|| come from a separate SVD of the tensor.
+    maxima, and the norms ||F_i|| come from a separate ``eigvalsh`` of the
+    tensor's symmetric slices, the largest |eigenvalue| of each.
     """
     T = np.asarray(tensor, dtype=float)
     n = T.shape[0]
@@ -251,7 +252,7 @@ def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, n
         G = (T @ Xp).reshape(n, n, n, n)
         top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
         raw[p] = np.maximum(top, top.T)
-    norms = np.linalg.svd(T, compute_uv=False)[:, 0]
+    norms = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
     scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
     return raw / scale, raw, condition
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -109,13 +110,13 @@ class TestExitCodeContract:
         assert proc.stderr == "error: DomainError: pivot 0 is not finite\n"  # no warning, no traceback
 
     def test_linalg_error_is_exit_2_without_traceback(self, monkeypatch, capsys):
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def failing_eigvalsh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
         assert main(["verify-wdvv", *FAMILY_OK, "--samples", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: LinAlgError: SVD did not converge\n"
+        assert captured.err == "error: LinAlgError: Eigenvalues did not converge\n"
         assert captured.out == ""
 
 
@@ -1076,6 +1077,27 @@ def test_rank_deficient_family_is_refused_before_sampling(monkeypatch, capsys, f
         "error: PreconditionError: verify-wdvv needs members of nonzero multiplicity that span R^3, "
         f"but their span has dimension {rank}: B(x) would be singular at every point\n"
     )
+
+
+def test_a_family_rank_is_the_matrix_rank_of_its_members():
+    # a family's spanning rank is the count of coordinates read by a member of nonzero
+    # multiplicity; matrix_rank, the explicit route, must give the same refusal or none,
+    # over families with zeros among m, r, s and q (at m_i = 3, s = -1, q = 1 the member
+    # 2e_i has multiplicity s m_i + q m_i (m_i - 1) / 2 = 0 too)
+    def refusal(config, family):
+        try:
+            cli._require_spanning(config, "verify-wdvv", family=family)
+        except PreconditionError as exc:
+            return str(exc)
+
+    cases = 0
+    for n in range(1, 5):
+        for r, s, q in itertools.product((0.0, -1.5), (0.0, 0.5, -1.0), (0.0, 1.0)):
+            for m in itertools.product((0.0, 1.0, 3.0), repeat=n):
+                config = build_bcn(BCnParameters(n=n, r=r, s=s, q=q, m=m))
+                assert refusal(config, True) == refusal(config, False), (n, r, s, q, m)
+                cases += refusal(config, True) is not None
+    assert cases == 1112  # of 1440, at every rank from 0 to n - 1
 
 
 def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():

@@ -195,6 +195,25 @@ def test_gemm_tensor_and_metric_match_the_einsum_oracle(n):
             assert np.array_equal(T, T.transpose(0, 2, 1)), label  # exact in (j, k)
             B, want_B = metric_B(T, x), metric_B_einsum(want, x)
             assert np.abs(B - want_B).max() <= 1e-14 * max(1.0, np.abs(want_B).max()), label
+            _assert_exactly_symmetric_pivots(T, x, label)
+
+
+def _assert_exactly_symmetric_pivots(T, x, label):
+    """metric_B and verify-wdvv's eta.F at x equal their transposes exactly, as the
+    WDVV kernel, which reads each pivot's lower triangle only, needs."""
+    n = len(T)
+    eta = rng_for(0, f"symmetric-pivots/{label}").standard_normal(n)
+    for name, P in (("B", metric_B(T, x)), ("eta.F", (eta @ T.reshape(n, n * n)).reshape(n, n))):
+        assert np.array_equal(P, P.T), (label, name)
+
+
+@pytest.mark.parametrize("n", [3, 10, 20, 40])
+def test_the_pivots_are_exactly_symmetric_in_the_wide_box(n):
+    # the sizes verify-wdvv reaches on --box 0.3,4, with unequal multiplicities
+    rng = rng_for(2024, f"symmetric-pivots/n={n}")
+    config = build_bcn(BCnParameters(n=n, r=-3.0, s=0.5, q=1.0, m=tuple(rng.uniform(0.5, 3.0, n))))
+    for x in sample_points(rng, fully_active(config), 3, (0.3, 4.0)):
+        _assert_exactly_symmetric_pivots(tensor_generic(active_pairings(config, x)), x, f"n={n}")
 
 
 BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
@@ -284,7 +303,7 @@ class TestMetricAndH:
         p = BCnParameters(n=3, r=-1.2, s=0.7, q=1.9, m=(0.7, 1.3, 2.1))
         x = np.array([0.9, 0.5, 1.3])
         B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
-        assert np.abs(B - B.T).max() < 1e-12
+        assert np.array_equal(B, B.T)
 
     def test_offdiagonal_vanishes_for_any_parameters(self):
         rng = rng_for(5, "metric/offdiag")

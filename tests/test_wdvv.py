@@ -1,6 +1,9 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
+from trigwdvv.cli import main
 from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
 from trigwdvv.errors import DomainError, SingularMatrixError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
@@ -238,11 +241,22 @@ def test_kernel_matches_per_pair_oracle(params):
                     assert raw[p, k] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
 
 
-def test_condition_is_numpy_cond_bit_for_bit():
+def test_condition_is_the_eigenvalue_ratio_bit_for_bit():
+    # every pivot is symmetric, so its singular values are its |eigenvalues| and its condition
+    # number is max|lambda| / min|lambda|, bit for bit.  np.linalg.cond takes the same ratio from
+    # an SVD.  Both routes are backward stable: each returns the exact spectrum of P + E with
+    # ||E|| <= p(n) eps ||P||, p(n) = n here (Golub-Van Loan 8.1 and 8.6), so by Weyl each
+    # sigma moves by at most n eps sigma_max, their ratio by n eps (kappa + 1) relative, and the
+    # two routes differ by at most twice that (measured: at most 0.43 n eps (kappa + 1))
+    eps = np.finfo(float).eps
     for params in KERNEL_FAMILIES:
         for x, T, B in sampled_tensors(params, 3, f"kernel/cond/{params.n}/{params.r}"):
-            assert pivot_residuals(T, B[None])[2].tolist() == [np.linalg.cond(B)]
-            assert pivot_residuals(T, T)[2].tolist() == [np.linalg.cond(F) for F in T]
+            for pivots in (B[None], T):
+                condition = pivot_residuals(T, pivots)[2]
+                lam = np.abs(np.linalg.eigvalsh(pivots))
+                assert np.array_equal(condition, lam.max(axis=1) / lam.min(axis=1))
+                cond = np.linalg.cond(pivots)
+                assert (np.abs(condition - cond) <= 2 * params.n * eps * (cond + 1) * cond).all()
             assert pivot_residuals(T)[2].tolist() == [1.0]
 
 
@@ -273,22 +287,45 @@ def test_kernel_is_the_full_pass_bit_for_bit(params, box):
 
 
 @pytest.mark.parametrize("stack, calls", [("[B; eta.F]", 2), ("T", 2), ("B", 2), ("identity", 1)])
-def test_svd_calls_per_kernel_call(monkeypatch, stack, calls):
-    # one SVD of the pivot stack for the condition numbers, whatever its length
-    # (verify-wdvv's [B, eta.F] included), and one of the tensor for the norms ||F_k||
+def test_eigvalsh_calls_per_kernel_call(monkeypatch, stack, calls):
+    # one eigvalsh of the pivot stack for the condition numbers, whatever its length
+    # (verify-wdvv's [B, eta.F] included), one of the tensor for the norms ||F_k||, and no SVD
     x, T, B = next(sampled_tensors(KERNEL_FAMILIES[6], 1, "kernel/svd"))  # n=10, on the relation
     eta_F = np.tensordot(rng_for(0, "kernel/svd/eta").standard_normal(len(T)), T, axes=1)
     pivots = {"[B; eta.F]": np.stack([B, eta_F]), "T": T, "B": B[None], "identity": None}[stack]
     seen = []
-    svd = np.linalg.svd
+    eigvalsh = np.linalg.eigvalsh
 
     def counting(*args, **kwargs):
         seen.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    _refuse_svd(monkeypatch)
     pivot_residuals(T, pivots)
     assert len(seen) == calls, seen
+
+
+def _refuse_svd(monkeypatch):
+    """Make every SVD numpy takes raise, np.linalg.svd and the one that matrix_rank and cond call."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    for name in ("numpy.linalg._linalg", "numpy.linalg.linalg"):  # numpy 2, numpy 1
+        if importlib.util.find_spec(name):
+            monkeypatch.setattr(importlib.import_module(name), "svd", refused)
+            break
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-wdvv", "--family", "bcn", "--n", "10", "--r", "-16", "--s", "0", "--q", "1", "--m", ",".join(["1"] * 10)],
+    ["verify-susy", "--family", "bcn", "--n", "4", "--r", "-14", "--s", "0.5", "--q", "1", "--m", "2,1,3,1"],
+], ids=["verify-wdvv", "verify-susy"])
+def test_a_family_run_takes_no_svd(monkeypatch, capsys, argv):
+    # the kernel reads eigvalsh, and a family's spanning rank is a count of coordinates
+    _refuse_svd(monkeypatch)
+    assert main([*argv, "--samples", "3"]) == 0, capsys.readouterr()
 
 
 def test_singular_pivot_form_raises_naming_the_pivot():
