@@ -55,24 +55,23 @@ class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
     Built once per run from one set of BC_N(r, s, q)'s member arrays and
-    shared by every point: the partition and its block basis, the projected
-    configuration and its family parameters ``params`` (m = block sizes),
-    ``subsystem``, the block subsystem's vectors as ``_restriction`` marks
-    them, and ``outside``, BC_N with the subsystem's multiplicities set to 0
-    (the same members in the same order).  The functions below that evaluate
-    at a point take the context and ``pairings(x_tilde, threshold)`` at that
-    point, the margin θ being the caller's.
+    shared by every point: the block basis (rows f_1..f_n), the block sizes
+    ``m``, the projected configuration and its family parameters ``params``, and
+    BC_N's members split once as ``_restriction`` marks them, both parts in
+    BC_N's order: ``subsystem``, the block subsystem's vectors, and ``outside``,
+    the configuration of every other member.  The functions below that evaluate
+    at a point take the context and ``pairings(x_tilde, threshold)`` there, the
+    margin θ being the caller's.
     """
 
     def __init__(self, r: float, s: float, q: float, part: Partition) -> None:
-        self.part = part
         self.params = BCnParameters(n=part.n, r=r, s=s, q=q, m=part.blocks)
-        vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
-        self.projected_config, in_subsystem = _restriction(part, vectors, mults)
-        self.block_basis = part.block_indicators()  # rows are f_1..f_n
+        self.block_basis = part.block_indicators()
         self.m = np.asarray(part.blocks, dtype=float)
+        vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
+        self.projected_config, in_subsystem = _restriction(self.block_basis, vectors, mults)
         self.subsystem = vectors[in_subsystem]
-        self.outside = Configuration(part.N, vectors, np.where(in_subsystem, 0.0, mults))
+        self.outside = Configuration(part.N, vectors[~in_subsystem], mults[~in_subsystem])
 
     def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
@@ -82,8 +81,8 @@ class RestrictionContext:
         ``threshold`` as in ``active_pairings``.
         """
         x_tilde = np.asarray(x_tilde, dtype=float)
-        if x_tilde.shape != (self.part.n,):
-            raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({self.part.n},)")
+        if x_tilde.shape != self.m.shape:
+            raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({len(self.m)},)")
         return active_pairings(self.outside, self.block_basis.T @ x_tilde, threshold)
 
 

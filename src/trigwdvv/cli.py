@@ -95,6 +95,8 @@ class RunSpec:
             object.__setattr__(self, name, read(value, f"{name} must be {kind}, got {value!r}", PreconditionError))
         if self.samples < 1:
             raise PreconditionError(f"samples must be >= 1, got {self.samples}")
+        if self.samples >= 2**63:  # the longest array numpy can index
+            raise PreconditionError(f"samples must be < 2^63, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise PreconditionError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         object.__setattr__(self, "box", box_bounds(self.box))
@@ -404,7 +406,7 @@ def _run_restriction(spec: RunSpec, parsed):
 
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
-    vectors, mults = _bcn_members(params)
+    vectors, mults = _bcn_members(restriction.params)
     # the restriction keeps the family's member order, so members compare in place
     dev = math.inf
     if projected.vectors.shape == vectors.shape:
@@ -414,13 +416,11 @@ def _run_restriction(spec: RunSpec, parsed):
             float(np.abs(c[0] - c[1]).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0))),
         )
 
-    F_basis = restriction.block_basis
-
     def residuals(rng, xt, active):
         outside = restriction.pairings(xt, spec.threshold)
         T = tensor_generic(active)
         ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
-        u, v = F_basis.T @ ut, F_basis.T @ vt
+        u, v = restriction.block_basis.T @ ut, restriction.block_basis.T @ vt
 
         C = algebra.structure_constants(restriction, outside)
         expected = T / restriction.m

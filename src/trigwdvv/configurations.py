@@ -234,13 +234,14 @@ def restrict_configuration(N: int, r: float, s: float, q: float, part: Partition
     """
     if N != part.N:
         raise DimensionError(f"N = {N} does not match partition N = {part.N}")
-    return _restriction(part, *_bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N)))[0]
+    members = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
+    return _restriction(part.block_indicators(), *members)[0]
 
 
-def _restriction(part: Partition, vectors: np.ndarray, multiplicities: np.ndarray) -> tuple[Configuration, np.ndarray]:
-    """(projected, in_subsystem) from an ambient's member arrays: the members outside the block
-    subsystem (the rows whose (alpha, f_k) are all exactly 0.0, integer sums here), projected."""
-    # coordinates after f_k/m_k -> e_k are (alpha, f_k)
-    coords = vectors @ part.block_indicators().T
+def _restriction(F: np.ndarray, vectors: np.ndarray, multiplicities: np.ndarray) -> tuple[Configuration, np.ndarray]:
+    """(projected, in_subsystem) from an ambient's member arrays and an (n, N) basis ``F``, rows f_k:
+    the subsystem is the rows whose (alpha, f_k) are all exactly 0.0 (integer sums for a 0/±1 basis),
+    and every other member is projected to R^n, n = len(F), with coordinates (alpha, f_k)."""
+    coords = vectors @ F.T
     in_subsystem = (coords == 0.0).all(axis=1)
-    return Configuration(part.n, coords[~in_subsystem], multiplicities[~in_subsystem]), in_subsystem
+    return Configuration(len(F), coords[~in_subsystem], multiplicities[~in_subsystem]), in_subsystem

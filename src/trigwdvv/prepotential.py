@@ -80,8 +80,7 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     b = coth(x)
     bt = coth(2.0 * x)
     b_pair = np.zeros((n, n))
-    if n > 1:
-        b_pair[off] = coth(plus[off]) + coth(minus[off])
+    b_pair[off] = coth(plus[off]) + coth(minus[off])
     return b, bt, b_pair
 
 

@@ -152,6 +152,9 @@ SPECS: dict[str, list[str]] = {
     },
     "verify-restriction-theta": ["verify-restriction", *_family(2, -20, 1, 2, (2, 3)), "--samples", "2",
                                  "--theta", "0.07"],
+    # a box about the origin at n = 1, where no point keeps x and 2x at least theta from zero
+    "verify-associativity-no-admissible-point": ["verify-associativity", *_family(1, 1, 1, 1, (1,)),
+                                                 "--box=-0.01,0.01", "--samples", "1"],
     "verify-associativity-m10": ["verify-associativity", *_family(2, 0, 0, 1, (1, 0)), "--samples", "2"],
     "verify-wdvv-overflow": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--box", "0.3,400", "--samples", "2"],
     "tensor-overflow": ["tensor", *_family(1, 1, 1, 0, (1,)), "--point", "400"],
@@ -169,6 +172,7 @@ SPECS: dict[str, list[str]] = {
     },
     # run values refused when the run specification is made
     "samples-zero": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--samples", "0"],
+    "samples-too-large": ["verify-wdvv", *_family(3, -20, 1, 2, (1, 2, 2)), "--samples", str(2**63)],
     "seed-negative": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--seed", "-3"],
     "seed-too-large": ["verify-wdvv", *_family(3, -2, 0, 1, (1, 1, 1)), "--seed", str(2**64)],
     "box-inf": ["verify-associativity", *_family(1, 1, 1, 0, (1,)), "--box", "0.3,inf"],

@@ -312,9 +312,10 @@ class TestTangency:
 
     def test_builds_no_subsystem_by_member_array(self):
         # the (S x M) array of pairwise summands would be about 19 A's at this size
-        rctx = RestrictionContext(-156.0, 0.0, 1.0, Partition(N=80, blocks=(20, 20, 20, 20)))
+        part = Partition(N=80, blocks=(20, 20, 20, 20))
+        rctx = RestrictionContext(-156.0, 0.0, 1.0, part)
         active = rctx.pairings([0.5, 0.9, 1.3, 1.7])
-        u = block_constant(rctx.part, [1.0, 2.0, 3.0, 4.0])
+        u = block_constant(part, [1.0, 2.0, 3.0, 4.0])
         tracemalloc.start()
         try:
             tangency_residuals(rctx, active, u, u)
@@ -347,6 +348,22 @@ class TestTangency:
 
 
 class TestRestrictionContext:
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 1, 1), (2, 3, 4, 5), (5, 5, 5, 5)])
+    def test_subsystem_and_outside_partition_bc_n(self, blocks):
+        # every member of BC_N is in exactly one part, in BC_N's order and with its multiplicity
+        part = Partition(N=sum(blocks), blocks=blocks)
+        rctx = RestrictionContext(-2.0 * (part.N - 2), 0.5, 1.0, part)
+        bc = build_bcn(BCnParameters(n=part.N, r=-2.0 * (part.N - 2), s=0.5, q=1.0, m=(1.0,) * part.N))
+        block = np.repeat(np.arange(part.n), blocks)
+        sums = np.stack([np.bincount(block, weights=v, minlength=part.n) for v in bc.vectors])
+        inside = (sums == 0.0).all(axis=1)  # the within-block differences
+        assert inside.sum() == sum(b * (b - 1) // 2 for b in blocks)
+        assert len(rctx.subsystem) + len(rctx.outside) == len(bc)
+        assert np.array_equal(rctx.subsystem, bc.vectors[inside])
+        assert np.array_equal(rctx.outside.vectors, bc.vectors[~inside])
+        assert np.array_equal(rctx.outside.multiplicities, bc.multiplicities[~inside])
+        assert not (rctx.outside.vectors[:, None] == rctx.subsystem).all(axis=2).any()
+
     def test_pairings_are_the_outside_pairings_at_the_embedded_point(self):
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])

@@ -25,7 +25,7 @@ from trigwdvv.cli import (
     parse_config_document,
     run,
 )
-from trigwdvv.configurations import BCnParameters, Configuration, build_bcn, solve_r
+from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn, solve_r
 from trigwdvv.errors import (
     ConfigFormatError,
     DomainError,
@@ -334,6 +334,15 @@ class TestRunSpecValidation:
         # a fractional seed or sample count would run as its truncation but be echoed as given
         with pytest.raises(PreconditionError, match=re.escape(message)):
             RunSpec(command="verify-wdvv", config_source={}, **{field: value})
+
+    @pytest.mark.parametrize("samples", [2**63, 10**300], ids=["2^63", "10^300"])
+    def test_sample_counts_past_numpy_indexing_are_refused(self, samples):
+        # numpy indexes at most 2^63 - 1 entries, so no run can take more points
+        with pytest.raises(PreconditionError, match=re.escape(f"samples must be < 2^63, got {samples}")):
+            RunSpec(command="verify-wdvv", config_source={}, samples=samples)
+
+    def test_largest_sample_count_is_accepted(self):
+        assert RunSpec(command="verify-wdvv", config_source={}, samples=2**63 - 1).samples == 2**63 - 1
 
     def test_numbers_are_read_by_the_package_rules(self):
         # an integral float reads as an int, as n and the blocks do, and the box as two floats
@@ -813,9 +822,10 @@ def test_wdvv_n1_is_refused(capsys):
         # the family; the sampling pattern is its covectors, with no second build
         *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projection and BC_5 as outside (context, from one set of BC_5's arrays);
-        # the config match reads the family's member arrays in place of a rebuild
-        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4)]),
+        # the projection and BC_5 outside its 1 + 3 within-block differences (context, from
+        # one set of BC_5's arrays); the config match reads the family's member arrays in
+        # place of a rebuild
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4 - 4)]),
         # the rescaled BC_2
         ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
     ],
@@ -841,14 +851,58 @@ def test_builds_configurations_once_per_run(monkeypatch, command, source, builds
     assert per_run[0] == per_run[1] == builds
 
 
+def test_restriction_builds_the_block_indicators_once_per_run(monkeypatch):
+    # the context's block basis serves the projection, the embedding and the products
+    calls = []
+    original = Partition.block_indicators
+
+    def counting(self):
+        calls.append(self.blocks)
+        return original(self)
+
+    monkeypatch.setattr(Partition, "block_indicators", counting)
+    for samples in (1, 3):
+        calls.clear()
+        run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=samples))
+        assert calls == [(2, 3)]
+
+
+def test_restriction_checks_read_the_context_family(monkeypatch):
+    # the config match and h_b_decomposition read the one family the context holds
+    contexts, read = [], []
+
+    def recording(name):
+        original = getattr(cli, name)
+
+        def record(params, *args):
+            read.append((name, params))
+            return original(params, *args)
+
+        return record
+
+    for name in ("_bcn_members", "metric_identity_residuals"):
+        monkeypatch.setattr(cli, name, recording(name))
+    original = algebra.RestrictionContext.__init__
+
+    def keeping(self, *args):
+        original(self, *args)
+        contexts.append(self)
+
+    monkeypatch.setattr(algebra.RestrictionContext, "__init__", keeping)
+    run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=2))
+    assert [name for name, _ in read] == ["_bcn_members"] + ["metric_identity_residuals"] * 2
+    assert len(contexts) == 1 and all(params is contexts[0].params for _, params in read)
+
+
 @pytest.mark.parametrize(
     "command, source, per_point",
     [
         # the family the run samples, 3 + 3 + 6 members
         *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projected BC_2 the run samples, then BC_5 as outside at the embedded point
-        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4)]),
+        # the projected BC_2 the run samples, then BC_5 outside its 4 within-block differences
+        # at the embedded point
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4 - 4)]),
         # the rescaled BC_2: its tensor and the gauge residual read the same pairings
         ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
         # the explicit route's metric B(x) and the products read the same pairings
