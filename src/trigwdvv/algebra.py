@@ -36,10 +36,10 @@ def multiply(active, u, v) -> np.ndarray:
 
 
 def associativity_residual(active, u, v, w, raise_index) -> float:
-    """Scaled max-abs entry of (u o v) o w - u o (v o w), where u o v = raise_index(u * v).
+    """Max-abs entry of (u o v) o w - u o (v o w) over the larger side's, with no floor; 0 when both vanish.
 
-    ``active`` is as in ``multiply``.  ``raise_index`` maps the covector
-    u * v to a vector through the source's metric G: G^{-1}(u * v).
+    u o v = raise_index(u * v), where ``active`` is as in ``multiply`` and
+    ``raise_index`` maps a covector to a vector through the source's metric G.
     """
 
     def product(a, b):
@@ -47,8 +47,8 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
 
     left = product(product(u, v), w)
     right = product(u, product(v, w))
-    scale = max(1.0, float(np.abs(left).max()), float(np.abs(right).max()))
-    return float(np.abs(left - right).max()) / scale
+    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+    return float(np.abs(left - right).max()) / scale if scale else 0.0
 
 
 class RestrictionContext:
@@ -101,9 +101,10 @@ def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     """Tangency residuals at the point of ``active``, one per row alpha of ``subsystem``.
 
     Each is |(alpha, u * v)| = |sum_beta t_beta (alpha,beta)|, u * v being ``multiply`` over the members
-    beta outside the subsystem and t_beta = c (beta,u)(beta,v) coth((beta,x)), scaled by the bound
-    max(1, sum_beta |t_beta| sum_k |alpha_k||beta_k|).  The sums vanish for u, v constant on blocks;
-    non-tangent inputs are accepted, to show tangency is needed.  An empty subsystem gives an empty array.
+    beta outside the subsystem and t_beta = c (beta,u)(beta,v) coth((beta,x)), over the bound
+    max(1, sum_beta |t_beta| sum_k |alpha_k||beta_k|), floored since it vanishes at r = s = q = 0.
+    The sums vanish for u, v constant on blocks; non-tangent inputs are accepted, to show tangency
+    is needed.  An empty subsystem gives an empty array.
     """
     A, c, z = active
     product = multiply(active, u, v)

@@ -270,7 +270,7 @@ def _require_spanning(config: Configuration, command: str, family: bool) -> None
 
 
 def _two_path(got, want) -> float:
-    """max|got - want| / max(1, max|want|): one tensor reached by two routes, compared."""
+    """max|got - want| / max(1, max|want|), floored as want vanishes at r = s = q = 0: one tensor by two routes."""
     return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
 
 
@@ -407,7 +407,8 @@ def _run_restriction(spec: RunSpec, parsed):
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
     vectors, mults = _bcn_members(restriction.params)
-    # the restriction keeps the family's member order, so members compare in place
+    # the restriction keeps the family's member order, so members compare in place; the floor of 1
+    # under the multiplicities guards the family whose multiplicities all vanish
     dev = math.inf
     if projected.vectors.shape == vectors.shape:
         c = np.stack([projected.multiplicities, mults])

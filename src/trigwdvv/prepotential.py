@@ -201,7 +201,7 @@ def h_function(p: BCnParameters, x) -> float:
 
 def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[float, float]:
     """(off-diagonal, diagonal) max-abs deviation of ``metric_B(tensor, x)`` from h(x) diag(m),
-    each over max(1, max_k |h m_k|); a non-finite B or h gives a non-finite residual.
+    each over max(1, max_k |h m_k|), floored as h can vanish; a non-finite B or h gives a non-finite residual.
 
     For the family tensor of ``p`` both vanish under the multiplicity relation
     r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
@@ -217,10 +217,8 @@ def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) 
     """True iff x keeps a margin ``threshold`` from the hyperplane of every row of ``pattern``.
 
     ``pattern`` is an (M, n) covector array (``sampling.fully_active``); no multiplicity
-    is read.  Requires a finite x of shape (n,), |(alpha, x)| >= threshold for every
-    row (the margin rule of ``active_pairings``) and |sinh(2 x_k)| >= threshold for every coordinate.
+    is read.  Requires a finite x of shape (n,) and |(alpha, x)| >= threshold for every
+    row: the margin rule of ``active_pairings``, and no other.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != pattern.shape[1:] or not _margin(pattern, x, threshold)[1]:
-        return False
-    return bool(np.abs(np.sinh(2.0 * x)).min() >= threshold)
+    return x.shape == pattern.shape[1:] and _margin(pattern, x, threshold)[1]

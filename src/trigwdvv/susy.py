@@ -151,7 +151,7 @@ def fermionic_residual(n: int) -> float:
 
 
 def gauge_residual(active) -> float:
-    """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form.
+    """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form, floored as V can vanish.
 
     L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
     relating the two Hamiltonian forms, so grad L = A^T (c (a,a) coth / 2) and

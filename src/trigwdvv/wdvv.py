@@ -9,11 +9,10 @@ against a stack of pivots.  Every slice F_k and every pivot is symmetric (the
 F_ijk are third derivatives of one prepotential), so the kernel takes their
 singular values as the |eigenvalues| of ``np.linalg.eigvalsh``, which reads
 the lower triangle of each pivot and each slice only.  ``scaled`` divides the
-max-abs commutator entry by the operand norms (multiplicities of order ten
-inflate absolute residuals without signaling failure); ``raw`` keeps the
-unscaled entry because negative controls are judged against it.  A verifier
-that cannot fail verifies nothing, so the controls matter as much as the
-positive checks.
+max-abs commutator entry by the operand norms with no floor, so it stays
+relative where they are small (in the far field ||B^{-1}|| is of order e^-10);
+``raw`` keeps the unscaled entry.  A verifier that cannot fail verifies
+nothing, so the controls matter as much as the positive checks.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     for the pair and pivot forms, None for P = identity.  ``raw`` and ``scaled``
     are (p, n(n-1)/2) arrays over the pairs i < j in ``np.triu_indices(n, 1)``
     order: ``raw[p, k]`` is the max-abs entry of the commutator-like matrix of
-    the k-th pair (i, j) and ``scaled[p, k]`` is raw / max(1, ||F_i|| ||F_j||
-    ||P^{-1}||) in the spectral norm; ``condition[p]`` is pivot p's spectral
+    the k-th pair (i, j) and ``scaled[p, k]`` is raw / (||F_i|| ||F_j|| ||P^{-1}||)
+    in the spectral norm, 0 where F_i or F_j is zero; ``condition[p]`` is pivot p's spectral
     condition number (1 for the identity).  A non-finite tensor raises
     DomainError, and the pivots pass ``usable_pivots``, both before any solve.
 
@@ -95,8 +94,8 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
         M = G[i, :, j, :]  # M[pair, a, b] = M_ij[a, b] for the pairs i < j
         M -= G[j, :, i, :]
         raw[p] = np.abs(M, out=M).max(axis=(1, 2))
-    scale = np.maximum(1.0, norms[i] * norms[j] * inv_norm[:, None])
-    return raw / scale, raw, condition
+    scale = norms[i] * norms[j] * inv_norm[:, None]
+    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
 
 
 @functools.lru_cache(maxsize=64)

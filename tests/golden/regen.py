@@ -136,6 +136,13 @@ SPECS: dict[str, list[str]] = {
                               (5, -6, 0, 1, (1,) * 5))
         for shift in (0, 1)
     },
+    # the rescaled pattern at m = 0.1,1 in a box near the origin: the sampler takes every point that
+    # keeps the margin from the rescaled hyperplanes, some with |sinh 2x^_1| below theta
+    **{
+        f"verify-susy-m0.1-near-origin{'-r+1' if shift else ''}": [
+            "verify-susy", *_family(2, 1.8 + shift, 0, 1, (0.1, 1)), "--box", "0.01,0.5", "--samples", "20"]
+        for shift in (0, 1)
+    },
     "verify-wdvv-n20": ["verify-wdvv", *_family(20, -36, 0, 1, (1,) * 20), "--samples", "5"],
     "verify-wdvv-q0": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--samples", "1"],
     "verify-wdvv-q0-wide-box": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--box", "0.3,12", "--samples", "20"],

@@ -213,8 +213,8 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
     """(scaled, raw) residual of F_i P^{-1} F_j = F_j P^{-1} F_i for one pair.
 
     ``pivot`` None means the identity.  raw is the max-abs entry of the
-    commutator-like matrix; scaled divides it by
-    max(1, ||F_i|| ||P^{-1}|| ||F_j||) in the spectral norm.
+    commutator-like matrix; scaled divides it by ||F_i|| ||P^{-1}|| ||F_j||
+    in the spectral norm, and is 0 where that scale is 0.
     """
     Fi, Fj = tensor[i], tensor[j]
     if pivot is None:
@@ -224,8 +224,8 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
         M = Fi @ np.linalg.solve(pivot, Fj) - Fj @ np.linalg.solve(pivot, Fi)
         inv_norm = np.linalg.norm(np.linalg.inv(pivot), 2)
     raw = float(np.abs(M).max())
-    scale = max(1.0, np.linalg.norm(Fi, 2) * inv_norm * np.linalg.norm(Fj, 2))
-    return raw / scale, raw
+    scale = np.linalg.norm(Fi, 2) * inv_norm * np.linalg.norm(Fj, 2)
+    return (raw / scale if scale else 0.0), raw
 
 
 def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,8 +253,8 @@ def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, n
         top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
         raw[p] = np.maximum(top, top.T)
     norms = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
-    scale = np.maximum(1.0, np.outer(norms, norms) * inv_norm[:, None, None])
-    return raw / scale, raw, condition
+    scale = np.outer(norms, norms) * inv_norm[:, None, None]
+    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
 
 
 def diagonality_report(tensor, p, x) -> tuple[float, float]:

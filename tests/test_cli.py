@@ -535,11 +535,13 @@ def _generalized(report):
 
 @pytest.mark.parametrize("r, passes", [(-4, True), (-3, False)])
 def test_eta_pivot_form_has_power_in_the_far_field(r, passes):
-    # in --box 5,15 the pair form's floor max(1, ...) makes it absolute, and it passes
-    # r + 1 at about 1e-10, a known defect of that floor; the pivot form on eta.F still fails it
+    # in --box 5,15 B(x) = sum_k sinh(2x_k) F_k is of order e^10 and more, so the pair form's
+    # scale ||F_i|| ||F_j|| ||B^{-1}|| is far below 1; with no floor of 1 under it the pair form
+    # stays relative and fails r + 1 (0.075), as the pivot form on eta.F does (0.13)
     source = _family(4, r, 0, 1, (1, 1, 1, 1))
-    generalized = _generalized(run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0))))
-    assert generalized.passed is passes, generalized.max_residual
+    report = run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0)))
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("wdvv_pair_residual", passes), ("generalized_wdvv_residual", passes)], [c.max_residual for c in report.checks]
 
 
 def test_eta_is_drawn_once_per_run_from_its_own_stream():
@@ -581,6 +583,23 @@ def test_explicit_source_associates_with_its_metric_b(r, passes):
     # the build-config document of the README family multiplies through B(x)
     doc = config_document(load_config_source(_family(3, r, 1, 2, (1, 2, 2))))
     assert run(RunSpec(command="verify-associativity", config_source=doc, samples=10, seed=7)).all_passed is passes
+
+
+def test_explicit_associativity_keeps_its_power_at_n20():
+    # the residual divides by the products' own size, with no floor of 1, so the r + 1 control of
+    # unit m at n = 20 on --box 0.3,4 keeps its power (about 8e-4; an absolute residual reads 1e-7)
+    doc = config_document(load_config_source(_family(20, -35, 0, 1, (1,) * 20)))
+    (check,) = run(RunSpec(command="verify-associativity", config_source=doc, samples=10, box=(0.3, 4.0))).checks
+    assert not check.passed and check.max_residual > 1e-5, check.max_residual
+
+
+@pytest.mark.parametrize("command", ["verify-susy", "verify-associativity", "verify-metric", "verify-restriction"])
+def test_the_zero_family_passes_with_every_residual_zero(command):
+    # at r = s = q = 0 every multiplicity vanishes, and with it every operand of every check:
+    # a residual whose scale is 0 reads 0, not NaN, a ZeroDivisionError or a failure
+    report = run(RunSpec(command=command, config_source=_family(3, 0, 0, 0, (1, 2, 2)), samples=5))
+    assert report.all_passed and report.discarded_points == 0
+    assert [c.max_residual for c in report.checks] == [0.0] * len(report.checks), report.checks
 
 
 def _refuse_to_sample(*args):

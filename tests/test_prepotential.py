@@ -365,6 +365,26 @@ class TestIsAdmissible:
         assert not is_admissible(fully_active(c), [0.5, 0.5], 0.05)
         assert is_admissible(c.vectors, [0.9, 0.4], 0.05)
 
+    @pytest.mark.parametrize(
+        "pattern, box",
+        [
+            # the rescaled pattern at m = 0.1,1: its row e_1/sqrt(0.1) keeps x^_1 >= 0.016 only
+            (fully_active(susy.build_hat_configuration(BCnParameters(n=2, r=1.8, s=0.0, q=1.0, m=(0.1, 1.0))).config),
+             (0.01, 0.5)),
+            # no row e_k: x_k may come as near 0 as the rows e_1 +- e_2 allow
+            (np.array([[1.0, 1.0], [1.0, -1.0]]), (-1.0, 1.0)),
+        ],
+        ids=["hat-m0.1", "explicit"],
+    )
+    def test_is_the_margin_rule_alone(self, pattern, box):
+        # the sampler's rule is the margin of active_pairings and no other: a point with
+        # |sinh 2x_k| < theta is accepted when it keeps the margin from every row
+        xs = np.random.default_rng(5).uniform(*box, size=(2000, 2))
+        accepted = np.array([is_admissible(pattern, x, 0.05) for x in xs])
+        margin = (np.abs(xs @ pattern.T) >= 0.05).all(axis=1)
+        assert (accepted == margin).all()
+        assert (np.abs(np.sinh(2.0 * xs[accepted])).min(axis=1) < 0.05).any()
+
 
 class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("n", [1, 2])
