@@ -6,8 +6,9 @@ emitters for tensors and normalized configuration documents.  Reports are
 deterministic given (seed, run parameters), and floats are serialized with 17
 significant digits.  A command's sample points come from one generator,
 keyed by the run seed and the stream label "<command>/points".  The random
-vectors drawn at each point (u, v, w) come from the same stream as the point;
-verify-wdvv's pivot weights eta are drawn once per run from "verify-wdvv/pivot".
+vectors drawn at each point (u, v, w) come from the same stream as the point.
+verify-wdvv reports one check, wdvv_residual, at the better-conditioned pivot of
+B(x) and eta.F, whose weights eta are drawn once per run from "verify-wdvv/pivot".
 
 A non-finite residual fails its check, and ``--json`` renders it as null.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse,
@@ -60,7 +61,7 @@ from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, bo
 from .wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# the one discard reason: the point's metric or a pivot fails the usable-pivot rule
+# the one discard reason: the point's metric, or every candidate pivot, fails the usable-pivot rule
 _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -347,13 +348,11 @@ def _run_wdvv(spec: RunSpec, parsed):
 
     def residuals(rng, x, active):
         T = tensor_generic(active)
-        # pivot 0 is the metric B (pair form), pivot 1 is eta.F (pivot form): WDVV on
-        # one generic eta.F implies it on every F_k (Marshakov-Mironov-Morozov 1996)
-        scaled = pivot_residuals(T, [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)])[0]
-        return {
-            "wdvv_pair_residual": scaled[0],
-            "generalized_wdvv_residual": scaled[1],
-        }
+        # B and eta.F both lie in the span of the slices F_k, where WDVV on one invertible pivot implies
+        # it on every other (Marshakov-Mironov-Morozov 1996): one check, at the better-conditioned of
+        # the two, and a discard only where neither is usable
+        candidates = [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
+        return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 
     return {}, config, residuals
 
@@ -444,7 +443,7 @@ def _run_susy(spec: RunSpec, parsed):
 
     def hat_residuals(rng, xh, active):
         T = tensor_generic(active)
-        commuting = pivot_residuals(T)[0][0]
+        commuting = pivot_residuals(T)[0]
         # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
         # compared with the closed form there; B^ = h I is B = h diag(m)
         x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq

@@ -146,6 +146,9 @@ SPECS: dict[str, list[str]] = {
     "verify-wdvv-n20": ["verify-wdvv", *_family(20, -36, 0, 1, (1,) * 20), "--samples", "5"],
     "verify-wdvv-q0": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--samples", "1"],
     "verify-wdvv-q0-wide-box": ["verify-wdvv", *_family(3, -1, 1, 0, (1, 1, 1)), "--box", "0.3,12", "--samples", "20"],
+    # a theorem family whose metric B has condition number 2e8, above the cap, at every point: the
+    # check is taken at eta.F, and a point where eta.F is unusable too is discarded (6 at seed 0)
+    "verify-wdvv-m-spread-2e8": ["verify-wdvv", *_family(3, -400000000, 0, 1, (1, 1, 200000000)), "--samples", "5"],
     **{
         f"verify-wdvv-far-field-r{'+1' if shift else ''}": [
             "verify-wdvv", *_family(4, -4 + shift, 0, 1, (1, 1, 1, 1)), "--box", "5,15", "--samples", "10"]

@@ -228,32 +228,29 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
     return (raw / scale if scale else 0.0), raw
 
 
-def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, float]:
     """``wdvv.pivot_residuals`` by the full commutator pass, for bit-for-bit comparison.
 
-    Every commutator (i, j) and (j, i) is formed from the strided swap of all
-    n^4 entries of each pivot's product, raw is max(top, top.T) of their signed
-    maxima, and the norms ||F_i|| come from a separate ``eigvalsh`` of the
-    tensor's symmetric slices, the largest |eigenvalue| of each.
+    At the pivot that ``usable_pivots`` chooses from the stack, every commutator
+    (i, j) and (j, i) is formed from the strided swap of all n^4 entries of the
+    product, raw is the (n, n) max(top, top.T) of their signed maxima, and the
+    norms ||F_i|| come from a separate ``eigvalsh`` of the tensor's symmetric
+    slices, the largest |eigenvalue| of each.
     """
     T = np.asarray(tensor, dtype=float)
     n = T.shape[0]
-    rhs = T.transpose(1, 0, 2).reshape(1, n, n * n)
-    if pivots is None:
-        X = rhs
-        condition = inv_norm = np.ones(1)
-    else:
+    X = T.transpose(1, 0, 2).reshape(n, n * n)
+    condition = inv_norm = 1.0
+    if pivots is not None:
         P = np.asarray(pivots, dtype=float)
-        sv, condition = usable_pivots(P)
-        inv_norm = 1.0 / sv[:, -1]
-        X = np.linalg.solve(P, rhs)
-    raw = np.empty((len(X), n, n))
-    for p, Xp in enumerate(X):
-        G = (T @ Xp).reshape(n, n, n, n)
-        top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
-        raw[p] = np.maximum(top, top.T)
+        k, sv, condition = usable_pivots(P)
+        inv_norm = 1.0 / sv[-1]
+        X = np.linalg.solve(P[k], X)
+    G = (T @ X).reshape(n, n, n, n)
+    top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
+    raw = np.maximum(top, top.T)
     norms = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
-    scale = np.outer(norms, norms) * inv_norm[:, None, None]
+    scale = np.outer(norms, norms) * inv_norm
     return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
 
 

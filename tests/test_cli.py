@@ -474,8 +474,7 @@ def _family(n, r, s, q, m):
 
 
 CHECK_NAMES = {
-    "wdvv": ("verify-wdvv", _family(3, -2, 0, 1, (1, 1, 1)),
-             ["wdvv_pair_residual", "generalized_wdvv_residual"]),
+    "wdvv": ("verify-wdvv", _family(3, -2, 0, 1, (1, 1, 1)), ["wdvv_residual"]),
     "associativity": ("verify-associativity", _family(3, -2, 0, 1, (1, 1, 1)),
                       ["associativity_residual"]),
     "metric": ("verify-metric", _family(2, 0.7, -1.2, 0.9, (1.5, 2.5)),
@@ -500,7 +499,7 @@ CHECK_NAMES = {
 # is an implementation check, which holds for every (r, s, q) and must pass
 # there too; a family check that stops failing at r + 1 has lost its power.
 POWER = {
-    "wdvv": ("verify-wdvv", (3, -20, 1, 2, (1, 2, 2)), {"wdvv_pair_residual", "generalized_wdvv_residual"}),
+    "wdvv": ("verify-wdvv", (3, -20, 1, 2, (1, 2, 2)), {"wdvv_residual"}),
     "associativity-m122": ("verify-associativity", (3, -20, 1, 2, (1, 2, 2)), {"associativity_residual"}),
     "associativity-m2131": ("verify-associativity", (4, -14, 0.5, 1, (2, 1, 3, 1)), {"associativity_residual"}),
     "metric": ("verify-metric", (4, -14, 0.5, 1, (2, 1, 3, 1)), {"metric_diagonal_identity"}),
@@ -529,40 +528,39 @@ def test_theorem_family_passes_and_r_plus_1_fails_its_family_checks(command, fam
     assert {c.name for c in broken.checks} - failing <= IMPLEMENTATION_CHECKS
 
 
-def _generalized(report):
-    return next(c for c in report.checks if c.name == "generalized_wdvv_residual")
+def _wdvv(report):
+    (check,) = report.checks
+    assert check.name == "wdvv_residual"
+    return check
 
 
 @pytest.mark.parametrize("r, passes", [(-4, True), (-3, False)])
 def test_eta_pivot_form_has_power_in_the_far_field(r, passes):
-    # in --box 5,15 B(x) = sum_k sinh(2x_k) F_k is of order e^10 and more, so the pair form's
-    # scale ||F_i|| ||F_j|| ||B^{-1}|| is far below 1; with no floor of 1 under it the pair form
-    # stays relative and fails r + 1 (0.075), as the pivot form on eta.F does (0.13)
+    # in --box 5,15 B(x) = sum_k sinh(2x_k) F_k is of order e^10 and more, so the scale
+    # ||F_i|| ||F_j|| ||P^{-1}|| is far below 1; with no floor of 1 under it the one check stays
+    # relative and fails r + 1 (0.075 at the better pivot, B here; eta.F read 0.13)
     source = _family(4, r, 0, 1, (1, 1, 1, 1))
-    report = run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0)))
-    assert [(c.name, c.passed) for c in report.checks] == [
-        ("wdvv_pair_residual", passes), ("generalized_wdvv_residual", passes)], [c.max_residual for c in report.checks]
+    check = _wdvv(run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0))))
+    assert check.passed is passes, check.max_residual
+    assert passes or check.max_residual > 1e-2, check.max_residual
 
 
 def test_eta_is_drawn_once_per_run_from_its_own_stream():
-    # eta comes from "verify-wdvv/pivot", so the points stream, and with it every point
-    # and wdvv_pair_residual, is the one a run without the pivot form would draw
+    # eta comes from "verify-wdvv/pivot", so the points stream, and with it every point, is
+    # the one a run without eta would draw; at each point the check is taken at whichever of
+    # B and eta.F has the smaller condition number, as np.linalg.cond judges them too
     spec = RunSpec(command="verify-wdvv", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=3, seed=9)
     report = run(spec)
     config = build_bcn(load_config_source(spec.config_source))
     rng = rng_for(spec.seed, "verify-wdvv/points")
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(4)
-    pair, generalized = [], []
+    residuals = []
     for x in sample_points(rng, fully_active(config), spec.samples, spec.box, spec.threshold):
         T = tensor_generic(active_pairings(config, x, spec.threshold))
-        scaled = wdvv.pivot_residuals(T, np.stack([metric_B(T, x), np.tensordot(eta, T, axes=1)]))[0]
-        pair.append(scaled[0])
-        generalized.append(scaled[1])
+        better = min((metric_B(T, x), np.tensordot(eta, T, axes=1)), key=np.linalg.cond)
+        residuals.append(wdvv.pivot_residuals(T, better[None])[0])
     assert report.discarded_points == 0
-    assert [(c.name, c.max_residual) for c in report.checks] == [
-        ("wdvv_pair_residual", float(np.max(pair))),
-        ("generalized_wdvv_residual", float(np.max(generalized))),
-    ]
+    assert [(c.name, c.max_residual) for c in report.checks] == [("wdvv_residual", float(np.max(residuals)))]
 
 
 @pytest.mark.parametrize("n, s, q, m", [(3, 1, 2, (1, 2, 2)), (4, 0.5, 1, (2, 1, 3, 1)), (6, 1, 1, (1, 2, 1, 2, 1, 1))])
@@ -570,12 +568,12 @@ def test_eta_pivot_form_fails_a_transverse_multiplicity_perturbation(n, s, q, m)
     # a random 1e-2 relative change of every member's multiplicity moves the family across
     # the solution variety, where the r and s shifts move along it to first order
     doc = config_document(load_config_source(_family(n, solve_r(s, q, m), s, q, m)))
-    assert _generalized(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10))).passed
+    assert _wdvv(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10))).passed
     rng = np.random.default_rng(n)
     for member in doc["explicit"]["members"]:
         member["multiplicity"] *= 1.0 + 1e-2 * rng.standard_normal()
-    generalized = _generalized(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10)))
-    assert not generalized.passed and generalized.max_residual > 1e-5, generalized.max_residual
+    check = _wdvv(run(RunSpec(command="verify-wdvv", config_source=doc, samples=10)))
+    assert not check.passed and check.max_residual > 1e-5, check.max_residual
 
 
 @pytest.mark.parametrize("r, passes", [(-20, True), (-19, False)])
@@ -1049,28 +1047,48 @@ def test_restriction_names_a_fractional_block(capsys):
     )
 
 
-def test_ill_conditioned_pivots_discard_the_point():
-    # with q = 0 the tensor is diagonal, and so is B(x), whose entries grow like
-    # e^{2 x_i}: in a wide box some points have kappa(B) above CONDITION_CAP;
-    # those are discarded and resampled, never reported or turned into an error.
-    # The discards match np.linalg.cond of [B, eta.F] on the same streams.
-    source = _family(3, -1.0, 1.0, 0.0, (1, 1, 1))
-    spec = RunSpec(command="verify-wdvv", config_source=source, samples=20, box=(0.3, 12.0))
-    report = run(spec)
+# a theorem family whose metric B = h diag(m) has condition number 2e8 at every point, above
+# CONDITION_CAP: verify-wdvv takes each point at eta.F, and discards a point where that is unusable too
+M_SPREAD = _family(3, -400000000, 0, 1, (1, 1, 200000000))
 
+
+def _replay_wdvv_conditions(spec):
+    """(kappa(B), kappa(eta.F)) by np.linalg.cond at each point verify-wdvv draws, until it has accepted enough."""
     config = build_bcn(load_config_source(spec.config_source))
     rng = rng_for(spec.seed, "verify-wdvv/points")
-    eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(3)
-    accepted = discarded = 0
+    eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(config.dimension)
+    conditions, accepted = [], 0
     while accepted < spec.samples:
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
         T = tensor_generic(active_pairings(config, x, spec.threshold))
-        if max(np.linalg.cond(metric_B(T, x)), np.linalg.cond(np.tensordot(eta, T, axes=1))) > CONDITION_CAP:
-            discarded += 1
-        else:
-            accepted += 1
-    assert report.discarded_points == discarded > 0
+        conditions.append((np.linalg.cond(metric_B(T, x)), np.linalg.cond(np.tensordot(eta, T, axes=1))))
+        accepted += min(conditions[-1]) <= CONDITION_CAP
+    return conditions
+
+
+def test_ill_conditioned_pivots_discard_the_point():
+    # a point where both B and eta.F have a condition number above CONDITION_CAP is
+    # discarded and resampled, never reported or turned into an error.  The discards
+    # match np.linalg.cond of B and eta.F on the same streams
+    spec = RunSpec(command="verify-wdvv", config_source=M_SPREAD, samples=5)
+    report = run(spec)
+    conditions = _replay_wdvv_conditions(spec)
+    assert all(b > CONDITION_CAP for b, _ in conditions)
+    assert report.discarded_points == sum(min(c) > CONDITION_CAP for c in conditions) > 0
     assert report.all_passed
+
+
+def test_a_point_where_only_b_is_unusable_is_kept():
+    # with q = 0 the tensor is diagonal, and so is B(x), whose entries grow like e^{2 x_i}:
+    # in a wide box some points have kappa(B) above CONDITION_CAP, and eta.F is usable
+    # there, so the check is taken at eta.F and no point is discarded
+    source = _family(3, -1.0, 1.0, 0.0, (1, 1, 1))
+    spec = RunSpec(command="verify-wdvv", config_source=source, samples=20, box=(0.3, 12.0))
+    report = run(spec)
+    conditions = _replay_wdvv_conditions(spec)
+    assert len(conditions) == spec.samples and sum(b > CONDITION_CAP for b, _ in conditions) == 4
+    assert all(eta_f <= CONDITION_CAP for _, eta_f in conditions)
+    assert report.discarded_points == 0 and report.all_passed
 
 
 def test_explicit_associativity_judges_b_before_drawing_u_v_w():
@@ -1187,11 +1205,12 @@ def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
 
 
 def test_text_report_labels_discarded_points(capsys):
-    # the q = 0 run of the wide box discards the points where kappa(B) is above the cap
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-1", "--s", "1", "--q", "0", "--m", "1,1,1"]
-    assert main(argv + ["--box", "0.3,12", "--samples", "20"]) == 0
+    # the run at m = 1,1,2e8 discards the points where kappa(B) and kappa(eta.F) are both above the cap
+    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-400000000", "--s", "0", "--q", "1",
+            "--m", "1,1,200000000"]
+    assert main(argv + ["--samples", "5"]) == 0
     out = capsys.readouterr().out
-    assert "\n  discarded points: " in out
+    assert "\n  discarded points: 6\n" in out
 
 
 def test_box_too_narrow_for_pair_spacing_fails_fast(capsys):

@@ -9,7 +9,7 @@ from trigwdvv.errors import DomainError, SingularMatrixError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
-from trigwdvv.wdvv import pivot_residuals
+from trigwdvv.wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
 
 from tests.oracles import diagonality_report, pair_residual, pivot_residuals_full, sample_points
 
@@ -28,15 +28,20 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
         yield x, T, metric_B(T, x)
 
 
+def each_slice(T):
+    """The kernel's output at every single pivot F_k, so that no slice goes unchecked."""
+    return [pivot_residuals(T, T[k : k + 1]) for k in range(len(T))]
+
+
 class TestWdvvResidual:
     def test_equal_indices_vanish_exactly(self):
         # the kernel keeps the pairs i < j only, since M_ii = 0 exactly, as the full pass shows
         for x, T, B in sampled_tensors(BC3, 3, "wdvv/equal"):
             scaled, raw, condition = pivot_residuals(T, B[None])
-            assert scaled.shape == raw.shape == (1, 3)
+            assert scaled.shape == raw.shape == (3,)
             full_scaled, full_raw, _ = pivot_residuals_full(T, B[None])
-            assert full_scaled[0, 1, 1] == 0.0 and full_raw[0, 1, 1] == 0.0
-            assert condition[0] >= 1.0
+            assert full_scaled[1, 1] == 0.0 and full_raw[1, 1] == 0.0
+            assert condition >= 1.0
 
     def test_theorem_family(self):
         worst = 0.0
@@ -59,7 +64,7 @@ class TestWdvvResidual:
             M_ji = T[1] @ np.linalg.solve(B, T[0]) - T[0] @ np.linalg.solve(B, T[1])
             assert np.abs(M_ij + M_ji).max() == 0.0
             full = pivot_residuals_full(T, B[None])[0]
-            assert full[0, 0, 1] == full[0, 1, 0] == pivot_residuals(T, B[None])[0][0, 0]
+            assert full[0, 1] == full[1, 0] == pivot_residuals(T, B[None])[0][0]
 
     def test_singular_metric_raises(self):
         T = np.zeros((2, 2, 2))
@@ -70,24 +75,26 @@ class TestWdvvResidual:
 
 
 class TestGeneralizedWdvv:
+    """WDVV at each slice F_k as the pivot, one pivot per kernel call."""
+
     def test_degenerate_index_choices_vanish(self):
         for x, T, B in sampled_tensors(BC3, 2, "gen/equal"):
-            assert pivot_residuals(T, T)[0].shape == (3, 3)  # 3 pivots, 3 pairs i < j
-            full = pivot_residuals_full(T, T)[0]
-            assert full[0, 1, 1] == 0.0
-            assert full[2, 0, 0] == 0.0
+            for k, (scaled, _, _) in enumerate(each_slice(T)):
+                assert scaled.shape == (3,)  # 3 pairs i < j
+                full = pivot_residuals_full(T, T[k : k + 1])[0]
+                assert not full.diagonal().any()
 
     def test_theorem_family_all_triples(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "gen/theorem"):
-            worst = max(worst, pivot_residuals(T, T)[0].max())
+            worst = max([worst] + [scaled.max() for scaled, _, _ in each_slice(T)])
         assert worst < 1e-8
 
     def test_broken_constraint(self):
         above = total = 0
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "gen/broken"):
             total += 1
-            if pivot_residuals(T, T)[1].max() > 1e-3:
+            if max(raw.max() for _, raw, _ in each_slice(T)) > 1e-3:
                 above += 1
         assert above >= 0.9 * total
 
@@ -97,9 +104,9 @@ class TestGeneralizedWdvv:
         for params, should_pass in ((BC3, True), (BC3_BROKEN, False)):
             pair_ok, gen_ok = True, True
             for x, T, B in sampled_tensors(params, 20, "equiv"):
-                pair, pivot = pivot_residuals(T, B[None])[0], pivot_residuals(T, T)[0]
+                pair = pivot_residuals(T, B[None])[0]
                 pair_ok = pair_ok and pair.max() < tol
-                gen_ok = gen_ok and pivot.max() < tol_gen
+                gen_ok = gen_ok and max(scaled.max() for scaled, _, _ in each_slice(T)) < tol_gen
             assert pair_ok == should_pass
             assert gen_ok == should_pass
 
@@ -107,8 +114,8 @@ class TestGeneralizedWdvv:
 class TestCommutingResidual:
     def test_equal_indices(self):
         T = tensor_generic(active_pairings(build_hat_configuration(M23).config, np.array([0.8, 0.5])))
-        assert pivot_residuals(T)[0].shape == (1, 1)  # the one pair (0, 1)
-        assert pivot_residuals_full(T)[0][0, 0, 0] == 0.0
+        assert pivot_residuals(T)[0].shape == (1,)  # the one pair (0, 1)
+        assert pivot_residuals_full(T)[0][0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
         hat = build_hat_configuration(M23).config
@@ -116,7 +123,7 @@ class TestCommutingResidual:
         worst = 0.0
         for x in sample_points(rng, fully_active(hat), 50):
             T = tensor_generic(active_pairings(hat, x))
-            worst = max(worst, pivot_residuals(T)[0][0, 0])
+            worst = max(worst, pivot_residuals(T)[0][0])
         assert worst < 1e-8
 
     def test_unrescaled_tensor_does_not_commute(self):
@@ -126,7 +133,7 @@ class TestCommutingResidual:
         vals = []
         for x in sample_points(rng, pattern, 50):
             T = tensor_generic(active_pairings(build_bcn(M23), x))
-            vals.append(pivot_residuals(T)[1][0, 0])
+            vals.append(pivot_residuals(T)[1][0])
         assert np.median(vals) > 1e-3
 
     def test_matches_wdvv_when_metric_is_scalar(self):
@@ -147,7 +154,7 @@ class TestNTwoIsVacuous:
         broken = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
         worst = 0.0
         for x, T, B in sampled_tensors(broken, 30, "n2/vacuous"):
-            worst = max(worst, pivot_residuals(T, B[None])[0][0, 0])
+            worst = max(worst, pivot_residuals(T, B[None])[0][0])
         assert worst < 1e-8
 
     def test_commuting_form_detects_broken_constraint(self):
@@ -157,7 +164,7 @@ class TestNTwoIsVacuous:
         vals = []
         for x in sample_points(rng, fully_active(hat), 30):
             T = tensor_generic(active_pairings(hat, x))
-            vals.append(pivot_residuals(T)[1][0, 0])
+            vals.append(pivot_residuals(T)[1][0])
         assert np.median(vals) > 1e-3
 
 
@@ -204,8 +211,7 @@ def test_condition_number_of_scalar_metric_is_one():
     x = np.array([0.9, 0.5, 1.3])
     T = tensor_generic(active_pairings(build_bcn(BC3), x))
     B = metric_B(T, x)
-    condition = pivot_residuals(T, B[None])[2]
-    assert condition[0] == pytest.approx(1.0, rel=1e-10)
+    assert pivot_residuals(T, B[None])[2] == pytest.approx(1.0, rel=1e-10)
 
 
 def _theorem_and_broken(n, s, q, m):
@@ -223,22 +229,17 @@ KERNEL_FAMILIES = [
 
 @pytest.mark.parametrize("params", KERNEL_FAMILIES, ids=lambda p: f"n={p.n},r={p.r:.4g}")
 def test_kernel_matches_per_pair_oracle(params):
-    # pair form (pivot B), pivot form (every F_k) and commuting form (pivot I)
+    # pair form (pivot B), pivot form (every F_k, one at a time) and commuting form (pivot I)
     n = params.n
     # fewer points at n=10, where one point takes about 1200 oracle pairs
     for x, T, B in sampled_tensors(params, 5 if n < 10 else 2, f"kernel/{n}/{params.r}"):
-        forms = (
-            (pivot_residuals(T, B[None]), [B]),
-            (pivot_residuals(T, T), list(T)),
-            (pivot_residuals(T), [None]),
-        )
-        for (scaled, raw, _), pivots in forms:
-            assert scaled.shape == raw.shape == (len(pivots), n * (n - 1) // 2)
-            for p, P in enumerate(pivots):
-                for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-                    want_scaled, want_raw = pair_residual(T, i, j, P)
-                    assert abs(scaled[p, k] - want_scaled) <= 1e-14
-                    assert raw[p, k] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
+        forms = [(pivot_residuals(T, B[None]), B), *zip(each_slice(T), T), (pivot_residuals(T), None)]
+        for (scaled, raw, _), P in forms:
+            assert scaled.shape == raw.shape == (n * (n - 1) // 2,)
+            for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+                want_scaled, want_raw = pair_residual(T, i, j, P)
+                assert abs(scaled[k] - want_scaled) <= 1e-14
+                assert raw[k] == pytest.approx(want_raw, rel=1e-9, abs=1e-12)
 
 
 def test_condition_is_the_eigenvalue_ratio_bit_for_bit():
@@ -251,13 +252,16 @@ def test_condition_is_the_eigenvalue_ratio_bit_for_bit():
     eps = np.finfo(float).eps
     for params in KERNEL_FAMILIES:
         for x, T, B in sampled_tensors(params, 3, f"kernel/cond/{params.n}/{params.r}"):
-            for pivots in (B[None], T):
-                condition = pivot_residuals(T, pivots)[2]
-                lam = np.abs(np.linalg.eigvalsh(pivots))
-                assert np.array_equal(condition, lam.max(axis=1) / lam.min(axis=1))
-                cond = np.linalg.cond(pivots)
-                assert (np.abs(condition - cond) <= 2 * params.n * eps * (cond + 1) * cond).all()
-            assert pivot_residuals(T)[2].tolist() == [1.0]
+            for P in (B, *T):
+                condition = pivot_residuals(T, P[None])[2]
+                lam = np.abs(np.linalg.eigvalsh(P))
+                assert condition == lam.max() / lam.min()
+                cond = np.linalg.cond(P)
+                assert abs(condition - cond) <= 2 * params.n * eps * (cond + 1) * cond
+            # a stack reports the condition number of the pivot it chose, the smallest
+            lam = np.abs(np.linalg.eigvalsh(T))
+            assert pivot_residuals(T, T)[2] == (lam.max(axis=1) / lam.min(axis=1)).min()
+            assert pivot_residuals(T)[2] == 1.0
 
 
 # every oracle family, and unit-m BC_n at n = 16 and 20 (theorem and broken),
@@ -269,41 +273,49 @@ BIT_FOR_BIT = [(p, DEFAULT_BOX) for p in KERNEL_FAMILIES] + [
 
 @pytest.mark.parametrize("params, box", BIT_FOR_BIT, ids=[f"n={p.n},r={p.r:.4g}" for p, _ in BIT_FOR_BIT])
 def test_kernel_is_the_full_pass_bit_for_bit(params, box):
-    # the pairs i < j give the full pass's floats exactly, for verify-wdvv's stack [B, eta.F] and
-    # for stacks of B, of the F_k and of both; the full pass's matrices are symmetric with a
-    # zero diagonal, so the pairs i < j hold all of their content
+    # the pairs i < j give the full pass's floats exactly, for verify-wdvv's stack [B, eta.F], for
+    # B and each F_k alone and for stacks of the F_k and of both; the full pass's matrices are
+    # symmetric with a zero diagonal, so the pairs i < j hold all of their content
     label = f"kernel/full/{params.n}/{params.r}"
     i, j = np.triu_indices(params.n, 1)
     eta = rng_for(0, f"{label}/eta").standard_normal(params.n)
     for x, T, B in sampled_tensors(params, 3 if params.n < 16 else 2, label, box=box):
         B_eta_F = np.stack([B, np.tensordot(eta, T, axes=1)])
-        for pivots in (B[None], T, None, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]])):
+        stacks = (B[None], *T[:, None], T, None, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]]))
+        for pivots in stacks:
             got, want = pivot_residuals(T, pivots), pivot_residuals_full(T, pivots)
             for name, a, b in zip(("scaled", "raw"), got, want):
-                assert np.array_equal(a, b[:, i, j]), name
-                assert np.array_equal(b, b.transpose(0, 2, 1)), name
-                assert not b.diagonal(axis1=1, axis2=2).any(), name
-            assert np.array_equal(got[2], want[2]), "condition"
+                assert np.array_equal(a, b[i, j]), name
+                assert np.array_equal(b, b.T), name
+                assert not b.diagonal().any(), name
+            assert got[2] == want[2], "condition"
 
 
 @pytest.mark.parametrize("stack, calls", [("[B; eta.F]", 2), ("T", 2), ("B", 2), ("identity", 1)])
 def test_eigvalsh_calls_per_kernel_call(monkeypatch, stack, calls):
     # one eigvalsh of the pivot stack for the condition numbers, whatever its length
-    # (verify-wdvv's [B, eta.F] included), one of the tensor for the norms ||F_k||, and no SVD
+    # (verify-wdvv's [B, eta.F] included), one of the tensor for the norms ||F_k||, no SVD,
+    # and one solve, against the one chosen (n, n) pivot
     x, T, B = next(sampled_tensors(KERNEL_FAMILIES[6], 1, "kernel/svd"))  # n=10, on the relation
     eta_F = np.tensordot(rng_for(0, "kernel/svd/eta").standard_normal(len(T)), T, axes=1)
     pivots = {"[B; eta.F]": np.stack([B, eta_F]), "T": T, "B": B[None], "identity": None}[stack]
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
+    seen, solved = [], []
+    eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
 
     def counting(*args, **kwargs):
         seen.append(args[0].shape)
         return eigvalsh(*args, **kwargs)
 
+    def counting_solve(a, b):
+        solved.append(a.shape)
+        return solve(a, b)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     _refuse_svd(monkeypatch)
     pivot_residuals(T, pivots)
     assert len(seen) == calls, seen
+    assert solved == ([] if pivots is None else [B.shape]), solved
 
 
 def _refuse_svd(monkeypatch):
@@ -329,11 +341,61 @@ def test_a_family_run_takes_no_svd(monkeypatch, capsys, argv):
 
 
 def test_singular_pivot_form_raises_naming_the_pivot():
+    # every slice is unusable, F_0 singular and F_1 at condition 1e9: the refusal names
+    # the best-conditioned candidate, above the cap as every other one is
+    T = np.zeros((2, 2, 2))
+    T[0] = np.diag([1.0, 0.0])
+    T[1] = np.diag([1.0, 1e-9])
+    with pytest.raises(SingularMatrixError, match="pivot 1 has condition number 1.000e"):
+        pivot_residuals(T, T)
+
+
+@pytest.mark.parametrize("case", ["lowest-condition-wins", "first-wins-a-tie", "none-usable", "non-finite"])
+def test_the_selection_rule(case):
+    # the one selection rule: of the usable candidates the lowest condition number wins, the first
+    # on a tie; a stack with none usable is refused, and a non-finite candidate is refused by name
+    # even when another candidate is usable, so the overflow contract does not depend on the choice
     T = np.zeros((2, 2, 2))
     T[0] = np.eye(2)
-    T[1] = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(SingularMatrixError, match="pivot 1 "):
-        pivot_residuals(T, T)
+    T[1] = np.array([[2.0, 1.0], [1.0, 3.0]])
+    if case == "lowest-condition-wins":
+        P = np.stack([np.diag([1.0, 0.1]), np.array([[1.0, 0.3], [0.3, 0.8]]), np.diag([1.0, 0.2])])
+        k, sv, condition = usable_pivots(P)
+        assert k == 1 and condition == sv[0] / sv[-1] < 5.0  # against 10 and 5
+        for got, want in zip(pivot_residuals(T, P), pivot_residuals(T, P[1:2])):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(pivot_residuals(T, P)[0], pivot_residuals(T, P[2:])[0])
+    elif case == "first-wins-a-tie":
+        P = np.stack([np.diag([1.0, 0.5]), np.diag([0.5, 1.0])])
+        assert usable_pivots(P)[0] == usable_pivots(P[::-1])[0] == 0
+        assert usable_pivots(P)[2] == usable_pivots(P[::-1])[2] == 2.0
+    elif case == "none-usable":
+        P = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 1.0 / (2 * CONDITION_CAP)]), np.zeros((2, 2))])
+        with pytest.raises(SingularMatrixError, match=r"^pivot 1 has condition number 2\.000e\+08 above 1e\+08$"):
+            pivot_residuals(T, P)
+    else:
+        P = np.stack([np.eye(2), np.eye(2), np.diag([1.0, np.inf])])
+        with pytest.raises(DomainError, match="^pivot 2 is not finite$"):
+            pivot_residuals(T, P)
+
+
+def test_the_eta_route_fails_an_r_plus_1_tensor():
+    # at m = 1,1,1,10 the metric B is near h diag(m), of condition about 10, and eta.F is often
+    # the better pivot: wherever the kernel chooses it on the r + 1 tensor, the residual reads
+    # above 1e-8 (at least 2.1e-6 here), and at the theorem at rounding level
+    s, q, m = 0.0, 1.0, (1.0, 1.0, 1.0, 10.0)
+    eta = rng_for(0, "verify-wdvv/pivot").standard_normal(4)
+    for shift, want in ((1.0, lambda v: v > 1e-8), (0.0, lambda v: v < 1e-13)):
+        params = BCnParameters(n=4, r=solve_r(s, q, m) + shift, s=s, q=q, m=m)
+        chosen = 0
+        for x, T, B in sampled_tensors(params, 30, "eta-route"):
+            candidates = np.stack([B, np.tensordot(eta, T, axes=1)])
+            if usable_pivots(candidates)[0] == 1:
+                chosen += 1
+                scaled = pivot_residuals(T, candidates)[0]
+                assert np.array_equal(scaled, pivot_residuals(T, candidates[1:])[0])
+                assert want(scaled.max()), (shift, x, scaled.max())
+        assert chosen >= 10, chosen
 
 
 @pytest.mark.parametrize("condition, usable", [(1e7, True), (1e9, False)])
@@ -344,7 +406,7 @@ def test_one_usable_pivot_rule(condition, usable):
     T[1] = np.diag([1.0, 2.0])
     P = np.diag([1.0, 1.0 / condition])[None]
     if usable:
-        assert pivot_residuals(T, P)[2].tolist() == [condition]
+        assert pivot_residuals(T, P)[2] == condition
     else:
         with pytest.raises(SingularMatrixError, match=r"pivot 0 has condition number \S+ above 1e\+08"):
             pivot_residuals(T, P)
