@@ -50,6 +50,7 @@ from .errors import (
 )
 from .prepotential import (
     DEFAULT_THRESHOLD,
+    _two_path,
     active_pairings,
     h_function,
     metric_B,
@@ -270,11 +271,6 @@ def _require_spanning(config: Configuration, command: str, family: bool) -> None
                                 f"but their span has dimension {rank}: B(x) would be singular at every point")
 
 
-def _two_path(got, want) -> float:
-    """max|got - want| / max(1, max|want|), floored as want vanishes at r = s = q = 0: one tensor by two routes."""
-    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
-
-
 def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
     """The check ``name`` from its residuals; ``points[i]`` is where ``values[i]`` was taken.
 
@@ -296,10 +292,11 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
     The points are one ``admissible_points`` stream of ``fully_active(config)``
     whose generator is keyed by "<command>/points".  ``residuals(rng, x, active)``
     reads the point's ``active_pairings``, taken here once per point, draws from the
-    same generator and returns {check name: residual or residuals}.  The one discard
-    rule lives here: a point where it raises SingularMatrixError (a metric or pivot
-    that fails ``wdvv.usable_pivots``) is counted in ``discarded_points`` and
-    replaced, and past the discard cap the run ends with a SamplingError that gives
+    same generator and returns {check name: residual or residuals}, unreduced: here
+    is the one place where a check's residuals are reduced, over every point's.
+    A point where it raises SingularMatrixError (a metric or pivot that fails
+    ``wdvv.usable_pivots``) is counted in ``discarded_points`` and replaced, the one
+    discard rule; past the discard cap the run ends with a SamplingError that gives
     the count.  Any other error propagates.  Checks are reported in key order, and a
     check that received no residual is left out of the report.
     """
@@ -406,15 +403,10 @@ def _run_restriction(spec: RunSpec, parsed):
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
     vectors, mults = _bcn_members(restriction.params)
-    # the restriction keeps the family's member order, so members compare in place; the floor of 1
-    # under the multiplicities guards the family whose multiplicities all vanish
+    # the restriction keeps the family's member order, so members compare in place
     dev = math.inf
     if projected.vectors.shape == vectors.shape:
-        c = np.stack([projected.multiplicities, mults])
-        dev = max(
-            float(np.abs(projected.vectors - vectors).max(initial=0.0)),
-            float(np.abs(c[0] - c[1]).max(initial=0.0)) / max(1.0, float(np.abs(c).max(initial=0.0))),
-        )
+        dev = max(_two_path(projected.vectors, vectors), _two_path(projected.multiplicities, mults))
 
     def residuals(rng, xt, active):
         outside = restriction.pairings(xt, spec.threshold)
@@ -428,8 +420,8 @@ def _run_restriction(spec: RunSpec, parsed):
         metric = metric_identity_residuals(restriction.params, T, xt)
         return {
             "structure_constants_two_path": _two_path(C, expected),
-            "tangency_residual": [tangency.max()] if tangency.size else [],
-            "h_b_decomposition": np.max(metric),  # NaN-propagating, unlike max()
+            "tangency_residual": tangency,
+            "h_b_decomposition": metric,
         }
 
     return {"restriction_config_match": dev}, projected, residuals
@@ -450,8 +442,8 @@ def _run_susy(spec: RunSpec, parsed):
         closed = tensor_closed_form(params, x, spec.threshold)
         return {
             "hat_tensor_two_path": _two_path(base, closed),
-            "hat_commuting_residual": [commuting.max()] if commuting.size else [],
-            "hat_metric_identity": np.max(metric_identity_residuals(params, base, x)),
+            "hat_commuting_residual": commuting,
+            "hat_metric_identity": metric_identity_residuals(params, base, x),
             "gauge_residual": susy.gauge_residual(active),
         }
 

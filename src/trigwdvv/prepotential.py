@@ -6,8 +6,8 @@ representations: a direct weighted sum of coth over the active members
 helpers (``tensor_closed_form``).  Their agreement is one of the package's
 core checks, so neither path may call the other.  ``active_pairings`` gives
 the (A, c, z) of a point, the one input of every sum over members here and in
-``algebra`` and ``susy``.  ``metric_identity_residuals`` is the one comparison
-of the metric B with h diag(m).
+``algebra`` and ``susy``.  ``metric_identity_residuals`` compares the metric B
+with h diag(m), and ``_two_path`` one quantity computed by two routes.
 """
 
 from __future__ import annotations
@@ -197,6 +197,13 @@ def h_function(p: BCnParameters, x) -> float:
     """h(x) = 2q sum_k m_k cosh(2 x_k) + r."""
     x = _point(x, p.n)
     return float(2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum() + p.r)
+
+
+def _two_path(got, want) -> float:
+    """max|got - want| / max(1, max|want|), floored as want can vanish (each does at r = s = q = 0):
+    one quantity by two routes, for structure_constants_two_path, hat_tensor_two_path,
+    restriction_config_match (the vectors, then the multiplicities) and gauge_residual."""
+    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
 
 
 def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[float, float]:

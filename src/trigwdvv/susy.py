@@ -22,7 +22,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, _bcn_members, _integer
 from .errors import DimensionCapError, ParameterError
-from .prepotential import coth
+from .prepotential import _two_path, coth
 
 _FERMION_N_CAP = 7  # dim = 2^(2n) <= 16384
 
@@ -151,7 +151,7 @@ def fermionic_residual(n: int) -> float:
 
 
 def gauge_residual(active) -> float:
-    """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form, floored as V can vanish.
+    """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form: ``prepotential._two_path`` against V.
 
     L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
     relating the two Hamiltonian forms, so grad L = A^T (c (a,a) coth / 2) and
@@ -164,4 +164,4 @@ def gauge_residual(active) -> float:
     grad = A.T @ (0.5 * c * norms2 * coth(z))
     lap = -0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
     V = bosonic_potential(active)
-    return abs(V - (float(grad @ grad) - lap)) / max(1.0, abs(V))
+    return _two_path(float(grad @ grad) - lap, V)

@@ -999,7 +999,7 @@ def _scale_first_multiplicity(vectors, mults):
     "perturb, expected",
     [
         (_scale_first_multiplicity, 40.0 * 1e-6 / 60.0),  # c = -40 of max|c| = 60
-        (_swap_first_two, 1.0),  # e_1 and e_2 trade places
+        (_swap_first_two, 0.5),  # e_1 and e_2 trade places: 1 over max(1, max|want|) = 2, from 2e_i
         (lambda vectors, mults: (vectors[1:], mults[1:]), math.inf),  # one member fewer
     ],
     ids=["multiplicity-scaled", "members-swapped", "member-missing"],
@@ -1035,6 +1035,37 @@ def test_restriction_two_path_fails_when_either_route_is_scaled(monkeypatch, mod
     assert {c.name for c in report.checks if not c.passed} == failing
     two_path = next(c for c in report.checks if c.name == "structure_constants_two_path")
     assert math.isclose(two_path.max_residual, 1e-3, rel_tol=1e-3)
+
+
+def test_every_two_route_check_reads_the_one_comparison(monkeypatch):
+    # prepotential._two_path is the one comparison of a quantity by two routes: replaced
+    # where each caller looks it up, it is what all four checks report
+    for module in (cli, susy):
+        monkeypatch.setattr(module, "_two_path", lambda got, want: 7.0)
+    restriction = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=2))
+    hat = run(RunSpec(command="verify-susy", config_source=_family(3, -20, 1, 2, (1, 2, 2)), samples=2))
+    read = {c.name: c.max_residual for c in restriction.checks + hat.checks}
+    for name in ("restriction_config_match", "structure_constants_two_path", "hat_tensor_two_path", "gauge_residual"):
+        assert read[name] == 7.0, name
+
+
+def test_each_check_receives_every_residual_of_its_points(monkeypatch):
+    # the drivers reduce nothing: a check's distribution is over every subsystem row,
+    # every pair and both metric parts of every accepted point
+    received = {}
+    original = cli._check_result
+
+    def recording(name, values, points, tolerance):
+        received[name] = np.size(values)
+        return original(name, values, points, tolerance)
+
+    monkeypatch.setattr(cli, "_check_result", recording)
+    K = 3
+    run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=K))  # 4 rows
+    run(RunSpec(command="verify-susy", config_source=_family(3, -20, 1, 2, (1, 2, 2)), samples=K))  # 3 pairs
+    assert received["tangency_residual"] == 4 * K
+    assert received["hat_commuting_residual"] == 3 * K
+    assert received["h_b_decomposition"] == received["hat_metric_identity"] == 2 * K
 
 
 def test_restriction_names_a_fractional_block(capsys):
