@@ -19,17 +19,22 @@ from .errors import DimensionError
 from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
 
 
+def _operands(A: np.ndarray, names: str, *vectors) -> list[np.ndarray]:
+    """``vectors`` as float arrays; one of a shape other than (n,), n = A's column count, raises DimensionError."""
+    n = A.shape[1]
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != (n,) for v in vectors):
+        raise DimensionError(f"{names} must have shape ({n},)")
+    return vectors
+
+
 def multiply(active, u, v) -> np.ndarray:
     """u * v = sum over active members of c (alpha,u)(alpha,v) coth((alpha,x)) alpha.
 
     ``active`` is (A, c, z) from ``active_pairings`` at the point x.
     """
     A, c, z = active
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = A.shape[1]
-    if u.shape != (n,) or v.shape != (n,):
-        raise DimensionError(f"u, v must have shape ({n},)")
+    u, v = _operands(A, "u, v", u, v)
     # the pairing product is grouped first so u * v == v * u holds exactly
     pairings = (A @ u) * (A @ v)
     return A.T @ (c * coth(z) * pairings)
@@ -40,13 +45,21 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
 
     u o v = raise_index(u * v), where ``active`` is as in ``multiply`` and
     ``raise_index`` maps a covector to a vector through the source's metric G.
+    The four products share one weight c coth(z) and the pairings A u, A v and
+    A w, so a point costs one coth and nine passes over A, not four and twelve;
+    each product is grouped as ``multiply`` groups it, so the residual is the
+    four-``multiply`` composition's bit for bit.
     """
+    A, c, z = active
+    u, v, w = _operands(A, "u, v, w", u, v, w)
+    weight = c * coth(z)
+    Au, Av, Aw = A @ u, A @ v, A @ w
 
-    def product(a, b):
-        return raise_index(multiply(active, a, b))
+    def product(Aa, Ab):  # a o b from the pairings A a and A b
+        return raise_index(A.T @ (weight * (Aa * Ab)))
 
-    left = product(product(u, v), w)
-    right = product(u, product(v, w))
+    left = product(A @ product(Au, Av), Aw)
+    right = product(Au, A @ product(Av, Aw))
     scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
     return float(np.abs(left - right).max()) / scale if scale else 0.0
 
@@ -59,9 +72,11 @@ class RestrictionContext:
     ``m``, the projected configuration and its family parameters ``params``, and
     BC_N's members split once as ``_restriction`` marks them, both parts in
     BC_N's order: ``subsystem``, the block subsystem's vectors, and ``outside``,
-    the configuration of every other member.  The functions below that evaluate
-    at a point take the context and ``pairings(x_tilde, threshold)`` there, the
-    margin θ being the caller's.
+    the configuration of every other member.  The entrywise absolute values of
+    ``subsystem`` and of ``outside``'s active members, which bound the tangency
+    sums, are taken here once too.  The functions below that evaluate at a point
+    take the context and ``pairings(x_tilde, threshold)`` there, the margin θ
+    being the caller's.
     """
 
     def __init__(self, r: float, s: float, q: float, part: Partition) -> None:
@@ -72,6 +87,8 @@ class RestrictionContext:
         self.projected_config, in_subsystem = _restriction(self.block_basis, vectors, mults)
         self.subsystem = vectors[in_subsystem]
         self.outside = Configuration(part.N, vectors[~in_subsystem], mults[~in_subsystem])
+        self._abs_subsystem = np.abs(self.subsystem)
+        self._abs_outside = np.abs(self.outside.active_members[0])
 
     def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
@@ -103,14 +120,15 @@ def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     Each is |(alpha, u * v)| = |sum_beta t_beta (alpha,beta)|, u * v being ``multiply`` over the members
     beta outside the subsystem and t_beta = c (beta,u)(beta,v) coth((beta,x)), over the bound
     max(1, sum_beta |t_beta| sum_k |alpha_k||beta_k|), floored since it vanishes at r = s = q = 0.
-    The sums vanish for u, v constant on blocks; non-tangent inputs are accepted, to show tangency
-    is needed.  An empty subsystem gives an empty array.
+    t is formed once and u * v is A^T t, grouped as ``multiply`` groups it; the bound reads the
+    context's absolute members.  The sums vanish for u, v constant on blocks; non-tangent inputs are
+    accepted, to show tangency is needed.  An empty subsystem gives an empty array.
     """
     A, c, z = active
-    product = multiply(active, u, v)
+    u, v = _operands(A, "u, v", u, v)
     t = c * coth(z) * ((A @ u) * (A @ v))
-    scale = np.abs(rctx.subsystem) @ (np.abs(A).T @ np.abs(t))
-    return np.abs(rctx.subsystem @ product) / np.maximum(1.0, scale)
+    scale = rctx._abs_subsystem @ (rctx._abs_outside.T @ np.abs(t))
+    return np.abs(rctx.subsystem @ (A.T @ t)) / np.maximum(1.0, scale)
 
 
 def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:

@@ -257,11 +257,12 @@ def _require_family(parsed, command: str) -> BCnParameters:
 def _require_spanning(config: Configuration, command: str, family: bool) -> None:
     """Refuse a source whose members of nonzero multiplicity, which B(x) and every pivot lie in, miss R^n.
 
+    Those members are ``config.active_members``, the selection ``active_pairings`` reads.
     A family's members e_i, 2e_i and e_i +- e_j (both signs share one multiplicity)
     span exactly the coordinates they read, so its rank is their count; an explicit
     source's is ``np.linalg.matrix_rank``.
     """
-    spanning = config.vectors[config.multiplicities != 0.0]
+    spanning = config.active_members[0]
     if family:
         rank = int(spanning.any(axis=0).sum())
     else:
@@ -376,7 +377,7 @@ def _run_associativity(spec: RunSpec, parsed):
 
     def residuals(rng, x, active):
         raise_index = raise_index_at(x, active)
-        u, v, w = (rng.standard_normal(n) for _ in range(3))
+        u, v, w = rng.standard_normal((3, n))  # the numbers of three draws of n
         return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
 
     return {}, config, residuals

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class Configuration:
     Member k is row k of ``vectors``, anything ``np.asarray`` reads as an
     (M, dimension) float array, with multiplicity ``multiplicities[k]``.  They
     are stored as the read-only arrays ``vectors`` and ``multiplicities``,
-    which are all the package reads.
+    which are all the package reads, and ``active_members`` selects the
+    members of nonzero multiplicity from them once, on first access.
 
     Members are merged on construction, with no tolerance: a member whose
     vector equals an earlier member's vector as floats, coordinate by
@@ -87,6 +89,19 @@ class Configuration:
     def multiplicities(self) -> np.ndarray:
         """(len(self),) array of multiplicities (read-only)."""
         return self._multiplicities
+
+    @cached_property
+    def active_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, c): the vectors and multiplicities of the members of nonzero multiplicity, in order
+        (read-only), selected once per configuration; ``vectors`` and ``multiplicities`` themselves,
+        with no copy, when every multiplicity is nonzero.  The package's one selection of active members."""
+        keep = self._multiplicities != 0.0
+        if keep.all():
+            return self._vectors, self._multiplicities
+        A, c = self._vectors[keep], self._multiplicities[keep]
+        A.setflags(write=False)
+        c.setflags(write=False)
+        return A, c
 
     @property
     def members(self) -> tuple[tuple[tuple[float, ...], float], ...]:

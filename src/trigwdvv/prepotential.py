@@ -132,14 +132,15 @@ def _margin(A: np.ndarray, x: np.ndarray, threshold: float):
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
     """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
 
-    A member is active when its multiplicity is nonzero (the package's one such
-    selection).  A non-finite point raises DomainError.  Every active member
-    must satisfy |(alpha, x)| >= threshold; otherwise SingularityError names the
-    nearest one (or the first NaN pairing).  Returns (A, c, z) with z = A @ x.
+    A member is active when its multiplicity is nonzero: A and c are
+    ``config.active_members``, selected once per configuration and shared,
+    read-only, by every point, so only z = A @ x is computed here.  A non-finite
+    point raises DomainError.  Every active member must satisfy
+    |(alpha, x)| >= threshold; otherwise SingularityError names the nearest one
+    (or the first NaN pairing).  Returns (A, c, z).
     """
     x = _point(x, config.dimension)
-    active = config.multiplicities != 0.0
-    A, c = config.vectors[active], config.multiplicities[active]
+    A, c = config.active_members
     z, ok = _margin(A, x, threshold)
     if not ok:
         if z is None:

@@ -12,7 +12,8 @@ time with an explicit inverse for the pivot norm (and, for bit-for-bit
 comparison, by the full commutator pass over every (i, j) with a separate SVD
 for the norms), the gauge relation between the two Hamiltonian forms is
 differentiated by central stencils on scalar test fields,
-admissible points are drawn by box-uniform rejection, the tangency
+admissible points are drawn by box-uniform rejection, the associativity
+residual is composed from four ``multiply`` calls, the tangency
 residual of a restriction is summed one subsystem covector at a time and the
 restricted product one outside member at a time, the
 closed-form BC_n tensor is filled one index pair at a time, and the generic
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from trigwdvv.algebra import RestrictionContext
+from trigwdvv.algebra import RestrictionContext, multiply
 from trigwdvv.configurations import BCnParameters, Configuration
 from trigwdvv.errors import (
     DimensionCapError,
@@ -132,6 +133,19 @@ def rejection_sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFA
         else:
             raise SamplingError(f"no admissible point after {MAX_ATTEMPTS_PER_POINT} attempts")
     return out
+
+
+def associativity_residual_by_multiply(active, u, v, w, raise_index) -> float:
+    """(u o v) o w - u o (v o w) with u o v = raise_index(multiply(active, u, v)), four ``multiply``
+    calls that each pair and weight afresh: max-abs entry over the larger side's, 0 when both vanish."""
+
+    def product(a, b):
+        return raise_index(multiply(active, a, b))
+
+    left = product(product(u, v), w)
+    right = product(u, product(v, w))
+    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+    return float(np.abs(left - right).max()) / scale if scale else 0.0
 
 
 def tangency_residual(rctx: RestrictionContext, active, u, v, alpha) -> float:

@@ -25,7 +25,12 @@ from trigwdvv.prepotential import active_pairings, coth, h_function, metric_B, m
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
 
-from tests.oracles import restricted_multiply_loop, sample_points, tangency_residual
+from tests.oracles import (
+    associativity_residual_by_multiply,
+    restricted_multiply_loop,
+    sample_points,
+    tangency_residual,
+)
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -166,6 +171,32 @@ class TestAssociativity:
             e_i, e_j = np.eye(2)[i], np.eye(2)[j]
             assert np.abs(family_metric(rctx.params)(multiply(active, e_i, e_j)) - C[i, j]).max() < 1e-12
 
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0], ids=["theorem", "r+1"])
+@pytest.mark.parametrize("metric", ["diag(m)", "B"])
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_associativity_residual_is_the_four_multiply_composition_bit_for_bit(n, metric, shift):
+    # the four products share one weight and the pairings A u, A v, A w, each grouped as multiply
+    # groups it; m alternates 1, 2 at s = 0, so every 2e_i with m_i = 1 is an inactive member
+    m = tuple(1.0 + i % 2 for i in range(n))
+    p = BCnParameters(n=n, r=solve_r(0.0, 1.0, m) + shift, s=0.0, q=1.0, m=m)
+    config = build_bcn(p)
+    rng = rng_for(19, "assoc/four-multiply")
+    box = (0.3, 4.0) if n > 24 else (0.3, 1.5)  # the default box spaces at most 24 coordinates
+    for x in sample_points(rng, fully_active(config), 3, box):
+        active = active_pairings(config, x)
+        raise_index = family_metric(p) if metric == "diag(m)" else b_metric(config, x)
+        u, v, w = rng.standard_normal((3, n))
+        got = associativity_residual(active, u, v, w, raise_index)
+        assert got == associativity_residual_by_multiply(active, u, v, w, raise_index)
+        assert (got > 1e-8) == bool(shift)
+
+
+def test_associativity_residual_refuses_a_vector_of_the_wrong_shape():
+    active = active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3])
+    with pytest.raises(DimensionError, match=r"u, v, w must have shape \(3,\)"):
+        associativity_residual(active, np.ones(3), np.ones(3), np.ones(4), family_metric(BC3))
 
 @pytest.mark.parametrize("blocks", [(2, 3), (1, 1, 1), (5, 5, 5, 5), (2, 3, 4, 5), (3, 1, 2, 6, 1)],
                          ids=lambda blocks: "-".join(map(str, blocks)))
@@ -323,6 +354,21 @@ class TestTangency:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * active[0].nbytes
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (5, 5, 5, 5)])
+    def test_rows_are_the_multiply_route_bit_for_bit(self, blocks):
+        # u * v is A^T t from the one t of the bound, grouped as multiply groups it
+        part = Partition(N=sum(blocks), blocks=blocks)
+        rctx = RestrictionContext(-2.0 * (part.N - 2) + 1.0, 0.0, 1.0, part)
+        rng = rng_for(20, "tangency/multiply")
+        for xt in sample_points(rng, fully_active(rctx.projected_config), 3):
+            active = rctx.pairings(xt)
+            u, v = rng.standard_normal(part.N), block_constant(part, rng.standard_normal(part.n))
+            A, c, z = active
+            t = c * coth(z) * ((A @ u) * (A @ v))
+            bound = np.abs(rctx.subsystem) @ (np.abs(A).T @ np.abs(t))
+            want = np.abs(rctx.subsystem @ multiply(active, u, v)) / np.maximum(1.0, bound)
+            assert np.array_equal(tangency_residuals(rctx, active, u, v), want)
 
     @pytest.mark.parametrize("blocks", [(2, 1), (2, 3), (5, 5, 5, 5), (10, 10, 10, 10)])
     def test_rows_equal_the_single_alpha_oracle(self, blocks):

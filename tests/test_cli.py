@@ -1147,6 +1147,16 @@ def test_explicit_associativity_judges_b_before_drawing_u_v_w():
     assert check.max_residual == max(residuals)
 
 
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_u_v_w_in_one_draw_are_three_draws_of_n(n):
+    # verify-associativity draws u, v and w as one (3, n) array: the same numbers, bit for bit, as
+    # three draws of n, and the stream goes on from the same state
+    one, three = (rng_for(0, "verify-associativity/points") for _ in range(2))
+    uvw = one.standard_normal((3, n))
+    assert uvw.tobytes() == np.concatenate([three.standard_normal(n) for _ in range(3)]).tobytes()
+    assert one.uniform(size=n).tobytes() == three.uniform(size=n).tobytes()
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -240,6 +240,41 @@ class TestTypes:
         assert np.array_equal(subsystem, vectors[within]) and sum(within) == 1 + 3
 
 
+class TestActiveMembers:
+    def test_zero_multiplicities_select_exactly_the_masked_rows_in_order(self):
+        vectors = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0), (0.0, 2.0)]
+        config = Configuration(2, vectors, [0.0, 2.0, 0.0, -1.5, 3.0, 0.0])
+        A, c = config.active_members
+        keep = config.multiplicities != 0.0
+        assert A.tolist() == [[0.0, 1.0], [1.0, -1.0], [2.0, 0.0]] and c.tolist() == [2.0, -1.5, 3.0]
+        assert np.array_equal(A, config.vectors[keep]) and np.array_equal(c, config.multiplicities[keep])
+        assert not A.flags.writeable and not c.flags.writeable
+        assert config.active_members is config.active_members
+
+    def test_a_merge_to_zero_is_inactive(self):
+        # the selection reads the merged multiplicities: 1 + (-1) leaves the slot inactive
+        config = Configuration(1, [(1.0,), (2.0,), (1.0,)], [1.0, 4.0, -1.0])
+        A, c = config.active_members
+        assert A.tolist() == [[2.0]] and c.tolist() == [4.0]
+
+    def test_every_multiplicity_nonzero_selects_the_arrays_themselves(self):
+        config = build_bcn(BCnParameters(n=4, r=-12.0, s=0.5, q=1.0, m=(1.0, 2.0, 1.0, 2.0)))
+        A, c = config.active_members
+        assert A is config.vectors and c is config.multiplicities
+
+    def test_the_family_at_s_0_and_unit_m_leaves_out_every_2e_i(self):
+        n = 5
+        config = build_bcn(BCnParameters(n=n, r=-6.0, s=0.0, q=1.0, m=(1.0,) * n))
+        A, c = config.active_members
+        assert np.array_equal(A, np.delete(config.vectors, np.s_[n : 2 * n], axis=0))
+        assert np.array_equal(c, np.delete(config.multiplicities, np.s_[n : 2 * n]))
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_no_active_member_selects_no_row(self, dimension):
+        A, c = Configuration(dimension, np.eye(dimension), np.zeros(dimension)).active_members
+        assert A.shape == (0, dimension) and c.shape == (0,)
+
+
 class TestConstraintResidual:
     # the multiplicity relation r + 8s + 2q(N - 2) = 0 is written out in each test as its reference
     def test_b2_point(self):

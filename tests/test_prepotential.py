@@ -244,6 +244,18 @@ class TestActivePairings:
         assert mult.tolist() == [2.0, -0.5]
         assert z.tolist() == [0.7, 1.4]
 
+    @pytest.mark.parametrize("s", [0.0, 0.5], ids=["some-inactive", "all-active"])
+    def test_every_point_shares_one_read_only_selection(self, s):
+        # at s = 0 and unit m every 2e_i is inactive; A and c are selected once per
+        # configuration, and only z is computed at a point
+        config = build_bcn(BCnParameters(n=3, r=-2.0 - 8.0 * s, s=s, q=1.0, m=(1.0, 1.0, 1.0)))
+        A1, c1, z1 = active_pairings(config, [0.9, 0.5, 1.3])
+        A2, c2, z2 = active_pairings(config, [0.4, 1.1, 0.7])
+        assert A1 is A2 and c1 is c2 and z1 is not z2
+        assert not A1.flags.writeable and not c1.flags.writeable
+        assert (A1 is config.vectors) == (s != 0.0) and len(A1) == len(c1) == (12 if s else 9)
+        assert z2.tolist() == (A2 @ [0.4, 1.1, 0.7]).tolist()
+
     @pytest.mark.parametrize("caller", HYPERPLANE_CALLERS.values(), ids=HYPERPLANE_CALLERS.keys())
     def test_every_caller_names_the_nearest_member(self, caller):
         x = np.array([0.9, 0.899])  # (e_1 - e_2, x) = 1e-3, below the default threshold
