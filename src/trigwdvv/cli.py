@@ -292,7 +292,7 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
     whose generator is keyed by "<command>/points".  ``residuals(rng, x, active)``
-    reads the point's ``active_pairings``, taken here once per point, draws from the
+    reads (A, c, z), z the sampler's product at ``config.active_rows``, draws from the
     same generator and returns {check name: residual or residuals}, unreduced: here
     is the one place where a check's residuals are reduced, over every point's.
     A point where it raises SingularMatrixError (a metric or pivot that fails
@@ -310,9 +310,11 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
         if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
             discarded = f"{report.discarded_points} had {_UNUSABLE_PIVOT}"
             raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {discarded}")
-        x = next(points)
+        x, z = next(points)
+        # read after the first draw: selected before it, A would sit beside the sampler's set-up arrays
+        (A, c), rows = config.active_members, config.active_rows
         try:
-            values = residuals(rng, x, active_pairings(config, x, spec.threshold))
+            values = residuals(rng, x, (A, c, z if rows is None else z[rows]))
         except SingularMatrixError:
             report.discarded_points += 1
             continue

@@ -116,32 +116,28 @@ def _point(x, n: int) -> np.ndarray:
     return x
 
 
-def _margin(A: np.ndarray, x: np.ndarray, threshold: float):
-    """(z, ok) for the covectors A (rows) at the point x.
-
-    z = A @ x, and ok is true iff x is finite and every |z| >= threshold, so a
-    NaN pairing fails.  z is None when x is not finite.  The one margin rule
-    of ``active_pairings`` and ``is_admissible``.
-    """
+def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
+    """(z, ok): z = A @ x for the covectors A (rows), or its entries at ``rows``, and ok iff x is finite
+    and every |z| >= threshold (a NaN pairing fails, an empty z passes).  z is None for a non-finite x."""
     if not np.isfinite(x).all():
         return None, False
     z = A @ x
-    return z, bool((np.abs(z) >= threshold).all())
+    if rows is not None:
+        z = z[rows]
+    return z, bool(np.abs(z).min(initial=np.inf) >= threshold)
 
 
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
-    """Vectors, multiplicities and pairings (alpha, x) of the active members of ``config``.
+    """(A, c, z): the active members of ``config`` (nonzero multiplicity) and their pairings (alpha, x).
 
-    A member is active when its multiplicity is nonzero: A and c are
-    ``config.active_members``, selected once per configuration and shared,
-    read-only, by every point, so only z = A @ x is computed here.  A non-finite
-    point raises DomainError.  Every active member must satisfy
-    |(alpha, x)| >= threshold; otherwise SingularityError names the nearest one
-    (or the first NaN pairing).  Returns (A, c, z).
+    A and c are ``config.active_members``, shared read-only by every point; z is
+    ``config.vectors @ x`` at ``config.active_rows``, the one route to z, which ``cli._sampled`` takes
+    too.  A non-finite point raises DomainError; an active member with |(alpha, x)| < threshold
+    raises SingularityError naming the nearest one (or the first NaN pairing).
     """
     x = _point(x, config.dimension)
     A, c = config.active_members
-    z, ok = _margin(A, x, threshold)
+    z, ok = _margin(config.vectors, x, threshold, config.active_rows)
     if not ok:
         if z is None:
             raise DomainError(f"point {x.tolist()} is not finite")
@@ -222,11 +218,8 @@ def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[
 
 
 def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True iff x keeps a margin ``threshold`` from the hyperplane of every row of ``pattern``.
-
-    ``pattern`` is an (M, n) covector array (``sampling.fully_active``); no multiplicity
-    is read.  Requires a finite x of shape (n,) and |(alpha, x)| >= threshold for every
-    row: the margin rule of ``active_pairings``, and no other.
-    """
+    """True iff x is finite, has shape (n,) and keeps |(alpha, x)| >= ``threshold`` for every
+    row alpha of the (M, n) covector array ``pattern``; no multiplicity is read.  The margin
+    rule of ``active_pairings`` and ``sampling.admissible_points``, and no other."""
     x = np.asarray(x, dtype=float)
     return x.shape == pattern.shape[1:] and _margin(pattern, x, threshold)[1]

@@ -4,10 +4,10 @@ Every verification stream derives its generator from (seed, label) through a
 SHA-256 digest of the label, so adding a stream never perturbs the samples of
 another; checks that share a stream share its draws.
 
-``admissible_points`` is the one candidate loop: an endless stream that
-examines the box and the pattern once, and a verification run draws all of
-its points from one stream.  Its docstring describes the distribution.  The
-attempt cap keeps pathological boxes diagnosable instead of looping forever.
+``admissible_points`` is the one candidate loop and the one place a sampled
+point's pairings are formed and margin-tested: a verification run draws all of
+its points, with their pairings, from one stream.  The attempt cap keeps
+pathological boxes diagnosable instead of looping forever.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .configurations import Configuration, _real
 from .errors import PreconditionError, SamplingError
-from .prepotential import is_admissible
+from .prepotential import _margin
 
 DEFAULT_BOX = (0.3, 1.5)
 MAX_ATTEMPTS_PER_POINT = 10_000
@@ -54,21 +54,19 @@ def box_bounds(box) -> tuple[float, float]:
     return lo, hi
 
 
-def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[np.ndarray]:
-    """Endless stream of points uniform on the admissible part of the box.
+def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless stream of (x, z): x uniform on the admissible part of the box, z = pattern @ x.
 
-    Every candidate is accepted or rejected by ``is_admissible``, and each
-    point gets at most MAX_ATTEMPTS_PER_POINT candidates.  When
-    ``covers_every_pair(pattern)`` and theta = ``threshold`` > 0, a candidate
-    is u + theta * rank(u) for u uniform in [lo, hi - (n-1) theta]^n, where
-    rank(u)_i counts the entries of u below u_i.  This map is a bijection with
-    unit Jacobian onto S = {x in the box : |x_i - x_j| >= theta}, and S holds
-    every admissible point, so the accepted points have the distribution that
-    box-uniform rejection gives, at about one candidate each.  A box that is
-    not two numbers, finite with lo < hi (``box_bounds``), or with (n-1) theta >= hi - lo (S is empty),
-    raises PreconditionError before any draw.  Otherwise candidates are
-    box-uniform.  The errors are raised when the first point, or the point
-    that exhausts its attempts, is requested.
+    A candidate's z is formed once and tested by ``is_admissible``'s margin rule, and
+    an accepted x comes with it; a point gets at most MAX_ATTEMPTS_PER_POINT candidates.
+    When ``covers_every_pair(pattern)`` and theta = ``threshold`` > 0, a candidate is
+    u + theta * rank(u), u uniform in [lo, hi - (n-1) theta]^n and rank(u)_i the count
+    of entries below u_i: a bijection with unit Jacobian onto S = {x in the box :
+    |x_i - x_j| >= theta}, which holds every admissible point, so the points have
+    box-uniform rejection's distribution at about one candidate each.  Otherwise
+    candidates are box-uniform.  A box that ``box_bounds`` refuses, or with (n-1) theta
+    >= hi - lo (S is empty), raises PreconditionError before any draw; the errors are
+    raised when the first point, or the one that exhausts its attempts, is requested.
     """
     lo, hi = box_bounds(box)
     n = pattern.shape[1]
@@ -83,9 +81,10 @@ def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, thresh
         for _ in range(MAX_ATTEMPTS_PER_POINT):
             x = rng.uniform(lo, hi - width, n)
             if spaced:
-                x += threshold * (x[:, None] > x).sum(axis=1)
-            if is_admissible(pattern, x, threshold):
-                yield x
+                x += threshold * np.sort(x).searchsorted(x)  # rank: the count of entries below x_i
+            z, ok = _margin(pattern, x, threshold)
+            if ok:
+                yield x, z
                 break
         else:
             raise SamplingError(

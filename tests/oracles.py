@@ -112,7 +112,7 @@ def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
 
 def sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
     """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from."""
-    return np.array(list(itertools.islice(admissible_points(rng, pattern, box, threshold), count)))
+    return np.array([x for x, _ in itertools.islice(admissible_points(rng, pattern, box, threshold), count)])
 
 
 def rejection_sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:

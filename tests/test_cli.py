@@ -784,6 +784,40 @@ def test_worst_point_is_the_first_non_finite_else_the_first_maximum(values, wors
     assert check.passed is False
 
 
+_DENSE = np.random.default_rng(5).standard_normal((80, 8))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        build_bcn(BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0))),
+        susy.build_hat_configuration(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))).config,
+        build_bcn(BCnParameters(n=3, r=0.0, s=0.0, q=0.0, m=(1.0, 1.0, 1.0))),
+        load_config_source(config_document(load_config_source(_family(3, -1, 1, 0, (1, 1, 1))))),
+        # a dense source where every third member has multiplicity zero: at n = 8 the rows of
+        # V @ x and the product of the selected rows can differ in the last bit (BLAS blocking)
+        Configuration(8, _DENSE, np.where(np.arange(80) % 3, np.linspace(-2.0, 3.0, 80), 0.0)),
+    ],
+    ids=["family", "rescaled", "zero-family", "q0-document", "dense-explicit"],
+)
+def test_sampled_pairings_are_active_pairings_bit_for_bit(config):
+    # _sampled takes (A, c, z) from the sampler's margin-tested product, by the one route to z
+    # that active_pairings takes, so every sum over members reads the same bits either way
+    spec = RunSpec(command="verify-metric", config_source={}, samples=20)
+    got = []
+
+    def residuals(rng, x, active):
+        got.append((x, active))
+        return {}
+
+    _sampled(VerificationReport(run=spec), config, residuals)
+    assert len(got) == 20
+    for x, (A, c, z) in got:
+        A_want, c_want, z_want = active_pairings(config, x, spec.threshold)
+        assert A is A_want and c is c_want
+        assert z.shape == z_want.shape == (len(c),) and z.tobytes() == z_want.tobytes()
+
+
 def test_a_singular_matrix_error_discards_the_point_and_nothing_else_does():
     # the one discard rule: a residual function that raises SingularMatrixError
     # (the usable-pivot rule's refusal) has its point counted and replaced, and
@@ -912,42 +946,53 @@ def test_restriction_checks_read_the_context_family(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, source, per_point",
+    "command, source, sampled, per_point",
     [
         # the family the run samples, 3 + 3 + 6 members
-        *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
+        *((command, _family(3, -20, 1, 2, (1, 2, 2)), (3, 12), [])
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projected BC_2 the run samples, then BC_5 outside its 4 within-block differences
-        # at the embedded point
-        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4 - 4)]),
+        # the projected BC_2 the run samples; then BC_5 outside its 4 within-block differences
+        # at the embedded point, the one active_pairings call of a run
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), (2, 6), [(5, 2 * 5 + 5 * 4 - 4)]),
         # the rescaled BC_2: its tensor and the gauge residual read the same pairings
-        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
+        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), (2, 6), []),
         # the explicit route's metric B(x) and the products read the same pairings
-        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2)))), [(3, 12)]),
+        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2)))), (3, 12), []),
     ],
     ids=["verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy",
          "verify-associativity-explicit"],
 )
-def test_takes_the_pairings_once_per_point(monkeypatch, command, source, per_point):
-    # every sum over members at a point reads the one (A, c, z) that _sampled takes,
-    # and every call, verify-restriction's own too, receives the run's margin
-    calls, margins = [], set()
-    original = active_pairings
+def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled, per_point):
+    # an accepted point's pairings are the one product its candidate formed in the sampler:
+    # _sampled makes no active_pairings call for the sampled configuration, and every call
+    # that is left, verify-restriction's of outside, receives the run's margin, as the sampler does
+    calls, products, margins = [], [], set()
+    original, margin = active_pairings, sampling._margin
 
     def counting(config, x, threshold):
         calls.append((config.dimension, len(config)))
         margins.add(threshold)
         return original(config, x, threshold)
 
+    def counting_margin(pattern, x, threshold, rows=None):
+        z, ok = margin(pattern, x, threshold, rows)
+        products.append((pattern.shape[::-1], ok))
+        margins.add(threshold)
+        return z, ok
+
     # every trigwdvv namespace that holds it, so a caller that imported it by name is counted
     for name, module in list(sys.modules.items()):
         if name.startswith("trigwdvv") and getattr(module, "active_pairings", None) is original:
             monkeypatch.setattr(module, "active_pairings", counting)
+    monkeypatch.setattr(sampling, "_margin", counting_margin)
     for samples in (1, 3):
         calls.clear()
+        products.clear()
         report = run(RunSpec(command=command, config_source=source, samples=samples, threshold=0.07))
         assert report.discarded_points == 0
         assert sorted(calls) == sorted(per_point * samples)
+        assert [shape for shape, ok in products if ok] == [sampled] * samples
+        assert {shape for shape, _ in products} == {sampled}
     assert margins == {0.07}
 
 

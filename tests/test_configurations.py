@@ -12,6 +12,7 @@ from trigwdvv.configurations import (
     Configuration,
     Partition,
     _bcn_members,
+    _merge_slots,
     build_bcn,
     restrict_configuration,
     solve_r,
@@ -493,6 +494,33 @@ class TestMergeRule:
         # signed zero stays signed: -0.0 + -0.0 is -0.0, 0.0 + -0.0 is not
         c = Configuration(1, [(1.0,), (2.0,), (1.0,)], [-0.0, 1.0, -0.0])
         assert [math.copysign(1.0, v) for v in c.multiplicities] == [-1.0, 1.0]
+
+
+def _slots_by_rows(flat):
+    """(head, slot_of) by one pass over the rows as float tuples, where -0.0 == 0.0."""
+    first = {}
+    joins = np.array([first.setdefault(tuple(row), i) for i, row in enumerate(flat.tolist())], dtype=np.intp)
+    head = joins == np.arange(len(joins))
+    return head, (np.cumsum(head) - 1)[joins]
+
+
+@pytest.mark.parametrize(
+    "flat",
+    [
+        _bcn_members(BCnParameters(n=5, r=1.0, s=1.0, q=1.0, m=(1.0,) * 5))[0],
+        np.array([(1.0, 0.0), (2.0, 1.0), (1.0, 0.0), (0.5, 0.5), (2.0, 1.0), (1.0, 0.0)]),
+        np.array([(1.0, 0.0), (1.0, -0.0), (-0.0, 2.0), (0.0, 2.0)]),
+        np.array([(0.0, 0.0), (1.0, 1.0), (-0.0, 0.0), (1.0, 1.0 + 1e-13)]),
+        np.empty((0, 3)),
+    ],
+    ids=["distinct", "merging", "signed-zeros", "zero-rows", "empty"],
+)
+def test_merge_slots_match_the_per_row_pass(flat):
+    # distinct rows skip the per-row pass: every row opens its own slot
+    head, slot_of = _merge_slots(flat)
+    want_head, want_slot_of = _slots_by_rows(flat)
+    assert head.dtype == bool and slot_of.dtype == np.intp
+    assert np.array_equal(head, want_head) and np.array_equal(slot_of, want_slot_of)
 
 
 _BASES = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0), (2.0, 0.0, 1.0), (1e6, -3.0, 0.5)]

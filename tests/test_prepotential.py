@@ -244,6 +244,17 @@ class TestActivePairings:
         assert mult.tolist() == [2.0, -0.5]
         assert z.tolist() == [0.7, 1.4]
 
+    def test_a_point_within_theta_of_an_inactive_member_only_is_admitted(self):
+        # the margin is tested at the active rows of V @ x alone, so a point 0.01 from the
+        # hyperplane of the zero-multiplicity member (0.6, -0.8) passes, which the sampler,
+        # testing every member, refuses
+        c = Configuration(2, [(0.6, -0.8), (0.3, 0.7), (1.0, 0.0)], [0.0, 2.0, -1.0])
+        x = np.array([0.8, 0.6 - 0.0125])
+        A, mult, z = active_pairings(c, x, 0.05)
+        assert A.tolist() == [[0.3, 0.7], [1.0, 0.0]] and mult.tolist() == [2.0, -1.0]
+        assert z.tobytes() == (c.vectors @ x)[c.active_rows].tobytes()
+        assert abs(c.vectors[0] @ x) < 0.05 and not is_admissible(c.vectors, x, 0.05)
+
     @pytest.mark.parametrize("s", [0.0, 0.5], ids=["some-inactive", "all-active"])
     def test_every_point_shares_one_read_only_selection(self, s):
         # at s = 0 and unit m every 2e_i is inactive; A and c are selected once per

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from trigwdvv import sampling
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import PreconditionError
 from trigwdvv.prepotential import is_admissible
-from trigwdvv.sampling import covers_every_pair, fully_active, rng_for
+from trigwdvv.sampling import DEFAULT_BOX, covers_every_pair, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 
 from tests.oracles import ks_statistic, rejection_sample_points, sample_points
@@ -149,16 +151,53 @@ def test_large_n_points_are_admissible(n):
 
 
 def test_one_draw_per_point_for_bcn_in_the_default_box(monkeypatch):
-    # in the default box every spaced candidate of a BC_n family is admissible
-    calls = []
+    # in the default box every spaced candidate of a BC_n family is admissible; each
+    # candidate forms one product pattern @ x, and the point yields the z it tested
+    calls, tested = [], []
+    margin = sampling._margin
 
-    def counting(config, x, threshold):
-        calls.append(1)
-        return is_admissible(config, x, threshold)
+    def counting(pattern, x, threshold, rows=None):
+        calls.append(pattern)
+        z, ok = margin(pattern, x, threshold, rows)
+        tested.append(z)
+        return z, ok
 
-    monkeypatch.setattr(sampling, "is_admissible", counting)
-    sample_points(rng_for(0, "count"), bcn_pattern(12), 50)
-    assert len(calls) == 50
+    monkeypatch.setattr(sampling, "_margin", counting)
+    pattern = bcn_pattern(12)
+    points = list(itertools.islice(sampling.admissible_points(rng_for(0, "count"), pattern, DEFAULT_BOX, 0.05), 50))
+    assert len(calls) == 50 and all(p is pattern for p in calls)
+    assert all(z is want for (_, z), want in zip(points, tested))
+    assert all(np.array_equal(z, pattern @ x) for x, z in points)
+
+
+class _TiedUniform:
+    """A generator stand-in whose candidates u are given, ties included."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, lo, hi, n):
+        return np.array(next(self.draws), dtype=float)
+
+
+def test_spacing_rank_counts_the_entries_below_with_ties(monkeypatch):
+    # the rank is np.sort(u).searchsorted(u): the count of entries strictly below u_i,
+    # which tied entries share, as the comparison count (u[:, None] > u).sum(axis=1) gives
+    draws = [[0.5, 0.4, 0.5, 0.4], [0.7, 0.7, 0.7, 0.7], [0.31, 0.9, 0.6, 0.32]]
+    candidates = []
+    margin = sampling._margin
+
+    def recording(pattern, x, threshold, rows=None):
+        candidates.append(x.copy())
+        return margin(pattern, x, threshold, rows)
+
+    monkeypatch.setattr(sampling, "_margin", recording)
+    x, _ = next(sampling.admissible_points(_TiedUniform(draws), bcn_pattern(4), DEFAULT_BOX, 0.05))
+    for u, got in zip(draws, candidates, strict=True):
+        u = np.array(u)
+        assert np.sort(u).searchsorted(u).tolist() == (u[:, None] > u).sum(axis=1).tolist()
+        assert got.tolist() == (u + 0.05 * (u[:, None] > u).sum(axis=1)).tolist()
+    assert x.tolist() == candidates[-1].tolist()
 
 
 def test_box_too_narrow_raises_before_any_draw():
