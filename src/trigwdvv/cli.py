@@ -147,10 +147,10 @@ def dumps_17g(obj) -> str:
     """JSON with floats rendered at 17 significant digits, insertion order kept.
 
     JSON has no NaN or infinity, so a non-finite float is rendered as null.
-    Floats, the most common values, are tested for first; a string is written
-    as ``json.dumps`` writes it.
+    Floats, the most common values, are tested for first, by exact type before
+    the isinstance chain; a string is written as ``json.dumps`` writes it.
     """
-    if isinstance(obj, (float, np.floating)):
+    if type(obj) is float or isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
         return "{" + ",".join(f"{encode_basestring_ascii(str(k))}:{dumps_17g(v)}" for k, v in obj.items()) + "}"
@@ -284,7 +284,7 @@ def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
     worst = int(bad.argmax() if bad.any() else values.argmax())
     mx, point = float(values[worst]), points[worst]
     point = None if point is None else point.tolist()
-    return CheckResult(name, mx, float(np.mean(values)), point, mx < tolerance)
+    return CheckResult(name, mx, float(values.sum() / values.size), point, mx < tolerance)  # np.mean's float64 path
 
 
 def _sampled(report: VerificationReport, config: Configuration, residuals) -> None:

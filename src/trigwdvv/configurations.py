@@ -74,10 +74,7 @@ class Configuration:
             if not math.isfinite(sums[k]):
                 raise ParameterError("multiplicity must be finite")
             raise ParameterError("member vectors must be nonzero")
-        vectors.setflags(write=False)
-        sums.setflags(write=False)
-        self._vectors = vectors
-        self._multiplicities = sums
+        self._vectors, self._multiplicities = _read_only(vectors, sums)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -102,10 +99,7 @@ class Configuration:
         rows = self.active_rows
         if rows is None:
             return self._vectors, self._multiplicities
-        A, c = self._vectors[rows], self._multiplicities[rows]
-        A.setflags(write=False)
-        c.setflags(write=False)
-        return A, c
+        return _read_only(self._vectors[rows], self._multiplicities[rows])
 
     @property
     def members(self) -> tuple[tuple[tuple[float, ...], float], ...]:
@@ -136,6 +130,13 @@ def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, (np.cumsum(head) - 1)[joins]
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _integer(value, error: str, error_type: type[Exception] = ParameterError) -> int:
     """``value`` as an int if it is an integral real a float holds (2.0 reads as 2); else ``error_type(error)``."""
     if _real(value, error, error_type).is_integer():
@@ -157,7 +158,8 @@ def _real(value, error: str, error_type: type[Exception] = ParameterError) -> fl
 
 @dataclass(frozen=True)
 class BCnParameters:
-    """Parameters (n, r, s, q, m_1..m_n) of the BC_n family; N = sum(m) is cached."""
+    """Parameters (n, r, s, q, m_1..m_n) of the BC_n family; N = sum(m) is cached, and so are arrays of the
+    parameters alone, read-only and per instance, outside the fields that equality and hashing read."""
 
     n: int
     r: float
@@ -178,9 +180,15 @@ class BCnParameters:
         for name, value in zip(("r", "s", "q", "m", "N"), (r, s, q, tuple(m), float(sum(m)))):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def m_array(self) -> np.ndarray:
-        return np.asarray(self.m, dtype=float)
+        return _read_only(np.asarray(self.m, dtype=float))[0]
+
+    @cached_property
+    def closed_form_weights(self) -> tuple[np.ndarray, ...]:
+        """(r m, 4(2s m + q m(m - 1)), q m, q m m^T): the point-independent factors of ``tensor_closed_form``."""
+        r, s, q, m = self.r, self.s, self.q, self.m_array
+        return _read_only(r * m, 4.0 * (2.0 * s * m + q * m * (m - 1.0)), q * m, q * np.outer(m, m))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, _integer
 from .errors import DimensionError, DomainError, SingularityError
+from .wdvv import _off_pairs
 
 # Minimum distance from every active hyperplane (alpha, x) = 0; keeps all coth
 # factors and condition numbers O(1)..O(10) at default sampling.
@@ -67,12 +68,13 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     if not np.isfinite(x).all():
         raise DomainError(f"point {x.tolist()} is not finite")
     n = x.shape[0]
-    plus = x[:, None] + x[None, :]
-    minus = x[:, None] - x[None, :]
-    off = ~np.eye(n, dtype=bool)
-    args = np.concatenate([x, 2.0 * x, plus[off], minus[off]])
-    bad = np.abs(args) < threshold
-    if bad.any():
+    i, j = _off_pairs(n)
+    xi, xj = x[i], x[j]
+    plus, minus = xi + xj, xi - xj
+    # |2 x_k| >= |x_k|, so the x piece is nearer: the margin needs three minima, not the joined array
+    if min(np.abs(a).min(initial=np.inf) for a in (x, plus, minus)) < threshold:
+        args = np.concatenate([x, 2.0 * x, plus, minus])
+        bad = np.abs(args) < threshold
         worst = float(args[bad][np.argmin(np.abs(args[bad]))])
         raise SingularityError(
             f"sinh argument {worst:.6g} is within {threshold} of zero at x = {x.tolist()}"
@@ -80,7 +82,7 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     b = coth(x)
     bt = coth(2.0 * x)
     b_pair = np.zeros((n, n))
-    b_pair[off] = coth(plus[off]) + coth(minus[off])
+    b_pair[i, j] = coth(plus) + coth(minus)
     return b, bt, b_pair
 
 
@@ -153,12 +155,12 @@ def tensor_generic(active) -> np.ndarray:
     """Third-derivative tensor F_ijk = sum_alpha c_alpha a_i a_j a_k coth((alpha, x)).
 
     ``active`` is (A, c, z) from ``active_pairings`` at the point x.  One GEMM
-    over the active members, (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k:
-    exactly symmetric in (j, k), symmetric in i only up to rounding.
+    over the active members, (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k, one multiply
+    each by einsum (a zero as +0.0): exactly symmetric in (j, k), in i only up to rounding.
     """
     A, c, z = active
     n = A.shape[1]
-    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    AA = np.einsum("mi,mj->mij", A, A).reshape(len(A), n * n)
     return ((A.T * (c * coth(z))) @ AA).reshape(n, n, n)
 
 
@@ -170,16 +172,14 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
     and a single index b carry q m_a m_b b_pair[b][a]; all others vanish.
     """
     x = _point(x, p.n)
-    n, r, s, q = p.n, p.r, p.s, p.q
-    m = p.m_array
+    n = p.n
+    rm, wt, qm, qmm = p.closed_form_weights
     b, bt, b_pair = hyperbolic_helpers(x, threshold)
     F = np.zeros((n, n, n))
-    diag = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
-    pair_val = q * np.outer(m, m) * b_pair.T  # [a, b] -> q m_a m_b b_pair[b][a]
-    F[np.diag_indices(n, 3)] = diag
-    # (i, i, j), (i, j, i) and (j, i, i) with i != j never coincide: one write per entry
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    F[i, i, j] = F[i, j, i] = F[j, i, i] = pair_val[i, j]
+    F.reshape(-1)[:: n * n + n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)  # F[k, k, k]
+    # (i, i, j), (i, j, i) and (j, i, i) with i != j never coincide: one write per entry, q m_i m_j b_pair[j][i]
+    i, j = _off_pairs(n)
+    F[i, i, j] = F[i, j, i] = F[j, i, i] = qmm[i, j] * b_pair[j, i]
     return F
 
 
@@ -211,10 +211,10 @@ def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[
     r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
     """
     target = h_function(p, x) * p.m_array
-    dev = np.abs(metric_B(tensor, x) - np.diag(target))
+    B = metric_B(tensor, x)
     scale = max(1.0, float(np.abs(target).max()))
-    off = dev[~np.eye(len(target), dtype=bool)].max(initial=0.0)
-    return float(off) / scale, float(np.diag(dev).max()) / scale
+    off = np.abs(B[_off_pairs(len(target))]).max(initial=0.0)  # the target is diagonal
+    return float(off) / scale, float(np.abs(B.reshape(-1)[:: len(target) + 1] - target).max()) / scale
 
 
 def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:

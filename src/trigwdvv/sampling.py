@@ -44,13 +44,16 @@ def covers_every_pair(pattern: np.ndarray) -> bool:
 
 
 def box_bounds(box) -> tuple[float, float]:
-    """The box (lo, hi) as floats by the package's rule for reals; PreconditionError unless -inf < lo < hi < inf."""
+    """The box (lo, hi) as floats by the package's rule for reals; PreconditionError unless
+    -inf < lo < hi < inf and the width hi - lo is finite, as numpy's ``uniform`` needs."""
     error = f"box must be two numbers, got {box!r}"
     if not (isinstance(box, (tuple, list)) and len(box) == 2):
         raise PreconditionError(error)
     lo, hi = (_real(v, error, PreconditionError) for v in box)
     if not -math.inf < lo < hi < math.inf:
         raise PreconditionError(f"box ({lo}, {hi}) must be finite with lo < hi")
+    if hi - lo == math.inf:
+        raise PreconditionError(f"box ({lo}, {hi}) is too wide: its width hi - lo overflows a float")
     return lo, hi
 
 

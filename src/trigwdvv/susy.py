@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, _bcn_members, _integer
+from .configurations import BCnParameters, Configuration, _bcn_members, _integer, _read_only
 from .errors import DimensionCapError, ParameterError
 from .prepotential import _two_path, coth
 
@@ -92,10 +92,8 @@ class FermionicSpace:
         bit = (2 * n - 1) - np.arange(2 * n)[:, None]
         occupied = (states >> bit) & 1
         sign = 1.0 - 2.0 * ((np.cumsum(occupied, axis=0) - occupied) & 1)
-        self.targets = np.vstack([states ^ (1 << bit)] * 2)
-        self.coefficients = np.vstack([sign * occupied, -0.5 * sign * (1 - occupied)])
-        self.targets.setflags(write=False)
-        self.coefficients.setflags(write=False)
+        self.targets, self.coefficients = _read_only(
+            np.vstack([states ^ (1 << bit)] * 2), np.vstack([sign * occupied, -0.5 * sign * (1 - occupied)]))
 
 
 def anticommutation_residual(fs: FermionicSpace) -> float:

@@ -23,6 +23,7 @@ import functools
 
 import numpy as np
 
+from .configurations import _read_only
 from .errors import DomainError, SingularMatrixError
 
 # A pivot whose spectral condition number is above this is unusable:
@@ -100,7 +101,11 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (i, j) index arrays of the pairs i < j of range(n), read-only."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+    return _read_only(*np.triu_indices(n, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _off_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index arrays of the pairs i != j of range(n) in row-major order,
+    ``np.nonzero(~np.eye(n, dtype=bool))``, read-only."""
+    return _read_only(*np.nonzero(~np.eye(n, dtype=bool)))

@@ -17,7 +17,12 @@ residual is composed from four ``multiply`` calls, the tangency
 residual of a restriction is summed one subsystem covector at a time and the
 restricted product one outside member at a time, the
 closed-form BC_n tensor is filled one index pair at a time, and the generic
-tensor and its metric are contracted by ``einsum`` instead of one GEMM.
+tensor and its metric are contracted by ``einsum`` instead of one GEMM.  The
+coth helpers, the closed-form tensor and the metric identity are also kept in
+their masked form, with n x n sum and difference arrays, an ``np.eye`` mask, one
+joined margin test and ``np.diag_indices``, and the generic tensor's member
+outer products by broadcasting, as bit-for-bit references for the index-array
+routes of the library.
 """
 
 import itertools
@@ -201,6 +206,52 @@ def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.nd
             if bb != a:
                 F[a, a, bb] = F[a, bb, a] = F[bb, a, a] = pair_val[a, bb]
     return F
+
+
+def hyperbolic_helpers_masked(x, threshold: float = DEFAULT_THRESHOLD):
+    """(b, bt, b_pair) through n x n arrays x_i +- x_j, an ``np.eye`` mask and one joined margin test."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    plus = x[:, None] + x[None, :]
+    minus = x[:, None] - x[None, :]
+    off = ~np.eye(n, dtype=bool)
+    args = np.concatenate([x, 2.0 * x, plus[off], minus[off]])
+    bad = np.abs(args) < threshold
+    if bad.any():
+        worst = float(args[bad][np.argmin(np.abs(args[bad]))])
+        raise SingularityError(f"sinh argument {worst:.6g} is within {threshold} of zero at x = {x.tolist()}")
+    b_pair = np.zeros((n, n))
+    b_pair[off] = coth(plus[off]) + coth(minus[off])
+    return coth(x), coth(2.0 * x), b_pair
+
+
+def tensor_closed_form_masked(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """The closed-form BC_n tensor with its weights formed at the point and its diagonal by ``np.diag_indices``."""
+    n, r, s, q, m = p.n, p.r, p.s, p.q, np.asarray(p.m, dtype=float)
+    b, bt, b_pair = hyperbolic_helpers_masked(x, threshold)
+    F = np.zeros((n, n, n))
+    F[np.diag_indices(n, 3)] = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
+    pair_val = q * np.outer(m, m) * b_pair.T
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    F[i, i, j] = F[i, j, i] = F[j, i, i] = pair_val[i, j]
+    return F
+
+
+def metric_identity_residuals_masked(p, tensor, x) -> tuple[float, float]:
+    """The metric identity's (off-diagonal, diagonal) residuals from |B - h diag(m)| and an ``np.eye`` mask."""
+    target = h_function(p, x) * np.asarray(p.m, dtype=float)
+    dev = np.abs(metric_B(tensor, x) - np.diag(target))
+    scale = max(1.0, float(np.abs(target).max()))
+    off = dev[~np.eye(len(target), dtype=bool)].max(initial=0.0)
+    return float(off) / scale, float(np.diag(dev).max()) / scale
+
+
+def tensor_generic_broadcast(active) -> np.ndarray:
+    """``tensor_generic`` with the member outer products a_j a_k formed by broadcasting."""
+    A, c, z = active
+    n = A.shape[1]
+    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    return ((A.T * (c * coth(z))) @ AA).reshape(n, n, n)
 
 
 def tensor_generic_einsum(config, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

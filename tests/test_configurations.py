@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -143,6 +144,27 @@ class TestTypes:
     def test_parameters_cache_N(self):
         p = BCnParameters(n=3, r=0.0, s=0.0, q=0.0, m=(0.5, 1.5, 2.0))
         assert p.N == 4.0
+
+    def test_cached_arrays_are_read_only_and_outside_the_fields(self):
+        p = BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0))
+        fresh = BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0))
+        m = np.array([1.0, 2.0, 2.0])
+        weights = (-20.0 * m, 4.0 * (2.0 * 1.0 * m + 2.0 * m * (m - 1.0)), 2.0 * m, 2.0 * np.outer(m, m))
+        assert p.m_array is p.m_array and p.closed_form_weights is p.closed_form_weights
+        assert p.m_array.tobytes() == m.tobytes()
+        assert [w.tobytes() for w in p.closed_form_weights] == [w.tobytes() for w in weights]
+        for a in (p.m_array, *p.closed_form_weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # equality, hashing, fields() and repr read the fields alone
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(p)] == ["n", "r", "s", "q", "m", "N"]
+        assert dataclasses.asdict(p) == dataclasses.asdict(fresh)
+        assert {p: 1}[fresh] == 1
+        # a replaced instance builds its own arrays
+        shifted = dataclasses.replace(p, r=-19.0)
+        assert shifted != p and shifted.closed_form_weights[0].tolist() == (-19.0 * m).tolist()
 
     def test_partition_validates_blocks(self):
         with pytest.raises(ParameterError):

@@ -20,16 +20,21 @@ from trigwdvv.prepotential import (
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for
+from trigwdvv.wdvv import _off_pairs
 
 from tests.oracles import (
     DenseFermionicSpace,
     fd_tensor,
+    hyperbolic_helpers_masked,
     li3_fsum,
     metric_B_einsum,
+    metric_identity_residuals_masked,
     phi_matrix,
     rejection_sample_points,
     sample_points,
     tensor_closed_form_loop,
+    tensor_closed_form_masked,
+    tensor_generic_broadcast,
     tensor_generic_einsum,
 )
 
@@ -468,3 +473,75 @@ def test_a_point_of_the_wrong_length_is_refused(evaluate, x):
     # h_function broadcast a short point, and the others raised numpy's own ValueError
     with pytest.raises(DimensionError, match=rf"^point has shape \({len(x)},\), expected \(3,\)$"):
         evaluate(x)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_off_pairs_are_the_mask_s_pairs_read_only(n):
+    i, j = _off_pairs(n)
+    want_i, want_j = np.nonzero(~np.eye(n, dtype=bool))
+    assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+    assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+    assert _off_pairs(n) is _off_pairs(n)
+    for a in (i, j):
+        assert not a.flags.writeable
+
+
+# one point per piece of the margin, each with a sinh argument within 0.05 of zero: x_i, 2 x_i
+# (never near alone, nor named, |2 x_i| being above |x_i|), x_i + x_j and x_i - x_j, at n = 1 and n = 3
+MARGIN_CASES = {
+    "n1-x": [0.03],
+    "n1-negative-x": [-0.04],
+    "n1-x-and-2x": [0.02],
+    "n3-x": [0.7, -0.01, 1.3],
+    "n3-x-and-2x": [0.7, 0.024, 1.3],
+    "n3-plus": [0.7, -0.68, 1.3],
+    "n3-minus": [0.7, 1.31, 1.3],
+    "n3-plus-and-minus-tie": [0.5, -0.51, 0.49],
+}
+
+
+@pytest.mark.parametrize("x", MARGIN_CASES.values(), ids=MARGIN_CASES)
+def test_helpers_name_the_masked_route_s_nearest_argument(x):
+    with pytest.raises(SingularityError) as want:
+        hyperbolic_helpers_masked(x)
+    with pytest.raises(SingularityError) as got:
+        hyperbolic_helpers(x)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit-m", "m"])
+def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(n, unit):
+    rng = rng_for(n, f"closed-form/masked/{unit}")
+    m = (1.0,) * n if unit else tuple(rng.uniform(0.3, 4.0, n))
+    q, s = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+    r = -8.0 * s - 2.0 * q * (sum(m) - 2.0) + (0.0 if unit else float(rng.uniform(-1, 1)))
+    p = BCnParameters(n=n, r=r, s=s, q=q, m=m)
+    config = build_bcn(p)
+    for x in sample_points(rng, fully_active(config), 6, box=(-1.5, 1.5)):
+        assert np.array_equal(hyperbolic_helpers(x)[2], hyperbolic_helpers_masked(x)[2])
+        closed = tensor_closed_form(p, x)
+        assert closed.tobytes() == tensor_closed_form_masked(p, x).tobytes()
+        for T in (closed, tensor_generic(active_pairings(config, x))):
+            got, want = metric_identity_residuals(p, T, x), metric_identity_residuals_masked(p, T, x)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+    # a NaN row of B reaches both residuals on both routes (at n = 1 there is no off-diagonal entry)
+    T = closed.copy()
+    T[0, 0, :] = np.nan
+    got, want = metric_identity_residuals(p, T, x), metric_identity_residuals_masked(p, T, x)
+    assert np.isnan(got[1]) and np.array_equal(got, want, equal_nan=True)
+    assert n == 1 or np.isnan(got[0])
+
+
+def test_einsum_outer_products_equal_broadcasting():
+    # each a_j a_k is one multiply on both routes; einsum writes a zero product as +0.0 where
+    # broadcasting gives -0.0 for 0 * (negative), so the entries are equal as floats, bit for bit
+    # up to the sign of a zero
+    rng = rng_for(3, "generic/broadcast")
+    dense = Configuration(5, rng.normal(size=(40, 5)), rng.uniform(-2.0, 2.0, 40))
+    family = build_bcn(BCnParameters(n=6, r=-8.0, s=0.0, q=1.0, m=(1.0, 2.0, 0.5, 1.0, 3.0, 0.0)))
+    for config in (dense, family):
+        for x in sample_points(rng, fully_active(config), 5, box=(-2.0, 2.0)):
+            active = active_pairings(config, x)
+            got, want = tensor_generic(active), tensor_generic_broadcast(active)
+            assert np.array_equal(got, want) and (got + 0.0).tobytes() == (want + 0.0).tobytes()

@@ -216,3 +216,26 @@ def test_non_finite_box_is_refused(box):
     points = sampling.admissible_points(rng_for(0, "box"), bcn_pattern(2), box, 0.05)
     with pytest.raises(PreconditionError, match=r"must be finite with lo < hi"):
         next(points)
+
+
+def test_a_box_whose_width_overflows_a_float_is_refused_before_any_draw():
+    from trigwdvv.cli import RunSpec
+
+    # numpy's uniform refuses exactly a non-finite hi - lo, with an OverflowError
+    with pytest.raises(OverflowError):
+        np.random.default_rng(0).uniform(-1e308, 1e308)
+    wide, narrower = (-1e308, 1e308), (-1e307, 1e307)
+    with pytest.raises(PreconditionError, match=r"too wide: its width hi - lo overflows a float"):
+        sampling.box_bounds(wide)
+    with pytest.raises(PreconditionError, match="too wide"):
+        RunSpec(command="verify-metric", config_source={}, box=wide)
+    rng = rng_for(0, "wide")
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="too wide"):
+        next(sampling.admissible_points(rng, bcn_pattern(2), wide, 0.05))
+    assert rng.bit_generator.state == state
+    # a width just inside the float range is accepted, and the sampler draws from it
+    assert sampling.box_bounds(narrower) == narrower
+    assert RunSpec(command="verify-metric", config_source={}, box=narrower).box == narrower
+    x, z = next(sampling.admissible_points(rng, bcn_pattern(2), narrower, 0.05))
+    assert np.isfinite(x).all() and (np.abs(x) <= 1e307).all()
