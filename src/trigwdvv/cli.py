@@ -7,8 +7,10 @@ deterministic given (seed, run parameters), and floats are serialized with 17
 significant digits.  A command's sample points come from one generator,
 keyed by the run seed and the stream label "<command>/points".  The random
 vectors drawn at each point (u, v, w) come from the same stream as the point.
-verify-wdvv reports one check, wdvv_residual, at the better-conditioned pivot of
-B(x) and eta.F, whose weights eta are drawn once per run from "verify-wdvv/pivot".
+verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
+B(x) by ``wdvv.arrow_residuals``, with no condition cap, and for an explicit
+document at the better-conditioned pivot of B(x) and eta.F under the cap, whose
+weights eta are drawn once per run from "verify-wdvv/pivot".
 
 A non-finite residual fails its check, and ``--json`` renders it as null.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse,
@@ -59,7 +61,7 @@ from .prepotential import (
     tensor_generic,
 )
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, box_bounds, fully_active, rng_for
-from .wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
+from .wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
 # the one discard reason: the point's metric, or every candidate pivot, fails the usable-pivot rule
@@ -296,10 +298,11 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
     same generator and returns {check name: residual or residuals}, unreduced: here
     is the one place where a check's residuals are reduced, over every point's.
     A point where it raises SingularMatrixError (a metric or pivot that fails
-    ``wdvv.usable_pivots``) is counted in ``discarded_points`` and replaced, the one
-    discard rule; past the discard cap the run ends with a SamplingError that gives
-    the count.  Any other error propagates.  Checks are reported in key order, and a
-    check that received no residual is left out of the report.
+    ``wdvv.usable_pivots``, or a family's diagonal B with a zero entry) is counted in
+    ``discarded_points`` and replaced, the one discard rule; past the discard cap the
+    run ends with a SamplingError that gives the count.  Any other error propagates.
+    Checks are reported in key order, and a check that received no residual is left
+    out of the report.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
@@ -342,15 +345,22 @@ def _run_wdvv(spec: RunSpec, parsed):
             f"{spec.command} needs n >= 3: n={n} has no WDVV content (at n=1 there is no pair, "
             "and at n=2 B lies in the span of F_1 and F_2, so both WDVV forms are identities)"
         )
-    _require_spanning(config, spec.command, family=isinstance(parsed, BCnParameters))
+    family = isinstance(parsed, BCnParameters)
+    _require_spanning(config, spec.command, family)
+    # WDVV on one invertible pivot in the span of the slices F_k implies it on every other
+    # (Marshakov-Mironov-Morozov 1996): one check per point
+    if family:  # arrow slices and a diagonal B: the check at diag(B), with no condition cap
+
+        def residuals(rng, x, active):
+            return {"wdvv_residual": arrow_residuals(active, x)[0]}
+
+        return {}, config, residuals
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
     def residuals(rng, x, active):
         T = tensor_generic(active)
-        # B and eta.F both lie in the span of the slices F_k, where WDVV on one invertible pivot implies
-        # it on every other (Marshakov-Mironov-Morozov 1996): one check, at the better-conditioned of
-        # the two, and a discard only where neither is usable
+        # at the better-conditioned of B and eta.F, and a discard only where neither is usable
         candidates = [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
         return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 

@@ -46,16 +46,21 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     return RescaledConfiguration(config=config)
 
 
-def bosonic_potential(active) -> float:
+def bosonic_potential(active, sums=None) -> float:
     """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^)) + 1/4 sum over pairs (incl. a = b) of
-    c_a c_b (a,a)(b,b)(a,b) coth coth, from ``active_pairings``' (A, c, z) at x^."""
+    c_a c_b (a,a)(b,b)(a,b) coth coth, from ``active_pairings``' (A, c, z) at x^.  ``sums`` is the
+    ``_potential_sums`` of the same point, when the caller has formed them (``gauge_residual`` does)."""
+    A = active[0]
+    w, S = _potential_sums(active) if sums is None else sums
+    return 0.5 * S + 0.25 * float(w @ (A @ A.T) @ w)
+
+
+def _potential_sums(active) -> tuple[np.ndarray, float]:
+    """(w, S) at x^: w = c (a,a) coth((a,x^)) and S = sum c (a,a)^2 / sinh^2((a,x^)), the member sums
+    that ``bosonic_potential`` and ``gauge_residual`` share, formed once per point."""
     A, c, z = active
     norms2 = np.einsum("mi,mi->m", A, A)
-    single = 0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
-    w = c * norms2 * coth(z)
-    gram = A @ A.T
-    double = 0.25 * float(w @ gram @ w)
-    return single + double
+    return c * norms2 * coth(z), float((c * norms2**2 / np.sinh(z) ** 2).sum())
 
 
 class FermionicSpace:
@@ -157,9 +162,6 @@ def gauge_residual(active) -> float:
     configuration: the residual checks ``bosonic_potential`` against a second
     summation, not the family.  ``active`` is as in ``bosonic_potential``.
     """
-    A, c, z = active
-    norms2 = np.einsum("mi,mi->m", A, A)
-    grad = A.T @ (0.5 * c * norms2 * coth(z))
-    lap = -0.5 * float((c * norms2**2 / np.sinh(z) ** 2).sum())
-    V = bosonic_potential(active)
-    return _two_path(float(grad @ grad) - lap, V)
+    w, S = sums = _potential_sums(active)
+    grad = active[0].T @ (0.5 * w)  # Lap L = -S / 2
+    return _two_path(float(grad @ grad) + 0.5 * S, bosonic_potential(active, sums))

@@ -2,19 +2,24 @@
 
 The theorem's forms differ only in the pivot P.  WDVV for one invertible
 pivot in the span of the slices F_k implies it for every other
-(Marshakov-Mironov-Morozov 1996), and both the metric B = sum_k sinh(2x_k) F_k
-and a generic eta.F = sum_k eta_k F_k lie in that span, so ``verify-wdvv``
-takes one check per point, at whichever of the two is better conditioned.  The identity is the
-pivot of the commuting form, for the rescaled tensor whose metric is a multiple
-of the identity.  Each equation is antisymmetric in (i, j), so the kernel
-evaluates the pairs i < j only.  Every slice F_k and every pivot is symmetric
-(the F_ijk are third derivatives of one prepotential), so the kernel takes
-their singular values as the |eigenvalues| of ``np.linalg.eigvalsh``, which
-reads the lower triangle of each pivot and each slice only.  ``scaled`` divides
-the max-abs commutator entry by the operand norms with no floor, so it stays
-relative where they are small (in the far field ||B^{-1}|| is of order e^-10);
-``raw`` keeps the unscaled entry.  A verifier that cannot fail verifies
-nothing, so the controls matter as much as the positive checks.
+(Marshakov-Mironov-Morozov 1996).  On the BC_n family every covector has at
+most two nonzero entries, so F_ijk = 0 for distinct i, j, k: each slice F_i is
+an arrow matrix (a diagonal plus row and column i) and the metric
+B = sum_k sinh(2x_k) F_k is diagonal for every (r, s, q).  ``arrow_residuals``
+takes the family's check at P = diag(B) in O(n^3) per point, with no n^4 array
+and no LU.  An explicit configuration has no such structure: ``pivot_residuals``
+takes its check at whichever of B and a generic eta.F = sum_k eta_k F_k is
+better conditioned, under ``usable_pivots``' cap.  The identity is the pivot of
+the commuting form, for the rescaled tensor whose metric is a multiple of the
+identity.  Each equation is antisymmetric in (i, j), so both kernels evaluate
+the pairs i < j only.  Every slice F_k and every pivot is symmetric (the F_ijk
+are third derivatives of one prepotential), so their singular values are the
+|eigenvalues| of ``np.linalg.eigvalsh``, which reads the lower triangle of each
+pivot and each slice only.  ``scaled`` divides the max-abs commutator entry by
+the operand norms with no floor, so it stays relative where they are small (in
+the far field ||B^{-1}|| is of order e^-10); ``raw`` keeps the unscaled entry.
+A verifier that cannot fail verifies nothing, so the controls matter as much as
+the positive checks.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     """(scaled, raw, condition) of F_i P^{-1} F_j - F_j P^{-1} F_i at one pivot P.
 
     ``pivots`` is a (p, n, n) stack of candidates, of which ``usable_pivots``
-    chooses P: ``B[None]`` for the metric alone, ``verify-wdvv``'s ``[B, eta.F]``,
+    chooses P: ``B[None]`` for the metric alone, ``[B, eta.F]`` for an explicit ``verify-wdvv``,
     or None for P = identity.  ``raw`` and ``scaled`` are 1-D over the pairs i < j
     in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is the max-abs entry of the
     commutator-like matrix of the k-th pair (i, j) and ``scaled[k]`` is
@@ -96,6 +101,70 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     raw = np.abs(M, out=M).max(axis=(1, 2))
     scale = norms[i] * norms[j] * inv_norm
     return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
+
+
+def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """(scaled, raw, condition) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for a configuration of BC_n covectors.
+
+    ``active`` is ``active_pairings``' (A, c, z) at the point x, whose every member has at most two
+    nonzero entries, so that F_ijk = 0 for distinct i, j, k; at the family's multiplicities B is
+    diagonal too (its off-diagonal metric identity holds for every (r, s, q)), and only its
+    diagonal is read.  The output is ``pivot_residuals``' over the pairs i < j, at the pivot
+    diag(B).  V[i, k] = F_ikk comes from one (n x M)(M x n) GEMM over the members, and
+    B_kk = (sinh 2x @ V)_k.  For b outside {i, j}
+
+        M_ij[i, b] = d_b V[b,i] V[j,b] + d_j V[j,i] V[b,j] - d_i V[j,i] V[b,i],  d = 1 / B_kk,
+
+    and M_ij[j, b] is minus the same with i and j swapped; M_ij[i, j] = (V^T D V)[i, j]
+    - d_i V[j,i]^2 - d_j V[i,j]^2, and every entry outside rows and columns {i, j} is zero, as
+    is the antisymmetric M_ij's diagonal.  So one (n, n, n) array R[i, j, b] and one GEMM
+    hold every pair's entries.  ||F_i|| is the spectral norm, from one ``eigvalsh`` of the n
+    arrow slices scattered from V, ||D|| = 1 / min|B_kk| and the condition number is
+    max|B_kk| / min|B_kk|.  No LU is taken and no condition cap applies: each entry is a sum of
+    at most n + 3 terms, each bounded by ||D|| ||F_i|| ||F_j||, so the rounding in ``scaled``
+    does not grow with the condition number.  A non-finite V raises DomainError, as does a
+    non-finite B ("pivot 0 is not finite", ``usable_pivots``' text), and a zero B_kk raises
+    SingularMatrixError.
+    """
+    A, c, z = active
+    V = (A.T * (c / np.tanh(z))) @ (A * A)
+    if not np.isfinite(V).all():
+        raise DomainError("the tensor is not finite")
+    n = len(V)
+    B = np.sinh(2.0 * x) @ V
+    if not np.isfinite(B).all():
+        raise DomainError("pivot 0 is not finite")
+    absB = np.abs(B)
+    lo, hi = absB.min(), absB.max()
+    if lo == 0.0:
+        raise SingularMatrixError(f"the diagonal pivot B has B_kk = 0 at k = {int(absB.argmin())}")
+    d, W = 1.0 / B, V.T  # W[i, k] = V[k, i] = F_iik, the arms
+    norms = _arrow_norms(V, W)
+    dV, dW = V * d, d[:, None] * W  # dV[j, b] = d_b V[j, b], dW[i, b] = d_i V[b, i]
+    R = dW - dW[:, None, :]  # R[i, j, b]: V[j,i] (d_j V[b,j] - d_i V[b,i]), then the first term
+    R *= W[:, :, None]
+    R += W[:, None, :] * dV
+    k = np.arange(n)
+    R[k, :, k] = R[:, k, k] = 0.0  # b = i and b = j: entries on M_ij's diagonal or in the (i, j) entry below
+    S = np.abs(R, out=R).max(axis=2)  # S[i, j] = max_b |M_ij[i, b]|, S[j, i] = max_b |M_ij[j, b]|
+    C = (W * d) @ V
+    C -= dW * W
+    C -= dV * V
+    i, j = _upper_pairs(n)
+    raw = np.maximum(np.maximum(S[i, j], S[j, i]), np.abs(C[i, j]))
+    scale = norms[i] * norms[j] / lo
+    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, float(hi / lo)
+
+
+def _arrow_norms(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The spectral norms of the arrow slices F_i = diag(V[i]) plus row and column i, W[i]: the largest
+    |eigenvalue| of each, from one ``eigvalsh`` of the (n, n, n) stack, freed before the caller's own."""
+    n = len(V)
+    k = np.arange(n)
+    F = np.zeros((n, n, n))
+    F[k, k, :] = F[k, :, k] = W
+    F[:, k, k] = V
+    return np.abs(np.linalg.eigvalsh(F)).max(axis=1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -538,7 +538,7 @@ def _wdvv(report):
 def test_eta_pivot_form_has_power_in_the_far_field(r, passes):
     # in --box 5,15 B(x) = sum_k sinh(2x_k) F_k is of order e^10 and more, so the scale
     # ||F_i|| ||F_j|| ||P^{-1}|| is far below 1; with no floor of 1 under it the one check stays
-    # relative and fails r + 1 (0.075 at the better pivot, B here; eta.F read 0.13)
+    # relative and fails r + 1 (0.075 at the family's pivot, the diagonal B; eta.F read 0.13)
     source = _family(4, r, 0, 1, (1, 1, 1, 1))
     check = _wdvv(run(RunSpec(command="verify-wdvv", config_source=source, samples=10, box=(5.0, 15.0))))
     assert check.passed is passes, check.max_residual
@@ -546,12 +546,13 @@ def test_eta_pivot_form_has_power_in_the_far_field(r, passes):
 
 
 def test_eta_is_drawn_once_per_run_from_its_own_stream():
-    # eta comes from "verify-wdvv/pivot", so the points stream, and with it every point, is
-    # the one a run without eta would draw; at each point the check is taken at whichever of
-    # B and eta.F has the smaller condition number, as np.linalg.cond judges them too
-    spec = RunSpec(command="verify-wdvv", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=3, seed=9)
+    # an explicit document's eta comes from "verify-wdvv/pivot", so the points stream, and with it
+    # every point, is the one a run without eta would draw; at each point the check is taken at
+    # whichever of B and eta.F has the smaller condition number, as np.linalg.cond judges them too
+    doc = config_document(load_config_source(_family(4, -14, 0.5, 1, (2, 1, 3, 1))))
+    spec = RunSpec(command="verify-wdvv", config_source=doc, samples=3, seed=9)
     report = run(spec)
-    config = build_bcn(load_config_source(spec.config_source))
+    config = load_config_source(spec.config_source)
     rng = rng_for(spec.seed, "verify-wdvv/points")
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(4)
     residuals = []
@@ -647,13 +648,13 @@ def test_associativity_refuses_a_family_with_a_zero_m(capsys, m):
 @pytest.mark.parametrize(
     "command, source",
     [
-        ("verify-wdvv", _family(3, -20, 1, 2, (1, 2, 2))),
+        ("verify-wdvv", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2))))),
         ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2))))),
     ],
     ids=["wdvv", "associativity-explicit"],
 )
 def test_one_usable_pivot_rule_judges_every_pivot(monkeypatch, command, source):
-    # with the cap at 1 no pivot and no metric B(x) is usable: both drivers
+    # with the cap at 1 no pivot and no metric B(x) is usable: both explicit drivers
     # read wdvv's one rule, so both discard every point with the same reason
     monkeypatch.setattr(wdvv, "CONDITION_CAP", 1.0)
     monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 5)
@@ -1124,13 +1125,16 @@ def test_restriction_names_a_fractional_block(capsys):
 
 
 # a theorem family whose metric B = h diag(m) has condition number 2e8 at every point, above
-# CONDITION_CAP: verify-wdvv takes each point at eta.F, and discards a point where that is unusable too
+# CONDITION_CAP: as a family, verify-wdvv takes each point at diag(B), under no cap; as an explicit
+# document, it takes each point at eta.F, and discards a point where that is unusable too
 M_SPREAD = _family(3, -400000000, 0, 1, (1, 1, 200000000))
+M_SPREAD_DOCUMENT = config_document(load_config_source(M_SPREAD))
 
 
 def _replay_wdvv_conditions(spec):
-    """(kappa(B), kappa(eta.F)) by np.linalg.cond at each point verify-wdvv draws, until it has accepted enough."""
-    config = build_bcn(load_config_source(spec.config_source))
+    """(kappa(B), kappa(eta.F)) by np.linalg.cond at each point an explicit verify-wdvv draws, until it has
+    accepted enough."""
+    config = load_config_source(spec.config_source)
     rng = rng_for(spec.seed, "verify-wdvv/points")
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(config.dimension)
     conditions, accepted = [], 0
@@ -1143,10 +1147,10 @@ def _replay_wdvv_conditions(spec):
 
 
 def test_ill_conditioned_pivots_discard_the_point():
-    # a point where both B and eta.F have a condition number above CONDITION_CAP is
-    # discarded and resampled, never reported or turned into an error.  The discards
-    # match np.linalg.cond of B and eta.F on the same streams
-    spec = RunSpec(command="verify-wdvv", config_source=M_SPREAD, samples=5)
+    # on an explicit document, a point where both B and eta.F have a condition number above
+    # CONDITION_CAP is discarded and resampled, never reported or turned into an error.  The
+    # discards match np.linalg.cond of B and eta.F on the same streams
+    spec = RunSpec(command="verify-wdvv", config_source=M_SPREAD_DOCUMENT, samples=5)
     report = run(spec)
     conditions = _replay_wdvv_conditions(spec)
     assert all(b > CONDITION_CAP for b, _ in conditions)
@@ -1154,11 +1158,20 @@ def test_ill_conditioned_pivots_discard_the_point():
     assert report.all_passed
 
 
+def test_the_family_takes_an_ill_conditioned_diagonal_b_with_no_discard():
+    # the same family takes every point at diag(B), whose condition number 2e8 no LU amplifies:
+    # no point is discarded, and the theorem reads rounding level
+    report = run(RunSpec(command="verify-wdvv", config_source=M_SPREAD, samples=5))
+    check = _wdvv(report)
+    assert report.discarded_points == 0 and report.all_passed
+    assert check.max_residual <= 8 * 3 * np.finfo(float).eps, check.max_residual
+
+
 def test_a_point_where_only_b_is_unusable_is_kept():
     # with q = 0 the tensor is diagonal, and so is B(x), whose entries grow like e^{2 x_i}:
     # in a wide box some points have kappa(B) above CONDITION_CAP, and eta.F is usable
-    # there, so the check is taken at eta.F and no point is discarded
-    source = _family(3, -1.0, 1.0, 0.0, (1, 1, 1))
+    # there, so an explicit document's check is taken at eta.F and no point is discarded
+    source = config_document(load_config_source(_family(3, -1.0, 1.0, 0.0, (1, 1, 1))))
     spec = RunSpec(command="verify-wdvv", config_source=source, samples=20, box=(0.3, 12.0))
     report = run(spec)
     conditions = _replay_wdvv_conditions(spec)
@@ -1290,11 +1303,11 @@ def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
     assert report.checks == []
 
 
-def test_text_report_labels_discarded_points(capsys):
-    # the run at m = 1,1,2e8 discards the points where kappa(B) and kappa(eta.F) are both above the cap
-    argv = ["verify-wdvv", "--family", "bcn", "--n", "3", "--r", "-400000000", "--s", "0", "--q", "1",
-            "--m", "1,1,200000000"]
-    assert main(argv + ["--samples", "5"]) == 0
+def test_text_report_labels_discarded_points(capsys, tmp_path):
+    # the explicit run at m = 1,1,2e8 discards the points where kappa(B) and kappa(eta.F) are both above the cap
+    path = tmp_path / "m_spread.json"
+    path.write_text(json.dumps(M_SPREAD_DOCUMENT), encoding="utf-8")
+    assert main(["verify-wdvv", "--config", str(path), "--samples", "5"]) == 0
     out = capsys.readouterr().out
     assert "\n  discarded points: 6\n" in out
 

@@ -3,13 +3,14 @@ import importlib.util
 import numpy as np
 import pytest
 
-from trigwdvv.cli import main
-from trigwdvv.configurations import BCnParameters, build_bcn, solve_r
+from trigwdvv import cli, configurations
+from trigwdvv.cli import RunSpec, main, run
+from trigwdvv.configurations import BCnParameters, _bcn_members, build_bcn, solve_r
 from trigwdvv.errors import DomainError, SingularMatrixError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
-from trigwdvv.wdvv import CONDITION_CAP, pivot_residuals, usable_pivots
+from trigwdvv.wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
 
 from tests.oracles import diagonality_report, pair_residual, pivot_residuals_full, sample_points
 
@@ -430,3 +431,109 @@ def test_non_finite_input_is_refused_by_name(bad):
         B = metric_B(T, [0.5, 0.7])
         with pytest.raises(DomainError, match="the tensor is not finite"):
             pivot_residuals(T, B[None] if value == np.inf else P)
+
+
+def _random_families(n, seed):
+    """A theorem family and its r + 1 control at random (s, q, m), m_i in [0.2, 3], s in [-2, 2],
+    q in [0.1, 2], then the same at q = 0."""
+    rng = rng_for(seed, f"arrow/families/{n}")
+    m, s, q = tuple(rng.uniform(0.2, 3.0, n)), float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.1, 2.0))
+    for q in (q, 0.0):
+        theorem = BCnParameters(n=n, r=solve_r(s, q, m), s=s, q=q, m=m)
+        yield from (theorem, BCnParameters(n=n, r=theorem.r + 1.0, s=s, q=q, m=m))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 40])
+def test_arrow_kernel_matches_the_dense_oracle(n):
+    # the arrow kernel at diag(B) against pivot_residuals at the dense B: the same pairs in the same
+    # order, each scaled residual within 8 n eps (measured: at most 0.73 n eps), and the same condition
+    eps = np.finfo(float).eps
+    box = DEFAULT_BOX if n <= 10 else (0.3, 4.0)
+    for params in _random_families(n, seed=n):
+        config = build_bcn(params)
+        for x in sample_points(rng_for(0, f"arrow/{n}/{params.r}"), fully_active(config), 3 if n <= 10 else 2, box):
+            active = active_pairings(config, x)
+            T = tensor_generic(active)
+            scaled, raw, condition = arrow_residuals(active, x)
+            want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B(T, x)[None])
+            assert scaled.shape == raw.shape == want_scaled.shape == (n * (n - 1) // 2,)
+            assert np.abs(scaled - want_scaled).max() <= 8 * n * eps, (params, x)
+            assert condition == pytest.approx(want_condition, rel=1e-12)
+            if params.q == 0.0:  # diagonal slices commute exactly
+                assert not raw.any() and not want_raw.any()
+
+
+def test_the_arrow_kernel_fails_r_plus_1_and_passes_the_theorem():
+    # the kernel alone, at the n = 10 family of wdvv_n10 and its control
+    for shift, want in ((0.0, lambda v: v < 1e-14), (1.0, lambda v: v > 1e-6)):
+        params = BCnParameters(n=10, r=-16.0 + shift, s=0.0, q=1.0, m=(1.0,) * 10)
+        config = build_bcn(params)
+        for x in sample_points(rng_for(0, "arrow/control"), fully_active(config), 5):
+            scaled = arrow_residuals(active_pairings(config, x), x)[0]
+            assert want(scaled.max()), (shift, scaled.max())
+
+
+def _diagonal_active(c=(1.0, 1.0, 1.0)):
+    """(A, c, z) of the three covectors e_i, at pairings 1: F is diagonal, V = diag(c coth 1)."""
+    return np.eye(3), np.array(c), np.ones(3)
+
+
+@pytest.mark.parametrize("case", ["tensor", "pivot", "zero-pivot"])
+def test_the_arrow_kernel_refusals(case):
+    # a non-finite V or B is refused by name, B's by usable_pivots' text, and a zero B_kk is a
+    # SingularMatrixError, on which a run discards the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        if case == "tensor":
+            with pytest.raises(DomainError, match="^the tensor is not finite$"):
+                arrow_residuals(_diagonal_active((1.0, np.inf, 1.0)), np.full(3, 0.5))
+        elif case == "pivot":
+            with pytest.raises(DomainError, match="^pivot 0 is not finite$"):
+                arrow_residuals(_diagonal_active(), np.array([400.0, 0.5, 0.7]))  # sinh(800) overflows
+        else:
+            with pytest.raises(SingularMatrixError, match="B_kk = 0 at k = 1"):
+                arrow_residuals(_diagonal_active(), np.array([0.5, 0.0, 0.7]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20])
+def test_every_family_member_has_at_most_two_nonzero_entries(n):
+    # the arrow kernel's premise: F_ijk = 0 for distinct i, j, k, and B is diagonal
+    vectors, _ = _bcn_members(BCnParameters(n=n, r=1.0, s=2.0, q=3.0, m=tuple(range(1, n + 1))))
+    assert len(vectors) == 2 * n + n * (n - 1)
+    assert (np.count_nonzero(vectors, axis=1) <= 2).all()
+
+
+def test_a_family_run_takes_the_arrow_kernel_once_per_point(monkeypatch):
+    # no tensor, no dense kernel: one arrow_residuals call per accepted point
+    calls = []
+
+    def refused(*args):
+        raise AssertionError("the family route took the dense route")
+
+    def counting(active, x):
+        calls.append(len(x))
+        return arrow_residuals(active, x)
+
+    monkeypatch.setattr(cli, "pivot_residuals", refused)
+    monkeypatch.setattr(cli, "tensor_generic", refused)
+    monkeypatch.setattr(cli, "arrow_residuals", counting)
+    source = {"family": "bcn", "n": 4, "r": -14, "s": 0.5, "q": 1, "m": [2, 1, 3, 1]}
+    assert run(RunSpec(command="verify-wdvv", config_source=source, samples=4)).all_passed
+    assert calls == [4] * 4
+
+
+def test_the_family_route_fails_a_pair_multiplicity_mutant(monkeypatch):
+    # the e_i - e_j multiplicities scaled by 1.001: B is no longer diagonal, the tensor leaves the
+    # solution variety, and the family route, which reads the members, fails it
+    original = configurations._bcn_members
+
+    def mutant(p):
+        vectors, mults = original(p)
+        mults[2 * p.n + 1 :: 2] *= 1.001  # e_i - e_j follows e_i + e_j
+        return vectors, mults
+
+    source = {"family": "bcn", "n": 4, "r": -14, "s": 0.5, "q": 1, "m": [2, 1, 3, 1]}
+    spec = RunSpec(command="verify-wdvv", config_source=source, samples=10)
+    assert run(spec).all_passed
+    monkeypatch.setattr(configurations, "_bcn_members", mutant)
+    (check,) = run(spec).checks
+    assert not check.passed and check.max_residual > 1e-5, check.max_residual
