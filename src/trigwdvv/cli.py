@@ -66,6 +66,8 @@ from . import algebra, susy
 
 # the one discard reason: the point's metric, or every candidate pivot, fails the usable-pivot rule
 _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
+# a family verify-wdvv call takes max(1, _WDVV_BLOCK // n^3) points: one from n = 26, where blocks stop paying
+_WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
 
@@ -289,7 +291,7 @@ def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
     return CheckResult(name, mx, float(values.sum() / values.size), point, mx < tolerance)  # np.mean's float64 path
 
 
-def _sampled(report: VerificationReport, config: Configuration, residuals) -> None:
+def _sampled(report: VerificationReport, config: Configuration, residuals, block: int = 1) -> None:
     """Append the checks of ``residuals``, evaluated at ``samples`` accepted points.
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
@@ -302,26 +304,51 @@ def _sampled(report: VerificationReport, config: Configuration, residuals) -> No
     ``discarded_points`` and replaced, the one discard rule; past the discard cap the
     run ends with a SamplingError that gives the count.  Any other error propagates.
     Checks are reported in key order, and a check that received no residual is left
-    out of the report.
+    out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z
+    (b, M), each residual with that leading axis: only a family's ``verify-wdvv`` takes more
+    than 1, since a driver that draws u, v, w after each point would move those draws.  A
+    block whose call raises is evaluated again one point at a time, so the discard rule, the
+    cap and the first error stay per point, as does a SamplingError met while drawing a block.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
     points = admissible_points(rng, fully_active(config), spec.box, spec.threshold)
-    collected: dict[str, tuple[list, list]] = {}
-    accepted = 0
-    while accepted < spec.samples:
+    accepted, queue, pending = [], [], None  # (x, its residuals); drawn points to evaluate one by one
+    while len(accepted) < spec.samples:
         if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
             discarded = f"{report.discarded_points} had {_UNUSABLE_PIVOT}"
             raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {discarded}")
-        x, z = next(points)
-        # read after the first draw: selected before it, A would sit beside the sampler's set-up arrays
-        (A, c), rows = config.active_members, config.active_rows
+        if not queue:
+            if pending is not None:
+                raise pending
+            try:
+                while len(queue) < min(block, spec.samples - len(accepted)):
+                    x, z = next(points)
+                    # read after the first draw: selected before it, A would sit beside the sampler's set-up arrays
+                    (A, c), rows = config.active_members, config.active_rows
+                    queue.append((x, z if rows is None else z[rows]))
+            except SamplingError as exc:  # raised once the points drawn before it are evaluated, one by one
+                pending = exc
+                continue
+            if len(queue) > 1:
+                xs, zs = (np.stack(a) for a in zip(*queue))
+                try:
+                    values = residuals(rng, xs, (A, c, zs))
+                except Exception:  # whatever it is, each point meets it alone below
+                    pass
+                else:
+                    accepted += [(x, {name: v[p] for name, v in values.items()}) for p, (x, _) in enumerate(queue)]
+                    queue = []
+                    continue
+        x, z = queue.pop(0)
         try:
-            values = residuals(rng, x, (A, c, z if rows is None else z[rows]))
+            values = residuals(rng, x, (A, c, z))
         except SingularMatrixError:
             report.discarded_points += 1
             continue
-        accepted += 1
+        accepted.append((x, values))
+    collected: dict[str, tuple[list, list]] = {}
+    for x, values in accepted:
         for name, value in values.items():
             vals, pts = collected.setdefault(name, ([], []))
             vals.append(np.ravel(value))
@@ -354,7 +381,7 @@ def _run_wdvv(spec: RunSpec, parsed):
         def residuals(rng, x, active):
             return {"wdvv_residual": arrow_residuals(active, x)[0]}
 
-        return {}, config, residuals
+        return {}, config, residuals, max(1, _WDVV_BLOCK // n**3)
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
@@ -364,7 +391,7 @@ def _run_wdvv(spec: RunSpec, parsed):
         candidates = [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
         return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 
-    return {}, config, residuals
+    return {}, config, residuals, 1
 
 
 def _run_associativity(spec: RunSpec, parsed):
@@ -392,7 +419,7 @@ def _run_associativity(spec: RunSpec, parsed):
         u, v, w = rng.standard_normal((3, n))  # the numbers of three draws of n
         return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
 
-    return {}, config, residuals
+    return {}, config, residuals, 1
 
 
 def _run_metric(spec: RunSpec, parsed):
@@ -403,7 +430,7 @@ def _run_metric(spec: RunSpec, parsed):
         off, diag = metric_identity_residuals(params, tensor_generic(active), x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
-    return {}, config, residuals
+    return {}, config, residuals, 1
 
 
 def _run_restriction(spec: RunSpec, parsed):
@@ -437,7 +464,7 @@ def _run_restriction(spec: RunSpec, parsed):
             "h_b_decomposition": metric,
         }
 
-    return {"restriction_config_match": dev}, projected, residuals
+    return {"restriction_config_match": dev}, projected, residuals, 1
 
 
 def _run_susy(spec: RunSpec, parsed):
@@ -460,11 +487,11 @@ def _run_susy(spec: RunSpec, parsed):
             "gauge_residual": susy.gauge_residual(active),
         }
 
-    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals
+    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, 1
 
 
-# a driver declares its run: (one-value checks {name: value}, the configuration to
-# sample, the residual function for _sampled); run builds the report from these
+# a driver declares its run: (one-value checks {name: value}, the configuration to sample, the
+# residual function for _sampled, the most points one call takes); run builds the report from these
 VERIFIERS = {
     "verify-wdvv": _run_wdvv,
     "verify-associativity": _run_associativity,
@@ -485,9 +512,9 @@ def run(spec: RunSpec) -> VerificationReport:
     # sinh and cosh overflow far from the origin: each non-finite value is then refused by
     # name or fails its check, so numpy's warnings would only print ahead of that verdict
     with np.errstate(over="ignore", invalid="ignore"):
-        one_value, config, residuals = driver(spec, parsed)
+        one_value, config, residuals, block = driver(spec, parsed)
         report.checks += [_check_result(name, [v], [None], spec.tolerance) for name, v in one_value.items()]
-        _sampled(report, config, residuals)
+        _sampled(report, config, residuals, block)
     return report
 
 

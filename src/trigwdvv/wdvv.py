@@ -103,7 +103,7 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
 
 
-def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float]:
+def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """(scaled, raw, condition) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for a configuration of BC_n covectors.
 
     ``active`` is ``active_pairings``' (A, c, z) at the point x, whose every member has at most two
@@ -124,47 +124,50 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float]:
     at most n + 3 terms, each bounded by ||D|| ||F_i|| ||F_j||, so the rounding in ``scaled``
     does not grow with the condition number.  A non-finite V raises DomainError, as does a
     non-finite B ("pivot 0 is not finite", ``usable_pivots``' text), and a zero B_kk raises
-    SingularMatrixError.
+    SingularMatrixError.  A block, x (b, n) and z (b, M), gives each output that leading axis, each
+    point's bits as alone, or raises the error of a refused point in it, from one ``eigvalsh`` of the
+    b n slices; a family's ``verify-wdvv`` takes blocks (``cli._sampled``), as it draws nothing.
     """
     A, c, z = active
-    V = (A.T * (c / np.tanh(z))) @ (A * A)
+    V = ((c / np.tanh(z))[..., None] * A).swapaxes(-1, -2) @ (A * A)
     if not np.isfinite(V).all():
         raise DomainError("the tensor is not finite")
-    n = len(V)
-    B = np.sinh(2.0 * x) @ V
+    n = V.shape[-1]
+    B = (np.sinh(2.0 * x)[..., None, :] @ V)[..., 0, :]
     if not np.isfinite(B).all():
         raise DomainError("pivot 0 is not finite")
     absB = np.abs(B)
-    lo, hi = absB.min(), absB.max()
-    if lo == 0.0:
-        raise SingularMatrixError(f"the diagonal pivot B has B_kk = 0 at k = {int(absB.argmin())}")
-    d, W = 1.0 / B, V.T  # W[i, k] = V[k, i] = F_iik, the arms
+    lo, hi = absB.min(axis=-1, keepdims=True), absB.max(axis=-1, keepdims=True)
+    if not lo.all():  # named at the first zero of the first point that has one
+        raise SingularMatrixError(f"the diagonal pivot B has B_kk = 0 at k = {int((absB == 0.0).argmax()) % n}")
+    d, W = 1.0 / B, V.swapaxes(-1, -2)  # W[..., i, k] = V[..., k, i] = F_iik, the arms
     norms = _arrow_norms(V, W)
-    dV, dW = V * d, d[:, None] * W  # dV[j, b] = d_b V[j, b], dW[i, b] = d_i V[b, i]
-    R = dW - dW[:, None, :]  # R[i, j, b]: V[j,i] (d_j V[b,j] - d_i V[b,i]), then the first term
-    R *= W[:, :, None]
-    R += W[:, None, :] * dV
+    dV, dW = V * d[..., None, :], d[..., None] * W  # dV[j, b] = d_b V[j, b], dW[i, b] = d_i V[b, i]
+    R = dW[..., None, :, :] - dW[..., None, :]  # R[i, j, b]: V[j,i] (d_j V[b,j] - d_i V[b,i]), then the first term
+    R *= W[..., None]
+    R += W[..., None, :] * dV[..., None, :, :]
     k = np.arange(n)
-    R[k, :, k] = R[:, k, k] = 0.0  # b = i and b = j: entries on M_ij's diagonal or in the (i, j) entry below
-    S = np.abs(R, out=R).max(axis=2)  # S[i, j] = max_b |M_ij[i, b]|, S[j, i] = max_b |M_ij[j, b]|
-    C = (W * d) @ V
+    R[..., k, :, k] = R[..., :, k, k] = 0.0  # b = i and b = j: entries on M_ij's diagonal or in the (i, j) entry below
+    S = np.abs(R, out=R).max(axis=-1)  # S[i, j] = max_b |M_ij[i, b]|, S[j, i] = max_b |M_ij[j, b]|
+    C = (W * d[..., None, :]) @ V
     C -= dW * W
     C -= dV * V
     i, j = _upper_pairs(n)
-    raw = np.maximum(np.maximum(S[i, j], S[j, i]), np.abs(C[i, j]))
-    scale = norms[i] * norms[j] / lo
-    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, float(hi / lo)
+    raw = np.maximum(np.maximum(S[..., i, j], S[..., j, i]), np.abs(C[..., i, j]))
+    scale = norms[..., i] * norms[..., j] / lo
+    kappa = (hi / lo)[..., 0]
+    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, kappa if kappa.ndim else float(kappa)
 
 
 def _arrow_norms(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The spectral norms of the arrow slices F_i = diag(V[i]) plus row and column i, W[i]: the largest
-    |eigenvalue| of each, from one ``eigvalsh`` of the (n, n, n) stack, freed before the caller's own."""
-    n = len(V)
+    |eigenvalue| of each, from one ``eigvalsh`` of the (..., n, n, n) stack, freed before the caller's own."""
+    n = V.shape[-1]
     k = np.arange(n)
-    F = np.zeros((n, n, n))
-    F[k, k, :] = F[k, :, k] = W
-    F[:, k, k] = V
-    return np.abs(np.linalg.eigvalsh(F)).max(axis=1)
+    F = np.zeros((*V.shape[:-2], n, n, n))
+    F[..., k, k, :] = F.swapaxes(-1, -2)[..., k, k, :] = W
+    F[..., k, k] = V
+    return np.abs(np.linalg.eigvalsh(F)).max(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1303,6 +1303,148 @@ def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
     assert report.checks == []
 
 
+def _sampled_in_blocks(per_point, samples, block, calls=None):
+    """``_sampled``'s report with one residual dict (or exception) per point in draw order, from a
+    residual function that takes blocks: a block's call raises its first point's exception, else
+    returns each residual stacked.  Each call's point indices go to ``calls``; the report and the
+    error raised, or None, are returned."""
+    drawn = {}
+    calls = [] if calls is None else calls
+
+    def residuals(rng, x, active):
+        rows = [drawn.setdefault(row.tobytes(), len(drawn)) for row in np.atleast_2d(x)]
+        assert active[2].shape == (*x.shape[:-1], 6)  # the six members of BC_2
+        calls.append(rows if x.ndim == 2 else rows[0])
+        values = [per_point[k] for k in rows]
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+        return values[0] if x.ndim == 1 else {name: np.stack([v[name] for v in values]) for name in values[0]}
+
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=samples))
+    try:
+        _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals, block)
+    except (DomainError, SamplingError) as exc:
+        return report, exc
+    return report, None
+
+
+def _outcome(report, error):
+    return dumps_17g(report.to_json_dict()), report.discarded_points, repr(error)
+
+
+_REFUSED = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+
+
+def _per_point(count, refused=(), errors=()):
+    """A residual dict per point, two checks of which one has two residuals, with the points in
+    ``refused`` discarded and those in ``errors`` ending the run."""
+    out = [{"a": np.array([k % 3, k / 7]), "b": float(k * k % 5)} for k in range(count)]
+    for k in refused:
+        out[k] = _REFUSED
+    for k in errors:
+        out[k] = DomainError("pivot 0 is not finite")
+    return out
+
+
+@pytest.mark.parametrize("block", [2, 3, 4, 6, 50])
+def test_a_discard_inside_a_block_is_the_point_by_point_discard(block):
+    # a block holding a refused point is evaluated again point by point: the same discards, the
+    # same replacement points, worst points and means as one point per call
+    per_point = _per_point(12, refused=(1, 4, 5, 8))
+    calls = []
+    want = _outcome(*_sampled_in_blocks(per_point, 6, 1))
+    assert _outcome(*_sampled_in_blocks(per_point, 6, block, calls)) == want
+    assert want[1] == 4 and '"worst_point":[' in want[0]
+    assert calls[0] == list(range(min(block, 6)))  # a block, then its points one at a time
+    assert calls[1:3] == [0, 1]
+
+
+@pytest.mark.parametrize("block", [2, 3, 5, 8])
+def test_an_error_inside_a_block_is_the_point_by_point_error(block):
+    # a DomainError at the fourth point: the same error, with only the discard before it counted
+    per_point = _per_point(8, refused=(1,), errors=(3,))
+    report, error = _sampled_in_blocks(per_point, 6, block)
+    assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 6, 1))
+    assert isinstance(error, DomainError) and str(error) == "pivot 0 is not finite"
+    assert report.discarded_points == 1 and report.checks == []
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_the_discard_cap_is_the_point_by_point_cap_in_blocks(block):
+    # every point refused: the cap's SamplingError and count, as one point per call gives them
+    per_point = [_REFUSED] * 10_010
+    report, error = _sampled_in_blocks(per_point, 3, block)
+    assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 3, 1))
+    assert str(error) == "more than 10000 sample points were discarded: 10001 had a pivot condition number above 1e+08"
+    assert report.discarded_points == 10_001 and report.checks == []
+
+
+def _failing_after(count):
+    """``admissible_points`` whose stream ends with a SamplingError after ``count`` points."""
+    real = cli.admissible_points
+
+    def points(*args):
+        stream = real(*args)
+        for _ in range(count):
+            yield next(stream)
+        raise SamplingError("no admissible point after 10000 attempts")
+
+    return points
+
+
+@pytest.mark.parametrize("block", [2, 4, 6])
+@pytest.mark.parametrize(
+    "count, refused, errors", [(3, (), ()), (4, (1,), ()), (0, (), ()), (5, (1,), (3,))],
+    ids=["plain", "discard", "first-draw", "error-first"],
+)
+def test_a_sampling_error_while_a_block_is_drawn_comes_after_its_points(monkeypatch, block, count, refused, errors):
+    # the stream fails after `count` points, inside a block: the points drawn before it are evaluated
+    # first, so a discard is counted and an earlier error wins, as one point per call has it
+    monkeypatch.setattr(cli, "admissible_points", _failing_after(count))
+    per_point = _per_point(8, refused=refused, errors=errors)
+    calls = []
+    report, error = _sampled_in_blocks(per_point, 6, block, calls)
+    one_calls = []
+    assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 6, 1, one_calls))
+    assert type(error) is (DomainError if errors else SamplingError)
+    assert report.discarded_points == len(refused) and report.checks == []
+    assert one_calls == list(range(min(count, 4 if errors else count)))
+    assert set(one_calls) <= {k for c in calls for k in np.ravel(c)}
+
+
+_WHOLE_REPORTS = [
+    *[(_family(4, -14, 0.5, 1, (2, 1, 3, 1)), seed) for seed in range(5)],
+    (_family(10, -16, 0, 1, (1,) * 10), 0),
+    (_family(20, -36, 0, 1, (1,) * 20), 0),
+    (_family(3, -1, 1, 0, (1, 1, 1)), 0),
+    (_family(4, -13, 0.5, 1, (2, 1, 3, 1)), 0),
+    (_family(10, -15, 0, 1, (1,) * 10), 1),
+    (M_SPREAD, 0),
+]
+
+
+@pytest.mark.parametrize("source, seed", _WHOLE_REPORTS,
+                         ids=[*[f"m2131-seed{s}" for s in range(5)], "unit-n10", "unit-n20", "q0", "m2131-r+1",
+                              "unit-n10-r+1", "m-spread"])
+def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed):
+    # the whole report, byte for byte, at the block rule and at one point per call
+    spec = RunSpec(command="verify-wdvv", config_source=source, samples=50 if source["n"] <= 10 else 20, seed=seed)
+    shapes = []
+
+    def recording(active, x):
+        shapes.append(x.shape)
+        return wdvv.arrow_residuals(active, x)
+
+    monkeypatch.setattr(cli, "arrow_residuals", recording)
+    blocked = dumps_17g(run(spec).to_json_dict())
+    assert len(shapes) < spec.samples and len(shapes[0]) == 2
+    shapes.clear()
+    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^3) = 1
+    assert dumps_17g(run(spec).to_json_dict()) == blocked
+    assert shapes == [(source["n"],)] * spec.samples
+
+
 def test_text_report_labels_discarded_points(capsys, tmp_path):
     # the explicit run at m = 1,1,2e8 discards the points where kappa(B) and kappa(eta.F) are both above the cap
     path = tmp_path / "m_spread.json"

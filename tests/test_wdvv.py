@@ -502,15 +502,16 @@ def test_every_family_member_has_at_most_two_nonzero_entries(n):
     assert (np.count_nonzero(vectors, axis=1) <= 2).all()
 
 
-def test_a_family_run_takes_the_arrow_kernel_once_per_point(monkeypatch):
-    # no tensor, no dense kernel: one arrow_residuals call per accepted point
+def test_a_family_run_takes_the_arrow_kernel_once_per_block(monkeypatch):
+    # no tensor, no dense kernel: one arrow_residuals call per block of points, here the run's four
+    # points at n = 4 in one call on a (4, 4) block
     calls = []
 
     def refused(*args):
         raise AssertionError("the family route took the dense route")
 
     def counting(active, x):
-        calls.append(len(x))
+        calls.append((x.shape, active[2].shape[0]))
         return arrow_residuals(active, x)
 
     monkeypatch.setattr(cli, "pivot_residuals", refused)
@@ -518,7 +519,60 @@ def test_a_family_run_takes_the_arrow_kernel_once_per_point(monkeypatch):
     monkeypatch.setattr(cli, "arrow_residuals", counting)
     source = {"family": "bcn", "n": 4, "r": -14, "s": 0.5, "q": 1, "m": [2, 1, 3, 1]}
     assert run(RunSpec(command="verify-wdvv", config_source=source, samples=4)).all_passed
-    assert calls == [4] * 4
+    assert calls == [((4, 4), 4)]
+
+
+def _same_bits(got, want) -> bool:
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 40])
+def test_an_arrow_block_is_its_points_bit_for_bit(n):
+    # one call on a (b, n) block gives each point's scaled, raw and condition as that point alone
+    box = DEFAULT_BOX if n <= 10 else (0.3, 4.0)
+    b = 3 if n <= 20 else 2
+    for params in _random_families(n, seed=n):
+        config = build_bcn(params)
+        xs = sample_points(rng_for(1, f"arrow/block/{n}/{params.r}"), fully_active(config), b, box)
+        alone = [arrow_residuals(active_pairings(config, x), x) for x in xs]
+        A, c, _ = active_pairings(config, xs[0])
+        block = arrow_residuals((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
+        assert [a.shape for a in block] == [(b, n * (n - 1) // 2)] * 2 + [(b,)]
+        for p, one in enumerate(alone):
+            assert type(one[2]) is float
+            assert _same_bits([out[p] for out in block], one), (params, p)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize(
+    "case, error, text",
+    [
+        ("zero-pivot", SingularMatrixError, "the diagonal pivot B has B_kk = 0 at k = 2"),
+        ("tensor", DomainError, "the tensor is not finite"),
+        ("pivot", DomainError, "pivot 0 is not finite"),
+    ],
+)
+def test_a_block_with_a_refused_point_raises_as_that_point(case, error, text, where):
+    # one refused point among two family points: the block raises that point's error class and text.
+    # At q = 0 the pair members have multiplicity 0, so V and B are diagonal and x_3 = 0 zeroes B_33 alone
+    q = 0.0 if case == "zero-pivot" else 1.0
+    config = build_bcn(BCnParameters(n=4, r=-14.0, s=0.5, q=q, m=(2.0, 1.0, 3.0, 1.0)))
+    xs = sample_points(rng_for(0, "arrow/refused"), fully_active(config), 3)
+    A, c, _ = active_pairings(config, xs[0])
+    zs = np.stack([active_pairings(config, x)[2] for x in xs])
+    if case == "zero-pivot":  # z, and so V, kept
+        xs[where, 2] = 0.0
+    elif case == "tensor":
+        zs[where, 1] = np.nan
+    else:
+        xs[where, 2] = 400.0  # sinh(800) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as alone:
+            arrow_residuals((A, c, zs[where]), xs[where])
+        with pytest.raises(error) as block:
+            arrow_residuals((A, c, zs), xs)
+    assert type(block.value) is type(alone.value) is error
+    assert str(block.value) == str(alone.value) == text
 
 
 def test_the_family_route_fails_a_pair_multiplicity_mutant(monkeypatch):
