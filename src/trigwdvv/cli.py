@@ -64,7 +64,7 @@ from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, bo
 from .wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# the one discard reason: the point's metric, or every candidate pivot, fails the usable-pivot rule
+# the discard text: a metric or every candidate pivot fails usable_pivots, or a family's B_kk = 0 (arrow_residuals)
 _UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 # a family verify-wdvv call takes max(1, _WDVV_BLOCK // n^3) points: one from n = 26, where blocks stop paying
 _WDVV_BLOCK = 2**15
@@ -299,60 +299,60 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
     reads (A, c, z), z the sampler's product at ``config.active_rows``, draws from the
     same generator and returns {check name: residual or residuals}, unreduced: here
     is the one place where a check's residuals are reduced, over every point's.
-    A point where it raises SingularMatrixError (a metric or pivot that fails
-    ``wdvv.usable_pivots``, or a family's diagonal B with a zero entry) is counted in
-    ``discarded_points`` and replaced, the one discard rule; past the discard cap the
-    run ends with a SamplingError that gives the count.  Any other error propagates.
-    Checks are reported in key order, and a check that received no residual is left
-    out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z
-    (b, M), each residual with that leading axis: only a family's ``verify-wdvv`` takes more
-    than 1, since a driver that draws u, v, w after each point would move those draws.  A
-    block whose call raises is evaluated again one point at a time, so the discard rule, the
-    cap and the first error stay per point, as does a SamplingError met while drawing a block.
+    A point where it raises SingularMatrixError (a metric or pivot that fails ``wdvv.usable_pivots``,
+    or a family's diagonal B with a zero entry, ``wdvv.arrow_residuals``) is counted in
+    ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
+    with a SamplingError that gives the count.  Any other error propagates.  Checks are reported in
+    key order, and a check that received no residual is left out of the report.  Up to ``block``
+    points still needed go in one call, x (b, n) and z (b, M), each residual with that leading axis:
+    only a family's ``verify-wdvv`` takes more than 1, since a driver that draws u, v, w after each
+    point would move those draws.  A block whose call raises is evaluated again one point at a time,
+    so the discard rule, the cap and the first error stay per point; a SamplingError met while
+    drawing is raised after the points drawn before it.
     """
     spec = report.run
     rng = rng_for(spec.seed, f"{spec.command}/points")
     points = admissible_points(rng, fully_active(config), spec.box, spec.threshold)
-    accepted, queue, pending = [], [], None  # (x, its residuals); drawn points to evaluate one by one
-    while len(accepted) < spec.samples:
-        if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
-            discarded = f"{report.discarded_points} had {_UNUSABLE_PIVOT}"
-            raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: {discarded}")
-        if not queue:
-            if pending is not None:
-                raise pending
-            try:
-                while len(queue) < min(block, spec.samples - len(accepted)):
-                    x, z = next(points)
-                    # read after the first draw: selected before it, A would sit beside the sampler's set-up arrays
-                    (A, c), rows = config.active_members, config.active_rows
-                    queue.append((x, z if rows is None else z[rows]))
-            except SamplingError as exc:  # raised once the points drawn before it are evaluated, one by one
-                pending = exc
-                continue
-            if len(queue) > 1:
-                xs, zs = (np.stack(a) for a in zip(*queue))
-                try:
-                    values = residuals(rng, xs, (A, c, zs))
-                except Exception:  # whatever it is, each point meets it alone below
-                    pass
-                else:
-                    accepted += [(x, {name: v[p] for name, v in values.items()}) for p, (x, _) in enumerate(queue)]
-                    queue = []
-                    continue
-        x, z = queue.pop(0)
-        try:
-            values = residuals(rng, x, (A, c, z))
-        except SingularMatrixError:
-            report.discarded_points += 1
-            continue
-        accepted.append((x, values))
-    collected: dict[str, tuple[list, list]] = {}
-    for x, values in accepted:
+    collected: dict[str, tuple[list, list]] = {}  # check name: (its residuals, the point of each)
+
+    def file(xs, values) -> int:  # files the accepted points xs' residuals, each with a leading point axis
         for name, value in values.items():
             vals, pts = collected.setdefault(name, ([], []))
-            vals.append(np.ravel(value))
-            pts += [x] * vals[-1].size
+            vals.append(np.ravel(value))  # point by point: C order along the leading axis
+            for x in xs:
+                pts += [x] * (vals[-1].size // len(xs))
+        return len(xs)
+
+    accepted = 0
+    while accepted < spec.samples:
+        drawn, failure = [], None
+        try:
+            while len(drawn) < min(block, spec.samples - accepted):
+                drawn.append(next(points))
+        except SamplingError as exc:  # raised once the points drawn before it are evaluated
+            failure = exc
+        # read after the draw: selected before it, A would sit beside the sampler's set-up arrays
+        (A, c), rows = config.active_members, config.active_rows
+        xs, zs = [x for x, _ in drawn], [z if rows is None else z[rows] for _, z in drawn]
+        try:  # one call for a block; one point, or a block whose call raises, goes point by point below
+            values = residuals(rng, np.stack(xs), (A, c, np.stack(zs))) if len(xs) > 1 else None
+        except Exception:  # whatever it is, each point meets it alone
+            values = None
+        if values is not None:
+            accepted += file(xs, values)
+        else:
+            for x, z in zip(xs, zs):
+                try:
+                    values = residuals(rng, x, (A, c, z))
+                except SingularMatrixError:
+                    report.discarded_points += 1
+                    if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
+                        raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: "
+                                            f"{report.discarded_points} had {_UNUSABLE_PIVOT}") from None
+                else:
+                    accepted += file([x], values)
+        if failure is not None:
+            raise failure
     report.checks.extend(
         _check_result(name, np.concatenate(vals), pts, spec.tolerance)
         for name, (vals, pts) in collected.items()

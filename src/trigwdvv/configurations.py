@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,6 +137,19 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index arrays of the pairs i < j of range(n), read-only."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=64)
+def _off_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index arrays of the pairs i != j of range(n) in row-major order,
+    ``np.nonzero(~np.eye(n, dtype=bool))``, read-only."""
+    return _read_only(*np.nonzero(~np.eye(n, dtype=bool)))
+
+
 def _integer(value, error: str, error_type: type[Exception] = ParameterError) -> int:
     """``value`` as an int if it is an integral real a float holds (2.0 reads as 2); else ``error_type(error)``."""
     if _real(value, error, error_type).is_integer():
@@ -228,7 +241,7 @@ def solve_r(s: float, q: float, m) -> float:
 def _bcn_members(p: BCnParameters) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, multiplicities) of ``build_bcn(p)``, as the restriction and the rescaling read them."""
     n, r, s, q, m = p.n, p.r, p.s, p.q, p.m_array
-    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs i < j in np.triu_indices(n, 1)'s order
+    i, j = _upper_pairs(n)
     plus = 2 * n + 2 * np.arange(len(i))  # the row of e_i + e_j; e_i - e_j follows it
     # written in place: building the pair rows from rows of np.eye(n) costs
     # twenty times as much at n = 80, in page faults on the temporaries

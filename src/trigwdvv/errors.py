@@ -26,7 +26,8 @@ class SingularityError(TrigWdvvError, ArithmeticError):
 
 
 class SingularMatrixError(TrigWdvvError, ArithmeticError):
-    """A pivot matrix is unusable: its condition number is above wdvv.CONDITION_CAP."""
+    """A pivot matrix is unusable: its condition number is above wdvv.CONDITION_CAP, or a
+    family's diagonal pivot B has a zero entry (wdvv.arrow_residuals)."""
 
 
 class ConfigFormatError(TrigWdvvError, ValueError):

@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, _integer
+from .configurations import BCnParameters, Configuration, _integer, _off_pairs
 from .errors import DimensionError, DomainError, SingularityError
-from .wdvv import _off_pairs
 
 # Minimum distance from every active hyperplane (alpha, x) = 0; keeps all coth
 # factors and condition numbers O(1)..O(10) at default sampling.

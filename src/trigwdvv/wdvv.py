@@ -24,11 +24,9 @@ the positive checks.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .configurations import _read_only
+from .configurations import _upper_pairs
 from .errors import DomainError, SingularMatrixError
 
 # A pivot whose spectral condition number is above this is unusable:
@@ -169,15 +167,3 @@ def _arrow_norms(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     F[..., k, k] = V
     return np.abs(np.linalg.eigvalsh(F)).max(axis=-1)
 
-
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) index arrays of the pairs i < j of range(n), read-only."""
-    return _read_only(*np.triu_indices(n, 1))
-
-
-@functools.lru_cache(maxsize=64)
-def _off_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) index arrays of the pairs i != j of range(n) in row-major order,
-    ``np.nonzero(~np.eye(n, dtype=bool))``, read-only."""
-    return _read_only(*np.nonzero(~np.eye(n, dtype=bool)))

@@ -1413,6 +1413,16 @@ def test_a_sampling_error_while_a_block_is_drawn_comes_after_its_points(monkeypa
     assert set(one_calls) <= {k for c in calls for k in np.ravel(c)}
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_the_discard_cap_comes_before_a_stream_failure_on_the_next_draw(monkeypatch, block):
+    # the stream fails right after the 10,001st point, and every point is refused: the run ends at
+    # the discard that passes the cap, so the cap's error is raised, not the stream's
+    monkeypatch.setattr(cli, "admissible_points", _failing_after(10_001))
+    report, error = _sampled_in_blocks([_REFUSED] * 10_001, 3, block)
+    assert str(error) == "more than 10000 sample points were discarded: 10001 had a pivot condition number above 1e+08"
+    assert report.discarded_points == 10_001 and report.checks == []
+
+
 _WHOLE_REPORTS = [
     *[(_family(4, -14, 0.5, 1, (2, 1, 3, 1)), seed) for seed in range(5)],
     (_family(10, -16, 0, 1, (1,) * 10), 0),

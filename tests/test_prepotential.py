@@ -20,7 +20,7 @@ from trigwdvv.prepotential import (
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for
-from trigwdvv.wdvv import _off_pairs
+from trigwdvv.configurations import _off_pairs
 
 from tests.oracles import (
     DenseFermionicSpace,
