@@ -16,7 +16,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, Partition, _bcn_members, _restriction
 from .errors import DimensionError
-from .prepotential import DEFAULT_THRESHOLD, active_pairings, coth
+from .prepotential import DEFAULT_THRESHOLD, _point, active_pairings, coth
 
 
 def _operands(A: np.ndarray, names: str, *vectors) -> list[np.ndarray]:
@@ -93,14 +93,11 @@ class RestrictionContext:
     def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
 
-        ``x_tilde`` is in block-basis coordinates, and the point must be
-        admissible for every covector outside the subsystem, with the margin
-        ``threshold`` as in ``active_pairings``.
+        ``x_tilde`` is in block-basis coordinates, read by ``prepotential._point``, and the point must
+        be admissible for every covector outside the subsystem, with the margin ``threshold`` as in
+        ``active_pairings``.
         """
-        x_tilde = np.asarray(x_tilde, dtype=float)
-        if x_tilde.shape != self.m.shape:
-            raise DimensionError(f"x_tilde has shape {x_tilde.shape}, expected ({len(self.m)},)")
-        return active_pairings(self.outside, self.block_basis.T @ x_tilde, threshold)
+        return active_pairings(self.outside, self.block_basis.T @ _point(x_tilde, len(self.m)), threshold)
 
 
 def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:

@@ -61,11 +61,9 @@ from .prepotential import (
     tensor_generic,
 )
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, box_bounds, fully_active, rng_for
-from .wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
+from .wdvv import arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# the discard text: a metric or every candidate pivot fails usable_pivots, or a family's B_kk = 0 (arrow_residuals)
-_UNUSABLE_PIVOT = f"a pivot condition number above {CONDITION_CAP:g}"
 # a family verify-wdvv call takes max(1, _WDVV_BLOCK // n^3) points: one from n = 26, where blocks stop paying
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
@@ -302,11 +300,11 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
     A point where it raises SingularMatrixError (a metric or pivot that fails ``wdvv.usable_pivots``,
     or a family's diagonal B with a zero entry, ``wdvv.arrow_residuals``) is counted in
     ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
-    with a SamplingError that gives the count.  Any other error propagates.  Checks are reported in
-    key order, and a check that received no residual is left out of the report.  Up to ``block``
-    points still needed go in one call, x (b, n) and z (b, M), each residual with that leading axis:
-    only a family's ``verify-wdvv`` takes more than 1, since a driver that draws u, v, w after each
-    point would move those draws.  A block whose call raises is evaluated again one point at a time,
+    with a SamplingError that gives the count and the last discard's own text.  Any other error
+    propagates.  Checks are reported in key order, and a check that received no residual is left
+    out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z (b, M),
+    each residual with that leading axis: only a family's ``verify-wdvv`` takes more than 1, since a
+    driver that draws u, v, w after each point would move those draws.  A block whose call raises is evaluated again one point at a time,
     so the discard rule, the cap and the first error stay per point; a SamplingError met while
     drawing is raised after the points drawn before it.
     """
@@ -344,11 +342,11 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
             for x, z in zip(xs, zs):
                 try:
                     values = residuals(rng, x, (A, c, z))
-                except SingularMatrixError:
+                except SingularMatrixError as exc:
                     report.discarded_points += 1
                     if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
                         raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: "
-                                            f"{report.discarded_points} had {_UNUSABLE_PIVOT}") from None
+                                            f"{report.discarded_points} had an unusable pivot, the last: {exc}") from None
                 else:
                     accepted += file([x], values)
         if failure is not None:

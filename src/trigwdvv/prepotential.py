@@ -1,4 +1,4 @@
-"""Scalar prepotential, third-derivative tensors and the sinh-weighted metric.
+"""Third-derivative tensors of the prepotential, their coth helpers and the sinh-weighted metric.
 
 The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent
 representations: a direct weighted sum of coth over the active members
@@ -12,41 +12,14 @@ with h diag(m), and ``_two_path`` one quantity computed by two routes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, _integer, _off_pairs
+from .configurations import BCnParameters, Configuration, _off_pairs
 from .errors import DimensionError, DomainError, SingularityError
 
 # Minimum distance from every active hyperplane (alpha, x) = 0; keeps all coth
 # factors and condition numbers O(1)..O(10) at default sampling.
 DEFAULT_THRESHOLD = 0.05
-
-# Truncation threshold for the trilogarithm power series.
-_LI3_TERM_FLOOR = 1e-16
-
-
-def eval_f(z: float) -> float:
-    """f(z) = z^3/6 - Li3(e^{-2z})/4 for z > 0.
-
-    Li3 is summed as sum_{k>=1} w^k / k^3 with w = e^{-2z}, truncated once a
-    term falls below 1e-16.  Requires z > 0 so that |w| < 1.
-    """
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"eval_f requires z > 0, got z = {z}")
-    w = math.exp(-2.0 * z)
-    li3 = 0.0
-    k = 1
-    while True:
-        term = w**k / k**3
-        li3 += term
-        if term < _LI3_TERM_FLOOR:
-            break
-        k += 1
-    return z**3 / 6.0 - 0.25 * li3
-
 
 def coth(z):
     return 1.0 / np.tanh(z)
@@ -83,30 +56,6 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     b_pair = np.zeros((n, n))
     b_pair[i, j] = coth(plus) + coth(minus)
     return b, bt, b_pair
-
-
-def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
-    """Residuals of the two sinh/coth identities at indices (k, j).
-
-    First: A_k b_kj + A_j b_jk - 2(cosh 2x_k + cosh 2x_j) with A_k = sinh 2x_k,
-    defined for k != j (reported as 0 for k == j, where it does not constrain).
-    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.  The indices
-    follow the package's integer rule (1.0 reads as 1; a bool, str, None or
-    0.5 raises ParameterError), and one outside 0..n-1 raises DimensionError.
-    """
-    x = np.asarray(x, dtype=float)
-    _, _, b_pair = hyperbolic_helpers(x, threshold)
-    k, j = (_integer(i, f"indices must be integers, got ({k!r}, {j!r})") for i in (k, j))
-    if k not in range(len(x)) or j not in range(len(x)):
-        raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")
-    A = np.sinh(2.0 * x)
-    second = float(A[k] * b_pair[j, k] + A[j] * b_pair[k, j])
-    if k == j:
-        return 0.0, second
-    first = float(
-        A[k] * b_pair[k, j] + A[j] * b_pair[j, k] - 2.0 * (math.cosh(2.0 * x[k]) + math.cosh(2.0 * x[j]))
-    )
-    return first, second
 
 
 def _point(x, n: int) -> np.ndarray:
@@ -214,11 +163,3 @@ def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[
     scale = max(1.0, float(np.abs(target).max()))
     off = np.abs(B[_off_pairs(len(target))]).max(initial=0.0)  # the target is diagonal
     return float(off) / scale, float(np.abs(B.reshape(-1)[:: len(target) + 1] - target).max()) / scale
-
-
-def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True iff x is finite, has shape (n,) and keeps |(alpha, x)| >= ``threshold`` for every
-    row alpha of the (M, n) covector array ``pattern``; no multiplicity is read.  The margin
-    rule of ``active_pairings`` and ``sampling.admissible_points``, and no other."""
-    x = np.asarray(x, dtype=float)
-    return x.shape == pattern.shape[1:] and _margin(pattern, x, threshold)[1]

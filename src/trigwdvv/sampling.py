@@ -60,7 +60,7 @@ def box_bounds(box) -> tuple[float, float]:
 def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Endless stream of (x, z): x uniform on the admissible part of the box, z = pattern @ x.
 
-    A candidate's z is formed once and tested by ``is_admissible``'s margin rule, and
+    A candidate's z is formed once and tested by the margin rule, ``prepotential._margin``, and
     an accepted x comes with it; a point gets at most MAX_ATTEMPTS_PER_POINT candidates.
     When ``covers_every_pair(pattern)`` and theta = ``threshold`` > 0, a candidate is
     u + theta * rank(u), u uniform in [lo, hi - (n-1) theta]^n and rank(u)_i the count

@@ -6,8 +6,9 @@ pivot in the span of the slices F_k implies it for every other
 most two nonzero entries, so F_ijk = 0 for distinct i, j, k: each slice F_i is
 an arrow matrix (a diagonal plus row and column i) and the metric
 B = sum_k sinh(2x_k) F_k is diagonal for every (r, s, q).  ``arrow_residuals``
-takes the family's check at P = diag(B) in O(n^3) per point, with no n^4 array
-and no LU.  An explicit configuration has no such structure: ``pivot_residuals``
+takes the family's check at P = diag(B) with O(n^3) memory per point, no n^4
+array and no LU, in O(n^4) flops, from its one ``eigvalsh`` over the n arrow
+slices.  An explicit configuration has no such structure: ``pivot_residuals``
 takes its check at whichever of B and a generic eta.F = sum_k eta_k F_k is
 better conditioned, under ``usable_pivots``' cap.  The identity is the pivot of
 the commuting form, for the rescaled tensor whose metric is a multiple of the

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These stay deliberately separate from the library paths they check: the
-trilogarithm is re-summed with math.fsum, third derivatives come from finite
-differences of the scalar prepotential, the fermionic operators are dense
+scalar prepotential f(z) = z^3/6 - Li3(e^{-2z})/4 (``eval_f``) lives here, with
+its trilogarithm re-summed with math.fsum as a check, third derivatives come from
+finite differences of the prepotential built on it, the fermionic operators are dense
 Kronecker products, the anticommutation residual is read off dense products of
 the scattered operator arrays, the four-fermion term is built from them both by
 products of contracted operators and by literal eight-index loops, BC_n family
@@ -12,7 +13,9 @@ time with an explicit inverse for the pivot norm (and, for bit-for-bit
 comparison, by the full commutator pass over every (i, j) with a separate SVD
 for the norms), the gauge relation between the two Hamiltonian forms is
 differentiated by central stencils on scalar test fields,
-admissible points are drawn by box-uniform rejection, the associativity
+admissible points are drawn by box-uniform rejection through the admissibility
+predicate ``is_admissible``, the hyperbolic identities behind the metric's
+diagonal structure are evaluated by ``identity_residuals``, the associativity
 residual is composed from four ``multiply`` calls, the tangency
 residual of a restriction is summed one subsystem covector at a time and the
 restricted product one outside member at a time, the
@@ -31,10 +34,11 @@ import math
 import numpy as np
 
 from trigwdvv.algebra import RestrictionContext, multiply
-from trigwdvv.configurations import BCnParameters, Configuration
+from trigwdvv.configurations import BCnParameters, Configuration, _integer
 from trigwdvv.errors import (
     DimensionCapError,
     DimensionError,
+    DomainError,
     ParameterError,
     PreconditionError,
     SamplingError,
@@ -42,12 +46,11 @@ from trigwdvv.errors import (
 )
 from trigwdvv.prepotential import (
     DEFAULT_THRESHOLD,
+    _margin,
     active_pairings,
     coth,
-    eval_f,
     h_function,
     hyperbolic_helpers,
-    is_admissible,
     metric_B,
 )
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
@@ -68,6 +71,31 @@ class MarginError(ValueError):
 def li3_fsum(w: float, terms: int = 400) -> float:
     """Trilogarithm by compensated summation of the defining series."""
     return math.fsum(w**k / k**3 for k in range(1, terms + 1))
+
+
+# Truncation threshold for the trilogarithm power series.
+_LI3_TERM_FLOOR = 1e-16
+
+
+def eval_f(z: float) -> float:
+    """f(z) = z^3/6 - Li3(e^{-2z})/4 for z > 0.
+
+    Li3 is summed as sum_{k>=1} w^k / k^3 with w = e^{-2z}, truncated once a
+    term falls below 1e-16.  Requires z > 0 so that |w| < 1.
+    """
+    z = float(z)
+    if not z > 0.0:
+        raise DomainError(f"eval_f requires z > 0, got z = {z}")
+    w = math.exp(-2.0 * z)
+    li3 = 0.0
+    k = 1
+    while True:
+        term = w**k / k**3
+        li3 += term
+        if term < _LI3_TERM_FLOOR:
+            break
+        k += 1
+    return z**3 / 6.0 - 0.25 * li3
 
 
 def merge_pairwise(members) -> list[tuple[tuple[float, ...], float]]:
@@ -118,6 +146,14 @@ def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
 def sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
     """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from."""
     return np.array([x for x, _ in itertools.islice(admissible_points(rng, pattern, box, threshold), count)])
+
+
+def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
+    """True iff x is finite, has shape (n,) and keeps |(alpha, x)| >= ``threshold`` for every
+    row alpha of the (M, n) covector array ``pattern``; no multiplicity is read.  The margin
+    rule of ``active_pairings`` and ``sampling.admissible_points``, and no other."""
+    x = np.asarray(x, dtype=float)
+    return x.shape == pattern.shape[1:] and _margin(pattern, x, threshold)[1]
 
 
 def rejection_sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
@@ -235,6 +271,30 @@ def tensor_closed_form_masked(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     F[i, i, j] = F[i, j, i] = F[j, i, i] = pair_val[i, j]
     return F
+
+
+def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
+    """Residuals of the two sinh/coth identities at indices (k, j).
+
+    First: A_k b_kj + A_j b_jk - 2(cosh 2x_k + cosh 2x_j) with A_k = sinh 2x_k,
+    defined for k != j (reported as 0 for k == j, where it does not constrain).
+    Second: A_k b_jk + A_j b_kj, which vanishes for all k, j.  The indices
+    follow the package's integer rule (1.0 reads as 1; a bool, str, None or
+    0.5 raises ParameterError), and one outside 0..n-1 raises DimensionError.
+    """
+    x = np.asarray(x, dtype=float)
+    _, _, b_pair = hyperbolic_helpers(x, threshold)
+    k, j = (_integer(i, f"indices must be integers, got ({k!r}, {j!r})") for i in (k, j))
+    if k not in range(len(x)) or j not in range(len(x)):
+        raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")
+    A = np.sinh(2.0 * x)
+    second = float(A[k] * b_pair[j, k] + A[j] * b_pair[k, j])
+    if k == j:
+        return 0.0, second
+    first = float(
+        A[k] * b_pair[k, j] + A[j] * b_pair[j, k] - 2.0 * (math.cosh(2.0 * x[k]) + math.cosh(2.0 * x[j]))
+    )
+    return first, second
 
 
 def metric_identity_residuals_masked(p, tensor, x) -> tuple[float, float]:

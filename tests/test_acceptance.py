@@ -28,7 +28,6 @@ from trigwdvv.configurations import (
 from trigwdvv.prepotential import (
     active_pairings,
     h_function,
-    identity_residuals,
     metric_B,
     metric_identity_residuals,
     tensor_closed_form,
@@ -43,6 +42,7 @@ from tests.oracles import (
     anticommutator,
     gauge_residual_fd,
     gaussian_field,
+    identity_residuals,
     phi_matrix,
     phi_matrix_bruteforce,
     polynomial_field,

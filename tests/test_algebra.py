@@ -420,7 +420,7 @@ class TestRestrictionContext:
     @pytest.mark.parametrize("xt", [[0.9], [0.9, 0.4, 0.2], [[0.9, 0.4]]], ids=["short", "long", "nested"])
     def test_pairings_refuse_a_point_of_the_wrong_shape(self, xt):
         rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
-        with pytest.raises(DimensionError, match=r"x_tilde has shape .*, expected \(2,\)"):
+        with pytest.raises(DimensionError, match=r"^point has shape .*, expected \(2,\)$"):
             rctx.pairings(xt)
 
 

@@ -655,11 +655,28 @@ def test_associativity_refuses_a_family_with_a_zero_m(capsys, m):
 )
 def test_one_usable_pivot_rule_judges_every_pivot(monkeypatch, command, source):
     # with the cap at 1 no pivot and no metric B(x) is usable: both explicit drivers
-    # read wdvv's one rule, so both discard every point with the same reason
+    # read wdvv's one rule, so both discard every point with its text
     monkeypatch.setattr(wdvv, "CONDITION_CAP", 1.0)
     monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 5)
-    with pytest.raises(SamplingError, match=re.escape(f": 6 had {cli._UNUSABLE_PIVOT}")):
+    with pytest.raises(SamplingError, match=r": 6 had an unusable pivot, the last: "
+                                            r"pivot \d has condition number \S+ above 1$"):
         run(RunSpec(command=command, config_source=source, samples=1))
+
+
+def test_the_discard_cap_on_the_family_route_names_the_arrow_kernels_refusal(monkeypatch):
+    # the family verify-wdvv route takes no condition cap: with every multiplicity zeroed inside the
+    # arrow kernel, B = 0 at every point, each point (and each block) is refused with the kernel's own
+    # text, and the cap's error carries that text, not a condition number
+    def zero_b(active, x):
+        A, c, z = active
+        return wdvv.arrow_residuals((A, 0.0 * c, z), x)
+
+    monkeypatch.setattr(cli, "arrow_residuals", zero_b)
+    monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 5)
+    with pytest.raises(SamplingError) as error:
+        run(RunSpec(command="verify-wdvv", config_source=_family(3, -2, 0, 1, (1, 1, 1)), samples=3))
+    assert str(error.value) == ("more than 5 sample points were discarded: 6 had an unusable pivot, "
+                                "the last: the diagonal pivot B has B_kk = 0 at k = 0")
 
 
 def test_hat_two_path_fails_a_rescaling_with_the_wrong_power(monkeypatch):
@@ -1296,8 +1313,8 @@ def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
     refused = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=1))
     points = []
-    with pytest.raises(SamplingError, match="^more than 10000 sample points were discarded: "
-                                            "10001 had a pivot condition number above 1e\\+08$"):
+    with pytest.raises(SamplingError, match="^more than 10000 sample points were discarded: 10001 had an unusable "
+                                            "pivot, the last: pivot 0 has condition number inf above 1e\\+08$"):
         _sampled_into(report, [refused] * 10_002, points)
     assert report.discarded_points == len(points) == 10_001
     assert report.checks == []
@@ -1376,7 +1393,8 @@ def test_the_discard_cap_is_the_point_by_point_cap_in_blocks(block):
     per_point = [_REFUSED] * 10_010
     report, error = _sampled_in_blocks(per_point, 3, block)
     assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 3, 1))
-    assert str(error) == "more than 10000 sample points were discarded: 10001 had a pivot condition number above 1e+08"
+    assert str(error) == ("more than 10000 sample points were discarded: 10001 had an unusable pivot, the last: "
+                          "pivot 0 has condition number inf above 1e+08")
     assert report.discarded_points == 10_001 and report.checks == []
 
 
@@ -1419,7 +1437,8 @@ def test_the_discard_cap_comes_before_a_stream_failure_on_the_next_draw(monkeypa
     # the discard that passes the cap, so the cap's error is raised, not the stream's
     monkeypatch.setattr(cli, "admissible_points", _failing_after(10_001))
     report, error = _sampled_in_blocks([_REFUSED] * 10_001, 3, block)
-    assert str(error) == "more than 10000 sample points were discarded: 10001 had a pivot condition number above 1e+08"
+    assert str(error) == ("more than 10000 sample points were discarded: 10001 had an unusable pivot, the last: "
+                          "pivot 0 has condition number inf above 1e+08")
     assert report.discarded_points == 10_001 and report.checks == []
 
 

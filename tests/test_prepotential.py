@@ -9,11 +9,8 @@ from trigwdvv.configurations import BCnParameters, Configuration, Partition, bui
 from trigwdvv.errors import DimensionError, DomainError, ParameterError, SingularityError
 from trigwdvv.prepotential import (
     active_pairings,
-    eval_f,
     h_function,
     hyperbolic_helpers,
-    identity_residuals,
-    is_admissible,
     metric_B,
     metric_identity_residuals,
     tensor_closed_form,
@@ -24,8 +21,11 @@ from trigwdvv.configurations import _off_pairs
 
 from tests.oracles import (
     DenseFermionicSpace,
+    eval_f,
     fd_tensor,
     hyperbolic_helpers_masked,
+    identity_residuals,
+    is_admissible,
     li3_fsum,
     metric_B_einsum,
     metric_identity_residuals_masked,

@@ -6,11 +6,10 @@ import pytest
 from trigwdvv import sampling
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import PreconditionError
-from trigwdvv.prepotential import is_admissible
 from trigwdvv.sampling import DEFAULT_BOX, covers_every_pair, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 
-from tests.oracles import ks_statistic, rejection_sample_points, sample_points
+from tests.oracles import is_admissible, ks_statistic, rejection_sample_points, sample_points
 
 
 def bcn_pattern(n, m=None):
