@@ -64,7 +64,10 @@ from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, bo
 from .wdvv import arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# a family verify-wdvv call takes max(1, _WDVV_BLOCK // n^3) points: one from n = 26, where blocks stop paying
+# the floats a block of points may hold in its largest per-point array: a family verify-wdvv call
+# and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26 for verify-wdvv, where
+# blocks stop paying, and n = 33 for verify-metric), and a verify-susy call max(1, _WDVV_BLOCK // n^4), the
+# commuting form's n^4 floats a point
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -303,8 +306,10 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
     with a SamplingError that gives the count and the last discard's own text.  Any other error
     propagates.  Checks are reported in key order, and a check that received no residual is left
     out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z (b, M),
-    each residual with that leading axis: only a family's ``verify-wdvv`` takes more than 1, since a
-    driver that draws u, v, w after each point would move those draws.  A block whose call raises is evaluated again one point at a time,
+    each residual with that leading axis: a family's ``verify-wdvv``, ``verify-metric`` and
+    ``verify-susy`` take more than 1, as they draw nothing at a point, and ``verify-associativity``
+    and ``verify-restriction`` take 1, since a block would move the u, v, w they draw after each
+    point.  A block whose call raises is evaluated again one point at a time,
     so the discard rule, the cap and the first error stay per point; a SamplingError met while
     drawing is raised after the points drawn before it.
     """
@@ -428,7 +433,7 @@ def _run_metric(spec: RunSpec, parsed):
         off, diag = metric_identity_residuals(params, tensor_generic(active), x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
-    return {}, config, residuals, 1
+    return {}, config, residuals, max(1, _WDVV_BLOCK // params.n**3)
 
 
 def _run_restriction(spec: RunSpec, parsed):
@@ -479,13 +484,15 @@ def _run_susy(spec: RunSpec, parsed):
         x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq
         closed = tensor_closed_form(params, x, spec.threshold)
         return {
-            "hat_tensor_two_path": _two_path(base, closed),
+            "hat_tensor_two_path": _two_path(base, closed, axes=(-3, -2, -1)),
             "hat_commuting_residual": commuting,
-            "hat_metric_identity": metric_identity_residuals(params, base, x),
+            # each point's two parts side by side, in the order one point's (off, diag) is filed
+            "hat_metric_identity": np.stack(metric_identity_residuals(params, base, x), axis=-1),
             "gauge_residual": susy.gauge_residual(active),
         }
 
-    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, 1
+    # the commuting form's G holds n^4 floats a point
+    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, max(1, _WDVV_BLOCK // params.n**4)
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the

@@ -7,7 +7,10 @@ helpers (``tensor_closed_form``).  Their agreement is one of the package's
 core checks, so neither path may call the other.  ``active_pairings`` gives
 the (A, c, z) of a point, the one input of every sum over members here and in
 ``algebra`` and ``susy``.  ``metric_identity_residuals`` compares the metric B
-with h diag(m), and ``_two_path`` one quantity computed by two routes.
+with h diag(m), and ``_two_path`` one quantity computed by two routes.  Every
+function here that reads a point or its pairings, ``active_pairings`` aside,
+also takes a block of points, every output with its leading axis and each
+point's bits as alone, for the commands that draw nothing at a point.
 """
 
 from __future__ import annotations
@@ -25,27 +28,24 @@ def coth(z):
     return 1.0 / np.tanh(z)
 
 
-def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
-    """The coth-type helpers (b, b~, b_pair) at a point.
+def _hyperbolic_helpers(x: np.ndarray, threshold: float):
+    """The coth-type helpers (b, b~, b_pair) at a point x of shape (n,), or at each of a block (b, n).
 
     b[i] = coth(x_i), bt[i] = coth(2 x_i), and b_pair[i][j] =
-    coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it.  All sinh
-    arguments (x_i, 2 x_i, x_i +- x_j) must stay at least ``threshold`` away
-    from zero, regardless of which outputs the caller consumes.  A point that
-    is not 1-D raises DimensionError, a non-finite one DomainError.
+    coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it, each with x's leading axis.  All
+    sinh arguments (x_i, 2 x_i, x_i +- x_j) must stay at least ``threshold`` away from zero,
+    regardless of which outputs the caller consumes: a non-finite x raises DomainError, and an
+    argument inside the margin SingularityError naming the nearest one (in a block, of any point).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"point has shape {x.shape}, expected (n,)")
     if not np.isfinite(x).all():
         raise DomainError(f"point {x.tolist()} is not finite")
-    n = x.shape[0]
+    n = x.shape[-1]
     i, j = _off_pairs(n)
-    xi, xj = x[i], x[j]
+    xi, xj = x[..., i], x[..., j]
     plus, minus = xi + xj, xi - xj
     # |2 x_k| >= |x_k|, so the x piece is nearer: the margin needs three minima, not the joined array
     if min(np.abs(a).min(initial=np.inf) for a in (x, plus, minus)) < threshold:
-        args = np.concatenate([x, 2.0 * x, plus, minus])
+        args = np.concatenate([x, 2.0 * x, plus, minus], axis=-1)
         bad = np.abs(args) < threshold
         worst = float(args[bad][np.argmin(np.abs(args[bad]))])
         raise SingularityError(
@@ -53,15 +53,16 @@ def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
         )
     b = coth(x)
     bt = coth(2.0 * x)
-    b_pair = np.zeros((n, n))
-    b_pair[i, j] = coth(plus) + coth(minus)
+    b_pair = np.zeros((*x.shape, n))
+    b_pair[..., i, j] = coth(plus) + coth(minus)
     return b, bt, b_pair
 
 
-def _point(x, n: int) -> np.ndarray:
-    """x as a float array; a shape other than (n,) raises DimensionError."""
+def _point(x, n: int, block: bool = False) -> np.ndarray:
+    """x as a float array; a shape other than (n,), or than (b, n) where ``block`` allows a block of
+    points, raises DimensionError."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
+    if x.shape != (n,) and not (block and x.ndim == 2 and x.shape[1] == n):
         raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
     return x
 
@@ -105,11 +106,15 @@ def tensor_generic(active) -> np.ndarray:
     ``active`` is (A, c, z) from ``active_pairings`` at the point x.  One GEMM
     over the active members, (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k, one multiply
     each by einsum (a zero as +0.0): exactly symmetric in (j, k), in i only up to rounding.
+    A block, z of shape (b, M), gives a (b, n, n, n) tensor, one GEMM per point, each point's bits as alone.
     """
     A, c, z = active
     n = A.shape[1]
     AA = np.einsum("mi,mj->mij", A, A).reshape(len(A), n * n)
-    return ((A.T * (c * coth(z))) @ AA).reshape(n, n, n)
+    w, shape = c * coth(z), (n, n, n)
+    if z.ndim > 1:  # a block: one row of weights a point
+        w, shape = w[:, None, :], (len(z), *shape)
+    return ((A.T * w) @ AA).reshape(shape)
 
 
 def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -117,49 +122,67 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
 
     Diagonal: r m_k b_k + 4(2s m_k + q m_k(m_k - 1)) bt_k
     + q m_k sum_{j != k} m_j b_pair[k][j].  Entries with one repeated index a
-    and a single index b carry q m_a m_b b_pair[b][a]; all others vanish.
+    and a single index b carry q m_a m_b b_pair[b][a]; all others vanish.  A block, x of shape
+    (b, n), gives a (b, n, n, n) tensor, each point's bits as alone, or raises if any point is refused.
     """
-    x = _point(x, p.n)
+    x = _point(x, p.n, True)
     n = p.n
     rm, wt, qm, qmm = p.closed_form_weights
-    b, bt, b_pair = hyperbolic_helpers(x, threshold)
-    F = np.zeros((n, n, n))
-    F.reshape(-1)[:: n * n + n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)  # F[k, k, k]
+    b, bt, b_pair = _hyperbolic_helpers(x, threshold)
+    F = np.zeros((*x.shape[:-1], n, n, n))
+    F.reshape(*x.shape[:-1], -1)[..., :: n * n + n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)  # F[k, k, k]
     # (i, i, j), (i, j, i) and (j, i, i) with i != j never coincide: one write per entry, q m_i m_j b_pair[j][i]
     i, j = _off_pairs(n)
-    F[i, i, j] = F[i, j, i] = F[j, i, i] = qmm[i, j] * b_pair[j, i]
+    F[..., i, i, j] = F[..., i, j, i] = F[..., j, i, i] = qmm[i, j] * b_pair[..., j, i]
     return F
 
 
 def metric_B(tensor: np.ndarray, x) -> np.ndarray:
-    """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor."""
-    n = len(tensor)
-    x = _point(x, n)
-    return (np.sinh(2.0 * x) @ np.asarray(tensor).reshape(n, n * n)).reshape(n, n)
+    """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor; a block, a (b, n, n, n)
+    tensor at x of shape (b, n), gives (b, n, n), one GEMV per point, each point's bits as alone."""
+    tensor = np.asarray(tensor)
+    n = tensor.shape[-1]
+    x = _point(x, n, True)
+    if x.ndim > 1:  # a block: the same contraction with a row vector a point, one GEMV each
+        return (np.sinh(2.0 * x)[:, None, :] @ tensor.reshape(len(x), n, n * n)).reshape(len(x), n, n)
+    return (np.sinh(2.0 * x) @ tensor.reshape(n, n * n)).reshape(n, n)
 
 
-def h_function(p: BCnParameters, x) -> float:
-    """h(x) = 2q sum_k m_k cosh(2 x_k) + r."""
-    x = _point(x, p.n)
-    return float(2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum() + p.r)
+def h_function(p: BCnParameters, x) -> float | np.ndarray:
+    """h(x) = 2q sum_k m_k cosh(2 x_k) + r; at a block, x of shape (b, n), each point's, as alone."""
+    x = _point(x, p.n, True)
+    h = 2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum(axis=-1) + p.r
+    return h if x.ndim > 1 else float(h)
 
 
-def _two_path(got, want) -> float:
+def _two_path(got, want, axes=None) -> float | np.ndarray:
     """max|got - want| / max(1, max|want|), floored as want can vanish (each does at r = s = q = 0):
     one quantity by two routes, for structure_constants_two_path, hat_tensor_two_path,
-    restriction_config_match (the vectors, then the multiplicities) and gauge_residual."""
-    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
+    restriction_config_match (the vectors, then the multiplicities) and gauge_residual.  The maxima
+    are over ``axes``: None for one float, the value axes for each point of a block, as alone."""
+    dev, top = np.abs(got - want).max(axes), np.abs(want).max(axes)
+    if axes is None:
+        return float(dev) / max(1.0, float(top))
+    return dev / np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max(1.0, nan) does
 
 
-def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple[float, float]:
+def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple:
     """(off-diagonal, diagonal) max-abs deviation of ``metric_B(tensor, x)`` from h(x) diag(m),
     each over max(1, max_k |h m_k|), floored as h can vanish; a non-finite B or h gives a non-finite residual.
+    A block, a (b, n, n, n) tensor at x of shape (b, n), gives two (b,) arrays, each point's bits as alone.
 
     For the family tensor of ``p`` both vanish under the multiplicity relation
     r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
     """
-    target = h_function(p, x) * p.m_array
+    h = h_function(p, x)
     B = metric_B(tensor, x)
-    scale = max(1.0, float(np.abs(target).max()))
-    off = np.abs(B[_off_pairs(len(target))]).max(initial=0.0)  # the target is diagonal
-    return float(off) / scale, float(np.abs(B.reshape(-1)[:: len(target) + 1] - target).max()) / scale
+    n = B.shape[-1]
+    one = type(h) is float  # else a block, one h a point
+    target, flat = (h, B.reshape(n * n)) if one else (h[:, None], B.reshape(len(h), n * n))
+    target = target * p.m_array
+    diag = np.abs(flat[..., :: n + 1] - target).max(-1)
+    flat = np.abs(flat)
+    flat[..., :: n + 1] = 0.0  # the target is diagonal: off the diagonal, |B_ij| itself
+    off, top = flat.max(-1), np.abs(target).max(-1)
+    scale = max(1.0, float(top)) if one else np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max does
+    return (float(off) / scale, float(diag) / scale) if one else (off / scale, diag / scale)

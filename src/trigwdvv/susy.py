@@ -9,7 +9,7 @@ permutations of the basis, with the residual of their anticommutation
 relations (computed once per n in a process), and the closed-form residual of
 the gauge identity V = |grad L|^2 - Lap L that relates the two Hamiltonian
 forms.  The potential and the gauge residual read ``active_pairings``' (A, c,
-z) at the point x^.  The four-fermion interaction term, which no check needs,
+z) at the point x^, or at each point of a block.  The four-fermion interaction term, which no check needs,
 is built densely in the test oracles.
 """
 
@@ -46,21 +46,25 @@ def build_hat_configuration(p: BCnParameters) -> RescaledConfiguration:
     return RescaledConfiguration(config=config)
 
 
-def bosonic_potential(active, sums=None) -> float:
+def bosonic_potential(active, sums=None) -> float | np.ndarray:
     """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^)) + 1/4 sum over pairs (incl. a = b) of
     c_a c_b (a,a)(b,b)(a,b) coth coth, from ``active_pairings``' (A, c, z) at x^.  ``sums`` is the
-    ``_potential_sums`` of the same point, when the caller has formed them (``gauge_residual`` does)."""
+    ``_potential_sums`` of the same point, when the caller has formed them (``gauge_residual`` does).
+    A block, z of shape (b, M), gives b values, each point's bits as alone, from one Gram matrix A A^T."""
     A = active[0]
     w, S = _potential_sums(active) if sums is None else sums
-    return 0.5 * S + 0.25 * float(w @ (A @ A.T) @ w)
+    quad = ((w[..., None, :] @ (A @ A.T)) @ w[..., None])[..., 0, 0]  # per point one GEMV and one dot, as w @ G @ w
+    return 0.5 * S + 0.25 * (quad if quad.ndim else float(quad))
 
 
-def _potential_sums(active) -> tuple[np.ndarray, float]:
+def _potential_sums(active) -> tuple:
     """(w, S) at x^: w = c (a,a) coth((a,x^)) and S = sum c (a,a)^2 / sinh^2((a,x^)), the member sums
-    that ``bosonic_potential`` and ``gauge_residual`` share, formed once per point."""
+    that ``bosonic_potential`` and ``gauge_residual`` share, formed once per call; at a block of
+    points, z of shape (b, M), w is (b, M) and S (b,), and the member norms (a,a) are formed once."""
     A, c, z = active
     norms2 = np.einsum("mi,mi->m", A, A)
-    return c * norms2 * coth(z), float((c * norms2**2 / np.sinh(z) ** 2).sum())
+    S = (c * norms2**2 / np.sinh(z) ** 2).sum(axis=-1)
+    return c * norms2 * coth(z), S if S.ndim else float(S)
 
 
 class FermionicSpace:
@@ -153,15 +157,16 @@ def fermionic_residual(n: int) -> float:
     return anticommutation_residual(FermionicSpace(n))
 
 
-def gauge_residual(active) -> float:
+def gauge_residual(active) -> float | np.ndarray:
     """|V - (|grad L|^2 - Lap L)| / max(1, |V|) at x^, in closed form: ``prepotential._two_path`` against V.
 
     L = sum (c (a,a) / 2) log|sinh((a, x^))| is the log of the gauge factor
     relating the two Hamiltonian forms, so grad L = A^T (c (a,a) coth / 2) and
     Lap L = -1/2 sum c (a,a)^2 / sinh^2.  The identity holds for every
     configuration: the residual checks ``bosonic_potential`` against a second
-    summation, not the family.  ``active`` is as in ``bosonic_potential``.
+    summation, not the family.  ``active`` is as in ``bosonic_potential``, a block of points too.
     """
     w, S = sums = _potential_sums(active)
-    grad = active[0].T @ (0.5 * w)  # Lap L = -S / 2
-    return _two_path(float(grad @ grad) + 0.5 * S, bosonic_potential(active, sums))
+    grad = active[0].T @ (0.5 * w)[..., None]  # Lap L = -S / 2; per point one GEMV, as A^T @ (0.5 w)
+    got = (grad.swapaxes(-1, -2) @ grad)[..., 0, 0] + 0.5 * S  # per point one dot, as grad @ grad
+    return _two_path(got, bosonic_potential(active, sums), axes=None if type(S) is float else ())

@@ -77,29 +77,33 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     |eigenvalues|, from one ``eigvalsh`` of the tensor's lower triangles.  P is
     factorized once, against all n^2 columns of the tensor, and one matmul gives
     every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j are gathered once,
-    since M_ji = -M_ij.
+    since M_ji = -M_ij.  At the identity pivot a block of tensors, (b, n, n, n), gives ``raw`` and
+    ``scaled`` of shape (b, n(n-1)/2), each point's bits as alone, from one ``eigvalsh`` and one
+    stacked matmul; a candidate stack serves one tensor.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
         raise DomainError("the tensor is not finite")
-    n = T.shape[0]
-    X = T.transpose(1, 0, 2).reshape(n, n * n)  # X[a, (j, b)] = F_j[a, b]
+    n = T.shape[-1]
+    block = T.ndim > 3
+    X = T.swapaxes(-3, -2).reshape((len(T), n, n * n) if block else (n, n * n))  # X[..., a, (j, b)] = F_j[a, b]
     condition = inv_norm = 1.0
     if pivots is not None:
         P = np.asarray(pivots, dtype=float)
         k, sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[-1]
         X = np.linalg.solve(P[k], X)  # X[:, (j, b)] = P^{-1} F_j: one LU
-    norms = np.abs(np.linalg.eigvalsh(T)).max(axis=1)
+    norms = np.abs(np.linalg.eigvalsh(T)).max(-1).T  # (n,), or (n, b) for a block
     i, j = _upper_pairs(n)
-    # G[i, a, j, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
+    # G[..., i, a, j, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
     # flat T.reshape(n * n, n) @ X at n >= 16, which ran up to 6x slower on 2 vCPUs
-    G = (T @ X).reshape(n, n, n, n)
-    M = G[i, :, j, :]  # M[pair, a, b] = M_ij[a, b] for the pairs i < j
-    M -= G[j, :, i, :]
-    raw = np.abs(M, out=M).max(axis=(1, 2))
+    G = (T @ (X[:, None] if block else X)).reshape(T.shape + (n,))
+    M = G[..., i, :, j, :]  # M[pair, ..., a, b] = M_ij[a, b] for the pairs i < j, the pair axis first
+    M -= G[..., j, :, i, :]
+    raw = np.abs(M, out=M).max(axis=(-2, -1))
     scale = norms[i] * norms[j] * inv_norm
-    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, condition
+    scaled = np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0)
+    return scaled.T, raw.T, condition  # for a block, (b, pairs)
 
 
 def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:

@@ -15,7 +15,8 @@ for the norms), the gauge relation between the two Hamiltonian forms is
 differentiated by central stencils on scalar test fields,
 admissible points are drawn by box-uniform rejection through the admissibility
 predicate ``is_admissible``, the hyperbolic identities behind the metric's
-diagonal structure are evaluated by ``identity_residuals``, the associativity
+diagonal structure are evaluated by ``identity_residuals`` (on the closed form's coth
+helpers at one point, ``hyperbolic_helpers``, which refuses a point that is not 1-D), the associativity
 residual is composed from four ``multiply`` calls, the tangency
 residual of a restriction is summed one subsystem covector at a time and the
 restricted product one outside member at a time, the
@@ -48,9 +49,9 @@ from trigwdvv.prepotential import (
     DEFAULT_THRESHOLD,
     _margin,
     active_pairings,
+    _hyperbolic_helpers,
     coth,
     h_function,
-    hyperbolic_helpers,
     metric_B,
 )
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
@@ -227,6 +228,16 @@ def restricted_multiply_loop(part, r, s, q, x_tilde, u, v) -> np.ndarray:
         if c != 0.0 and sums.any():
             out += c / math.tanh(beta @ x) * (beta @ u) * (beta @ v) * (sums / np.array(part.blocks))[block]
     return out
+
+
+def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
+    """The closed form's coth helpers (b, b~, b_pair) at one point: ``prepotential._hyperbolic_helpers``
+    behind the one-point shape rule, so a point that is not 1-D raises DimensionError.  The library
+    reads them only through ``tensor_closed_form``, which takes a block of points too."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"point has shape {x.shape}, expected (n,)")
+    return _hyperbolic_helpers(x, threshold)
 
 
 def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

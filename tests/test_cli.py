@@ -1102,9 +1102,10 @@ def test_restriction_two_path_fails_when_either_route_is_scaled(monkeypatch, mod
 
 def test_every_two_route_check_reads_the_one_comparison(monkeypatch):
     # prepotential._two_path is the one comparison of a quantity by two routes: replaced
-    # where each caller looks it up, it is what all four checks report
+    # where each caller looks it up, it is what all four checks report, one value a point in a block too
+    real = cli._two_path
     for module in (cli, susy):
-        monkeypatch.setattr(module, "_two_path", lambda got, want: 7.0)
+        monkeypatch.setattr(module, "_two_path", lambda got, want, axes=None: 0.0 * real(got, want, axes) + 7.0)
     restriction = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=2))
     hat = run(RunSpec(command="verify-susy", config_source=_family(3, -20, 1, 2, (1, 2, 2)), samples=2))
     read = {c.name: c.max_residual for c in restriction.checks + hat.checks}
@@ -1472,6 +1473,88 @@ def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed):
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^3) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
     assert shapes == [(source["n"],)] * spec.samples
+
+
+def _block_calls(samples: int, block: int, n: int) -> list[tuple]:
+    """The x shape of each residual call a run of ``samples`` points makes at ``block`` points a call,
+    none discarded: a lone last point goes as one point."""
+    sizes = [min(block, samples - k) for k in range(0, samples, block)]
+    return [(b, n) if b > 1 else (n,) for b in sizes]
+
+
+# the golden verify-susy families at r and at r + 1: n = 1 (r = 1 off the theorem), 2, 3 and 5, the
+# unequal m = 1,2,2 and 2,1,3,1, and m = 0.1,1 near the origin; and the n = 7 console row, three calls
+_SUSY_REPORTS = {
+    f"{name}{'-r+1' if shift else ''}": (_family(n, r + shift, s, q, m), options)
+    for name, (n, r, s, q, m, options) in {
+        "n1": (1, 1, 0.5, 0, (2,), {}),
+        "n2": (2, 0, 0, 1, (1, 1), {}),
+        "n3": (3, -2, 0, 1, (1, 1, 1), {}),
+        "n5": (5, -6, 0, 1, (1,) * 5, {}),
+        "m122": (3, -20, 1, 2, (1, 2, 2), {}),
+        "m2131": (4, -14, 0.5, 1, (2, 1, 3, 1), {}),
+        "m0.1-near-origin": (2, 1.8, 0, 1, (0.1, 1), {"box": (0.01, 0.5), "samples": 20}),
+        "n7": (7, -10, 0, 1, (1,) * 7, {"box": (0.3, 4.0), "samples": 30}),
+    }.items()
+    for shift in (0, 1)
+}
+
+
+@pytest.mark.parametrize("source, options", _SUSY_REPORTS.values(), ids=_SUSY_REPORTS)
+def test_a_susy_report_is_the_same_in_blocks(monkeypatch, source, options):
+    # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^4) points a call, and at one
+    # point per call; no block call raised and went again point by point
+    spec = RunSpec(command="verify-susy", config_source=source, **options)
+    n, shapes = source["n"], []
+    real = cli.tensor_closed_form
+
+    def recording(p, x, threshold):
+        shapes.append(np.shape(x))
+        return real(p, x, threshold)
+
+    monkeypatch.setattr(cli, "tensor_closed_form", recording)
+    blocked = dumps_17g(run(spec).to_json_dict())
+    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**4), n)
+    shapes.clear()
+    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^4) = 1
+    assert dumps_17g(run(spec).to_json_dict()) == blocked
+    assert shapes == [(n,)] * spec.samples
+
+
+# the golden verify-metric families at r and at r + 1, n = 1, the zero family, and unit m at n = 10
+# and 20, whose runs make three calls each (32, 32, 6 and 4, 4, 2 points)
+_METRIC_REPORTS = {
+    "m122": (_family(3, -20, 1, 2, (1, 2, 2)), {}),
+    "m122-r+1": (_family(3, -19, 1, 2, (1, 2, 2)), {}),
+    "m2131": (_family(4, -14, 0.5, 1, (2, 1, 3, 1)), {}),
+    "m2131-r+1": (_family(4, -13, 0.5, 1, (2, 1, 3, 1)), {}),
+    "n1": (_family(1, -4, 0.5, 0, (2,)), {"samples": 7}),
+    "zero": (_family(3, 0, 0, 0, (1, 2, 2)), {"samples": 5}),
+    "unit-n10": (_family(10, -16, 0, 1, (1,) * 10), {"samples": 70}),
+    "unit-n10-r+1": (_family(10, -15, 0, 1, (1,) * 10), {"samples": 70}),
+    "unit-n20": (_family(20, -36, 0, 1, (1,) * 20), {"samples": 10}),
+}
+
+
+@pytest.mark.parametrize("source, options", _METRIC_REPORTS.values(), ids=_METRIC_REPORTS)
+def test_a_metric_report_is_the_same_in_blocks(monkeypatch, source, options):
+    # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^3) points a call, and at one
+    # point per call
+    spec = RunSpec(command="verify-metric", config_source=source, **options)
+    n, shapes = source["n"], []
+    real = cli.metric_identity_residuals
+
+    def recording(p, tensor, x):
+        shapes.append(np.shape(x))
+        return real(p, tensor, x)
+
+    monkeypatch.setattr(cli, "metric_identity_residuals", recording)
+    blocked = dumps_17g(run(spec).to_json_dict())
+    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**3), n)
+    shapes.clear()
+    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)
+    assert dumps_17g(run(spec).to_json_dict()) == blocked
+    assert shapes == [(n,)] * spec.samples
 
 
 def test_text_report_labels_discarded_points(capsys, tmp_path):

@@ -10,7 +10,6 @@ from trigwdvv.errors import DimensionError, DomainError, ParameterError, Singula
 from trigwdvv.prepotential import (
     active_pairings,
     h_function,
-    hyperbolic_helpers,
     metric_B,
     metric_identity_residuals,
     tensor_closed_form,
@@ -23,6 +22,7 @@ from tests.oracles import (
     DenseFermionicSpace,
     eval_f,
     fd_tensor,
+    hyperbolic_helpers,
     hyperbolic_helpers_masked,
     identity_residuals,
     is_admissible,

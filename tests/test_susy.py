@@ -8,7 +8,10 @@ from trigwdvv.cli import RunSpec, dumps_17g, run
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
 from trigwdvv.errors import DimensionCapError, ParameterError
 from trigwdvv.prepotential import (
+    _hyperbolic_helpers,
+    _two_path,
     active_pairings,
+    h_function,
     metric_B,
     metric_identity_residuals,
     tensor_closed_form,
@@ -18,11 +21,13 @@ from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
     FermionicSpace,
+    _potential_sums,
     anticommutation_residual,
     bosonic_potential,
     build_hat_configuration,
     gauge_residual,
 )
+from trigwdvv.wdvv import pivot_residuals
 
 from tests.oracles import (
     DenseFermionicSpace,
@@ -441,3 +446,82 @@ class TestGaugeResidual:
         hat = build_hat_configuration(BC2_HAT)
         with pytest.raises(MarginError):
             gauge_residual_fd(hat.config, np.array([0.7, 0.699]), lambda y: 1.0, step=1e-3)
+
+
+def _each_point_alone(block, b: int) -> list[str]:
+    """The outputs (name: (block output, point k -> that output alone)) whose point k differs from the
+    point alone in shape or in any bit, NaN included; each block output is a tuple of arrays with a
+    leading axis of b."""
+    differ = []
+    for name, (outputs, one) in block.items():
+        for k in range(b):
+            got, want = tuple(np.asarray(out)[k] for out in outputs), tuple(map(np.asarray, one(k)))
+            if [(g.shape, g.tobytes()) for g in got] != [(w.shape, w.astype(float).tobytes()) for w in want]:
+                differ.append(f"{name}[{k}]")
+    return differ
+
+
+def _block_outputs(p, hat, xhs):
+    """{name: (block outputs, point k -> its outputs alone)} of every function the verify-susy and
+    verify-metric drivers call on a block, at the rescaled points xhs of ``p``'s family."""
+    sq = np.sqrt(p.m_array)
+    alone = [active_pairings(hat, xh) for xh in xhs]
+    A, c, _ = alone[0]
+    active = (A, c, np.stack([z for _, _, z in alone]))
+    plain = build_bcn(p)
+    plain_alone = [active_pairings(plain, xh / sq) for xh in xhs]
+    plain_active = (*plain_alone[0][:2], np.stack([z for _, _, z in plain_alone]))
+    T = tensor_generic(active)
+    xs, base = xhs / sq, T * sq[:, None, None] * sq[:, None] * sq
+    closed = tensor_closed_form(p, xs)
+    return {
+        "tensor_generic": ((T,), lambda k: (tensor_generic(alone[k]),)),
+        "tensor_generic-plain": ((tensor_generic(plain_active),), lambda k: (tensor_generic(plain_alone[k]),)),
+        "pivot_residuals": (pivot_residuals(T)[:2], lambda k: pivot_residuals(T[k])[:2]),
+        "_hyperbolic_helpers": (_hyperbolic_helpers(xs, 0.05), lambda k: _hyperbolic_helpers(xs[k], 0.05)),
+        "tensor_closed_form": ((closed,), lambda k: (tensor_closed_form(p, xs[k]),)),
+        "_two_path": ((_two_path(base, closed, axes=(-3, -2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),
+        "metric_B": ((metric_B(base, xs),), lambda k: (metric_B(base[k], xs[k]),)),
+        "h_function": ((h_function(p, xs),), lambda k: (h_function(p, xs[k]),)),
+        "metric_identity_residuals": (metric_identity_residuals(p, base, xs),
+                                      lambda k: metric_identity_residuals(p, base[k], xs[k])),
+        "_potential_sums": (_potential_sums(active), lambda k: _potential_sums(alone[k])),
+        "bosonic_potential": ((bosonic_potential(active),), lambda k: (bosonic_potential(alone[k]),)),
+        "gauge_residual": ((gauge_residual(active),), lambda k: (gauge_residual(alone[k]),)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10])
+def test_each_block_kernel_gives_each_point_its_bits_alone(n):
+    # one call on a block of five points gives each point every output bit it gives alone, at the
+    # theorem's unit-m family and at a random unequal-m family off it; at n = 1 there is no pair, and
+    # the pair outputs are empty but keep the leading axis
+    rng = rng_for(n, "block/kernels")
+    families = [
+        BCnParameters(n=n, r=4.0 - 2.0 * n, s=0.0, q=1.0, m=(1.0,) * n),
+        BCnParameters(n=n, r=float(rng.uniform(-9.0, 3.0)), s=float(rng.uniform(-2.0, 2.0)),
+                      q=float(rng.uniform(0.1, 2.0)), m=tuple(rng.uniform(0.3, 3.0, n))),
+    ]
+    for p in families:
+        hat = build_hat_configuration(p).config
+        xhs = sample_points(rng, fully_active(hat), 5)
+        outputs = _block_outputs(p, hat, xhs)
+        assert _each_point_alone(outputs, 5) == [], p
+        pairs = n * (n - 1) // 2
+        assert [a.shape for a in outputs["pivot_residuals"][0]] == [(5, pairs)] * 2
+        assert [np.shape(a) for a in outputs["metric_identity_residuals"][0]] == [(5,), (5,)]
+        assert outputs["_hyperbolic_helpers"][0][2].shape == (5, n, n)
+
+
+def test_a_block_past_the_overflow_gives_each_point_its_non_finite_bits():
+    # sinh and cosh overflow at x = 400: B, h and the metric residuals of that point are non-finite in
+    # the block as alone, and the points beside it keep their finite bits
+    p = BCnParameters(n=3, r=-14.0, s=0.5, q=1.0, m=(2.0, 1.0, 3.0))
+    hat = build_hat_configuration(p).config
+    xhs = sample_points(rng_for(0, "block/overflow"), fully_active(hat), 3)
+    xhs[1, 2] = 400.0 * np.sqrt(3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = _block_outputs(p, hat, xhs)
+        assert _each_point_alone(outputs, 3) == []
+    off, diag = outputs["metric_identity_residuals"][0]
+    assert np.isfinite(off[[0, 2]]).all() and not np.isfinite(diag[1])
