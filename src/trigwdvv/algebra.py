@@ -19,13 +19,19 @@ from .errors import DimensionError
 from .prepotential import DEFAULT_THRESHOLD, _point, active_pairings, coth
 
 
-def _operands(A: np.ndarray, names: str, *vectors) -> list[np.ndarray]:
-    """``vectors`` as float arrays; one of a shape other than (n,), n = A's column count, raises DimensionError."""
-    n = A.shape[1]
+def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.ndarray]:
+    """``vectors`` as float arrays; one of a shape other than (*lead, n), n = A's column count, raises DimensionError."""
+    shape = (*lead, A.shape[1])
     vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if any(v.shape != (n,) for v in vectors):
-        raise DimensionError(f"{names} must have shape ({n},)")
+    if any(v.shape != shape for v in vectors):
+        raise DimensionError(f"{names} must have shape {shape}")
     return vectors
+
+
+def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M @ d for one vector d, or for each row of a block d of shape (b, k), by one matrix-vector
+    product a row: a row reads the bits it reads alone, which one matrix-matrix product need not."""
+    return M @ d if d.ndim == 1 else (M @ d[..., None])[..., 0]
 
 
 def multiply(active, u, v) -> np.ndarray:
@@ -40,7 +46,7 @@ def multiply(active, u, v) -> np.ndarray:
     return A.T @ (c * coth(z) * pairings)
 
 
-def associativity_residual(active, u, v, w, raise_index) -> float:
+def associativity_residual(active, u, v, w, raise_index):
     """Max-abs entry of (u o v) o w - u o (v o w) over the larger side's, with no floor; 0 when both vanish.
 
     u o v = raise_index(u * v), where ``active`` is as in ``multiply`` and
@@ -48,20 +54,28 @@ def associativity_residual(active, u, v, w, raise_index) -> float:
     The four products share one weight c coth(z) and the pairings A u, A v and
     A w, so a point costs one coth and nine passes over A, not four and twelve;
     each product is grouped as ``multiply`` groups it, so the residual is the
-    four-``multiply`` composition's bit for bit.
+    four-``multiply`` composition's bit for bit.  One point, u, v, w of shape (n,)
+    and z of (M,), gives a float; a block of b points, u, v, w of (b, n) and z of
+    (b, M), gives a (b,) array, and ``raise_index`` then maps (b, n) to (b, n).
+    In a block every pass over A is a stacked matrix-vector product,
+    ``A @ d[..., None]`` and ``A.T @ t[..., None]``, so each point reads the bits
+    it reads alone, a point whose sides both vanish included, and a non-finite
+    point moves only its own entry.
     """
     A, c, z = active
-    u, v, w = _operands(A, "u, v, w", u, v, w)
+    u, v, w = _operands(A, "u, v, w", u, v, w, lead=np.shape(z)[:-1])
     weight = c * coth(z)
-    Au, Av, Aw = A @ u, A @ v, A @ w
 
     def product(Aa, Ab):  # a o b from the pairings A a and A b
-        return raise_index(A.T @ (weight * (Aa * Ab)))
+        return raise_index(_matvec(A.T, weight * (Aa * Ab)))
 
-    left = product(A @ product(Au, Av), Aw)
-    right = product(Au, A @ product(Av, Aw))
-    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
-    return float(np.abs(left - right).max()) / scale if scale else 0.0
+    Au, Av, Aw = _matvec(A, u), _matvec(A, v), _matvec(A, w)
+    left = product(_matvec(A, product(Au, Av)), Aw)
+    right = product(Au, _matvec(A, product(Av, Aw)))
+    scale = np.maximum(np.abs(left).max(axis=-1), np.abs(right).max(axis=-1))  # a NaN on either side stays NaN
+    # where both sides vanish, so does their difference: 0 / 1 reads 0
+    out = np.abs(left - right).max(axis=-1) / np.where(scale, scale, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class RestrictionContext:

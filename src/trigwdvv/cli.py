@@ -6,7 +6,12 @@ emitters for tensors and normalized configuration documents.  Reports are
 deterministic given (seed, run parameters), and floats are serialized with 17
 significant digits.  A command's sample points come from one generator,
 keyed by the run seed and the stream label "<command>/points".  The random
-vectors drawn at each point (u, v, w) come from the same stream as the point.
+vectors of a point (u, v, w for verify-associativity, u~, v~ for
+verify-restriction) come from the same stream: ``_sampled`` draws them right
+after the sampler yields the point, so the stream's order does not depend on
+how many points one residual call takes.  A family's verify-wdvv, verify-metric,
+verify-susy and verify-associativity take their points in blocks, each point's
+bits as alone.
 verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
 B(x) by ``wdvv.arrow_residuals``, with no condition cap, and for an explicit
 document at the better-conditioned pivot of B(x) and eta.F under the cap, whose
@@ -15,7 +20,7 @@ weights eta are drawn once per run from "verify-wdvv/pivot".
 A non-finite residual fails its check, and ``--json`` renders it as null.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 parse,
 precondition or numerical error (the package's errors and numpy's
-LinAlgError).
+LinAlgError) or an array too large to allocate (MemoryError).
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ from . import algebra, susy
 
 # the floats a block of points may hold in its largest per-point array: a family verify-wdvv call
 # and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26 for verify-wdvv, where
-# blocks stop paying, and n = 33 for verify-metric), and a verify-susy call max(1, _WDVV_BLOCK // n^4), the
-# commuting form's n^4 floats a point
+# blocks stop paying, and n = 33 for verify-metric), a verify-susy call max(1, _WDVV_BLOCK // n^4), the
+# commuting form's n^4 floats a point, and a family verify-associativity call max(1, _WDVV_BLOCK // n^2),
+# the M ~ 2 n^2 weights and pairings a point (227 at n = 12, one from n = 129)
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -292,25 +298,32 @@ def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
     return CheckResult(name, mx, float(values.sum() / values.size), point, mx < tolerance)  # np.mean's float64 path
 
 
-def _sampled(report: VerificationReport, config: Configuration, residuals, block: int = 1) -> None:
+def _sampled(report: VerificationReport, config: Configuration, residuals, block: int = 1, draw=None) -> None:
     """Append the checks of ``residuals``, evaluated at ``samples`` accepted points.
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
-    whose generator is keyed by "<command>/points".  ``residuals(rng, x, active)``
-    reads (A, c, z), z the sampler's product at ``config.active_rows``, draws from the
-    same generator and returns {check name: residual or residuals}, unreduced: here
-    is the one place where a check's residuals are reduced, over every point's.
+    whose generator is keyed by "<command>/points".  ``residuals(x, active, draws)``
+    reads (A, c, z), z the sampler's product at ``config.active_rows``, and the point's
+    draws, and returns {check name: residual or residuals}, unreduced: here is the one
+    place where a check's residuals are reduced, over every point's.  The function takes
+    no generator: for a driver that declares a per-point ``draw`` shape, ``draws`` is
+    ``standard_normal(draw)`` from the points' generator, made right after the sampler
+    yields the point and before the next one is requested, so a discarded point consumes
+    its draw too; for a driver that declares none, ``draws`` is None.
+
     A point where it raises SingularMatrixError (a metric or pivot that fails ``wdvv.usable_pivots``,
     or a family's diagonal B with a zero entry, ``wdvv.arrow_residuals``) is counted in
     ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
     with a SamplingError that gives the count and the last discard's own text.  Any other error
     propagates.  Checks are reported in key order, and a check that received no residual is left
     out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z (b, M),
-    each residual with that leading axis: a family's ``verify-wdvv``, ``verify-metric`` and
-    ``verify-susy`` take more than 1, as they draw nothing at a point, and ``verify-associativity``
-    and ``verify-restriction`` take 1, since a block would move the u, v, w they draw after each
-    point.  A block whose call raises is evaluated again one point at a time,
-    so the discard rule, the cap and the first error stay per point; a SamplingError met while
+    each residual with that leading axis, and the draws (b, *draw): a family's ``verify-wdvv``,
+    ``verify-metric``, ``verify-susy`` and ``verify-associativity`` take more than 1, and an
+    explicit document's ``verify-wdvv`` and ``verify-associativity``, which judge a pivot or
+    metric point by point, and ``verify-restriction`` take 1.  A block whose call raises the
+    package's error or numpy's LinAlgError is evaluated again one point at a time, so the discard
+    rule, the cap and the first error stay per point; any other error from a block call
+    propagates, so a block path that always raises fails the run.  A SamplingError met while
     drawing is raised after the points drawn before it.
     """
     spec = report.run
@@ -331,22 +344,27 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
         drawn, failure = [], None
         try:
             while len(drawn) < min(block, spec.samples - accepted):
-                drawn.append(next(points))
+                x, z = next(points)
+                # the point's draw, made while the sampler waits at its yield: the stream's order is
+                # that of one point a call, whatever the block
+                drawn.append((x, z, None if draw is None else rng.standard_normal(draw)))
         except SamplingError as exc:  # raised once the points drawn before it are evaluated
             failure = exc
         # read after the draw: selected before it, A would sit beside the sampler's set-up arrays
         (A, c), rows = config.active_members, config.active_rows
-        xs, zs = [x for x, _ in drawn], [z if rows is None else z[rows] for _, z in drawn]
+        xs, ds = [x for x, _, _ in drawn], [d for _, _, d in drawn]
+        zs = [z if rows is None else z[rows] for _, z, _ in drawn]
+        block_draws = None if draw is None or len(ds) < 2 else np.stack(ds)
         try:  # one call for a block; one point, or a block whose call raises, goes point by point below
-            values = residuals(rng, np.stack(xs), (A, c, np.stack(zs))) if len(xs) > 1 else None
-        except Exception:  # whatever it is, each point meets it alone
+            values = residuals(np.stack(xs), (A, c, np.stack(zs)), block_draws) if len(xs) > 1 else None
+        except (TrigWdvvError, np.linalg.LinAlgError):  # a discard or an error: each point meets it alone
             values = None
         if values is not None:
             accepted += file(xs, values)
         else:
-            for x, z in zip(xs, zs):
+            for x, z, d in zip(xs, zs, ds):
                 try:
-                    values = residuals(rng, x, (A, c, z))
+                    values = residuals(x, (A, c, z), d)
                 except SingularMatrixError as exc:
                     report.discarded_points += 1
                     if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
@@ -381,20 +399,20 @@ def _run_wdvv(spec: RunSpec, parsed):
     # (Marshakov-Mironov-Morozov 1996): one check per point
     if family:  # arrow slices and a diagonal B: the check at diag(B), with no condition cap
 
-        def residuals(rng, x, active):
+        def residuals(x, active, draws):
             return {"wdvv_residual": arrow_residuals(active, x)[0]}
 
-        return {}, config, residuals, max(1, _WDVV_BLOCK // n**3)
+        return {}, config, residuals, max(1, _WDVV_BLOCK // n**3), None
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
-    def residuals(rng, x, active):
+    def residuals(x, active, draws):
         T = tensor_generic(active)
         # at the better-conditioned of B and eta.F, and a discard only where neither is usable
         candidates = [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
         return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 
-    return {}, config, residuals, 1
+    return {}, config, residuals, 1, None
 
 
 def _run_associativity(spec: RunSpec, parsed):
@@ -409,7 +427,10 @@ def _run_associativity(spec: RunSpec, parsed):
 
         def raise_index_at(x, active):
             return lambda y: y / m
-    else:  # the metric B(x), judged by verify-wdvv's usable-pivot rule before u, v, w are drawn
+
+        # the largest per-point arrays are the M ~ 2 n^2 weights and pairings
+        block = max(1, _WDVV_BLOCK // n**2)
+    else:  # the metric B(x), judged point by point by verify-wdvv's usable-pivot rule
         _require_spanning(config, spec.command, family=False)
 
         def raise_index_at(x, active):
@@ -417,23 +438,24 @@ def _run_associativity(spec: RunSpec, parsed):
             usable_pivots(B[None])
             return lambda y: np.linalg.solve(B, y)
 
-    def residuals(rng, x, active):
-        raise_index = raise_index_at(x, active)
-        u, v, w = rng.standard_normal((3, n))  # the numbers of three draws of n
-        return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}
+        block = 1
 
-    return {}, config, residuals, 1
+    def residuals(x, active, draws):
+        u, v, w = draws.swapaxes(0, -2)  # a point's (3, n) draw: the numbers of three draws of n
+        return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index_at(x, active))}
+
+    return {}, config, residuals, block, (3, n)
 
 
 def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
 
-    def residuals(rng, x, active):
+    def residuals(x, active, draws):
         off, diag = metric_identity_residuals(params, tensor_generic(active), x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
-    return {}, config, residuals, max(1, _WDVV_BLOCK // params.n**3)
+    return {}, config, residuals, max(1, _WDVV_BLOCK // params.n**3), None
 
 
 def _run_restriction(spec: RunSpec, parsed):
@@ -451,10 +473,10 @@ def _run_restriction(spec: RunSpec, parsed):
     if projected.vectors.shape == vectors.shape:
         dev = max(_two_path(projected.vectors, vectors), _two_path(projected.multiplicities, mults))
 
-    def residuals(rng, xt, active):
+    def residuals(xt, active, draws):
         outside = restriction.pairings(xt, spec.threshold)
         T = tensor_generic(active)
-        ut, vt = rng.standard_normal(part.n), rng.standard_normal(part.n)
+        ut, vt = draws  # a point's (2, n) draw: the numbers of two draws of n
         u, v = restriction.block_basis.T @ ut, restriction.block_basis.T @ vt
 
         C = algebra.structure_constants(restriction, outside)
@@ -467,7 +489,8 @@ def _run_restriction(spec: RunSpec, parsed):
             "h_b_decomposition": metric,
         }
 
-    return {"restriction_config_match": dev}, projected, residuals, 1
+    # one point a call: a K = 2 run is mostly its set-up, which no block would shorten
+    return {"restriction_config_match": dev}, projected, residuals, 1, (2, part.n)
 
 
 def _run_susy(spec: RunSpec, parsed):
@@ -476,7 +499,7 @@ def _run_susy(spec: RunSpec, parsed):
     anticommutation = susy.fermionic_residual(params.n)
     sq = np.sqrt(params.m_array)
 
-    def hat_residuals(rng, xh, active):
+    def hat_residuals(xh, active, draws):
         T = tensor_generic(active)
         commuting = pivot_residuals(T)[0]
         # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
@@ -492,11 +515,13 @@ def _run_susy(spec: RunSpec, parsed):
         }
 
     # the commuting form's G holds n^4 floats a point
-    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, max(1, _WDVV_BLOCK // params.n**4)
+    return ({"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals,
+            max(1, _WDVV_BLOCK // params.n**4), None)
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the
-# residual function for _sampled, the most points one call takes); run builds the report from these
+# residual function for _sampled, the most points one call takes, the shape of the standard normal
+# draw _sampled makes at each point or None); run builds the report from these
 VERIFIERS = {
     "verify-wdvv": _run_wdvv,
     "verify-associativity": _run_associativity,
@@ -517,9 +542,9 @@ def run(spec: RunSpec) -> VerificationReport:
     # sinh and cosh overflow far from the origin: each non-finite value is then refused by
     # name or fails its check, so numpy's warnings would only print ahead of that verdict
     with np.errstate(over="ignore", invalid="ignore"):
-        one_value, config, residuals, block = driver(spec, parsed)
+        one_value, config, residuals, block, draw = driver(spec, parsed)
         report.checks += [_check_result(name, [v], [None], spec.tolerance) for name, v in one_value.items()]
-        _sampled(report, config, residuals, block)
+        _sampled(report, config, residuals, block, draw)
     return report
 
 
@@ -647,6 +672,9 @@ def main(argv=None) -> int:
         report = run(spec)
     except (TrigWdvvError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError among them, named by the builtin
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     _print_report(report, args.json)
     return 0 if report.all_passed else 1

@@ -197,6 +197,35 @@ def test_associativity_residual_refuses_a_vector_of_the_wrong_shape():
     active = active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3])
     with pytest.raises(DimensionError, match=r"u, v, w must have shape \(3,\)"):
         associativity_residual(active, np.ones(3), np.ones(3), np.ones(4), family_metric(BC3))
+    A, c, z = active
+    with pytest.raises(DimensionError, match=r"u, v, w must have shape \(2, 3\)"):  # a block of two points
+        associativity_residual((A, c, np.stack([z, z])), np.ones((2, 3)), np.ones(3), np.ones((2, 3)),
+                               family_metric(BC3))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0], ids=["theorem", "r+1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
+def test_a_block_of_associativity_residuals_is_each_point_alone_bit_for_bit(n, shift):
+    # u, v, w of shape (b, n) and z of (b, M) give a (b,) array of the one-point calls' bits; a point
+    # whose u is zero reads 0.0, as both its sides vanish, and a NaN in one point's v moves only its entry
+    m = tuple(1.0 + i % 2 for i in range(n))
+    p = BCnParameters(n=n, r=solve_r(0.0, 1.0, m) + shift, s=0.0, q=1.0, m=m)
+    config = build_bcn(p)
+    rng = rng_for(23, "assoc/block")
+    box = (0.3, 4.0) if n > 24 else (0.3, 1.5)  # the default box spaces at most 24 coordinates
+    xs = sample_points(rng, fully_active(config), 6, box)
+    A, c = config.active_members
+    z = np.stack([active_pairings(config, x)[2] for x in xs])
+    u, v, w = rng.standard_normal((3, 6, n))
+    u[2] = 0.0
+    v[4, 0] = np.nan
+    got = associativity_residual((A, c, z), u, v, w, family_metric(p))
+    alone = [associativity_residual((A, c, z[k]), u[k], v[k], w[k], family_metric(p)) for k in range(6)]
+    assert all(type(value) is float for value in alone)
+    assert got.shape == (6,) and got.tobytes() == np.array(alone).tobytes()
+    assert got[2] == 0.0 and np.isnan(got).tolist() == [k == 4 for k in range(6)]
+    if n >= 3:
+        assert (np.delete(got, [2, 4]) > 1e-8).all() == bool(shift)
 
 @pytest.mark.parametrize("blocks", [(2, 3), (1, 1, 1), (5, 5, 5, 5), (2, 3, 4, 5), (3, 1, 2, 6, 1)],
                          ids=lambda blocks: "-".join(map(str, blocks)))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -117,6 +118,23 @@ class TestExitCodeContract:
         assert main(["verify-wdvv", *FAMILY_OK, "--samples", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: LinAlgError: Eigenvalues did not converge\n"
+        assert captured.out == ""
+
+    def test_memory_error_is_exit_2_without_traceback(self, monkeypatch, capsys):
+        # numpy raises a subclass of MemoryError, _ArrayMemoryError, for an array it cannot
+        # allocate; main names the builtin class, as no allocation is attempted here
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def failing(*args):
+            raise _ArrayMemoryError("Unable to allocate 11.9 GiB for an array with shape (40000, 40000) "
+                                    "and data type float64")
+
+        monkeypatch.setattr(cli, "metric_identity_residuals", failing)
+        assert main(["verify-metric", *FAMILY_OK, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: MemoryError: Unable to allocate 11.9 GiB for an array with shape "
+                                "(40000, 40000) and data type float64\n")
         assert captured.out == ""
 
 
@@ -763,7 +781,7 @@ def _sampled_into(report, per_point, points):
     """Run ``_sampled`` into ``report`` with one residual dict per point, appending each
     point to ``points``; an exception in ``per_point`` is raised at its point instead."""
 
-    def residuals(rng, x, active):
+    def residuals(x, active, draws):
         points.append(x.tolist())
         value = per_point[len(points) - 1]
         if isinstance(value, Exception):
@@ -824,7 +842,7 @@ def test_sampled_pairings_are_active_pairings_bit_for_bit(config):
     spec = RunSpec(command="verify-metric", config_source={}, samples=20)
     got = []
 
-    def residuals(rng, x, active):
+    def residuals(x, active, draws):
         got.append((x, active))
         return {}
 
@@ -1198,10 +1216,11 @@ def test_a_point_where_only_b_is_unusable_is_kept():
     assert report.discarded_points == 0 and report.all_passed
 
 
-def test_explicit_associativity_judges_b_before_drawing_u_v_w():
-    # the same q = 0 family as an explicit document, whose metric is B(x): a point where
-    # kappa(B) is above CONDITION_CAP is discarded before u, v and w are drawn, so the
-    # accepted points and their vectors match this replay of the stream, residual for residual
+def test_explicit_associativity_draws_u_v_w_before_judging_b():
+    # the same q = 0 family as an explicit document, whose metric is B(x): u, v and w are drawn
+    # when the sampler yields a point, and a point where kappa(B) is above CONDITION_CAP is
+    # discarded after that, so a discarded point consumes its draw and the accepted points and
+    # their vectors match this replay of the stream, residual for residual
     source = config_document(load_config_source(_family(3, -1.0, 1.0, 0.0, (1, 1, 1))))
     spec = RunSpec(command="verify-associativity", config_source=source, samples=20, box=(0.3, 12.0))
     report = run(spec)
@@ -1211,12 +1230,12 @@ def test_explicit_associativity_judges_b_before_drawing_u_v_w():
     residuals, discarded = [], 0
     while len(residuals) < spec.samples:
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
+        u, v, w = (rng.standard_normal(3) for _ in range(3))
         active = active_pairings(config, x, spec.threshold)
         B = metric_B(tensor_generic(active), x)
         if np.linalg.cond(B) > CONDITION_CAP:
             discarded += 1
             continue
-        u, v, w = (rng.standard_normal(3) for _ in range(3))
         residuals.append(algebra.associativity_residual(active, u, v, w, lambda y: np.linalg.solve(B, y)))
     (check,) = report.checks
     assert report.discarded_points == discarded > 0
@@ -1329,7 +1348,7 @@ def _sampled_in_blocks(per_point, samples, block, calls=None):
     drawn = {}
     calls = [] if calls is None else calls
 
-    def residuals(rng, x, active):
+    def residuals(x, active, draws):
         rows = [drawn.setdefault(row.tobytes(), len(drawn)) for row in np.atleast_2d(x)]
         assert active[2].shape == (*x.shape[:-1], 6)  # the six members of BC_2
         calls.append(rows if x.ndim == 2 else rows[0])
@@ -1443,6 +1462,87 @@ def test_the_discard_cap_comes_before_a_stream_failure_on_the_next_draw(monkeypa
     assert report.discarded_points == 10_001 and report.checks == []
 
 
+def test_a_block_that_raises_a_linalg_error_goes_point_by_point():
+    # numpy's LinAlgError, like the package's errors, is one a point can raise alone: each point of
+    # the block meets it alone, and here none does, so the report is that of one point per call
+    def residuals(x, active, draws):
+        if x.ndim == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return {"a": float(x.sum())}
+
+    config = build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0)))
+    reports = []
+    for block in (4, 1):
+        reports.append(VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=4)))
+        _sampled(reports[-1], config, residuals, block)
+    assert dumps_17g(reports[0].to_json_dict()) == dumps_17g(reports[1].to_json_dict())
+
+
+def test_a_block_that_raises_any_other_error_ends_the_run():
+    # a block path that always raises, here as a kernel that reshapes a block as one point would,
+    # is a fault: it fails the run rather than going point by point, where it would pass unseen
+    calls = []
+
+    def residuals(x, active, draws):
+        calls.append(x.shape)
+        if x.ndim == 2:
+            x.reshape(x.shape[-1])
+        return {"a": 0.0}
+
+    config = build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0)))
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=4))
+    with pytest.raises(ValueError, match="cannot reshape"):
+        _sampled(report, config, residuals, 4)
+    assert calls == [(4, 2)] and report.checks == []
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
+    # _sampled draws standard_normal(draw) from the point stream right after each point, before
+    # the next candidate: a replay of the stream in that order gives every point and its draw,
+    # whatever the block, and the residual function receives no generator
+    config = build_bcn(BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0)))
+    spec = RunSpec(command="verify-associativity", config_source={}, samples=7)
+    got = []
+
+    def residuals(x, active, draws):
+        assert draws.shape == (*x.shape[:-1], 2, 3)
+        got.extend(zip(np.reshape(x, (-1, 3)), np.reshape(draws, (-1, 2, 3))))
+        return {}
+
+    _sampled(VerificationReport(run=spec), config, residuals, block, (2, 3))
+    rng = rng_for(spec.seed, "verify-associativity/points")
+    points = sampling.admissible_points(rng, fully_active(config), spec.box, spec.threshold)
+    for x, draws in got:
+        want_x, _ = next(points)
+        assert x.tobytes() == want_x.tobytes()
+        assert draws.tobytes() == rng.standard_normal((2, 3)).tobytes()
+    assert len(got) == spec.samples
+
+
+def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
+    # no residual function takes a generator: _sampled makes each point's draw, of the shape the
+    # driver declares, and a driver that draws nothing declares none
+    declared = {}
+    family = _family(3, -20, 1, 2, (1, 2, 2))
+    document = config_document(load_config_source(family))
+    for command, source in [("verify-wdvv", family), ("verify-wdvv", document),
+                            ("verify-associativity", family), ("verify-associativity", document),
+                            ("verify-metric", family),
+                            ("verify-restriction", _family(2, -20, 1, 2, (2, 3))),
+                            ("verify-susy", family)]:
+        spec = RunSpec(command=command, config_source=source)
+        _, _, residuals, block, draw = cli.VERIFIERS[command](spec, load_config_source(source))
+        assert list(inspect.signature(residuals).parameters)[1:] == ["active", "draws"], command
+        declared[command, "family" in source] = (block, draw)
+    assert declared == {
+        ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (1, None),
+        ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (1, (3, 3)),
+        ("verify-metric", True): (1213, None), ("verify-restriction", True): (1, (2, 2)),
+        ("verify-susy", True): (404, None),
+    }
+
+
 _WHOLE_REPORTS = [
     *[(_family(4, -14, 0.5, 1, (2, 1, 3, 1)), seed) for seed in range(5)],
     (_family(10, -16, 0, 1, (1,) * 10), 0),
@@ -1553,6 +1653,49 @@ def test_a_metric_report_is_the_same_in_blocks(monkeypatch, source, options):
     assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**3), n)
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)
+    assert dumps_17g(run(spec).to_json_dict()) == blocked
+    assert shapes == [(n,)] * spec.samples
+
+
+# the golden verify-associativity families at r and at r + 1, and unit m at n = 12, whose runs at
+# --samples 300 make two calls (227 and 73 points); and the explicit documents, one point a call,
+# among them the q = 0 document in a wide box, where some points are discarded
+_ASSOCIATIVITY_REPORTS = {
+    "m122": (_family(3, -20, 1, 2, (1, 2, 2)), {}),
+    "m122-r+1": (_family(3, -19, 1, 2, (1, 2, 2)), {}),
+    "m2131": (_family(4, -14, 0.5, 1, (2, 1, 3, 1)), {}),
+    "m2131-r+1": (_family(4, -13, 0.5, 1, (2, 1, 3, 1)), {}),
+    "unit-n12": (_family(12, -20, 0, 1, (1,) * 12), {"samples": 300}),
+    "unit-n12-r+1": (_family(12, -19, 0, 1, (1,) * 12), {"samples": 300}),
+    **{f"m122-document-r{r}": (config_document(load_config_source(_family(3, r, 1, 2, (1, 2, 2)))), {})
+       for r in (-20, -19)},
+    "q0-document-wide-box": (config_document(load_config_source(_family(3, -1, 1, 0, (1, 1, 1)))),
+                             {"samples": 20, "box": (0.3, 12.0)}),
+}
+
+
+@pytest.mark.parametrize("source, options", _ASSOCIATIVITY_REPORTS.values(), ids=_ASSOCIATIVITY_REPORTS)
+def test_an_associativity_report_is_the_same_in_blocks(monkeypatch, source, options):
+    # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^2) points a call for a family
+    # and one for an explicit document, and at one point per call
+    spec = RunSpec(command="verify-associativity", config_source=source, **options)
+    family = "family" in source
+    n = source["n"] if family else source["explicit"]["dimension"]
+    shapes = []
+    real = algebra.associativity_residual
+
+    def recording(active, u, v, w, raise_index):
+        shapes.append(np.shape(u))
+        return real(active, u, v, w, raise_index)
+
+    monkeypatch.setattr(algebra, "associativity_residual", recording)
+    report = run(spec)
+    blocked = dumps_17g(report.to_json_dict())
+    # a discarded point never reaches the products
+    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**2) if family else 1, n)
+    assert (report.discarded_points > 0) == ("box" in options)
+    shapes.clear()
+    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^2) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
     assert shapes == [(n,)] * spec.samples
 
