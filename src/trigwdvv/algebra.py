@@ -29,9 +29,9 @@ def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.
 
 
 def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M @ d for one vector d, or for each row of a block d of shape (b, k), by one matrix-vector
-    product a row: a row reads the bits it reads alone, which one matrix-matrix product need not."""
-    return M @ d if d.ndim == 1 else (M @ d[..., None])[..., 0]
+    """M @ d for each vector d of shape (..., k), by one matrix-vector product a vector: each reads
+    the bits it reads alone, which one matrix-matrix product need not."""
+    return (M @ d[..., None])[..., 0]
 
 
 def multiply(active, u, v) -> np.ndarray:
@@ -54,13 +54,12 @@ def associativity_residual(active, u, v, w, raise_index):
     The four products share one weight c coth(z) and the pairings A u, A v and
     A w, so a point costs one coth and nine passes over A, not four and twelve;
     each product is grouped as ``multiply`` groups it, so the residual is the
-    four-``multiply`` composition's bit for bit.  One point, u, v, w of shape (n,)
-    and z of (M,), gives a float; a block of b points, u, v, w of (b, n) and z of
-    (b, M), gives a (b,) array, and ``raise_index`` then maps (b, n) to (b, n).
-    In a block every pass over A is a stacked matrix-vector product,
-    ``A @ d[..., None]`` and ``A.T @ t[..., None]``, so each point reads the bits
-    it reads alone, a point whose sides both vanish included, and a non-finite
-    point moves only its own entry.
+    four-``multiply`` composition's bit for bit.  u, v, w of shape (..., n) and z
+    of (..., M) give one residual a point, of shape (...), and ``raise_index`` maps
+    (..., n) to (..., n).  Every pass over A is a stacked matrix-vector product,
+    ``A @ d[..., None]`` and ``A.T @ t[..., None]``, so each point of a block reads
+    the bits it reads alone, a point whose sides both vanish included, and a
+    non-finite point moves only its own entry.
     """
     A, c, z = active
     u, v, w = _operands(A, "u, v, w", u, v, w, lead=np.shape(z)[:-1])
@@ -74,8 +73,7 @@ def associativity_residual(active, u, v, w, raise_index):
     right = product(Au, _matvec(A, product(Av, Aw)))
     scale = np.maximum(np.abs(left).max(axis=-1), np.abs(right).max(axis=-1))  # a NaN on either side stays NaN
     # where both sides vanish, so does their difference: 0 / 1 reads 0
-    out = np.abs(left - right).max(axis=-1) / np.where(scale, scale, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.abs(left - right).max(axis=-1) / np.where(scale, scale, 1.0)
 
 
 class RestrictionContext:

@@ -9,9 +9,10 @@ keyed by the run seed and the stream label "<command>/points".  The random
 vectors of a point (u, v, w for verify-associativity, u~, v~ for
 verify-restriction) come from the same stream: ``_sampled`` draws them right
 after the sampler yields the point, so the stream's order does not depend on
-how many points one residual call takes.  A family's verify-wdvv, verify-metric,
-verify-susy and verify-associativity take their points in blocks, each point's
-bits as alone.
+how many points one residual call takes.  Every residual call takes a block of
+points, x of shape (b, n): a family's verify-wdvv, verify-metric, verify-susy and
+verify-associativity take several points a call, each point's bits as alone, and
+the other routes one.
 verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
 B(x) by ``wdvv.arrow_residuals``, with no condition cap, and for an explicit
 document at the better-conditioned pivot of B(x) and eta.F under the cap, whose
@@ -216,8 +217,13 @@ def parse_config_document(doc: dict) -> BCnParameters | Configuration:
             for i, entry in enumerate(_array(body["members"], "members")):
                 if not isinstance(entry, dict) or "vector" not in entry or "multiplicity" not in entry:
                     raise ConfigFormatError(f"member {i} must be an object with fields 'vector' and 'multiplicity'")
-                vector = _array(entry["vector"], f"member {i} vector")
-                vectors.append([_real(v, f"member {i} vector entry must be a number, got {v!r}") for v in vector])
+                row = []
+                for v in _array(entry["vector"], f"member {i} vector"):
+                    try:
+                        row.append(_real(v, ""))
+                    except ParameterError:  # the text is built for the refused entry only
+                        raise ParameterError(f"member {i} vector entry must be a number, got {v!r}") from None
+                vectors.append(row)
                 mult = entry["multiplicity"]
                 mults.append(_real(mult, f"member {i} multiplicity must be a number, got {mult!r}"))
             return Configuration(body["dimension"], vectors, mults)
@@ -316,13 +322,14 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
     ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
     with a SamplingError that gives the count and the last discard's own text.  Any other error
     propagates.  Checks are reported in key order, and a check that received no residual is left
-    out of the report.  Up to ``block`` points still needed go in one call, x (b, n) and z (b, M),
-    each residual with that leading axis, and the draws (b, *draw): a family's ``verify-wdvv``,
-    ``verify-metric``, ``verify-susy`` and ``verify-associativity`` take more than 1, and an
-    explicit document's ``verify-wdvv`` and ``verify-associativity``, which judge a pivot or
-    metric point by point, and ``verify-restriction`` take 1.  A block whose call raises the
-    package's error or numpy's LinAlgError is evaluated again one point at a time, so the discard
-    rule, the cap and the first error stay per point; any other error from a block call
+    out of the report.  Every call takes a block: up to ``block`` points still needed, x (b, n) and
+    z (b, M) with b >= 1, each residual with that leading axis, and the draws (b, *draw).  A
+    family's ``verify-wdvv``, ``verify-metric``, ``verify-susy`` and ``verify-associativity`` take
+    more than 1, and an explicit document's ``verify-wdvv`` and ``verify-associativity``, which
+    judge a pivot or metric point by point, and ``verify-restriction`` take 1.  A block of more
+    than one point whose call raises the package's error or numpy's LinAlgError is evaluated again
+    as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and the first error stay per
+    point; a block of one is evaluated once, and its error is the point's own.  Any other error
     propagates, so a block path that always raises fails the run.  A SamplingError met while
     drawing is raised after the points drawn before it.
     """
@@ -349,29 +356,31 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
                 # that of one point a call, whatever the block
                 drawn.append((x, z, None if draw is None else rng.standard_normal(draw)))
         except SamplingError as exc:  # raised once the points drawn before it are evaluated
+            if not drawn:
+                raise
             failure = exc
         # read after the draw: selected before it, A would sit beside the sampler's set-up arrays
         (A, c), rows = config.active_members, config.active_rows
-        xs, ds = [x for x, _, _ in drawn], [d for _, _, d in drawn]
-        zs = [z if rows is None else z[rows] for _, z, _ in drawn]
-        block_draws = None if draw is None or len(ds) < 2 else np.stack(ds)
-        try:  # one call for a block; one point, or a block whose call raises, goes point by point below
-            values = residuals(np.stack(xs), (A, c, np.stack(zs)), block_draws) if len(xs) > 1 else None
-        except (TrigWdvvError, np.linalg.LinAlgError):  # a discard or an error: each point meets it alone
-            values = None
-        if values is not None:
-            accepted += file(xs, values)
-        else:
-            for x, z, d in zip(xs, zs, ds):
-                try:
-                    values = residuals(x, (A, c, z), d)
-                except SingularMatrixError as exc:
+        xs = np.array([x for x, _, _ in drawn])
+        zs = np.array([z if rows is None else z[rows] for _, z, _ in drawn])
+        ds = None if draw is None else np.array([d for _, _, d in drawn])
+        spans = [(0, len(xs))]  # the block, then each of its points if the block's call raises
+        while spans:
+            lo, hi = spans.pop(0)
+            try:
+                values = residuals(xs[lo:hi], (A, c, zs[lo:hi]), None if ds is None else ds[lo:hi])
+            except (TrigWdvvError, np.linalg.LinAlgError) as exc:
+                if hi - lo > 1:  # a discard or an error: each point meets it alone
+                    spans = [(i, i + 1) for i in range(lo, hi)]
+                elif isinstance(exc, SingularMatrixError):  # a point's own refusal is its discard
                     report.discarded_points += 1
                     if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
                         raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: "
                                             f"{report.discarded_points} had an unusable pivot, the last: {exc}") from None
                 else:
-                    accepted += file([x], values)
+                    raise
+            else:
+                accepted += file(xs[lo:hi], values)
         if failure is not None:
             raise failure
     report.checks.extend(
@@ -406,10 +415,10 @@ def _run_wdvv(spec: RunSpec, parsed):
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
-    def residuals(x, active, draws):
+    def residuals(x, active, draws):  # one point a call: T is (1, n, n, n)
         T = tensor_generic(active)
         # at the better-conditioned of B and eta.F, and a discard only where neither is usable
-        candidates = [metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
+        candidates = [*metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
         return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 
     return {}, config, residuals, 1, None
@@ -433,10 +442,10 @@ def _run_associativity(spec: RunSpec, parsed):
     else:  # the metric B(x), judged point by point by verify-wdvv's usable-pivot rule
         _require_spanning(config, spec.command, family=False)
 
-        def raise_index_at(x, active):
+        def raise_index_at(x, active):  # one point a call: B is (1, n, n)
             B = metric_B(tensor_generic(active), x)
-            usable_pivots(B[None])
-            return lambda y: np.linalg.solve(B, y)
+            usable_pivots(B)
+            return lambda y: np.linalg.solve(B, y[..., None])[..., 0]
 
         block = 1
 
@@ -473,10 +482,10 @@ def _run_restriction(spec: RunSpec, parsed):
     if projected.vectors.shape == vectors.shape:
         dev = max(_two_path(projected.vectors, vectors), _two_path(projected.multiplicities, mults))
 
-    def residuals(xt, active, draws):
+    def residuals(xt, active, draws):  # one point a call
+        (xt,), ((ut, vt),), (A, c, (z,)) = xt, draws, active  # a point's (2, n) draw: two draws of n
         outside = restriction.pairings(xt, spec.threshold)
-        T = tensor_generic(active)
-        ut, vt = draws  # a point's (2, n) draw: the numbers of two draws of n
+        T = tensor_generic((A, c, z))
         u, v = restriction.block_basis.T @ ut, restriction.block_basis.T @ vt
 
         C = algebra.structure_constants(restriction, outside)

@@ -9,8 +9,9 @@ the (A, c, z) of a point, the one input of every sum over members here and in
 ``algebra`` and ``susy``.  ``metric_identity_residuals`` compares the metric B
 with h diag(m), and ``_two_path`` one quantity computed by two routes.  Every
 function here that reads a point or its pairings, ``active_pairings`` aside,
-also takes a block of points, every output with its leading axis and each
-point's bits as alone, for the commands that draw nothing at a point.
+has one form over leading axes: x of shape (..., n) or z of (..., M), every
+output with those axes and each point's bits as alone.  The commands call
+them with a block (b, n); a lone point (n,) gives numpy float64 scalars.
 """
 
 from __future__ import annotations
@@ -106,15 +107,12 @@ def tensor_generic(active) -> np.ndarray:
     ``active`` is (A, c, z) from ``active_pairings`` at the point x.  One GEMM
     over the active members, (A^T * c coth z) @ AA with AA[m, (j, k)] = a_j a_k, one multiply
     each by einsum (a zero as +0.0): exactly symmetric in (j, k), in i only up to rounding.
-    A block, z of shape (b, M), gives a (b, n, n, n) tensor, one GEMM per point, each point's bits as alone.
+    z of shape (..., M) gives a (..., n, n, n) tensor, one GEMM per point, each point's bits as alone.
     """
     A, c, z = active
     n = A.shape[1]
     AA = np.einsum("mi,mj->mij", A, A).reshape(len(A), n * n)
-    w, shape = c * coth(z), (n, n, n)
-    if z.ndim > 1:  # a block: one row of weights a point
-        w, shape = w[:, None, :], (len(z), *shape)
-    return ((A.T * w) @ AA).reshape(shape)
+    return ((A.T * (c * coth(z))[..., None, :]) @ AA).reshape(*z.shape[:-1], n, n, n)
 
 
 def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -138,38 +136,34 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
 
 
 def metric_B(tensor: np.ndarray, x) -> np.ndarray:
-    """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor; a block, a (b, n, n, n)
-    tensor at x of shape (b, n), gives (b, n, n), one GEMV per point, each point's bits as alone."""
+    """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor: a (..., n, n, n) tensor
+    at x of shape (..., n) gives (..., n, n), one GEMV per point, each point's bits as alone."""
     tensor = np.asarray(tensor)
     n = tensor.shape[-1]
     x = _point(x, n, True)
-    if x.ndim > 1:  # a block: the same contraction with a row vector a point, one GEMV each
-        return (np.sinh(2.0 * x)[:, None, :] @ tensor.reshape(len(x), n, n * n)).reshape(len(x), n, n)
-    return (np.sinh(2.0 * x) @ tensor.reshape(n, n * n)).reshape(n, n)
+    lead = x.shape[:-1]
+    return (np.sinh(2.0 * x)[..., None, :] @ tensor.reshape(*lead, n, n * n)).reshape(*lead, n, n)
 
 
 def h_function(p: BCnParameters, x) -> float | np.ndarray:
-    """h(x) = 2q sum_k m_k cosh(2 x_k) + r; at a block, x of shape (b, n), each point's, as alone."""
+    """h(x) = 2q sum_k m_k cosh(2 x_k) + r at x of shape (..., n), each point's as alone."""
     x = _point(x, p.n, True)
-    h = 2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum(axis=-1) + p.r
-    return h if x.ndim > 1 else float(h)
+    return 2.0 * p.q * (p.m_array * np.cosh(2.0 * x)).sum(axis=-1) + p.r
 
 
 def _two_path(got, want, axes=None) -> float | np.ndarray:
     """max|got - want| / max(1, max|want|), floored as want can vanish (each does at r = s = q = 0):
     one quantity by two routes, for structure_constants_two_path, hat_tensor_two_path,
     restriction_config_match (the vectors, then the multiplicities) and gauge_residual.  The maxima
-    are over ``axes``: None for one float, the value axes for each point of a block, as alone."""
+    are over ``axes``: None for every axis, the value axes for each point of a block, as alone."""
     dev, top = np.abs(got - want).max(axes), np.abs(want).max(axes)
-    if axes is None:
-        return float(dev) / max(1.0, float(top))
     return dev / np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max(1.0, nan) does
 
 
 def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple:
     """(off-diagonal, diagonal) max-abs deviation of ``metric_B(tensor, x)`` from h(x) diag(m),
     each over max(1, max_k |h m_k|), floored as h can vanish; a non-finite B or h gives a non-finite residual.
-    A block, a (b, n, n, n) tensor at x of shape (b, n), gives two (b,) arrays, each point's bits as alone.
+    A (..., n, n, n) tensor at x of shape (..., n) gives two arrays of shape (...), each point's bits as alone.
 
     For the family tensor of ``p`` both vanish under the multiplicity relation
     r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
@@ -177,12 +171,10 @@ def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple:
     h = h_function(p, x)
     B = metric_B(tensor, x)
     n = B.shape[-1]
-    one = type(h) is float  # else a block, one h a point
-    target, flat = (h, B.reshape(n * n)) if one else (h[:, None], B.reshape(len(h), n * n))
-    target = target * p.m_array
+    target = h[..., None] * p.m_array
+    flat = B.reshape(*B.shape[:-2], n * n)
     diag = np.abs(flat[..., :: n + 1] - target).max(-1)
     flat = np.abs(flat)
     flat[..., :: n + 1] = 0.0  # the target is diagonal: off the diagonal, |B_ij| itself
-    off, top = flat.max(-1), np.abs(target).max(-1)
-    scale = max(1.0, float(top)) if one else np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max does
-    return (float(off) / scale, float(diag) / scale) if one else (off / scale, diag / scale)
+    scale = np.fmax(1.0, np.abs(target).max(-1))  # fmax: a NaN top leaves the floor, as max(1.0, nan) does
+    return flat.max(-1) / scale, diag / scale

@@ -50,21 +50,20 @@ def bosonic_potential(active, sums=None) -> float | np.ndarray:
     """V = 1/2 sum c (a,a)^2 / sinh^2((a,x^)) + 1/4 sum over pairs (incl. a = b) of
     c_a c_b (a,a)(b,b)(a,b) coth coth, from ``active_pairings``' (A, c, z) at x^.  ``sums`` is the
     ``_potential_sums`` of the same point, when the caller has formed them (``gauge_residual`` does).
-    A block, z of shape (b, M), gives b values, each point's bits as alone, from one Gram matrix A A^T."""
+    z of shape (..., M) gives one value a point, each point's bits as alone, from one Gram matrix A A^T."""
     A = active[0]
     w, S = _potential_sums(active) if sums is None else sums
     quad = ((w[..., None, :] @ (A @ A.T)) @ w[..., None])[..., 0, 0]  # per point one GEMV and one dot, as w @ G @ w
-    return 0.5 * S + 0.25 * (quad if quad.ndim else float(quad))
+    return 0.5 * S + 0.25 * quad
 
 
 def _potential_sums(active) -> tuple:
     """(w, S) at x^: w = c (a,a) coth((a,x^)) and S = sum c (a,a)^2 / sinh^2((a,x^)), the member sums
-    that ``bosonic_potential`` and ``gauge_residual`` share, formed once per call; at a block of
-    points, z of shape (b, M), w is (b, M) and S (b,), and the member norms (a,a) are formed once."""
+    that ``bosonic_potential`` and ``gauge_residual`` share, formed once per call; z of shape
+    (..., M) gives w of (..., M) and S of (...), and the member norms (a,a) are formed once."""
     A, c, z = active
     norms2 = np.einsum("mi,mi->m", A, A)
-    S = (c * norms2**2 / np.sinh(z) ** 2).sum(axis=-1)
-    return c * norms2 * coth(z), S if S.ndim else float(S)
+    return c * norms2 * coth(z), (c * norms2**2 / np.sinh(z) ** 2).sum(axis=-1)
 
 
 class FermionicSpace:
@@ -169,4 +168,4 @@ def gauge_residual(active) -> float | np.ndarray:
     w, S = sums = _potential_sums(active)
     grad = active[0].T @ (0.5 * w)[..., None]  # Lap L = -S / 2; per point one GEMV, as A^T @ (0.5 w)
     got = (grad.swapaxes(-1, -2) @ grad)[..., 0, 0] + 0.5 * S  # per point one dot, as grad @ grad
-    return _two_path(got, bosonic_potential(active, sums), axes=None if type(S) is float else ())
+    return _two_path(got, bosonic_potential(active, sums), axes=())

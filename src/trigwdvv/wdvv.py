@@ -65,7 +65,7 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
 
     ``pivots`` is a (p, n, n) stack of candidates, of which ``usable_pivots``
     chooses P: ``B[None]`` for the metric alone, ``[B, eta.F]`` for an explicit ``verify-wdvv``,
-    or None for P = identity.  ``raw`` and ``scaled`` are 1-D over the pairs i < j
+    or None for P = identity.  The last axis of ``raw`` and ``scaled`` runs over the pairs i < j
     in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is the max-abs entry of the
     commutator-like matrix of the k-th pair (i, j) and ``scaled[k]`` is
     raw / (||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm, 0 where F_i or F_j
@@ -77,33 +77,32 @@ def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.nda
     |eigenvalues|, from one ``eigvalsh`` of the tensor's lower triangles.  P is
     factorized once, against all n^2 columns of the tensor, and one matmul gives
     every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j are gathered once,
-    since M_ji = -M_ij.  At the identity pivot a block of tensors, (b, n, n, n), gives ``raw`` and
-    ``scaled`` of shape (b, n(n-1)/2), each point's bits as alone, from one ``eigvalsh`` and one
-    stacked matmul; a candidate stack serves one tensor.
+    since M_ji = -M_ij.  A tensor of shape (..., n, n, n) gives ``raw`` and ``scaled`` of shape
+    (..., n(n-1)/2), each point's bits as alone, from one ``eigvalsh`` and one stacked matmul; a
+    candidate stack serves the tensors of one point.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
         raise DomainError("the tensor is not finite")
     n = T.shape[-1]
-    block = T.ndim > 3
-    X = T.swapaxes(-3, -2).reshape((len(T), n, n * n) if block else (n, n * n))  # X[..., a, (j, b)] = F_j[a, b]
+    X = T.swapaxes(-3, -2).reshape(*T.shape[:-3], n, n * n)  # X[..., a, (j, b)] = F_j[a, b]
     condition = inv_norm = 1.0
     if pivots is not None:
         P = np.asarray(pivots, dtype=float)
         k, sv, condition = usable_pivots(P)
         inv_norm = 1.0 / sv[-1]
-        X = np.linalg.solve(P[k], X)  # X[:, (j, b)] = P^{-1} F_j: one LU
-    norms = np.abs(np.linalg.eigvalsh(T)).max(-1).T  # (n,), or (n, b) for a block
+        X = np.linalg.solve(P[k], X)  # X[..., (j, b)] = P^{-1} F_j: one LU
+    norms = np.abs(np.linalg.eigvalsh(T)).max(-1)
     i, j = _upper_pairs(n)
-    # G[..., i, a, j, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
+    # G[..., i, j, a, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
     # flat T.reshape(n * n, n) @ X at n >= 16, which ran up to 6x slower on 2 vCPUs
-    G = (T @ (X[:, None] if block else X)).reshape(T.shape + (n,))
-    M = G[..., i, :, j, :]  # M[pair, ..., a, b] = M_ij[a, b] for the pairs i < j, the pair axis first
-    M -= G[..., j, :, i, :]
+    G = (T @ X[..., None, :, :]).reshape(T.shape + (n,)).swapaxes(-3, -2)
+    M = G[..., i, j, :, :]  # M[..., pair, a, b] = M_ij[a, b] for the pairs i < j
+    M -= G[..., j, i, :, :]
     raw = np.abs(M, out=M).max(axis=(-2, -1))
-    scale = norms[i] * norms[j] * inv_norm
+    scale = norms[..., i] * norms[..., j] * inv_norm
     scaled = np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0)
-    return scaled.T, raw.T, condition  # for a block, (b, pairs)
+    return scaled, raw, condition
 
 
 def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -127,9 +126,9 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarr
     at most n + 3 terms, each bounded by ||D|| ||F_i|| ||F_j||, so the rounding in ``scaled``
     does not grow with the condition number.  A non-finite V raises DomainError, as does a
     non-finite B ("pivot 0 is not finite", ``usable_pivots``' text), and a zero B_kk raises
-    SingularMatrixError.  A block, x (b, n) and z (b, M), gives each output that leading axis, each
-    point's bits as alone, or raises the error of a refused point in it, from one ``eigvalsh`` of the
-    b n slices; a family's ``verify-wdvv`` takes blocks (``cli._sampled``), as it draws nothing.
+    SingularMatrixError.  x of shape (..., n) and z of (..., M) give each output those leading axes,
+    each point's bits as alone, or raise the error of a refused point among them, from one
+    ``eigvalsh`` of every point's n slices.
     """
     A, c, z = active
     V = ((c / np.tanh(z))[..., None] * A).swapaxes(-1, -2) @ (A * A)
@@ -158,8 +157,7 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarr
     i, j = _upper_pairs(n)
     raw = np.maximum(np.maximum(S[..., i, j], S[..., j, i]), np.abs(C[..., i, j]))
     scale = norms[..., i] * norms[..., j] / lo
-    kappa = (hi / lo)[..., 0]
-    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, kappa if kappa.ndim else float(kappa)
+    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, hi[..., 0] / lo[..., 0]
 
 
 def _arrow_norms(V: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_a_block_of_associativity_residuals_is_each_point_alone_bit_for_bit(n, s
     v[4, 0] = np.nan
     got = associativity_residual((A, c, z), u, v, w, family_metric(p))
     alone = [associativity_residual((A, c, z[k]), u[k], v[k], w[k], family_metric(p)) for k in range(6)]
-    assert all(type(value) is float for value in alone)
+    assert all(isinstance(value, float) for value in alone)
     assert got.shape == (6,) and got.tobytes() == np.array(alone).tobytes()
     assert got[2] == 0.0 and np.isnan(got).tolist() == [k == 4 for k in range(6)]
     if n >= 3:

@@ -782,7 +782,8 @@ def _sampled_into(report, per_point, points):
     point to ``points``; an exception in ``per_point`` is raised at its point instead."""
 
     def residuals(x, active, draws):
-        points.append(x.tolist())
+        (point,) = x  # one point a call, as a block of one
+        points.append(point.tolist())
         value = per_point[len(points) - 1]
         if isinstance(value, Exception):
             raise value
@@ -843,7 +844,8 @@ def test_sampled_pairings_are_active_pairings_bit_for_bit(config):
     got = []
 
     def residuals(x, active, draws):
-        got.append((x, active))
+        (point,), (A, c, (z,)) = x, active  # one point a call, as a block of one
+        got.append((point, (A, c, z)))
         return {}
 
     _sampled(VerificationReport(run=spec), config, residuals)
@@ -1351,12 +1353,12 @@ def _sampled_in_blocks(per_point, samples, block, calls=None):
     def residuals(x, active, draws):
         rows = [drawn.setdefault(row.tobytes(), len(drawn)) for row in np.atleast_2d(x)]
         assert active[2].shape == (*x.shape[:-1], 6)  # the six members of BC_2
-        calls.append(rows if x.ndim == 2 else rows[0])
+        calls.append(rows if len(x) > 1 else rows[0])
         values = [per_point[k] for k in rows]
         for value in values:
             if isinstance(value, Exception):
                 raise value
-        return values[0] if x.ndim == 1 else {name: np.stack([v[name] for v in values]) for name in values[0]}
+        return {name: np.stack([v[name] for v in values]) for name in values[0]} if len(x) > 1 else values[0]
 
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=samples))
     try:
@@ -1466,7 +1468,7 @@ def test_a_block_that_raises_a_linalg_error_goes_point_by_point():
     # numpy's LinAlgError, like the package's errors, is one a point can raise alone: each point of
     # the block meets it alone, and here none does, so the report is that of one point per call
     def residuals(x, active, draws):
-        if x.ndim == 2:
+        if len(x) > 1:
             raise np.linalg.LinAlgError("SVD did not converge")
         return {"a": float(x.sum())}
 
@@ -1485,7 +1487,7 @@ def test_a_block_that_raises_any_other_error_ends_the_run():
 
     def residuals(x, active, draws):
         calls.append(x.shape)
-        if x.ndim == 2:
+        if len(x) > 1:
             x.reshape(x.shape[-1])
         return {"a": 0.0}
 
@@ -1494,6 +1496,27 @@ def test_a_block_that_raises_any_other_error_ends_the_run():
     with pytest.raises(ValueError, match="cannot reshape"):
         _sampled(report, config, residuals, 4)
     assert calls == [(4, 2)] and report.checks == []
+
+
+def test_a_residual_function_that_refuses_every_block_ends_the_run(monkeypatch, capsys):
+    # a kernel that takes one point only, as multiply does, raises DimensionError on every call:
+    # the block's points go again one at a time, each a block of one that meets the same error, so
+    # the run exits 2 rather than passing through a second, one-point path
+    real, shapes = algebra.associativity_residual, []
+
+    def one_point_only(active, u, v, w, raise_index):
+        shapes.append(np.shape(u))
+        algebra.multiply(active, u, v)
+        return real(active, u, v, w, raise_index)
+
+    monkeypatch.setattr(algebra, "associativity_residual", one_point_only)
+    argv = ["verify-associativity", "--family", "bcn", "--n", "3", "--r", "-20", "--s", "1", "--q", "2",
+            "--m", "1,2,2", "--samples", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: DimensionError: u, v must have shape (3,)\n"
+    assert shapes == [(2, 3), (1, 3)]
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -1522,7 +1545,8 @@ def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
 
 def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
     # no residual function takes a generator: _sampled makes each point's draw, of the shape the
-    # driver declares, and a driver that draws nothing declares none
+    # driver declares, and a driver that draws nothing declares none; every call, a lone point's
+    # too, takes a block: x of shape (b, n), and z and the draws with the same leading length
     declared = {}
     family = _family(3, -20, 1, 2, (1, 2, 2))
     document = config_document(load_config_source(family))
@@ -1531,10 +1555,20 @@ def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
                             ("verify-metric", family),
                             ("verify-restriction", _family(2, -20, 1, 2, (2, 3))),
                             ("verify-susy", family)]:
-        spec = RunSpec(command=command, config_source=source)
-        _, _, residuals, block, draw = cli.VERIFIERS[command](spec, load_config_source(source))
+        spec = RunSpec(command=command, config_source=source, samples=3)
+        _, config, residuals, block, draw = cli.VERIFIERS[command](spec, load_config_source(source))
         assert list(inspect.signature(residuals).parameters)[1:] == ["active", "draws"], command
         declared[command, "family" in source] = (block, draw)
+        calls = []
+
+        def recording(x, active, draws):
+            calls.append(x.shape)
+            assert x.ndim == 2 and active[2].shape == (len(x), len(active[1]))
+            assert (draws is None) if draw is None else (draws.shape == (len(x), *draw))
+            return residuals(x, active, draws)
+
+        _sampled(VerificationReport(run=spec), config, recording, block, draw)
+        assert calls == ([(3, config.dimension)] if block > 1 else [(1, config.dimension)] * 3), command
     assert declared == {
         ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (1, None),
         ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (1, (3, 3)),
@@ -1543,24 +1577,26 @@ def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
     }
 
 
+# the last case, unit m at n = 10 and 33 samples, ends in a lone point: a block of 32, then a block of one
 _WHOLE_REPORTS = [
-    *[(_family(4, -14, 0.5, 1, (2, 1, 3, 1)), seed) for seed in range(5)],
-    (_family(10, -16, 0, 1, (1,) * 10), 0),
-    (_family(20, -36, 0, 1, (1,) * 20), 0),
-    (_family(3, -1, 1, 0, (1, 1, 1)), 0),
-    (_family(4, -13, 0.5, 1, (2, 1, 3, 1)), 0),
-    (_family(10, -15, 0, 1, (1,) * 10), 1),
-    (M_SPREAD, 0),
+    *[(_family(4, -14, 0.5, 1, (2, 1, 3, 1)), seed, 50) for seed in range(5)],
+    (_family(10, -16, 0, 1, (1,) * 10), 0, 50),
+    (_family(20, -36, 0, 1, (1,) * 20), 0, 20),
+    (_family(3, -1, 1, 0, (1, 1, 1)), 0, 50),
+    (_family(4, -13, 0.5, 1, (2, 1, 3, 1)), 0, 50),
+    (_family(10, -15, 0, 1, (1,) * 10), 1, 50),
+    (M_SPREAD, 0, 50),
+    (_family(10, -16, 0, 1, (1,) * 10), 0, 33),
 ]
 
 
-@pytest.mark.parametrize("source, seed", _WHOLE_REPORTS,
+@pytest.mark.parametrize("source, seed, samples", _WHOLE_REPORTS,
                          ids=[*[f"m2131-seed{s}" for s in range(5)], "unit-n10", "unit-n20", "q0", "m2131-r+1",
-                              "unit-n10-r+1", "m-spread"])
-def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed):
+                              "unit-n10-r+1", "m-spread", "unit-n10-lone-last"])
+def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed, samples):
     # the whole report, byte for byte, at the block rule and at one point per call
-    spec = RunSpec(command="verify-wdvv", config_source=source, samples=50 if source["n"] <= 10 else 20, seed=seed)
-    shapes = []
+    spec = RunSpec(command="verify-wdvv", config_source=source, samples=samples, seed=seed)
+    n, shapes = source["n"], []
 
     def recording(active, x):
         shapes.append(x.shape)
@@ -1568,18 +1604,17 @@ def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed):
 
     monkeypatch.setattr(cli, "arrow_residuals", recording)
     blocked = dumps_17g(run(spec).to_json_dict())
-    assert len(shapes) < spec.samples and len(shapes[0]) == 2
+    assert len(shapes) < spec.samples and shapes == _block_calls(samples, max(1, 2**15 // n**3), n)
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^3) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
-    assert shapes == [(source["n"],)] * spec.samples
+    assert shapes == [(1, n)] * spec.samples
 
 
 def _block_calls(samples: int, block: int, n: int) -> list[tuple]:
     """The x shape of each residual call a run of ``samples`` points makes at ``block`` points a call,
-    none discarded: a lone last point goes as one point."""
-    sizes = [min(block, samples - k) for k in range(0, samples, block)]
-    return [(b, n) if b > 1 else (n,) for b in sizes]
+    none discarded: a lone last point goes as a block of one."""
+    return [(min(block, samples - k), n) for k in range(0, samples, block)]
 
 
 # the golden verify-susy families at r and at r + 1: n = 1 (r = 1 off the theorem), 2, 3 and 5, the
@@ -1618,7 +1653,7 @@ def test_a_susy_report_is_the_same_in_blocks(monkeypatch, source, options):
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^4) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
-    assert shapes == [(n,)] * spec.samples
+    assert shapes == [(1, n)] * spec.samples
 
 
 # the golden verify-metric families at r and at r + 1, n = 1, the zero family, and unit m at n = 10
@@ -1654,7 +1689,7 @@ def test_a_metric_report_is_the_same_in_blocks(monkeypatch, source, options):
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)
     assert dumps_17g(run(spec).to_json_dict()) == blocked
-    assert shapes == [(n,)] * spec.samples
+    assert shapes == [(1, n)] * spec.samples
 
 
 # the golden verify-associativity families at r and at r + 1, and unit m at n = 12, whose runs at
@@ -1697,7 +1732,7 @@ def test_an_associativity_report_is_the_same_in_blocks(monkeypatch, source, opti
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^2) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
-    assert shapes == [(n,)] * spec.samples
+    assert shapes == [(1, n)] * spec.samples
 
 
 def test_text_report_labels_discarded_points(capsys, tmp_path):

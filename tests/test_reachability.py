@@ -101,12 +101,14 @@ def test_every_public_function_is_reached_by_a_command(tmp_path, capsys):
 
 
 def test_a_stale_exemption_fails_the_check(capsys, monkeypatch):
-    # negative controls: once the associativity driver also forms u * v by multiply, multiply is
-    # reached, and an exemption of a name the package does not define is stale as well
+    # negative controls: once the associativity driver also forms u * v by multiply, at one point
+    # of each block, multiply is reached, and an exemption of a name the package does not define is
+    # stale as well
     real = algebra.associativity_residual
 
     def through_multiply(active, u, v, w, raise_index):
-        algebra.multiply(active, u, v)
+        A, c, z = active
+        algebra.multiply((A, c, z[0]), u[0], v[0])
         return real(active, u, v, w, raise_index)
 
     monkeypatch.setattr(algebra, "associativity_residual", through_multiply)

@@ -539,7 +539,7 @@ def test_an_arrow_block_is_its_points_bit_for_bit(n):
         block = arrow_residuals((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
         assert [a.shape for a in block] == [(b, n * (n - 1) // 2)] * 2 + [(b,)]
         for p, one in enumerate(alone):
-            assert type(one[2]) is float
+            assert isinstance(one[2], float)
             assert _same_bits([out[p] for out in block], one), (params, p)
 
 
