@@ -16,7 +16,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Configuration, Partition, _bcn_members, _restriction
 from .errors import DimensionError
-from .prepotential import DEFAULT_THRESHOLD, _point, active_pairings, coth
+from .prepotential import DEFAULT_THRESHOLD, _matvec, _point, active_pairings, coth
 
 
 def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.ndarray]:
@@ -26,12 +26,6 @@ def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.
     if any(v.shape != shape for v in vectors):
         raise DimensionError(f"{names} must have shape {shape}")
     return vectors
-
-
-def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M @ d for each vector d of shape (..., k), by one matrix-vector product a vector: each reads
-    the bits it reads alone, which one matrix-matrix product need not."""
-    return (M @ d[..., None])[..., 0]
 
 
 def multiply(active, u, v) -> np.ndarray:

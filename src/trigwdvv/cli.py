@@ -71,10 +71,10 @@ from .wdvv import arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
 # the floats a block of points may hold in its largest per-point array: a family verify-wdvv call
-# and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26 for verify-wdvv, where
-# blocks stop paying, and n = 33 for verify-metric), a verify-susy call max(1, _WDVV_BLOCK // n^4), the
-# commuting form's n^4 floats a point, and a family verify-associativity call max(1, _WDVV_BLOCK // n^2),
-# the M ~ 2 n^2 weights and pairings a point (227 at n = 12, one from n = 129)
+# and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26, where verify-wdvv's
+# blocks stop paying; verify-metric's largest is the weighted (n x M) members, about 2 n^3 floats), a
+# verify-susy call max(1, _WDVV_BLOCK // n^4), the commuting form's n^4 floats a point, and a family
+# verify-associativity call max(1, _WDVV_BLOCK // n^2), the M ~ 2 n^2 weights and pairings a point
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -418,7 +418,7 @@ def _run_wdvv(spec: RunSpec, parsed):
     def residuals(x, active, draws):  # one point a call: T is (1, n, n, n)
         T = tensor_generic(active)
         # at the better-conditioned of B and eta.F, and a discard only where neither is usable
-        candidates = [*metric_B(T, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
+        candidates = [*metric_B(active, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
         return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
 
     return {}, config, residuals, 1, None
@@ -443,7 +443,7 @@ def _run_associativity(spec: RunSpec, parsed):
         _require_spanning(config, spec.command, family=False)
 
         def raise_index_at(x, active):  # one point a call: B is (1, n, n)
-            B = metric_B(tensor_generic(active), x)
+            B = metric_B(active, x)
             usable_pivots(B)
             return lambda y: np.linalg.solve(B, y[..., None])[..., 0]
 
@@ -460,8 +460,8 @@ def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
 
-    def residuals(x, active, draws):
-        off, diag = metric_identity_residuals(params, tensor_generic(active), x)
+    def residuals(x, active, draws):  # B from the members, with no tensor: about 2 n^3 floats a point
+        off, diag = metric_identity_residuals(params, active, x)
         return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
 
     return {}, config, residuals, max(1, _WDVV_BLOCK // params.n**3), None
@@ -491,7 +491,7 @@ def _run_restriction(spec: RunSpec, parsed):
         C = algebra.structure_constants(restriction, outside)
         expected = T / restriction.m
         tangency = algebra.tangency_residuals(restriction, outside, u, v)
-        metric = metric_identity_residuals(restriction.params, T, xt)
+        metric = metric_identity_residuals(restriction.params, (A, c, z), xt)
         return {
             "structure_constants_two_path": _two_path(C, expected),
             "tangency_residual": tangency,
@@ -507,6 +507,7 @@ def _run_susy(spec: RunSpec, parsed):
     hat = susy.build_hat_configuration(params)
     anticommutation = susy.fermionic_residual(params.n)
     sq = np.sqrt(params.m_array)
+    A_base = hat.config.active_members[0] * sq  # the base covectors: their pairings at x^ / sqrt(m) are z
 
     def hat_residuals(xh, active, draws):
         T = tensor_generic(active)
@@ -519,7 +520,7 @@ def _run_susy(spec: RunSpec, parsed):
             "hat_tensor_two_path": _two_path(base, closed, axes=(-3, -2, -1)),
             "hat_commuting_residual": commuting,
             # each point's two parts side by side, in the order one point's (off, diag) is filed
-            "hat_metric_identity": np.stack(metric_identity_residuals(params, base, x), axis=-1),
+            "hat_metric_identity": np.stack(metric_identity_residuals(params, (A_base, *active[1:]), x), axis=-1),
             "gauge_residual": susy.gauge_residual(active),
         }
 
@@ -567,8 +568,8 @@ def emit_tensor(spec: RunSpec, point) -> dict:
     parsed = load_config_source(spec.config_source)
     x = np.array([_real(v, f"point must be numbers, got {point!r}") for v in point])
     with np.errstate(over="ignore", invalid="ignore"):
-        F = tensor_generic(active_pairings(_config_of(parsed), x, spec.threshold))
-        B = metric_B(F, x)
+        active = active_pairings(_config_of(parsed), x, spec.threshold)
+        F, B = tensor_generic(active), metric_B(active, x)
         h = h_function(parsed, x) if isinstance(parsed, BCnParameters) else None
     for name, value in (("F", F), ("B", B), ("h", h)):
         if value is not None and not np.isfinite(value).all():

@@ -159,9 +159,9 @@ def _integer(value, error: str, error_type: type[Exception] = ParameterError) ->
 
 def _real(value, error: str, error_type: type[Exception] = ParameterError) -> float:
     """``value`` as a float if it is a real, not a bool, that a float holds; a str too raises ``error_type(error)``."""
-    if type(value) is float:  # the common case, without the abstract-class check
+    if type(value) is float:  # the common cases, a float and then an int (not a bool), skip the abstract-class test
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:

@@ -1,24 +1,22 @@
 """Third-derivative tensors of the prepotential, their coth helpers and the sinh-weighted metric.
 
-The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent
-representations: a direct weighted sum of coth over the active members
-(``tensor_generic``) and the explicit five-term formula in the b, b~, b_ij
-helpers (``tensor_closed_form``).  Their agreement is one of the package's
-core checks, so neither path may call the other.  ``active_pairings`` gives
-the (A, c, z) of a point, the one input of every sum over members here and in
-``algebra`` and ``susy``.  ``metric_identity_residuals`` compares the metric B
-with h diag(m), and ``_two_path`` one quantity computed by two routes.  Every
-function here that reads a point or its pairings, ``active_pairings`` aside,
-has one form over leading axes: x of shape (..., n) or z of (..., M), every
-output with those axes and each point's bits as alone.  The commands call
-them with a block (b, n); a lone point (n,) gives numpy float64 scalars.
+The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent representations: a
+weighted sum of coth over the active members (``tensor_generic``) and the explicit five-term formula
+in the b, b~, b_ij helpers (``tensor_closed_form``).  Their agreement is one of the package's core
+checks, so neither path may call the other.  ``active_pairings`` gives the (A, c, z) of a point, the
+one input of every sum over members here, the metric B (``metric_B``, with no tensor) among them, and
+in ``algebra`` and ``susy``.  ``metric_identity_residuals`` compares B with h diag(m), and ``_two_path``
+one quantity by two routes.  Every function that reads a point or its pairings, ``active_pairings``
+aside, has one form over leading axes: x of shape (..., n) or z of (..., M), every output with those
+axes and each point's bits as alone.  The commands call them with a block (b, n); a lone point (n,)
+gives numpy float64 scalars.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, _off_pairs
+from .configurations import BCnParameters, Configuration, _off_pairs, _upper_pairs
 from .errors import DimensionError, DomainError, SingularityError
 
 # Minimum distance from every active hyperplane (alpha, x) = 0; keeps all coth
@@ -61,11 +59,16 @@ def _hyperbolic_helpers(x: np.ndarray, threshold: float):
 
 def _point(x, n: int, block: bool = False) -> np.ndarray:
     """x as a float array; a shape other than (n,), or than (b, n) where ``block`` allows a block of
-    points, raises DimensionError."""
+    points, raises DimensionError naming the shapes accepted."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,) and not (block and x.ndim == 2 and x.shape[1] == n):
-        raise DimensionError(f"point has shape {x.shape}, expected ({n},)")
+        raise DimensionError(f"point has shape {x.shape}, expected ({n},)" + f" or (b, {n})" * block)
     return x
+
+
+def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M @ d for each d of shape (..., k), one matrix-vector product a vector, so each reads its bits as alone."""
+    return (M @ d[..., None])[..., 0]
 
 
 def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
@@ -135,14 +138,17 @@ def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD
     return F
 
 
-def metric_B(tensor: np.ndarray, x) -> np.ndarray:
-    """B = sum_k sinh(2 x_k) F_k, the sinh-weighted contraction of the tensor: a (..., n, n, n) tensor
-    at x of shape (..., n) gives (..., n, n), one GEMV per point, each point's bits as alone."""
-    tensor = np.asarray(tensor)
-    n = tensor.shape[-1]
-    x = _point(x, n, True)
-    lead = x.shape[:-1]
-    return (np.sinh(2.0 * x)[..., None, :] @ tensor.reshape(*lead, n, n * n)).reshape(*lead, n, n)
+def metric_B(active, x) -> np.ndarray:
+    """B = sum_k sinh(2 x_k) F_k from (A, c, z) of ``active_pairings`` at x, with no tensor: F_kij = sum_alpha
+    c a_k a_i a_j coth z gives B = (A^T w) @ A, w = c coth z (A sinh 2x), one (n x M)(M x n) product.  The upper
+    triangle is copied onto the lower, so B is exactly symmetric, as ``wdvv.usable_pivots``' eigvalsh assumes.
+    x of shape (..., n) and z of (..., M) give (..., n, n), one GEMV and one GEMM a point, each's bits as alone."""
+    A, c, z = active
+    x = _point(x, A.shape[1], True)
+    B = (A.T * (c * coth(z) * _matvec(A, np.sinh(2.0 * x)))[..., None, :]) @ A
+    i, j = _upper_pairs(A.shape[1])
+    B[..., j, i] = B[..., i, j]
+    return B
 
 
 def h_function(p: BCnParameters, x) -> float | np.ndarray:
@@ -160,16 +166,14 @@ def _two_path(got, want, axes=None) -> float | np.ndarray:
     return dev / np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max(1.0, nan) does
 
 
-def metric_identity_residuals(p: BCnParameters, tensor: np.ndarray, x) -> tuple:
-    """(off-diagonal, diagonal) max-abs deviation of ``metric_B(tensor, x)`` from h(x) diag(m),
+def metric_identity_residuals(p: BCnParameters, active, x) -> tuple:
+    """(off-diagonal, diagonal) max-abs deviation of ``metric_B(active, x)`` from h(x) diag(m),
     each over max(1, max_k |h m_k|), floored as h can vanish; a non-finite B or h gives a non-finite residual.
-    A (..., n, n, n) tensor at x of shape (..., n) gives two arrays of shape (...), each point's bits as alone.
-
-    For the family tensor of ``p`` both vanish under the multiplicity relation
-    r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
+    (A, c, z) with z of shape (..., M) at x of (..., n) gives two arrays of shape (...), each point's bits as alone.
+    For the members of ``p`` both vanish if r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
     """
     h = h_function(p, x)
-    B = metric_B(tensor, x)
+    B = metric_B(active, x)
     n = B.shape[-1]
     target = h[..., None] * p.m_array
     flat = B.reshape(*B.shape[:-2], n * n)

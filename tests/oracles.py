@@ -52,7 +52,6 @@ from trigwdvv.prepotential import (
     _hyperbolic_helpers,
     coth,
     h_function,
-    metric_B,
 )
 from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
 from trigwdvv.susy import bosonic_potential
@@ -309,9 +308,14 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
 
 
 def metric_identity_residuals_masked(p, tensor, x) -> tuple[float, float]:
+    """The metric identity's (off-diagonal, diagonal) residuals of the tensor's B by the einsum definition."""
+    return metric_identity_masked(p, metric_B_einsum(tensor, x), x)
+
+
+def metric_identity_masked(p, B, x) -> tuple[float, float]:
     """The metric identity's (off-diagonal, diagonal) residuals from |B - h diag(m)| and an ``np.eye`` mask."""
     target = h_function(p, x) * np.asarray(p.m, dtype=float)
-    dev = np.abs(metric_B(tensor, x) - np.diag(target))
+    dev = np.abs(B - np.diag(target))
     scale = max(1.0, float(np.abs(target).max()))
     off = dev[~np.eye(len(target), dtype=bool)].max(initial=0.0)
     return float(off) / scale, float(np.diag(dev).max()) / scale
@@ -398,7 +402,7 @@ def diagonality_report(tensor, p, x) -> tuple[float, float]:
     m_l * delta * cosh(2 x_l) entrywise when the constraint residual is delta.
     """
     x = np.asarray(x, dtype=float)
-    B = metric_B(tensor, x)
+    B = metric_B_einsum(tensor, x)
     off = B - np.diag(np.diag(B))
     offdiag_max = float(np.abs(off).max()) if p.n > 1 else 0.0
     h = h_function(p, x)

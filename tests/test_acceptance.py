@@ -120,7 +120,7 @@ def test_criterion_3_metric_structure():
         p = _random_params(rng, n)
         config = build_bcn(p)
         x = sample_points(rng, fully_active(config), 1)[0]
-        B = metric_B(tensor_generic(active_pairings(config, x)), x)
+        B = metric_B(active_pairings(config, x), x)
         off = B - np.diag(np.diag(B))
         worst_off = max(worst_off, np.abs(off).max() / max(1.0, np.abs(B).max()))
 
@@ -129,7 +129,7 @@ def test_criterion_3_metric_structure():
     config = build_bcn(p_ok)
     rng2 = rng_for(SEED, "acceptance3/diag")
     for x in sample_points(rng2, fully_active(config), 100):
-        B = metric_B(tensor_generic(active_pairings(config, x)), x)
+        B = metric_B(active_pairings(config, x), x)
         dev = np.abs(np.diag(B) - p_ok.m_array * h_function(p_ok, x)).max()
         worst_diag = max(worst_diag, dev / max(1.0, np.abs(B).max()))
 
@@ -139,7 +139,7 @@ def test_criterion_3_metric_structure():
     config = build_bcn(p_broken)
     rng3 = rng_for(SEED, "acceptance3/delta")
     for x in sample_points(rng3, fully_active(config), 100):
-        B = metric_B(tensor_generic(active_pairings(config, x)), x)
+        B = metric_B(active_pairings(config, x), x)
         predicted = p_broken.m_array * (h_function(p_broken, x) + delta * np.cosh(2.0 * x))
         dev = np.abs(np.diag(B) - predicted).max()
         worst_delta = max(worst_delta, dev / max(1.0, np.abs(B).max()))
@@ -177,8 +177,8 @@ def test_criterion_4_wdvv_theorems():
         pattern = fully_active(config)
         rng = rng_for(SEED, f"acceptance4/pos/{fam_idx}")
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(active_pairings(config, x))
-            B = metric_B(T, x)
+            active = active_pairings(config, x)
+            T, B = tensor_generic(active), metric_B(active, x)
             worst_pos = max(worst_pos, pivot_residuals(T, B[None])[0].max())
 
     # negative controls: perturbing the constraint by 0.5 breaks the equations.
@@ -197,8 +197,8 @@ def test_criterion_4_wdvv_theorems():
         rng = rng_for(SEED, f"acceptance4/neg/{fam_idx}")
         above = total = 0
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(active_pairings(config, x))
-            B = metric_B(T, x)
+            active = active_pairings(config, x)
+            T, B = tensor_generic(active), metric_B(active, x)
             worst = max(pivot_residuals(T, P[None])[1].max() for P in (B, *T))
             total += 1
             if worst > 1e-3:
@@ -213,8 +213,8 @@ def test_criterion_4_wdvv_theorems():
     rng = rng_for(SEED, "acceptance4/n2")
     worst_n2 = 0.0
     for x in sample_points(rng, fully_active(config2), 50):
-        T = tensor_generic(active_pairings(config2, x))
-        B = metric_B(T, x)
+        active = active_pairings(config2, x)
+        T, B = tensor_generic(active), metric_B(active, x)
         worst_n2 = max(worst_n2, pivot_residuals(T, B[None])[0][0])
 
     elapsed = time.perf_counter() - t0
@@ -252,7 +252,8 @@ def test_criterion_5_restriction_machinery():
     for xt in sample_points(rng, pattern, 20):
         active = rctx.pairings(xt)
         C = structure_constants(rctx, active)
-        Ft = tensor_generic(active_pairings(rctx.projected_config, xt))
+        projected_active = active_pairings(rctx.projected_config, xt)
+        Ft = tensor_generic(projected_active)
         expected = np.einsum("ijk,k->ijk", Ft, 1.0 / rctx.m)
         worst_struct = max(
             worst_struct, np.abs(C - expected).max() / max(1.0, np.abs(expected).max())
@@ -260,7 +261,7 @@ def test_criterion_5_restriction_machinery():
         u = part.block_indicators().T @ rng.standard_normal(2)
         v = part.block_indicators().T @ rng.standard_normal(2)
         worst_tan = max(worst_tan, tangency_residuals(rctx, active, u, v).max())
-        worst_hb = max(worst_hb, *metric_identity_residuals(rctx.params, Ft, xt))
+        worst_hb = max(worst_hb, *metric_identity_residuals(rctx.params, projected_active, xt))
 
     # path limit: full product converges to the restricted one at first order
     orders = []

@@ -38,7 +38,7 @@ BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 
 def h_b_decomposition(rctx, xt):
     """The restriction's metric-identity residual at ``xt``, as ``verify-restriction`` reports it."""
-    return max(metric_identity_residuals(rctx.params, tensor_generic(active_pairings(rctx.projected_config, xt)), xt))
+    return max(metric_identity_residuals(rctx.params, active_pairings(rctx.projected_config, xt), xt))
 
 
 def block_constant(part, coeffs):
@@ -93,7 +93,7 @@ def family_metric(p):
 
 def b_metric(config, x):
     """u o v = B(x)^{-1} (u * v), the product of an explicit source."""
-    B = metric_B(tensor_generic(active_pairings(config, x)), x)
+    B = metric_B(active_pairings(config, x), x)
     return lambda y: np.linalg.solve(B, y)
 
 
@@ -520,5 +520,4 @@ class TestHBDecomposition:
         rctx = RestrictionContext(0.0, 0.0, 0.0, part)
         xt = np.array([0.7])
         assert h_function(rctx.params, xt) == 0.0
-        T = tensor_generic(active_pairings(rctx.projected_config, xt))
-        assert metric_identity_residuals(rctx.params, T, xt) == (0.0, 0.0)
+        assert metric_identity_residuals(rctx.params, active_pairings(rctx.projected_config, xt), xt) == (0.0, 0.0)

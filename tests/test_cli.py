@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from trigwdvv import __version__, algebra, cli, sampling, susy, wdvv
+from trigwdvv import __version__, algebra, cli, prepotential, sampling, susy, wdvv
 from trigwdvv.cli import (
     RunSpec,
     VerificationReport,
@@ -575,8 +575,9 @@ def test_eta_is_drawn_once_per_run_from_its_own_stream():
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(4)
     residuals = []
     for x in sample_points(rng, fully_active(config), spec.samples, spec.box, spec.threshold):
-        T = tensor_generic(active_pairings(config, x, spec.threshold))
-        better = min((metric_B(T, x), np.tensordot(eta, T, axes=1)), key=np.linalg.cond)
+        active = active_pairings(config, x, spec.threshold)
+        T = tensor_generic(active)
+        better = min((metric_B(active, x), np.tensordot(eta, T, axes=1)), key=np.linalg.cond)
         residuals.append(wdvv.pivot_residuals(T, better[None])[0])
     assert report.discarded_points == 0
     assert [(c.name, c.max_residual) for c in report.checks] == [("wdvv_residual", float(np.max(residuals)))]
@@ -1105,13 +1106,16 @@ def test_restriction_config_match_fails_on_a_perturbed_family(monkeypatch, pertu
     "module, name, failing",
     [
         (algebra, "coth", {"structure_constants_two_path"}),  # C alone; tangency is scale-free
-        (cli, "tensor_generic", {"structure_constants_two_path", "h_b_decomposition"}),  # the projected tensor
+        (cli, "tensor_generic", {"structure_constants_two_path"}),  # the projected tensor; B reads no tensor
+        # the projected tensor and the metric B, both read through the coth that prepotential reads
+        (prepotential, "coth", {"structure_constants_two_path", "h_b_decomposition"}),
     ],
-    ids=["structure-constants-scaled", "projected-tensor-scaled"],
+    ids=["structure-constants-scaled", "projected-tensor-scaled", "projected-members-scaled"],
 )
 def test_restriction_two_path_fails_when_either_route_is_scaled(monkeypatch, module, name, failing):
-    # scaling either route by 1.001, C through the coth that algebra reads or the
-    # projected tensor that the driver evaluates, moves structure_constants_two_path to 1e-3
+    # scaling either route by 1.001, C through the coth that algebra reads or the projected tensor
+    # that the driver evaluates, moves structure_constants_two_path to 1e-3; h_b_decomposition sees
+    # the projection's coth, which its B reads from the members
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: 1.001 * original(*args))
     report = run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=3))
@@ -1178,8 +1182,9 @@ def _replay_wdvv_conditions(spec):
     conditions, accepted = [], 0
     while accepted < spec.samples:
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
-        T = tensor_generic(active_pairings(config, x, spec.threshold))
-        conditions.append((np.linalg.cond(metric_B(T, x)), np.linalg.cond(np.tensordot(eta, T, axes=1))))
+        active = active_pairings(config, x, spec.threshold)
+        T = tensor_generic(active)
+        conditions.append((np.linalg.cond(metric_B(active, x)), np.linalg.cond(np.tensordot(eta, T, axes=1))))
         accepted += min(conditions[-1]) <= CONDITION_CAP
     return conditions
 
@@ -1234,7 +1239,7 @@ def test_explicit_associativity_draws_u_v_w_before_judging_b():
         x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
         u, v, w = (rng.standard_normal(3) for _ in range(3))
         active = active_pairings(config, x, spec.threshold)
-        B = metric_B(tensor_generic(active), x)
+        B = metric_B(active, x)
         if np.linalg.cond(B) > CONDITION_CAP:
             discarded += 1
             continue
@@ -1658,6 +1663,21 @@ def test_a_susy_report_is_the_same_in_blocks(monkeypatch, source, options):
 
 # the golden verify-metric families at r and at r + 1, n = 1, the zero family, and unit m at n = 10
 # and 20, whose runs make three calls each (32, 32, 6 and 4, 4, 2 points)
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_a_family_metric_run_at_n_100_stays_under_300_mb():
+    # B comes from the weighted (n x M) members, about 2 n^3 floats, not from the tensor's
+    # (M x n^2) array, whose 808 MB took this run to 832 MB: the child reads its own peak
+    child = ("import resource, sys; from trigwdvv.cli import main; code = main(sys.argv[1:]); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    argv = ["verify-metric", "--family", "bcn", "--n", "100", "--r", "-196", "--s", "0", "--q", "1",
+            "--m", ",".join(["1"] * 100), "--samples", "3", "--box", "0.3,7"]
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0 and peak_kb < 300 * 1024, peak_kb
+
+
 _METRIC_REPORTS = {
     "m122": (_family(3, -20, 1, 2, (1, 2, 2)), {}),
     "m122-r+1": (_family(3, -19, 1, 2, (1, 2, 2)), {}),
@@ -1679,9 +1699,9 @@ def test_a_metric_report_is_the_same_in_blocks(monkeypatch, source, options):
     n, shapes = source["n"], []
     real = cli.metric_identity_residuals
 
-    def recording(p, tensor, x):
+    def recording(p, active, x):
         shapes.append(np.shape(x))
-        return real(p, tensor, x)
+        return real(p, active, x)
 
     monkeypatch.setattr(cli, "metric_identity_residuals", recording)
     blocked = dumps_17g(run(spec).to_json_dict())

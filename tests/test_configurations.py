@@ -14,6 +14,7 @@ from trigwdvv.configurations import (
     Partition,
     _bcn_members,
     _merge_slots,
+    _real,
     build_bcn,
     restrict_configuration,
     solve_r,
@@ -227,6 +228,13 @@ class TestTypes:
         fields = {"n": 2, "r": 0.0, "s": 0.0, "q": 1.0, "m": (1.0, 1.0), field: value}
         with pytest.raises(ParameterError, match=f"^parameters must be real numbers, got {re.escape(repr(bad))}$"):
             BCnParameters(**fields)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), True, False], ids=["400 digits", "-400 digits", "True", "False"])
+    def test_real_refuses_an_int_no_float_holds_and_a_bool(self, value):
+        # an int is read before the abstract-class test: one no float holds is refused, not an OverflowError,
+        # and a bool, whose type is not int, still meets the bool refusal
+        with pytest.raises(ParameterError, match="^refused$"):
+            _real(value, "refused")
 
     def test_parameters_store_reals_as_floats(self):
         p = BCnParameters(n=2, r=-4, s=np.float32(0.5), q=1, m=(1, np.int64(2)))

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from trigwdvv import algebra, cli, susy
+from trigwdvv import algebra, cli, prepotential, susy
 from trigwdvv.configurations import BCnParameters, Configuration, Partition, build_bcn
 from trigwdvv.errors import DimensionError, DomainError, ParameterError, SingularityError
 from trigwdvv.prepotential import (
     active_pairings,
+    coth,
     h_function,
     metric_B,
     metric_identity_residuals,
@@ -28,6 +29,7 @@ from tests.oracles import (
     is_admissible,
     li3_fsum,
     metric_B_einsum,
+    metric_identity_masked,
     metric_identity_residuals_masked,
     phi_matrix,
     rejection_sample_points,
@@ -198,27 +200,61 @@ def test_gemm_tensor_and_metric_match_the_einsum_oracle(n):
             assert T.shape == want.shape == (n, n, n)
             assert np.abs(T - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), label
             assert np.array_equal(T, T.transpose(0, 2, 1)), label  # exact in (j, k)
-            B, want_B = metric_B(T, x), metric_B_einsum(want, x)
+            active = active_pairings(config, x)
+            B, want_B = metric_B(active, x), metric_B_einsum(want, x)
             assert np.abs(B - want_B).max() <= 1e-14 * max(1.0, np.abs(want_B).max()), label
-            _assert_exactly_symmetric_pivots(T, x, label)
+            _assert_exactly_symmetric_pivots(active, x, label)
 
 
-def _assert_exactly_symmetric_pivots(T, x, label):
+def _assert_exactly_symmetric_pivots(active, x, label):
     """metric_B and verify-wdvv's eta.F at x equal their transposes exactly, as the
     WDVV kernel, which reads each pivot's lower triangle only, needs."""
+    T = tensor_generic(active)
     n = len(T)
     eta = rng_for(0, f"symmetric-pivots/{label}").standard_normal(n)
-    for name, P in (("B", metric_B(T, x)), ("eta.F", (eta @ T.reshape(n, n * n)).reshape(n, n))):
+    for name, P in (("B", metric_B(active, x)), ("eta.F", (eta @ T.reshape(n, n * n)).reshape(n, n))):
         assert np.array_equal(P, P.T), (label, name)
+
+
+def _random_document(rng, n):
+    """An explicit configuration of 2n + 3 dense random members, multiplicities of both signs."""
+    return Configuration(n, rng.normal(size=(2 * n + 3, n)), rng.uniform(-2.0, 3.0, 2 * n + 3))
 
 
 @pytest.mark.parametrize("n", [3, 10, 20, 40])
 def test_the_pivots_are_exactly_symmetric_in_the_wide_box(n):
-    # the sizes verify-wdvv reaches on --box 0.3,4, with unequal multiplicities
+    # the sizes verify-wdvv reaches on --box 0.3,4, with unequal multiplicities, and a dense explicit
+    # document, where the GEMM's two triangles differ in their last bits, which the triangle copy mends
     rng = rng_for(2024, f"symmetric-pivots/n={n}")
-    config = build_bcn(BCnParameters(n=n, r=-3.0, s=0.5, q=1.0, m=tuple(rng.uniform(0.5, 3.0, n))))
-    for x in sample_points(rng, fully_active(config), 3, (0.3, 4.0)):
-        _assert_exactly_symmetric_pivots(tensor_generic(active_pairings(config, x)), x, f"n={n}")
+    family = build_bcn(BCnParameters(n=n, r=-3.0, s=0.5, q=1.0, m=tuple(rng.uniform(0.5, 3.0, n))))
+    for label, config in (("family", family), ("explicit", _random_document(rng, n))):
+        for x in sample_points(rng, fully_active(config), 3, (0.3, 4.0)):
+            _assert_exactly_symmetric_pivots(active_pairings(config, x), x, f"{label}/n={n}")
+
+
+def _members_metric_bound(active, x):
+    """2 (n + M + 3) eps S entrywise, S the member form on absolute values: the member form sums n, then
+    M terms, each of three roundings, and the tensor route M, then n, so each lies within half of it."""
+    A, c, z = active
+    S = (np.abs(A).T * np.abs(c * coth(z)) * (np.abs(A) @ np.abs(np.sinh(2.0 * x)))) @ np.abs(A)
+    return 2.0 * (A.shape[1] + len(A) + 3) * np.finfo(float).eps * S
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+@pytest.mark.parametrize("source", ["family", "explicit"])
+def test_the_members_metric_is_the_tensor_contraction_to_rounding(n, source):
+    # B from the members against sinh(2x) . F, F from the members' tensor, by the einsum definition
+    rng = rng_for(7, f"members-metric/{source}/n={n}")
+    if source == "family":
+        m = tuple(rng.uniform(0.5, 3.0, n))
+        config = build_bcn(BCnParameters(n=n, r=float(rng.uniform(-5, 5)), s=-0.7, q=1.3, m=m))
+    else:
+        config = _random_document(rng, n)
+    for x in sample_points(rng, fully_active(config), 4, (0.3, 4.0)):
+        active = active_pairings(config, x)
+        B, want = metric_B(active, x), metric_B_einsum(tensor_generic(active), x)
+        assert B.shape == (n, n)
+        assert np.all(np.abs(B - want) <= _members_metric_bound(active, x)), (source, n)
 
 
 BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
@@ -325,12 +361,16 @@ class TestTensorClosedForm:
 
 class TestMetricAndH:
     def test_zero_tensor(self):
-        assert np.all(metric_B(np.zeros((2, 2, 2)), [0.5, 0.7]) == 0.0)
+        # every weight c coth z (alpha, sinh 2x) is 0, and so is the tensor these members give
+        A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        active = (A, np.zeros(3), A @ [0.5, 0.7])
+        assert np.all(metric_B(active, [0.5, 0.7]) == 0.0)
+        assert np.all(metric_B_einsum(tensor_generic(active), [0.5, 0.7]) == 0.0)
 
     def test_metric_is_symmetric(self):
         p = BCnParameters(n=3, r=-1.2, s=0.7, q=1.9, m=(0.7, 1.3, 2.1))
         x = np.array([0.9, 0.5, 1.3])
-        B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
+        B = metric_B(active_pairings(build_bcn(p), x), x)
         assert np.array_equal(B, B.T)
 
     def test_offdiagonal_vanishes_for_any_parameters(self):
@@ -346,14 +386,14 @@ class TestMetricAndH:
             )
             pattern = fully_active(build_bcn(p))
             x = sample_points(rng, pattern, 1)[0]
-            B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
+            B = metric_B(active_pairings(build_bcn(p), x), x)
             off = B - np.diag(np.diag(B))
             assert np.abs(off).max() < 1e-10 * max(1.0, np.abs(B).max())
 
     def test_constraint_gives_diagonal_m_h(self):
         p = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
         x = np.array([0.6, 0.8])
-        B = metric_B(tensor_generic(active_pairings(build_bcn(p), x)), x)
+        B = metric_B(active_pairings(build_bcn(p), x), x)
         h = h_function(p, x)
         assert np.allclose(np.diag(B), np.array([2.0, 3.0]) * h, rtol=1e-10)
 
@@ -366,7 +406,7 @@ class TestMetricAndH:
         val = h_function(p, [0.5, 0.5])
         assert math.isclose(val, 4 * math.cosh(1.0), rel_tol=1e-14)
         # cross-check against the metric's diagonal
-        B = metric_B(tensor_generic(active_pairings(build_bcn(p), [0.5, 0.9])), [0.5, 0.9])
+        B = metric_B(active_pairings(build_bcn(p), [0.5, 0.9]), [0.5, 0.9])
         assert math.isclose(B[0, 0], h_function(p, [0.5, 0.9]), rel_tol=1e-10)
 
 
@@ -456,14 +496,14 @@ def test_closed_form_route_refuses_a_nan_point(evaluate):
 
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
-BC3_TENSOR = tensor_generic(active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3]))
+BC3_ACTIVE = active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3])
 
-# every function that reads a point beside a family or a tensor of dimension 3
+# every function that reads a point, or a block of points, beside a family or members of dimension 3
 POINT_READERS = {
     "h_function": lambda x: h_function(BC3, x),
     "tensor_closed_form": lambda x: tensor_closed_form(BC3, x),
-    "metric_B": lambda x: metric_B(BC3_TENSOR, x),
-    "metric_identity_residuals": lambda x: metric_identity_residuals(BC3, BC3_TENSOR, x),
+    "metric_B": lambda x: metric_B(BC3_ACTIVE, x),
+    "metric_identity_residuals": lambda x: metric_identity_residuals(BC3, BC3_ACTIVE, x),
 }
 
 
@@ -471,8 +511,17 @@ POINT_READERS = {
 @pytest.mark.parametrize("x", [[0.5], [0.5, 0.9, 1.3, 0.7]], ids=["short", "long"])
 def test_a_point_of_the_wrong_length_is_refused(evaluate, x):
     # h_function broadcast a short point, and the others raised numpy's own ValueError
-    with pytest.raises(DimensionError, match=rf"^point has shape \({len(x)},\), expected \(3,\)$"):
+    with pytest.raises(DimensionError, match=rf"^point has shape \({len(x)},\), expected \(3,\) or \(b, 3\)$"):
         evaluate(x)
+
+
+def test_the_refusal_names_the_block_shape_only_where_a_block_is_accepted():
+    # h_function takes (b, 3): a (2, 4) block is refused naming both shapes; active_pairings takes one point
+    with pytest.raises(DimensionError, match=r"^point has shape \(2, 4\), expected \(3,\) or \(b, 3\)$"):
+        h_function(BC3, np.zeros((2, 4)))
+    assert h_function(BC3, np.full((2, 3), 0.5)).shape == (2,)
+    with pytest.raises(DimensionError, match=r"^point has shape \(2, 3\), expected \(3,\)$"):
+        active_pairings(build_bcn(BC3), np.full((2, 3), 0.5))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -511,7 +560,7 @@ def test_helpers_name_the_masked_route_s_nearest_argument(x):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
 @pytest.mark.parametrize("unit", [True, False], ids=["unit-m", "m"])
-def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(n, unit):
+def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(monkeypatch, n, unit):
     rng = rng_for(n, f"closed-form/masked/{unit}")
     m = (1.0,) * n if unit else tuple(rng.uniform(0.3, 4.0, n))
     q, s = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
@@ -522,13 +571,20 @@ def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(n, u
         assert np.array_equal(hyperbolic_helpers(x)[2], hyperbolic_helpers_masked(x)[2])
         closed = tensor_closed_form(p, x)
         assert closed.tobytes() == tensor_closed_form_masked(p, x).tobytes()
-        for T in (closed, tensor_generic(active_pairings(config, x))):
-            got, want = metric_identity_residuals(p, T, x), metric_identity_residuals_masked(p, T, x)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-    # a NaN row of B reaches both residuals on both routes (at n = 1 there is no off-diagonal entry)
-    T = closed.copy()
-    T[0, 0, :] = np.nan
-    got, want = metric_identity_residuals(p, T, x), metric_identity_residuals_masked(p, T, x)
+        active = active_pairings(config, x)
+        got = metric_identity_residuals(p, active, x)
+        # the reduction of the members' B, bit for bit, and the residuals within B's rounding bound of
+        # those of the closed-form and the member tensor, contracted by the einsum definition
+        assert np.array(got).tobytes() == np.array(metric_identity_masked(p, metric_B(active, x), x)).tobytes()
+        scale = max(1.0, float(np.abs(h_function(p, x) * p.m_array).max()))
+        bound = _members_metric_bound(active, x).max() / scale + 4 * np.finfo(float).eps
+        for T in (closed, tensor_generic(active)):
+            assert np.abs(np.subtract(got, metric_identity_residuals_masked(p, T, x))).max() <= bound
+    # a NaN row of B reaches both residuals (at n = 1 there is no off-diagonal entry)
+    B = metric_B(active, x)
+    B[0, :] = np.nan
+    monkeypatch.setattr(prepotential, "metric_B", lambda active, x: B)
+    got, want = metric_identity_residuals(p, active, x), metric_identity_masked(p, B, x)
     assert np.isnan(got[1]) and np.array_equal(got, want, equal_nan=True)
     assert n == 1 or np.isnan(got[0])
 

@@ -36,6 +36,8 @@ from tests.oracles import (
     dense_anticommutation_residual,
     gauge_residual_fd,
     gaussian_field,
+    metric_B_einsum,
+    metric_identity_residuals_masked,
     phi_matrix,
     polynomial_field,
     sample_points,
@@ -52,6 +54,13 @@ GAUGE_THETA = 0.6
 
 def hat_tensor(p, x_hat):
     return tensor_generic(active_pairings(build_hat_configuration(p).config, x_hat))
+
+
+def base_members(p, x_hat):
+    """(A sqrt(m), c, z): the hat's active members at x^ as the base covectors, which pair with
+    x = x^ / sqrt(m) as the hat's members pair with x^."""
+    A, c, z = active_pairings(build_hat_configuration(p).config, x_hat)
+    return A * np.sqrt(p.m_array), c, z
 
 
 class TestHatConfiguration:
@@ -112,7 +121,9 @@ class TestHatTensor:
         sq = np.sqrt(M23.m_array)
         for xh in sample_points(rng, pattern, 20):
             base = np.einsum("klt,k,l,t->klt", hat_tensor(M23, xh), sq, sq, sq)
-            assert max(metric_identity_residuals(M23, base, xh / sq)) < 1e-10
+            assert max(metric_identity_residuals_masked(M23, base, xh / sq)) < 1e-10
+            # the base covectors' B, which verify-susy reads, meets it too
+            assert max(metric_identity_residuals(M23, base_members(M23, xh), xh / sq)) < 1e-10
 
     def test_rescaled_metric_is_the_conjugated_base_metric(self):
         # B^ = sum_k m_k^{1/2} sinh(2 m_k^{-1/2} x^_k) F^_k, summed directly,
@@ -124,9 +135,12 @@ class TestHatTensor:
         for xh in sample_points(rng, pattern, 10):
             T = hat_tensor(p, xh)
             hat_B = np.einsum("k,klt->lt", sq * np.sinh(2.0 * xh / sq), T)
+            # B from the base covectors, as verify-susy reads it, and by the einsum definition from the
+            # rescaled tensor mapped back to base coordinates
             base = np.einsum("klt,k,l,t->klt", T, sq, sq, sq)
-            conjugated = metric_B(base, xh / sq) / np.outer(sq, sq)
-            assert np.abs(hat_B - conjugated).max() < 1e-12 * max(1.0, np.abs(hat_B).max())
+            for B in (metric_B(base_members(p, xh), xh / sq), metric_B_einsum(base, xh / sq)):
+                conjugated = B / np.outer(sq, sq)
+                assert np.abs(hat_B - conjugated).max() < 1e-12 * max(1.0, np.abs(hat_B).max())
 
 
 class TestBosonicPotential:
@@ -473,6 +487,7 @@ def _block_outputs(p, hat, xhs):
     plain_active = (*plain_alone[0][:2], np.stack([z for _, _, z in plain_alone]))
     T = tensor_generic(active)
     xs, base = xhs / sq, T * sq[:, None, None] * sq[:, None] * sq
+    base_active, base_alone = (A * sq, c, active[2]), [(A * sq, c, z) for _, _, z in alone]
     closed = tensor_closed_form(p, xs)
     return {
         "tensor_generic": ((T,), lambda k: (tensor_generic(alone[k]),)),
@@ -481,10 +496,13 @@ def _block_outputs(p, hat, xhs):
         "_hyperbolic_helpers": (_hyperbolic_helpers(xs, 0.05), lambda k: _hyperbolic_helpers(xs[k], 0.05)),
         "tensor_closed_form": ((closed,), lambda k: (tensor_closed_form(p, xs[k]),)),
         "_two_path": ((_two_path(base, closed, axes=(-3, -2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),
-        "metric_B": ((metric_B(base, xs),), lambda k: (metric_B(base[k], xs[k]),)),
+        "metric_B": ((metric_B(base_active, xs),), lambda k: (metric_B(base_alone[k], xs[k]),)),
+        "metric_B-plain": ((metric_B(plain_active, xs),), lambda k: (metric_B(plain_alone[k], xs[k]),)),
         "h_function": ((h_function(p, xs),), lambda k: (h_function(p, xs[k]),)),
-        "metric_identity_residuals": (metric_identity_residuals(p, base, xs),
-                                      lambda k: metric_identity_residuals(p, base[k], xs[k])),
+        "metric_identity_residuals": (metric_identity_residuals(p, base_active, xs),
+                                      lambda k: metric_identity_residuals(p, base_alone[k], xs[k])),
+        "metric_identity_residuals-plain": (metric_identity_residuals(p, plain_active, xs),
+                                            lambda k: metric_identity_residuals(p, plain_alone[k], xs[k])),
         "_potential_sums": (_potential_sums(active), lambda k: _potential_sums(alone[k])),
         "bosonic_potential": ((bosonic_potential(active),), lambda k: (bosonic_potential(alone[k]),)),
         "gauge_residual": ((gauge_residual(active),), lambda k: (gauge_residual(alone[k]),)),

@@ -12,7 +12,7 @@ from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 from trigwdvv.wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
 
-from tests.oracles import diagonality_report, pair_residual, pivot_residuals_full, sample_points
+from tests.oracles import diagonality_report, metric_B_einsum, pair_residual, pivot_residuals_full, sample_points
 
 BC3 = BCnParameters(n=3, r=-2.0, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
 BC3_BROKEN = BCnParameters(n=3, r=-1.5, s=0.0, q=1.0, m=(1.0, 1.0, 1.0))
@@ -25,8 +25,8 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
     rng = rng_for(seed, seed_label)
     pts = sample_points(rng, pattern, count, box)
     for x in pts:
-        T = tensor_generic(active_pairings(config, x))
-        yield x, T, metric_B(T, x)
+        active = active_pairings(config, x)
+        yield x, tensor_generic(active), metric_B(active, x)
 
 
 def each_slice(T):
@@ -183,9 +183,9 @@ class TestDiagonalityReport:
             )
             config = build_bcn(p)
             x = sample_points(rng, fully_active(config), 1)[0]
-            T = tensor_generic(active_pairings(config, x))
-            off, _ = diagonality_report(T, p, x)
-            B = metric_B(T, x)
+            active = active_pairings(config, x)
+            off, _ = diagonality_report(tensor_generic(active), p, x)
+            B = metric_B(active, x)
             assert off < 1e-10 * max(1.0, np.abs(B).max())
 
     def test_constraint_gives_m_h_diagonal(self):
@@ -200,8 +200,7 @@ class TestDiagonalityReport:
         config = build_bcn(broken)
         rng = rng_for(21, "diag/delta")
         for x in sample_points(rng, fully_active(config), 20):
-            T = tensor_generic(active_pairings(config, x))
-            B = metric_B(T, x)
+            B = metric_B(active_pairings(config, x), x)
             m = broken.m_array
             expected = m * delta * np.cosh(2.0 * x)
             actual = np.diag(B) - m * h_function(broken, x)
@@ -210,8 +209,8 @@ class TestDiagonalityReport:
 
 def test_condition_number_of_scalar_metric_is_one():
     x = np.array([0.9, 0.5, 1.3])
-    T = tensor_generic(active_pairings(build_bcn(BC3), x))
-    B = metric_B(T, x)
+    active = active_pairings(build_bcn(BC3), x)
+    T, B = tensor_generic(active), metric_B(active, x)
     assert pivot_residuals(T, B[None])[2] == pytest.approx(1.0, rel=1e-10)
 
 
@@ -428,7 +427,7 @@ def test_non_finite_input_is_refused_by_name(bad):
             pivot_residuals(T, P)
     else:
         T[1, 1, 1] = value
-        B = metric_B(T, [0.5, 0.7])
+        B = metric_B_einsum(T, [0.5, 0.7])
         with pytest.raises(DomainError, match="the tensor is not finite"):
             pivot_residuals(T, B[None] if value == np.inf else P)
 
@@ -445,7 +444,8 @@ def _random_families(n, seed):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 40])
 def test_arrow_kernel_matches_the_dense_oracle(n):
-    # the arrow kernel at diag(B) against pivot_residuals at the dense B: the same pairs in the same
+    # the arrow kernel at diag(B) against pivot_residuals at the dense B, contracted from the tensor as
+    # the kernel contracts V (the members' B sums its diagonal in another order): the same pairs in the same
     # order, each scaled residual within 8 n eps (measured: at most 0.73 n eps), and the same condition
     eps = np.finfo(float).eps
     box = DEFAULT_BOX if n <= 10 else (0.3, 4.0)
@@ -455,7 +455,7 @@ def test_arrow_kernel_matches_the_dense_oracle(n):
             active = active_pairings(config, x)
             T = tensor_generic(active)
             scaled, raw, condition = arrow_residuals(active, x)
-            want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B(T, x)[None])
+            want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B_einsum(T, x)[None])
             assert scaled.shape == raw.shape == want_scaled.shape == (n * (n - 1) // 2,)
             assert np.abs(scaled - want_scaled).max() <= 8 * n * eps, (params, x)
             assert condition == pytest.approx(want_condition, rel=1e-12)
