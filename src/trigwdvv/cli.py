@@ -5,11 +5,12 @@ metric structure, block restriction, supersymmetric block) plus two utility
 emitters for tensors and normalized configuration documents.  Reports are
 deterministic given (seed, run parameters), and floats are serialized with 17
 significant digits.  A command's sample points come from one generator,
-keyed by the run seed and the stream label "<command>/points".  The random
-vectors of a point (u, v, w for verify-associativity, u~, v~ for
-verify-restriction) come from the same stream: ``_sampled`` draws them right
-after the sampler yields the point, so the stream's order does not depend on
-how many points one residual call takes.  Every residual call takes a block of
+keyed by the run seed and the stream label "<command>/points", which holds
+only candidates; ``_sampled`` asks for a block's points in one request.  The
+random vectors of a point (u, v, w for verify-associativity, u~, v~ for
+verify-restriction) come from a second generator, "<command>/draws", one
+draw per block: the k-th point drawn has the k-th draw, so neither stream
+depends on how many points one residual call takes.  Every residual call takes a block of
 points, x of shape (b, n): a family's verify-wdvv, verify-metric, verify-susy and
 verify-associativity take several points a call, each point's bits as alone, and
 the other routes one.
@@ -155,25 +156,41 @@ class VerificationReport:
                 "version": self.version}
 
 
+def _float_17g(value: float) -> str:
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
 def dumps_17g(obj) -> str:
     """JSON with floats rendered at 17 significant digits, insertion order kept.
 
     JSON has no NaN or infinity, so a non-finite float is rendered as null.
-    Floats, the most common values, are tested for first, by exact type before
-    the isinstance chain; a string is written as ``json.dumps`` writes it.
+    The exact types a report holds (float, dict, list, str, bool, int, None) are
+    dispatched on first, and a list of floats, such as a point, is written in one
+    pass; other values, numpy scalars and tuples among them, go through the
+    isinstance chain.  A string is written as ``json.dumps`` writes it.
     """
-    if type(obj) is float or isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
-    if isinstance(obj, dict):
+    kind = type(obj)
+    if kind is float:
+        return _float_17g(obj)
+    if kind is dict:
         return "{" + ",".join(f"{encode_basestring_ascii(str(k))}:{dumps_17g(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(dumps_17g, obj)) + "]"
-    if isinstance(obj, bool):
+    if kind is list:
+        floats = all(type(v) is float for v in obj)
+        return "[" + ",".join(map(_float_17g if floats else dumps_17g, obj)) + "]"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if kind is int:
+        return str(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, (float, np.floating)):
+        return _float_17g(float(obj))
+    if isinstance(obj, (dict, list, tuple)):  # a subclass or a tuple, written as the plain type
+        return dumps_17g(dict(obj) if isinstance(obj, dict) else list(obj))
+    if isinstance(obj, (int, np.integer)):  # bool has no subclass, and numpy's bool is no int
+        return str(int(obj))
     return json.dumps(obj)
 
 
@@ -309,33 +326,35 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
     whose generator is keyed by "<command>/points".  ``residuals(x, active, draws)``
-    reads (A, c, z), z the sampler's product at ``config.active_rows``, and the point's
+    reads (A, c, z), z the sampler's product at ``config.active_rows``, and the points'
     draws, and returns {check name: residual or residuals}, unreduced: here is the one
     place where a check's residuals are reduced, over every point's.  The function takes
-    no generator: for a driver that declares a per-point ``draw`` shape, ``draws`` is
-    ``standard_normal(draw)`` from the points' generator, made right after the sampler
-    yields the point and before the next one is requested, so a discarded point consumes
-    its draw too; for a driver that declares none, ``draws`` is None.
+    no generator: for a driver that declares a per-point ``draw`` shape, ``draws`` is one
+    ``standard_normal((b, *draw))`` per block of b points from a second generator, keyed by
+    "<command>/draws", so the k-th point drawn, a discarded one too, has the k-th draw and
+    neither stream depends on the block; for a driver that declares none, ``draws`` is None.
 
     A point where it raises SingularMatrixError (a metric or pivot that fails ``wdvv.usable_pivots``,
     or a family's diagonal B with a zero entry, ``wdvv.arrow_residuals``) is counted in
     ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
     with a SamplingError that gives the count and the last discard's own text.  Any other error
     propagates.  Checks are reported in key order, and a check that received no residual is left
-    out of the report.  Every call takes a block: up to ``block`` points still needed, x (b, n) and
-    z (b, M) with b >= 1, each residual with that leading axis, and the draws (b, *draw).  A
-    family's ``verify-wdvv``, ``verify-metric``, ``verify-susy`` and ``verify-associativity`` take
-    more than 1, and an explicit document's ``verify-wdvv`` and ``verify-associativity``, which
-    judge a pivot or metric point by point, and ``verify-restriction`` take 1.  A block of more
-    than one point whose call raises the package's error or numpy's LinAlgError is evaluated again
-    as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and the first error stay per
-    point; a block of one is evaluated once, and its error is the point's own.  Any other error
-    propagates, so a block path that always raises fails the run.  A SamplingError met while
-    drawing is raised after the points drawn before it.
+    out of the report.  Every call takes a block: up to ``block`` points still needed, asked of the
+    sampler in one request, x (b, n) and z (b, M) with b >= 1, each residual with that leading axis,
+    and the draws (b, *draw).  A family's ``verify-wdvv``, ``verify-metric``, ``verify-susy`` and
+    ``verify-associativity`` take more than 1, and an explicit document's ``verify-wdvv`` and
+    ``verify-associativity``, which judge a pivot or metric point by point, and ``verify-restriction``
+    take 1.  A block of more than one point whose call raises the package's error or numpy's
+    LinAlgError is evaluated again as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and
+    the first error stay per point; a block of one is evaluated once, and its error is the point's
+    own.  Any other error propagates, so a block path that always raises fails the run.  A sampler
+    that returns fewer points than asked has a point out of attempts next: its SamplingError is
+    raised at the next request, after the points before it are evaluated.
     """
     spec = report.run
-    rng = rng_for(spec.seed, f"{spec.command}/points")
-    points = admissible_points(rng, fully_active(config), spec.box, spec.threshold)
+    take = admissible_points(rng_for(spec.seed, f"{spec.command}/points"), fully_active(config), spec.box,
+                             spec.threshold)
+    draws = None if draw is None else rng_for(spec.seed, f"{spec.command}/draws")
     collected: dict[str, tuple[list, list]] = {}  # check name: (its residuals, the point of each)
 
     def file(xs, values) -> int:  # files the accepted points xs' residuals, each with a leading point axis
@@ -348,22 +367,13 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
 
     accepted = 0
     while accepted < spec.samples:
-        drawn, failure = [], None
-        try:
-            while len(drawn) < min(block, spec.samples - accepted):
-                x, z = next(points)
-                # the point's draw, made while the sampler waits at its yield: the stream's order is
-                # that of one point a call, whatever the block
-                drawn.append((x, z, None if draw is None else rng.standard_normal(draw)))
-        except SamplingError as exc:  # raised once the points drawn before it are evaluated
-            if not drawn:
-                raise
-            failure = exc
+        xs, zs = take(min(block, spec.samples - accepted))
         # read after the draw: selected before it, A would sit beside the sampler's set-up arrays
         (A, c), rows = config.active_members, config.active_rows
-        xs = np.array([x for x, _, _ in drawn])
-        zs = np.array([z if rows is None else z[rows] for _, z, _ in drawn])
-        ds = None if draw is None else np.array([d for _, _, d in drawn])
+        # fresh C-ordered arrays: z's active columns, selected, would be laid out column by column,
+        # and a kernel's last bits follow its operands' layout
+        xs, zs = np.array(xs), np.array(zs if rows is None else zs[:, rows], order="C")
+        ds = None if draws is None else draws.standard_normal((len(xs), *draw))
         spans = [(0, len(xs))]  # the block, then each of its points if the block's call raises
         while spans:
             lo, hi = spans.pop(0)
@@ -381,8 +391,6 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
                     raise
             else:
                 accepted += file(xs[lo:hi], values)
-        if failure is not None:
-            raise failure
     report.checks.extend(
         _check_result(name, np.concatenate(vals), pts, spec.tolerance)
         for name, (vals, pts) in collected.items()
@@ -531,7 +539,7 @@ def _run_susy(spec: RunSpec, parsed):
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the
 # residual function for _sampled, the most points one call takes, the shape of the standard normal
-# draw _sampled makes at each point or None); run builds the report from these
+# draw _sampled makes for each point or None); run builds the report from these
 VERIFIERS = {
     "verify-wdvv": _run_wdvv,
     "verify-associativity": _run_associativity,

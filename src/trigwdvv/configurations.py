@@ -60,15 +60,18 @@ class Configuration:
         mults = np.asarray(multiplicities, dtype=float)
         if mults.shape != (len(flat),):
             raise DimensionError(f"multiplicities have shape {mults.shape}, expected ({len(flat)},)")
-        head, slot_of = _merge_slots(flat)
-        vectors = flat[head]
-        sums = mults[head]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-            np.add.at(sums, slot_of[~head], mults[~head])
-        finite = np.isfinite(vectors).all(axis=1)
-        bad = ~finite | ~np.isfinite(sums) | (vectors == 0.0).all(axis=1)
-        if bad.any():
-            k = int(bad.argmax())
+        merge = _merge_slots(flat)
+        if merge is None:  # distinct rows, as every family build's: one copy each
+            vectors, sums = flat.copy(), mults.copy()
+        else:
+            head, slot_of = merge
+            vectors, sums = flat[head], mults[head]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+                np.add.at(sums, slot_of[~head], mults[~head])
+        # the whole arrays first; the row to name is searched for only when a test fails
+        if not (np.isfinite(vectors).all() and np.isfinite(sums).all() and vectors.any(axis=1).all()):
+            finite = np.isfinite(vectors).all(axis=1)
+            k = int((~finite | ~np.isfinite(sums) | (vectors == 0.0).all(axis=1)).argmax())
             if not finite[k]:
                 raise ParameterError(f"vector has non-finite entries: {tuple(vectors[k].tolist())}")
             if not math.isfinite(sums[k]):
@@ -114,16 +117,17 @@ class Configuration:
         return f"Configuration(dimension={self.dimension}, members={len(self)})"
 
 
-def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_slots(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(head, slot_of): whether row i of ``flat`` opens a slot, and the slot it
-    joins, numbered in order.  ``+ 0.0`` folds -0.0 into 0.0, so finite rows are
-    equal as floats when their bytes are; a non-finite row is refused anyway.
-    No rows need no view, whose item size a huge dimension would overflow."""
+    joins, numbered in order, or None when every row opens its own.  ``+ 0.0``
+    folds -0.0 into 0.0, so finite rows are equal as floats when their bytes
+    are; a non-finite row is refused anyway.  No rows need no view, whose item
+    size a huge dimension would overflow."""
     if not len(flat):
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp)
+        return None
     rows = np.ascontiguousarray(flat + 0.0).view(f"V{flat.itemsize * flat.shape[1]}").ravel().tolist()
-    if len(set(rows)) == len(rows):  # distinct rows, as a family build's: every row opens its own slot
-        return np.ones(len(rows), dtype=bool), np.arange(len(rows), dtype=np.intp)
+    if len(set(rows)) == len(rows):  # distinct rows, as a family build's
+        return None
     first: dict[bytes, int] = {}
     joins = np.array([first.setdefault(row, i) for i, row in enumerate(rows)], dtype=np.intp)
     head = joins == np.arange(len(joins))

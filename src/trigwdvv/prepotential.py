@@ -73,13 +73,16 @@ def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
     """(z, ok): z = A @ x for the covectors A (rows), or its entries at ``rows``, and ok iff x is finite
-    and every |z| >= threshold (a NaN pairing fails, an empty z passes).  z is None for a non-finite x."""
-    if not np.isfinite(x).all():
-        return None, False
-    z = A @ x
+    and every |z| >= threshold (a NaN pairing fails, an empty z passes).  x of shape (..., n) gives z of
+    (..., M) by ``_matvec``, each point's bits as alone, and ok of shape (...); matmul warns on a
+    non-finite x, so a caller that may pass one tests x first, as ``active_pairings`` does."""
+    z = _matvec(A, x)
     if rows is not None:
-        z = z[rows]
-    return z, bool(np.abs(z).min(initial=np.inf) >= threshold)
+        z = z[..., rows]
+    ok = np.abs(z).min(-1, initial=np.inf) >= threshold
+    if not np.isfinite(x).all():  # a point with a non-finite coordinate fails whatever its pairings
+        ok &= np.isfinite(x).all(-1)
+    return z, ok
 
 
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
@@ -91,11 +94,11 @@ def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHO
     raises SingularityError naming the nearest one (or the first NaN pairing).
     """
     x = _point(x, config.dimension)
+    if not np.isfinite(x).all():
+        raise DomainError(f"point {x.tolist()} is not finite")
     A, c = config.active_members
     z, ok = _margin(config.vectors, x, threshold, config.active_rows)
     if not ok:
-        if z is None:
-            raise DomainError(f"point {x.tolist()} is not finite")
         idx = int(np.argmin(np.abs(z)))
         raise SingularityError(
             f"point {x.tolist()} lies within {threshold} of the hyperplane of "

@@ -6,15 +6,18 @@ another; checks that share a stream share its draws.
 
 ``admissible_points`` is the one candidate loop and the one place a sampled
 point's pairings are formed and margin-tested: a verification run draws all of
-its points, with their pairings, from one stream.  The attempt cap keeps
-pathological boxes diagnosable instead of looping forever.
+its points, with their pairings, from one stream that holds only candidates.
+A request for k points draws, ranks and margin-tests its candidates as arrays,
+and the points are the same whatever the requests' sizes.  The attempt cap
+keeps pathological boxes diagnosable instead of looping forever.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterator
+import struct
+from collections.abc import Callable
 
 import numpy as np
 
@@ -24,13 +27,28 @@ from .prepotential import _margin
 
 DEFAULT_BOX = (0.3, 1.5)
 MAX_ATTEMPTS_PER_POINT = 10_000
+# the most floats of pairings z and rank comparisons one round of candidates holds
+_ROUND_FLOATS = 2**16
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
-    """A PCG64 generator keyed by the run seed and a stable per-stream label."""
+    """A PCG64 generator keyed by the run seed and a stable per-stream label.
+
+    Its seed sequence is SeedSequence([seed, w1, w2, w3, w4]), w the label's SHA-256 digest as four
+    big-endian 64-bit words.  Each int is given as the 32-bit words SeedSequence would split it into,
+    least significant first and zero as one word, which it reads without converting each int;
+    a negative seed goes to SeedSequence as an int, to be refused there.
+    """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)] + words)))
+    ints = [int(seed), *struct.unpack(">4Q", digest)]
+    if ints[0] < 0:
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(ints)))
+    words = []
+    for value in ints:
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def covers_every_pair(pattern: np.ndarray) -> bool:
@@ -57,22 +75,31 @@ def box_bounds(box) -> tuple[float, float]:
     return lo, hi
 
 
-def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, threshold) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Endless stream of (x, z): x uniform on the admissible part of the box, z = pattern @ x.
+def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box,
+                      threshold) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """The sampler ``take``: ``take(k)`` returns the next k points (x, z) of one stream, x of shape (k, n)
+    uniform on the admissible part of the box and z = pattern @ x of shape (k, M), each z by ``_matvec``.
 
-    A candidate's z is formed once and tested by the margin rule, ``prepotential._margin``, and
-    an accepted x comes with it; a point gets at most MAX_ATTEMPTS_PER_POINT candidates.
+    A request draws its candidates in rounds, each one ``rng.uniform`` array (k', n), the numbers of k'
+    draws of n in order; a round forms z for every candidate by one stacked matrix-vector product and
+    tests them all by the margin rule, ``prepotential._margin``.  A round is sized to the shortfall
+    times the candidates per point drawn so far, at most _ROUND_FLOATS floats of z and rank
+    comparisons, and at most the attempts the point sought has left of MAX_ATTEMPTS_PER_POINT, which
+    count across rounds and requests.  The points accepted beyond a request are kept for the next, so
+    the points are the admissible candidates of the stream in order, however the requests split them.
+    When the point sought has spent its attempts, ``take`` returns the points accepted before it, fewer
+    than k, and raises SamplingError when it has none to return.
+
     When ``covers_every_pair(pattern)`` and theta = ``threshold`` > 0, a candidate is
     u + theta * rank(u), u uniform in [lo, hi - (n-1) theta]^n and rank(u)_i the count
     of entries below u_i: a bijection with unit Jacobian onto S = {x in the box :
     |x_i - x_j| >= theta}, which holds every admissible point, so the points have
     box-uniform rejection's distribution at about one candidate each.  Otherwise
     candidates are box-uniform.  A box that ``box_bounds`` refuses, or with (n-1) theta
-    >= hi - lo (S is empty), raises PreconditionError before any draw; the errors are
-    raised when the first point, or the one that exhausts its attempts, is requested.
+    >= hi - lo (S is empty), raises PreconditionError here, before any draw.
     """
     lo, hi = box_bounds(box)
-    n = pattern.shape[1]
+    M, n = pattern.shape
     spaced = threshold > 0.0 and covers_every_pair(pattern)
     width = (n - 1) * threshold if spaced else 0.0
     if width >= hi - lo:
@@ -80,20 +107,37 @@ def admissible_points(rng: np.random.Generator, pattern: np.ndarray, box, thresh
             f"box ({lo}, {hi}) is too narrow: {n} coordinates at pairwise distance >= {threshold} "
             f"need a box width above (n-1)*theta = {width:g}"
         )
-    while True:
-        for _ in range(MAX_ATTEMPTS_PER_POINT):
-            x = rng.uniform(lo, hi - width, n)
+    most = max(1, _ROUND_FLOATS // (M + n * n))
+    spare = (np.empty((0, n)), np.empty((0, M)))  # accepted, not yet returned
+    drawn = accepted = tries = 0  # tries: the candidates of the point sought since the last accepted
+
+    def take(k: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal spare, drawn, accepted, tries
+        xs, zs = spare
+        while len(xs) < k and tries < MAX_ATTEMPTS_PER_POINT:
+            per_point = -(-drawn // accepted) if accepted else (MAX_ATTEMPTS_PER_POINT if drawn else 1)
+            count = min((k - len(xs)) * per_point, most, MAX_ATTEMPTS_PER_POINT - tries)
+            x = rng.uniform(lo, hi - width, (count, n))
             if spaced:
-                x += threshold * np.sort(x).searchsorted(x)  # rank: the count of entries below x_i
+                x += threshold * (x[:, None, :] < x[:, :, None]).sum(-1)  # rank: the count of entries below x_i
             z, ok = _margin(pattern, x, threshold)
-            if ok:
-                yield x, z
-                break
-        else:
+            if ok.all():
+                tries = 0
+            else:
+                hits = np.flatnonzero(ok)
+                tries = tries + count if not len(hits) else count - 1 - int(hits[-1])
+                x, z = x[hits], z[hits]
+            drawn, accepted = drawn + count, accepted + len(x)
+            xs, zs = (np.concatenate([xs, x]), np.concatenate([zs, z])) if len(xs) else (x, z)
+        if not len(xs):
             raise SamplingError(
                 f"no admissible point in box ({lo}, {hi}) with threshold {threshold} "
                 f"after {MAX_ATTEMPTS_PER_POINT} attempts"
             )
+        spare = xs[k:], zs[k:]
+        return xs[:k], zs[:k]
+
+    return take
 
 
 def fully_active(config: Configuration) -> np.ndarray:

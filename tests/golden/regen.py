@@ -13,7 +13,8 @@ not depend on rounding.
 
 Regenerate the corpus (it removes the files of runs no longer in the table,
 and names on stderr each file whose bytes change, with every check whose
-max_residual moved, old -> new):
+max_residual moved, old -> new, then ends with one line for each file whose
+discard count or a verdict moved):
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -123,9 +124,9 @@ SPECS: dict[str, list[str]] = {
         for command in ("verify-wdvv", "verify-associativity")
         for r in (-20, -19)
     },
-    # an explicit source whose metric B(x) fails the usable-pivot rule at some points (4 discards at seed 0)
+    # an explicit source whose metric B(x) fails the usable-pivot rule at some points (6 discards at seed 0)
     "verify-associativity-q0-document-wide-box": ["verify-associativity", "--config", "q0.json", "--box", "0.3,12",
-                                                  "--samples", "20"],
+                                                  "--samples", "50"],
     "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
     # the supersymmetric block at n = 1, 2 and 3, and at unit m with n = 5, past the dense fermionic
     # oracle's reach, each at its r and at r + 1 (n = 1 at r = 1 is off the theorem, r = -5);
@@ -255,10 +256,25 @@ def moved(old: str, new: str) -> list[str]:
             for c in after if before.get(c["name"]) != repr(c["max_residual"])]
 
 
+def outcome_moved(old: str, new: str) -> str | None:
+    """"discarded_points: old -> new; check: pass -> fail" for the report ``new`` where its discard count or a
+    check's verdict differs from ``old``'s, else None."""
+    try:
+        before, after = json.loads(old), json.loads(new)
+        verdicts = {c["name"]: c["pass"] for c in before["checks"]}
+        changes = [f"{c['name']}: {verdicts.get(c['name'])} -> {c['pass']}"
+                   for c in after["checks"] if verdicts.get(c["name"]) != c["pass"]]
+        if before["discarded_points"] != after["discarded_points"]:
+            changes.insert(0, f"discarded_points: {before['discarded_points']} -> {after['discarded_points']}")
+    except (ValueError, KeyError, TypeError):  # an error line, or a tensor or build-config document
+        return None
+    return "; ".join(changes) or None
+
+
 def main() -> int:
     REPORTS.mkdir(exist_ok=True)
     cwd = os.getcwd()
-    written = set()
+    written, outcomes = set(), []
     with tempfile.TemporaryDirectory() as scratch:
         try:
             write_documents(pathlib.Path(scratch))
@@ -269,6 +285,9 @@ def main() -> int:
                 if text != old:
                     changes = moved(old, text) if old is not None else ["new"]
                     print(f"{path.name}: {'; '.join(changes) or 'no max_residual moved'}", file=sys.stderr)
+                    outcome = None if old is None else outcome_moved(old, text)
+                    if outcome is not None:
+                        outcomes.append(f"{path.name}: {outcome}")
                 path.write_text(text, encoding="utf-8")
                 written.add(path.name)
         finally:
@@ -278,6 +297,9 @@ def main() -> int:
             path.unlink()
     MACHINE.write_text(json.dumps(machine(), indent=2) + "\n", encoding="utf-8")
     print(f"{len(written)} reports in {REPORTS}", file=sys.stderr)
+    print(f"{len(outcomes)} files with a verdict or discard count moved", file=sys.stderr)
+    for line in outcomes:
+        print(f"  {line}", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,8 @@ comparison, by the full commutator pass over every (i, j) with a separate SVD
 for the norms), the gauge relation between the two Hamiltonian forms is
 differentiated by central stencils on scalar test fields,
 admissible points are drawn by box-uniform rejection through the admissibility
-predicate ``is_admissible``, the hyperbolic identities behind the metric's
+predicate ``is_admissible``, and by the sampler's spacing one candidate at a time
+(``sequential_admissible_points``), the hyperbolic identities behind the metric's
 diagonal structure are evaluated by ``identity_residuals`` (on the closed form's coth
 helpers at one point, ``hyperbolic_helpers``, which refuses a point that is not 1-D), the associativity
 residual is composed from four ``multiply`` calls, the tangency
@@ -29,7 +30,6 @@ outer products by broadcasting, as bit-for-bit references for the index-array
 routes of the library.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -53,7 +53,7 @@ from trigwdvv.prepotential import (
     coth,
     h_function,
 )
-from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points
+from trigwdvv.sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, box_bounds, covers_every_pair
 from trigwdvv.susy import bosonic_potential
 from trigwdvv.wdvv import usable_pivots
 
@@ -144,8 +144,13 @@ def bcn_members(p) -> list[tuple[tuple[float, ...], float]]:
 
 
 def sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:
-    """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from."""
-    return np.array([x for x, _ in itertools.islice(admissible_points(rng, pattern, box, threshold), count)])
+    """(count, dimension) array of the first points of ``admissible_points``, the stream a run draws from:
+    one request, and a second only to raise the SamplingError of a point out of attempts."""
+    take = admissible_points(rng, pattern, box, threshold)
+    x, _ = take(count)
+    if len(x) < count:
+        take(count - len(x))
+    return x
 
 
 def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) -> bool:
@@ -153,7 +158,31 @@ def is_admissible(pattern: np.ndarray, x, threshold: float = DEFAULT_THRESHOLD) 
     row alpha of the (M, n) covector array ``pattern``; no multiplicity is read.  The margin
     rule of ``active_pairings`` and ``sampling.admissible_points``, and no other."""
     x = np.asarray(x, dtype=float)
-    return x.shape == pattern.shape[1:] and _margin(pattern, x, threshold)[1]
+    return x.shape == pattern.shape[1:] and bool(np.isfinite(x).all()) and bool(_margin(pattern, x, threshold)[1])
+
+
+def sequential_admissible_points(rng, pattern, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD):
+    """Endless stream of (x, z), one candidate at a time: the sampler's reference.
+
+    Each candidate is ``rng.uniform(lo, hi - width, n)``, spaced by theta times its rank
+    ``np.sort(x).searchsorted(x)`` when ``covers_every_pair(pattern)`` and theta > 0, with
+    z = pattern @ x tested by ``is_admissible``; a point gets at most MAX_ATTEMPTS_PER_POINT
+    candidates, and the SamplingError is raised when the point that exhausts them is requested.
+    """
+    lo, hi = box_bounds(box)
+    n = pattern.shape[1]
+    spaced = threshold > 0.0 and covers_every_pair(pattern)
+    width = (n - 1) * threshold if spaced else 0.0
+    while True:
+        for _ in range(MAX_ATTEMPTS_PER_POINT):
+            x = rng.uniform(lo, hi - width, n)
+            if spaced:
+                x += threshold * np.sort(x).searchsorted(x)
+            if is_admissible(pattern, x, threshold):
+                yield x, pattern @ x
+                break
+        else:
+            raise SamplingError(f"no admissible point after {MAX_ATTEMPTS_PER_POINT} attempts")
 
 
 def rejection_sample_points(rng, pattern, count, box=DEFAULT_BOX, threshold=DEFAULT_THRESHOLD) -> np.ndarray:

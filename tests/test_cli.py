@@ -39,7 +39,7 @@ from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, h_function
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import CONDITION_CAP
 
-from tests.oracles import sample_points
+from tests.oracles import sample_points, sequential_admissible_points
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -380,7 +380,7 @@ class TestRunSpecValidation:
         with pytest.raises(PreconditionError) as refused_by_run:
             RunSpec(command="verify-wdvv", config_source={}, box=box)
         with pytest.raises(PreconditionError) as refused_by_sampler:
-            next(sampling.admissible_points(rng_for(0, "box"), np.eye(2), box, 0.05))
+            sampling.admissible_points(rng_for(0, "box"), np.eye(2), box, 0.05)
         assert str(refused_by_run.value) == str(refused_by_sampler.value)
 
     def test_bad_tolerance(self):
@@ -1013,9 +1013,9 @@ def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled
         margins.add(threshold)
         return original(config, x, threshold)
 
-    def counting_margin(pattern, x, threshold, rows=None):
+    def counting_margin(pattern, x, threshold, rows=None):  # the sampler tests a round of candidates at once
         z, ok = margin(pattern, x, threshold, rows)
-        products.append((pattern.shape[::-1], ok))
+        products.extend((pattern.shape[::-1], bool(each)) for each in np.atleast_1d(ok))
         margins.add(threshold)
         return z, ok
 
@@ -1224,20 +1224,22 @@ def test_a_point_where_only_b_is_unusable_is_kept():
 
 
 def test_explicit_associativity_draws_u_v_w_before_judging_b():
-    # the same q = 0 family as an explicit document, whose metric is B(x): u, v and w are drawn
-    # when the sampler yields a point, and a point where kappa(B) is above CONDITION_CAP is
-    # discarded after that, so a discarded point consumes its draw and the accepted points and
-    # their vectors match this replay of the stream, residual for residual
+    # the same q = 0 family as an explicit document, whose metric is B(x): the k-th point drawn has the
+    # k-th (3, n) draw of "verify-associativity/draws", and a point where kappa(B) is above
+    # CONDITION_CAP is discarded after that, so a discarded point spends its draw and the accepted
+    # points and their vectors match this replay of the two streams, residual for residual
     source = config_document(load_config_source(_family(3, -1.0, 1.0, 0.0, (1, 1, 1))))
-    spec = RunSpec(command="verify-associativity", config_source=source, samples=20, box=(0.3, 12.0))
+    spec = RunSpec(command="verify-associativity", config_source=source, samples=50, box=(0.3, 12.0))
     report = run(spec)
 
     config = load_config_source(source)
-    rng = rng_for(spec.seed, "verify-associativity/points")
+    points = sampling.admissible_points(rng_for(spec.seed, "verify-associativity/points"), fully_active(config),
+                                        spec.box, spec.threshold)
+    draws = rng_for(spec.seed, "verify-associativity/draws")
     residuals, discarded = [], 0
     while len(residuals) < spec.samples:
-        x = sample_points(rng, fully_active(config), 1, spec.box, spec.threshold)[0]
-        u, v, w = (rng.standard_normal(3) for _ in range(3))
+        (x,), _ = points(1)
+        u, v, w = (draws.standard_normal(3) for _ in range(3))
         active = active_pairings(config, x, spec.threshold)
         B = metric_B(active, x)
         if np.linalg.cond(B) > CONDITION_CAP:
@@ -1251,11 +1253,11 @@ def test_explicit_associativity_draws_u_v_w_before_judging_b():
 
 @pytest.mark.parametrize("n", [3, 12, 40])
 def test_u_v_w_in_one_draw_are_three_draws_of_n(n):
-    # verify-associativity draws u, v and w as one (3, n) array: the same numbers, bit for bit, as
-    # three draws of n, and the stream goes on from the same state
-    one, three = (rng_for(0, "verify-associativity/points") for _ in range(2))
-    uvw = one.standard_normal((3, n))
-    assert uvw.tobytes() == np.concatenate([three.standard_normal(n) for _ in range(3)]).tobytes()
+    # verify-associativity draws a block's u, v and w as one (b, 3, n) array from its draws stream: the
+    # same numbers, bit for bit, as 3 b draws of n, and the stream goes on from the same state
+    one, three = (rng_for(0, "verify-associativity/draws") for _ in range(2))
+    uvw = one.standard_normal((5, 3, n))
+    assert uvw.tobytes() == np.concatenate([three.standard_normal(n) for _ in range(15)]).tobytes()
     assert one.uniform(size=n).tobytes() == three.uniform(size=n).tobytes()
 
 
@@ -1426,14 +1428,22 @@ def test_the_discard_cap_is_the_point_by_point_cap_in_blocks(block):
 
 
 def _failing_after(count):
-    """``admissible_points`` whose stream ends with a SamplingError after ``count`` points."""
+    """``admissible_points`` whose stream has a point out of attempts after ``count`` points: a request
+    returns the points before it, fewer than asked, and the next request raises its SamplingError."""
     real = cli.admissible_points
 
     def points(*args):
-        stream = real(*args)
-        for _ in range(count):
-            yield next(stream)
-        raise SamplingError("no admissible point after 10000 attempts")
+        take, left = real(*args), count
+
+        def failing(k):
+            nonlocal left
+            if not left:
+                raise SamplingError("no admissible point after 10000 attempts")
+            x, z = take(min(k, left))
+            left -= len(x)
+            return x, z
+
+        return failing
 
     return points
 
@@ -1526,9 +1536,10 @@ def test_a_residual_function_that_refuses_every_block_ends_the_run(monkeypatch, 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
-    # _sampled draws standard_normal(draw) from the point stream right after each point, before
-    # the next candidate: a replay of the stream in that order gives every point and its draw,
-    # whatever the block, and the residual function receives no generator
+    # the points stream holds only candidates and the draws stream only the points' draws: the k-th
+    # point is the k-th of the one-candidate reference sampler, and its draw is the k-th
+    # standard_normal((2, 3)) of "verify-associativity/draws", whatever the block, and the residual
+    # function receives no generator
     config = build_bcn(BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0)))
     spec = RunSpec(command="verify-associativity", config_source={}, samples=7)
     got = []
@@ -1539,12 +1550,13 @@ def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
         return {}
 
     _sampled(VerificationReport(run=spec), config, residuals, block, (2, 3))
-    rng = rng_for(spec.seed, "verify-associativity/points")
-    points = sampling.admissible_points(rng, fully_active(config), spec.box, spec.threshold)
-    for x, draws in got:
+    points = sequential_admissible_points(rng_for(spec.seed, "verify-associativity/points"), fully_active(config),
+                                          spec.box, spec.threshold)
+    draws = rng_for(spec.seed, "verify-associativity/draws")
+    for x, draw in got:
         want_x, _ = next(points)
         assert x.tobytes() == want_x.tobytes()
-        assert draws.tobytes() == rng.standard_normal((2, 3)).tobytes()
+        assert draw.tobytes() == draws.standard_normal((2, 3)).tobytes()
     assert len(got) == spec.samples
 
 
@@ -1725,7 +1737,7 @@ _ASSOCIATIVITY_REPORTS = {
     **{f"m122-document-r{r}": (config_document(load_config_source(_family(3, r, 1, 2, (1, 2, 2)))), {})
        for r in (-20, -19)},
     "q0-document-wide-box": (config_document(load_config_source(_family(3, -1, 1, 0, (1, 1, 1)))),
-                             {"samples": 20, "box": (0.3, 12.0)}),
+                             {"samples": 50, "box": (0.3, 12.0)}),
 }
 
 

@@ -61,6 +61,26 @@ class TestTypes:
         with pytest.raises(ParameterError, match="dimension must be an integer"):
             Configuration(dimension, [(1.0, 0.0)], [1.0])
 
+    @pytest.mark.parametrize(
+        "vectors, mults, text",
+        [
+            ([(0.0, 0.0), (math.inf, 0.0)], [1.0, 1.0], "member vectors must be nonzero"),
+            ([(1.0, 0.0), (math.inf, 0.0)], [math.nan, 1.0], "multiplicity must be finite"),
+            ([(1.0, 0.0), (0.0, 1.0), (0.0, -0.0)], [1.0, 1.0, 1.0], "member vectors must be nonzero"),
+            ([(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], [math.inf, -math.inf, 1.0], "multiplicity must be finite"),
+            ([(1.0, 0.0), (1.0, -0.0), (math.nan, 1.0), (math.nan, 1.0)], [1.0, 2.0, 1.0, 1.0],
+             "vector has non-finite entries: (nan, 1.0)"),
+            ([(2.0, 1.0), (0.0, 0.0), (2.0, 1.0)], [1e308, 1.0, 1e308], "multiplicity must be finite"),
+        ],
+        ids=["distinct-zero-first", "distinct-multiplicity-first", "distinct-signed-zero", "merged-inf-minus-inf",
+             "merged-nan-rows", "merged-sum-overflows"],
+    )
+    def test_the_first_refused_slot_is_named_whether_or_not_members_merge(self, vectors, mults, text):
+        # the whole arrays are tested first, and only a failing test searches for the slot to name: the
+        # first refused slot, in slot order, by its first fault of vector, multiplicity and zero vector
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            Configuration(2, vectors, mults)
+
     def test_configuration_merges_duplicates(self):
         c = Configuration(2, [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [2.0, 3.0, 1.0])
         assert len(c) == 2
@@ -546,9 +566,11 @@ def _slots_by_rows(flat):
     ids=["distinct", "merging", "signed-zeros", "zero-rows", "empty"],
 )
 def test_merge_slots_match_the_per_row_pass(flat):
-    # distinct rows skip the per-row pass: every row opens its own slot
-    head, slot_of = _merge_slots(flat)
+    # distinct rows skip the per-row pass: None, every row opens its own slot
+    merge = _merge_slots(flat)
     want_head, want_slot_of = _slots_by_rows(flat)
+    assert (merge is None) == bool(want_head.all())
+    head, slot_of = (np.ones(len(flat), dtype=bool), np.arange(len(flat), dtype=np.intp)) if merge is None else merge
     assert head.dtype == bool and slot_of.dtype == np.intp
     assert np.array_equal(head, want_head) and np.array_equal(slot_of, want_slot_of)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,11 +6,17 @@ import pytest
 
 from trigwdvv import sampling
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
-from trigwdvv.errors import PreconditionError
+from trigwdvv.errors import PreconditionError, SamplingError
 from trigwdvv.sampling import DEFAULT_BOX, covers_every_pair, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
 
-from tests.oracles import is_admissible, ks_statistic, rejection_sample_points, sample_points
+from tests.oracles import (
+    is_admissible,
+    ks_statistic,
+    rejection_sample_points,
+    sample_points,
+    sequential_admissible_points,
+)
 
 
 def bcn_pattern(n, m=None):
@@ -26,6 +33,24 @@ MISSING_PAIR = fully_active(Configuration(
 BOTH_SIGNS = fully_active(Configuration(
     3, [E[1] - E[0], E[0] - E[2], E[2] - E[1]], [1.0, 2.0, 0.5]
 ))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 5])
+@pytest.mark.parametrize("label", ["verify-associativity/points", "verify-restriction/draws", "", "\u00fcnicode"])
+def test_rng_for_is_the_seed_sequence_of_the_seed_and_the_label_digest(seed, label):
+    # the seed and the digest's four big-endian 64-bit words, given as 32-bit words: the generator
+    # that SeedSequence makes of the five ints themselves, zero words and seeds past 2^64 included
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *words])))
+    got = rng_for(seed, label)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.standard_normal(4).tobytes() == want.standard_normal(4).tobytes()
+
+
+def test_rng_for_refuses_a_negative_seed_as_seed_sequence_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        rng_for(-1, "points")
 
 
 class TestCoversEveryPair:
@@ -150,53 +175,114 @@ def test_large_n_points_are_admissible(n):
 
 
 def test_one_draw_per_point_for_bcn_in_the_default_box(monkeypatch):
-    # in the default box every spaced candidate of a BC_n family is admissible; each
-    # candidate forms one product pattern @ x, and the point yields the z it tested
+    # in the default box every spaced candidate of a BC_n family is admissible: a request of 50
+    # points draws one round of 50 candidates, forms their products pattern @ x in one margin
+    # test, and returns the z it tested
     calls, tested = [], []
     margin = sampling._margin
 
     def counting(pattern, x, threshold, rows=None):
-        calls.append(pattern)
+        calls.append((pattern, x.shape))
         z, ok = margin(pattern, x, threshold, rows)
         tested.append(z)
         return z, ok
 
     monkeypatch.setattr(sampling, "_margin", counting)
     pattern = bcn_pattern(12)
-    points = list(itertools.islice(sampling.admissible_points(rng_for(0, "count"), pattern, DEFAULT_BOX, 0.05), 50))
-    assert len(calls) == 50 and all(p is pattern for p in calls)
-    assert all(z is want for (_, z), want in zip(points, tested))
-    assert all(np.array_equal(z, pattern @ x) for x, z in points)
+    x, z = sampling.admissible_points(rng_for(0, "count"), pattern, DEFAULT_BOX, 0.05)(50)
+    assert len(calls) == 1 and calls[0][0] is pattern and calls[0][1] == (50, 12)
+    assert z.tobytes() == tested[0].tobytes()
+    assert all((pattern @ xi).tobytes() == zi.tobytes() for xi, zi in zip(x, z))
 
 
-class _TiedUniform:
-    """A generator stand-in whose candidates u are given, ties included."""
+class _Scripted:
+    """A generator stand-in whose candidates u are given, ties included, then ``rest`` forever;
+    ``rows`` counts the candidates drawn."""
 
-    def __init__(self, draws):
-        self.draws = iter(draws)
+    def __init__(self, draws, rest):
+        self.draws, self.rest, self.rows = list(draws), rest, 0
 
-    def uniform(self, lo, hi, n):
-        return np.array(next(self.draws), dtype=float)
+    def uniform(self, lo, hi, size):
+        count, n = size
+        out = [self.draws[k] if k < len(self.draws) else self.rest for k in range(self.rows, self.rows + count)]
+        self.rows += count
+        return np.array(out, dtype=float).reshape(count, n)
 
 
 def test_spacing_rank_counts_the_entries_below_with_ties(monkeypatch):
-    # the rank is np.sort(u).searchsorted(u): the count of entries strictly below u_i,
-    # which tied entries share, as the comparison count (u[:, None] > u).sum(axis=1) gives
+    # the rank is (X[:, None, :] < X[:, :, None]).sum(-1): the count of entries strictly below u_i,
+    # which tied entries share, as np.sort(u).searchsorted(u) gives; the first two candidates
+    # have tied coordinates after the spacing and are refused
     draws = [[0.5, 0.4, 0.5, 0.4], [0.7, 0.7, 0.7, 0.7], [0.31, 0.9, 0.6, 0.32]]
     candidates = []
     margin = sampling._margin
 
     def recording(pattern, x, threshold, rows=None):
-        candidates.append(x.copy())
+        candidates.extend(x.copy())
         return margin(pattern, x, threshold, rows)
 
     monkeypatch.setattr(sampling, "_margin", recording)
-    x, _ = next(sampling.admissible_points(_TiedUniform(draws), bcn_pattern(4), DEFAULT_BOX, 0.05))
-    for u, got in zip(draws, candidates, strict=True):
+    (x,), _ = sampling.admissible_points(_Scripted(draws, [0.31, 0.9, 0.6, 0.32]), bcn_pattern(4), DEFAULT_BOX,
+                                         0.05)(1)
+    assert len(candidates) >= 3
+    for u, got in zip(draws, candidates):
         u = np.array(u)
         assert np.sort(u).searchsorted(u).tolist() == (u[:, None] > u).sum(axis=1).tolist()
-        assert got.tolist() == (u + 0.05 * (u[:, None] > u).sum(axis=1)).tolist()
-    assert x.tolist() == candidates[-1].tolist()
+        assert got.tolist() == (u + 0.05 * np.sort(u).searchsorted(u)).tolist()
+    assert x.tolist() == candidates[2].tolist()
+
+
+# patterns and boxes with about one candidate a point (spaced), about two (box-uniform at unequal
+# rescaling), and few (a lower corner below theta, and a wide box about the origin)
+_STREAMS = {
+    "spaced": (bcn_pattern(3), DEFAULT_BOX, 0.05),
+    "hat-unequal-m": (fully_active(build_hat_configuration(BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0)))
+                                   .config), DEFAULT_BOX, 0.05),
+    "lo-below-theta": (bcn_pattern(3), (0.3, 4.0), 0.6),
+    "missing-pair-about-origin": (MISSING_PAIR, (-1.0, 1.0), 0.3),
+}
+
+
+@pytest.mark.parametrize("pattern, box, threshold", _STREAMS.values(), ids=_STREAMS)
+def test_any_split_of_the_requests_gives_the_one_candidate_stream(pattern, box, threshold):
+    # the points are the admissible candidates of the stream in order, however the requests split
+    # them (accepted points beyond a request are kept for the next): bit for bit the one-candidate
+    # reference, with each z = pattern @ x as its own matrix-vector product
+    want = list(itertools.islice(sequential_admissible_points(rng_for(4, "split"), pattern, box, threshold), 10))
+    for split in ([10], [1] * 10, [3, 7], [2, 5, 3]):
+        take = sampling.admissible_points(rng_for(4, "split"), pattern, box, threshold)
+        got = [row for k in split for row in zip(*take(k))]
+        assert [(x.tobytes(), z.tobytes()) for x, z in got] == [(x.tobytes(), z.tobytes()) for x, z in want], split
+        assert all((pattern @ x).tobytes() == z.tobytes() for x, z in got)
+
+
+def test_a_point_out_of_attempts_raises_after_exactly_the_cap():
+    # no point of (-0.01, 0.01) keeps x_1 at least 0.05 from zero: the request raises after exactly
+    # MAX_ATTEMPTS_PER_POINT candidates, and a second one raises again with no draw
+    rng, ref = rng_for(0, "empty"), rng_for(0, "empty")
+    take = sampling.admissible_points(rng, bcn_pattern(1), (-0.01, 0.01), 0.05)
+    for _ in range(2):
+        with pytest.raises(SamplingError, match=r"^no admissible point in box \(-0.01, 0.01\) with threshold 0.05 "
+                                                r"after 10000 attempts$"):
+            take(3)
+    ref.uniform(-0.01, 0.01, sampling.MAX_ATTEMPTS_PER_POINT)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("split", [[4], [1, 3], [1, 1]], ids=["4", "1+3", "1+1"])
+def test_the_points_before_one_out_of_attempts_come_first(monkeypatch, split):
+    # two admissible candidates, then none: the two points are returned first, fewer than asked where
+    # a request reaches past them; the request for the third raises after exactly the cap's
+    # candidates for it, counted across rounds, and a request after that raises with no draw
+    monkeypatch.setattr(sampling, "MAX_ATTEMPTS_PER_POINT", 5)
+    rng = _Scripted([[0.5, 1.0], [0.9, 0.4]], [0.01, 0.01])  # spaced by 0.05 times the rank
+    take = sampling.admissible_points(rng, bcn_pattern(2), DEFAULT_BOX, 0.05)
+    got = [x.tolist() for k in split for x in take(k)[0]]
+    assert got == [[0.5, 1.05], [0.9500000000000001, 0.4]]
+    for _ in range(2):
+        with pytest.raises(SamplingError, match="after 5 attempts$"):
+            take(1)
+        assert rng.rows == 2 + 5
 
 
 def test_box_too_narrow_raises_before_any_draw():
@@ -212,9 +298,8 @@ def test_box_too_narrow_raises_before_any_draw():
 
 @pytest.mark.parametrize("box", [(0.3, np.inf), (-np.inf, 1.5), (np.nan, 1.5)], ids=["hi-inf", "lo-inf", "lo-nan"])
 def test_non_finite_box_is_refused(box):
-    points = sampling.admissible_points(rng_for(0, "box"), bcn_pattern(2), box, 0.05)
     with pytest.raises(PreconditionError, match=r"must be finite with lo < hi"):
-        next(points)
+        sampling.admissible_points(rng_for(0, "box"), bcn_pattern(2), box, 0.05)
 
 
 def test_a_box_whose_width_overflows_a_float_is_refused_before_any_draw():
@@ -231,10 +316,10 @@ def test_a_box_whose_width_overflows_a_float_is_refused_before_any_draw():
     rng = rng_for(0, "wide")
     state = rng.bit_generator.state
     with pytest.raises(PreconditionError, match="too wide"):
-        next(sampling.admissible_points(rng, bcn_pattern(2), wide, 0.05))
+        sampling.admissible_points(rng, bcn_pattern(2), wide, 0.05)
     assert rng.bit_generator.state == state
     # a width just inside the float range is accepted, and the sampler draws from it
     assert sampling.box_bounds(narrower) == narrower
     assert RunSpec(command="verify-metric", config_source={}, box=narrower).box == narrower
-    x, z = next(sampling.admissible_points(rng, bcn_pattern(2), narrower, 0.05))
+    (x,), _ = sampling.admissible_points(rng, bcn_pattern(2), narrower, 0.05)(1)
     assert np.isfinite(x).all() and (np.abs(x) <= 1e307).all()
