@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .configurations import BCnParameters, Configuration, Partition, _bcn_members, _restriction
+from .configurations import BCnParameters, Partition, _bcn_members, _read_only, _restriction
 from .errors import DimensionError
-from .prepotential import DEFAULT_THRESHOLD, _matvec, _point, active_pairings, coth
+from .prepotential import DEFAULT_THRESHOLD, _admitted, _matvec, _point, coth
 
 
 def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.ndarray]:
@@ -73,16 +73,16 @@ def associativity_residual(active, u, v, w, raise_index):
 class RestrictionContext:
     """BC_N data restricted to the subspace of a block partition.
 
-    Built once per run from one set of BC_N(r, s, q)'s member arrays and
-    shared by every point: the block basis (rows f_1..f_n), the block sizes
-    ``m``, the projected configuration and its family parameters ``params``, and
-    BC_N's members split once as ``_restriction`` marks them, both parts in
-    BC_N's order: ``subsystem``, the block subsystem's vectors, and ``outside``,
-    the configuration of every other member.  The entrywise absolute values of
-    ``subsystem`` and of ``outside``'s active members, which bound the tangency
-    sums, are taken here once too.  The functions below that evaluate at a point
-    take the context and ``pairings(x_tilde, threshold)`` there, the margin θ
-    being the caller's.
+    Built once per run from one set of BC_N(r, s, q)'s member arrays and shared
+    by every point: the block basis F (rows f_1..f_n), the block sizes ``m``, the
+    projected configuration and its family parameters ``params``, and BC_N's
+    members split once as ``_restriction`` marks them, in BC_N's order and
+    read-only, with no configuration built: ``subsystem``, the block subsystem's
+    vectors, ``outside``, the (vectors, multiplicities) of every other member, and
+    ``outside_active``, its (A, c) of nonzero multiplicity; P = F A^T and the
+    absolute values of ``subsystem`` and A, which bound the tangency sums, too.
+    The functions below take the context and its ``pairings`` at points x_tilde
+    (..., n), the margin θ being the caller's, each point's bits as alone.
     """
 
     def __init__(self, r: float, s: float, q: float, part: Partition) -> None:
@@ -92,18 +92,18 @@ class RestrictionContext:
         vectors, mults = _bcn_members(BCnParameters(n=part.N, r=r, s=s, q=q, m=(1.0,) * part.N))
         self.projected_config, in_subsystem = _restriction(self.block_basis, vectors, mults)
         self.subsystem = vectors[in_subsystem]
-        self.outside = Configuration(part.N, vectors[~in_subsystem], mults[~in_subsystem])
+        V, c = self.outside = _read_only(vectors[~in_subsystem], mults[~in_subsystem])
+        A, _ = self.outside_active = self.outside if c.all() else _read_only(V[c != 0.0], c[c != 0.0])
+        self._P = self.block_basis @ A.T
         self._abs_subsystem = np.abs(self.subsystem)
-        self._abs_outside = np.abs(self.outside.active_members[0])
+        self._abs_outside = np.abs(A)
 
     def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``active_pairings`` of ``outside`` at the embedded point sum_k x_tilde_k f_k.
-
-        ``x_tilde`` is in block-basis coordinates, read by ``prepotential._point``, and the point must
-        be admissible for every covector outside the subsystem, with the margin ``threshold`` as in
-        ``active_pairings``.
-        """
-        return active_pairings(self.outside, self.block_basis.T @ _point(x_tilde, len(self.m)), threshold)
+        """(A, c, z): ``outside_active`` and its pairings z at the embedded points sum_k x_tilde_k f_k, x_tilde (n,)
+        or a block (b, n) in block-basis coordinates, read by ``prepotential._point``; a point within ``threshold``
+        of an active member's hyperplane, or not finite, is refused as ``active_pairings`` refuses it."""
+        A, c = self.outside_active
+        return A, c, _admitted(A, _matvec(self.block_basis.T, _point(x_tilde, len(self.m), True)), threshold)
 
 
 def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:
@@ -113,39 +113,38 @@ def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:
     covectors outside the block subsystem, projected onto the block subspace
     as sum_k (f_k, w)/m_k f_k: constant on blocks, exactly.
     """
-    F = rctx.block_basis
-    return F.T @ ((F @ multiply(active, u, v)) / rctx.m)
+    return rctx.block_basis.T @ ((rctx.block_basis @ multiply(active, u, v)) / rctx.m)
 
 
 def tangency_residuals(rctx: RestrictionContext, active, u, v) -> np.ndarray:
-    """Tangency residuals at the point of ``active``, one per row alpha of ``subsystem``.
+    """Tangency residuals at the points of ``active``, one per row alpha of ``subsystem``.
 
     Each is |(alpha, u * v)| = |sum_beta t_beta (alpha,beta)|, u * v being ``multiply`` over the members
     beta outside the subsystem and t_beta = c (beta,u)(beta,v) coth((beta,x)), over the bound
     max(1, sum_beta |t_beta| sum_k |alpha_k||beta_k|), floored since it vanishes at r = s = q = 0.
     t is formed once and u * v is A^T t, grouped as ``multiply`` groups it; the bound reads the
     context's absolute members.  The sums vanish for u, v constant on blocks; non-tangent inputs are
-    accepted, to show tangency is needed.  An empty subsystem gives an empty array.
+    accepted, to show tangency is needed.  z of shape (..., M') and u, v of (..., N) give (..., S) by
+    ``_matvec``, each point's bits as alone; an empty subsystem gives S = 0.
     """
     A, c, z = active
-    u, v = _operands(A, "u, v", u, v)
-    t = c * coth(z) * ((A @ u) * (A @ v))
-    scale = rctx._abs_subsystem @ (rctx._abs_outside.T @ np.abs(t))
-    return np.abs(rctx.subsystem @ (A.T @ t)) / np.maximum(1.0, scale)
+    u, v = _operands(A, "u, v", u, v, lead=np.shape(z)[:-1])
+    t = c * coth(z) * (_matvec(A, u) * _matvec(A, v))
+    scale = _matvec(rctx._abs_subsystem, _matvec(rctx._abs_outside.T, np.abs(t)))
+    return np.abs(_matvec(rctx.subsystem, _matvec(A.T, t))) / np.maximum(1.0, scale)
 
 
 def structure_constants(rctx: RestrictionContext, active) -> np.ndarray:
     """C[i][j][k] with f_i * f_j = sum_k C[i][j][k] f_k, from restricted products.
 
-    ``active`` is ``rctx.pairings`` at the point.  With P[k] the pairings
-    (alpha, f_k) over the members and w = c coth(z), the block coefficients of
-    ``restricted_multiply(rctx, active, f_i, f_j)`` are
-    C[i][j][k] = sum_alpha w P[i] P[j] P[k] / m_k, one GEMM per row i.  C equals
-    the projected configuration's tensor there divided by m_k in the last
-    index, but is computed without it; tests check the two routes against each
-    other.
+    ``active`` is ``rctx.pairings`` at the points, z of shape (..., M').  With P[k]
+    the context's pairings (alpha, f_k) over the members and w = c coth(z), the block
+    coefficients of ``restricted_multiply(rctx, active, f_i, f_j)`` are
+    C[i][j][k] = sum_alpha w P[i] P[j] P[k] / m_k: one stacked matmul of the
+    (..., n, n, M') products, a GEMM per row i of a point, as alone.  C equals the
+    projected configuration's tensor divided by m_k in the last index, but is
+    computed without it; tests check the two routes against each other.
     """
-    A, c, z = active
-    P = rctx.block_basis @ A.T
-    w = c * coth(z)
-    return np.stack([(P * (w * p)) @ P.T for p in P]) / rctx.m
+    _, c, z = active
+    P, w = rctx._P, c * coth(z)
+    return (P * (w[..., None, None, :] * P[:, None, :])) @ P.T / rctx.m

@@ -11,9 +11,9 @@ random vectors of a point (u, v, w for verify-associativity, u~, v~ for
 verify-restriction) come from a second generator, "<command>/draws", one
 draw per block: the k-th point drawn has the k-th draw, so neither stream
 depends on how many points one residual call takes.  Every residual call takes a block of
-points, x of shape (b, n): a family's verify-wdvv, verify-metric, verify-susy and
-verify-associativity take several points a call, each point's bits as alone, and
-the other routes one.
+points, x of shape (b, n): a family's verify-wdvv, verify-metric, verify-susy,
+verify-associativity and verify-restriction take several points a call, each point's
+bits as alone, and an explicit document's verify-wdvv and verify-associativity one.
 verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
 B(x) by ``wdvv.arrow_residuals``, with no condition cap, and for an explicit
 document at the better-conditioned pivot of B(x) and eta.F under the cap, whose
@@ -59,6 +59,7 @@ from .errors import (
 )
 from .prepotential import (
     DEFAULT_THRESHOLD,
+    _matvec,
     _two_path,
     active_pairings,
     h_function,
@@ -74,8 +75,9 @@ from . import algebra, susy
 # the floats a block of points may hold in its largest per-point array: a family verify-wdvv call
 # and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26, where verify-wdvv's
 # blocks stop paying; verify-metric's largest is the weighted (n x M) members, about 2 n^3 floats), a
-# verify-susy call max(1, _WDVV_BLOCK // n^4), the commuting form's n^4 floats a point, and a family
-# verify-associativity call max(1, _WDVV_BLOCK // n^2), the M ~ 2 n^2 weights and pairings a point
+# verify-susy call max(1, _WDVV_BLOCK // n^4), the commuting form's n^4 floats a point, a family
+# verify-associativity call max(1, _WDVV_BLOCK // n^2), the M ~ 2 n^2 weights and pairings a point, and a
+# verify-restriction call max(1, _WDVV_BLOCK // (n^2 max(M', N))), the structure constants' n^2 M' a point
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -341,15 +343,15 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
     propagates.  Checks are reported in key order, and a check that received no residual is left
     out of the report.  Every call takes a block: up to ``block`` points still needed, asked of the
     sampler in one request, x (b, n) and z (b, M) with b >= 1, each residual with that leading axis,
-    and the draws (b, *draw).  A family's ``verify-wdvv``, ``verify-metric``, ``verify-susy`` and
-    ``verify-associativity`` take more than 1, and an explicit document's ``verify-wdvv`` and
-    ``verify-associativity``, which judge a pivot or metric point by point, and ``verify-restriction``
-    take 1.  A block of more than one point whose call raises the package's error or numpy's
-    LinAlgError is evaluated again as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and
-    the first error stay per point; a block of one is evaluated once, and its error is the point's
-    own.  Any other error propagates, so a block path that always raises fails the run.  A sampler
-    that returns fewer points than asked has a point out of attempts next: its SamplingError is
-    raised at the next request, after the points before it are evaluated.
+    and the draws (b, *draw).  A family's ``verify-wdvv``, ``verify-metric``, ``verify-susy``,
+    ``verify-associativity`` and ``verify-restriction`` take more than 1, and an explicit document's
+    ``verify-wdvv`` and ``verify-associativity``, which judge a pivot or metric point by point, take 1.
+    A block of more than one point whose call raises the package's error or numpy's LinAlgError is
+    evaluated again as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and the first error
+    stay per point; a block of one is evaluated once, and its error is the point's own.  Any other
+    error propagates, so a block path that always raises fails the run.  A sampler that returns
+    fewer points than asked has a point out of attempts next: its SamplingError is raised at the
+    next request, after the points before it are evaluated.
     """
     spec = report.run
     take = admissible_points(rng_for(spec.seed, f"{spec.command}/points"), fully_active(config), spec.box,
@@ -484,30 +486,23 @@ def _run_restriction(spec: RunSpec, parsed):
 
     restriction = algebra.RestrictionContext(params.r, params.s, params.q, part)
     projected = restriction.projected_config
-    vectors, mults = _bcn_members(restriction.params)
-    # the restriction keeps the family's member order, so members compare in place
-    dev = math.inf
-    if projected.vectors.shape == vectors.shape:
-        dev = max(_two_path(projected.vectors, vectors), _two_path(projected.multiplicities, mults))
+    vectors, mults = _bcn_members(restriction.params)  # the projection keeps their order: compared in place
+    dev = (max(_two_path(projected.vectors, vectors), _two_path(projected.multiplicities, mults))
+           if projected.vectors.shape == vectors.shape else math.inf)
 
-    def residuals(xt, active, draws):  # one point a call
-        (xt,), ((ut, vt),), (A, c, (z,)) = xt, draws, active  # a point's (2, n) draw: two draws of n
+    def residuals(xt, active, draws):  # x~ (b, n) and a point's (2, n) draw: two draws of n
         outside = restriction.pairings(xt, spec.threshold)
-        T = tensor_generic((A, c, z))
-        u, v = restriction.block_basis.T @ ut, restriction.block_basis.T @ vt
-
+        u, v = _matvec(restriction.block_basis.T, draws.swapaxes(0, -2))  # embedded: sum_k u~_k f_k
         C = algebra.structure_constants(restriction, outside)
-        expected = T / restriction.m
-        tangency = algebra.tangency_residuals(restriction, outside, u, v)
-        metric = metric_identity_residuals(restriction.params, (A, c, z), xt)
         return {
-            "structure_constants_two_path": _two_path(C, expected),
-            "tangency_residual": tangency,
-            "h_b_decomposition": metric,
+            "structure_constants_two_path": _two_path(C, tensor_generic(active) / restriction.m, axes=(-3, -2, -1)),
+            "tangency_residual": algebra.tangency_residuals(restriction, outside, u, v),
+            # each point's two parts side by side, in the order one point's (off, diag) is filed
+            "h_b_decomposition": np.stack(metric_identity_residuals(restriction.params, active, xt), axis=-1),
         }
 
-    # one point a call: a K = 2 run is mostly its set-up, which no block would shorten
-    return {"restriction_config_match": dev}, projected, residuals, 1, (2, part.n)
+    per_point = part.n**2 * max(len(restriction.outside_active[1]), part.N)  # see _WDVV_BLOCK
+    return {"restriction_config_match": dev}, projected, residuals, max(1, _WDVV_BLOCK // per_point), (2, part.n)
 
 
 def _run_susy(spec: RunSpec, parsed):

@@ -75,7 +75,7 @@ def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
     """(z, ok): z = A @ x for the covectors A (rows), or its entries at ``rows``, and ok iff x is finite
     and every |z| >= threshold (a NaN pairing fails, an empty z passes).  x of shape (..., n) gives z of
     (..., M) by ``_matvec``, each point's bits as alone, and ok of shape (...); matmul warns on a
-    non-finite x, so a caller that may pass one tests x first, as ``active_pairings`` does."""
+    non-finite x, so a caller that may pass one tests x first, as ``_admitted`` does."""
     z = _matvec(A, x)
     if rows is not None:
         z = z[..., rows]
@@ -88,23 +88,29 @@ def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
 def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHOLD):
     """(A, c, z): the active members of ``config`` (nonzero multiplicity) and their pairings (alpha, x).
 
-    A and c are ``config.active_members``, shared read-only by every point; z is
-    ``config.vectors @ x`` at ``config.active_rows``, the one route to z, which ``cli._sampled`` takes
-    too.  A non-finite point raises DomainError; an active member with |(alpha, x)| < threshold
-    raises SingularityError naming the nearest one (or the first NaN pairing).
+    A and c are ``config.active_members``, shared read-only by every point; z is ``config.vectors @ x`` at
+    ``config.active_rows``, the one route to z, which ``cli._sampled`` takes too.  A point that is not
+    finite, or within ``threshold`` of an active member's hyperplane, is refused by ``_admitted``.
     """
-    x = _point(x, config.dimension)
-    if not np.isfinite(x).all():
-        raise DomainError(f"point {x.tolist()} is not finite")
     A, c = config.active_members
-    z, ok = _margin(config.vectors, x, threshold, config.active_rows)
-    if not ok:
-        idx = int(np.argmin(np.abs(z)))
-        raise SingularityError(
-            f"point {x.tolist()} lies within {threshold} of the hyperplane of "
-            f"member {A[idx].tolist()} ((alpha, x) = {z[idx]:.6g})"
-        )
-    return A, c, z
+    return A, c, _admitted(A, _point(x, config.dimension), threshold, config.vectors, config.active_rows)
+
+
+def _admitted(A: np.ndarray, x: np.ndarray, threshold: float, vectors=None, rows=None) -> np.ndarray:
+    """z of ``_margin(vectors, x, threshold, rows)`` (A = vectors[rows], A itself by default) at x (..., n) if every point
+    keeps the margin; else the first point refused raises, for ``active_pairings`` and ``RestrictionContext.pairings``
+    alike: DomainError if not finite, else SingularityError naming its nearest member (or its first NaN pairing)."""
+    xs = x.reshape(-1, x.shape[-1])
+    if not np.isfinite(xs).all():
+        raise DomainError(f"point {xs[~np.isfinite(xs).all(-1)][0].tolist()} is not finite")
+    z, ok = _margin(A if vectors is None else vectors, x, threshold, rows)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        zk = z.reshape(-1, z.shape[-1])[k]
+        idx = int(np.argmin(np.abs(zk)))
+        raise SingularityError(f"point {xs[k].tolist()} lies within {threshold} of the hyperplane of "
+                               f"member {A[idx].tolist()} ((alpha, x) = {zk[idx]:.6g})")
+    return z
 
 
 def tensor_generic(active) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from trigwdvv.configurations import (
     build_bcn,
     solve_r,
 )
-from trigwdvv.errors import DimensionError, SingularityError
+from trigwdvv.errors import DimensionError, DomainError, SingularityError
 from trigwdvv.prepotential import active_pairings, coth, h_function, metric_B, metric_identity_residuals, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.wdvv import pivot_residuals
@@ -433,24 +434,84 @@ class TestRestrictionContext:
         sums = np.stack([np.bincount(block, weights=v, minlength=part.n) for v in bc.vectors])
         inside = (sums == 0.0).all(axis=1)  # the within-block differences
         assert inside.sum() == sum(b * (b - 1) // 2 for b in blocks)
-        assert len(rctx.subsystem) + len(rctx.outside) == len(bc)
+        V, c = rctx.outside
+        assert len(rctx.subsystem) + len(V) == len(bc)
         assert np.array_equal(rctx.subsystem, bc.vectors[inside])
-        assert np.array_equal(rctx.outside.vectors, bc.vectors[~inside])
-        assert np.array_equal(rctx.outside.multiplicities, bc.multiplicities[~inside])
-        assert not (rctx.outside.vectors[:, None] == rctx.subsystem).all(axis=2).any()
+        assert np.array_equal(V, bc.vectors[~inside])
+        assert np.array_equal(c, bc.multiplicities[~inside])
+        assert not (V[:, None] == rctx.subsystem).all(axis=2).any()
+        assert not V.flags.writeable and not c.flags.writeable
+
+    @pytest.mark.parametrize("s", [0.0, 0.5], ids=["some-inactive", "all-active"])
+    def test_outside_active_is_the_nonzero_selection_made_once(self, s):
+        # at s = 0 every 2e_i of BC_N has multiplicity 0: A and c are selected once, read-only,
+        # and every call of pairings returns them
+        part = Partition(N=5, blocks=(2, 3))
+        rctx = RestrictionContext(-2.0 * (part.N - 2) - 8.0 * s, s, 1.0, part)
+        (V, c), (A, c_active) = rctx.outside, rctx.outside_active
+        keep = c != 0.0
+        assert keep.sum() == (len(c) if s else len(c) - part.N)
+        assert np.array_equal(A, V[keep]) and np.array_equal(c_active, c[keep])
+        assert (A is V) == bool(s) and not A.flags.writeable and not c_active.flags.writeable
+        got = rctx.pairings([[0.9, 0.4], [1.1, 0.6]])
+        assert got[0] is A and got[1] is c_active
 
     def test_pairings_are_the_outside_pairings_at_the_embedded_point(self):
         part = Partition(N=5, blocks=(2, 3))
         xt = np.array([0.9, 0.4])
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
-        want = active_pairings(rctx.outside, block_constant(part, xt))
+        want = active_pairings(Configuration(part.N, *rctx.outside), block_constant(part, xt))
         assert all(np.array_equal(a, b) for a, b in zip(rctx.pairings(xt), want, strict=True))
 
-    @pytest.mark.parametrize("xt", [[0.9], [0.9, 0.4, 0.2], [[0.9, 0.4]]], ids=["short", "long", "nested"])
+    @pytest.mark.parametrize("xt", [[0.9], [0.9, 0.4, 0.2], [[0.9]], [[[0.9, 0.4]]]],
+                             ids=["short", "long", "short-block", "3-d"])
     def test_pairings_refuse_a_point_of_the_wrong_shape(self, xt):
         rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
-        with pytest.raises(DimensionError, match=r"^point has shape .*, expected \(2,\)$"):
+        with pytest.raises(DimensionError, match=r"^point has shape .*, expected \(2,\) or \(b, 2\)$"):
             rctx.pairings(xt)
+
+    def test_pairings_refuse_the_first_refused_point_of_a_block(self):
+        # a block is refused as its first refused point alone is, with active_pairings' texts
+        rctx = RestrictionContext(-20.0, 1.0, 2.0, Partition(N=5, blocks=(2, 3)))
+        for bad in ([0.9, 0.899], [np.nan, 0.4]):
+            with pytest.raises((DomainError, SingularityError)) as alone:
+                rctx.pairings(bad)
+            with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+                rctx.pairings([[1.1, 0.5], bad, [0.7, 0.8]])
+
+
+def _restriction_block(blocks, b=6):
+    """(rctx, x~ (b, n), u (b, N), v (b, N)) at seeded admissible points of the theorem family at ``blocks``,
+    s = 0 so that the 2e_i are inactive; u is not tangent, so the tangency sums stay away from zero."""
+    part = Partition(N=sum(blocks), blocks=blocks)
+    rctx = RestrictionContext(-2.0 * (part.N - 2), 0.0, 1.0, part)
+    rng = rng_for(29, f"restriction/block/{blocks}")
+    xt = np.array(sample_points(rng, fully_active(rctx.projected_config), b))
+    u = rng.standard_normal((b, part.N))
+    v = rng.standard_normal((b, part.n)) @ rctx.block_basis
+    return rctx, xt, u, v
+
+
+@pytest.mark.parametrize("blocks", [(2, 3), (5, 5, 5, 5)], ids=["2-3", "5-5-5-5"])
+def test_a_block_of_restriction_values_is_each_point_alone_bit_for_bit(blocks):
+    # pairings, structure_constants and tangency_residuals on x~ of shape (b, n) give the bits of
+    # b one-point calls, point by point
+    rctx, xt, u, v = _restriction_block(blocks)
+    A, c, z = rctx.pairings(xt)
+    alone = [rctx.pairings(x) for x in xt]
+    assert z.shape == (len(xt), len(A)) and z.tobytes() == np.stack([a[2] for a in alone]).tobytes()
+    C = structure_constants(rctx, (A, c, z))
+    assert C.shape == (len(xt), *(len(blocks),) * 3)
+    assert C.tobytes() == np.stack([structure_constants(rctx, a) for a in alone]).tobytes()
+    tangency = tangency_residuals(rctx, (A, c, z), u, v)
+    assert tangency.shape == (len(xt), len(rctx.subsystem)) and (tangency > 1e-8).all()
+    assert tangency.tobytes() == np.stack([tangency_residuals(rctx, a, u[k], v[k]) for k, a in enumerate(alone)]).tobytes()
+
+
+def test_tangency_residuals_refuse_vectors_without_the_leading_axis():
+    rctx, xt, u, v = _restriction_block((2, 3), b=2)
+    with pytest.raises(DimensionError, match=r"u, v must have shape \(2, 5\)"):  # a block of two points
+        tangency_residuals(rctx, rctx.pairings(xt), u[0], v)
 
 
 class TestStructureConstants:

@@ -912,10 +912,10 @@ def test_wdvv_n1_is_refused(capsys):
         # the family; the sampling pattern is its covectors, with no second build
         *((command, _family(3, -20, 1, 2, (1, 2, 2)), [(3, 12)])
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projection and BC_5 outside its 1 + 3 within-block differences (context, from
-        # one set of BC_5's arrays); the config match reads the family's member arrays in
-        # place of a rebuild
-        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6), (5, 2 * 5 + 5 * 4 - 4)]),
+        # the projection alone: the context splits BC_5's member arrays into the subsystem and the
+        # members outside it with no second build, and the config match reads the family's member
+        # arrays in place of a rebuild
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
         # the rescaled BC_2
         ("verify-susy", _family(2, -20, 1, 2, (2, 3)), [(2, 6)]),
     ],
@@ -980,18 +980,19 @@ def test_restriction_checks_read_the_context_family(monkeypatch):
 
     monkeypatch.setattr(algebra.RestrictionContext, "__init__", keeping)
     run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=2))
-    assert [name for name, _ in read] == ["_bcn_members"] + ["metric_identity_residuals"] * 2
+    # both points are one block: one metric-identity call
+    assert [name for name, _ in read] == ["_bcn_members", "metric_identity_residuals"]
     assert len(contexts) == 1 and all(params is contexts[0].params for _, params in read)
 
 
 @pytest.mark.parametrize(
-    "command, source, sampled, per_point",
+    "command, source, sampled, per_block",
     [
         # the family the run samples, 3 + 3 + 6 members
         *((command, _family(3, -20, 1, 2, (1, 2, 2)), (3, 12), [])
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projected BC_2 the run samples; then BC_5 outside its 4 within-block differences
-        # at the embedded point, the one active_pairings call of a run
+        # the projected BC_2 the run samples; then the margin of BC_5's active members outside its 4
+        # within-block differences at the embedded points, one test a block, with no active_pairings call
         ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), (2, 6), [(5, 2 * 5 + 5 * 4 - 4)]),
         # the rescaled BC_2: its tensor and the gauge residual read the same pairings
         ("verify-susy", _family(2, -20, 1, 2, (2, 3)), (2, 6), []),
@@ -1001,12 +1002,12 @@ def test_restriction_checks_read_the_context_family(monkeypatch):
     ids=["verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy",
          "verify-associativity-explicit"],
 )
-def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled, per_point):
+def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled, per_block):
     # an accepted point's pairings are the one product its candidate formed in the sampler:
-    # _sampled makes no active_pairings call for the sampled configuration, and every call
-    # that is left, verify-restriction's of outside, receives the run's margin, as the sampler does
-    calls, products, margins = [], [], set()
-    original, margin = active_pairings, sampling._margin
+    # _sampled makes no active_pairings call, and every margin test that is left, verify-restriction's
+    # of the members outside the subsystem, takes a block and receives the run's margin, as the sampler does
+    calls, products, outside, margins = [], [], [], set()
+    original, margin, outside_margin = active_pairings, sampling._margin, prepotential._margin
 
     def counting(config, x, threshold):
         calls.append((config.dimension, len(config)))
@@ -1019,37 +1020,46 @@ def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled
         margins.add(threshold)
         return z, ok
 
+    def counting_outside(pattern, x, threshold, rows=None):  # the margin test of the pairings outside the sampler
+        z, ok = outside_margin(pattern, x, threshold, rows)
+        outside.append((pattern.shape[::-1], np.size(ok)))
+        margins.add(threshold)
+        return z, ok
+
     # every trigwdvv namespace that holds it, so a caller that imported it by name is counted
     for name, module in list(sys.modules.items()):
         if name.startswith("trigwdvv") and getattr(module, "active_pairings", None) is original:
             monkeypatch.setattr(module, "active_pairings", counting)
     monkeypatch.setattr(sampling, "_margin", counting_margin)
+    monkeypatch.setattr(prepotential, "_margin", counting_outside)
     for samples in (1, 3):
         calls.clear()
         products.clear()
+        outside.clear()
         report = run(RunSpec(command=command, config_source=source, samples=samples, threshold=0.07))
         assert report.discarded_points == 0
-        assert sorted(calls) == sorted(per_point * samples)
+        assert calls == []
+        assert outside == [(shape, samples) for shape in per_block]  # every point in one block
         assert [shape for shape, ok in products if ok] == [sampled] * samples
         assert {shape for shape, _ in products} == {sampled}
     assert margins == {0.07}
 
 
-def test_restriction_evaluates_one_projected_tensor_per_point(monkeypatch):
-    # the driver's two-path check and h_b_decomposition read the one projected
-    # tensor the driver evaluates at each point
+def test_restriction_evaluates_one_projected_tensor_per_block(monkeypatch):
+    # the driver's two-path check reads the one projected tensor the driver evaluates
+    # at each block of points
     calls = []
     original = tensor_generic
 
     def counting(active):
-        calls.append((active[0].shape[1], len(active[0])))
+        calls.append((active[0].shape[1], *active[2].shape))
         return original(active)
 
     monkeypatch.setattr(cli, "tensor_generic", counting)
     for samples in (1, 3):
         calls.clear()
         run(RunSpec(command="verify-restriction", config_source=_family(2, -20, 1, 2, (2, 3)), samples=samples))
-        assert calls == [(2, 6)] * samples  # the projected BC_2 has 2 + 2 + 2 members
+        assert calls == [(2, samples, 6)]  # one block; the projected BC_2 has 2 + 2 + 2 members
 
 
 LARGE_MULTIPLICITY_FAMILIES = {
@@ -1589,7 +1599,7 @@ def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
     assert declared == {
         ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (1, None),
         ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (1, (3, 3)),
-        ("verify-metric", True): (1213, None), ("verify-restriction", True): (1, (2, 2)),
+        ("verify-metric", True): (1213, None), ("verify-restriction", True): (315, (2, 2)),
         ("verify-susy", True): (404, None),
     }
 
