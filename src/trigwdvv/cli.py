@@ -11,10 +11,9 @@ random vectors of a point (u, v, w for verify-associativity, u~, v~ for
 verify-restriction) come from a second generator, "<command>/draws", one
 draw per block: the k-th point drawn has the k-th draw, so neither stream
 depends on how many points one residual call takes.  Every residual call takes a block of
-points, x of shape (b, n): a family's verify-wdvv, verify-metric, verify-susy,
-verify-associativity and verify-restriction take several points a call, each point's
-bits as alone, and an explicit document's verify-wdvv and verify-associativity one.
-verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
+points, x of shape (b, n), as many as its largest per-point array lets fit in one budget,
+each point's bits as alone, and returns its values with the points it refuses, which
+``_sampled`` discards.  verify-wdvv reports one check, wdvv_residual: for a family at the diagonal pivot
 B(x) by ``wdvv.arrow_residuals``, with no condition cap, and for an explicit
 document at the better-conditioned pivot of B(x) and eta.F under the cap, whose
 weights eta are drawn once per run from "verify-wdvv/pivot".
@@ -54,7 +53,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
     SamplingError,
-    SingularMatrixError,
     TrigWdvvError,
 )
 from .prepotential import (
@@ -72,12 +70,7 @@ from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, bo
 from .wdvv import arrow_residuals, pivot_residuals, usable_pivots
 from . import algebra, susy
 
-# the floats a block of points may hold in its largest per-point array: a family verify-wdvv call
-# and a verify-metric call take max(1, _WDVV_BLOCK // n^3) points (one from n = 26, where verify-wdvv's
-# blocks stop paying; verify-metric's largest is the weighted (n x M) members, about 2 n^3 floats), a
-# verify-susy call max(1, _WDVV_BLOCK // n^4), the commuting form's n^4 floats a point, a family
-# verify-associativity call max(1, _WDVV_BLOCK // n^2), the M ~ 2 n^2 weights and pairings a point, and a
-# verify-restriction call max(1, _WDVV_BLOCK // (n^2 max(M', N))), the structure constants' n^2 M' a point
+# the floats a block of points may hold in its largest per-point array, which each driver states (see _block)
 _WDVV_BLOCK = 2**15
 # the family document's fields, in order: BCnParameters' init fields
 _FAMILY_FIELDS = tuple(f.name for f in fields(BCnParameters) if f.init)
@@ -323,49 +316,36 @@ def _check_result(name: str, values, points, tolerance: float) -> CheckResult:
     return CheckResult(name, mx, float(values.sum() / values.size), point, mx < tolerance)  # np.mean's float64 path
 
 
-def _sampled(report: VerificationReport, config: Configuration, residuals, block: int = 1, draw=None) -> None:
+def _sampled(report: VerificationReport, config: Configuration, residuals, block: int, draw=None) -> None:
     """Append the checks of ``residuals``, evaluated at ``samples`` accepted points.
 
     The points are one ``admissible_points`` stream of ``fully_active(config)``
     whose generator is keyed by "<command>/points".  ``residuals(x, active, draws)``
     reads (A, c, z), z the sampler's product at ``config.active_rows``, and the points'
-    draws, and returns {check name: residual or residuals}, unreduced: here is the one
+    draws, and returns ({check name: residuals}, refusals), unreduced: here is the one
     place where a check's residuals are reduced, over every point's.  The function takes
     no generator: for a driver that declares a per-point ``draw`` shape, ``draws`` is one
     ``standard_normal((b, *draw))`` per block of b points from a second generator, keyed by
     "<command>/draws", so the k-th point drawn, a discarded one too, has the k-th draw and
     neither stream depends on the block; for a driver that declares none, ``draws`` is None.
 
-    A point where it raises SingularMatrixError (a metric or pivot that fails ``wdvv.usable_pivots``,
-    or a family's diagonal B with a zero entry, ``wdvv.arrow_residuals``) is counted in
-    ``discarded_points`` and replaced, the one discard rule; the discard past the cap ends the run
-    with a SamplingError that gives the count and the last discard's own text.  Any other error
-    propagates.  Checks are reported in key order, and a check that received no residual is left
-    out of the report.  Every call takes a block: up to ``block`` points still needed, asked of the
-    sampler in one request, x (b, n) and z (b, M) with b >= 1, each residual with that leading axis,
-    and the draws (b, *draw).  A family's ``verify-wdvv``, ``verify-metric``, ``verify-susy``,
-    ``verify-associativity`` and ``verify-restriction`` take more than 1, and an explicit document's
-    ``verify-wdvv`` and ``verify-associativity``, which judge a pivot or metric point by point, take 1.
-    A block of more than one point whose call raises the package's error or numpy's LinAlgError is
-    evaluated again as blocks of one, ``xs[k:k+1]``, so the discard rule, the cap and the first error
-    stay per point; a block of one is evaluated once, and its error is the point's own.  Any other
-    error propagates, so a block path that always raises fails the run.  A sampler that returns
-    fewer points than asked has a point out of attempts next: its SamplingError is raised at the
-    next request, after the points before it are evaluated.
+    Every call takes a block: up to ``block`` points still needed, asked of the sampler in one
+    request, x (b, n) and z (b, M) with b >= 1, each residual with that leading axis, and the draws
+    (b, *draw).  ``refusals`` is None where the route refuses no point, else one entry a point: None,
+    or the text of its refusal (a metric or pivot that fails ``wdvv.usable_pivots``, or a family's
+    diagonal B with a zero entry, ``wdvv.arrow_residuals``).  Each refused point is counted in
+    ``discarded_points``, in stream order, and replaced, the one discard rule; the discard past the
+    cap ends the run with a SamplingError that gives the count and that discard's own text.  The
+    other points' residuals are filed, and any error a call raises propagates.  Checks are reported
+    in key order, and a check that received no residual is left out of the report.  A sampler that
+    returns fewer points than asked has a point out of attempts next: its SamplingError is raised
+    at the next request, after the points before it are evaluated.
     """
     spec = report.run
     take = admissible_points(rng_for(spec.seed, f"{spec.command}/points"), fully_active(config), spec.box,
                              spec.threshold)
     draws = None if draw is None else rng_for(spec.seed, f"{spec.command}/draws")
     collected: dict[str, tuple[list, list]] = {}  # check name: (its residuals, the point of each)
-
-    def file(xs, values) -> int:  # files the accepted points xs' residuals, each with a leading point axis
-        for name, value in values.items():
-            vals, pts = collected.setdefault(name, ([], []))
-            vals.append(np.ravel(value))  # point by point: C order along the leading axis
-            for x in xs:
-                pts += [x] * (vals[-1].size // len(xs))
-        return len(xs)
 
     accepted = 0
     while accepted < spec.samples:
@@ -375,24 +355,21 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
         # fresh C-ordered arrays: z's active columns, selected, would be laid out column by column,
         # and a kernel's last bits follow its operands' layout
         xs, zs = np.array(xs), np.array(zs if rows is None else zs[:, rows], order="C")
-        ds = None if draws is None else draws.standard_normal((len(xs), *draw))
-        spans = [(0, len(xs))]  # the block, then each of its points if the block's call raises
-        while spans:
-            lo, hi = spans.pop(0)
-            try:
-                values = residuals(xs[lo:hi], (A, c, zs[lo:hi]), None if ds is None else ds[lo:hi])
-            except (TrigWdvvError, np.linalg.LinAlgError) as exc:
-                if hi - lo > 1:  # a discard or an error: each point meets it alone
-                    spans = [(i, i + 1) for i in range(lo, hi)]
-                elif isinstance(exc, SingularMatrixError):  # a point's own refusal is its discard
-                    report.discarded_points += 1
-                    if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
-                        raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: "
-                                            f"{report.discarded_points} had an unusable pivot, the last: {exc}") from None
-                else:
-                    raise
-            else:
-                accepted += file(xs[lo:hi], values)
+        values, refusals = residuals(xs, (A, c, zs), None if draws is None else draws.standard_normal((len(xs), *draw)))
+        for why in filter(None, refusals or ()):  # a refused point is a discard
+            report.discarded_points += 1
+            if report.discarded_points > MAX_ATTEMPTS_PER_POINT:
+                raise SamplingError(f"more than {MAX_ATTEMPTS_PER_POINT} sample points were discarded: "
+                                    f"{report.discarded_points} had an unusable pivot, the last: {why}")
+        kept = np.array([why is None for why in refusals]) if any(refusals or ()) else slice(None)
+        taken = xs[kept]
+        for name, value in values.items():  # each kept point's residuals, in C order along the leading axis
+            vals, pts = collected.setdefault(name, ([], []))
+            per_point = np.reshape(value, (len(xs), np.size(value) // len(xs)))[kept]
+            vals.append(per_point.ravel())
+            for x in taken:
+                pts += [x] * per_point.shape[1]
+        accepted += len(taken)
     report.checks.extend(
         _check_result(name, np.concatenate(vals), pts, spec.tolerance)
         for name, (vals, pts) in collected.items()
@@ -402,6 +379,12 @@ def _sampled(report: VerificationReport, config: Configuration, residuals, block
 
 # ---------------------------------------------------------------------------
 # command drivers
+
+
+def _block(per_point: int) -> int:
+    """The most points one residual call takes: as many as fit in _WDVV_BLOCK floats of the driver's
+    largest per-point array, of ``per_point`` floats, and at least one."""
+    return max(1, _WDVV_BLOCK // per_point)
 
 
 def _run_wdvv(spec: RunSpec, parsed):
@@ -416,28 +399,33 @@ def _run_wdvv(spec: RunSpec, parsed):
     _require_spanning(config, spec.command, family)
     # WDVV on one invertible pivot in the span of the slices F_k implies it on every other
     # (Marshakov-Mironov-Morozov 1996): one check per point
-    if family:  # arrow slices and a diagonal B: the check at diag(B), with no condition cap
+    if family:  # arrow slices and a diagonal B: the check at diag(B), with no condition cap; the kernel's
+        # slice stack holds n^3 floats a point, so a call takes one point from n = 26
 
         def residuals(x, active, draws):
-            return {"wdvv_residual": arrow_residuals(active, x)[0]}
+            (scaled, _, _), refusals = arrow_residuals(active, x)
+            return {"wdvv_residual": scaled}, refusals
 
-        return {}, config, residuals, max(1, _WDVV_BLOCK // n**3), None
+        return {}, config, residuals, _block(n**3), None
 
     eta = rng_for(spec.seed, "verify-wdvv/pivot").standard_normal(n)
 
-    def residuals(x, active, draws):  # one point a call: T is (1, n, n, n)
+    def residuals(x, active, draws):
         T = tensor_generic(active)
+        eta_F = (eta @ T.reshape(len(x), n, n * n)).reshape(len(x), n, n)
         # at the better-conditioned of B and eta.F, and a discard only where neither is usable
-        candidates = [*metric_B(active, x), (eta @ T.reshape(n, n * n)).reshape(n, n)]
-        return {"wdvv_residual": pivot_residuals(T, candidates)[0]}
+        (scaled, _, _), refusals = pivot_residuals(T, np.stack([metric_B(active, x), eta_F], axis=1))
+        return {"wdvv_residual": scaled}, refusals
 
-    return {}, config, residuals, 1, None
+    # the commutator product F_i P^{-1} F_j holds n^4 floats a point, the weighted (n x M) members n M
+    return {}, config, residuals, _block(n * max(n**3, len(config.active_members[1]))), None
 
 
 def _run_associativity(spec: RunSpec, parsed):
     config = _config_of(parsed)
     n = config.dimension
-    # the metric that raises indices, chosen once per run; raise_index_at(x, active) returns y -> G^{-1} y
+    # the metric that raises indices, chosen once per run; raise_index_at(x, active) returns the points'
+    # refusals and y -> G^{-1} y
     if isinstance(parsed, BCnParameters):  # the family's metric diag(m)
         m = parsed.m_array
         if not m.all():
@@ -445,36 +433,36 @@ def _run_associativity(spec: RunSpec, parsed):
                 f"{spec.command} raises indices with diag(m), which needs every m_i != 0, got m = {parsed.m}")
 
         def raise_index_at(x, active):
-            return lambda y: y / m
+            return None, lambda y: y / m
 
-        # the largest per-point arrays are the M ~ 2 n^2 weights and pairings
-        block = max(1, _WDVV_BLOCK // n**2)
+        per_point = n**2  # the M ~ 2 n^2 weights and pairings
     else:  # the metric B(x), judged point by point by verify-wdvv's usable-pivot rule
         _require_spanning(config, spec.command, family=False)
 
-        def raise_index_at(x, active):  # one point a call: B is (1, n, n)
-            B = metric_B(active, x)
-            usable_pivots(B)
-            return lambda y: np.linalg.solve(B, y[..., None])[..., 0]
+        def raise_index_at(x, active):  # a refused B is never factorised: the identity stands in
+            B, _, _, refusals = usable_pivots(metric_B(active, x)[:, None])
+            return refusals, lambda y: np.linalg.solve(B, y[..., None])[..., 0]
 
-        block = 1
+        per_point = n * max(n, len(config.active_members[1]))  # B's weighted (n x M) members
 
     def residuals(x, active, draws):
         u, v, w = draws.swapaxes(0, -2)  # a point's (3, n) draw: the numbers of three draws of n
-        return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index_at(x, active))}
+        refusals, raise_index = raise_index_at(x, active)
+        return {"associativity_residual": algebra.associativity_residual(active, u, v, w, raise_index)}, refusals
 
-    return {}, config, residuals, block, (3, n)
+    return {}, config, residuals, _block(per_point), (3, n)
 
 
 def _run_metric(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     config = build_bcn(params)
 
-    def residuals(x, active, draws):  # B from the members, with no tensor: about 2 n^3 floats a point
+    def residuals(x, active, draws):
         off, diag = metric_identity_residuals(params, active, x)
-        return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}
+        return {"metric_offdiagonal": off, "metric_diagonal_identity": diag}, None
 
-    return {}, config, residuals, max(1, _WDVV_BLOCK // params.n**3), None
+    # B from the weighted (n x M) members, with no tensor: about 2 n^3 floats a point
+    return {}, config, residuals, _block(params.n**3), None
 
 
 def _run_restriction(spec: RunSpec, parsed):
@@ -499,10 +487,11 @@ def _run_restriction(spec: RunSpec, parsed):
             "tangency_residual": algebra.tangency_residuals(restriction, outside, u, v),
             # each point's two parts side by side, in the order one point's (off, diag) is filed
             "h_b_decomposition": np.stack(metric_identity_residuals(restriction.params, active, xt), axis=-1),
-        }
+        }, None
 
-    per_point = part.n**2 * max(len(restriction.outside_active[1]), part.N)  # see _WDVV_BLOCK
-    return {"restriction_config_match": dev}, projected, residuals, max(1, _WDVV_BLOCK // per_point), (2, part.n)
+    # the structure constants' n^2 M' products a point, M' the active members outside the block subsystem
+    per_point = part.n**2 * max(len(restriction.outside_active[1]), part.N)
+    return {"restriction_config_match": dev}, projected, residuals, _block(per_point), (2, part.n)
 
 
 def _run_susy(spec: RunSpec, parsed):
@@ -514,7 +503,7 @@ def _run_susy(spec: RunSpec, parsed):
 
     def hat_residuals(xh, active, draws):
         T = tensor_generic(active)
-        commuting = pivot_residuals(T)[0]
+        commuting = pivot_residuals(T)[0][0]
         # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
         # compared with the closed form there; B^ = h I is B = h diag(m)
         x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq
@@ -525,16 +514,15 @@ def _run_susy(spec: RunSpec, parsed):
             # each point's two parts side by side, in the order one point's (off, diag) is filed
             "hat_metric_identity": np.stack(metric_identity_residuals(params, (A_base, *active[1:]), x), axis=-1),
             "gauge_residual": susy.gauge_residual(active),
-        }
+        }, None
 
     # the commuting form's G holds n^4 floats a point
-    return ({"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals,
-            max(1, _WDVV_BLOCK // params.n**4), None)
+    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, _block(params.n**4), None
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the
-# residual function for _sampled, the most points one call takes, the shape of the standard normal
-# draw _sampled makes for each point or None); run builds the report from these
+# residual function for _sampled, the most points one call takes by the one rule _block, the shape of
+# the standard normal draw _sampled makes for each point or None); run builds the report from these
 VERIFIERS = {
     "verify-wdvv": _run_wdvv,
     "verify-associativity": _run_associativity,

@@ -25,11 +25,6 @@ class SingularityError(TrigWdvvError, ArithmeticError):
     """Evaluation point too close to a hyperplane (alpha, x) = 0 of the configuration."""
 
 
-class SingularMatrixError(TrigWdvvError, ArithmeticError):
-    """A pivot matrix is unusable: its condition number is above wdvv.CONDITION_CAP, or a
-    family's diagonal pivot B has a zero entry (wdvv.arrow_residuals)."""
-
-
 class ConfigFormatError(TrigWdvvError, ValueError):
     """Configuration document is malformed or missing required fields."""
 

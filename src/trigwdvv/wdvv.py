@@ -28,90 +28,102 @@ from __future__ import annotations
 import numpy as np
 
 from .configurations import _upper_pairs
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 
-# A pivot whose spectral condition number is above this is unusable:
-# usable_pivots refuses a stack of candidates none of which is usable, and the
-# verifiers' sampling loop (cli._sampled) discards and resamples the point,
-# since near-singular pivots produce meaningless residuals, not counterexamples.
+# A pivot whose spectral condition number is above this is unusable: usable_pivots refuses a point none
+# of whose candidates is usable, and the verifiers' sampling loop (cli._sampled) discards and resamples
+# it, since near-singular pivots produce meaningless residuals, not counterexamples.
 CONDITION_CAP = 1e8
 
 
-def usable_pivots(pivots) -> tuple[int, np.ndarray, float]:
-    """(k, singular values, condition number) of the best-conditioned of a (p, n, n) stack of symmetric pivots.
+def _refusals(refused, text):
+    """Each point's refusal, None where ``refused`` is False, else ``text(index)``, as nested lists of its
+    shape: a block's is a list of b, and a lone point's, of shape (), is its own None or text."""
+    out = np.full(np.shape(refused), None, dtype=object)
+    if refused.any():
+        for index in map(tuple, np.argwhere(refused)):
+            out[index] = text(index)
+    return out.tolist()
 
-    The usable-pivot rule, the only one in the package: a non-finite candidate
-    raises DomainError naming it; otherwise the candidate k of smallest spectral
-    condition number (+inf when its smallest singular value is 0), the first one
-    on a tie, is chosen, and SingularMatrixError is raised when even it is above
-    CONDITION_CAP.  Its singular values come largest first: its |eigenvalues|
-    from one ``eigvalsh`` of the stack, which reads the lower triangles only,
-    since every pivot the package forms (B(x), eta.F) is symmetric.
+
+def usable_pivots(pivots) -> tuple:
+    """(pivot, singular values, condition number, refusal) of each point's best candidate in a (..., p, n, n) stack.
+
+    The usable-pivot rule, the only one in the package: a non-finite candidate raises DomainError naming
+    it (in a block, the first of the first point that has one); otherwise each point's candidate k of
+    smallest spectral condition number (+inf when its smallest singular value is 0), the first one on a
+    tie, is chosen, and its refusal is None, or "pivot k has condition number ... above 1e+08" when even
+    it is above CONDITION_CAP.  A refused point is data, not an error: its pivot and singular values are
+    the identity's, so that a caller factorises the whole block and drops that point.  The singular
+    values come largest first, the |eigenvalues| from one ``eigvalsh`` of the stack, which reads the lower
+    triangles only, since every pivot the package forms (B(x), eta.F) is symmetric.  The leading axes
+    (...) are those of every output, each point's bits as alone.
     """
     P = np.asarray(pivots, dtype=float)
-    finite = np.isfinite(P).all(axis=(1, 2))
+    finite = np.isfinite(P).all(axis=(-2, -1))
     if not finite.all():
-        raise DomainError(f"pivot {int(finite.argmin())} is not finite")
-    sv = np.sort(np.abs(np.linalg.eigvalsh(P)), axis=1)[:, ::-1]
-    condition = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf), where=sv[:, -1] != 0.0)
-    k = int(condition.argmin())
-    if condition[k] > CONDITION_CAP:
-        raise SingularMatrixError(f"pivot {k} has condition number {condition[k]:.3e} above {CONDITION_CAP:g}")
-    return k, sv[k], float(condition[k])
+        raise DomainError(f"pivot {int(finite.argmin()) % P.shape[-3]} is not finite")
+    sv = np.sort(np.abs(np.linalg.eigvalsh(P)), axis=-1)[..., ::-1]
+    conditions = np.divide(sv[..., 0], sv[..., -1], out=np.full(sv.shape[:-1], np.inf), where=sv[..., -1] != 0.0)
+    k, condition = conditions.argmin(axis=-1), conditions.min(axis=-1)
+    chosen = np.arange(k.size), k.ravel()  # each point's candidate in the flattened stack
+    pivot = P.reshape(-1, *P.shape[-3:])[chosen].reshape(P.shape[:-3] + P.shape[-2:])
+    sv = sv.reshape(-1, *sv.shape[-2:])[chosen].reshape(sv.shape[:-2] + sv.shape[-1:])
+    refused = condition > CONDITION_CAP
+    if refused.any():
+        pivot[refused], sv[refused] = np.eye(P.shape[-1]), 1.0
+    text = "pivot {} has condition number {:.3e} above {:g}"
+    return pivot, sv, condition, _refusals(refused, lambda p: text.format(k[p], condition[p], CONDITION_CAP))
 
 
-def pivot_residuals(tensor: np.ndarray, pivots=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(scaled, raw, condition) of F_i P^{-1} F_j - F_j P^{-1} F_i at one pivot P.
+def pivot_residuals(tensor, pivots=None) -> tuple[tuple, list | str | None]:
+    """((scaled, raw, condition), refusals) of F_i P^{-1} F_j - F_j P^{-1} F_i at one pivot P a point.
 
-    ``pivots`` is a (p, n, n) stack of candidates, of which ``usable_pivots``
-    chooses P: ``B[None]`` for the metric alone, ``[B, eta.F]`` for an explicit ``verify-wdvv``,
-    or None for P = identity.  The last axis of ``raw`` and ``scaled`` runs over the pairs i < j
-    in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is the max-abs entry of the
-    commutator-like matrix of the k-th pair (i, j) and ``scaled[k]`` is
-    raw / (||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm, 0 where F_i or F_j
-    is zero; ``condition`` is P's spectral condition number (1 for the
-    identity).  A non-finite tensor raises DomainError, and the candidates pass
-    ``usable_pivots``, both before any solve.
+    ``pivots`` is a (..., p, n, n) stack of candidates, of which ``usable_pivots`` chooses each point's P
+    and refusal: ``B[None]`` for the metric alone, ``[B, eta.F]`` a point for an explicit
+    ``verify-wdvv``, or None for P = identity, which refuses nothing (refusals None).  The last axis of
+    ``raw`` and ``scaled`` runs over the pairs i < j in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is the
+    max-abs entry of the commutator-like matrix of the k-th pair (i, j) and ``scaled[k]`` is
+    raw / (||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm, 0 where F_i or F_j is zero; ``condition`` is
+    P's spectral condition number (1 for the identity).  A non-finite tensor raises DomainError, and the
+    candidates pass ``usable_pivots``, both before any solve.
 
-    The slices F_i are symmetric, and the norms ||F_i|| are their largest
-    |eigenvalues|, from one ``eigvalsh`` of the tensor's lower triangles.  P is
-    factorized once, against all n^2 columns of the tensor, and one matmul gives
-    every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j are gathered once,
-    since M_ji = -M_ij.  A tensor of shape (..., n, n, n) gives ``raw`` and ``scaled`` of shape
-    (..., n(n-1)/2), each point's bits as alone, from one ``eigvalsh`` and one stacked matmul; a
-    candidate stack serves the tensors of one point.
+    The slices F_i are symmetric, and the norms ||F_i|| are their largest |eigenvalues|, from one
+    ``eigvalsh`` of the tensor's lower triangles.  P is factorized once, against all n^2 columns of the
+    tensor, and one matmul gives every F_i P^{-1} F_j; of its n^4 entries, the pairs i < j are gathered
+    once, since M_ji = -M_ij.  A tensor of shape (..., n, n, n) gives ``raw`` and ``scaled`` of shape
+    (..., n(n-1)/2), each point's bits as alone, from one ``eigvalsh``, one stacked ``solve`` and one
+    stacked matmul; a lone candidate stack serves every tensor.
     """
     T = np.asarray(tensor, dtype=float)
     if not np.isfinite(T).all():
         raise DomainError("the tensor is not finite")
     n = T.shape[-1]
     X = T.swapaxes(-3, -2).reshape(*T.shape[:-3], n, n * n)  # X[..., a, (j, b)] = F_j[a, b]
-    condition = inv_norm = 1.0
-    if pivots is not None:
-        P = np.asarray(pivots, dtype=float)
-        k, sv, condition = usable_pivots(P)
-        inv_norm = 1.0 / sv[-1]
-        X = np.linalg.solve(P[k], X)  # X[..., (j, b)] = P^{-1} F_j: one LU
-    norms = np.abs(np.linalg.eigvalsh(T)).max(-1)
     i, j = _upper_pairs(n)
+    norms = np.abs(np.linalg.eigvalsh(T)).max(-1)
+    scale, condition, refusals = norms[..., i] * norms[..., j], 1.0, None
+    if pivots is not None:
+        P, sv, condition, refusals = usable_pivots(pivots)
+        scale = scale * (1.0 / sv[..., -1])[..., None]  # times ||P^{-1}||
+        X = np.linalg.solve(P, X)  # X[..., (j, b)] = P^{-1} F_j: one LU a point
     # G[..., i, j, a, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
     # flat T.reshape(n * n, n) @ X at n >= 16, which ran up to 6x slower on 2 vCPUs
     G = (T @ X[..., None, :, :]).reshape(T.shape + (n,)).swapaxes(-3, -2)
     M = G[..., i, j, :, :]  # M[..., pair, a, b] = M_ij[a, b] for the pairs i < j
     M -= G[..., j, i, :, :]
     raw = np.abs(M, out=M).max(axis=(-2, -1))
-    scale = norms[..., i] * norms[..., j] * inv_norm
     scaled = np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0)
-    return scaled, raw, condition
+    return (scaled, raw, condition), refusals
 
 
-def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """(scaled, raw, condition) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for a configuration of BC_n covectors.
+def arrow_residuals(active, x) -> tuple[tuple, list | str | None]:
+    """((scaled, raw, condition), refusals) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for BC_n covectors.
 
     ``active`` is ``active_pairings``' (A, c, z) at the point x, whose every member has at most two
     nonzero entries, so that F_ijk = 0 for distinct i, j, k; at the family's multiplicities B is
     diagonal too (its off-diagonal metric identity holds for every (r, s, q)), and only its
-    diagonal is read.  The output is ``pivot_residuals``' over the pairs i < j, at the pivot
+    diagonal is read.  The values are ``pivot_residuals``' over the pairs i < j, at the pivot
     diag(B).  V[i, k] = F_ikk comes from one (n x M)(M x n) GEMM over the members, and
     B_kk = (sinh 2x @ V)_k.  For b outside {i, j}
 
@@ -125,9 +137,11 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarr
     max|B_kk| / min|B_kk|.  No LU is taken and no condition cap applies: each entry is a sum of
     at most n + 3 terms, each bounded by ||D|| ||F_i|| ||F_j||, so the rounding in ``scaled``
     does not grow with the condition number.  A non-finite V raises DomainError, as does a
-    non-finite B ("pivot 0 is not finite", ``usable_pivots``' text), and a zero B_kk raises
-    SingularMatrixError.  x of shape (..., n) and z of (..., M) give each output those leading axes,
-    each point's bits as alone, or raise the error of a refused point among them, from one
+    non-finite B ("pivot 0 is not finite", ``usable_pivots``' text).  A point with a zero B_kk is
+    refused, "the diagonal pivot B has B_kk = 0 at k = ...", at its first zero: its condition number
+    is +inf, and its B is replaced by ones, so nothing divides by zero and its values, which the
+    caller drops, are finite.  x of shape (..., n) and z of (..., M) give each output and the
+    refusals (``usable_pivots``' form) those leading axes, each point's bits as alone, from one
     ``eigvalsh`` of every point's n slices.
     """
     A, c, z = active
@@ -140,8 +154,10 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarr
         raise DomainError("pivot 0 is not finite")
     absB = np.abs(B)
     lo, hi = absB.min(axis=-1, keepdims=True), absB.max(axis=-1, keepdims=True)
-    if not lo.all():  # named at the first zero of the first point that has one
-        raise SingularMatrixError(f"the diagonal pivot B has B_kk = 0 at k = {int((absB == 0.0).argmax()) % n}")
+    refused = lo[..., 0] == 0.0
+    refusals = _refusals(refused, lambda p: f"the diagonal pivot B has B_kk = 0 at k = {int(absB[p].argmin())}")
+    if refused.any():
+        B, lo, hi = (np.where(refused[..., None], fill, a) for fill, a in ((1.0, B), (1.0, lo), (np.inf, hi)))
     d, W = 1.0 / B, V.swapaxes(-1, -2)  # W[..., i, k] = V[..., k, i] = F_iik, the arms
     norms = _arrow_norms(V, W)
     dV, dW = V * d[..., None, :], d[..., None] * W  # dV[j, b] = d_b V[j, b], dW[i, b] = d_i V[b, i]
@@ -157,7 +173,7 @@ def arrow_residuals(active, x) -> tuple[np.ndarray, np.ndarray, float | np.ndarr
     i, j = _upper_pairs(n)
     raw = np.maximum(np.maximum(S[..., i, j], S[..., j, i]), np.abs(C[..., i, j]))
     scale = norms[..., i] * norms[..., j] / lo
-    return np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, hi[..., 0] / lo[..., 0]
+    return (np.divide(raw, scale, out=np.zeros_like(raw), where=scale > 0.0), raw, hi[..., 0] / lo[..., 0]), refusals
 
 
 def _arrow_norms(V: np.ndarray, W: np.ndarray) -> np.ndarray:

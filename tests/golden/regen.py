@@ -7,9 +7,9 @@ wrote, and a run that exits 2 as ``reports/<name>.err``, its one line
 "error: <type>: <text>".  A run that reads ``--config NAME`` gets the
 document ``DOCUMENTS[NAME]``, written to a scratch directory that is the
 working directory during the run.  ``MACHINE.json`` records where the corpus
-was written, the BLAS included, since a GEMM's bits depend on it;
-``tests/test_golden.py`` compares bytes there, and elsewhere only what does
-not depend on rounding.
+was written, the BLAS and the OpenBLAS kernel it runs included, since a GEMM's
+bits depend on both; ``tests/test_golden.py`` compares bytes there, and
+elsewhere only what does not depend on rounding.
 
 Regenerate the corpus (it removes the files of runs no longer in the table,
 and names on stderr each file whose bytes change, with every check whose
@@ -22,6 +22,7 @@ discard count or a verdict moved):
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -208,8 +209,26 @@ def blas() -> str | None:
     return f"{info['name']} {info['version']}"
 
 
+def blas_core() -> str | None:
+    """The kernel the OpenBLAS that numpy loaded runs on this CPU (e.g. "SkylakeX"), read through ctypes from
+    the library's ``scipy_openblas_get_corename64_`` or, in other builds, ``openblas_get_corename``; None
+    where no loaded library is an OpenBLAS with either, or the process map cannot be read (Linux only)."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                corename = getattr(library, name, None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    return corename().decode()
+    return None
+
+
 def machine() -> dict:
-    """What the bytes of a report depend on besides the program: numpy, its BLAS, its platform and the CPU."""
+    """What the bytes of a report depend on besides the program: numpy, its BLAS and the kernel it runs, its
+    platform and the CPU."""
     cpu = platform.processor()
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -217,6 +236,7 @@ def machine() -> dict:
     return {
         "numpy": np.__version__,
         "blas": blas(),
+        "blas_core": blas_core(),
         "python": platform.python_version(),
         "system": platform.system(),
         "machine": platform.machine(),

@@ -412,9 +412,9 @@ def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, f
     condition = inv_norm = 1.0
     if pivots is not None:
         P = np.asarray(pivots, dtype=float)
-        k, sv, condition = usable_pivots(P)
+        pivot, sv, condition, _ = usable_pivots(P)
         inv_norm = 1.0 / sv[-1]
-        X = np.linalg.solve(P[k], X)
+        X = np.linalg.solve(pivot, X)
     G = (T @ X).reshape(n, n, n, n)
     top = (G.transpose(0, 2, 1, 3) - G.transpose(2, 0, 1, 3)).max(axis=(2, 3))
     raw = np.maximum(top, top.T)

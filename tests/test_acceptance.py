@@ -179,7 +179,7 @@ def test_criterion_4_wdvv_theorems():
         for x in sample_points(rng, pattern, 50):
             active = active_pairings(config, x)
             T, B = tensor_generic(active), metric_B(active, x)
-            worst_pos = max(worst_pos, pivot_residuals(T, B[None])[0].max())
+            worst_pos = max(worst_pos, pivot_residuals(T, B[None])[0][0].max())
 
     # negative controls: perturbing the constraint by 0.5 breaks the equations.
     # In two dimensions the pair equation holds identically for every B built
@@ -199,7 +199,7 @@ def test_criterion_4_wdvv_theorems():
         for x in sample_points(rng, pattern, 50):
             active = active_pairings(config, x)
             T, B = tensor_generic(active), metric_B(active, x)
-            worst = max(pivot_residuals(T, P[None])[1].max() for P in (B, *T))
+            worst = max(pivot_residuals(T, P[None])[0][1].max() for P in (B, *T))
             total += 1
             if worst > 1e-3:
                 above += 1
@@ -215,7 +215,7 @@ def test_criterion_4_wdvv_theorems():
     for x in sample_points(rng, fully_active(config2), 50):
         active = active_pairings(config2, x)
         T, B = tensor_generic(active), metric_B(active, x)
-        worst_n2 = max(worst_n2, pivot_residuals(T, B[None])[0][0])
+        worst_n2 = max(worst_n2, pivot_residuals(T, B[None])[0][0][0])
 
     elapsed = time.perf_counter() - t0
     ok = worst_pos < 1e-8 and all(f >= 0.9 for f in frac_bad) and worst_n2 < 1e-8 and elapsed < 10.0
@@ -338,8 +338,8 @@ def test_criterion_6_susy_block():
     hat_bad = build_hat_configuration(p_bad).config
     rng = rng_for(SEED, "acceptance6/commuting")
     pts = sample_points(rng, fully_active(hat_ok), 50)
-    worst_comm = max(pivot_residuals(tensor_generic(active_pairings(hat_ok, x)))[0][0] for x in pts)
-    broken_raw = np.median([pivot_residuals(tensor_generic(active_pairings(hat_bad, x)))[1][0] for x in pts])
+    worst_comm = max(pivot_residuals(tensor_generic(active_pairings(hat_ok, x)))[0][0][0] for x in pts)
+    broken_raw = np.median([pivot_residuals(tensor_generic(active_pairings(hat_bad, x)))[0][1][0] for x in pts])
 
     # four-fermion term against the literal eight-index oracle
     worst_phi = 0.0

@@ -543,7 +543,7 @@ class TestStructureConstants:
         rctx = RestrictionContext(-20.0, 1.0, 2.0, part)
         Ft = tensor_generic(active_pairings(rctx.projected_config, xt))
         H = np.diag(rctx.m)
-        assert pivot_residuals(Ft, H[None])[0][0] < 1e-12
+        assert pivot_residuals(Ft, H[None])[0][0][0] < 1e-12
 
 
 class TestHBDecomposition:

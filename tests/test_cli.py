@@ -33,7 +33,6 @@ from trigwdvv.errors import (
     ParameterError,
     PreconditionError,
     SamplingError,
-    SingularMatrixError,
 )
 from trigwdvv.prepotential import DEFAULT_THRESHOLD, active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import fully_active, rng_for
@@ -578,7 +577,7 @@ def test_eta_is_drawn_once_per_run_from_its_own_stream():
         active = active_pairings(config, x, spec.threshold)
         T = tensor_generic(active)
         better = min((metric_B(active, x), np.tensordot(eta, T, axes=1)), key=np.linalg.cond)
-        residuals.append(wdvv.pivot_residuals(T, better[None])[0])
+        residuals.append(wdvv.pivot_residuals(T, better[None])[0][0])
     assert report.discarded_points == 0
     assert [(c.name, c.max_residual) for c in report.checks] == [("wdvv_residual", float(np.max(residuals)))]
 
@@ -780,7 +779,8 @@ def test_a_run_examines_its_sampling_pattern_once(monkeypatch, command, source, 
 
 def _sampled_into(report, per_point, points):
     """Run ``_sampled`` into ``report`` with one residual dict per point, appending each
-    point to ``points``; an exception in ``per_point`` is raised at its point instead."""
+    point to ``points``; a text in ``per_point`` refuses its point, with values that would
+    fail every check were they filed, and an exception is raised at its point instead."""
 
     def residuals(x, active, draws):
         (point,) = x  # one point a call, as a block of one
@@ -788,9 +788,11 @@ def _sampled_into(report, per_point, points):
         value = per_point[len(points) - 1]
         if isinstance(value, Exception):
             raise value
-        return value
+        if isinstance(value, str):
+            return {"a": math.inf, "b": math.nan}, [value]
+        return value, None
 
-    _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals)
+    _sampled(report, build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))), residuals, 1)
 
 
 def _sampled_checks(per_point):
@@ -847,9 +849,9 @@ def test_sampled_pairings_are_active_pairings_bit_for_bit(config):
     def residuals(x, active, draws):
         (point,), (A, c, (z,)) = x, active  # one point a call, as a block of one
         got.append((point, (A, c, z)))
-        return {}
+        return {}, None
 
-    _sampled(VerificationReport(run=spec), config, residuals)
+    _sampled(VerificationReport(run=spec), config, residuals, 1)
     assert len(got) == 20
     for x, (A, c, z) in got:
         A_want, c_want, z_want = active_pairings(config, x, spec.threshold)
@@ -857,12 +859,11 @@ def test_sampled_pairings_are_active_pairings_bit_for_bit(config):
         assert z.shape == z_want.shape == (len(c),) and z.tobytes() == z_want.tobytes()
 
 
-def test_a_singular_matrix_error_discards_the_point_and_nothing_else_does():
-    # the one discard rule: a residual function that raises SingularMatrixError
-    # (the usable-pivot rule's refusal) has its point counted and replaced, and
-    # no residual of that point reaches a check
+def test_a_refused_point_is_discarded_and_nothing_else_is():
+    # the one discard rule: a point whose refusal the residual function returns (the usable-pivot
+    # rule's) has its point counted and replaced, and no residual of that point reaches a check
     accepted = [{"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 1.0}, {"a": 2.0, "b": 4.0}]
-    refused = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+    refused = "pivot 0 has condition number inf above 1e+08"
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=3))
     points = []
     _sampled_into(report, [accepted[0], refused, accepted[1], refused, accepted[2]], points)
@@ -1349,7 +1350,7 @@ def test_a_family_rank_is_the_matrix_rank_of_its_members():
 def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
     # a residual function that refuses every point: the run ends after the cap's
     # 10,000 discards with a SamplingError that gives the count, and reports no check
-    refused = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+    refused = "pivot 0 has condition number inf above 1e+08"
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=1))
     points = []
     with pytest.raises(SamplingError, match="^more than 10000 sample points were discarded: 10001 had an unusable "
@@ -1360,10 +1361,11 @@ def test_the_discard_cap_ends_a_run_whose_every_point_is_unusable():
 
 
 def _sampled_in_blocks(per_point, samples, block, calls=None):
-    """``_sampled``'s report with one residual dict (or exception) per point in draw order, from a
-    residual function that takes blocks: a block's call raises its first point's exception, else
-    returns each residual stacked.  Each call's point indices go to ``calls``; the report and the
-    error raised, or None, are returned."""
+    """``_sampled``'s report with one residual dict, refusal text or exception per point in draw order,
+    from a residual function that takes blocks: a block's call raises its first point's exception,
+    else returns each residual stacked, a refused point's as values that would fail every check were
+    they filed, and each point's refusal.  Each call's point indices go to ``calls``; the report and
+    the error raised, or None, are returned."""
     drawn = {}
     calls = [] if calls is None else calls
 
@@ -1375,7 +1377,9 @@ def _sampled_in_blocks(per_point, samples, block, calls=None):
         for value in values:
             if isinstance(value, Exception):
                 raise value
-        return {name: np.stack([v[name] for v in values]) for name in values[0]} if len(x) > 1 else values[0]
+        refusals = [v if isinstance(v, str) else None for v in values]
+        values = [_UNFILED if isinstance(v, str) else v for v in values]
+        return {name: np.stack([v[name] for v in values]) for name in values[0]}, refusals
 
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=samples))
     try:
@@ -1389,7 +1393,8 @@ def _outcome(report, error):
     return dumps_17g(report.to_json_dict()), report.discarded_points, repr(error)
 
 
-_REFUSED = SingularMatrixError("pivot 0 has condition number inf above 1e+08")
+_REFUSED = "pivot 0 has condition number inf above 1e+08"
+_UNFILED = {"a": np.array([math.inf, math.nan]), "b": math.inf}
 
 
 def _per_point(count, refused=(), errors=()):
@@ -1405,25 +1410,29 @@ def _per_point(count, refused=(), errors=()):
 
 @pytest.mark.parametrize("block", [2, 3, 4, 6, 50])
 def test_a_discard_inside_a_block_is_the_point_by_point_discard(block):
-    # a block holding a refused point is evaluated again point by point: the same discards, the
-    # same replacement points, worst points and means as one point per call
+    # a block holding a refused point files its other points and counts the refused one, with no
+    # second evaluation: the same discards, the same replacement points, worst points and means as
+    # one point per call, and each point evaluated once
     per_point = _per_point(12, refused=(1, 4, 5, 8))
     calls = []
     want = _outcome(*_sampled_in_blocks(per_point, 6, 1))
     assert _outcome(*_sampled_in_blocks(per_point, 6, block, calls)) == want
     assert want[1] == 4 and '"worst_point":[' in want[0]
-    assert calls[0] == list(range(min(block, 6)))  # a block, then its points one at a time
-    assert calls[1:3] == [0, 1]
+    evaluated = [k for call in calls for k in np.ravel(call)]
+    assert evaluated == list(range(len(evaluated)))  # each point once, in stream order
+    assert calls[0] == list(range(min(block, 6)))
 
 
-@pytest.mark.parametrize("block", [2, 3, 5, 8])
-def test_an_error_inside_a_block_is_the_point_by_point_error(block):
-    # a DomainError at the fourth point: the same error, with only the discard before it counted
+@pytest.mark.parametrize("block, discarded", [(1, 1), (2, 1), (3, 1), (5, 0), (8, 0)])
+def test_an_error_inside_a_block_is_the_point_by_point_error(block, discarded):
+    # a DomainError at the fourth point: the block's call raises it, as the point alone does, and the
+    # run ends with no check; the discard at the second point is counted only where its block was
+    # filed before the error's (blocks of 1, 2 or 3), so the count at exit 2 depends on the block
     per_point = _per_point(8, refused=(1,), errors=(3,))
     report, error = _sampled_in_blocks(per_point, 6, block)
-    assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 6, 1))
+    assert repr(error) == repr(_sampled_in_blocks(per_point, 6, 1)[1])
     assert isinstance(error, DomainError) and str(error) == "pivot 0 is not finite"
-    assert report.discarded_points == 1 and report.checks == []
+    assert report.discarded_points == discarded and report.checks == []
 
 
 @pytest.mark.parametrize("block", [2, 3])
@@ -1465,15 +1474,19 @@ def _failing_after(count):
 )
 def test_a_sampling_error_while_a_block_is_drawn_comes_after_its_points(monkeypatch, block, count, refused, errors):
     # the stream fails after `count` points, inside a block: the points drawn before it are evaluated
-    # first, so a discard is counted and an earlier error wins, as one point per call has it
+    # first, so a discard is counted and an earlier error wins, as one point per call has it; an error's
+    # block ends the run before its own discards are counted (the error-first case at blocks of 4 and 6)
     monkeypatch.setattr(cli, "admissible_points", _failing_after(count))
     per_point = _per_point(8, refused=refused, errors=errors)
     calls = []
     report, error = _sampled_in_blocks(per_point, 6, block, calls)
     one_calls = []
-    assert _outcome(report, error) == _outcome(*_sampled_in_blocks(per_point, 6, 1, one_calls))
+    one_report, one_error = _sampled_in_blocks(per_point, 6, 1, one_calls)
+    if not errors:
+        assert _outcome(report, error) == _outcome(one_report, one_error)
+    assert repr(error) == repr(one_error)
     assert type(error) is (DomainError if errors else SamplingError)
-    assert report.discarded_points == len(refused) and report.checks == []
+    assert report.discarded_points == (len(refused) if not errors or block == 2 else 0) and report.checks == []
     assert one_calls == list(range(min(count, 4 if errors else count)))
     assert set(one_calls) <= {k for c in calls for k in np.ravel(c)}
 
@@ -1489,20 +1502,20 @@ def test_the_discard_cap_comes_before_a_stream_failure_on_the_next_draw(monkeypa
     assert report.discarded_points == 10_001 and report.checks == []
 
 
-def test_a_block_that_raises_a_linalg_error_goes_point_by_point():
-    # numpy's LinAlgError, like the package's errors, is one a point can raise alone: each point of
-    # the block meets it alone, and here none does, so the report is that of one point per call
+def test_a_block_that_raises_a_linalg_error_ends_the_run():
+    # numpy's LinAlgError, like the package's errors and any other, propagates from the block's call:
+    # no point is evaluated again alone, and the run reports no check
+    calls = []
+
     def residuals(x, active, draws):
-        if len(x) > 1:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return {"a": float(x.sum())}
+        calls.append(x.shape)
+        raise np.linalg.LinAlgError("SVD did not converge")
 
     config = build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0)))
-    reports = []
-    for block in (4, 1):
-        reports.append(VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=4)))
-        _sampled(reports[-1], config, residuals, block)
-    assert dumps_17g(reports[0].to_json_dict()) == dumps_17g(reports[1].to_json_dict())
+    report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=4))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _sampled(report, config, residuals, 4)
+    assert calls == [(4, 2)] and report.checks == [] and report.discarded_points == 0
 
 
 def test_a_block_that_raises_any_other_error_ends_the_run():
@@ -1514,7 +1527,7 @@ def test_a_block_that_raises_any_other_error_ends_the_run():
         calls.append(x.shape)
         if len(x) > 1:
             x.reshape(x.shape[-1])
-        return {"a": 0.0}
+        return {"a": 0.0}, None
 
     config = build_bcn(BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0)))
     report = VerificationReport(run=RunSpec(command="verify-wdvv", config_source={}, samples=4))
@@ -1524,9 +1537,8 @@ def test_a_block_that_raises_any_other_error_ends_the_run():
 
 
 def test_a_residual_function_that_refuses_every_block_ends_the_run(monkeypatch, capsys):
-    # a kernel that takes one point only, as multiply does, raises DimensionError on every call:
-    # the block's points go again one at a time, each a block of one that meets the same error, so
-    # the run exits 2 rather than passing through a second, one-point path
+    # a kernel that takes one point only, as multiply does, raises DimensionError on every block:
+    # the first block's call ends the run with exit 2, and no point goes again alone
     real, shapes = algebra.associativity_residual, []
 
     def one_point_only(active, u, v, w, raise_index):
@@ -1541,7 +1553,7 @@ def test_a_residual_function_that_refuses_every_block_ends_the_run(monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: DimensionError: u, v must have shape (3,)\n"
-    assert shapes == [(2, 3), (1, 3)]
+    assert shapes == [(2, 3)]
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -1557,7 +1569,7 @@ def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
     def residuals(x, active, draws):
         assert draws.shape == (*x.shape[:-1], 2, 3)
         got.extend(zip(np.reshape(x, (-1, 3)), np.reshape(draws, (-1, 2, 3))))
-        return {}
+        return {}, None
 
     _sampled(VerificationReport(run=spec), config, residuals, block, (2, 3))
     points = sequential_admissible_points(rng_for(spec.seed, "verify-associativity/points"), fully_active(config),
@@ -1572,9 +1584,10 @@ def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
 
 def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
     # no residual function takes a generator: _sampled makes each point's draw, of the shape the
-    # driver declares, and a driver that draws nothing declares none; every call, a lone point's
-    # too, takes a block: x of shape (b, n), and z and the draws with the same leading length
-    declared = {}
+    # driver declares, and a driver that draws nothing declares none; every call takes a block, x of
+    # shape (b, n), and z and the draws with the same leading length, and returns its values with
+    # the points' refusals: one entry a point, or None on a route that refuses no point
+    declared, refusing = {}, {}
     family = _family(3, -20, 1, 2, (1, 2, 2))
     document = config_document(load_config_source(family))
     for command, source in [("verify-wdvv", family), ("verify-wdvv", document),
@@ -1592,13 +1605,23 @@ def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
             calls.append(x.shape)
             assert x.ndim == 2 and active[2].shape == (len(x), len(active[1]))
             assert (draws is None) if draw is None else (draws.shape == (len(x), *draw))
-            return residuals(x, active, draws)
+            values, refusals = residuals(x, active, draws)
+            refusing[command, "family" in source] = refusals
+            assert all(np.shape(v)[:1] == (len(x),) for v in values.values()), command
+            return values, refusals
 
         _sampled(VerificationReport(run=spec), config, recording, block, draw)
-        assert calls == ([(3, config.dimension)] if block > 1 else [(1, config.dimension)] * 3), command
+        assert calls == [(3, config.dimension)], command
+    assert refusing == {
+        ("verify-wdvv", True): [None] * 3, ("verify-wdvv", False): [None] * 3,
+        ("verify-associativity", True): None, ("verify-associativity", False): [None] * 3,
+        ("verify-metric", True): None, ("verify-restriction", True): None, ("verify-susy", True): None,
+    }
+    # the explicit routes: the commutator product's n^4 floats a point for verify-wdvv, and B's
+    # weighted (n x M) members, M = 12, for verify-associativity
     assert declared == {
-        ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (1, None),
-        ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (1, (3, 3)),
+        ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (404, None),
+        ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (910, (3, 3)),
         ("verify-metric", True): (1213, None), ("verify-restriction", True): (315, (2, 2)),
         ("verify-susy", True): (404, None),
     }
@@ -1735,8 +1758,8 @@ def test_a_metric_report_is_the_same_in_blocks(monkeypatch, source, options):
 
 
 # the golden verify-associativity families at r and at r + 1, and unit m at n = 12, whose runs at
-# --samples 300 make two calls (227 and 73 points); and the explicit documents, one point a call,
-# among them the q = 0 document in a wide box, where some points are discarded
+# --samples 300 make two calls (227 and 73 points); and the explicit documents, among them the q = 0
+# document in a wide box, where some points are discarded
 _ASSOCIATIVITY_REPORTS = {
     "m122": (_family(3, -20, 1, 2, (1, 2, 2)), {}),
     "m122-r+1": (_family(3, -19, 1, 2, (1, 2, 2)), {}),
@@ -1754,7 +1777,8 @@ _ASSOCIATIVITY_REPORTS = {
 @pytest.mark.parametrize("source, options", _ASSOCIATIVITY_REPORTS.values(), ids=_ASSOCIATIVITY_REPORTS)
 def test_an_associativity_report_is_the_same_in_blocks(monkeypatch, source, options):
     # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^2) points a call for a family
-    # and one for an explicit document, and at one point per call
+    # and max(1, 2^15 // (n M)) for an explicit document, and at one point per call; a refused point
+    # reaches the products, at the identity in place of its B, and its residual is dropped
     spec = RunSpec(command="verify-associativity", config_source=source, **options)
     family = "family" in source
     n = source["n"] if family else source["explicit"]["dimension"]
@@ -1768,13 +1792,61 @@ def test_an_associativity_report_is_the_same_in_blocks(monkeypatch, source, opti
     monkeypatch.setattr(algebra, "associativity_residual", recording)
     report = run(spec)
     blocked = dumps_17g(report.to_json_dict())
-    # a discarded point never reaches the products
-    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**2) if family else 1, n)
+    taken = spec.samples + report.discarded_points
+    if family:
+        assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**2), n)
+    else:  # a block of every point still needed, then the refused points' replacements
+        assert shapes[0] == (spec.samples, n) and sum(b for b, _ in shapes) == taken
     assert (report.discarded_points > 0) == ("box" in options)
     shapes.clear()
     monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^2) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
-    assert shapes == [(1, n)] * spec.samples
+    assert shapes == [(1, n)] * taken
+
+
+# explicit runs that discard inside a block: verify-wdvv on the build-config document of the theorem
+# family m = 1,1,2e8, which discards 6 points while taking 5, and verify-associativity on the q = 0
+# document in --box 0.3,12, which discards 6 while taking 50
+_EXPLICIT_DISCARDS = {
+    "wdvv-m-spread-document": ("verify-wdvv", M_SPREAD_DOCUMENT, {"samples": 5}),
+    "associativity-q0-document-wide-box": (
+        "verify-associativity", config_document(load_config_source(_family(3, -1, 1, 0, (1, 1, 1)))),
+        {"samples": 50, "box": (0.3, 12.0)}),
+}
+
+
+@pytest.mark.parametrize("command, source, options", _EXPLICIT_DISCARDS.values(), ids=_EXPLICIT_DISCARDS)
+def test_an_explicit_report_with_discards_is_the_same_in_blocks(monkeypatch, command, source, options):
+    # the whole report, byte for byte, at the block rule and forced to one point a call: the same
+    # discards, replacement points and draws; and, with the cap at 3 discards, the same cap text, which
+    # names the fourth refused point's condition number
+    spec = RunSpec(command=command, config_source=source, **options)
+    shapes, real = [], cli.metric_B
+
+    def recording(active, x):  # each explicit call forms B(x) once for its block
+        shapes.append(np.shape(x))
+        return real(active, x)
+
+    monkeypatch.setattr(cli, "metric_B", recording)
+    cap, outcomes = cli.MAX_ATTEMPTS_PER_POINT, []
+    for block_floats in (cli._WDVV_BLOCK, 0):  # the block rule, then max(1, 0 // ...) = 1
+        monkeypatch.setattr(cli, "_WDVV_BLOCK", block_floats)
+        monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", cap)
+        shapes.clear()
+        report = run(spec)
+        assert report.discarded_points == 6
+        calls = list(shapes)
+        monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 3)
+        with pytest.raises(SamplingError, match="^more than 3 sample points were discarded: 4 had an unusable "
+                                                "pivot, the last: pivot [01] has condition number ") as capped:
+            run(spec)
+        outcomes.append((dumps_17g(report.to_json_dict()), str(capped.value)))
+        if block_floats:
+            assert calls[0] == (spec.samples, 3) and sum(b for b, _ in calls) == spec.samples + 6
+            assert len(calls) < spec.samples + 6
+        else:
+            assert calls == [(1, 3)] * (spec.samples + 6)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_text_report_labels_discarded_points(capsys, tmp_path):

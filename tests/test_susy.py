@@ -492,7 +492,7 @@ def _block_outputs(p, hat, xhs):
     return {
         "tensor_generic": ((T,), lambda k: (tensor_generic(alone[k]),)),
         "tensor_generic-plain": ((tensor_generic(plain_active),), lambda k: (tensor_generic(plain_alone[k]),)),
-        "pivot_residuals": (pivot_residuals(T)[:2], lambda k: pivot_residuals(T[k])[:2]),
+        "pivot_residuals": (pivot_residuals(T)[0][:2], lambda k: pivot_residuals(T[k])[0][:2]),
         "_hyperbolic_helpers": (_hyperbolic_helpers(xs, 0.05), lambda k: _hyperbolic_helpers(xs[k], 0.05)),
         "tensor_closed_form": ((closed,), lambda k: (tensor_closed_form(p, xs[k]),)),
         "_two_path": ((_two_path(base, closed, axes=(-3, -2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),

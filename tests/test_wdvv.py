@@ -6,7 +6,7 @@ import pytest
 from trigwdvv import cli, configurations
 from trigwdvv.cli import RunSpec, main, run
 from trigwdvv.configurations import BCnParameters, _bcn_members, build_bcn, solve_r
-from trigwdvv.errors import DomainError, SingularMatrixError
+from trigwdvv.errors import DomainError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
@@ -31,14 +31,14 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
 
 def each_slice(T):
     """The kernel's output at every single pivot F_k, so that no slice goes unchecked."""
-    return [pivot_residuals(T, T[k : k + 1]) for k in range(len(T))]
+    return [pivot_residuals(T, T[k : k + 1])[0] for k in range(len(T))]
 
 
 class TestWdvvResidual:
     def test_equal_indices_vanish_exactly(self):
         # the kernel keeps the pairs i < j only, since M_ii = 0 exactly, as the full pass shows
         for x, T, B in sampled_tensors(BC3, 3, "wdvv/equal"):
-            scaled, raw, condition = pivot_residuals(T, B[None])
+            scaled, raw, condition = pivot_residuals(T, B[None])[0]
             assert scaled.shape == raw.shape == (3,)
             full_scaled, full_raw, _ = pivot_residuals_full(T, B[None])
             assert full_scaled[1, 1] == 0.0 and full_raw[1, 1] == 0.0
@@ -47,7 +47,7 @@ class TestWdvvResidual:
     def test_theorem_family(self):
         worst = 0.0
         for x, T, B in sampled_tensors(BC3, 50, "wdvv/theorem"):
-            worst = max(worst, pivot_residuals(T, B[None])[0].max())
+            worst = max(worst, pivot_residuals(T, B[None])[0][0].max())
         assert worst < 1e-8
 
     def test_broken_constraint_fails_generically(self):
@@ -55,7 +55,7 @@ class TestWdvvResidual:
         total = 0
         for x, T, B in sampled_tensors(BC3_BROKEN, 50, "wdvv/broken"):
             total += 1
-            if pivot_residuals(T, B[None])[1].max() > 1e-3:
+            if pivot_residuals(T, B[None])[0][1].max() > 1e-3:
                 above += 1
         assert above >= 0.9 * total
 
@@ -65,14 +65,18 @@ class TestWdvvResidual:
             M_ji = T[1] @ np.linalg.solve(B, T[0]) - T[0] @ np.linalg.solve(B, T[1])
             assert np.abs(M_ij + M_ji).max() == 0.0
             full = pivot_residuals_full(T, B[None])[0]
-            assert full[0, 1] == full[1, 0] == pivot_residuals(T, B[None])[0][0]
+            assert full[0, 1] == full[1, 0] == pivot_residuals(T, B[None])[0][0][0]
 
-    def test_singular_metric_raises(self):
+    def test_a_singular_metric_is_refused(self):
+        # the refusal is returned, not raised: the point's condition number is +inf, and its
+        # values, taken at the identity in place of the singular pivot, are finite
         T = np.zeros((2, 2, 2))
         T[0] = np.eye(2)
         T[1] = np.eye(2)
-        with pytest.raises(SingularMatrixError):
-            pivot_residuals(T, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+        with np.errstate(all="raise"):
+            (scaled, raw, condition), refusal = pivot_residuals(T, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+        assert refusal == "pivot 0 has condition number inf above 1e+08"
+        assert condition == np.inf and np.isfinite(scaled).all() and np.isfinite(raw).all()
 
 
 class TestGeneralizedWdvv:
@@ -105,7 +109,7 @@ class TestGeneralizedWdvv:
         for params, should_pass in ((BC3, True), (BC3_BROKEN, False)):
             pair_ok, gen_ok = True, True
             for x, T, B in sampled_tensors(params, 20, "equiv"):
-                pair = pivot_residuals(T, B[None])[0]
+                pair = pivot_residuals(T, B[None])[0][0]
                 pair_ok = pair_ok and pair.max() < tol
                 gen_ok = gen_ok and max(scaled.max() for scaled, _, _ in each_slice(T)) < tol_gen
             assert pair_ok == should_pass
@@ -115,7 +119,7 @@ class TestGeneralizedWdvv:
 class TestCommutingResidual:
     def test_equal_indices(self):
         T = tensor_generic(active_pairings(build_hat_configuration(M23).config, np.array([0.8, 0.5])))
-        assert pivot_residuals(T)[0].shape == (1,)  # the one pair (0, 1)
+        assert pivot_residuals(T)[0][0].shape == (1,)  # the one pair (0, 1)
         assert pivot_residuals_full(T)[0][0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
@@ -124,7 +128,7 @@ class TestCommutingResidual:
         worst = 0.0
         for x in sample_points(rng, fully_active(hat), 50):
             T = tensor_generic(active_pairings(hat, x))
-            worst = max(worst, pivot_residuals(T)[0][0])
+            worst = max(worst, pivot_residuals(T)[0][0][0])
         assert worst < 1e-8
 
     def test_unrescaled_tensor_does_not_commute(self):
@@ -134,14 +138,14 @@ class TestCommutingResidual:
         vals = []
         for x in sample_points(rng, pattern, 50):
             T = tensor_generic(active_pairings(build_bcn(M23), x))
-            vals.append(pivot_residuals(T)[1][0])
+            vals.append(pivot_residuals(T)[0][1][0])
         assert np.median(vals) > 1e-3
 
     def test_matches_wdvv_when_metric_is_scalar(self):
         # m = (1,..,1) under the constraint: B is proportional to the identity
         tol = 1e-10
         for x, T, B in sampled_tensors(BC3, 20, "commuting/scalar"):
-            pair, commuting = pivot_residuals(T, B[None])[0], pivot_residuals(T)[0]
+            pair, commuting = pivot_residuals(T, B[None])[0][0], pivot_residuals(T)[0][0]
             assert np.array_equal(pair < tol, commuting < tol)
 
 
@@ -155,7 +159,7 @@ class TestNTwoIsVacuous:
         broken = BCnParameters(n=2, r=-19.5, s=1.0, q=2.0, m=(2.0, 3.0))
         worst = 0.0
         for x, T, B in sampled_tensors(broken, 30, "n2/vacuous"):
-            worst = max(worst, pivot_residuals(T, B[None])[0][0])
+            worst = max(worst, pivot_residuals(T, B[None])[0][0][0])
         assert worst < 1e-8
 
     def test_commuting_form_detects_broken_constraint(self):
@@ -165,7 +169,7 @@ class TestNTwoIsVacuous:
         vals = []
         for x in sample_points(rng, fully_active(hat), 30):
             T = tensor_generic(active_pairings(hat, x))
-            vals.append(pivot_residuals(T)[1][0])
+            vals.append(pivot_residuals(T)[0][1][0])
         assert np.median(vals) > 1e-3
 
 
@@ -211,7 +215,7 @@ def test_condition_number_of_scalar_metric_is_one():
     x = np.array([0.9, 0.5, 1.3])
     active = active_pairings(build_bcn(BC3), x)
     T, B = tensor_generic(active), metric_B(active, x)
-    assert pivot_residuals(T, B[None])[2] == pytest.approx(1.0, rel=1e-10)
+    assert pivot_residuals(T, B[None])[0][2] == pytest.approx(1.0, rel=1e-10)
 
 
 def _theorem_and_broken(n, s, q, m):
@@ -233,7 +237,7 @@ def test_kernel_matches_per_pair_oracle(params):
     n = params.n
     # fewer points at n=10, where one point takes about 1200 oracle pairs
     for x, T, B in sampled_tensors(params, 5 if n < 10 else 2, f"kernel/{n}/{params.r}"):
-        forms = [(pivot_residuals(T, B[None]), B), *zip(each_slice(T), T), (pivot_residuals(T), None)]
+        forms = [(pivot_residuals(T, B[None])[0], B), *zip(each_slice(T), T), (pivot_residuals(T)[0], None)]
         for (scaled, raw, _), P in forms:
             assert scaled.shape == raw.shape == (n * (n - 1) // 2,)
             for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
@@ -253,15 +257,15 @@ def test_condition_is_the_eigenvalue_ratio_bit_for_bit():
     for params in KERNEL_FAMILIES:
         for x, T, B in sampled_tensors(params, 3, f"kernel/cond/{params.n}/{params.r}"):
             for P in (B, *T):
-                condition = pivot_residuals(T, P[None])[2]
+                condition = pivot_residuals(T, P[None])[0][2]
                 lam = np.abs(np.linalg.eigvalsh(P))
                 assert condition == lam.max() / lam.min()
                 cond = np.linalg.cond(P)
                 assert abs(condition - cond) <= 2 * params.n * eps * (cond + 1) * cond
             # a stack reports the condition number of the pivot it chose, the smallest
             lam = np.abs(np.linalg.eigvalsh(T))
-            assert pivot_residuals(T, T)[2] == (lam.max(axis=1) / lam.min(axis=1)).min()
-            assert pivot_residuals(T)[2] == 1.0
+            assert pivot_residuals(T, T)[0][2] == (lam.max(axis=1) / lam.min(axis=1)).min()
+            assert pivot_residuals(T)[0][2] == 1.0
 
 
 # every oracle family, and unit-m BC_n at n = 16 and 20 (theorem and broken),
@@ -283,7 +287,7 @@ def test_kernel_is_the_full_pass_bit_for_bit(params, box):
         B_eta_F = np.stack([B, np.tensordot(eta, T, axes=1)])
         stacks = (B[None], *T[:, None], T, None, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]]))
         for pivots in stacks:
-            got, want = pivot_residuals(T, pivots), pivot_residuals_full(T, pivots)
+            got, want = pivot_residuals(T, pivots)[0], pivot_residuals_full(T, pivots)
             for name, a, b in zip(("scaled", "raw"), got, want):
                 assert np.array_equal(a, b[i, j]), name
                 assert np.array_equal(b, b.T), name
@@ -340,14 +344,13 @@ def test_a_family_run_takes_no_svd(monkeypatch, capsys, argv):
     assert main([*argv, "--samples", "3"]) == 0, capsys.readouterr()
 
 
-def test_singular_pivot_form_raises_naming_the_pivot():
+def test_singular_pivot_form_is_refused_naming_the_pivot():
     # every slice is unusable, F_0 singular and F_1 at condition 1e9: the refusal names
     # the best-conditioned candidate, above the cap as every other one is
     T = np.zeros((2, 2, 2))
     T[0] = np.diag([1.0, 0.0])
     T[1] = np.diag([1.0, 1e-9])
-    with pytest.raises(SingularMatrixError, match="pivot 1 has condition number 1.000e"):
-        pivot_residuals(T, T)
+    assert pivot_residuals(T, T)[1] == "pivot 1 has condition number 1.000e+09 above 1e+08"
 
 
 @pytest.mark.parametrize("case", ["lowest-condition-wins", "first-wins-a-tie", "none-usable", "non-finite"])
@@ -360,19 +363,20 @@ def test_the_selection_rule(case):
     T[1] = np.array([[2.0, 1.0], [1.0, 3.0]])
     if case == "lowest-condition-wins":
         P = np.stack([np.diag([1.0, 0.1]), np.array([[1.0, 0.3], [0.3, 0.8]]), np.diag([1.0, 0.2])])
-        k, sv, condition = usable_pivots(P)
-        assert k == 1 and condition == sv[0] / sv[-1] < 5.0  # against 10 and 5
-        for got, want in zip(pivot_residuals(T, P), pivot_residuals(T, P[1:2])):
+        pivot, sv, condition, refusal = usable_pivots(P)
+        assert pivot.tobytes() == P[1].tobytes() and condition == sv[0] / sv[-1] < 5.0  # against 10 and 5
+        assert refusal is None
+        for got, want in zip(pivot_residuals(T, P)[0], pivot_residuals(T, P[1:2])[0]):
             assert np.array_equal(got, want)
-        assert not np.array_equal(pivot_residuals(T, P)[0], pivot_residuals(T, P[2:])[0])
+        assert not np.array_equal(pivot_residuals(T, P)[0][0], pivot_residuals(T, P[2:])[0][0])
     elif case == "first-wins-a-tie":
         P = np.stack([np.diag([1.0, 0.5]), np.diag([0.5, 1.0])])
-        assert usable_pivots(P)[0] == usable_pivots(P[::-1])[0] == 0
+        assert usable_pivots(P)[0].tobytes() == P[0].tobytes()
+        assert usable_pivots(P[::-1])[0].tobytes() == P[1].tobytes()
         assert usable_pivots(P)[2] == usable_pivots(P[::-1])[2] == 2.0
     elif case == "none-usable":
         P = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 1.0 / (2 * CONDITION_CAP)]), np.zeros((2, 2))])
-        with pytest.raises(SingularMatrixError, match=r"^pivot 1 has condition number 2\.000e\+08 above 1e\+08$"):
-            pivot_residuals(T, P)
+        assert pivot_residuals(T, P)[1] == "pivot 1 has condition number 2.000e+08 above 1e+08"
     else:
         P = np.stack([np.eye(2), np.eye(2), np.diag([1.0, np.inf])])
         with pytest.raises(DomainError, match="^pivot 2 is not finite$"):
@@ -390,10 +394,10 @@ def test_the_eta_route_fails_an_r_plus_1_tensor():
         chosen = 0
         for x, T, B in sampled_tensors(params, 30, "eta-route"):
             candidates = np.stack([B, np.tensordot(eta, T, axes=1)])
-            if usable_pivots(candidates)[0] == 1:
+            if usable_pivots(candidates)[0].tobytes() == candidates[1].tobytes():
                 chosen += 1
-                scaled = pivot_residuals(T, candidates)[0]
-                assert np.array_equal(scaled, pivot_residuals(T, candidates[1:])[0])
+                scaled = pivot_residuals(T, candidates)[0][0]
+                assert np.array_equal(scaled, pivot_residuals(T, candidates[1:])[0][0])
                 assert want(scaled.max()), (shift, x, scaled.max())
         assert chosen >= 10, chosen
 
@@ -405,11 +409,11 @@ def test_one_usable_pivot_rule(condition, usable):
     T[0] = np.eye(2)
     T[1] = np.diag([1.0, 2.0])
     P = np.diag([1.0, 1.0 / condition])[None]
+    (_, _, got), refusal = pivot_residuals(T, P)
     if usable:
-        assert pivot_residuals(T, P)[2] == condition
+        assert got == condition and refusal is None
     else:
-        with pytest.raises(SingularMatrixError, match=r"pivot 0 has condition number \S+ above 1e\+08"):
-            pivot_residuals(T, P)
+        assert refusal == "pivot 0 has condition number 1.000e+09 above 1e+08"
 
 
 @pytest.mark.parametrize("bad", ["nan-pivot", "nan-tensor", "inf-pivot", "inf-tensor"])
@@ -454,8 +458,8 @@ def test_arrow_kernel_matches_the_dense_oracle(n):
         for x in sample_points(rng_for(0, f"arrow/{n}/{params.r}"), fully_active(config), 3 if n <= 10 else 2, box):
             active = active_pairings(config, x)
             T = tensor_generic(active)
-            scaled, raw, condition = arrow_residuals(active, x)
-            want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B_einsum(T, x)[None])
+            scaled, raw, condition = arrow_residuals(active, x)[0]
+            want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B_einsum(T, x)[None])[0]
             assert scaled.shape == raw.shape == want_scaled.shape == (n * (n - 1) // 2,)
             assert np.abs(scaled - want_scaled).max() <= 8 * n * eps, (params, x)
             assert condition == pytest.approx(want_condition, rel=1e-12)
@@ -469,7 +473,7 @@ def test_the_arrow_kernel_fails_r_plus_1_and_passes_the_theorem():
         params = BCnParameters(n=10, r=-16.0 + shift, s=0.0, q=1.0, m=(1.0,) * 10)
         config = build_bcn(params)
         for x in sample_points(rng_for(0, "arrow/control"), fully_active(config), 5):
-            scaled = arrow_residuals(active_pairings(config, x), x)[0]
+            scaled = arrow_residuals(active_pairings(config, x), x)[0][0]
             assert want(scaled.max()), (shift, scaled.max())
 
 
@@ -480,8 +484,9 @@ def _diagonal_active(c=(1.0, 1.0, 1.0)):
 
 @pytest.mark.parametrize("case", ["tensor", "pivot", "zero-pivot"])
 def test_the_arrow_kernel_refusals(case):
-    # a non-finite V or B is refused by name, B's by usable_pivots' text, and a zero B_kk is a
-    # SingularMatrixError, on which a run discards the point
+    # a non-finite V or B raises by name, B's by usable_pivots' text, and a zero B_kk is returned as the
+    # point's refusal, on which a run discards it: its condition number is +inf, its values are finite,
+    # and no divide warns
     with np.errstate(over="ignore", invalid="ignore"):
         if case == "tensor":
             with pytest.raises(DomainError, match="^the tensor is not finite$"):
@@ -490,8 +495,10 @@ def test_the_arrow_kernel_refusals(case):
             with pytest.raises(DomainError, match="^pivot 0 is not finite$"):
                 arrow_residuals(_diagonal_active(), np.array([400.0, 0.5, 0.7]))  # sinh(800) overflows
         else:
-            with pytest.raises(SingularMatrixError, match="B_kk = 0 at k = 1"):
-                arrow_residuals(_diagonal_active(), np.array([0.5, 0.0, 0.7]))
+            with np.errstate(all="raise"):
+                (scaled, raw, condition), refusal = arrow_residuals(_diagonal_active(), np.array([0.5, 0.0, 0.7]))
+            assert refusal == "the diagonal pivot B has B_kk = 0 at k = 1"
+            assert condition == np.inf and np.isfinite(scaled).all() and np.isfinite(raw).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20])
@@ -536,43 +543,84 @@ def test_an_arrow_block_is_its_points_bit_for_bit(n):
         xs = sample_points(rng_for(1, f"arrow/block/{n}/{params.r}"), fully_active(config), b, box)
         alone = [arrow_residuals(active_pairings(config, x), x) for x in xs]
         A, c, _ = active_pairings(config, xs[0])
-        block = arrow_residuals((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
-        assert [a.shape for a in block] == [(b, n * (n - 1) // 2)] * 2 + [(b,)]
-        for p, one in enumerate(alone):
-            assert isinstance(one[2], float)
+        block, refusals = arrow_residuals((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
+        assert [a.shape for a in block] == [(b, n * (n - 1) // 2)] * 2 + [(b,)] and refusals == [None] * b
+        for p, (one, refusal) in enumerate(alone):
+            assert isinstance(one[2], float) and refusal is None
             assert _same_bits([out[p] for out in block], one), (params, p)
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])
 @pytest.mark.parametrize(
-    "case, error, text",
-    [
-        ("zero-pivot", SingularMatrixError, "the diagonal pivot B has B_kk = 0 at k = 2"),
-        ("tensor", DomainError, "the tensor is not finite"),
-        ("pivot", DomainError, "pivot 0 is not finite"),
-    ],
+    "case, text",
+    [("tensor", "the tensor is not finite"), ("pivot", "pivot 0 is not finite")],
 )
-def test_a_block_with_a_refused_point_raises_as_that_point(case, error, text, where):
-    # one refused point among two family points: the block raises that point's error class and text.
-    # At q = 0 the pair members have multiplicity 0, so V and B are diagonal and x_3 = 0 zeroes B_33 alone
-    q = 0.0 if case == "zero-pivot" else 1.0
-    config = build_bcn(BCnParameters(n=4, r=-14.0, s=0.5, q=q, m=(2.0, 1.0, 3.0, 1.0)))
+def test_a_block_with_a_non_finite_point_raises_as_that_point(case, text, where):
+    # one non-finite point among two family points: the block raises that point's error class and text
+    config = build_bcn(BCnParameters(n=4, r=-14.0, s=0.5, q=1.0, m=(2.0, 1.0, 3.0, 1.0)))
     xs = sample_points(rng_for(0, "arrow/refused"), fully_active(config), 3)
     A, c, _ = active_pairings(config, xs[0])
     zs = np.stack([active_pairings(config, x)[2] for x in xs])
-    if case == "zero-pivot":  # z, and so V, kept
-        xs[where, 2] = 0.0
-    elif case == "tensor":
+    if case == "tensor":
         zs[where, 1] = np.nan
     else:
         xs[where, 2] = 400.0  # sinh(800) overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(error) as alone:
+        with pytest.raises(DomainError) as alone:
             arrow_residuals((A, c, zs[where]), xs[where])
-        with pytest.raises(error) as block:
+        with pytest.raises(DomainError) as block:
             arrow_residuals((A, c, zs), xs)
-    assert type(block.value) is type(alone.value) is error
     assert str(block.value) == str(alone.value) == text
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_block_with_a_zero_pivot_refuses_that_point_alone(where):
+    # at q = 0 the pair members have multiplicity 0, so V and B are diagonal and x_3 = 0 zeroes B_33
+    # alone: the block refuses that point with its own text, and every other point's values are its
+    # bits as alone, with no divide warning
+    config = build_bcn(BCnParameters(n=4, r=-14.0, s=0.5, q=0.0, m=(2.0, 1.0, 3.0, 1.0)))
+    xs = sample_points(rng_for(0, "arrow/refused"), fully_active(config), 3)
+    A, c, _ = active_pairings(config, xs[0])
+    zs = np.stack([active_pairings(config, x)[2] for x in xs])
+    xs[where, 2] = 0.0  # z, and so V, kept
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        block, refusals = arrow_residuals((A, c, zs), xs)
+        alone = [arrow_residuals((A, c, z), x) for z, x in zip(zs, xs)]
+    text = "the diagonal pivot B has B_kk = 0 at k = 2"
+    assert refusals == [text if p == where else None for p in range(3)]
+    assert [refusal for _, refusal in alone] == refusals
+    assert block[2][where] == np.inf and all(np.isfinite(out).all() for out in block[:2])
+    for p, (one, _) in enumerate(alone):
+        if p != where:
+            assert _same_bits([out[p] for out in block], one), p
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_block_whose_point_has_a_singular_pivot_refuses_that_point_alone(where):
+    # a block of three explicit points, each with the candidates [B, eta.F]; at one point both are
+    # exactly singular, condition number +inf: that point is refused with its own text, its pivot is
+    # never factorised (no LinAlgError, no warning), and every other point's values and condition
+    # number are its bits as alone
+    config = build_bcn(BCnParameters(n=4, r=-14.0, s=0.5, q=1.0, m=(2.0, 1.0, 3.0, 1.0)))
+    eta = rng_for(0, "block/eta").standard_normal(4)
+    xs = sample_points(rng_for(0, "block/singular"), fully_active(config), 3)
+    tensors, stacks = [], []
+    for x in xs:
+        active = active_pairings(config, x)
+        T = tensor_generic(active)
+        tensors.append(T)
+        stacks.append(np.stack([metric_B(active, x), np.tensordot(eta, T, axes=1)]))
+    T, P = np.stack(tensors), np.stack(stacks)
+    P[where] = np.diag([1.0, 1.0, 1.0, 0.0])
+    with np.errstate(all="raise"):
+        block, refusals = pivot_residuals(T, P)
+        alone = [pivot_residuals(t, p) for t, p in zip(T, P)]
+    assert refusals == [("pivot 0 has condition number inf above 1e+08" if p == where else None) for p in range(3)]
+    assert [refusal for _, refusal in alone] == refusals
+    assert block[2][where] == np.inf and all(np.isfinite(out).all() for out in block[:2])
+    for p, (one, _) in enumerate(alone):
+        if p != where:
+            assert _same_bits([out[p] for out in block], one), p
 
 
 def test_the_family_route_fails_a_pair_multiplicity_mutant(monkeypatch):
