@@ -497,7 +497,6 @@ def _run_restriction(spec: RunSpec, parsed):
 def _run_susy(spec: RunSpec, parsed):
     params = _require_family(parsed, spec.command)
     hat = susy.build_hat_configuration(params)
-    anticommutation = susy.fermionic_residual(params.n)
     sq = np.sqrt(params.m_array)
     A_base = hat.config.active_members[0] * sq  # the base covectors: their pairings at x^ / sqrt(m) are z
 
@@ -517,7 +516,7 @@ def _run_susy(spec: RunSpec, parsed):
         }, None
 
     # the commuting form's G holds n^4 floats a point
-    return {"fermionic_anticommutation": anticommutation}, hat.config, hat_residuals, _block(params.n**4), None
+    return {}, hat.config, hat_residuals, _block(params.n**4), None
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the

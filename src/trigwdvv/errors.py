@@ -13,10 +13,6 @@ class DimensionError(TrigWdvvError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class DimensionCapError(TrigWdvvError, ValueError):
-    """Requested fermionic space exceeds the supported size (n <= 7, dim = 2^(2n))."""
-
-
 class DomainError(TrigWdvvError, ValueError):
     """Argument outside a function's domain (e.g. the prepotential needs z > 0)."""
 

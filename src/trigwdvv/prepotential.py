@@ -177,13 +177,19 @@ def _two_path(got, want, axes=None) -> float | np.ndarray:
 
 def metric_identity_residuals(p: BCnParameters, active, x) -> tuple:
     """(off-diagonal, diagonal) max-abs deviation of ``metric_B(active, x)`` from h(x) diag(m),
-    each over max(1, max_k |h m_k|), floored as h can vanish; a non-finite B or h gives a non-finite residual.
+    each over max(1, max_k |h m_k|), floored as h can vanish.  A non-finite B or h (sinh and cosh overflow for
+    |x| above about 355) raises DomainError naming the first of B and h that is not finite, at the first such point.
     (A, c, z) with z of shape (..., M) at x of (..., n) gives two arrays of shape (...), each point's bits as alone.
     For the members of ``p`` both vanish if r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
     """
     h = h_function(p, x)
     B = metric_B(active, x)
     n = B.shape[-1]
+    for name, value in (("B", B), ("h", h)):
+        if not np.isfinite(value).all():
+            points = np.reshape(x, (-1, n))
+            k = np.isfinite(value).reshape(len(points), -1).all(-1).argmin()
+            raise DomainError(f"{name} is not finite at the point {points[k].tolist()}")
     target = h[..., None] * p.m_array
     flat = B.reshape(*B.shape[:-2], n * n)
     diag = np.abs(flat[..., :: n + 1] - target).max(-1)

@@ -13,8 +13,9 @@ elsewhere only what does not depend on rounding.
 
 Regenerate the corpus (it removes the files of runs no longer in the table,
 and names on stderr each file whose bytes change, with every check whose
-max_residual moved, old -> new, then ends with one line for each file whose
-discard count or a verdict moved):
+max_residual moved, old -> new, and every check removed or added, then ends
+with one line for each file that lost or gained a check, or whose discard
+count or a verdict moved):
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -129,9 +130,8 @@ SPECS: dict[str, list[str]] = {
     "verify-associativity-q0-document-wide-box": ["verify-associativity", "--config", "q0.json", "--box", "0.3,12",
                                                   "--samples", "50"],
     "tensor-m122": ["tensor", *_family(3, -20, 1, 2, (1, 2, 2)), "--point", "0.5,0.9,1.3"],
-    # the supersymmetric block at n = 1, 2 and 3, and at unit m with n = 5, past the dense fermionic
-    # oracle's reach, each at its r and at r + 1 (n = 1 at r = 1 is off the theorem, r = -5);
-    # further runs the console rows make
+    # the supersymmetric block at n = 1, 2 and 3, and at unit m with n = 5, each at its r and at r + 1
+    # (n = 1 at r = 1 is off the theorem, r = -5); further runs the console rows make, n = 20 among them
     **{
         f"verify-susy-n{n}{'-r+1' if shift else ''}": ["verify-susy", *_family(n, r + shift, s, q, m)]
         for n, r, s, q, m in ((1, 1, 0.5, 0, (2,)), (2, 0, 0, 1, (1, 1)), (3, -2, 0, 1, (1, 1, 1)),
@@ -265,25 +265,31 @@ def write_documents(directory: pathlib.Path) -> None:
         (directory / name).write_text(content if isinstance(content, str) else render(content)[1], encoding="utf-8")
 
 
+def _changes(before: list, after: list, key: str) -> list[str]:
+    """"check: removed" for each check of ``before`` that ``after`` lacks, then, in ``after``'s order,
+    "check: added" or "check: old -> new" for each check that is new or whose ``key`` differs."""
+    old, names = {c["name"]: c[key] for c in before}, {c["name"] for c in after}
+    return [f"{name}: removed" for name in old if name not in names] + [
+        f"{c['name']}: added" if c["name"] not in old else f"{c['name']}: {old[c['name']]!r} -> {c[key]!r}"
+        for c in after if c["name"] not in old or repr(old[c["name"]]) != repr(c[key])]
+
+
 def moved(old: str, new: str) -> list[str]:
-    """"check: old -> new" for each check of the report ``new`` whose max_residual differs from ``old``'s."""
+    """"check: old -> new" for each check of the report ``new`` whose max_residual differs from ``old``'s, and
+    "check: removed" or "check: added" for each check that only one of them has."""
     try:
-        before = {c["name"]: repr(c["max_residual"]) for c in json.loads(old)["checks"]}
-        after = json.loads(new)["checks"]
+        return _changes(json.loads(old)["checks"], json.loads(new)["checks"], "max_residual")
     except (ValueError, KeyError, TypeError):  # an error line, or a tensor or build-config document
         return []
-    return [f"{c['name']}: {before.get(c['name'])} -> {c['max_residual']!r}"
-            for c in after if before.get(c["name"]) != repr(c["max_residual"])]
 
 
 def outcome_moved(old: str, new: str) -> str | None:
     """"discarded_points: old -> new; check: pass -> fail" for the report ``new`` where its discard count or a
-    check's verdict differs from ``old``'s, else None."""
+    check's verdict differs from ``old``'s, with "check: removed" or "check: added" for each check that only
+    one of them has, else None."""
     try:
         before, after = json.loads(old), json.loads(new)
-        verdicts = {c["name"]: c["pass"] for c in before["checks"]}
-        changes = [f"{c['name']}: {verdicts.get(c['name'])} -> {c['pass']}"
-                   for c in after["checks"] if verdicts.get(c["name"]) != c["pass"]]
+        changes = _changes(before["checks"], after["checks"], "pass")
         if before["discarded_points"] != after["discarded_points"]:
             changes.insert(0, f"discarded_points: {before['discarded_points']} -> {after['discarded_points']}")
     except (ValueError, KeyError, TypeError):  # an error line, or a tensor or build-config document
@@ -317,7 +323,7 @@ def main() -> int:
             path.unlink()
     MACHINE.write_text(json.dumps(machine(), indent=2) + "\n", encoding="utf-8")
     print(f"{len(written)} reports in {REPORTS}", file=sys.stderr)
-    print(f"{len(outcomes)} files with a verdict or discard count moved", file=sys.stderr)
+    print(f"{len(outcomes)} files with a check added or removed, or a verdict or discard count moved", file=sys.stderr)
     for line in outcomes:
         print(f"  {line}", file=sys.stderr)
     return 0

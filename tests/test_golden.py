@@ -75,9 +75,9 @@ def test_run_matches_its_golden_file(monkeypatch, documents, name):
 
 
 def test_runs_in_reverse_order_match_their_golden_files(monkeypatch, documents):
-    # a process keeps what it caches (the fermionic check per n, the pair indices
-    # per n) for its later runs: a run's bytes must not depend on the runs before
-    # it, so the table replayed backwards in one process gives every file again
+    # a process keeps what it caches (the pair indices per n) for its later runs:
+    # a run's bytes must not depend on the runs before it, so the table replayed
+    # backwards in one process gives every file again
     monkeypatch.chdir(documents)
     for name in reversed(list(regen.SPECS)):
         suffix, text = regen.render(regen.SPECS[name])
@@ -86,6 +86,23 @@ def test_runs_in_reverse_order_match_their_golden_files(monkeypatch, documents):
             assert text == stored, name
         else:
             _assert_same_outcome(json.loads(stored), json.loads(text))
+
+
+def test_a_check_a_report_loses_or_gains_is_named():
+    # regeneration names every file whose checks change: a check dropped from a report, with the other
+    # checks, verdicts and the discard count unmoved, is still an outcome that moved
+    old = (regen.REPORTS / "verify-restriction-blocks23-r.json").read_text(encoding="utf-8")
+    report = json.loads(old)
+    first, *rest = report["checks"]
+    new = json.dumps({**report, "checks": rest})
+    assert regen.outcome_moved(old, new) == f"{first['name']}: removed"
+    assert regen.moved(old, new) == [f"{first['name']}: removed"]
+    assert regen.outcome_moved(new, old) == f"{first['name']}: added"
+    assert regen.outcome_moved(old, old) is None
+    flipped = json.dumps({**report, "discarded_points": 7, "checks": [{**first, "pass": not first["pass"]}]})
+    assert regen.outcome_moved(old, flipped) == "; ".join(
+        [f"discarded_points: {report['discarded_points']} -> 7", *(f"{c['name']}: removed" for c in rest),
+         f"{first['name']}: {first['pass']} -> {not first['pass']}"])
 
 
 def test_the_corpus_has_one_file_per_run():

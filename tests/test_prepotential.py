@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestIdentityResiduals:
         ids=["fractional", "fractional-j", "bool", "bool-j", "string", "none"],
     )
     def test_an_index_that_is_not_an_integer_is_refused(self, k, j):
-        # the package's integer rule, as in FermionicSpace(n)
+        # the package's integer rule, configurations._integer
         with pytest.raises(ParameterError, match="indices must be integers"):
             identity_residuals([0.7, 0.3], k, j)
 
@@ -580,13 +581,18 @@ def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(monk
         bound = _members_metric_bound(active, x).max() / scale + 4 * np.finfo(float).eps
         for T in (closed, tensor_generic(active)):
             assert np.abs(np.subtract(got, metric_identity_residuals_masked(p, T, x))).max() <= bound
-    # a NaN row of B reaches both residuals (at n = 1 there is no off-diagonal entry)
+    # a NaN entry of B, or an infinite h, is refused by name, B first, with the point
     B = metric_B(active, x)
-    B[0, :] = np.nan
+    B[0, -1] = np.nan
     monkeypatch.setattr(prepotential, "metric_B", lambda active, x: B)
-    got, want = metric_identity_residuals(p, active, x), metric_identity_masked(p, B, x)
-    assert np.isnan(got[1]) and np.array_equal(got, want, equal_nan=True)
-    assert n == 1 or np.isnan(got[0])
+    with pytest.raises(DomainError, match=re.escape(f"B is not finite at the point {x.tolist()}")):
+        metric_identity_residuals(p, active, x)
+    monkeypatch.setattr(prepotential, "h_function", lambda p, x: np.float64(np.inf))
+    with pytest.raises(DomainError, match=re.escape(f"B is not finite at the point {x.tolist()}")):
+        metric_identity_residuals(p, active, x)
+    B[0, -1] = 0.0
+    with pytest.raises(DomainError, match=re.escape(f"h is not finite at the point {x.tolist()}")):
+        metric_identity_residuals(p, active, x)
 
 
 def test_einsum_outer_products_equal_broadcasting():

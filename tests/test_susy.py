@@ -1,12 +1,12 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
-from trigwdvv.cli import RunSpec, dumps_17g, run
 from trigwdvv.configurations import BCnParameters, Configuration, build_bcn
-from trigwdvv.errors import DimensionCapError, ParameterError
+from trigwdvv.errors import DomainError, ParameterError
 from trigwdvv.prepotential import (
     _hyperbolic_helpers,
     _two_path,
@@ -20,9 +20,7 @@ from trigwdvv.prepotential import (
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv import susy
 from trigwdvv.susy import (
-    FermionicSpace,
     _potential_sums,
-    anticommutation_residual,
     bosonic_potential,
     build_hat_configuration,
     gauge_residual,
@@ -31,7 +29,9 @@ from trigwdvv.wdvv import pivot_residuals
 
 from tests.oracles import (
     DenseFermionicSpace,
+    FermionicSpace,
     MarginError,
+    anticommutation_residual,
     anticommutator,
     dense_anticommutation_residual,
     gauge_residual_fd,
@@ -185,7 +185,7 @@ class TestFermionicSpace:
         anti = anticommutator(fs.psi[0][0], fs.psibar[1][1])
         assert np.abs(anti).max() == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_all_pairings_exact(self, n):
         fs = DenseFermionicSpace(n)
         eye = np.eye(fs.dim)
@@ -218,10 +218,6 @@ class TestFermionicSpace:
     def test_residual_exact_beyond_dense_reach(self, n):
         assert anticommutation_residual(FermionicSpace(n)) == 0.0
 
-    def test_cap(self):
-        with pytest.raises(DimensionCapError):
-            FermionicSpace(8)
-
     @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fractional", "string", "bool"])
     def test_n_that_is_not_an_integer_is_refused(self, n):
         with pytest.raises(ParameterError, match="n must be an integer"):
@@ -244,13 +240,14 @@ def with_arrays(fs, targets=None, coefficients=None):
 
 
 class TestAnticommutationResidual:
-    def test_flipped_sign_detected(self):
-        # negative control: one psibar with the wrong sign pairs to +1/2 I;
-        # n = 5 is beyond the dense oracle's reach
+    @pytest.mark.parametrize("factor", [-1.0, 2.0], ids=["flipped-sign", "dropped-half"])
+    def test_a_wrong_psibar_coefficient_is_detected(self, factor):
+        # negative controls: one psibar with the wrong sign pairs to +1/2 I, and one without its
+        # factor 1/2 (coefficients -1 where -1/2 belongs) to -I; n = 5 is beyond the dense oracle's reach
         for n in (2, 5):
             fs = FermionicSpace(n)
             C = fs.coefficients.copy()
-            C[2 * n + n] = -C[2 * n + n]  # psibar[1][0]
+            C[2 * n + n] *= factor  # psibar[1][0]
             assert anticommutation_residual(with_arrays(fs, coefficients=C)) >= 0.5
 
     @pytest.mark.parametrize("row", [0, 5, 6, 11])  # psi[0][0], psi[1][2], psibar[0][0], psibar[1][2]
@@ -324,40 +321,6 @@ class TestAnticommutationResidual:
             assert got == want or (math.isnan(got) and math.isnan(want))
             outcomes.add("nan" if math.isnan(want) else "zero" if want == 0.0 else "positive")
         assert outcomes == {"nan", "zero", "positive"}
-
-
-class TestFermionicResidual:
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_exact_at_every_n_below_the_cap(self, n):
-        assert susy.fermionic_residual(n) == 0.0
-
-    def test_two_runs_at_one_n_build_the_space_once(self, monkeypatch):
-        builds = []
-
-        class Counting(FermionicSpace):
-            def __init__(self, n):
-                builds.append(n)
-                super().__init__(n)
-
-        monkeypatch.setattr(susy, "FermionicSpace", Counting)
-        susy.fermionic_residual.cache_clear()
-        source = {"family": "bcn", "n": 2, "r": 0, "s": 0, "q": 1, "m": [1, 1]}
-        spec = RunSpec(command="verify-susy", config_source=source, samples=3)
-        first, second = (dumps_17g(run(spec).to_json_dict()) for _ in range(2))
-        assert builds == [2]
-        assert first == second
-
-    def test_refused_values_raise_on_every_call_once_others_are_cached(self):
-        assert susy.fermionic_residual(1) == susy.fermionic_residual(2) == 0.0
-        for _ in range(2):
-            for n in (True, 2.5, "2"):
-                with pytest.raises(ParameterError, match="n must be an integer"):
-                    susy.fermionic_residual(n)
-            with pytest.raises(DimensionCapError):
-                susy.fermionic_residual(8)
-
-    def test_the_cache_holds_one_value_per_n_below_the_cap(self):
-        assert susy.fermionic_residual.cache_parameters()["maxsize"] == susy._FERMION_N_CAP == 7
 
 
 class TestPhiMatrix:
@@ -475,9 +438,10 @@ def _each_point_alone(block, b: int) -> list[str]:
     return differ
 
 
-def _block_outputs(p, hat, xhs):
+def _block_outputs(p, hat, xhs, metric=True):
     """{name: (block outputs, point k -> its outputs alone)} of every function the verify-susy and
-    verify-metric drivers call on a block, at the rescaled points xhs of ``p``'s family."""
+    verify-metric drivers call on a block, at the rescaled points xhs of ``p``'s family; without
+    ``metric_identity_residuals``, which refuses a non-finite B or h, if ``metric`` is False."""
     sq = np.sqrt(p.m_array)
     alone = [active_pairings(hat, xh) for xh in xhs]
     A, c, _ = alone[0]
@@ -499,10 +463,12 @@ def _block_outputs(p, hat, xhs):
         "metric_B": ((metric_B(base_active, xs),), lambda k: (metric_B(base_alone[k], xs[k]),)),
         "metric_B-plain": ((metric_B(plain_active, xs),), lambda k: (metric_B(plain_alone[k], xs[k]),)),
         "h_function": ((h_function(p, xs),), lambda k: (h_function(p, xs[k]),)),
-        "metric_identity_residuals": (metric_identity_residuals(p, base_active, xs),
-                                      lambda k: metric_identity_residuals(p, base_alone[k], xs[k])),
-        "metric_identity_residuals-plain": (metric_identity_residuals(p, plain_active, xs),
-                                            lambda k: metric_identity_residuals(p, plain_alone[k], xs[k])),
+        **({
+            "metric_identity_residuals": (metric_identity_residuals(p, base_active, xs),
+                                          lambda k: metric_identity_residuals(p, base_alone[k], xs[k])),
+            "metric_identity_residuals-plain": (metric_identity_residuals(p, plain_active, xs),
+                                                lambda k: metric_identity_residuals(p, plain_alone[k], xs[k])),
+        } if metric else {}),
         "_potential_sums": (_potential_sums(active), lambda k: _potential_sums(alone[k])),
         "bosonic_potential": ((bosonic_potential(active),), lambda k: (bosonic_potential(alone[k]),)),
         "gauge_residual": ((gauge_residual(active),), lambda k: (gauge_residual(alone[k]),)),
@@ -532,14 +498,22 @@ def test_each_block_kernel_gives_each_point_its_bits_alone(n):
 
 
 def test_a_block_past_the_overflow_gives_each_point_its_non_finite_bits():
-    # sinh and cosh overflow at x = 400: B, h and the metric residuals of that point are non-finite in
-    # the block as alone, and the points beside it keep their finite bits
+    # sinh and cosh overflow at x = 400: B and h of that point are non-finite in the block as alone,
+    # and the points beside it keep their finite bits; the metric residuals refuse that point, in the
+    # block and alone, naming B and the point, and take the points beside it
     p = BCnParameters(n=3, r=-14.0, s=0.5, q=1.0, m=(2.0, 1.0, 3.0))
     hat = build_hat_configuration(p).config
     xhs = sample_points(rng_for(0, "block/overflow"), fully_active(hat), 3)
     xhs[1, 2] = 400.0 * np.sqrt(3.0)
+    xs = xhs / np.sqrt(p.m_array)
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = _block_outputs(p, hat, xhs)
+        outputs = _block_outputs(p, hat, xhs, metric=False)
         assert _each_point_alone(outputs, 3) == []
-    off, diag = outputs["metric_identity_residuals"][0]
-    assert np.isfinite(off[[0, 2]]).all() and not np.isfinite(diag[1])
+        assert not np.isfinite(outputs["metric_B"][0][0][1]).all() and not np.isfinite(outputs["h_function"][0][0][1])
+        alone = [base_members(p, xh) for xh in xhs]
+        block = (*alone[0][:2], np.stack([z for _, _, z in alone]))
+        for active, x in ((block, xs), (alone[1], xs[1])):
+            with pytest.raises(DomainError, match=re.escape(f"B is not finite at the point {xs[1].tolist()}")):
+                metric_identity_residuals(p, active, x)
+    for k in (0, 2):
+        assert np.isfinite(metric_identity_residuals(p, alone[k], xs[k])).all()
