@@ -95,7 +95,7 @@ class TestExitCodeContract:
         assert proc.returncode == 2
 
     def test_non_finite_residual_fails(self):
-        # multiplicities of 1e300 overflow the associativity products, so the residual is NaN
+        # r = 1e300 overflows the associativity products, so the residual is NaN
         family = [*FAMILY_OK[:5], "1e300", *FAMILY_OK[6:]]
         proc = run_cli("verify-associativity", *family, "--samples", "2")
         assert proc.returncode == 1
@@ -892,6 +892,17 @@ def test_one_value_checks_have_no_worst_point():
     assert check.name == "restriction_config_match"
     assert check.worst_point is None
     assert check.mean_residual == check.max_residual
+
+
+@pytest.mark.parametrize("name", ["susy", "susy_n1_has_no_pairs"])
+def test_every_susy_check_is_sampled(name):
+    # verify-susy reports no one-value check: each row reads the prepotential at the sampled
+    # points and names its worst one
+    command, source, names = CHECK_NAMES[name]
+    report = run(RunSpec(command=command, config_source=source, samples=3))
+    assert [c.name for c in report.checks] == names
+    for check in report.checks:
+        assert check.worst_point is not None and len(check.worst_point) == source["n"]
 
 
 def test_wdvv_n1_is_refused(capsys):
@@ -1892,6 +1903,19 @@ def test_susy_runs_past_n_7(capsys, n):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count("PASS") == 4 and captured.out.endswith("OK\n")
+
+
+def test_susy_past_n_7_fails_off_the_theorem(capsys):
+    # the r + 1 control at n = 8: the checks that run past the old cap can fail
+    n = 8
+    family = ["--family", "bcn", "--n", str(n), "--r", str(5 - 2 * n), "--s", "0", "--q", "1"]
+    argv = ["verify-susy", *family, "--m", ",".join(["1"] * n), "--box", "0.3,4", "--samples", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [line.split()[0] for line in captured.out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["hat_commuting_residual", "hat_metric_identity"]
+    assert captured.out.endswith("FAILED\n")
 
 
 @pytest.mark.parametrize(

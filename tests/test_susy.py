@@ -28,6 +28,7 @@ from trigwdvv.susy import (
 from trigwdvv.wdvv import pivot_residuals
 
 from tests.oracles import (
+    DENSE_N_CAP,
     DenseFermionicSpace,
     FermionicSpace,
     MarginError,
@@ -217,6 +218,20 @@ class TestFermionicSpace:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_residual_exact_beyond_dense_reach(self, n):
         assert anticommutation_residual(FermionicSpace(n)) == 0.0
+
+    def test_cap(self):
+        # the dense oracle stops at dim 1024 with a ParameterError; the signed-permutation
+        # arrays have no cap of their own, and past n = 7 are only bounded by memory
+        with pytest.raises(ParameterError, match=f"n = {DENSE_N_CAP + 1} exceeds the dense fermionic cap"):
+            DenseFermionicSpace(DENSE_N_CAP + 1)
+        fs = FermionicSpace(8)
+        assert fs.dim == 4**8 and fs.targets.shape == fs.coefficients.shape == (32, 4**8)
+
+    @pytest.mark.parametrize("space", [DenseFermionicSpace, FermionicSpace])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_1_is_refused(self, space, n):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            space(n)
 
     @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fractional", "string", "bool"])
     def test_n_that_is_not_an_integer_is_refused(self, n):
