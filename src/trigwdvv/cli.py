@@ -60,14 +60,14 @@ from .prepotential import (
     _matvec,
     _two_path,
     active_pairings,
+    closed_form_arrows,
     h_function,
     metric_B,
     metric_identity_residuals,
-    tensor_closed_form,
     tensor_generic,
 )
 from .sampling import DEFAULT_BOX, MAX_ATTEMPTS_PER_POINT, admissible_points, box_bounds, fully_active, rng_for
-from .wdvv import arrow_residuals, pivot_residuals, usable_pivots
+from .wdvv import arrow_residuals, arrow_slices, pivot_residuals, usable_pivots
 from . import algebra, susy
 
 # the floats a block of points may hold in its largest per-point array, which each driver states (see _block)
@@ -403,7 +403,8 @@ def _run_wdvv(spec: RunSpec, parsed):
         # slice stack holds n^3 floats a point, so a call takes one point from n = 26
 
         def residuals(x, active, draws):
-            (scaled, _, _), refusals = arrow_residuals(active, x)
+            V = arrow_slices(active)
+            (scaled, _, _), refusals = arrow_residuals(V, (np.sinh(2.0 * x)[..., None, :] @ V)[..., 0, :])
             return {"wdvv_residual": scaled}, refusals
 
         return {}, config, residuals, _block(n**3), None
@@ -499,24 +500,21 @@ def _run_susy(spec: RunSpec, parsed):
     hat = susy.build_hat_configuration(params)
     sq = np.sqrt(params.m_array)
     A_base = hat.config.active_members[0] * sq  # the base covectors: their pairings at x^ / sqrt(m) are z
+    to_base = sq[:, None] * params.m_array  # F_ikk = sqrt(m_i) m_k F^_ikk, as F_klt = sqrt(m_k m_l m_t) F^_klt
 
     def hat_residuals(xh, active, draws):
-        T = tensor_generic(active)
-        commuting = pivot_residuals(T)[0][0]
-        # the rescaled tensor in base coordinates: F_klt = sqrt(m_k m_l m_t) F^_klt at x = x^ / sqrt(m),
-        # compared with the closed form there; B^ = h I is B = h diag(m)
-        x, base = xh / sq, T * sq[:, None, None] * sq[:, None] * sq
-        closed = tensor_closed_form(params, x, spec.threshold)
+        V, x = arrow_slices(active), xh / sq
+        closed = closed_form_arrows(params, x, spec.threshold)
+        # the rescaled arrows in base coordinates against the closed form at x, the commuting form at the identity
+        # pivot, and B^ = h I as B = h diag(m), each point's (off, diag) side by side, an overflow naming x^
         return {
-            "hat_tensor_two_path": _two_path(base, closed, axes=(-3, -2, -1)),
-            "hat_commuting_residual": commuting,
-            # each point's two parts side by side, in the order one point's (off, diag) is filed
-            "hat_metric_identity": np.stack(metric_identity_residuals(params, (A_base, *active[1:]), x), axis=-1),
+            "hat_tensor_two_path": _two_path(V * to_base, closed, axes=(-2, -1)),
+            "hat_commuting_residual": arrow_residuals(V, np.ones_like(xh))[0][0],
+            "hat_metric_identity": np.stack(metric_identity_residuals(params, (A_base, *active[1:]), x, xh), axis=-1),
             "gauge_residual": susy.gauge_residual(active),
         }, None
 
-    # the commuting form's G holds n^4 floats a point
-    return {}, hat.config, hat_residuals, _block(params.n**4), None
+    return {}, hat.config, hat_residuals, _block(params.n**3), None  # the arrow kernel's n^3 floats a point
 
 
 # a driver declares its run: (one-value checks {name: value}, the configuration to sample, the

@@ -203,7 +203,8 @@ class BCnParameters:
 
     @cached_property
     def closed_form_weights(self) -> tuple[np.ndarray, ...]:
-        """(r m, 4(2s m + q m(m - 1)), q m, q m m^T): the point-independent factors of ``tensor_closed_form``."""
+        """(r m, 4(2s m + q m(m - 1)), q m, q m m^T): the point-independent factors of ``closed_form_arrows``,
+        its diagonal's three weights and its off-diagonal q m_i m_k."""
         r, s, q, m = self.r, self.s, self.q, self.m_array
         return _read_only(r * m, 4.0 * (2.0 * s * m + q * m * (m - 1.0)), q * m, q * np.outer(m, m))
 

@@ -1,15 +1,16 @@
 """Third-derivative tensors of the prepotential, their coth helpers and the sinh-weighted metric.
 
 The third derivatives of sum_alpha c_alpha f((alpha, x)) have two independent representations: a
-weighted sum of coth over the active members (``tensor_generic``) and the explicit five-term formula
-in the b, b~, b_ij helpers (``tensor_closed_form``).  Their agreement is one of the package's core
-checks, so neither path may call the other.  ``active_pairings`` gives the (A, c, z) of a point, the
-one input of every sum over members here, the metric B (``metric_B``, with no tensor) among them, and
-in ``algebra`` and ``susy``.  ``metric_identity_residuals`` compares B with h diag(m), and ``_two_path``
-one quantity by two routes.  Every function that reads a point or its pairings, ``active_pairings``
-aside, has one form over leading axes: x of shape (..., n) or z of (..., M), every output with those
-axes and each point's bits as alone.  The commands call them with a block (b, n); a lone point (n,)
-gives numpy float64 scalars.
+weighted sum of coth over the active members (``tensor_generic``, or ``wdvv.arrow_slices`` where every
+member has at most two nonzero entries) and, for the BC_n family, the explicit five-term formula in the
+b, b~, b_ij helpers, whose nonzero entries F_ikk ``closed_form_arrows`` writes.  Their agreement is one
+of the package's core checks, so neither path may call the other.  ``active_pairings`` gives the
+(A, c, z) of a point, the one input of every sum over members here, the metric B (``metric_B``, with
+no tensor) among them, and in ``algebra``, ``wdvv`` and ``susy``.  ``metric_identity_residuals``
+compares B with h diag(m), and ``_two_path`` one quantity by two routes.  Every function that reads a
+point or its pairings, ``active_pairings`` aside, has one form over leading axes: x of shape (..., n)
+or z of (..., M), every output with those axes and each point's bits as alone.  The commands call them
+with a block (b, n); a lone point (n,) gives numpy float64 scalars.
 """
 
 from __future__ import annotations
@@ -127,24 +128,20 @@ def tensor_generic(active) -> np.ndarray:
     return ((A.T * (c * coth(z))[..., None, :]) @ AA).reshape(*z.shape[:-1], n, n, n)
 
 
-def tensor_closed_form(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """The explicit BC_n third-derivative formula (delta-symbol form).
+def closed_form_arrows(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """The explicit BC_n third derivatives V[i, k] = F_ikk, the tensor's every nonzero entry (delta-symbol form).
 
-    Diagonal: r m_k b_k + 4(2s m_k + q m_k(m_k - 1)) bt_k
-    + q m_k sum_{j != k} m_j b_pair[k][j].  Entries with one repeated index a
-    and a single index b carry q m_a m_b b_pair[b][a]; all others vanish.  A block, x of shape
-    (b, n), gives a (b, n, n, n) tensor, each point's bits as alone, or raises if any point is refused.
+    Diagonal: V[k, k] = F_kkk = r m_k b_k + 4(2s m_k + q m_k(m_k - 1)) bt_k + q m_k sum_{j != k} m_j b_pair[k][j];
+    off it, V[i, k] = F_ikk = q m_i m_k b_pair[i][k].  Every other entry, F_ijk with i, j, k distinct,
+    vanishes.  A block, x of shape (b, n), gives (b, n, n), each point's bits as alone, or raises if any
+    point is refused.
     """
     x = _point(x, p.n, True)
-    n = p.n
     rm, wt, qm, qmm = p.closed_form_weights
     b, bt, b_pair = _hyperbolic_helpers(x, threshold)
-    F = np.zeros((*x.shape[:-1], n, n, n))
-    F.reshape(*x.shape[:-1], -1)[..., :: n * n + n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)  # F[k, k, k]
-    # (i, i, j), (i, j, i) and (j, i, i) with i != j never coincide: one write per entry, q m_i m_j b_pair[j][i]
-    i, j = _off_pairs(n)
-    F[..., i, i, j] = F[..., i, j, i] = F[..., j, i, i] = qmm[i, j] * b_pair[..., j, i]
-    return F
+    V = qmm * b_pair  # b_pair's diagonal is 0, and the diagonal is written next
+    V.reshape(*x.shape[:-1], -1)[..., :: p.n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)
+    return V
 
 
 def metric_B(active, x) -> np.ndarray:
@@ -175,10 +172,11 @@ def _two_path(got, want, axes=None) -> float | np.ndarray:
     return dev / np.fmax(1.0, top)  # fmax: a NaN top leaves the floor, as max(1.0, nan) does
 
 
-def metric_identity_residuals(p: BCnParameters, active, x) -> tuple:
+def metric_identity_residuals(p: BCnParameters, active, x, named=None) -> tuple:
     """(off-diagonal, diagonal) max-abs deviation of ``metric_B(active, x)`` from h(x) diag(m),
     each over max(1, max_k |h m_k|), floored as h can vanish.  A non-finite B or h (sinh and cosh overflow for
-    |x| above about 355) raises DomainError naming the first of B and h that is not finite, at the first such point.
+    |x| above about 355) raises DomainError naming the first of B and h that is not finite, at the first such point:
+    its row of ``named``, x by default (``verify-susy`` names its sampled x^, of which x = x^ / sqrt(m)).
     (A, c, z) with z of shape (..., M) at x of (..., n) gives two arrays of shape (...), each point's bits as alone.
     For the members of ``p`` both vanish if r + 8s + 2q(N - 2) = 0, the off-diagonal part for every (r, s, q).
     """
@@ -187,7 +185,7 @@ def metric_identity_residuals(p: BCnParameters, active, x) -> tuple:
     n = B.shape[-1]
     for name, value in (("B", B), ("h", h)):
         if not np.isfinite(value).all():
-            points = np.reshape(x, (-1, n))
+            points = np.reshape(x if named is None else named, (-1, n))
             k = np.isfinite(value).reshape(len(points), -1).all(-1).argmin()
             raise DomainError(f"{name} is not finite at the point {points[k].tolist()}")
     target = h[..., None] * p.m_array

@@ -145,6 +145,6 @@ def fully_active(config: Configuration) -> np.ndarray:
 
     Members with zero multiplicity count too: the family's third derivatives
     have coth poles on every BC_n hyperplane (x_i = 0, x_i = +-x_j) whatever
-    the multiplicities, and ``tensor_closed_form`` reads none of them.
+    the multiplicities, and ``closed_form_arrows`` reads none of them.
     """
     return config.vectors

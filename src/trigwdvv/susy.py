@@ -3,12 +3,14 @@
 In coordinates x^_i = m_i^{1/2} x_i the family's metric becomes a multiple of
 the identity, B^ - h I = D^{-1/2} (B - h diag(m)) D^{-1/2} with D = diag(m),
 and the third-derivative matrices commute pairwise.  This module builds that
-rescaled configuration, the bosonic potential and the closed-form residual of
-the gauge identity V = |grad L|^2 - Lap L that relates the two Hamiltonian
-forms.  The potential and the gauge residual read ``active_pairings``' (A, c,
-z) at the point x^, or at each point of a block.  The fermionic operators, which
-depend on n alone and read no prepotential, and the four-fermion interaction term,
-which no check needs, are built in the test oracles.
+rescaled configuration, whose covectors keep at most two nonzero entries (so
+``verify-susy`` reads its tensor as the arrow array of ``wdvv.arrow_slices``,
+and its commuting form by ``wdvv.arrow_residuals`` at the identity pivot), the
+bosonic potential and the closed-form residual of the gauge identity
+V = |grad L|^2 - Lap L that relates the two Hamiltonian forms.  The potential
+and the gauge residual read ``active_pairings``' (A, c, z) at x^, or at each
+point of a block.  The fermionic operators, which depend on n alone, and the
+four-fermion term, which no check needs, are built in the test oracles.
 """
 
 from __future__ import annotations

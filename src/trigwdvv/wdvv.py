@@ -1,26 +1,22 @@
 """Residuals of the WDVV equations F_i P^{-1} F_j = F_j P^{-1} F_i.
 
-The theorem's forms differ only in the pivot P.  WDVV for one invertible
-pivot in the span of the slices F_k implies it for every other
-(Marshakov-Mironov-Morozov 1996).  On the BC_n family every covector has at
-most two nonzero entries, so F_ijk = 0 for distinct i, j, k: each slice F_i is
-an arrow matrix (a diagonal plus row and column i) and the metric
-B = sum_k sinh(2x_k) F_k is diagonal for every (r, s, q).  ``arrow_residuals``
-takes the family's check at P = diag(B) with O(n^3) memory per point, no n^4
-array and no LU, in O(n^4) flops, from its one ``eigvalsh`` over the n arrow
-slices.  An explicit configuration has no such structure: ``pivot_residuals``
-takes its check at whichever of B and a generic eta.F = sum_k eta_k F_k is
-better conditioned, under ``usable_pivots``' cap.  The identity is the pivot of
-the commuting form, for the rescaled tensor whose metric is a multiple of the
-identity.  Each equation is antisymmetric in (i, j), so both kernels evaluate
-the pairs i < j only.  Every slice F_k and every pivot is symmetric (the F_ijk
-are third derivatives of one prepotential), so their singular values are the
-|eigenvalues| of ``np.linalg.eigvalsh``, which reads the lower triangle of each
-pivot and each slice only.  ``scaled`` divides the max-abs commutator entry by
-the operand norms with no floor, so it stays relative where they are small (in
-the far field ||B^{-1}|| is of order e^-10); ``raw`` keeps the unscaled entry.
-A verifier that cannot fail verifies nothing, so the controls matter as much as
-the positive checks.
+WDVV for one invertible pivot P in the span of the slices F_k implies it for
+every other (Marshakov-Mironov-Morozov 1996).  On the BC_n family and its
+rescaling every covector has at most two nonzero entries, so F_ijk = 0 for
+distinct i, j, k: each slice F_i is an arrow matrix, and the tensor is one
+n x n array V[i, k] = F_ikk (``arrow_slices``).  ``arrow_residuals`` takes every
+family check at a diagonal pivot, ``verify-wdvv``'s diag(B) and ``verify-susy``'s
+identity, in O(n^3) memory and O(n^4) flops a point, with no n^4 array and no LU.
+An explicit configuration's check is ``pivot_residuals``', at whichever of B and
+a generic eta.F = sum_k eta_k F_k is better conditioned, under ``usable_pivots``'
+cap.  Both kernels evaluate the pairs i < j only, each equation being
+antisymmetric in (i, j).  Every slice and every pivot is symmetric (the F_ijk are
+third derivatives of one prepotential), so their singular values are the
+|eigenvalues| of ``np.linalg.eigvalsh``, which reads lower triangles only.
+``scaled`` divides the max-abs commutator entry by the operand norms with no
+floor, so it stays relative where they are small (in the far field ||B^{-1}|| is
+of order e^-10); ``raw`` keeps the unscaled entry.  A verifier that cannot fail
+verifies nothing, so the controls matter as much as the positive checks.
 """
 
 from __future__ import annotations
@@ -76,17 +72,15 @@ def usable_pivots(pivots) -> tuple:
     return pivot, sv, condition, _refusals(refused, lambda p: text.format(k[p], condition[p], CONDITION_CAP))
 
 
-def pivot_residuals(tensor, pivots=None) -> tuple[tuple, list | str | None]:
+def pivot_residuals(tensor, pivots) -> tuple[tuple, list | str | None]:
     """((scaled, raw, condition), refusals) of F_i P^{-1} F_j - F_j P^{-1} F_i at one pivot P a point.
 
-    ``pivots`` is a (..., p, n, n) stack of candidates, of which ``usable_pivots`` chooses each point's P
-    and refusal: ``B[None]`` for the metric alone, ``[B, eta.F]`` a point for an explicit
-    ``verify-wdvv``, or None for P = identity, which refuses nothing (refusals None).  The last axis of
-    ``raw`` and ``scaled`` runs over the pairs i < j in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is the
-    max-abs entry of the commutator-like matrix of the k-th pair (i, j) and ``scaled[k]`` is
-    raw / (||F_i|| ||F_j|| ||P^{-1}||) in the spectral norm, 0 where F_i or F_j is zero; ``condition`` is
-    P's spectral condition number (1 for the identity).  A non-finite tensor raises DomainError, and the
-    candidates pass ``usable_pivots``, both before any solve.
+    ``pivots`` is a (..., p, n, n) stack of candidates, of which ``usable_pivots`` chooses each point's P and
+    refusal: ``B[None]`` for the metric alone, ``[B, eta.F]`` a point for an explicit ``verify-wdvv``.  The last
+    axis of ``raw`` and ``scaled`` runs over the pairs i < j in ``np.triu_indices(n, 1)`` order: ``raw[k]`` is
+    the max-abs entry of the k-th pair's commutator-like matrix and ``scaled[k]`` raw / (||F_i|| ||F_j|| ||P^{-1}||)
+    in the spectral norm, 0 where F_i or F_j is zero; ``condition`` is P's spectral condition number.  A
+    non-finite tensor raises DomainError, and the candidates pass ``usable_pivots``, both before any solve.
 
     The slices F_i are symmetric, and the norms ||F_i|| are their largest |eigenvalues|, from one
     ``eigvalsh`` of the tensor's lower triangles.  P is factorized once, against all n^2 columns of the
@@ -99,14 +93,12 @@ def pivot_residuals(tensor, pivots=None) -> tuple[tuple, list | str | None]:
     if not np.isfinite(T).all():
         raise DomainError("the tensor is not finite")
     n = T.shape[-1]
-    X = T.swapaxes(-3, -2).reshape(*T.shape[:-3], n, n * n)  # X[..., a, (j, b)] = F_j[a, b]
     i, j = _upper_pairs(n)
     norms = np.abs(np.linalg.eigvalsh(T)).max(-1)
-    scale, condition, refusals = norms[..., i] * norms[..., j], 1.0, None
-    if pivots is not None:
-        P, sv, condition, refusals = usable_pivots(pivots)
-        scale = scale * (1.0 / sv[..., -1])[..., None]  # times ||P^{-1}||
-        X = np.linalg.solve(P, X)  # X[..., (j, b)] = P^{-1} F_j: one LU a point
+    P, sv, condition, refusals = usable_pivots(pivots)
+    scale = norms[..., i] * norms[..., j] * (1.0 / sv[..., -1])[..., None]  # times ||P^{-1}||
+    # X[..., a, (j, b)] = (P^{-1} F_j)[a, b]: one LU a point
+    X = np.linalg.solve(P, T.swapaxes(-3, -2).reshape(*T.shape[:-3], n, n * n))
     # G[..., i, j, a, b] = (F_i P^{-1} F_j)[a, b], stacked over i: OpenBLAS threads the
     # flat T.reshape(n * n, n) @ X at n >= 16, which ran up to 6x slower on 2 vCPUs
     G = (T @ X[..., None, :, :]).reshape(T.shape + (n,)).swapaxes(-3, -2)
@@ -117,15 +109,24 @@ def pivot_residuals(tensor, pivots=None) -> tuple[tuple, list | str | None]:
     return (scaled, raw, condition), refusals
 
 
-def arrow_residuals(active, x) -> tuple[tuple, list | str | None]:
-    """((scaled, raw, condition), refusals) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for BC_n covectors.
+def arrow_slices(active) -> np.ndarray:
+    """V[..., i, k] = F_ikk = sum_alpha c_alpha a_i a_k^2 coth((alpha, x)) from ``active_pairings``' (A, c, z): every
+    nonzero entry of the tensor where each member has at most two nonzero entries (slice F_i is diag(V[i]) plus
+    row and column i, V[:, i]).  One (n x M)(M x n) GEMM a point, (A^T * c coth z) @ (A * A), each point's bits
+    as alone."""
+    A, c, z = active
+    return ((c / np.tanh(z))[..., None] * A).swapaxes(-1, -2) @ (A * A)
 
-    ``active`` is ``active_pairings``' (A, c, z) at the point x, whose every member has at most two
-    nonzero entries, so that F_ijk = 0 for distinct i, j, k; at the family's multiplicities B is
-    diagonal too (its off-diagonal metric identity holds for every (r, s, q)), and only its
-    diagonal is read.  The values are ``pivot_residuals``' over the pairs i < j, at the pivot
-    diag(B).  V[i, k] = F_ikk comes from one (n x M)(M x n) GEMM over the members, and
-    B_kk = (sinh 2x @ V)_k.  For b outside {i, j}
+
+def arrow_residuals(V, B) -> tuple[tuple, list | str | None]:
+    """((scaled, raw, condition), refusals) of F_i D F_j - F_j D F_i, D = diag(B)^{-1}, for arrow slices.
+
+    ``V`` is ``arrow_slices``' V[i, k] = F_ikk, whose slices F_i are arrow matrices, and ``B`` the
+    pivot's diagonal: B_kk = (sinh 2x @ V)_k for a family's ``verify-wdvv`` (at the family's
+    multiplicities B is diagonal, its off-diagonal metric identity holding for every (r, s, q)), and
+    ones for ``verify-susy``'s commuting form, whose rescaled metric is a multiple of the identity.
+    The values are ``pivot_residuals``' over the pairs i < j, at the pivot diag(B).  For b outside
+    {i, j}
 
         M_ij[i, b] = d_b V[b,i] V[j,b] + d_j V[j,i] V[b,j] - d_i V[j,i] V[b,i],  d = 1 / B_kk,
 
@@ -136,22 +137,19 @@ def arrow_residuals(active, x) -> tuple[tuple, list | str | None]:
     arrow slices scattered from V, ||D|| = 1 / min|B_kk| and the condition number is
     max|B_kk| / min|B_kk|.  No LU is taken and no condition cap applies: each entry is a sum of
     at most n + 3 terms, each bounded by ||D|| ||F_i|| ||F_j||, so the rounding in ``scaled``
-    does not grow with the condition number.  A non-finite V raises DomainError, as does a
+    does not grow with the condition number.  A non-finite V raises DomainError, and then a
     non-finite B ("pivot 0 is not finite", ``usable_pivots``' text).  A point with a zero B_kk is
     refused, "the diagonal pivot B has B_kk = 0 at k = ...", at its first zero: its condition number
     is +inf, and its B is replaced by ones, so nothing divides by zero and its values, which the
-    caller drops, are finite.  x of shape (..., n) and z of (..., M) give each output and the
+    caller drops, are finite.  V of shape (..., n, n) and B of (..., n) give each output and the
     refusals (``usable_pivots``' form) those leading axes, each point's bits as alone, from one
     ``eigvalsh`` of every point's n slices.
     """
-    A, c, z = active
-    V = ((c / np.tanh(z))[..., None] * A).swapaxes(-1, -2) @ (A * A)
     if not np.isfinite(V).all():
         raise DomainError("the tensor is not finite")
-    n = V.shape[-1]
-    B = (np.sinh(2.0 * x)[..., None, :] @ V)[..., 0, :]
     if not np.isfinite(B).all():
         raise DomainError("pivot 0 is not finite")
+    n = V.shape[-1]
     absB = np.abs(B)
     lo, hi = absB.min(axis=-1, keepdims=True), absB.max(axis=-1, keepdims=True)
     refused = lo[..., 0] == 0.0

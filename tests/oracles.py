@@ -264,7 +264,7 @@ def restricted_multiply_loop(part, r, s, q, x_tilde, u, v) -> np.ndarray:
 def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
     """The closed form's coth helpers (b, b~, b_pair) at one point: ``prepotential._hyperbolic_helpers``
     behind the one-point shape rule, so a point that is not 1-D raises DimensionError.  The library
-    reads them only through ``tensor_closed_form``, which takes a block of points too."""
+    reads them only through ``closed_form_arrows``, which takes a block of points too."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"point has shape {x.shape}, expected (n,)")
@@ -403,7 +403,8 @@ def pair_residual(tensor, i: int, j: int, pivot=None) -> tuple[float, float]:
 def pivot_residuals_full(tensor, pivots=None) -> tuple[np.ndarray, np.ndarray, float]:
     """``wdvv.pivot_residuals`` by the full commutator pass, for bit-for-bit comparison.
 
-    At the pivot that ``usable_pivots`` chooses from the stack, every commutator
+    ``pivots`` None is the identity, the dense reference for ``wdvv.arrow_residuals`` at B = ones, the
+    commuting form.  At the pivot that ``usable_pivots`` chooses from the stack, every commutator
     (i, j) and (j, i) is formed from the strided swap of all n^4 entries of the
     product, raw is the (n, n) max(top, top.T) of their signed maxima, and the
     norms ||F_i|| come from a separate ``eigvalsh`` of the tensor's symmetric

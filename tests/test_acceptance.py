@@ -27,15 +27,15 @@ from trigwdvv.configurations import (
 )
 from trigwdvv.prepotential import (
     active_pairings,
+    closed_form_arrows,
     h_function,
     metric_B,
     metric_identity_residuals,
-    tensor_closed_form,
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
-from trigwdvv.wdvv import pivot_residuals
+from trigwdvv.wdvv import arrow_residuals, arrow_slices, pivot_residuals
 
 from tests.oracles import (
     DenseFermionicSpace,
@@ -81,9 +81,12 @@ def test_criterion_1_two_path_tensor_equivalence():
             config = build_bcn(p)
             pattern = fully_active(config)
             for x in sample_points(rng, pattern, 20):
-                G = tensor_generic(active_pairings(config, x))
-                C = tensor_closed_form(p, x)
-                worst = max(worst, np.abs(G - C).max() / max(1.0, np.abs(C).max()))
+                # the closed form's V[i, k] = F_ikk against the members' V and the arrow entries of the
+                # members' dense tensor
+                active = active_pairings(config, x)
+                C = closed_form_arrows(p, x)
+                for V in (arrow_slices(active), np.einsum("ikk->ik", tensor_generic(active))):
+                    worst = max(worst, np.abs(V - C).max() / max(1.0, np.abs(C).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     _line(1, "two-path tensor equivalence", ok, elapsed, f"max rel dev {worst:.2e}")
@@ -338,8 +341,11 @@ def test_criterion_6_susy_block():
     hat_bad = build_hat_configuration(p_bad).config
     rng = rng_for(SEED, "acceptance6/commuting")
     pts = sample_points(rng, fully_active(hat_ok), 50)
-    worst_comm = max(pivot_residuals(tensor_generic(active_pairings(hat_ok, x)))[0][0][0] for x in pts)
-    broken_raw = np.median([pivot_residuals(tensor_generic(active_pairings(hat_bad, x)))[0][1][0] for x in pts])
+    def commuting(hat, x):  # the arrow kernel at the identity pivot, as verify-susy takes it
+        return arrow_residuals(arrow_slices(active_pairings(hat, x)), np.ones(2))[0]
+
+    worst_comm = max(commuting(hat_ok, x)[0][0] for x in pts)
+    broken_raw = np.median([commuting(hat_bad, x)[1][0] for x in pts])
 
     # four-fermion term against the literal eight-index oracle
     worst_phi = 0.0

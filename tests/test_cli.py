@@ -58,6 +58,17 @@ def run_cli(*args, env_extra=None):
     )
 
 
+# the commands that compare B with h diag(m), with the sample count at which a point of --box 300,400
+# overflows it; at m = 1,2,2 verify-susy reads B at x = x^ / sqrt(m), and overflows where x^_1 > 355
+OVERFLOWING = {
+    "verify-metric": ("verify-metric", FAMILY_OK, 2),
+    "verify-restriction": ("verify-restriction", FAMILY_OK, 2),
+    "verify-susy": ("verify-susy", FAMILY_OK, 2),
+    "verify-susy-m122": ("verify-susy", ["--family", "bcn", "--n", "3", "--r", "-6", "--s", "0", "--q", "1",
+                                         "--m", "1,2,2"], 50),
+}
+
+
 class TestExitCodeContract:
     def test_theorem_family_passes(self):
         proc = run_cli(
@@ -110,13 +121,23 @@ class TestExitCodeContract:
         assert proc.returncode == 2
         assert proc.stderr == "error: DomainError: pivot 0 is not finite\n"  # no warning, no traceback
 
-    @pytest.mark.parametrize("command", ["verify-metric", "verify-restriction", "verify-susy"])
-    def test_overflowing_metric_identity_is_a_domain_error_without_traceback(self, command):
-        # the three commands that compare B with h diag(m) refuse a non-finite B by name, with the point
-        proc = run_cli(command, *FAMILY_OK, "--box", "300,400", "--samples", "2")
+    @pytest.mark.parametrize("command, family, samples", OVERFLOWING.values(), ids=OVERFLOWING)
+    def test_overflowing_metric_identity_is_a_domain_error_without_traceback(self, command, family, samples):
+        # the three commands that compare B with h diag(m) refuse a non-finite B by name, with the point:
+        # the sampled point, which lies in the box and in the run's point stream (verify-susy's x^, not the
+        # x = x^ / sqrt(m) at which it reads B, which at m = 2 lies outside the box)
+        argv = [command, *family, "--box", "300,400", "--samples", str(samples)]
+        proc = run_cli(*argv)
         assert proc.returncode == 2
-        assert re.fullmatch(r"error: DomainError: B is not finite at the point \[[^]]*\]\n", proc.stderr)
-        assert proc.stdout == ""
+        named = re.fullmatch(r"error: DomainError: B is not finite at the point (\[[^]]*\])\n", proc.stderr)
+        assert named and proc.stdout == ""
+        point = json.loads(named.group(1))
+        assert all(300.0 <= v <= 400.0 for v in point), point
+        spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
+        config = cli.VERIFIERS[command](spec, load_config_source(spec.config_source))[1]
+        take = sampling.admissible_points(rng_for(spec.seed, f"{command}/points"), fully_active(config), spec.box,
+                                          spec.threshold)
+        assert point in take(spec.samples)[0].tolist()
 
     def test_linalg_error_is_exit_2_without_traceback(self, monkeypatch, capsys):
         def failing_eigvalsh(*args, **kwargs):
@@ -691,9 +712,8 @@ def test_the_discard_cap_on_the_family_route_names_the_arrow_kernels_refusal(mon
     # the family verify-wdvv route takes no condition cap: with every multiplicity zeroed inside the
     # arrow kernel, B = 0 at every point, each point (and each block) is refused with the kernel's own
     # text, and the cap's error carries that text, not a condition number
-    def zero_b(active, x):
-        A, c, z = active
-        return wdvv.arrow_residuals((A, 0.0 * c, z), x)
+    def zero_b(V, B):
+        return wdvv.arrow_residuals(0.0 * V, 0.0 * B)
 
     monkeypatch.setattr(cli, "arrow_residuals", zero_b)
     monkeypatch.setattr(cli, "MAX_ATTEMPTS_PER_POINT", 5)
@@ -1148,6 +1168,18 @@ def test_restriction_two_path_fails_when_either_route_is_scaled(monkeypatch, mod
     assert math.isclose(two_path.max_residual, 1e-3, rel_tol=1e-3)
 
 
+@pytest.mark.parametrize("name", ["arrow_slices", "closed_form_arrows"], ids=["members-scaled", "closed-form-scaled"])
+def test_susy_two_path_fails_when_either_route_is_scaled(monkeypatch, name):
+    # scaling either route by 1.001, the members' V or the closed form's, moves hat_tensor_two_path to
+    # about 1e-3; hat_commuting_residual reads the members' V, and is scale-free, so it passes
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: 1.001 * original(*args))
+    report = run(RunSpec(command="verify-susy", config_source=_family(4, -14, 0.5, 1, (2, 1, 3, 1)), samples=3))
+    assert {c.name for c in report.checks if not c.passed} == {"hat_tensor_two_path"}
+    two_path = next(c for c in report.checks if c.name == "hat_tensor_two_path")
+    assert math.isclose(two_path.max_residual, 1e-3, rel_tol=1e-2), two_path.max_residual
+
+
 def test_every_two_route_check_reads_the_one_comparison(monkeypatch):
     # prepotential._two_path is the one comparison of a quantity by two routes: replaced
     # where each caller looks it up, it is what all four checks report, one value a point in a block too
@@ -1595,6 +1627,28 @@ def test_each_point_s_draw_follows_it_in_the_stream_whatever_the_block(block):
     assert len(got) == spec.samples
 
 
+def test_every_residual_function_receives_c_ordered_operands():
+    # a kernel's last bits follow its operands' layout (numpy sums a non-contiguous last axis in another
+    # order), so _sampled hands every residual function fresh C-ordered x and z.  At s = 0 every 2e_i is
+    # inactive, so z is the sampler's product at config.active_rows, which numpy's selection of a
+    # block's columns lays out column by column
+    family = _family(3, -4, 0, 1, (1, 2, 1))
+    for command, source in [("verify-wdvv", family), ("verify-wdvv", config_document(load_config_source(family))),
+                            ("verify-associativity", family), ("verify-metric", family),
+                            ("verify-restriction", _family(3, -2, 0, 1, (1, 1, 1))), ("verify-susy", family)]:
+        spec = RunSpec(command=command, config_source=source, samples=3)
+        _, config, residuals, block, draw = cli.VERIFIERS[command](spec, load_config_source(source))
+        assert config.active_rows is not None, command
+        layouts = []
+
+        def recording(x, active, draws):
+            layouts.append((len(x), x.flags.c_contiguous, active[2].flags.c_contiguous))
+            return residuals(x, active, draws)
+
+        _sampled(VerificationReport(run=spec), config, recording, block, draw)
+        assert layouts == [(3, True, True)], command
+
+
 def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
     # no residual function takes a generator: _sampled makes each point's draw, of the shape the
     # driver declares, and a driver that draws nothing declares none; every call takes a block, x of
@@ -1636,7 +1690,7 @@ def test_every_residual_function_takes_a_point_its_pairings_and_its_draws():
         ("verify-wdvv", True): (1213, None), ("verify-wdvv", False): (404, None),
         ("verify-associativity", True): (3640, (3, 3)), ("verify-associativity", False): (910, (3, 3)),
         ("verify-metric", True): (1213, None), ("verify-restriction", True): (315, (2, 2)),
-        ("verify-susy", True): (404, None),
+        ("verify-susy", True): (1213, None),
     }
 
 
@@ -1661,9 +1715,9 @@ def test_a_family_wdvv_report_is_the_same_in_blocks(monkeypatch, source, seed, s
     spec = RunSpec(command="verify-wdvv", config_source=source, samples=samples, seed=seed)
     n, shapes = source["n"], []
 
-    def recording(active, x):
-        shapes.append(x.shape)
-        return wdvv.arrow_residuals(active, x)
+    def recording(V, B):
+        shapes.append(B.shape)
+        return wdvv.arrow_residuals(V, B)
 
     monkeypatch.setattr(cli, "arrow_residuals", recording)
     blocked = dumps_17g(run(spec).to_json_dict())
@@ -1681,7 +1735,8 @@ def _block_calls(samples: int, block: int, n: int) -> list[tuple]:
 
 
 # the golden verify-susy families at r and at r + 1: n = 1 (r = 1 off the theorem), 2, 3 and 5, the
-# unequal m = 1,2,2 and 2,1,3,1, and m = 0.1,1 near the origin; and the n = 7 console row, three calls
+# unequal m = 1,2,2 and 2,1,3,1, and m = 0.1,1 near the origin; the n = 7 console row, one call; and
+# unit m at n = 12, two calls (18 and 2)
 _SUSY_REPORTS = {
     f"{name}{'-r+1' if shift else ''}": (_family(n, r + shift, s, q, m), options)
     for name, (n, r, s, q, m, options) in {
@@ -1693,6 +1748,7 @@ _SUSY_REPORTS = {
         "m2131": (4, -14, 0.5, 1, (2, 1, 3, 1), {}),
         "m0.1-near-origin": (2, 1.8, 0, 1, (0.1, 1), {"box": (0.01, 0.5), "samples": 20}),
         "n7": (7, -10, 0, 1, (1,) * 7, {"box": (0.3, 4.0), "samples": 30}),
+        "n12": (12, -20, 0, 1, (1,) * 12, {"box": (0.3, 4.0), "samples": 20}),
     }.items()
     for shift in (0, 1)
 }
@@ -1700,21 +1756,21 @@ _SUSY_REPORTS = {
 
 @pytest.mark.parametrize("source, options", _SUSY_REPORTS.values(), ids=_SUSY_REPORTS)
 def test_a_susy_report_is_the_same_in_blocks(monkeypatch, source, options):
-    # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^4) points a call, and at one
+    # the whole report, byte for byte, at the block rule, max(1, 2^15 // n^3) points a call, and at one
     # point per call; no block call raised and went again point by point
     spec = RunSpec(command="verify-susy", config_source=source, **options)
     n, shapes = source["n"], []
-    real = cli.tensor_closed_form
+    real = cli.closed_form_arrows
 
     def recording(p, x, threshold):
         shapes.append(np.shape(x))
         return real(p, x, threshold)
 
-    monkeypatch.setattr(cli, "tensor_closed_form", recording)
+    monkeypatch.setattr(cli, "closed_form_arrows", recording)
     blocked = dumps_17g(run(spec).to_json_dict())
-    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**4), n)
+    assert shapes == _block_calls(spec.samples, max(1, 2**15 // n**3), n)
     shapes.clear()
-    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^4) = 1
+    monkeypatch.setattr(cli, "_WDVV_BLOCK", 0)  # max(1, 0 // n^3) = 1
     assert dumps_17g(run(spec).to_json_dict()) == blocked
     assert shapes == [(1, n)] * spec.samples
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from trigwdvv.configurations import BCnParameters, Configuration, Partition, bui
 from trigwdvv.errors import DimensionError, DomainError, ParameterError, SingularityError
 from trigwdvv.prepotential import (
     active_pairings,
+    closed_form_arrows,
     coth,
     h_function,
     metric_B,
     metric_identity_residuals,
-    tensor_closed_form,
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for
 from trigwdvv.configurations import _off_pairs
+from trigwdvv.wdvv import arrow_slices
 
 from tests.oracles import (
     DenseFermionicSpace,
@@ -42,6 +44,11 @@ from tests.oracles import (
 )
 
 COTH = lambda z: 1.0 / math.tanh(z)
+
+
+def arrows(F):
+    """V[..., i, k] = F[..., i, k, k] of a dense (..., n, n, n) tensor, as a fresh C-ordered array."""
+    return np.ascontiguousarray(np.einsum("...ikk->...ik", F))
 
 # frozen from the compensated-summation oracle: 0.5**3/6 - li3_fsum(exp(-1))/4
 EVAL_F_HALF = -0.07591552271921662
@@ -265,6 +272,7 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 # through active_pairings, as in cli._sampled
 HYPERPLANE_CALLERS = {
     "tensor_generic": lambda x: tensor_generic(active_pairings(build_bcn(BC2), x)),
+    "arrow_slices": lambda x: arrow_slices(active_pairings(build_bcn(BC2), x)),
     "active_pairings": lambda x: active_pairings(build_bcn(BC2), x),
     "RestrictionContext": lambda x: algebra.RestrictionContext(1.0, 1.0, 1.0, Partition(2, (1, 1))).pairings(x),
     "bosonic_potential": lambda x: susy.bosonic_potential(active_pairings(build_bcn(BC2), x)),
@@ -322,42 +330,83 @@ class TestActivePairings:
             caller(np.array([np.nan, 0.5]))
 
 
-class TestTensorClosedForm:
+class TestClosedFormArrows:
     def test_rank_one(self):
         p = BCnParameters(n=1, r=1.7, s=-0.6, q=0.0, m=(1.0,))
-        T = tensor_closed_form(p, [0.8])
-        assert math.isclose(T[0, 0, 0], 1.7 * COTH(0.8) + 8 * (-0.6) * COTH(1.6), rel_tol=1e-14)
+        V = closed_form_arrows(p, [0.8])
+        assert V.shape == (1, 1)
+        assert math.isclose(V[0, 0], 1.7 * COTH(0.8) + 8 * (-0.6) * COTH(1.6), rel_tol=1e-14)
 
     def test_diagonal_includes_pair_sum(self):
         p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
         x = [0.9, 0.4]
-        T = tensor_closed_form(p, x)
+        V = closed_form_arrows(p, x)
         _, _, bp = hyperbolic_helpers(x)
         expected = COTH(0.9) + 8 * COTH(1.8) + bp[0, 1]
-        assert math.isclose(T[0, 0, 0], expected, rel_tol=1e-13)
+        assert math.isclose(V[0, 0], expected, rel_tol=1e-13)
 
     def test_repeated_index_entry(self):
+        # V[1, 0] = F_100 = F_001 = q m_0 m_1 b_pair[1][0]
         p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
         x = [0.9, 0.4]
-        T = tensor_closed_form(p, x)
+        V = closed_form_arrows(p, x)
         _, _, bp = hyperbolic_helpers(x)
-        assert math.isclose(T[0, 0, 1], bp[1, 0], rel_tol=1e-13)
+        assert math.isclose(V[1, 0], bp[1, 0], rel_tol=1e-13)
 
     def test_matches_generic_path(self):
-        p = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
-        x = np.array([0.9, 0.4])
-        G = tensor_generic(active_pairings(build_bcn(p), x))
-        C = tensor_closed_form(p, x)
-        assert np.abs(G - C).max() < 1e-12
+        # the closed form's arrows against the members' V and the members' dense tensor, whose every
+        # entry off the arrows is exactly zero
+        p = BCnParameters(n=3, r=1.0, s=1.0, q=1.0, m=(1.0, 2.0, 0.5))
+        x = np.array([0.9, 0.4, 1.3])
+        active = active_pairings(build_bcn(p), x)
+        G, C = tensor_generic(active), closed_form_arrows(p, x)
+        assert np.abs(arrows(G) - C).max() < 1e-12 and np.abs(arrow_slices(active) - C).max() < 1e-12
+        i, j, k = np.nonzero(np.ones((3, 3, 3)))
+        distinct = (i != j) & (j != k) & (i != k)
+        assert not G[i[distinct], j[distinct], k[distinct]].any()
 
-    def test_equals_the_entry_by_entry_oracle_bit_for_bit(self):
-        rng = rng_for(11, "closed-form/oracle")
-        for n in range(1, 9):
+    @pytest.mark.parametrize("oracle", [tensor_closed_form_loop, tensor_closed_form_masked], ids=["loop", "masked"])
+    def test_equals_the_dense_oracles_arrows_bit_for_bit(self, oracle):
+        # at n = 1 to 7, a point alone and a block of five, each point's V is the arrow entries F_ikk of the
+        # dense closed form that the oracle fills, bit for bit
+        rng = rng_for(11, f"closed-form/oracle/{oracle.__name__}")
+        for n in range(1, 8):
             m = tuple(rng.uniform(0.5, 5.0, n))
             p = BCnParameters(n=n, r=float(rng.uniform(-5, 5)), s=float(rng.uniform(-5, 5)),
                               q=float(rng.uniform(-5, 5)), m=m)
-            for x in sample_points(rng, fully_active(build_bcn(p)), 5):
-                assert tensor_closed_form(p, x).tobytes() == tensor_closed_form_loop(p, x).tobytes()
+            xs = sample_points(rng, fully_active(build_bcn(p)), 5)
+            want = np.stack([arrows(oracle(p, x)) for x in xs])
+            assert closed_form_arrows(p, xs).tobytes() == want.tobytes(), n
+            for x, one in zip(xs, want):
+                assert closed_form_arrows(p, x).tobytes() == one.tobytes(), n
+
+    def test_the_two_routes_share_no_package_code(self):
+        # the members' V and the closed form's are two independent routes: neither reaches the other,
+        # and no package function runs on both
+        p = BCnParameters(n=3, r=-20.0, s=1.0, q=2.0, m=(1.0, 2.0, 2.0))
+        x = np.array([0.9, 0.4, 1.3])
+        active = active_pairings(build_bcn(p), x)
+        members, closed = _package_calls(arrow_slices, active), _package_calls(closed_form_arrows, p, x)
+        assert members == {"arrow_slices"}
+        assert "closed_form_arrows" in closed and "arrow_slices" not in closed
+        assert not members & closed
+
+
+def _package_calls(fn, *args) -> set[str]:
+    """The names of the package's functions that run during ``fn(*args)``, ``fn`` among them."""
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("trigwdvv"):
+            called.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return called
 
 
 class TestMetricAndH:
@@ -485,10 +534,10 @@ BC2 = BCnParameters(n=2, r=1.0, s=1.0, q=1.0, m=(1.0, 1.0))
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: tensor_closed_form(BC2, NAN_POINT),
+        lambda: closed_form_arrows(BC2, NAN_POINT),
         lambda: identity_residuals(NAN_POINT, 0, 1),
     ],
-    ids=["tensor_closed_form", "identity_residuals"],
+    ids=["closed_form_arrows", "identity_residuals"],
 )
 def test_closed_form_route_refuses_a_nan_point(evaluate):
     # NaN < theta is false, so the margin test alone would let a NaN point through
@@ -502,7 +551,7 @@ BC3_ACTIVE = active_pairings(build_bcn(BC3), [0.9, 0.5, 1.3])
 # every function that reads a point, or a block of points, beside a family or members of dimension 3
 POINT_READERS = {
     "h_function": lambda x: h_function(BC3, x),
-    "tensor_closed_form": lambda x: tensor_closed_form(BC3, x),
+    "closed_form_arrows": lambda x: closed_form_arrows(BC3, x),
     "metric_B": lambda x: metric_B(BC3_ACTIVE, x),
     "metric_identity_residuals": lambda x: metric_identity_residuals(BC3, BC3_ACTIVE, x),
 }
@@ -570,8 +619,8 @@ def test_closed_form_and_metric_identity_equal_the_masked_route_bit_for_bit(monk
     config = build_bcn(p)
     for x in sample_points(rng, fully_active(config), 6, box=(-1.5, 1.5)):
         assert np.array_equal(hyperbolic_helpers(x)[2], hyperbolic_helpers_masked(x)[2])
-        closed = tensor_closed_form(p, x)
-        assert closed.tobytes() == tensor_closed_form_masked(p, x).tobytes()
+        closed = tensor_closed_form_masked(p, x)
+        assert closed_form_arrows(p, x).tobytes() == arrows(closed).tobytes()
         active = active_pairings(config, x)
         got = metric_identity_residuals(p, active, x)
         # the reduction of the members' B, bit for bit, and the residuals within B's rounding bound of

@@ -11,10 +11,10 @@ from trigwdvv.prepotential import (
     _hyperbolic_helpers,
     _two_path,
     active_pairings,
+    closed_form_arrows,
     h_function,
     metric_B,
     metric_identity_residuals,
-    tensor_closed_form,
     tensor_generic,
 )
 from trigwdvv.sampling import fully_active, rng_for
@@ -25,7 +25,7 @@ from trigwdvv.susy import (
     build_hat_configuration,
     gauge_residual,
 )
-from trigwdvv.wdvv import pivot_residuals
+from trigwdvv.wdvv import arrow_residuals, arrow_slices
 
 from tests.oracles import (
     DENSE_N_CAP,
@@ -43,6 +43,7 @@ from tests.oracles import (
     polynomial_field,
     sample_points,
     sinh_product_field,
+    tensor_closed_form_loop,
 )
 
 M23 = BCnParameters(n=2, r=-20.0, s=1.0, q=2.0, m=(2.0, 3.0))
@@ -108,11 +109,14 @@ class TestHatTensor:
         rng = rng_for(42, f"hat/two-path/{params.n}")
         sq = np.sqrt(params.m_array)
         for xh in sample_points(rng, pattern, 20):
-            # the rescaled tensor in base coordinates against the closed form at x = x^ / sqrt(m)
+            # the rescaled tensor in base coordinates against the dense closed form at x = x^ / sqrt(m),
+            # and its arrows, F_ikk = sqrt(m_i) m_k F^_ikk, as verify-susy maps them, against the closed form's
             base = np.einsum("klt,k,l,t->klt", hat_tensor(params, xh), sq, sq, sq)
-            closed = tensor_closed_form(params, xh / sq)
+            closed = tensor_closed_form_loop(params, xh / sq)
             scale = max(1.0, np.abs(closed).max())
             assert np.abs(base - closed).max() < 1e-10 * scale
+            V = arrow_slices(active_pairings(build_hat_configuration(params).config, xh))
+            assert np.abs(V * sq[:, None] * params.m_array - closed_form_arrows(params, xh / sq)).max() < 1e-10 * scale
 
     def test_metric_is_h_times_identity(self):
         # B^ - h I = D^{-1/2} (B - h D) D^{-1/2} with D = diag(m): the rescaled
@@ -455,8 +459,9 @@ def _each_point_alone(block, b: int) -> list[str]:
 
 def _block_outputs(p, hat, xhs, metric=True):
     """{name: (block outputs, point k -> its outputs alone)} of every function the verify-susy and
-    verify-metric drivers call on a block, at the rescaled points xhs of ``p``'s family; without
-    ``metric_identity_residuals``, which refuses a non-finite B or h, if ``metric`` is False."""
+    verify-metric drivers call on a block, and of ``tensor_generic``, which verify-restriction calls, at
+    the rescaled points xhs of ``p``'s family; without ``metric_identity_residuals``, which refuses a
+    non-finite B or h, if ``metric`` is False."""
     sq = np.sqrt(p.m_array)
     alone = [active_pairings(hat, xh) for xh in xhs]
     A, c, _ = alone[0]
@@ -464,17 +469,19 @@ def _block_outputs(p, hat, xhs, metric=True):
     plain = build_bcn(p)
     plain_alone = [active_pairings(plain, xh / sq) for xh in xhs]
     plain_active = (*plain_alone[0][:2], np.stack([z for _, _, z in plain_alone]))
-    T = tensor_generic(active)
-    xs, base = xhs / sq, T * sq[:, None, None] * sq[:, None] * sq
+    V = arrow_slices(active)
+    ones = np.ones_like(xhs)
+    xs, base = xhs / sq, V * (sq[:, None] * p.m_array)
     base_active, base_alone = (A * sq, c, active[2]), [(A * sq, c, z) for _, _, z in alone]
-    closed = tensor_closed_form(p, xs)
+    closed = closed_form_arrows(p, xs)
     return {
-        "tensor_generic": ((T,), lambda k: (tensor_generic(alone[k]),)),
+        "tensor_generic": ((tensor_generic(active),), lambda k: (tensor_generic(alone[k]),)),
         "tensor_generic-plain": ((tensor_generic(plain_active),), lambda k: (tensor_generic(plain_alone[k]),)),
-        "pivot_residuals": (pivot_residuals(T)[0][:2], lambda k: pivot_residuals(T[k])[0][:2]),
+        "arrow_slices": ((V,), lambda k: (arrow_slices(alone[k]),)),
+        "arrow_residuals": (arrow_residuals(V, ones)[0][:2], lambda k: arrow_residuals(V[k], ones[k])[0][:2]),
         "_hyperbolic_helpers": (_hyperbolic_helpers(xs, 0.05), lambda k: _hyperbolic_helpers(xs[k], 0.05)),
-        "tensor_closed_form": ((closed,), lambda k: (tensor_closed_form(p, xs[k]),)),
-        "_two_path": ((_two_path(base, closed, axes=(-3, -2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),
+        "closed_form_arrows": ((closed,), lambda k: (closed_form_arrows(p, xs[k]),)),
+        "_two_path": ((_two_path(base, closed, axes=(-2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),
         "metric_B": ((metric_B(base_active, xs),), lambda k: (metric_B(base_alone[k], xs[k]),)),
         "metric_B-plain": ((metric_B(plain_active, xs),), lambda k: (metric_B(plain_alone[k], xs[k]),)),
         "h_function": ((h_function(p, xs),), lambda k: (h_function(p, xs[k]),)),
@@ -507,7 +514,7 @@ def test_each_block_kernel_gives_each_point_its_bits_alone(n):
         outputs = _block_outputs(p, hat, xhs)
         assert _each_point_alone(outputs, 5) == [], p
         pairs = n * (n - 1) // 2
-        assert [a.shape for a in outputs["pivot_residuals"][0]] == [(5, pairs)] * 2
+        assert [a.shape for a in outputs["arrow_residuals"][0]] == [(5, pairs)] * 2
         assert [np.shape(a) for a in outputs["metric_identity_residuals"][0]] == [(5,), (5,)]
         assert outputs["_hyperbolic_helpers"][0][2].shape == (5, n, n)
 

@@ -10,7 +10,7 @@ from trigwdvv.errors import DomainError
 from trigwdvv.prepotential import active_pairings, h_function, metric_B, tensor_generic
 from trigwdvv.sampling import DEFAULT_BOX, fully_active, rng_for
 from trigwdvv.susy import build_hat_configuration
-from trigwdvv.wdvv import CONDITION_CAP, arrow_residuals, pivot_residuals, usable_pivots
+from trigwdvv.wdvv import CONDITION_CAP, arrow_residuals, arrow_slices, pivot_residuals, usable_pivots
 
 from tests.oracles import diagonality_report, metric_B_einsum, pair_residual, pivot_residuals_full, sample_points
 
@@ -27,6 +27,18 @@ def sampled_tensors(params, count, seed_label, seed=42, box=DEFAULT_BOX):
     for x in pts:
         active = active_pairings(config, x)
         yield x, tensor_generic(active), metric_B(active, x)
+
+
+def at_b(active, x):
+    """A family's check as ``verify-wdvv`` takes it: the arrow kernel at B_kk = (sinh 2x @ V)_k."""
+    V = arrow_slices(active)
+    return arrow_residuals(V, (np.sinh(2.0 * x)[..., None, :] @ V)[..., 0, :])
+
+
+def at_identity(active):
+    """The commuting form as ``verify-susy`` takes it: the arrow kernel at the identity pivot."""
+    V = arrow_slices(active)
+    return arrow_residuals(V, np.ones(V.shape[:-1]))
 
 
 def each_slice(T):
@@ -118,17 +130,16 @@ class TestGeneralizedWdvv:
 
 class TestCommutingResidual:
     def test_equal_indices(self):
-        T = tensor_generic(active_pairings(build_hat_configuration(M23).config, np.array([0.8, 0.5])))
-        assert pivot_residuals(T)[0][0].shape == (1,)  # the one pair (0, 1)
-        assert pivot_residuals_full(T)[0][0, 0] == 0.0
+        active = active_pairings(build_hat_configuration(M23).config, np.array([0.8, 0.5]))
+        assert at_identity(active)[0][0].shape == (1,)  # the one pair (0, 1)
+        assert pivot_residuals_full(tensor_generic(active))[0][0, 0] == 0.0
 
     def test_rescaled_family_commutes(self):
         hat = build_hat_configuration(M23).config
         rng = rng_for(42, "commuting/ok")
         worst = 0.0
         for x in sample_points(rng, fully_active(hat), 50):
-            T = tensor_generic(active_pairings(hat, x))
-            worst = max(worst, pivot_residuals(T)[0][0][0])
+            worst = max(worst, at_identity(active_pairings(hat, x))[0][0][0])
         assert worst < 1e-8
 
     def test_unrescaled_tensor_does_not_commute(self):
@@ -137,15 +148,14 @@ class TestCommutingResidual:
         rng = rng_for(42, "commuting/unrescaled")
         vals = []
         for x in sample_points(rng, pattern, 50):
-            T = tensor_generic(active_pairings(build_bcn(M23), x))
-            vals.append(pivot_residuals(T)[0][1][0])
+            vals.append(at_identity(active_pairings(build_bcn(M23), x))[0][1][0])
         assert np.median(vals) > 1e-3
 
     def test_matches_wdvv_when_metric_is_scalar(self):
         # m = (1,..,1) under the constraint: B is proportional to the identity
         tol = 1e-10
         for x, T, B in sampled_tensors(BC3, 20, "commuting/scalar"):
-            pair, commuting = pivot_residuals(T, B[None])[0][0], pivot_residuals(T)[0][0]
+            pair, commuting = pivot_residuals(T, B[None])[0][0], at_identity(active_pairings(build_bcn(BC3), x))[0][0]
             assert np.array_equal(pair < tol, commuting < tol)
 
 
@@ -168,8 +178,7 @@ class TestNTwoIsVacuous:
         rng = rng_for(42, "n2/commuting")
         vals = []
         for x in sample_points(rng, fully_active(hat), 30):
-            T = tensor_generic(active_pairings(hat, x))
-            vals.append(pivot_residuals(T)[0][1][0])
+            vals.append(at_identity(active_pairings(hat, x))[0][1][0])
         assert np.median(vals) > 1e-3
 
 
@@ -233,11 +242,13 @@ KERNEL_FAMILIES = [
 
 @pytest.mark.parametrize("params", KERNEL_FAMILIES, ids=lambda p: f"n={p.n},r={p.r:.4g}")
 def test_kernel_matches_per_pair_oracle(params):
-    # pair form (pivot B), pivot form (every F_k, one at a time) and commuting form (pivot I)
+    # pair form (pivot B), pivot form (every F_k, one at a time) and commuting form (pivot I, by the arrow
+    # kernel, whose V the members give by another GEMM)
     n = params.n
     # fewer points at n=10, where one point takes about 1200 oracle pairs
     for x, T, B in sampled_tensors(params, 5 if n < 10 else 2, f"kernel/{n}/{params.r}"):
-        forms = [(pivot_residuals(T, B[None])[0], B), *zip(each_slice(T), T), (pivot_residuals(T)[0], None)]
+        commuting = at_identity(active_pairings(build_bcn(params), x))[0]
+        forms = [(pivot_residuals(T, B[None])[0], B), *zip(each_slice(T), T), (commuting, None)]
         for (scaled, raw, _), P in forms:
             assert scaled.shape == raw.shape == (n * (n - 1) // 2,)
             for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
@@ -265,7 +276,7 @@ def test_condition_is_the_eigenvalue_ratio_bit_for_bit():
             # a stack reports the condition number of the pivot it chose, the smallest
             lam = np.abs(np.linalg.eigvalsh(T))
             assert pivot_residuals(T, T)[0][2] == (lam.max(axis=1) / lam.min(axis=1)).min()
-            assert pivot_residuals(T)[0][2] == 1.0
+            assert at_identity(active_pairings(build_bcn(params), x))[0][2] == 1.0
 
 
 # every oracle family, and unit-m BC_n at n = 16 and 20 (theorem and broken),
@@ -285,7 +296,7 @@ def test_kernel_is_the_full_pass_bit_for_bit(params, box):
     eta = rng_for(0, f"{label}/eta").standard_normal(params.n)
     for x, T, B in sampled_tensors(params, 3 if params.n < 16 else 2, label, box=box):
         B_eta_F = np.stack([B, np.tensordot(eta, T, axes=1)])
-        stacks = (B[None], *T[:, None], T, None, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]]))
+        stacks = (B[None], *T[:, None], T, B_eta_F, np.concatenate([B[None], T]), np.concatenate([T, B[None]]))
         for pivots in stacks:
             got, want = pivot_residuals(T, pivots)[0], pivot_residuals_full(T, pivots)
             for name, a, b in zip(("scaled", "raw"), got, want):
@@ -295,12 +306,42 @@ def test_kernel_is_the_full_pass_bit_for_bit(params, box):
             assert got[2] == want[2], "condition"
 
 
+# the rescaled families of verify-susy's golden reports at unequal m, at the theorem and at r + 1
+HAT_FAMILIES = [*_theorem_and_broken(3, 1.0, 2.0, (1.0, 2.0, 2.0)), *_theorem_and_broken(4, 0.5, 1.0, (2.0, 1.0, 3.0, 1.0))]
+
+
+@pytest.mark.parametrize("params, hat", [(p, False) for p, _ in BIT_FOR_BIT] + [(p, True) for p in HAT_FAMILIES],
+                         ids=[f"n={p.n},r={p.r:.4g}" for p, _ in BIT_FOR_BIT] + [f"hat-n={p.n},r={p.r:.4g}"
+                                                                               for p in HAT_FAMILIES])
+def test_the_commuting_form_is_the_dense_identity_pass(params, hat):
+    # the arrow kernel at the identity pivot against the oracles' full commutator pass of the dense tensor
+    # at P = I: the same pairs, each scaled residual within 8 n eps (V and the tensor are two GEMMs over the
+    # members, and each entry of M_ij is a sum of at most n + 3 terms, each bounded by ||F_i|| ||F_j||), raw
+    # within the same bound times ||F_i|| ||F_j||, and condition number 1
+    eps, n = np.finfo(float).eps, params.n
+    config = build_hat_configuration(params).config if hat else build_bcn(params)
+    box = DEFAULT_BOX if n <= 10 else (0.3, 4.0)
+    i, j = np.triu_indices(n, 1)
+    for x in sample_points(rng_for(0, f"commuting/dense/{n}/{params.r}/{hat}"), fully_active(config), 3, box):
+        active = active_pairings(config, x)
+        T = tensor_generic(active)
+        (scaled, raw, condition), refusals = at_identity(active)
+        want_scaled, want_raw, _ = pivot_residuals_full(T)
+        norms = np.abs(np.linalg.eigvalsh(T)).max(axis=-1)
+        assert refusals is None and condition == 1.0
+        assert scaled.shape == raw.shape == (n * (n - 1) // 2,)
+        assert np.abs(scaled - want_scaled[i, j]).max() <= 8 * n * eps, (params, x)
+        assert (np.abs(raw - want_raw[i, j]) <= 8 * n * eps * norms[i] * norms[j]).all(), (params, x)
+
+
 @pytest.mark.parametrize("stack, calls", [("[B; eta.F]", 2), ("T", 2), ("B", 2), ("identity", 1)])
 def test_eigvalsh_calls_per_kernel_call(monkeypatch, stack, calls):
     # one eigvalsh of the pivot stack for the condition numbers, whatever its length
     # (verify-wdvv's [B, eta.F] included), one of the tensor for the norms ||F_k||, no SVD,
-    # and one solve, against the one chosen (n, n) pivot
+    # and one solve, against the one chosen (n, n) pivot; the commuting form, the arrow kernel at
+    # the identity, takes one eigvalsh, of the n arrow slices, and no solve
     x, T, B = next(sampled_tensors(KERNEL_FAMILIES[6], 1, "kernel/svd"))  # n=10, on the relation
+    V = arrow_slices(active_pairings(build_bcn(KERNEL_FAMILIES[6]), x))
     eta_F = np.tensordot(rng_for(0, "kernel/svd/eta").standard_normal(len(T)), T, axes=1)
     pivots = {"[B; eta.F]": np.stack([B, eta_F]), "T": T, "B": B[None], "identity": None}[stack]
     seen, solved = [], []
@@ -317,7 +358,10 @@ def test_eigvalsh_calls_per_kernel_call(monkeypatch, stack, calls):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     _refuse_svd(monkeypatch)
-    pivot_residuals(T, pivots)
+    if pivots is None:
+        arrow_residuals(V, np.ones(len(V)))
+    else:
+        pivot_residuals(T, pivots)
     assert len(seen) == calls, seen
     assert solved == ([] if pivots is None else [B.shape]), solved
 
@@ -458,7 +502,7 @@ def test_arrow_kernel_matches_the_dense_oracle(n):
         for x in sample_points(rng_for(0, f"arrow/{n}/{params.r}"), fully_active(config), 3 if n <= 10 else 2, box):
             active = active_pairings(config, x)
             T = tensor_generic(active)
-            scaled, raw, condition = arrow_residuals(active, x)[0]
+            scaled, raw, condition = at_b(active, x)[0]
             want_scaled, want_raw, want_condition = pivot_residuals(T, metric_B_einsum(T, x)[None])[0]
             assert scaled.shape == raw.shape == want_scaled.shape == (n * (n - 1) // 2,)
             assert np.abs(scaled - want_scaled).max() <= 8 * n * eps, (params, x)
@@ -473,7 +517,7 @@ def test_the_arrow_kernel_fails_r_plus_1_and_passes_the_theorem():
         params = BCnParameters(n=10, r=-16.0 + shift, s=0.0, q=1.0, m=(1.0,) * 10)
         config = build_bcn(params)
         for x in sample_points(rng_for(0, "arrow/control"), fully_active(config), 5):
-            scaled = arrow_residuals(active_pairings(config, x), x)[0][0]
+            scaled = at_b(active_pairings(config, x), x)[0][0]
             assert want(scaled.max()), (shift, scaled.max())
 
 
@@ -490,13 +534,13 @@ def test_the_arrow_kernel_refusals(case):
     with np.errstate(over="ignore", invalid="ignore"):
         if case == "tensor":
             with pytest.raises(DomainError, match="^the tensor is not finite$"):
-                arrow_residuals(_diagonal_active((1.0, np.inf, 1.0)), np.full(3, 0.5))
+                at_b(_diagonal_active((1.0, np.inf, 1.0)), np.full(3, 0.5))
         elif case == "pivot":
             with pytest.raises(DomainError, match="^pivot 0 is not finite$"):
-                arrow_residuals(_diagonal_active(), np.array([400.0, 0.5, 0.7]))  # sinh(800) overflows
+                at_b(_diagonal_active(), np.array([400.0, 0.5, 0.7]))  # sinh(800) overflows
         else:
             with np.errstate(all="raise"):
-                (scaled, raw, condition), refusal = arrow_residuals(_diagonal_active(), np.array([0.5, 0.0, 0.7]))
+                (scaled, raw, condition), refusal = at_b(_diagonal_active(), np.array([0.5, 0.0, 0.7]))
             assert refusal == "the diagonal pivot B has B_kk = 0 at k = 1"
             assert condition == np.inf and np.isfinite(scaled).all() and np.isfinite(raw).all()
 
@@ -517,16 +561,36 @@ def test_a_family_run_takes_the_arrow_kernel_once_per_block(monkeypatch):
     def refused(*args):
         raise AssertionError("the family route took the dense route")
 
-    def counting(active, x):
-        calls.append((x.shape, active[2].shape[0]))
-        return arrow_residuals(active, x)
+    def counting(V, B):
+        calls.append((V.shape, B.shape))
+        return arrow_residuals(V, B)
 
     monkeypatch.setattr(cli, "pivot_residuals", refused)
     monkeypatch.setattr(cli, "tensor_generic", refused)
     monkeypatch.setattr(cli, "arrow_residuals", counting)
     source = {"family": "bcn", "n": 4, "r": -14, "s": 0.5, "q": 1, "m": [2, 1, 3, 1]}
     assert run(RunSpec(command="verify-wdvv", config_source=source, samples=4)).all_passed
-    assert calls == [((4, 4), 4)]
+    assert calls == [((4, 4, 4), (4, 4))]
+
+
+def test_a_susy_run_takes_the_arrow_kernel_at_the_identity_once_per_block(monkeypatch):
+    # verify-susy forms no tensor and takes no dense kernel: its commuting form is one arrow_residuals call
+    # per block at B = ones, here the run's four points at n = 4 in one call
+    calls = []
+
+    def refused(*args):
+        raise AssertionError("verify-susy took the dense route")
+
+    def counting(V, B):
+        calls.append((V.shape, B.shape, bool((B == 1.0).all())))
+        return arrow_residuals(V, B)
+
+    monkeypatch.setattr(cli, "pivot_residuals", refused)
+    monkeypatch.setattr(cli, "tensor_generic", refused)
+    monkeypatch.setattr(cli, "arrow_residuals", counting)
+    source = {"family": "bcn", "n": 4, "r": -14, "s": 0.5, "q": 1, "m": [2, 1, 3, 1]}
+    assert run(RunSpec(command="verify-susy", config_source=source, samples=4)).all_passed
+    assert calls == [((4, 4, 4), (4, 4), True)]
 
 
 def _same_bits(got, want) -> bool:
@@ -541,9 +605,9 @@ def test_an_arrow_block_is_its_points_bit_for_bit(n):
     for params in _random_families(n, seed=n):
         config = build_bcn(params)
         xs = sample_points(rng_for(1, f"arrow/block/{n}/{params.r}"), fully_active(config), b, box)
-        alone = [arrow_residuals(active_pairings(config, x), x) for x in xs]
+        alone = [at_b(active_pairings(config, x), x) for x in xs]
         A, c, _ = active_pairings(config, xs[0])
-        block, refusals = arrow_residuals((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
+        block, refusals = at_b((A, c, np.stack([active_pairings(config, x)[2] for x in xs])), np.stack(xs))
         assert [a.shape for a in block] == [(b, n * (n - 1) // 2)] * 2 + [(b,)] and refusals == [None] * b
         for p, (one, refusal) in enumerate(alone):
             assert isinstance(one[2], float) and refusal is None
@@ -567,9 +631,9 @@ def test_a_block_with_a_non_finite_point_raises_as_that_point(case, text, where)
         xs[where, 2] = 400.0  # sinh(800) overflows
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError) as alone:
-            arrow_residuals((A, c, zs[where]), xs[where])
+            at_b((A, c, zs[where]), xs[where])
         with pytest.raises(DomainError) as block:
-            arrow_residuals((A, c, zs), xs)
+            at_b((A, c, zs), xs)
     assert str(block.value) == str(alone.value) == text
 
 
@@ -584,8 +648,8 @@ def test_a_block_with_a_zero_pivot_refuses_that_point_alone(where):
     zs = np.stack([active_pairings(config, x)[2] for x in xs])
     xs[where, 2] = 0.0  # z, and so V, kept
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-        block, refusals = arrow_residuals((A, c, zs), xs)
-        alone = [arrow_residuals((A, c, z), x) for z, x in zip(zs, xs)]
+        block, refusals = at_b((A, c, zs), xs)
+        alone = [at_b((A, c, z), x) for z, x in zip(zs, xs)]
     text = "the diagonal pivot B has B_kk = 0 at k = 2"
     assert refusals == [text if p == where else None for p in range(3)]
     assert [refusal for _, refusal in alone] == refusals
