@@ -16,7 +16,7 @@ import numpy as np
 
 from .configurations import BCnParameters, Partition, _bcn_members, _read_only, _restriction
 from .errors import DimensionError
-from .prepotential import DEFAULT_THRESHOLD, _admitted, _matvec, _point, coth
+from .prepotential import _finite, _matvec, _point, coth
 
 
 def _operands(A: np.ndarray, names: str, *vectors, lead: tuple = ()) -> list[np.ndarray]:
@@ -82,7 +82,7 @@ class RestrictionContext:
     ``outside_active``, its (A, c) of nonzero multiplicity; P = F A^T and the
     absolute values of ``subsystem`` and A, which bound the tangency sums, too.
     The functions below take the context and its ``pairings`` at points x_tilde
-    (..., n), the margin θ being the caller's, each point's bits as alone.
+    (..., n), each point's bits as alone.
     """
 
     def __init__(self, r: float, s: float, q: float, part: Partition) -> None:
@@ -98,12 +98,13 @@ class RestrictionContext:
         self._abs_subsystem = np.abs(self.subsystem)
         self._abs_outside = np.abs(A)
 
-    def pairings(self, x_tilde, threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, c, z): ``outside_active`` and its pairings z at the embedded points sum_k x_tilde_k f_k, x_tilde (n,)
-        or a block (b, n) in block-basis coordinates, read by ``prepotential._point``; a point within ``threshold``
-        of an active member's hyperplane, or not finite, is refused as ``active_pairings`` refuses it."""
+    def pairings(self, x_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, c, z): ``outside_active`` and its pairings z = P^T x_tilde, (alpha, sum_k x_tilde_k f_k) for each
+        member alpha, at x_tilde (n,) or a block (b, n) in block-basis coordinates, read by ``prepotential._point``;
+        a point that is not finite raises DomainError.  No margin is tested: each column of P is the projected
+        configuration's vector of its member, so the sampler's margin rule has kept every |z| >= theta."""
         A, c = self.outside_active
-        return A, c, _admitted(A, _matvec(self.block_basis.T, _point(x_tilde, len(self.m), True)), threshold)
+        return A, c, _matvec(self._P.T, _finite(_point(x_tilde, len(self.m), True)))
 
 
 def restricted_multiply(rctx: RestrictionContext, active, u, v) -> np.ndarray:

@@ -480,7 +480,7 @@ def _run_restriction(spec: RunSpec, parsed):
            if projected.vectors.shape == vectors.shape else math.inf)
 
     def residuals(xt, active, draws):  # x~ (b, n) and a point's (2, n) draw: two draws of n
-        outside = restriction.pairings(xt, spec.threshold)
+        outside = restriction.pairings(xt)
         u, v = _matvec(restriction.block_basis.T, draws.swapaxes(0, -2))  # embedded: sum_k u~_k f_k
         C = algebra.structure_constants(restriction, outside)
         return {
@@ -504,7 +504,7 @@ def _run_susy(spec: RunSpec, parsed):
 
     def hat_residuals(xh, active, draws):
         V, x = arrow_slices(active), xh / sq
-        closed = closed_form_arrows(params, x, spec.threshold)
+        closed = closed_form_arrows(params, x)
         # the rescaled arrows in base coordinates against the closed form at x, the commuting form at the identity
         # pivot, and B^ = h I as B = h diag(m), each point's (off, diag) side by side, an overflow naming x^
         return {

@@ -28,33 +28,23 @@ def coth(z):
     return 1.0 / np.tanh(z)
 
 
-def _hyperbolic_helpers(x: np.ndarray, threshold: float):
+def _hyperbolic_helpers(x: np.ndarray):
     """The coth-type helpers (b, b~, b_pair) at a point x of shape (n,), or at each of a block (b, n).
 
     b[i] = coth(x_i), bt[i] = coth(2 x_i), and b_pair[i][j] =
-    coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it, each with x's leading axis.  All
-    sinh arguments (x_i, 2 x_i, x_i +- x_j) must stay at least ``threshold`` away from zero,
-    regardless of which outputs the caller consumes: a non-finite x raises DomainError, and an
-    argument inside the margin SingularityError naming the nearest one (in a block, of any point).
+    coth(x_i + x_j) + coth(x_i - x_j) off the diagonal, 0 on it, each with x's leading axis.  A
+    non-finite x raises DomainError.  The sinh arguments x_i, 2 x_i and x_i +- x_j are not tested
+    against the margin: each is a pairing of a BC_n covector, which the sampler's margin rule, ``_margin``,
+    has kept at least theta from zero, whatever its multiplicity.
     """
-    if not np.isfinite(x).all():
-        raise DomainError(f"point {x.tolist()} is not finite")
+    _finite(x)
     n = x.shape[-1]
     i, j = _off_pairs(n)
     xi, xj = x[..., i], x[..., j]
-    plus, minus = xi + xj, xi - xj
-    # |2 x_k| >= |x_k|, so the x piece is nearer: the margin needs three minima, not the joined array
-    if min(np.abs(a).min(initial=np.inf) for a in (x, plus, minus)) < threshold:
-        args = np.concatenate([x, 2.0 * x, plus, minus], axis=-1)
-        bad = np.abs(args) < threshold
-        worst = float(args[bad][np.argmin(np.abs(args[bad]))])
-        raise SingularityError(
-            f"sinh argument {worst:.6g} is within {threshold} of zero at x = {x.tolist()}"
-        )
     b = coth(x)
     bt = coth(2.0 * x)
     b_pair = np.zeros((*x.shape, n))
-    b_pair[..., i, j] = coth(plus) + coth(minus)
+    b_pair[..., i, j] = coth(xi + xj) + coth(xi - xj)
     return b, bt, b_pair
 
 
@@ -72,11 +62,21 @@ def _matvec(M: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (M @ d[..., None])[..., 0]
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x of shape (..., n), or DomainError naming its first point that is not finite."""
+    xs = x.reshape(-1, x.shape[-1])
+    bad = ~np.isfinite(xs).all(-1)
+    if bad.any():
+        raise DomainError(f"point {xs[bad][0].tolist()} is not finite")
+    return x
+
+
 def _margin(A: np.ndarray, x: np.ndarray, threshold: float, rows=None):
     """(z, ok): z = A @ x for the covectors A (rows), or its entries at ``rows``, and ok iff x is finite
     and every |z| >= threshold (a NaN pairing fails, an empty z passes).  x of shape (..., n) gives z of
-    (..., M) by ``_matvec``, each point's bits as alone, and ok of shape (...); matmul warns on a
-    non-finite x, so a caller that may pass one tests x first, as ``_admitted`` does."""
+    (..., M) by ``_matvec``, each point's bits as alone, and ok of shape (...).  The one margin rule: the
+    sampler applies it to every candidate, and ``active_pairings`` to a point given from outside.  matmul
+    warns on a non-finite x, so a caller that may pass one tests x first, as ``active_pairings`` does."""
     z = _matvec(A, x)
     if rows is not None:
         z = z[..., rows]
@@ -90,28 +90,19 @@ def active_pairings(config: Configuration, x, threshold: float = DEFAULT_THRESHO
     """(A, c, z): the active members of ``config`` (nonzero multiplicity) and their pairings (alpha, x).
 
     A and c are ``config.active_members``, shared read-only by every point; z is ``config.vectors @ x`` at
-    ``config.active_rows``, the one route to z, which ``cli._sampled`` takes too.  A point that is not
-    finite, or within ``threshold`` of an active member's hyperplane, is refused by ``_admitted``.
+    ``config.active_rows``, the one route to z, which ``cli._sampled`` takes too.  This is the one refusal of a
+    point outside the sampler, for the ``tensor`` command's given point: one that is not finite raises
+    DomainError, and one within ``threshold`` of an active member's hyperplane SingularityError naming the
+    nearest member (or its first NaN pairing).
     """
     A, c = config.active_members
-    return A, c, _admitted(A, _point(x, config.dimension), threshold, config.vectors, config.active_rows)
-
-
-def _admitted(A: np.ndarray, x: np.ndarray, threshold: float, vectors=None, rows=None) -> np.ndarray:
-    """z of ``_margin(vectors, x, threshold, rows)`` (A = vectors[rows], A itself by default) at x (..., n) if every point
-    keeps the margin; else the first point refused raises, for ``active_pairings`` and ``RestrictionContext.pairings``
-    alike: DomainError if not finite, else SingularityError naming its nearest member (or its first NaN pairing)."""
-    xs = x.reshape(-1, x.shape[-1])
-    if not np.isfinite(xs).all():
-        raise DomainError(f"point {xs[~np.isfinite(xs).all(-1)][0].tolist()} is not finite")
-    z, ok = _margin(A if vectors is None else vectors, x, threshold, rows)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        zk = z.reshape(-1, z.shape[-1])[k]
-        idx = int(np.argmin(np.abs(zk)))
-        raise SingularityError(f"point {xs[k].tolist()} lies within {threshold} of the hyperplane of "
-                               f"member {A[idx].tolist()} ((alpha, x) = {zk[idx]:.6g})")
-    return z
+    x = _finite(_point(x, config.dimension))
+    z, ok = _margin(config.vectors, x, threshold, config.active_rows)
+    if not ok:
+        k = int(np.argmin(np.abs(z)))
+        raise SingularityError(f"point {x.tolist()} lies within {threshold} of the hyperplane of "
+                               f"member {A[k].tolist()} ((alpha, x) = {z[k]:.6g})")
+    return A, c, z
 
 
 def tensor_generic(active) -> np.ndarray:
@@ -128,17 +119,17 @@ def tensor_generic(active) -> np.ndarray:
     return ((A.T * (c * coth(z))[..., None, :]) @ AA).reshape(*z.shape[:-1], n, n, n)
 
 
-def closed_form_arrows(p: BCnParameters, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+def closed_form_arrows(p: BCnParameters, x) -> np.ndarray:
     """The explicit BC_n third derivatives V[i, k] = F_ikk, the tensor's every nonzero entry (delta-symbol form).
 
     Diagonal: V[k, k] = F_kkk = r m_k b_k + 4(2s m_k + q m_k(m_k - 1)) bt_k + q m_k sum_{j != k} m_j b_pair[k][j];
     off it, V[i, k] = F_ikk = q m_i m_k b_pair[i][k].  Every other entry, F_ijk with i, j, k distinct,
-    vanishes.  A block, x of shape (b, n), gives (b, n, n), each point's bits as alone, or raises if any
-    point is refused.
+    vanishes.  A block, x of shape (b, n), gives (b, n, n), each point's bits as alone.  A non-finite point
+    raises DomainError; the margin is the sampler's, which every point it admits keeps (``_hyperbolic_helpers``).
     """
     x = _point(x, p.n, True)
     rm, wt, qm, qmm = p.closed_form_weights
-    b, bt, b_pair = _hyperbolic_helpers(x, threshold)
+    b, bt, b_pair = _hyperbolic_helpers(x)
     V = qmm * b_pair  # b_pair's diagonal is 0, and the diagonal is written next
     V.reshape(*x.shape[:-1], -1)[..., :: p.n + 1] = rm * b + wt * bt + qm * (b_pair @ p.m_array)
     return V

@@ -28,8 +28,8 @@ restricted product one outside member at a time, the
 closed-form BC_n tensor is filled one index pair at a time, and the generic
 tensor and its metric are contracted by ``einsum`` instead of one GEMM.  The
 coth helpers, the closed-form tensor and the metric identity are also kept in
-their masked form, with n x n sum and difference arrays, an ``np.eye`` mask, one
-joined margin test and ``np.diag_indices``, and the generic tensor's member
+their masked form, with n x n sum and difference arrays, an ``np.eye`` mask and
+``np.diag_indices``, and the generic tensor's member
 outer products by broadcasting, as bit-for-bit references for the index-array
 routes of the library.
 """
@@ -261,20 +261,20 @@ def restricted_multiply_loop(part, r, s, q, x_tilde, u, v) -> np.ndarray:
     return out
 
 
-def hyperbolic_helpers(x, threshold: float = DEFAULT_THRESHOLD):
+def hyperbolic_helpers(x):
     """The closed form's coth helpers (b, b~, b_pair) at one point: ``prepotential._hyperbolic_helpers``
     behind the one-point shape rule, so a point that is not 1-D raises DimensionError.  The library
     reads them only through ``closed_form_arrows``, which takes a block of points too."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"point has shape {x.shape}, expected (n,)")
-    return _hyperbolic_helpers(x, threshold)
+    return _hyperbolic_helpers(x)
 
 
-def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+def tensor_closed_form_loop(p, x) -> np.ndarray:
     """The explicit BC_n third-derivative formula, filled entry by entry."""
     n, r, s, q, m = p.n, p.r, p.s, p.q, p.m_array
-    b, bt, b_pair = hyperbolic_helpers(np.asarray(x, dtype=float), threshold)
+    b, bt, b_pair = hyperbolic_helpers(np.asarray(x, dtype=float))
     F = np.zeros((n, n, n))
     diag = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
     pair_val = q * np.outer(m, m) * b_pair.T
@@ -286,27 +286,22 @@ def tensor_closed_form_loop(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.nd
     return F
 
 
-def hyperbolic_helpers_masked(x, threshold: float = DEFAULT_THRESHOLD):
-    """(b, bt, b_pair) through n x n arrays x_i +- x_j, an ``np.eye`` mask and one joined margin test."""
+def hyperbolic_helpers_masked(x):
+    """(b, bt, b_pair) through n x n arrays x_i +- x_j and an ``np.eye`` mask."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     plus = x[:, None] + x[None, :]
     minus = x[:, None] - x[None, :]
     off = ~np.eye(n, dtype=bool)
-    args = np.concatenate([x, 2.0 * x, plus[off], minus[off]])
-    bad = np.abs(args) < threshold
-    if bad.any():
-        worst = float(args[bad][np.argmin(np.abs(args[bad]))])
-        raise SingularityError(f"sinh argument {worst:.6g} is within {threshold} of zero at x = {x.tolist()}")
     b_pair = np.zeros((n, n))
     b_pair[off] = coth(plus[off]) + coth(minus[off])
     return coth(x), coth(2.0 * x), b_pair
 
 
-def tensor_closed_form_masked(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+def tensor_closed_form_masked(p, x) -> np.ndarray:
     """The closed-form BC_n tensor with its weights formed at the point and its diagonal by ``np.diag_indices``."""
     n, r, s, q, m = p.n, p.r, p.s, p.q, np.asarray(p.m, dtype=float)
-    b, bt, b_pair = hyperbolic_helpers_masked(x, threshold)
+    b, bt, b_pair = hyperbolic_helpers_masked(x)
     F = np.zeros((n, n, n))
     F[np.diag_indices(n, 3)] = r * m * b + 4.0 * (2.0 * s * m + q * m * (m - 1.0)) * bt + q * m * (b_pair @ m)
     pair_val = q * np.outer(m, m) * b_pair.T
@@ -315,7 +310,7 @@ def tensor_closed_form_masked(p, x, threshold: float = DEFAULT_THRESHOLD) -> np.
     return F
 
 
-def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
+def identity_residuals(x, k: int, j: int):
     """Residuals of the two sinh/coth identities at indices (k, j).
 
     First: A_k b_kj + A_j b_jk - 2(cosh 2x_k + cosh 2x_j) with A_k = sinh 2x_k,
@@ -325,7 +320,7 @@ def identity_residuals(x, k: int, j: int, threshold: float = DEFAULT_THRESHOLD):
     0.5 raises ParameterError), and one outside 0..n-1 raises DimensionError.
     """
     x = np.asarray(x, dtype=float)
-    _, _, b_pair = hyperbolic_helpers(x, threshold)
+    _, _, b_pair = hyperbolic_helpers(x)
     k, j = (_integer(i, f"indices must be integers, got ({k!r}, {j!r})") for i in (k, j))
     if k not in range(len(x)) or j not in range(len(x)):
         raise DimensionError(f"indices ({k}, {j}) must lie in 0..{len(x) - 1}")

@@ -1020,28 +1020,29 @@ def test_restriction_checks_read_the_context_family(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, source, sampled, per_block",
+    "command, source, sampled",
     [
         # the family the run samples, 3 + 3 + 6 members
-        *((command, _family(3, -20, 1, 2, (1, 2, 2)), (3, 12), [])
+        *((command, _family(3, -20, 1, 2, (1, 2, 2)), (3, 12))
           for command in ("verify-wdvv", "verify-associativity", "verify-metric")),
-        # the projected BC_2 the run samples; then the margin of BC_5's active members outside its 4
-        # within-block differences at the embedded points, one test a block, with no active_pairings call
-        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), (2, 6), [(5, 2 * 5 + 5 * 4 - 4)]),
-        # the rescaled BC_2: its tensor and the gauge residual read the same pairings
-        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), (2, 6), []),
+        # the projected BC_2 the run samples; BC_5's members outside its subsystem are paired at the
+        # embedded points with no margin test of their own
+        ("verify-restriction", _family(2, -20, 1, 2, (2, 3)), (2, 6)),
+        # the rescaled BC_2: its tensor, the closed form and the gauge residual read the same pairings
+        ("verify-susy", _family(2, -20, 1, 2, (2, 3)), (2, 6)),
         # the explicit route's metric B(x) and the products read the same pairings
-        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2)))), (3, 12), []),
+        ("verify-associativity", config_document(load_config_source(_family(3, -20, 1, 2, (1, 2, 2)))), (3, 12)),
     ],
     ids=["verify-wdvv", "verify-associativity", "verify-metric", "verify-restriction", "verify-susy",
          "verify-associativity-explicit"],
 )
-def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled, per_block):
+def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled):
     # an accepted point's pairings are the one product its candidate formed in the sampler:
-    # _sampled makes no active_pairings call, and every margin test that is left, verify-restriction's
-    # of the members outside the subsystem, takes a block and receives the run's margin, as the sampler does
-    calls, products, outside, margins = [], [], [], set()
+    # _sampled makes no active_pairings call, no margin test runs outside the sampler, and the
+    # closed form receives the points alone, no margin: the sampler's _margin is a run's one margin test
+    calls, products, outside, closed, margins = [], [], [], [], set()
     original, margin, outside_margin = active_pairings, sampling._margin, prepotential._margin
+    closed_form = cli.closed_form_arrows
 
     def counting(config, x, threshold):
         calls.append((config.dimension, len(config)))
@@ -1054,11 +1055,13 @@ def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled
         margins.add(threshold)
         return z, ok
 
-    def counting_outside(pattern, x, threshold, rows=None):  # the margin test of the pairings outside the sampler
-        z, ok = outside_margin(pattern, x, threshold, rows)
-        outside.append((pattern.shape[::-1], np.size(ok)))
-        margins.add(threshold)
-        return z, ok
+    def counting_outside(pattern, x, threshold, rows=None):  # a margin test outside the sampler
+        outside.append(pattern.shape[::-1])
+        return outside_margin(pattern, x, threshold, rows)
+
+    def counting_closed(*args, **kwargs):
+        closed.append((len(args), sorted(kwargs)))
+        return closed_form(*args, **kwargs)
 
     # every trigwdvv namespace that holds it, so a caller that imported it by name is counted
     for name, module in list(sys.modules.items()):
@@ -1066,17 +1069,83 @@ def test_takes_the_pairings_once_per_point(monkeypatch, command, source, sampled
             monkeypatch.setattr(module, "active_pairings", counting)
     monkeypatch.setattr(sampling, "_margin", counting_margin)
     monkeypatch.setattr(prepotential, "_margin", counting_outside)
+    monkeypatch.setattr(cli, "closed_form_arrows", counting_closed)
     for samples in (1, 3):
         calls.clear()
         products.clear()
-        outside.clear()
+        closed.clear()
         report = run(RunSpec(command=command, config_source=source, samples=samples, threshold=0.07))
         assert report.discarded_points == 0
-        assert calls == []
-        assert outside == [(shape, samples) for shape in per_block]  # every point in one block
+        assert calls == [] and outside == []
+        assert closed == ([(2, [])] if command == "verify-susy" else [])  # (p, x): every point in one block
         assert [shape for shape, ok in products if ok] == [sampled] * samples
         assert {shape for shape, _ in products} == {sampled}
     assert margins == {0.07}
+
+
+def _nearest_walls(monkeypatch, source, box, theta):
+    """(the nearest closed-form sinh argument |x_i|, |2 x_i| or |x_i +- x_j| at verify-susy's points
+    x = x^ / sqrt(m), the nearest |z| of verify-restriction's outside pairings or None where m are not block
+    sizes), each over the points of a 20-sample run of ``source`` in ``box`` at margin ``theta``."""
+    xs, zs = [], []
+    closed_form, pairings = cli.closed_form_arrows, algebra.RestrictionContext.pairings
+
+    def recording_closed(p, x):
+        xs.append(np.array(x))
+        return closed_form(p, x)
+
+    def recording_pairings(self, x_tilde):
+        active = pairings(self, x_tilde)
+        zs.append(active[2])
+        return active
+
+    monkeypatch.setattr(cli, "closed_form_arrows", recording_closed)
+    monkeypatch.setattr(algebra.RestrictionContext, "pairings", recording_pairings)
+    options = {"samples": 20, "box": box, "threshold": theta}
+    run(RunSpec(command="verify-susy", config_source=source, **options))
+    x = np.concatenate(xs)
+    i, j = np.triu_indices(x.shape[1], 1)
+    closed = np.abs(np.concatenate([x, 2.0 * x, x[:, i] + x[:, j], x[:, i] - x[:, j]], axis=1)).min()
+    if not all(float(v).is_integer() for v in source["m"]):
+        return closed, None
+    run(RunSpec(command="verify-restriction", config_source=source, **options))
+    return closed, min(np.abs(z).min(initial=np.inf) for z in zs)
+
+
+def _wall_families():
+    """(source, box, theta): m = 2,1,3,1 and random families, integer m (block sizes) among them, each in a
+    box that straddles 0, at irrational sqrt(m) but for the unit entries; at q = 0 every e_i +- e_j, and
+    at r = s = 0 every e_i and 2e_i, has multiplicity 0 and keeps its margin all the same."""
+    yield _family(4, -14, 0.5, 1, (2, 1, 3, 1)), (-1.0, 1.0), 0.2
+    yield _family(4, -14, 0.5, 1, (2, 1, 3, 1)), (-0.7, 1.3), 0.05
+    yield _family(4, 3.0, 0.5, 0.0, (2, 1, 3, 1)), (-1.0, 1.0), 0.2
+    yield _family(4, 0.0, 0.0, 1.0, (2, 1, 3, 1)), (-1.0, 1.0), 0.2
+    rng = rng_for(55, "walls/families")
+    for k in range(8):
+        n = int(rng.integers(1, 5))
+        m = rng.integers(1, 4, n) if k % 2 else rng.uniform(0.05, 6.0, n)
+        r, s, q = (float(v) for v in rng.uniform(-5.0, 5.0, 3))
+        lo = -float(rng.uniform(0.2, 2.0))
+        yield _family(n, r, s, q, m.tolist()), (lo, lo + float(rng.uniform(2.5, 5.0))), [0.05, 0.2][k % 2]
+
+
+def test_the_sampler_s_margin_holds_where_the_closed_form_and_the_outside_pairings_read_the_point(monkeypatch):
+    # neither closed_form_arrows nor RestrictionContext.pairings tests a margin: every point the sampler
+    # admits keeps theta from each closed-form sinh argument, up to the rounding of x^ / sqrt(m), and
+    # from each outside pairing exactly (their covectors are the projected configuration's vectors)
+    restricted = 0
+    for source, box, theta in _wall_families():
+        closed, outside = _nearest_walls(monkeypatch, source, box, theta)
+        assert closed >= theta * (1.0 - 1e-12), (source, box, theta)
+        if outside is not None:
+            restricted += 1
+            assert outside >= theta, (source, box, theta)
+    assert restricted >= 6
+    # the check catches a sampler that tests the active members alone: at q = 0 every e_i +- e_j is
+    # inactive, and a point with |x_i - x_j| < theta gets through to the closed form
+    monkeypatch.setattr(cli, "fully_active", lambda config: config.active_members[0])
+    closed, _ = _nearest_walls(monkeypatch, _family(4, 3.0, 0.5, 0.0, (2, 1, 3, 1)), (-1.0, 1.0), 0.2)
+    assert closed < 0.2
 
 
 def test_restriction_evaluates_one_projected_tensor_per_block(monkeypatch):
@@ -1762,9 +1831,9 @@ def test_a_susy_report_is_the_same_in_blocks(monkeypatch, source, options):
     n, shapes = source["n"], []
     real = cli.closed_form_arrows
 
-    def recording(p, x, threshold):
+    def recording(p, x):
         shapes.append(np.shape(x))
-        return real(p, x, threshold)
+        return real(p, x)
 
     monkeypatch.setattr(cli, "closed_form_arrows", recording)
     blocked = dumps_17g(run(spec).to_json_dict())

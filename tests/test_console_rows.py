@@ -57,7 +57,7 @@ def test_the_rows_give_their_exit_codes_in_reverse_order(tmp_path, monkeypatch, 
 
 def test_the_rows_keep_their_count_and_their_documents():
     table = rows()
-    assert len(table) == 89
+    assert len(table) == 92
     assert [t for _, _, t in table if t] == ["m122_r-20.json", "m122_r-19.json", "q0.json", "bc40_r-76.json",
                                               "bc40_r-75.json", "m_spread_2e8.json"]
 

@@ -479,7 +479,7 @@ def _block_outputs(p, hat, xhs, metric=True):
         "tensor_generic-plain": ((tensor_generic(plain_active),), lambda k: (tensor_generic(plain_alone[k]),)),
         "arrow_slices": ((V,), lambda k: (arrow_slices(alone[k]),)),
         "arrow_residuals": (arrow_residuals(V, ones)[0][:2], lambda k: arrow_residuals(V[k], ones[k])[0][:2]),
-        "_hyperbolic_helpers": (_hyperbolic_helpers(xs, 0.05), lambda k: _hyperbolic_helpers(xs[k], 0.05)),
+        "_hyperbolic_helpers": (_hyperbolic_helpers(xs), lambda k: _hyperbolic_helpers(xs[k])),
         "closed_form_arrows": ((closed,), lambda k: (closed_form_arrows(p, xs[k]),)),
         "_two_path": ((_two_path(base, closed, axes=(-2, -1)),), lambda k: (_two_path(base[k], closed[k]),)),
         "metric_B": ((metric_B(base_active, xs),), lambda k: (metric_B(base_alone[k], xs[k]),)),
